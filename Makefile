@@ -69,16 +69,16 @@ bench-check:
 			$(if $(filter .,$(BENCHPATTERN)),,-allow-missing)
 
 # `make profile` captures CPU and heap pprof profiles of the row-tier
-# group-commit engine at 8 workers — the configuration the speculative
-# partition and pre-planned merge target — by looping the row
-# worker-scaling benchmark (the fig10row experiment itself finishes in
+# group-commit engine by looping BenchmarkFig10Row on its 16-pod,
+# 512-rack row (the fig10row experiment itself finishes in
 # milliseconds, far under the profiler's sampling period; the benchmark
-# drives the identical AdmitBatch/EvictBatch path thousands of times).
+# drives the identical AdmitBatch/EvictBatch path thousands of times —
+# its evictions run off the benchmark timer but inside the profile).
 # Profiles and the instrumented test binary land in artifacts/; the top
 # CPU frames print at the end. PROFILE.md holds the committed snapshot.
 # For an end-to-end experiment profile, dredbox-report has the same
 # knobs: see README "Profiling the group-commit engine".
-PROFILEBENCH ?= AdmitWorkerScaling/row-16pods/workers=8
+PROFILEBENCH ?= Fig10Row/pods-16
 PROFILETIME ?= 5000x
 profile:
 	mkdir -p artifacts

@@ -346,7 +346,7 @@ func BenchmarkFig10Row(b *testing.B) {
 			placements := 0
 			var evictNS int64
 			for i := 0; i < b.N; i++ {
-				out, err := sched.AdmitBatch(reqs, 0)
+				out, err := sched.AdmitBatch(reqs)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -360,7 +360,7 @@ func BenchmarkFig10Row(b *testing.B) {
 					}
 				}
 				t0 := time.Now()
-				if _, err := sched.EvictBatch(ereqs, 0); err != nil {
+				if _, err := sched.EvictBatch(ereqs); err != nil {
 					b.Fatal(err)
 				}
 				evictNS += time.Since(t0).Nanoseconds()
@@ -413,8 +413,7 @@ func batchAdmitPod(b *testing.B, policy sdm.Policy) *sdm.PodScheduler {
 // policies), index-leaf refreshes (one per touched brick per batch
 // instead of one per op), rack choice (one planned-aggregate partition
 // pass instead of a per-request rack scan) and the per-op closure plan
-// machinery — and plans independent rack shards on parallel workers.
-// The acceptance bar is batch >= 2x per-request placements/s at 16
+// machinery. The acceptance bar is batch >= 2x per-request placements/s at 16
 // racks; teardown between iterations is excluded from the timing.
 //
 // Iterations churn: teardown is a batched evict whose epilogue drains
@@ -453,35 +452,26 @@ func BenchmarkBatchAdmit(b *testing.B) {
 			}
 		}
 	}
-	// The acceptance comparison pins AdmitBatch to ONE worker: the >=2x
-	// bar is cleared by the serial amortizations alone, so it holds on
-	// any hardware. batch-parallel shows what rack-parallel planning
-	// adds on multi-core hosts (identical to batch on a single core).
 	for _, policy := range []sdm.Policy{sdm.PolicyPowerAware, sdm.PolicySpread} {
 		b.Run(policy.String(), func(b *testing.B) {
-			for _, cfg := range []struct {
-				name    string
-				workers int
-			}{{"batch", 1}, {"batch-parallel", 0}} {
-				b.Run(cfg.name, func(b *testing.B) {
-					sched := batchAdmitPod(b, policy)
-					reqs := mkReqs()
-					out := make([]sdm.AdmitResult, burst)
-					teardown := mkTeardown()
-					b.ResetTimer()
-					placements := 0
-					for i := 0; i < b.N; i++ {
-						if err := sched.AdmitBatchInto(reqs, out, cfg.workers); err != nil {
-							b.Fatal(err)
-						}
-						placements += burst
-						b.StopTimer()
-						teardown(b, sched, reqs, out)
-						b.StartTimer()
+			b.Run("batch", func(b *testing.B) {
+				sched := batchAdmitPod(b, policy)
+				reqs := mkReqs()
+				out := make([]sdm.AdmitResult, burst)
+				teardown := mkTeardown()
+				b.ResetTimer()
+				placements := 0
+				for i := 0; i < b.N; i++ {
+					if err := sched.AdmitBatchInto(reqs, out, 0); err != nil {
+						b.Fatal(err)
 					}
-					b.ReportMetric(float64(placements)/b.Elapsed().Seconds(), "placements/s")
-				})
-			}
+					placements += burst
+					b.StopTimer()
+					teardown(b, sched, reqs, out)
+					b.StartTimer()
+				}
+				b.ReportMetric(float64(placements)/b.Elapsed().Seconds(), "placements/s")
+			})
 			b.Run("per-request", func(b *testing.B) {
 				sched := batchAdmitPod(b, policy)
 				reqs := mkReqs()
@@ -518,10 +508,9 @@ func BenchmarkBatchAdmit(b *testing.B) {
 // served through EvictBatch versus the per-request path
 // (DetachRemoteMemory + ReleaseCompute per request). The batch path
 // amortizes the per-op index-leaf refreshes into one deferred refresh
-// per touched brick and plans rack shards on parallel workers; the
-// acceptance bar is batch >= 2x per-request teardowns/s at 16 racks
-// with a single worker, so it holds on any hardware. Re-admission
-// between iterations is excluded from the timing.
+// per touched brick; the acceptance bar is batch >= 2x per-request
+// teardowns/s at 16 racks. Re-admission between iterations is excluded
+// from the timing.
 func BenchmarkEvictBatch(b *testing.B) {
 	const burst = 128
 	mkReqs := func() []sdm.AdmitRequest {
@@ -553,30 +542,25 @@ func BenchmarkEvictBatch(b *testing.B) {
 	}
 	for _, policy := range []sdm.Policy{sdm.PolicyPowerAware, sdm.PolicySpread} {
 		b.Run(policy.String(), func(b *testing.B) {
-			for _, cfg := range []struct {
-				name    string
-				workers int
-			}{{"batch", 1}, {"batch-parallel", 0}} {
-				b.Run(cfg.name, func(b *testing.B) {
-					sched := batchAdmitPod(b, policy)
-					reqs := mkReqs()
-					ereqs := make([]sdm.EvictRequest, burst)
-					eout := make([]sdm.EvictResult, burst)
-					admit := mkAdmit()
-					b.ResetTimer()
-					teardowns := 0
-					for i := 0; i < b.N; i++ {
-						b.StopTimer()
-						admit(b, sched, reqs, ereqs)
-						b.StartTimer()
-						if err := sched.EvictBatchInto(ereqs, eout, cfg.workers); err != nil {
-							b.Fatal(err)
-						}
-						teardowns += burst
+			b.Run("batch", func(b *testing.B) {
+				sched := batchAdmitPod(b, policy)
+				reqs := mkReqs()
+				ereqs := make([]sdm.EvictRequest, burst)
+				eout := make([]sdm.EvictResult, burst)
+				admit := mkAdmit()
+				b.ResetTimer()
+				teardowns := 0
+				for i := 0; i < b.N; i++ {
+					b.StopTimer()
+					admit(b, sched, reqs, ereqs)
+					b.StartTimer()
+					if err := sched.EvictBatchInto(ereqs, eout, 0); err != nil {
+						b.Fatal(err)
 					}
-					b.ReportMetric(float64(teardowns)/b.Elapsed().Seconds(), "teardowns/s")
-				})
-			}
+					teardowns += burst
+				}
+				b.ReportMetric(float64(teardowns)/b.Elapsed().Seconds(), "teardowns/s")
+			})
 			b.Run("per-request", func(b *testing.B) {
 				sched := batchAdmitPod(b, policy)
 				reqs := mkReqs()
@@ -602,216 +586,6 @@ func BenchmarkEvictBatch(b *testing.B) {
 			})
 		})
 	}
-}
-
-// scalingWorkers is the worker sweep of the group-commit scaling
-// benchmarks: 1 is the serial baseline, 8 engages the speculative
-// partitioner and the spill/teardown pre-planning waves.
-var scalingWorkers = []int{1, 2, 4, 8}
-
-// scalingBase records each scaling family's workers=1 throughput within
-// the current -count pass so the higher worker counts can report their
-// efficiency against it. Benchmarks run sequentially, so a plain map is
-// safe; a filtered run that skips the workers=1 sub-benchmark simply
-// omits the derived metric.
-var scalingBase = map[string]float64{}
-
-// reportScaling emits one scaling sub-benchmark's throughput plus
-// scaling-eff — parallel efficiency, throughput at w workers divided
-// by w times the same family's workers=1 throughput (1.0 at workers=1
-// by construction; 1/w is the floor a single-core box bottoms out at).
-// The unit deliberately does not end in /s: efficiency is trajectory
-// telemetry, not a gated throughput, so bench-check tracks it without
-// failing hosts whose core count caps the achievable efficiency.
-func reportScaling(b *testing.B, family string, workers int, perS float64, unit string) {
-	b.ReportMetric(perS, unit)
-	if workers == 1 {
-		scalingBase[family] = perS
-	}
-	if base := scalingBase[family]; base > 0 {
-		b.ReportMetric(perS/(float64(workers)*base), "scaling-eff")
-	}
-}
-
-// BenchmarkAdmitWorkerScaling sweeps the group-commit admission worker
-// count across the two batch tiers: bursts of 128 against the 16-rack
-// pod and 256 against the 16-pod (512-rack) row, under the spread
-// policy — the partitioner's worst case. Before the speculative head
-// and pre-planned tail, phase 1 and phase 3 were serial, so Amdahl
-// capped the sweep well below the shard-parallel ideal; with them,
-// scaling-eff measures how much of the batch actually runs on the
-// workers. Output is byte-identical at every worker count (the
-// equivalence property tests pin this), so the sweep is a pure
-// throughput experiment. Teardown between iterations is excluded.
-func BenchmarkAdmitWorkerScaling(b *testing.B) {
-	b.Run("pod-16racks", func(b *testing.B) {
-		const burst = 128
-		for _, w := range scalingWorkers {
-			b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
-				sched := batchAdmitPod(b, sdm.PolicySpread)
-				reqs := make([]sdm.AdmitRequest, burst)
-				for v := range reqs {
-					reqs[v] = sdm.AdmitRequest{
-						Owner: fmt.Sprintf("adm%03d", v), VCPUs: 1, LocalMem: brick.GiB, Remote: 2 * brick.GiB,
-					}
-				}
-				out := make([]sdm.AdmitResult, burst)
-				atts := make([]*sdm.Attachment, burst)
-				ereqs := make([]sdm.EvictRequest, burst)
-				eout := make([]sdm.EvictResult, burst)
-				b.ResetTimer()
-				placements := 0
-				for i := 0; i < b.N; i++ {
-					if err := sched.AdmitBatchInto(reqs, out, w); err != nil {
-						b.Fatal(err)
-					}
-					placements += burst
-					b.StopTimer()
-					for v := range out {
-						atts[v] = out[v].Att
-						ereqs[v] = sdm.EvictRequest{
-							Owner: reqs[v].Owner, CPU: out[v].CPU, Rack: out[v].Rack,
-							VCPUs: reqs[v].VCPUs, LocalMem: reqs[v].LocalMem,
-							Atts: atts[v : v+1 : v+1],
-						}
-					}
-					if err := sched.EvictBatchInto(ereqs, eout, 0); err != nil {
-						b.Fatal(err)
-					}
-					b.StartTimer()
-				}
-				reportScaling(b, "admit/pod", w, float64(placements)/b.Elapsed().Seconds(), "placements/s")
-			})
-		}
-	})
-	b.Run("row-16pods", func(b *testing.B) {
-		const burst = 256
-		for _, w := range scalingWorkers {
-			b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
-				sched := benchRow(b, 16)
-				reqs := make([]sdm.AdmitRequest, burst)
-				for v := range reqs {
-					reqs[v] = sdm.AdmitRequest{
-						Owner: fmt.Sprintf("adm%03d", v), VCPUs: 1, LocalMem: brick.GiB, Remote: 2 * brick.GiB,
-					}
-				}
-				out := make([]sdm.AdmitResult, burst)
-				atts := make([]*sdm.Attachment, burst)
-				ereqs := make([]sdm.EvictRequest, burst)
-				eout := make([]sdm.EvictResult, burst)
-				b.ResetTimer()
-				placements := 0
-				for i := 0; i < b.N; i++ {
-					if err := sched.AdmitBatchInto(reqs, out, w); err != nil {
-						b.Fatal(err)
-					}
-					placements += burst
-					b.StopTimer()
-					for v := range out {
-						atts[v] = out[v].Att
-						ereqs[v] = sdm.EvictRequest{
-							Owner: reqs[v].Owner, CPU: out[v].CPU, Rack: out[v].Rack, Pod: out[v].Pod,
-							VCPUs: reqs[v].VCPUs, LocalMem: reqs[v].LocalMem,
-							Atts: atts[v : v+1 : v+1],
-						}
-					}
-					if err := sched.EvictBatchInto(ereqs, eout, 0); err != nil {
-						b.Fatal(err)
-					}
-					b.StartTimer()
-				}
-				reportScaling(b, "admit/row", w, float64(placements)/b.Elapsed().Seconds(), "placements/s")
-			})
-		}
-	})
-}
-
-// BenchmarkEvictWorkerScaling is the admission sweep's inverse: the
-// same worker sweep over EvictBatch bursts on the 16-rack pod and the
-// 16-pod row, with re-admission excluded from the timing. The eviction
-// tail (cross-rack/cross-pod circuit teardown) was the serial half the
-// pre-planned crossPlan wave attacks; scaling-eff tracks what remains.
-func BenchmarkEvictWorkerScaling(b *testing.B) {
-	b.Run("pod-16racks", func(b *testing.B) {
-		const burst = 128
-		for _, w := range scalingWorkers {
-			b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
-				sched := batchAdmitPod(b, sdm.PolicySpread)
-				reqs := make([]sdm.AdmitRequest, burst)
-				for v := range reqs {
-					reqs[v] = sdm.AdmitRequest{
-						Owner: fmt.Sprintf("evc%03d", v), VCPUs: 1, LocalMem: brick.GiB, Remote: 2 * brick.GiB,
-					}
-				}
-				out := make([]sdm.AdmitResult, burst)
-				atts := make([]*sdm.Attachment, burst)
-				ereqs := make([]sdm.EvictRequest, burst)
-				eout := make([]sdm.EvictResult, burst)
-				b.ResetTimer()
-				teardowns := 0
-				for i := 0; i < b.N; i++ {
-					b.StopTimer()
-					if err := sched.AdmitBatchInto(reqs, out, 0); err != nil {
-						b.Fatal(err)
-					}
-					for v := range out {
-						atts[v] = out[v].Att
-						ereqs[v] = sdm.EvictRequest{
-							Owner: reqs[v].Owner, CPU: out[v].CPU, Rack: out[v].Rack,
-							VCPUs: reqs[v].VCPUs, LocalMem: reqs[v].LocalMem,
-							Atts: atts[v : v+1 : v+1],
-						}
-					}
-					b.StartTimer()
-					if err := sched.EvictBatchInto(ereqs, eout, w); err != nil {
-						b.Fatal(err)
-					}
-					teardowns += burst
-				}
-				reportScaling(b, "evict/pod", w, float64(teardowns)/b.Elapsed().Seconds(), "teardowns/s")
-			})
-		}
-	})
-	b.Run("row-16pods", func(b *testing.B) {
-		const burst = 256
-		for _, w := range scalingWorkers {
-			b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
-				sched := benchRow(b, 16)
-				reqs := make([]sdm.AdmitRequest, burst)
-				for v := range reqs {
-					reqs[v] = sdm.AdmitRequest{
-						Owner: fmt.Sprintf("evc%03d", v), VCPUs: 1, LocalMem: brick.GiB, Remote: 2 * brick.GiB,
-					}
-				}
-				out := make([]sdm.AdmitResult, burst)
-				atts := make([]*sdm.Attachment, burst)
-				ereqs := make([]sdm.EvictRequest, burst)
-				eout := make([]sdm.EvictResult, burst)
-				b.ResetTimer()
-				teardowns := 0
-				for i := 0; i < b.N; i++ {
-					b.StopTimer()
-					if err := sched.AdmitBatchInto(reqs, out, 0); err != nil {
-						b.Fatal(err)
-					}
-					for v := range out {
-						atts[v] = out[v].Att
-						ereqs[v] = sdm.EvictRequest{
-							Owner: reqs[v].Owner, CPU: out[v].CPU, Rack: out[v].Rack, Pod: out[v].Pod,
-							VCPUs: reqs[v].VCPUs, LocalMem: reqs[v].LocalMem,
-							Atts: atts[v : v+1 : v+1],
-						}
-					}
-					b.StartTimer()
-					if err := sched.EvictBatchInto(ereqs, eout, w); err != nil {
-						b.Fatal(err)
-					}
-					teardowns += burst
-				}
-				reportScaling(b, "evict/row", w, float64(teardowns)/b.Elapsed().Seconds(), "teardowns/s")
-			})
-		}
-	})
 }
 
 // BenchmarkChurn runs the sustained-churn scenario end to end at the

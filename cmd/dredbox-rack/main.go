@@ -10,7 +10,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
 
 	"repro/internal/accel"
 	"repro/internal/brick"
@@ -33,7 +32,6 @@ func main() {
 	rebalance := flag.Bool("rebalance", false, "with -racks > 1: free home-rack capacity and run an online rebalancing sweep at the end of the tour")
 	burst := flag.Int("burst", 0, "with -racks > 1: batch-admit this many VMs (boot + remote memory) in one group commit at the end of the tour; admission is all-or-nothing, so a burst too big for the tour's tiny racks aborts the tour with the batch rolled back")
 	drain := flag.Bool("drain", false, "with -burst: tear the burst back down in one group-commit eviction (DestroyVMs), then run a consolidation pass that re-packs survivors and powers drained racks down")
-	workers := flag.Int("workers", 0, "with -burst: planning/commit worker pool for the group commits (0 = GOMAXPROCS); the tour prints the effective count so CI logs are self-describing")
 	pipeline := flag.Int("pipeline", 0, "with -burst: serve the burst through a core.BatchPipeline of this depth (0 or 1 = no pipelining)")
 	flag.Parse()
 
@@ -48,11 +46,11 @@ func main() {
 		if nRacks < 2 {
 			nRacks = 2
 		}
-		rowTour(*pods, nRacks, *seed, *journalCap, *jsonOut, *burst, *drain, *workers, *pipeline)
+		rowTour(*pods, nRacks, *seed, *journalCap, *jsonOut, *burst, *drain, *pipeline)
 		return
 	}
 	if *racks > 1 {
-		podTour(*racks, *seed, *journalCap, *jsonOut, *rebalance, *burst, *drain, *workers, *pipeline)
+		podTour(*racks, *seed, *journalCap, *jsonOut, *rebalance, *burst, *drain, *pipeline)
 		return
 	}
 	if *rebalance {
@@ -164,7 +162,7 @@ func main() {
 // with -rebalance, an online rebalancing sweep that pulls the spill
 // home once capacity frees. -burst batch-admits a VM burst in one group
 // commit; -drain tears it back down the same way and consolidates.
-func podTour(racks int, seed uint64, journalCap int, jsonOut, rebalance bool, burst int, drain bool, workers, pipeline int) {
+func podTour(racks int, seed uint64, journalCap int, jsonOut, rebalance bool, burst int, drain bool, pipeline int) {
 	cfg := core.DefaultPodConfig(racks)
 	cfg.Rack.Seed = seed
 	cfg.Rack.Topology = topo.BuildSpec{
@@ -250,7 +248,7 @@ func podTour(racks int, seed uint64, journalCap int, jsonOut, rebalance bool, bu
 	if burst > 0 {
 		// Batch admission: one burst from the workload generator, booted
 		// in a single group commit — the pod scheduler partitions the
-		// burst across rack shards, plans each shard in parallel, and
+		// burst across rack shards, plans and commits each shard, and
 		// merges cross-rack spills in request order.
 		src, err := workload.NewBurstSource(workload.HalfHalf, seed, burst, 0)
 		if err != nil {
@@ -273,7 +271,7 @@ func podTour(racks int, seed uint64, journalCap int, jsonOut, rebalance bool, bu
 		}
 		var pipe *core.BatchPipeline
 		if pipeline > 1 {
-			if pipe, err = core.NewBatchPipeline(pod, pipeline, workers); err != nil {
+			if pipe, err = core.NewBatchPipeline(pod, pipeline); err != nil {
 				fail(err)
 			}
 		}
@@ -282,7 +280,7 @@ func podTour(racks int, seed uint64, journalCap int, jsonOut, rebalance bool, bu
 		if pipe != nil {
 			results, err = pipe.CreateVMs(reqs)
 		} else {
-			results, err = pod.CreateVMs(reqs, workers)
+			results, err = pod.CreateVMs(reqs, 0)
 		}
 		if err != nil {
 			fail(err)
@@ -296,9 +294,8 @@ func podTour(racks int, seed uint64, journalCap int, jsonOut, rebalance bool, bu
 		}
 		fmt.Printf("== batch admission (%d VMs, one group commit) ==\n", burst)
 		// Self-describing commit plane for determinism-matrix CI logs:
-		// the effective worker count and pipeline depth the burst ran at.
-		fmt.Printf("commit plane: %d workers effective (%d requested, %d rack shards, GOMAXPROCS %d), pipeline depth %d\n",
-			effectiveWorkers(workers, pod.Racks()), workers, pod.Racks(), runtime.GOMAXPROCS(0), pipelineDepth(pipe))
+		// the shard count and pipeline depth the burst ran at.
+		fmt.Printf("commit plane: serial, %d rack shards, pipeline depth %d\n", pod.Racks(), pipelineDepth(pipe))
 		perRack := make([]int, pod.Racks())
 		for i := range reqs {
 			if r, ok := pod.VMRack(reqs[i].ID); ok {
@@ -320,7 +317,7 @@ func podTour(racks int, seed uint64, journalCap int, jsonOut, rebalance bool, bu
 			if pipe != nil {
 				_, err = pipe.DestroyVMs(ids)
 			} else {
-				_, err = pod.DestroyVMs(ids, workers)
+				_, err = pod.DestroyVMs(ids, 0)
 			}
 			if err != nil {
 				fail(err)
@@ -377,7 +374,7 @@ func podTour(racks int, seed uint64, journalCap int, jsonOut, rebalance bool, bu
 // closing section reads the per-pod aggregates pod choice is O(1)
 // arithmetic over. -burst group-commits a VM burst across pod shards;
 // -drain tears it back down and consolidates every pod.
-func rowTour(pods, racks int, seed uint64, journalCap int, jsonOut bool, burst int, drain bool, workers, pipeline int) {
+func rowTour(pods, racks int, seed uint64, journalCap int, jsonOut bool, burst int, drain bool, pipeline int) {
 	cfg := core.DefaultRowConfig(pods, racks)
 	cfg.Rack.Seed = seed
 	cfg.Rack.Topology = topo.BuildSpec{
@@ -446,9 +443,9 @@ func rowTour(pods, racks int, seed uint64, journalCap int, jsonOut bool, burst i
 
 	if burst > 0 {
 		// Group-commit admission one tier up: the row partitions the
-		// burst by pod over the planned-adjusted aggregates, plans each
-		// pod shard in parallel, and merges the rack -> pod -> row spill
-		// cascade in request order.
+		// burst by pod over the planned-adjusted aggregates, runs each
+		// pod shard through the pod's batch engine, and merges the
+		// rack -> pod -> row spill cascade in request order.
 		src, err := workload.NewBurstSource(workload.HalfHalf, seed, burst, 0)
 		if err != nil {
 			fail(err)
@@ -468,7 +465,7 @@ func rowTour(pods, racks int, seed uint64, journalCap int, jsonOut bool, burst i
 		}
 		var pipe *core.BatchPipeline
 		if pipeline > 1 {
-			if pipe, err = core.NewBatchPipeline(row, pipeline, workers); err != nil {
+			if pipe, err = core.NewBatchPipeline(row, pipeline); err != nil {
 				fail(err)
 			}
 		}
@@ -477,7 +474,7 @@ func rowTour(pods, racks int, seed uint64, journalCap int, jsonOut bool, burst i
 		if pipe != nil {
 			results, err = pipe.CreateVMs(reqs)
 		} else {
-			results, err = row.CreateVMs(reqs, workers)
+			results, err = row.CreateVMs(reqs, 0)
 		}
 		if err != nil {
 			fail(err)
@@ -497,9 +494,8 @@ func rowTour(pods, racks int, seed uint64, journalCap int, jsonOut bool, burst i
 		}
 		fmt.Printf("== batch admission (%d VMs, one group commit across pods) ==\n", burst)
 		// Self-describing commit plane for determinism-matrix CI logs:
-		// the effective worker count and pipeline depth the burst ran at.
-		fmt.Printf("commit plane: %d workers effective (%d requested, %d pod shards, GOMAXPROCS %d), pipeline depth %d\n",
-			effectiveWorkers(workers, row.Pods()), workers, row.Pods(), runtime.GOMAXPROCS(0), pipelineDepth(pipe))
+		// the shard count and pipeline depth the burst ran at.
+		fmt.Printf("commit plane: serial, %d pod shards, pipeline depth %d\n", row.Pods(), pipelineDepth(pipe))
 		fmt.Printf("placed per pod: %v; %d attachments spilled cross-pod; worst admission delay %v\n\n",
 			perPod, spillsAfter-spillsBefore, worst)
 
@@ -511,7 +507,7 @@ func rowTour(pods, racks int, seed uint64, journalCap int, jsonOut bool, burst i
 			if pipe != nil {
 				_, err = pipe.DestroyVMs(ids)
 			} else {
-				_, err = row.DestroyVMs(ids, workers)
+				_, err = row.DestroyVMs(ids, 0)
 			}
 			if err != nil {
 				fail(err)
@@ -560,20 +556,6 @@ func rowTour(pods, racks int, seed uint64, journalCap int, jsonOut bool, burst i
 			}
 		}
 	}
-}
-
-// effectiveWorkers mirrors the scheduler's pool sizing: a requested
-// count <= 0 means GOMAXPROCS, and the pool never exceeds the shard
-// count since shards are the unit of parallel planning and commit.
-func effectiveWorkers(requested, shards int) int {
-	w := requested
-	if w <= 0 {
-		w = runtime.GOMAXPROCS(0)
-	}
-	if w > shards {
-		w = shards
-	}
-	return w
 }
 
 // pipelineDepth reports the depth a burst ran at: 1 when unpipelined.

@@ -32,7 +32,6 @@ func main() {
 	batch := flag.Bool("batch", false, "serve fig10pod's sharded side and churn's whole lifecycle through batched group commits (CreateVMs/AdmitBatch, DestroyVMs/EvictBatch, RebalanceBatch) instead of per-request calls")
 	batchSize := flag.Int("batchsize", 0, "with -batch: admission/teardown batch size (0 = one batch per burst; 1 reproduces the per-request path byte for byte)")
 	pipeline := flag.Int("pipeline", 0, "batch-pipeline depth for churn/fig10pod/fig10row (implies -batch): overlap burst k+1's planning with burst k's boots through core.BatchPipeline; 0 or 1 = no pipelining")
-	nospec := flag.Bool("nospec", false, "with -batch: force the group-commit engines' serial reference paths (no speculative partition or spill/teardown pre-planning); output is byte-identical either way")
 	out := flag.String("o", "", "write the report to a file instead of stdout")
 	artifacts := flag.String("artifacts", "", "also write per-experiment .txt/.json/.csv artifacts into this directory")
 	only := flag.String("only", "", "comma-separated experiment names to run (default: all registered)")
@@ -82,7 +81,7 @@ func main() {
 
 	runner := exp.Runner{Workers: *parallel}
 	start := time.Now()
-	outs, err := runner.Run(exp.Params{Seed: *seed, Trials: *trials, Racks: *racks, Pods: *pods, Batch: *batch, BatchSize: *batchSize, Pipeline: *pipeline, NoSpec: *nospec}, names...)
+	outs, err := runner.Run(exp.Params{Seed: *seed, Trials: *trials, Racks: *racks, Pods: *pods, Batch: *batch, BatchSize: *batchSize, Pipeline: *pipeline}, names...)
 	if *cpuprofile != "" {
 		pprof.StopCPUProfile()
 		fmt.Fprintf(os.Stderr, "dredbox-report: wrote CPU profile to %s\n", *cpuprofile)

@@ -20,13 +20,13 @@ import (
 
 // DestroyVMs retires a burst of VMs through the pod scheduler's batched
 // group-commit eviction: every VM's attachments and compute reservation
-// tear down with one index refresh per touched brick (byte-identical at
-// any worker count; a batch of one reproduces the per-request teardown
-// exactly), then each VM's software stack — DIMMs, baremetal ranges,
-// the hypervisor object — unwinds on its rack. Teardown is
-// all-or-nothing at the SDM layer: if any eviction fails, no resource
-// is released and no VM is touched. The clock advances past the whole
-// group's completion.
+// tear down with one index refresh per touched brick (a batch of one
+// reproduces the per-request teardown exactly), then each VM's software
+// stack — DIMMs, baremetal ranges, the hypervisor object — unwinds on
+// its rack. Teardown is all-or-nothing at the SDM layer: if any
+// eviction fails, no resource is released and no VM is touched. The
+// clock advances past the whole group's completion. workers is unused:
+// the commit runs on the caller's goroutine.
 func (p *Pod) DestroyVMs(ids []string, workers int) ([]scaleup.Result, error) {
 	seen := make(map[string]bool, len(ids))
 	ereqs := make([]sdm.EvictRequest, len(ids))
@@ -50,7 +50,7 @@ func (p *Pod) DestroyVMs(ids []string, workers int) ([]scaleup.Result, error) {
 			VCPUs: spec.VCPUs, LocalMem: spec.Memory, Atts: atts,
 		}
 	}
-	evicted, err := p.sched.EvictBatch(ereqs, workers)
+	evicted, err := p.sched.EvictBatch(ereqs)
 	if err != nil {
 		return nil, err
 	}

@@ -39,9 +39,8 @@ import (
 // its own horizon immediately, and the pipeline clock tracks the
 // facade clock tick for tick.
 type BatchPipeline struct {
-	target  PipelineTarget
-	depth   int
-	workers int
+	target PipelineTarget
+	depth  int
 
 	clock    sim.Time
 	stalled  sim.Duration
@@ -49,7 +48,9 @@ type BatchPipeline struct {
 }
 
 // PipelineTarget is the facade surface the pipeline drives: the pod
-// and row tiers both satisfy it.
+// and row tiers both satisfy it. The workers argument is unused — the
+// group commit runs on the caller's goroutine — and the pipeline
+// passes 0.
 type PipelineTarget interface {
 	Now() sim.Time
 	CreateVMs(reqs []VMCreate, workers int) ([]scaleup.Result, error)
@@ -65,11 +66,10 @@ type inflightBurst struct {
 }
 
 // NewBatchPipeline wraps a pod or row facade in a batch pipeline of
-// the given depth, planning each burst with the given worker count
-// (<= 0 meaning GOMAXPROCS). Depth is the number of bursts in flight
-// including the one being planned; depth <= 1 reproduces the
-// sequential facade exactly.
-func NewBatchPipeline(target PipelineTarget, depth, workers int) (*BatchPipeline, error) {
+// the given depth. Depth is the number of bursts in flight including
+// the one being planned; depth <= 1 reproduces the sequential facade
+// exactly.
+func NewBatchPipeline(target PipelineTarget, depth int) (*BatchPipeline, error) {
 	if target == nil {
 		return nil, fmt.Errorf("core: pipeline needs a target facade")
 	}
@@ -77,10 +77,9 @@ func NewBatchPipeline(target PipelineTarget, depth, workers int) (*BatchPipeline
 		depth = 1
 	}
 	return &BatchPipeline{
-		target:  target,
-		depth:   depth,
-		workers: workers,
-		clock:   target.Now(),
+		target: target,
+		depth:  depth,
+		clock:  target.Now(),
 	}, nil
 }
 
@@ -91,9 +90,6 @@ func (bp *BatchPipeline) Now() sim.Time { return bp.clock }
 
 // Depth returns the configured pipeline depth.
 func (bp *BatchPipeline) Depth() int { return bp.depth }
-
-// Workers returns the per-burst planning worker count.
-func (bp *BatchPipeline) Workers() int { return bp.workers }
 
 // InFlight returns the number of admitted bursts whose boots have not
 // been joined yet.
@@ -122,7 +118,7 @@ func (bp *BatchPipeline) Advance(dur sim.Duration) error {
 func (bp *BatchPipeline) CreateVMs(reqs []VMCreate) ([]scaleup.Result, error) {
 	if bp.depth <= 1 {
 		return bp.sequential(func() ([]scaleup.Result, error) {
-			return bp.target.CreateVMs(reqs, bp.workers)
+			return bp.target.CreateVMs(reqs, 0)
 		})
 	}
 	// Stall on the oldest in-flight burst while at depth capacity:
@@ -132,7 +128,7 @@ func (bp *BatchPipeline) CreateVMs(reqs []VMCreate) ([]scaleup.Result, error) {
 	}
 	start := bp.clock
 	before := bp.target.Now()
-	res, err := bp.target.CreateVMs(reqs, bp.workers)
+	res, err := bp.target.CreateVMs(reqs, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -166,7 +162,7 @@ func (bp *BatchPipeline) CreateVMs(reqs []VMCreate) ([]scaleup.Result, error) {
 func (bp *BatchPipeline) DestroyVMs(ids []string) ([]scaleup.Result, error) {
 	if bp.depth <= 1 {
 		return bp.sequential(func() ([]scaleup.Result, error) {
-			return bp.target.DestroyVMs(ids, bp.workers)
+			return bp.target.DestroyVMs(ids, 0)
 		})
 	}
 	for i := 0; i < len(bp.inflight); {
@@ -178,7 +174,7 @@ func (bp *BatchPipeline) DestroyVMs(ids []string) ([]scaleup.Result, error) {
 	}
 	start := bp.clock
 	before := bp.target.Now()
-	res, err := bp.target.DestroyVMs(ids, bp.workers)
+	res, err := bp.target.DestroyVMs(ids, 0)
 	if err != nil {
 		return nil, err
 	}

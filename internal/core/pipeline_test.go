@@ -43,7 +43,7 @@ func TestPipelineDepthOneMatchesFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bp, err := NewBatchPipeline(pipPod, 1, 2)
+	bp, err := NewBatchPipeline(pipPod, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +94,8 @@ func TestPipelineDepthOneMatchesFacade(t *testing.T) {
 // TestPipelineEquivalence is the randomized pipelined-vs-sequential
 // harness: twin pods run an identical interleaved create / destroy /
 // consolidate schedule — one through the facade, one through a
-// BatchPipeline — across both placement policies, worker counts 1/4/8
+// BatchPipeline — across both placement policies, facade worker
+// arguments 1/4/8 (unused by the serial commit, so all must agree)
 // and pipeline depths 1/2. Placement state must match after every
 // step, the pipeline clock must never run behind its own joins nor
 // ahead of the serialized facade clock, and the drained makespan must
@@ -112,7 +113,7 @@ func TestPipelineEquivalence(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					bp, err := NewBatchPipeline(pipPod, depth, workers)
+					bp, err := NewBatchPipeline(pipPod, depth)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -214,7 +215,7 @@ func TestPipelineOverlapsBoots(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bp, err := NewBatchPipeline(pod, 3, 2)
+	bp, err := NewBatchPipeline(pod, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -266,7 +267,7 @@ func TestPipelineRowTier(t *testing.T) {
 		return row
 	}
 	seqRow, pipRow := mk(), mk()
-	bp, err := NewBatchPipeline(pipRow, 2, 4)
+	bp, err := NewBatchPipeline(pipRow, 2)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -191,13 +191,12 @@ type VMCreate struct {
 
 // CreateVMs boots a burst of VMs through the pod scheduler's batched
 // group-commit admission: the whole burst is partitioned across rack
-// shards by the O(1) rack-choice aggregates, planned in parallel on up
-// to workers goroutines (<= 0 meaning GOMAXPROCS) and group-committed
-// with one index refresh per touched brick — the result is
-// byte-identical at any worker count, and a batch of one reproduces
+// shards by the O(1) rack-choice aggregates and group-committed with
+// one index refresh per touched brick, and a batch of one reproduces
 // CreateVM (plus ScaleUpVM for a bundled Remote) exactly. Admission is
 // all-or-nothing: if any VM cannot be placed, nothing is admitted.
-// The clock advances past the whole group's completion.
+// The clock advances past the whole group's completion. workers is
+// unused: the commit runs on the caller's goroutine.
 func (p *Pod) CreateVMs(reqs []VMCreate, workers int) ([]scaleup.Result, error) {
 	seen := make(map[string]bool, len(reqs))
 	areqs := make([]sdm.AdmitRequest, len(reqs))
@@ -208,7 +207,7 @@ func (p *Pod) CreateVMs(reqs []VMCreate, workers int) ([]scaleup.Result, error) 
 		seen[r.ID] = true
 		areqs[i] = sdm.AdmitRequest{Owner: r.ID, VCPUs: r.VCPUs, LocalMem: r.Memory, Remote: r.Remote}
 	}
-	admitted, err := p.sched.AdmitBatch(areqs, workers)
+	admitted, err := p.sched.AdmitBatch(areqs)
 	if err != nil {
 		return nil, err
 	}

@@ -198,13 +198,13 @@ func (r *Row) CreateVM(id string, vcpus int, memory brick.Bytes) (scaleup.Result
 
 // CreateVMs boots a burst of VMs through the row scheduler's batched
 // group-commit admission: the burst is partitioned across pod shards
-// by the O(1) pod-choice aggregates, each shard planned on a worker
-// goroutine (<= 0 meaning GOMAXPROCS) with the pod's own rack-sharded
-// batch engine, and the rack→pod→row spill cascade merged in request
-// order — the result is byte-identical at any worker count, and a
-// batch of one reproduces the sequential row placement exactly.
-// Admission is all-or-nothing: if any VM cannot be placed, nothing is
-// admitted. The clock advances past the whole group's completion.
+// by the O(1) pod-choice aggregates, each shard runs through the pod's
+// own rack-sharded batch engine, and the rack→pod→row spill cascade
+// merges in request order; a batch of one reproduces the sequential
+// row placement exactly. Admission is all-or-nothing: if any VM cannot
+// be placed, nothing is admitted. The clock advances past the whole
+// group's completion. workers is unused: the commit runs on the
+// caller's goroutine.
 func (r *Row) CreateVMs(reqs []VMCreate, workers int) ([]scaleup.Result, error) {
 	seen := make(map[string]bool, len(reqs))
 	areqs := make([]sdm.AdmitRequest, len(reqs))
@@ -215,7 +215,7 @@ func (r *Row) CreateVMs(reqs []VMCreate, workers int) ([]scaleup.Result, error) 
 		seen[req.ID] = true
 		areqs[i] = sdm.AdmitRequest{Owner: req.ID, VCPUs: req.VCPUs, LocalMem: req.Memory, Remote: req.Remote}
 	}
-	admitted, err := r.sched.AdmitBatch(areqs, workers)
+	admitted, err := r.sched.AdmitBatch(areqs)
 	if err != nil {
 		return nil, err
 	}
@@ -317,7 +317,8 @@ func (r *Row) ScaleDownVM(id string, size brick.Bytes) (scaleup.Result, error) {
 // shards, cross-pod circuits release serially in request order, and
 // each VM's software stack unwinds on its rack. Teardown is
 // all-or-nothing at the SDM layer. The clock advances past the whole
-// group's completion.
+// group's completion. workers is unused: the commit runs on the
+// caller's goroutine.
 func (r *Row) DestroyVMs(ids []string, workers int) ([]scaleup.Result, error) {
 	seen := make(map[string]bool, len(ids))
 	ereqs := make([]sdm.EvictRequest, len(ids))
@@ -341,7 +342,7 @@ func (r *Row) DestroyVMs(ids []string, workers int) ([]scaleup.Result, error) {
 			VCPUs: spec.VCPUs, LocalMem: spec.Memory, Atts: atts,
 		}
 	}
-	evicted, err := r.sched.EvictBatch(ereqs, workers)
+	evicted, err := r.sched.EvictBatch(ereqs)
 	if err != nil {
 		return nil, err
 	}

@@ -103,8 +103,8 @@ func churnShape(r workload.VMRequest, id string) core.VMCreate {
 
 // RunChurn runs the sustained-churn scenario — the ROADMAP "churn"
 // item. Arrivals, departure sizes and request shapes derive from
-// Params.Seed alone, and the batch engines are byte-identical at any
-// worker count, so the artifacts are too.
+// Params.Seed alone, so the artifacts are byte-identical at any
+// trial-level worker count.
 func RunChurn(p Params) (ChurnResult, error) {
 	racks := p.Racks
 	if racks == 0 {
@@ -121,7 +121,6 @@ func RunChurn(p Params) (ChurnResult, error) {
 	cfg := core.DefaultPodConfig(racks)
 	cfg.Rack = fig10PodRackSpec()
 	cfg.Rack.Seed = p.Seed
-	cfg.Rack.SDM.NoSpeculate = p.NoSpec
 	if need := racks * cfg.Fabric.UplinksPerRack; need > cfg.Fabric.Switch.Ports {
 		cfg.Fabric.Switch.Ports = need
 	}
@@ -165,7 +164,7 @@ func RunChurn(p Params) (ChurnResult, error) {
 	batch := p.Batch || p.Pipeline > 1
 	var pipe *core.BatchPipeline
 	if p.Pipeline > 1 {
-		if pipe, err = core.NewBatchPipeline(pod, p.Pipeline, p.Workers); err != nil {
+		if pipe, err = core.NewBatchPipeline(pod, p.Pipeline); err != nil {
 			return ChurnResult{}, err
 		}
 	}
@@ -202,7 +201,7 @@ func RunChurn(p Params) (ChurnResult, error) {
 					if _, err := pipe.CreateVMs(reqs[lo:hi]); err != nil {
 						return fmt.Errorf("churn admission: %w", err)
 					}
-				} else if _, err := pod.CreateVMs(reqs[lo:hi], p.Workers); err != nil {
+				} else if _, err := pod.CreateVMs(reqs[lo:hi], 0); err != nil {
 					return fmt.Errorf("churn admission: %w", err)
 				}
 			}
@@ -253,7 +252,7 @@ func RunChurn(p Params) (ChurnResult, error) {
 					if _, err := pipe.DestroyVMs(ids[lo:hi]); err != nil {
 						return fmt.Errorf("churn teardown: %w", err)
 					}
-				} else if _, err := pod.DestroyVMs(ids[lo:hi], p.Workers); err != nil {
+				} else if _, err := pod.DestroyVMs(ids[lo:hi], 0); err != nil {
 					return fmt.Errorf("churn teardown: %w", err)
 				}
 			}

@@ -58,8 +58,8 @@ func TestChurnBatchSizeOneMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestChurnBatchDeterministicAcrossWorkers: the group-commit engines
-// must keep the whole scenario byte-identical at any worker count.
+// TestChurnBatchDeterministicAcrossWorkers: the batched scenario must
+// be byte-identical at any trial-level worker count.
 func TestChurnBatchDeterministicAcrossWorkers(t *testing.T) {
 	var prev ChurnResult
 	for i, workers := range []int{1, 4, 8} {

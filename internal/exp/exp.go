@@ -50,11 +50,6 @@ type Params struct {
 	// core.BatchPipeline that overlaps burst k+1's planning with burst
 	// k's boots. 0 or 1 means no pipelining. Pipelining implies Batch.
 	Pipeline int
-	// NoSpec forces the batch engines' serial reference paths (no
-	// speculative partition or spill/teardown pre-planning) in the
-	// experiments that batch (churn, fig10pod, fig10row). Output is
-	// byte-identical either way — the knob exists so CI can pin that.
-	NoSpec bool
 	// Fast caps trial counts for smoke tests; artifacts stay
 	// deterministic but represent a reduced sample.
 	Fast bool

@@ -110,7 +110,7 @@ func RunFig10Pod(p Params) (Fig10PodResult, error) {
 		var ls []fig10PodLevel
 		var err error
 		if side == 0 {
-			ls, err = runFig10PodSharded(p.Seed, racks, p.Batch || p.Pipeline > 1, p.BatchSize, p.Pipeline, p.Workers, p.NoSpec)
+			ls, err = runFig10PodSharded(p.Seed, racks, p.Batch || p.Pipeline > 1, p.BatchSize, p.Pipeline)
 		} else {
 			ls, err = runFig10PodGlobal(p.Seed, racks)
 		}
@@ -146,11 +146,10 @@ func RunFig10Pod(p Params) (Fig10PodResult, error) {
 // through a core.BatchPipeline of that depth and drain before the
 // measured burst — placement and artifact stay byte-identical to the
 // unpipelined batch run.
-func runFig10PodSharded(seed uint64, racks int, batch bool, batchSize, pipeline, workers int, nospec bool) ([]fig10PodLevel, error) {
+func runFig10PodSharded(seed uint64, racks int, batch bool, batchSize, pipeline int) ([]fig10PodLevel, error) {
 	cfg := core.DefaultPodConfig(racks)
 	cfg.Rack = fig10PodRackSpec()
 	cfg.Rack.Seed = seed
-	cfg.Rack.SDM.NoSpeculate = nospec
 	// Keep the rack sweep unbounded by the stock pod switch: above the
 	// default 384-port radix the sweep provisions a larger switch with
 	// the same per-port profile, preserving the per-rack uplink budget.
@@ -163,7 +162,7 @@ func runFig10PodSharded(seed uint64, racks int, batch bool, batchSize, pipeline,
 	}
 	var pipe *core.BatchPipeline
 	if pipeline > 1 {
-		if pipe, err = core.NewBatchPipeline(pod, pipeline, workers); err != nil {
+		if pipe, err = core.NewBatchPipeline(pod, pipeline); err != nil {
 			return nil, err
 		}
 	}
@@ -200,7 +199,7 @@ func runFig10PodSharded(seed uint64, racks int, batch bool, batchSize, pipeline,
 					if _, err := pipe.CreateVMs(boots); err != nil {
 						return nil, fmt.Errorf("fig10pod sharded batch boot: %w", err)
 					}
-				} else if _, err := pod.CreateVMs(boots, workers); err != nil {
+				} else if _, err := pod.CreateVMs(boots, 0); err != nil {
 					return nil, fmt.Errorf("fig10pod sharded batch boot: %w", err)
 				}
 			}
@@ -248,7 +247,7 @@ func runFig10PodSharded(seed uint64, racks int, batch bool, batchSize, pipeline,
 						Owner: string(v.id), Remote: fig10PodStep, CPU: host, Rack: v.rack,
 					})
 				}
-				admitted, err := sched.AdmitBatch(areqs, workers)
+				admitted, err := sched.AdmitBatch(areqs)
 				if err != nil {
 					return nil, fmt.Errorf("fig10pod sharded batch scale-up: %w", err)
 				}

@@ -26,8 +26,8 @@ func TestFig10PodBatchSizeOneMatchesSequential(t *testing.T) {
 }
 
 // TestFig10PodBatchDeterministicAcrossWorkers: full-burst batching must
-// be byte-identical at any worker count — the per-rack parallel
-// planning phase cannot leak scheduling order into results.
+// be byte-identical at any trial-level worker count — the two sides
+// run on the pool, and scheduling order cannot leak into results.
 func TestFig10PodBatchDeterministicAcrossWorkers(t *testing.T) {
 	var prev Fig10PodResult
 	for i, workers := range []int{1, 4, 8} {

@@ -102,7 +102,7 @@ func RunFig10Row(p Params) (Fig10RowResult, error) {
 		var ls []fig10RowLevel
 		var err error
 		if side == 0 {
-			ls, err = runFig10RowSharded(p.Seed, pods, racks, p.Batch || p.Pipeline > 1, p.BatchSize, p.Pipeline, p.Workers, p.NoSpec)
+			ls, err = runFig10RowSharded(p.Seed, pods, racks, p.Batch || p.Pipeline > 1, p.BatchSize, p.Pipeline)
 		} else {
 			ls, err = runFig10RowFlat(p.Seed, pods, racks)
 		}
@@ -148,23 +148,22 @@ func fig10RowConfig(seed uint64, pods, racks int) core.RowConfig {
 //
 // With batch set, boots go through core.Row.CreateVMs and the measured
 // scale-up bursts through sdm.RowScheduler.AdmitBatch — the pod-
-// parallel group-commit engine — in groups of batchSize (0 = the whole
+// sharded group-commit engine — in groups of batchSize (0 = the whole
 // burst). At batchSize 1 this is byte-identical to the per-request
 // path. With pipeline > 1 the boot chunks additionally go through a
 // core.BatchPipeline of that depth and drain before the measured
 // scale-up burst; placement is identical and the measured delays are
 // arrival-relative, so the artifact stays byte-identical to the
 // unpipelined batch run — which is exactly what CI holds it to.
-func runFig10RowSharded(seed uint64, pods, racks int, batch bool, batchSize, pipeline, workers int, nospec bool) ([]fig10RowLevel, error) {
+func runFig10RowSharded(seed uint64, pods, racks int, batch bool, batchSize, pipeline int) ([]fig10RowLevel, error) {
 	rcfg := fig10RowConfig(seed, pods, racks)
-	rcfg.Rack.SDM.NoSpeculate = nospec
 	row, err := core.NewRow(rcfg)
 	if err != nil {
 		return nil, err
 	}
 	var pipe *core.BatchPipeline
 	if pipeline > 1 {
-		if pipe, err = core.NewBatchPipeline(row, pipeline, workers); err != nil {
+		if pipe, err = core.NewBatchPipeline(row, pipeline); err != nil {
 			return nil, err
 		}
 	}
@@ -201,7 +200,7 @@ func runFig10RowSharded(seed uint64, pods, racks int, batch bool, batchSize, pip
 					if _, err := pipe.CreateVMs(boots); err != nil {
 						return nil, fmt.Errorf("fig10row sharded batch boot: %w", err)
 					}
-				} else if _, err := row.CreateVMs(boots, workers); err != nil {
+				} else if _, err := row.CreateVMs(boots, 0); err != nil {
 					return nil, fmt.Errorf("fig10row sharded batch boot: %w", err)
 				}
 			}
@@ -247,7 +246,7 @@ func runFig10RowSharded(seed uint64, pods, racks int, batch bool, batchSize, pip
 						Owner: string(v.id), Remote: fig10RowStep, CPU: host, Rack: v.rack, Pod: v.pod,
 					})
 				}
-				admitted, err := sched.AdmitBatch(areqs, workers)
+				admitted, err := sched.AdmitBatch(areqs)
 				if err != nil {
 					return nil, fmt.Errorf("fig10row sharded batch scale-up: %w", err)
 				}

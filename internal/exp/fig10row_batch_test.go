@@ -27,8 +27,8 @@ func TestFig10RowBatchSizeOneMatchesSequential(t *testing.T) {
 }
 
 // TestFig10RowBatchDeterministicAcrossWorkers: full-burst batching must
-// be byte-identical at any worker count — the per-pod parallel
-// planning phase cannot leak scheduling order into results.
+// be byte-identical at any trial-level worker count — the two sides
+// run on the pool, and scheduling order cannot leak into results.
 func TestFig10RowBatchDeterministicAcrossWorkers(t *testing.T) {
 	var prev Fig10RowResult
 	for i, workers := range []int{1, 4, 8} {

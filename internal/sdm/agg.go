@@ -4,11 +4,12 @@ package sdm
 // cached summary — free cores, free memory, max memory gap, and the
 // per-power-state brick census — rolled up from the rack index roots.
 // Each rack Controller carries a back-pointer (agg/aggSlot, installed
-// by the row scheduler); every index maintenance choke point
-// (touch/flush/rebuild) re-reads that rack's O(1) root aggregates and
-// applies the delta to the pod summary, so the row scheduler's pod
-// choice is O(pods) arithmetic over cached values — never a rescan of
-// racks, let alone bricks. This is the same trick the pod tier plays
+// by the row scheduler); every index maintenance choke point (a
+// touch outside a batch, the end of a batch, a rebuild) re-reads that
+// rack's O(1) root aggregates and applies the delta to the pod
+// summary, so the summary is exact whenever no rack batch is open and
+// the row scheduler's pod choice is O(pods) arithmetic over cached
+// values — never a rescan of racks, let alone bricks. This is the same trick the pod tier plays
 // on rack index roots, applied one level up: rack roots are the leaves
 // of the pod summary, pod summaries are the leaves of the row's pick
 // loop.
@@ -132,35 +133,9 @@ func (g *podAgg) MaxGap() brick.Bytes {
 }
 
 // notifyAgg folds this rack's current index roots into the pod summary
-// it rolls up into, if one is installed. While the rack is in deferred
-// rollup mode (a row-tier commit wave is running racks of the same pod
-// on different workers), the fold is postponed: the rack only marks
-// itself pending and the wave's serial epilogue flushes every pending
-// rack in deterministic (pod, rack) order. notify reconstructs the
-// rack's contribution from the index roots, so one deferred fold at
-// the end observes the same final summary as a fold per touch.
+// it rolls up into, if one is installed.
 func (c *Controller) notifyAgg() {
-	if c.agg == nil {
-		return
-	}
-	if c.aggDefer {
-		c.aggPending = true
-		return
-	}
-	c.agg.notify(c.aggSlot)
-}
-
-// deferAgg switches the rack into deferred rollup mode.
-func (c *Controller) deferAgg() { c.aggDefer = true }
-
-// flushAgg leaves deferred rollup mode and folds the rack's pending
-// contribution, if any, into the pod summary.
-func (c *Controller) flushAgg() {
-	c.aggDefer = false
-	if c.aggPending {
-		c.aggPending = false
-		if c.agg != nil {
-			c.agg.notify(c.aggSlot)
-		}
+	if c.agg != nil {
+		c.agg.notify(c.aggSlot)
 	}
 }

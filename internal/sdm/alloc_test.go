@@ -17,13 +17,13 @@ func TestAttachmentQueriesAllocFree(t *testing.T) {
 	s := buildBatchPod(t, 2, 2, 2, 8*brick.GiB, cfg)
 	first, err := s.AdmitBatch([]AdmitRequest{
 		{Owner: "vm", VCPUs: 1, LocalMem: brick.GiB, Remote: brick.GiB},
-	}, 1)
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := s.AdmitBatch([]AdmitRequest{
 		{Owner: "vm", VCPUs: 0, Remote: brick.GiB, CPU: first[0].CPU, Rack: first[0].Rack},
-	}, 1); err != nil {
+	}); err != nil {
 		t.Fatal(err)
 	}
 	dst := make([]*Attachment, 0, 16)
@@ -83,7 +83,7 @@ func TestRebalanceSweepAllocFree(t *testing.T) {
 // arenas (attachments, circuits, segments), interned owner IDs and
 // batch scratch all reach steady state during the warm-up cycles.
 func steadyChurn(t *testing.T, admit func([]AdmitRequest, []AdmitResult) error,
-	evict func([]EvictRequest, []EvictResult) error, reqs []AdmitRequest, workers int) float64 {
+	evict func([]EvictRequest, []EvictResult) error, reqs []AdmitRequest) float64 {
 	t.Helper()
 	aout := make([]AdmitResult, len(reqs))
 	ereqs := make([]EvictRequest, len(reqs))
@@ -115,22 +115,20 @@ func steadyChurn(t *testing.T, admit func([]AdmitRequest, []AdmitResult) error,
 // TestAdmitEvictSteadyStateAllocFree pins the tentpole contract of the
 // dense-ID data plane: once warm, a steady admit→evict churn through
 // the group-commit engines allocates nothing per cycle at either tier,
-// under both placement policies, with speculation on and off. Serial
-// batches (workers=1) must be exactly alloc-free; the parallel paths
-// are covered separately with an amortised bound, since goroutine
-// fan-out itself allocates.
+// under both placement policies. Both worker arguments are pinned —
+// workers=0 is the facade default — because the commit must stay on the
+// caller's goroutine whatever the caller asks for.
 func TestAdmitEvictSteadyStateAllocFree(t *testing.T) {
 	policies := []struct {
 		name string
 		pol  Policy
 	}{{"firstfit", PolicyFirstFit}, {"spread", PolicySpread}}
 	for _, pol := range policies {
-		for _, spec := range []bool{false, true} {
-			name := fmt.Sprintf("%s/nospec=%v", pol.name, spec)
+		for _, workers := range []int{0, 1} {
+			name := fmt.Sprintf("%s/workers=%d", pol.name, workers)
 			t.Run("pod/"+name, func(t *testing.T) {
 				cfg := DefaultConfig
 				cfg.Policy = pol.pol
-				cfg.NoSpeculate = spec
 				s := buildBatchPod(t, 2, 4, 4, 8*brick.GiB, cfg)
 				reqs := make([]AdmitRequest, 6)
 				for i := range reqs {
@@ -139,9 +137,9 @@ func TestAdmitEvictSteadyStateAllocFree(t *testing.T) {
 					}
 				}
 				n := steadyChurn(t,
-					func(r []AdmitRequest, o []AdmitResult) error { return s.AdmitBatchInto(r, o, 1) },
-					func(r []EvictRequest, o []EvictResult) error { return s.EvictBatchInto(r, o, 1) },
-					reqs, 1)
+					func(r []AdmitRequest, o []AdmitResult) error { return s.AdmitBatchInto(r, o, workers) },
+					func(r []EvictRequest, o []EvictResult) error { return s.EvictBatchInto(r, o, workers) },
+					reqs)
 				if n != 0 {
 					t.Fatalf("pod admit+evict cycle allocates %.1f/op, want 0", n)
 				}
@@ -149,7 +147,6 @@ func TestAdmitEvictSteadyStateAllocFree(t *testing.T) {
 			t.Run("row/"+name, func(t *testing.T) {
 				cfg := DefaultConfig
 				cfg.Policy = pol.pol
-				cfg.NoSpeculate = spec
 				s := buildRowSched(t, 2, 2, 8*brick.GiB, cfg)
 				reqs := make([]AdmitRequest, 4)
 				for i := range reqs {
@@ -158,9 +155,9 @@ func TestAdmitEvictSteadyStateAllocFree(t *testing.T) {
 					}
 				}
 				n := steadyChurn(t,
-					func(r []AdmitRequest, o []AdmitResult) error { return s.AdmitBatchInto(r, o, 1) },
-					func(r []EvictRequest, o []EvictResult) error { return s.EvictBatchInto(r, o, 1) },
-					reqs, 1)
+					func(r []AdmitRequest, o []AdmitResult) error { return s.AdmitBatchInto(r, o, workers) },
+					func(r []EvictRequest, o []EvictResult) error { return s.EvictBatchInto(r, o, workers) },
+					reqs)
 				if n != 0 {
 					t.Fatalf("row admit+evict cycle allocates %.1f/op, want 0", n)
 				}

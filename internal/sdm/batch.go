@@ -183,11 +183,15 @@ func (c *Controller) beginBatch() {
 }
 
 // endBatch group-commits the deferred index maintenance — one leaf
-// refresh per touched brick — and closes batch mode.
+// refresh per touched brick — closes batch mode, and folds the rack
+// into its pod summary once. Mid-batch flushes leave the summary
+// alone: only the row tier reads it, and never while a rack batch is
+// open.
 func (c *Controller) endBatch() {
 	c.flushDirtyCPU()
 	c.flushDirtyMem()
 	c.batch.active = false
+	c.notifyAgg()
 }
 
 // flushDirtyCPU refreshes every dirty compute leaf once, recomputing
@@ -200,7 +204,6 @@ func (c *Controller) flushDirtyCPU() {
 	}
 	c.cpuIdx.touchMany(b.dirtyCPU)
 	b.dirtyCPU = b.dirtyCPU[:0]
-	c.notifyAgg()
 }
 
 // flushDirtyMem refreshes every dirty memory leaf once, recomputing
@@ -213,7 +216,6 @@ func (c *Controller) flushDirtyMem() {
 	}
 	c.memIdx.touchMany(b.dirtyMem)
 	b.dirtyMem = b.dirtyMem[:0]
-	c.notifyAgg()
 }
 
 // batchPickCompute is pickCompute under batch planning: cache hit with

@@ -178,7 +178,7 @@ func TestAdmitBatchSizeOneMatchesSequential(t *testing.T) {
 			for step := 0; step < 60; step++ {
 				req := batchTestRequests(rng, 1, placed)[0]
 				seqRes, seqErr := admitSequential(seqPod, req)
-				batOut, batErr := batPod.AdmitBatch([]AdmitRequest{req}, 1)
+				batOut, batErr := batPod.AdmitBatch([]AdmitRequest{req})
 				if (seqErr == nil) != (batErr == nil) {
 					t.Fatalf("step %d: sequential err=%v, batch err=%v", step, seqErr, batErr)
 				}
@@ -275,40 +275,42 @@ func TestPlaceBatchMatchesSequentialRack(t *testing.T) {
 	}
 }
 
-// TestAdmitBatchDeterministicAcrossWorkers runs the same burst at
-// several worker counts on identically built pods: results and final
-// state must be byte-identical — the per-rack parallelism contract.
+// TestAdmitBatchDeterministicAcrossWorkers replays the same burst
+// train on two identically built pods: results and final state must be
+// byte-identical, and the pod must pass its invariants after every
+// round. The commit runs on the caller's goroutine whatever the workers
+// argument says, so replay is the whole determinism contract.
 func TestAdmitBatchDeterministicAcrossWorkers(t *testing.T) {
-	counts := []int{1, 2, 8}
-	results := make([][]resultState, len(counts))
-	snaps := make([]string, len(counts))
-	for ci, workers := range counts {
+	run := func() ([]resultState, string) {
 		cfg := DefaultConfig
 		cfg.Policy = PolicySpread // spreads the burst across all racks
 		cfg.PacketFallback = true
 		s := buildBatchPod(t, 4, 3, 3, 16*brick.GiB, cfg)
 		rng := sim.NewRand(31)
 		var placed []AdmitResult
+		var results []resultState
 		for round := 0; round < 4; round++ {
-			reqs := batchTestRequests(rng, 12, placed)
-			out, err := s.AdmitBatch(reqs, workers)
+			out, err := s.AdmitBatch(batchTestRequests(rng, 12, placed))
 			if err != nil {
-				t.Fatalf("workers=%d round %d: %v", workers, round, err)
+				t.Fatalf("round %d: %v", round, err)
 			}
 			for _, r := range out {
-				results[ci] = append(results[ci], flattenResult(r))
+				results = append(results, flattenResult(r))
 				placed = append(placed, r)
 			}
+			if err := s.CheckInvariants(); err != nil {
+				t.Fatalf("round %d: invariants: %v", round, err)
+			}
 		}
-		snaps[ci] = podSnapshotJSON(t, s)
+		return results, podSnapshotJSON(t, s)
 	}
-	for ci := 1; ci < len(counts); ci++ {
-		if !reflect.DeepEqual(results[0], results[ci]) {
-			t.Fatalf("results diverge between workers=%d and workers=%d", counts[0], counts[ci])
-		}
-		if snaps[0] != snaps[ci] {
-			t.Fatalf("final state diverges between workers=%d and workers=%d", counts[0], counts[ci])
-		}
+	results, snap := run()
+	replay, replaySnap := run()
+	if !reflect.DeepEqual(results, replay) {
+		t.Fatal("results diverge between two identical runs")
+	}
+	if snap != replaySnap {
+		t.Fatal("final state diverges between two identical runs")
 	}
 }
 
@@ -417,14 +419,14 @@ func TestAdmitBatchRollbackRestoresState(t *testing.T) {
 			// home-rack memory brick deterministically for every policy.
 			pre, err := s.AdmitBatch([]AdmitRequest{
 				{Owner: "pre-0", VCPUs: 2, LocalMem: brick.GiB, Remote: 3 * brick.GiB},
-			}, 1)
+			})
 			if err != nil {
 				t.Fatal(err)
 			}
 			more, err := s.AdmitBatch([]AdmitRequest{
 				{Owner: "pre-1", VCPUs: 0, Remote: 2 * brick.GiB, CPU: pre[0].CPU, Rack: pre[0].Rack},
 				{Owner: "pre-2", VCPUs: 0, Remote: 3 * brick.GiB, CPU: pre[0].CPU, Rack: pre[0].Rack},
-			}, 2)
+			})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -447,7 +449,7 @@ func TestAdmitBatchRollbackRestoresState(t *testing.T) {
 				if reqs[poison].VCPUs == 0 {
 					reqs[poison] = AdmitRequest{Owner: reqs[poison].Owner, VCPUs: 1, Remote: 64 * brick.GiB}
 				}
-				if _, err := s.AdmitBatch(reqs, 1+int(rng.Uint64()%3)); err == nil {
+				if _, err := s.AdmitBatch(reqs); err == nil {
 					t.Fatalf("trial %d: poisoned batch committed", trial)
 				}
 				after := snapPodBatch(s)
@@ -471,7 +473,7 @@ func TestAdmitBatchIndexesFreshAfterCommit(t *testing.T) {
 	var placed []AdmitResult
 	for round := 0; round < 4; round++ {
 		reqs := batchTestRequests(rng, 8, placed)
-		out, err := s.AdmitBatch(reqs, 2)
+		out, err := s.AdmitBatch(reqs)
 		if err != nil {
 			t.Fatalf("round %d: %v", round, err)
 		}
@@ -482,5 +484,177 @@ func TestAdmitBatchIndexesFreshAfterCommit(t *testing.T) {
 				t.Fatalf("round %d: rack %d still in batch mode", round, r)
 			}
 		}
+	}
+}
+
+// crossCoverage counts what a churn run exercised: committed
+// admissions, spills committed across the tier boundary, the
+// packet-mode ones among them (the circuit path was doomed and the
+// packet fallback served the spill), and cross-tier attachments torn
+// down by EvictBatch.
+type crossCoverage struct {
+	admitted, spills, packetSpills, teardowns int
+}
+
+// hotRequests builds the tight trace generator: a quarter compute
+// boots, the rest attach-only scale-ups aimed at CPUs that share the
+// first placement's hot unit (a rack at the pod tier, a pod at the row
+// tier, as same decides) — overflowing that unit's memory every round
+// so the burst spills across the tier (and, once the circuits run dry,
+// falls back to packet mode) while overall capacity still holds.
+func hotRequests(same func(a, b AdmitResult) bool) func(rng *sim.Rand, n, round int, placed []AdmitResult) []AdmitRequest {
+	return func(rng *sim.Rand, n, round int, placed []AdmitResult) []AdmitRequest {
+		reqs := make([]AdmitRequest, 0, n)
+		var hot []AdmitResult
+		for _, p := range placed {
+			if same(p, placed[0]) {
+				hot = append(hot, p)
+			}
+		}
+		for i := 0; i < n; i++ {
+			owner := fmt.Sprintf("vm-%d-%d", round, i)
+			if len(hot) == 0 || i%4 == 0 {
+				reqs = append(reqs, AdmitRequest{Owner: owner, VCPUs: 1, LocalMem: brick.MiB})
+				continue
+			}
+			p := hot[rng.Uint64()%uint64(len(hot))]
+			reqs = append(reqs, AdmitRequest{Owner: owner, VCPUs: 0, Remote: brick.GiB, CPU: p.CPU, Rack: p.Rack, Pod: p.Pod})
+		}
+		return reqs
+	}
+}
+
+// churnBatches drives randomized admission/eviction churn through a
+// group-commit engine: each round admits one generated burst, then
+// retires the newest half of the live population newest first, so
+// packet riders always precede their circuit hosts into EvictBatch.
+// check runs after every admission and eviction; cross classifies an
+// attachment as cross-tier for the coverage counts.
+func churnBatches(t *testing.T, seed uint64, rounds, n int,
+	gen func(rng *sim.Rand, n, round int, placed []AdmitResult) []AdmitRequest,
+	admit func([]AdmitRequest) ([]AdmitResult, error),
+	evict func([]EvictRequest) ([]EvictResult, error),
+	check func() error, cross func(*Attachment) bool) crossCoverage {
+	t.Helper()
+	type admitted struct {
+		req AdmitRequest
+		res AdmitResult
+	}
+	var cov crossCoverage
+	rng := sim.NewRand(seed)
+	var placed []AdmitResult
+	var live []admitted
+	for round := 0; round < rounds; round++ {
+		reqs := gen(rng, n, round, placed)
+		out, err := admit(reqs)
+		if cerr := check(); cerr != nil {
+			t.Fatalf("round %d admit (err=%v): invariants: %v", round, err, cerr)
+		}
+		if err == nil {
+			cov.admitted += len(out)
+			for i, res := range out {
+				if res.Att != nil && cross(res.Att) {
+					cov.spills++
+					if res.Att.Mode == ModePacket {
+						cov.packetSpills++
+					}
+				}
+				placed = append(placed, res)
+				live = append(live, admitted{req: reqs[i], res: res})
+			}
+		}
+
+		var ev []EvictRequest
+		crossAtts := 0
+		half := len(live) / 2
+		for k := len(live) - 1; k >= half; k-- {
+			a := live[k]
+			r := EvictRequest{
+				Owner: a.req.Owner, CPU: a.res.CPU, Rack: a.res.Rack, Pod: a.res.Pod,
+				VCPUs: a.req.VCPUs, LocalMem: a.req.LocalMem,
+			}
+			if a.res.Att != nil {
+				r.Atts = []*Attachment{a.res.Att}
+				if cross(a.res.Att) {
+					crossAtts++
+				}
+			}
+			ev = append(ev, r)
+		}
+		live = live[:half]
+		_, err = evict(ev)
+		if err != nil {
+			t.Fatalf("round %d evict: %v", round, err)
+		}
+		cov.teardowns += crossAtts
+		if err := check(); err != nil {
+			t.Fatalf("round %d evict: invariants: %v", round, err)
+		}
+	}
+	return cov
+}
+
+// TestBatchChurnCrossRack is the pod-tier randomized churn: bursts of
+// admissions and newest-first evictions across policies and an
+// ample/tight capacity split, with invariants checked after every
+// batch. The tight scenario concentrates attach-only load on one hot
+// rack, so cross-rack spills, spills the circuit path cannot serve
+// (packet fallback) and cross-rack teardowns must all occur.
+func TestBatchChurnCrossRack(t *testing.T) {
+	scenarios := []struct {
+		name                      string
+		racks, computes, memories int
+		memCap                    brick.Bytes
+		rounds, n                 int
+		gen                       func(rng *sim.Rand, n, round int, placed []AdmitResult) []AdmitRequest
+	}{
+		{name: "ample", racks: 4, computes: 3, memories: 3, memCap: 16 * brick.GiB, rounds: 3, n: 48,
+			gen: func(rng *sim.Rand, n, round int, placed []AdmitResult) []AdmitRequest {
+				return batchTestRequests(rng, n, placed)
+			}},
+		{name: "tight", racks: 3, computes: 3, memories: 2, memCap: 8 * brick.GiB, rounds: 5, n: 32,
+			gen: hotRequests(func(a, b AdmitResult) bool { return a.Rack == b.Rack })},
+	}
+	for _, policy := range []Policy{PolicyPowerAware, PolicySpread} {
+		for _, sc := range scenarios {
+			t.Run(fmt.Sprintf("%s/%s", policy, sc.name), func(t *testing.T) {
+				cfg := DefaultConfig
+				cfg.Policy = policy
+				cfg.PacketFallback = true
+				s := buildBatchPod(t, sc.racks, sc.computes, sc.memories, sc.memCap, cfg)
+				s.PowerOnAll()
+				cov := churnBatches(t, 61, sc.rounds, sc.n, sc.gen, s.AdmitBatch, s.EvictBatch, s.CheckInvariants,
+					func(a *Attachment) bool { return a.CrossRack() })
+				t.Logf("coverage: %+v", cov)
+				if cov.admitted == 0 {
+					t.Fatal("no burst committed")
+				}
+				if sc.name == "tight" && (cov.spills == 0 || cov.packetSpills == 0 || cov.teardowns == 0) {
+					t.Fatalf("cross-rack paths not all exercised: %+v", cov)
+				}
+			})
+		}
+	}
+}
+
+// TestRowBatchChurnCrossPod is the same churn one tier up, on a row
+// small enough that the hot pod overflows every round: cross-pod
+// spills, their packet fallback and cross-pod teardowns must all occur.
+func TestRowBatchChurnCrossPod(t *testing.T) {
+	for _, policy := range []Policy{PolicyPowerAware, PolicySpread} {
+		t.Run(policy.String(), func(t *testing.T) {
+			cfg := DefaultConfig
+			cfg.Policy = policy
+			cfg.PacketFallback = true
+			s := buildRowSched(t, 4, 2, 2*brick.GiB, cfg)
+			s.PowerOnAll()
+			cov := churnBatches(t, 73, 5, 8, hotRequests(func(a, b AdmitResult) bool { return a.Pod == b.Pod }),
+				s.AdmitBatch, s.EvictBatch, s.CheckInvariants,
+				func(a *Attachment) bool { return a.CrossPod() })
+			t.Logf("coverage: %+v", cov)
+			if cov.spills == 0 || cov.packetSpills == 0 || cov.teardowns == 0 {
+				t.Fatalf("cross-pod paths not all exercised: %+v", cov)
+			}
+		})
 	}
 }

@@ -17,69 +17,111 @@ import (
 // CheckInvariants cross-checks every rack's derived state against
 // ground truth and returns the first violation found, or nil.
 func (s *PodScheduler) CheckInvariants() error {
-	liveSegs := make(map[*brick.Segment]*Attachment)
-	crossRegistered := 0
+	live := make(map[*brick.Segment]*Attachment)
+	if _, err := s.checkPod(live, nil, nil); err != nil {
+		return err
+	}
+	return checkSegments(live, s)
+}
+
+// CheckInvariants is the row analog: every pod's own invariants, plus
+// the cross-pod registrations, their circuits' rider counts and the
+// row's walk order, with segment ownership checked row-wide.
+func (s *RowScheduler) CheckInvariants() error {
+	live := make(map[*brick.Segment]*Attachment)
+	riders := make(map[*optical.Circuit]int)
+	registered := 0
+	for p, ps := range s.pods {
+		n, err := ps.checkPod(live, s, riders)
+		if err != nil {
+			return fmt.Errorf("pod %d: %w", p, err)
+		}
+		registered += n
+	}
+	if err := checkRiders("row", riders); err != nil {
+		return err
+	}
+	if err := checkWalk("row", &s.cross, s.attachSeq, live, registered); err != nil {
+		return err
+	}
+	return checkSegments(live, s.pods...)
+}
+
+// checkPod checks the pod's racks, registrations, cross-rack riders and
+// walk order, recording every live attachment's segment in live.
+// Attachments tagged with row — the cross-pod ones this pod's racks
+// register — are tallied into rowRiders and counted in the result.
+func (s *PodScheduler) checkPod(live map[*brick.Segment]*Attachment, row *RowScheduler, rowRiders map[*optical.Circuit]int) (int, error) {
+	crossRegistered, rowRegistered := 0, 0
 	podRiders := make(map[*optical.Circuit]int)
-	podCircuits := make(map[*optical.Circuit]bool)
 	for ri, r := range s.racks {
 		if r.batch != nil && r.batch.active {
-			return fmt.Errorf("rack %d: invariants checked mid-batch", ri)
+			return 0, fmt.Errorf("rack %d: invariants checked mid-batch", ri)
 		}
 		if err := r.checkRack(ri); err != nil {
-			return err
+			return 0, err
 		}
 		rackRiders := make(map[*optical.Circuit]int)
-		rackCircuits := make(map[*optical.Circuit]bool)
 		hostSeen := make(map[*Attachment]bool)
 		for oid, list := range r.attachments {
 			owner := r.owners[oid]
 			for _, att := range list {
 				if att.Owner != owner {
-					return fmt.Errorf("rack %d: attachment of %q registered under %q", ri, att.Owner, owner)
+					return 0, fmt.Errorf("rack %d: attachment of %q registered under %q", ri, att.Owner, owner)
 				}
 				if int(att.ownerID) != oid {
-					return fmt.Errorf("rack %d: attachment of %q carries owner id %d, registered at %d", ri, att.Owner, att.ownerID, oid)
+					return 0, fmt.Errorf("rack %d: attachment of %q carries owner id %d, registered at %d", ri, att.Owner, att.ownerID, oid)
 				}
-				if prev, dup := liveSegs[att.Segment]; dup {
-					return fmt.Errorf("rack %d: segment %v+%v owned by both %q and %q", ri, att.Segment.Offset, att.Segment.Size, prev.Owner, att.Owner)
+				if prev, dup := live[att.Segment]; dup {
+					return 0, fmt.Errorf("rack %d: segment %v+%v owned by both %q and %q", ri, att.Segment.Offset, att.Segment.Size, prev.Owner, att.Owner)
 				}
-				liveSegs[att.Segment] = att
-				if att.cross != nil {
-					if att.cross != s {
-						return fmt.Errorf("rack %d: attachment of %q tagged with a foreign pod scheduler", ri, att.Owner)
+				live[att.Segment] = att
+				if att.crossRow != nil {
+					if att.crossRow != row {
+						return 0, fmt.Errorf("rack %d: attachment of %q tagged with a foreign row scheduler", ri, att.Owner)
 					}
 					if att.CPURack != ri {
-						return fmt.Errorf("rack %d: cross attachment of %q registered off its compute rack %d", ri, att.Owner, att.CPURack)
+						return 0, fmt.Errorf("rack %d: cross-pod attachment of %q registered off its compute rack %d", ri, att.Owner, att.CPURack)
+					}
+					if !row.cross.contains(att) {
+						return 0, fmt.Errorf("rack %d: cross-pod attachment of %q missing from the row walk order", ri, att.Owner)
+					}
+					rowRegistered++
+					tallyRider(rowRiders, att)
+					continue
+				}
+				if att.cross != nil {
+					if att.cross != s {
+						return 0, fmt.Errorf("rack %d: attachment of %q tagged with a foreign pod scheduler", ri, att.Owner)
+					}
+					if att.CPURack != ri {
+						return 0, fmt.Errorf("rack %d: cross attachment of %q registered off its compute rack %d", ri, att.Owner, att.CPURack)
 					}
 					crossRegistered++
 					if !s.cross.contains(att) {
-						return fmt.Errorf("rack %d: cross attachment of %q missing from the cross walk order", ri, att.Owner)
+						return 0, fmt.Errorf("rack %d: cross attachment of %q missing from the cross walk order", ri, att.Owner)
 					}
-					if att.Mode == ModePacket {
-						podRiders[att.Circuit]++
-					}
-					podCircuits[att.Circuit] = true
+					tallyRider(podRiders, att)
 					continue
 				}
 				if att.CPURack != att.MemRack {
-					return fmt.Errorf("rack %d: attachment of %q spans racks %d→%d without a pod tag", ri, att.Owner, att.CPURack, att.MemRack)
+					return 0, fmt.Errorf("rack %d: attachment of %q spans racks %d→%d without a pod tag", ri, att.Owner, att.CPURack, att.MemRack)
 				}
-				rackCircuits[att.Circuit] = true
+				tallyRider(rackRiders, att)
 				if att.Mode == ModePacket {
-					rackRiders[att.Circuit]++
 					continue
 				}
 				found := false
 				for _, h := range r.circuitHosts[r.cpuPos(att.CPU)] {
 					if h == att {
 						if found {
-							return fmt.Errorf("rack %d: attachment of %q twice in circuitHosts", ri, att.Owner)
+							return 0, fmt.Errorf("rack %d: attachment of %q twice in circuitHosts", ri, att.Owner)
 						}
 						found = true
 					}
 				}
 				if !found {
-					return fmt.Errorf("rack %d: circuit attachment of %q missing from circuitHosts", ri, att.Owner)
+					return 0, fmt.Errorf("rack %d: circuit attachment of %q missing from circuitHosts", ri, att.Owner)
 				}
 				hostSeen[att] = true
 			}
@@ -88,71 +130,96 @@ func (s *PodScheduler) CheckInvariants() error {
 		for ord, hosts := range r.circuitHosts {
 			for _, h := range hosts {
 				if !hostSeen[h] {
-					return fmt.Errorf("rack %d: orphaned circuitHosts entry for %q on %v", ri, h.Owner, r.computeOrder[ord])
+					return 0, fmt.Errorf("rack %d: orphaned circuitHosts entry for %q on %v", ri, h.Owner, r.computeOrder[ord])
 				}
 			}
 		}
-		// Rider counts match the packet attachments per circuit.
-		for circuit := range rackCircuits {
-			if circuit.Riders != rackRiders[circuit] {
-				return fmt.Errorf("rack %d: rider count %d on a circuit with %d live packet attachments", ri, circuit.Riders, rackRiders[circuit])
-			}
+		if err := checkRiders(fmt.Sprintf("rack %d", ri), rackRiders); err != nil {
+			return 0, err
 		}
 	}
+	if err := checkRiders("pod", podRiders); err != nil {
+		return 0, err
+	}
+	if err := checkWalk("pod", &s.cross, s.attachSeq, live, crossRegistered); err != nil {
+		return 0, err
+	}
+	return rowRegistered, nil
+}
 
-	// Pod rider counts.
-	for circuit := range podCircuits {
-		if circuit.Riders != podRiders[circuit] {
-			return fmt.Errorf("pod: rider count %d on a cross circuit with %d live packet attachments", circuit.Riders, podRiders[circuit])
+// tallyRider records att's circuit in a rider census: every circuit an
+// attachment uses is present, and packet-mode attachments count as
+// riders on it.
+func tallyRider(riders map[*optical.Circuit]int, att *Attachment) {
+	if att.Mode == ModePacket {
+		riders[att.Circuit]++
+	} else if _, ok := riders[att.Circuit]; !ok {
+		riders[att.Circuit] = 0
+	}
+}
+
+// checkRiders verifies each circuit's rider count against its live
+// packet attachments.
+func checkRiders(tier string, riders map[*optical.Circuit]int) error {
+	for circuit, n := range riders {
+		if circuit.Riders != n {
+			return fmt.Errorf("%s: rider count %d on a circuit with %d live packet attachments", tier, circuit.Riders, n)
 		}
 	}
+	return nil
+}
 
-	// The cross walk order: every element live, seq strictly increasing,
-	// bounded by attachSeq, and nothing registered is missing (checked
-	// above) or extra (checked here by count).
+// checkWalk verifies a cross walk order: every element live, seq
+// strictly increasing and bounded by attachSeq, and exactly registered
+// elements long.
+func checkWalk(tier string, l *crossList, attachSeq uint64, live map[*brick.Segment]*Attachment, registered int) error {
 	var lastSeq uint64
 	n := 0
-	for att := s.cross.head; att != nil; att = att.crossNext {
+	for att := l.head; att != nil; att = att.crossNext {
 		n++
 		if att.seq <= lastSeq {
-			return fmt.Errorf("pod: cross walk seq %d after %d — walk order corrupted", att.seq, lastSeq)
+			return fmt.Errorf("%s: cross walk seq %d after %d — walk order corrupted", tier, att.seq, lastSeq)
 		}
 		lastSeq = att.seq
-		if att.seq > s.attachSeq {
-			return fmt.Errorf("pod: cross walk seq %d exceeds attachSeq %d", att.seq, s.attachSeq)
+		if att.seq > attachSeq {
+			return fmt.Errorf("%s: cross walk seq %d exceeds attachSeq %d", tier, att.seq, attachSeq)
 		}
-		if _, ok := liveSegs[att.Segment]; !ok {
-			return fmt.Errorf("pod: cross walk entry for %q is not a registered attachment", att.Owner)
+		if _, ok := live[att.Segment]; !ok {
+			return fmt.Errorf("%s: cross walk entry for %q is not a registered attachment", tier, att.Owner)
 		}
 	}
-	if n != crossRegistered {
-		return fmt.Errorf("pod: %d cross walk entries but %d registered cross attachments", n, crossRegistered)
+	if n != registered {
+		return fmt.Errorf("%s: %d cross walk entries but %d registered cross attachments", tier, n, registered)
 	}
-	if s.cross.n != n {
-		return fmt.Errorf("pod: cross walk length %d but %d elements counted", s.cross.n, n)
+	if l.n != n {
+		return fmt.Errorf("%s: cross walk length %d but %d elements counted", tier, l.n, n)
 	}
+	return nil
+}
 
-	// Ground-truth segment scan: every carved segment belongs to exactly
-	// one live attachment, and every live attachment's segment is carved.
-	for ri, r := range s.racks {
-		for pos, m := range r.memories {
-			id := r.memoryOrder[pos]
-			for _, seg := range m.Segments() {
-				att, ok := liveSegs[seg]
-				if !ok {
-					return fmt.Errorf("rack %d: orphaned segment %v+%v owned by %q on %v", ri, seg.Offset, seg.Size, seg.Owner, id)
+// checkSegments is the ground-truth segment scan: every carved segment
+// on the pods' memory bricks belongs to exactly one live attachment,
+// and every live attachment's segment is carved.
+func checkSegments(live map[*brick.Segment]*Attachment, pods ...*PodScheduler) error {
+	for _, s := range pods {
+		for ri, r := range s.racks {
+			for pos, m := range r.memories {
+				id := r.memoryOrder[pos]
+				for _, seg := range m.Segments() {
+					att, ok := live[seg]
+					if !ok {
+						return fmt.Errorf("rack %d: orphaned segment %v+%v owned by %q on %v", ri, seg.Offset, seg.Size, seg.Owner, id)
+					}
+					if att.Segment.Brick != id {
+						return fmt.Errorf("rack %d: attachment of %q names brick %v but its segment lives on %v", ri, att.Owner, att.Segment.Brick, id)
+					}
+					delete(live, seg)
 				}
-				if att.Segment.Brick != id {
-					return fmt.Errorf("rack %d: attachment of %q names brick %v but its segment lives on %v", ri, att.Owner, att.Segment.Brick, id)
-				}
-				delete(liveSegs, seg)
 			}
 		}
 	}
-	if len(liveSegs) > 0 {
-		for _, att := range liveSegs {
-			return fmt.Errorf("attachment of %q holds a segment no memory brick carries", att.Owner)
-		}
+	for _, att := range live {
+		return fmt.Errorf("attachment of %q holds a segment no memory brick carries", att.Owner)
 	}
 	return nil
 }

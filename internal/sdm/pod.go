@@ -56,29 +56,13 @@ type PodScheduler struct {
 	// periodic sweeps stop allocating per call.
 	rebalScratch []*Attachment
 
-	// evict holds EvictBatch's reused partition buffers (see
-	// podteardown.go). EvictBatch is serial at the pod tier, so one set
-	// suffices and a steady churn of evictions stops allocating.
+	// evict and admit hold the batch engines' reused partition buffers
+	// (see podteardown.go and podbatch.go), shared by the pod's own
+	// batches and the row's per-pod shards. Group commits are serial per
+	// scheduler, so one set of each suffices and a steady churn stops
+	// allocating.
 	evict evictScratch
-	// admit holds the pod's reused shard partition buffers for
-	// row-driven batches and its own AdmitBatch (see admitShardPlan);
-	// the row's flat commit wave reads the packed sub-batches out of it.
 	admit admitScratch
-	// spec holds the reused speculation buffers of the pod's own
-	// group commits (see speculate.go); row-driven shard calls never
-	// touch it, so pod- and row-tier batches cannot collide on it.
-	spec specScratch
-	// fo is the reusable fan-out scratch behind forEachRack and the
-	// speculation passes; a pod's phases run sequentially, so one
-	// instance suffices (see fanout.go).
-	fo fanout
-	// admitWave and evictWave are the batch engines' commit-wave
-	// closures, built once at construction: they read each batch's
-	// shard ranges through the reused scratch, so a serial batch
-	// creates no closure per call (a fan-out fn escapes into the
-	// fanout scratch and would otherwise heap-allocate every batch).
-	admitWave func(r int)
-	evictWave func(r int)
 
 	requests uint64
 	failures uint64
@@ -113,14 +97,6 @@ func NewPodScheduler(pod *topo.Pod, fabric *optical.PodFabric, bc BrickConfigs, 
 	s.crossHosts = make([][][]*Attachment, len(s.racks))
 	for i, r := range s.racks {
 		s.crossHosts[i] = make([][]*Attachment, len(r.computes))
-	}
-	s.admitWave = func(r int) {
-		sc := &s.admit
-		s.racks[r].placeBatch(sc.subReq[sc.offsets[r]:sc.offsets[r+1]], sc.subOut[sc.offsets[r]:sc.offsets[r+1]], true)
-	}
-	s.evictWave = func(r int) {
-		sc := &s.evict
-		s.racks[r].ReleaseBatch(sc.subReq[sc.offsets[r]:sc.offsets[r+1]], sc.subOut[sc.offsets[r]:sc.offsets[r+1]])
 	}
 	return s, nil
 }
@@ -363,32 +339,9 @@ func (s *PodScheduler) AttachRemoteMemory(owner string, cpu topo.PodBrickID, siz
 // Exhaustion of circuit resources cascades into the pod-tier packet
 // fallback.
 func (s *PodScheduler) attachCross(owner string, cpu topo.PodBrickID, size brick.Bytes) (*Attachment, sim.Duration, error) {
-	return s.attachCrossHinted(owner, cpu, size, nil)
-}
-
-// attachCrossHinted is attachCross with an optional pre-planned spill
-// hint (speculate.go): a doomed hint skips the rack scan and goes
-// straight to the unhinted path's error surface (the packet fallback
-// still probes live state), a target hint is revalidated in O(1) —
-// candidacy, spread bound, confirming pick — and falls back to the
-// full scan when the batch's own commits moved the answer.
-func (s *PodScheduler) attachCrossHinted(owner string, cpu topo.PodBrickID, size brick.Bytes, hint *spillHint) (*Attachment, sim.Duration, error) {
 	rackA := s.racks[cpu.Rack]
 	op := planAttach(s.cfg, owner, size, rackA, cpu.Brick,
 		func() (memPick, bool, error) {
-			if hint != nil {
-				if hint.target == hintDoom {
-					return memPick{}, true, fmt.Errorf("sdm: no rack in the pod with %v contiguous free and a spare port", size)
-				}
-				t := hint.target
-				r := s.racks[t]
-				if t != cpu.Rack && r.CanPlaceMemory(size) &&
-					(s.cfg.Policy != PolicySpread || r.FreeMemory() > hint.bound) {
-					if memID, ok := r.pickMemory(size); ok {
-						return memPick{rack: r, rackIdx: t, brick: memID}, false, nil
-					}
-				}
-			}
 			memRack, ok := s.pickMemoryRack(size, cpu.Rack)
 			if !ok {
 				return memPick{}, true, fmt.Errorf("sdm: no rack in the pod with %v contiguous free and a spare port", size)

@@ -1,30 +1,25 @@
 package sdm
 
 // Batched group-commit admission, pod tier. AdmitBatch serves a whole
-// scale-up burst in three deterministic phases:
+// scale-up burst in three deterministic phases, all on the caller's
+// goroutine:
 //
-//  1. Partition (speculative parallel): every request is assigned a
-//     rack by the same O(1) index-root aggregates the per-request rack
-//     choice reads — free-core rank sums and feasibility maxima —
-//     adjusted by the cores already planned onto each rack, so a burst
-//     spreads (or packs) the way the policy would have placed it one
-//     by one. Large bursts run the loop speculatively on workers with
-//     a serial O(1)-per-request validation pass (speculate.go),
-//     byte-identical to the serial reference partitioner.
-//  2. Plan (parallel): each rack's sub-batch runs through its own
-//     Controller.PlaceBatch on a worker goroutine. Rack shards share
-//     nothing on this path — every controller owns its bricks, fabric
-//     and indexes — so there are no locks, and each shard's outcome is
-//     a pure function of its pre-batch state and its sub-batch. The
-//     result is byte-identical at any worker count.
-//  3. Merge (serial commit, parallel pre-plan): leftovers — requests
-//     whose rack could not serve the remote part locally, or whose
-//     planned rack turned out full — resolve in request order through
-//     the sequential spill machinery (cross-rack circuits through the
-//     pod switch, then the pod-tier packet fallback), exactly as the
-//     per-request path would; spill targets are pre-planned on workers
-//     and revalidated in O(1) before committing, counters fold once
-//     per batch, and only the leftover list is walked.
+//  1. Partition: every request is assigned a rack by the same O(1)
+//     index-root aggregates the per-request rack choice reads —
+//     free-core rank sums and feasibility maxima — adjusted by the
+//     cores already planned onto each rack, so a burst spreads (or
+//     packs) the way the policy would have placed it one by one.
+//  2. Plan + commit: each rack's sub-batch runs through its own
+//     Controller.placeBatch, in rack order. Rack shards share nothing
+//     on this path — every controller owns its bricks, fabric and
+//     indexes — so each shard's outcome is a pure function of its
+//     pre-batch state and its sub-batch.
+//  3. Merge: leftovers — requests whose rack could not serve the
+//     remote part locally, or whose planned rack turned out full —
+//     resolve in request order through the sequential spill machinery
+//     (cross-rack circuits through the pod switch, then the pod-tier
+//     packet fallback), exactly as the per-request path would; counters
+//     fold once per batch, and only the leftover list is walked.
 //
 // Admission is all-or-nothing: if any request definitively fails, every
 // committed admission is torn down in reverse order and the spill
@@ -33,24 +28,43 @@ package sdm
 
 import (
 	"fmt"
-	"runtime"
 
 	"repro/internal/brick"
 	"repro/internal/topo"
 )
 
-// AdmitBatch admits a burst of requests pod-wide using at most workers
-// goroutines for the per-rack planning phase (<= 0 means GOMAXPROCS).
-// Results are in request order. On error, nothing remains admitted.
-func (s *PodScheduler) AdmitBatch(reqs []AdmitRequest, workers int) ([]AdmitResult, error) {
+// admitScratch is a pod's reused admission state: the partition, the
+// packed per-rack sub-batches and the merge's leftover list. Every
+// buffer is fully overwritten or length-reset at the top of a batch,
+// and group commits are serial per scheduler, so one set is safely
+// reused across batches — a steady burst train stops allocating. The
+// pod's own AdmitBatch and the row's per-pod shards share it; the two
+// never run on the same pod at once.
+type admitScratch struct {
+	rackOf       []int
+	plannedCores []int
+	counts       []int
+	offsets      []int
+	subReq       []AdmitRequest
+	subOut       []AdmitResult
+	pos          []int
+	fill         []int
+	retry        []bool
+	leftover     []int
+}
+
+// AdmitBatch admits a burst of requests pod-wide. Results are in
+// request order. On error, nothing remains admitted.
+func (s *PodScheduler) AdmitBatch(reqs []AdmitRequest) ([]AdmitResult, error) {
 	out := make([]AdmitResult, len(reqs))
-	return out, s.AdmitBatchInto(reqs, out, workers)
+	return out, s.AdmitBatchInto(reqs, out, 0)
 }
 
 // AdmitBatchInto is AdmitBatch writing results into a caller-provided
 // slice, whose length must equal len(reqs) — the steady-state form
 // for burst trains, which otherwise pay one result-slice allocation
-// per batch. Prior contents of out are overwritten.
+// per batch. Prior contents of out are overwritten. workers is unused:
+// the group commit runs on the caller's goroutine.
 func (s *PodScheduler) AdmitBatchInto(reqs []AdmitRequest, out []AdmitResult, workers int) error {
 	if len(out) != len(reqs) {
 		return fmt.Errorf("sdm: result slice length %d for %d requests", len(out), len(reqs))
@@ -69,29 +83,9 @@ func (s *PodScheduler) AdmitBatchInto(reqs []AdmitRequest, out []AdmitResult, wo
 		}
 	}()
 
-	// Phase 1 — partition by the O(1) rack-choice aggregates. The
-	// partition buffers are the pod's reused admit scratch (AdmitBatch
-	// is serial at the pod tier), so a steady burst train pays one
-	// allocation per batch: the caller's result slice.
-	sc := &s.admit
-	if cap(sc.rackOf) < len(reqs) {
-		sc.rackOf = make([]int, len(reqs))
-		sc.pos = make([]int, len(reqs))
-		sc.retry = make([]bool, len(reqs))
-	}
-	if cap(sc.plannedCores) < len(s.racks) {
-		sc.plannedCores = make([]int, len(s.racks))
-		sc.counts = make([]int, len(s.racks))
-		sc.offsets = make([]int, len(s.racks)+1)
-		sc.fill = make([]int, len(s.racks))
-	}
-	rackOf := sc.rackOf[:len(reqs)]
-	plannedCores := sc.plannedCores[:len(s.racks)]
-	clear(plannedCores)
 	// Validate in request order first — malformed requests surface (and
 	// count) exactly as they would mid-partition, since partitioning
-	// itself mutates nothing but scratch — and route attach-only
-	// requests to their home racks.
+	// itself mutates nothing but scratch.
 	for i := range reqs {
 		req := &reqs[i]
 		switch {
@@ -106,20 +100,133 @@ func (s *PodScheduler) AdmitBatchInto(reqs []AdmitRequest, out []AdmitResult, wo
 				s.failures++
 				return fmt.Errorf("sdm: batch request %d (%q): no rack %d in the pod", i, req.Owner, req.Rack)
 			}
-			rackOf[i] = req.Rack
 		}
 	}
-	// Speculative parallel partition (speculate.go); the serial
-	// reference loop runs the identical per-request step when
-	// speculation is disengaged. The first compute placement takes the
-	// exact per-request rack choice either way — which also makes a
-	// batch of one reproduce the sequential path bit for bit.
-	if !s.specPartition(reqs, rackOf, plannedCores, workers) {
-		plannedAny := false
-		for i := range reqs {
-			if reqs[i].VCPUs > 0 {
-				rackOf[i] = s.partitionStep(&reqs[i], plannedCores, &plannedAny)
+
+	// Phases 1 and 2 — partition, then per-rack plan *and commit*.
+	s.admitPlan(reqs)
+	s.admitCommit()
+
+	// Phase 3a — gather every dispatched result before any merging, so
+	// a mid-merge abort sees all committed state in out. The epilogue's
+	// request counters fold here, once per batch, and the merge below
+	// walks only the leftover list instead of re-scanning every settled
+	// request.
+	sc := &s.admit
+	rackOf, pos, subOut := sc.rackOf[:len(reqs)], sc.pos[:len(reqs)], sc.subOut
+	retry := sc.retry[:len(reqs)]
+	clear(retry)
+	leftover := sc.leftover[:0]
+	var batchReqs uint64
+	for i := range reqs {
+		if pos[i] < 0 {
+			retry[i] = true
+			leftover = append(leftover, i)
+			continue
+		}
+		out[i] = subOut[pos[i]]
+		out[i].Rack = rackOf[i]
+		if out[i].Att != nil {
+			// Stamp the pod coordinates now: a mid-merge abort routes
+			// teardown through them.
+			out[i].Att.CPURack, out[i].Att.MemRack = out[i].Rack, out[i].Rack
+		}
+		if out[i].Err != nil {
+			// The planned rack could not serve the request after all
+			// (partition works off pre-batch aggregates); a failed
+			// rack-level request committed nothing, so re-place it
+			// through the sequential pod path against committed state.
+			out[i] = AdmitResult{}
+			retry[i] = true
+			leftover = append(leftover, i)
+			continue
+		}
+		if reqs[i].VCPUs > 0 {
+			batchReqs++
+		}
+		if reqs[i].Remote > 0 {
+			batchReqs++
+		}
+		if out[i].needSpill {
+			leftover = append(leftover, i)
+		}
+	}
+	s.requests += batchReqs
+	sc.leftover = leftover
+
+	// Phase 3b — merge leftovers in request order.
+	for _, i := range leftover {
+		req := &reqs[i]
+		if retry[i] {
+			if req.VCPUs > 0 {
+				id, lat, err := s.ReserveCompute(req.Owner, req.VCPUs, req.LocalMem)
+				if err != nil {
+					return s.abortBatch(reqs, out, seqStart, i, err)
+				}
+				out[i].CPU, out[i].Rack = id.Brick, id.Rack
+				out[i].ComputeLat, out[i].computeDone = lat, true
+			} else {
+				out[i].CPU, out[i].Rack = req.CPU, req.Rack
 			}
+			if req.Remote > 0 {
+				att, lat, err := s.AttachRemoteMemory(req.Owner, topo.PodBrickID{Rack: out[i].Rack, Brick: out[i].CPU}, req.Remote)
+				if err != nil {
+					return s.abortBatch(reqs, out, seqStart, i, err)
+				}
+				out[i].Att, out[i].AttachLat = att, lat
+			}
+			continue
+		}
+		// Every non-retry leftover needs the cross-rack spill.
+		res := &out[i]
+		att, lat, err := s.attachCross(req.Owner, topo.PodBrickID{Rack: res.Rack, Brick: res.CPU}, req.Remote)
+		if err != nil {
+			localErr := res.localErr
+			if localErr == nil {
+				localErr = fmt.Errorf("sdm: no memory brick with %v contiguous free and a spare port", req.Remote)
+			}
+			s.failures++
+			err = fmt.Errorf("sdm: pod attach for %q failed rack-locally (%v) and cross-rack: %w", req.Owner, localErr, err)
+			return s.abortBatch(reqs, out, seqStart, i, err)
+		}
+		s.spills++
+		res.Att, res.AttachLat = att, lat
+		res.needSpill, res.localErr = false, nil
+	}
+	return nil
+}
+
+// admitPlan partitions a validated burst across the pod's racks and
+// packs the per-rack sub-batches into s.admit, preserving request order
+// within a rack. Attach-only requests go to their home racks; a request
+// no rack can take is marked with pos -1 for the merge to re-place.
+func (s *PodScheduler) admitPlan(reqs []AdmitRequest) {
+	sc := &s.admit
+	if cap(sc.rackOf) < len(reqs) {
+		sc.rackOf = make([]int, len(reqs))
+		sc.pos = make([]int, len(reqs))
+		sc.retry = make([]bool, len(reqs))
+	}
+	if cap(sc.plannedCores) < len(s.racks) {
+		sc.plannedCores = make([]int, len(s.racks))
+		sc.counts = make([]int, len(s.racks))
+		sc.offsets = make([]int, len(s.racks)+1)
+		sc.fill = make([]int, len(s.racks))
+	}
+
+	// Phase 1 — partition by the O(1) rack-choice aggregates. The first
+	// compute placement takes the exact per-request rack choice, which
+	// also makes a batch of one reproduce the sequential path bit for
+	// bit.
+	rackOf := sc.rackOf[:len(reqs)]
+	plannedCores := sc.plannedCores[:len(s.racks)]
+	clear(plannedCores)
+	plannedAny := false
+	for i := range reqs {
+		if reqs[i].VCPUs == 0 {
+			rackOf[i] = reqs[i].Rack
+		} else {
+			rackOf[i] = s.partitionStep(&reqs[i], plannedCores, &plannedAny)
 		}
 	}
 
@@ -157,116 +264,40 @@ func (s *PodScheduler) AdmitBatchInto(reqs []AdmitRequest, out []AdmitResult, wo
 		subReq[fill[r]] = reqs[i]
 		fill[r]++
 	}
+}
 
-	// Phase 2 — per-rack plan *and commit* on worker goroutines.
-	active := sc.active[:0]
-	for r, n := range counts {
+// partitionStep runs one request through the partition: the full
+// per-request rack choice while nothing is planned yet, the
+// planned-adjusted arithmetic choice afterwards. It consumes from
+// plannedCores on success and returns the chosen rack (-1 for a
+// leftover).
+func (s *PodScheduler) partitionStep(req *AdmitRequest, plannedCores []int, plannedAny *bool) int {
+	if !*plannedAny {
+		rack, ok := s.pickComputeRackExcept(req.VCPUs, req.LocalMem, -1)
+		if !ok {
+			return -1
+		}
+		plannedCores[rack] += req.VCPUs
+		*plannedAny = true
+		return rack
+	}
+	r := s.pickComputeRackPlanned(req.VCPUs, req.LocalMem, plannedCores)
+	if r >= 0 {
+		plannedCores[r] += req.VCPUs
+	}
+	return r
+}
+
+// admitCommit runs every packed per-rack sub-batch through its rack's
+// placeBatch in pod mode, in rack order.
+func (s *PodScheduler) admitCommit() {
+	sc := &s.admit
+	for r, n := range sc.counts[:len(s.racks)] {
 		if n > 0 {
-			active = append(active, r)
+			lo, hi := sc.offsets[r], sc.offsets[r+1]
+			s.racks[r].placeBatch(sc.subReq[lo:hi], sc.subOut[lo:hi], true)
 		}
 	}
-	sc.active = active
-	s.forEachRack(workers, active, s.admitWave)
-
-	// Phase 3a — gather every dispatched result before any merging, so
-	// a mid-merge abort sees all worker-committed state in out. The
-	// epilogue's request counters fold here, once per batch, and the
-	// merge below walks only the leftover list instead of re-scanning
-	// every settled request.
-	retry := sc.retry[:len(reqs)]
-	clear(retry)
-	leftover, spills := s.spec.leftover[:0], s.spec.spills[:0]
-	var batchReqs uint64
-	for i := range reqs {
-		if pos[i] < 0 {
-			retry[i] = true
-			leftover = append(leftover, i)
-			continue
-		}
-		out[i] = subOut[pos[i]]
-		out[i].Rack = rackOf[i]
-		if out[i].Att != nil {
-			// Stamp the pod coordinates now: a mid-merge abort routes
-			// teardown through them.
-			out[i].Att.CPURack, out[i].Att.MemRack = out[i].Rack, out[i].Rack
-		}
-		if out[i].Err != nil {
-			// The planned rack could not serve the request after all
-			// (partition works off pre-batch aggregates); a failed
-			// rack-level request committed nothing, so re-place it
-			// through the sequential pod path against committed state.
-			out[i] = AdmitResult{}
-			retry[i] = true
-			leftover = append(leftover, i)
-			continue
-		}
-		if reqs[i].VCPUs > 0 {
-			batchReqs++
-		}
-		if reqs[i].Remote > 0 {
-			batchReqs++
-		}
-		if out[i].needSpill {
-			leftover = append(leftover, i)
-			spills = append(spills, i)
-		}
-	}
-	s.requests += batchReqs
-	s.spec.leftover, s.spec.spills = leftover, spills
-
-	// Pre-plan the spills on workers against the committed state; the
-	// merge revalidates each hint in O(1) (speculate.go).
-	var hints []spillHint
-	if s.planSpills(reqs, out, workers) {
-		hints = s.spec.hints[:len(spills)]
-	}
-
-	// Phase 3b — merge leftovers in request order.
-	hinted := 0
-	for _, i := range leftover {
-		req := &reqs[i]
-		if retry[i] {
-			if req.VCPUs > 0 {
-				id, lat, err := s.ReserveCompute(req.Owner, req.VCPUs, req.LocalMem)
-				if err != nil {
-					return s.abortBatch(reqs, out, seqStart, i, err)
-				}
-				out[i].CPU, out[i].Rack = id.Brick, id.Rack
-				out[i].ComputeLat, out[i].computeDone = lat, true
-			} else {
-				out[i].CPU, out[i].Rack = req.CPU, req.Rack
-			}
-			if req.Remote > 0 {
-				att, lat, err := s.AttachRemoteMemory(req.Owner, topo.PodBrickID{Rack: out[i].Rack, Brick: out[i].CPU}, req.Remote)
-				if err != nil {
-					return s.abortBatch(reqs, out, seqStart, i, err)
-				}
-				out[i].Att, out[i].AttachLat = att, lat
-			}
-			continue
-		}
-		// Every non-retry leftover needs the cross-rack spill.
-		res := &out[i]
-		var hint *spillHint
-		if hints != nil {
-			hint = &hints[hinted]
-		}
-		hinted++
-		att, lat, err := s.attachCrossHinted(req.Owner, topo.PodBrickID{Rack: res.Rack, Brick: res.CPU}, req.Remote, hint)
-		if err != nil {
-			localErr := res.localErr
-			if localErr == nil {
-				localErr = fmt.Errorf("sdm: no memory brick with %v contiguous free and a spare port", req.Remote)
-			}
-			s.failures++
-			err = fmt.Errorf("sdm: pod attach for %q failed rack-locally (%v) and cross-rack: %w", req.Owner, localErr, err)
-			return s.abortBatch(reqs, out, seqStart, i, err)
-		}
-		s.spills++
-		res.Att, res.AttachLat = att, lat
-		res.needSpill, res.localErr = false, nil
-	}
-	return nil
 }
 
 // pickComputeRackPlanned applies the placement policy to rack choice
@@ -293,22 +324,6 @@ func (s *PodScheduler) pickComputeRackPlanned(vcpus int, localMem brick.Bytes, p
 		}
 	}
 	return -1
-}
-
-// forEachRack runs fn for every rack index in racks on a pool of at
-// most workers goroutines (<= 0 meaning GOMAXPROCS). Rack shards are
-// disjoint, so scheduling order cannot affect the outcome.
-func (s *PodScheduler) forEachRack(workers int, racks []int, fn func(r int)) {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers <= 1 || len(racks) <= 1 {
-		for _, r := range racks {
-			fn(r)
-		}
-		return
-	}
-	s.fo.run(workers, len(racks), func(i int) { fn(racks[i]) })
 }
 
 // abortBatch tears every committed admission down in reverse request

@@ -2,22 +2,19 @@ package sdm
 
 // Batched group-commit teardown, pod tier — the inverse of podbatch.go.
 // EvictBatch retires a burst of consumers in three deterministic
-// phases, mirroring AdmitBatch's shape:
+// phases, mirroring AdmitBatch's shape, all on the caller's goroutine:
 //
-//  1. Partition (serial): every request already names its rack; its
-//     rack-local attachments and compute release pack into a per-rack
+//  1. Partition: every request already names its rack; its rack-local
+//     attachments and compute release pack into a per-rack
 //     ReleaseBatch sub-batch, and its cross-rack attachments queue for
-//     the serial pod phase (their circuits ride the pod switch, which
-//     no rack shard owns).
-//  2. Teardown (parallel): each rack's sub-batch runs through its own
-//     Controller.ReleaseBatch on a worker goroutine — shared-nothing
-//     rack shards, so the outcome is byte-identical at any worker
-//     count, with one deferred index-leaf refresh per touched brick.
-//  3. Cross phase (serial commit, parallel pre-plan): cross-rack
-//     attachments detach in request order through the same steps as
-//     detachCross, journaled like the rack teardowns; their list and
-//     circuit-host positions are pre-located on workers and revalidated
-//     by pointer identity before each splice.
+//     the pod phase (their circuits ride the pod switch, which no rack
+//     shard owns).
+//  2. Teardown: each rack's sub-batch runs through its own
+//     Controller.ReleaseBatch, in rack order, with one deferred
+//     index-leaf refresh per touched brick.
+//  3. Cross phase: cross-rack attachments detach in request order
+//     through the same steps as detachCross, journaled like the rack
+//     teardowns.
 //
 // Eviction is all-or-nothing: if any teardown definitively fails, the
 // journals replay in reverse — segments re-carve at their exact
@@ -86,31 +83,30 @@ type evictScratch struct {
 	offsets []int
 	pos     []int
 	fill    []int
-	active  []int
 	podLog  []detachUndo
-	// shardN records how many requests the last row-driven evictShard
-	// processed, so the row's rollback re-reserves exactly those
-	// requests' compute out of this pod's scratch.
+	// shardN records how many requests the last evictShard processed,
+	// so a rollback re-reserves exactly those requests' compute out of
+	// this scratch.
 	shardN int
 }
 
-// EvictBatch retires a burst of consumers pod-wide using at most
-// workers goroutines for the per-rack teardown phase (<= 0 means
-// GOMAXPROCS). Results are in request order. On error, the whole batch
-// rolls back and nothing remains evicted.
+// EvictBatch retires a burst of consumers pod-wide. Results are in
+// request order. On error, the whole batch rolls back and nothing
+// remains evicted.
 //
 // The partition buffers live on the scheduler and are reused across
 // batches (EvictBatch is serial at the pod tier), so steady churn pays
 // one allocation per batch: the caller's result slice.
-func (s *PodScheduler) EvictBatch(reqs []EvictRequest, workers int) ([]EvictResult, error) {
+func (s *PodScheduler) EvictBatch(reqs []EvictRequest) ([]EvictResult, error) {
 	out := make([]EvictResult, len(reqs))
-	return out, s.EvictBatchInto(reqs, out, workers)
+	return out, s.EvictBatchInto(reqs, out, 0)
 }
 
 // EvictBatchInto is EvictBatch writing results into a caller-provided
 // slice, whose length must equal len(reqs) — the steady-state form
 // for burst trains, which otherwise pay one result-slice allocation
-// per batch. Prior contents of out are overwritten.
+// per batch. Prior contents of out are overwritten. workers is unused:
+// the group commit runs on the caller's goroutine.
 func (s *PodScheduler) EvictBatchInto(reqs []EvictRequest, out []EvictResult, workers int) error {
 	if len(out) != len(reqs) {
 		return fmt.Errorf("sdm: result slice length %d for %d requests", len(out), len(reqs))
@@ -119,18 +115,56 @@ func (s *PodScheduler) EvictBatchInto(reqs []EvictRequest, out []EvictResult, wo
 	if len(reqs) == 0 {
 		return nil
 	}
+	for i := range reqs {
+		if req := &reqs[i]; req.Rack < 0 || req.Rack >= len(s.racks) {
+			return fmt.Errorf("sdm: batch eviction request %d (%q): no rack %d in the pod", i, req.Owner, req.Rack)
+		}
+	}
 	seqStart := s.attachSeq
-	// Clear every rack's teardown journal up front: abortEvict replays
+	// Clear every rack's teardown journal up front: a rollback replays
 	// all of them, and a rack this batch never touches must not replay
 	// entries left over from an earlier committed batch.
 	for _, r := range s.racks {
 		r.undoLog = r.undoLog[:0]
 	}
+	if failed, err := s.evictShard(reqs, out); err != nil {
+		cause := s.rollbackEvict(seqStart, err)
+		return fmt.Errorf("sdm: batch eviction rolled back at request %d (%q): %w", failed, reqs[failed].Owner, cause)
+	}
+	// Epilogue: the batch committed, so every torn-down attachment is
+	// dead — drain them into their compute rack's arena in request order.
+	for i := range reqs {
+		for _, att := range reqs[i].Atts {
+			s.racks[reqs[i].Rack].freeAttachment(att)
+		}
+	}
+	return nil
+}
 
-	// Phase 1 — validate and partition. Requests already name their
-	// racks, so partitioning is a split of each request's attachment
-	// list: rack-local teardown parallelizes, cross-rack serializes.
+// evictShard runs the three teardown phases over validated requests —
+// the pod's own EvictBatch and one pod's share of a row batch alike —
+// journaling every step instead of rolling back. It returns the index
+// of the first failed request in request order and its error, or
+// (-1, nil) on success; the caller owns the rollback.
+func (s *PodScheduler) evictShard(reqs []EvictRequest, out []EvictResult) (int, error) {
+	s.evictPlan(reqs)
 	sc := &s.evict
+	for r, n := range sc.counts[:len(s.racks)] {
+		if n > 0 {
+			lo, hi := sc.offsets[r], sc.offsets[r+1]
+			s.racks[r].ReleaseBatch(sc.subReq[lo:hi], sc.subOut[lo:hi])
+		}
+	}
+	return s.evictMerge(reqs, out)
+}
+
+// evictPlan is phase 1: split each request's attachment list into its
+// rack-local share and the cross-rack queue, and pack the per-rack
+// ReleaseBatch sub-batches into the pod's reused scratch, preserving
+// request order within a rack.
+func (s *PodScheduler) evictPlan(reqs []EvictRequest) {
+	sc := &s.evict
+	sc.shardN = len(reqs)
 	total := 0
 	for i := range reqs {
 		total += len(reqs[i].Atts)
@@ -145,9 +179,6 @@ func (s *PodScheduler) EvictBatchInto(reqs []EvictRequest, out []EvictResult, wo
 	relReqs := sc.relReqs[:len(reqs)]
 	for i := range reqs {
 		req := &reqs[i]
-		if req.Rack < 0 || req.Rack >= len(s.racks) {
-			return fmt.Errorf("sdm: batch eviction request %d (%q): no rack %d in the pod", i, req.Owner, req.Rack)
-		}
 		rr := ReleaseRequest{Owner: req.Owner, CPU: req.CPU, VCPUs: req.VCPUs, LocalMem: req.LocalMem, Rack: req.Rack}
 		start := len(atts)
 		for _, att := range req.Atts {
@@ -162,15 +193,13 @@ func (s *PodScheduler) EvictBatchInto(reqs []EvictRequest, out []EvictResult, wo
 	}
 	sc.atts, sc.cross = atts, crossQ
 
-	// Pack per-rack sub-batches, preserving request order within a rack.
 	if cap(sc.counts) < len(s.racks) {
 		sc.counts = make([]int, len(s.racks))
 		sc.offsets = make([]int, len(s.racks)+1)
 		sc.fill = make([]int, len(s.racks))
-		sc.active = make([]int, 0, len(s.racks))
 	}
 	counts, fill := sc.counts[:len(s.racks)], sc.fill[:len(s.racks)]
-	offsets, active := sc.offsets[:len(s.racks)+1], sc.active[:0]
+	offsets := sc.offsets[:len(s.racks)+1]
 	clear(counts)
 	for i := range relReqs {
 		counts[relReqs[i].Rack]++
@@ -184,7 +213,7 @@ func (s *PodScheduler) EvictBatchInto(reqs []EvictRequest, out []EvictResult, wo
 		sc.subOut = make([]ReleaseResult, len(relReqs))
 		sc.pos = make([]int, len(relReqs))
 	}
-	subReq, subOut := sc.subReq[:len(relReqs)], sc.subOut[:len(relReqs)]
+	subReq := sc.subReq[:len(relReqs)]
 	pos := sc.pos[:len(relReqs)]
 	copy(fill, offsets[:len(s.racks)])
 	for i := range relReqs {
@@ -193,64 +222,44 @@ func (s *PodScheduler) EvictBatchInto(reqs []EvictRequest, out []EvictResult, wo
 		subReq[fill[r]] = relReqs[i]
 		fill[r]++
 	}
+}
 
-	// Phase 2 — per-rack teardown on worker goroutines.
-	for r, n := range counts {
-		if n > 0 {
-			active = append(active, r)
-		}
-	}
-	sc.active = active
-	s.forEachRack(workers, active, s.evictWave)
+// evictMerge gathers the rack ReleaseBatch results in request order and
+// runs the cross-rack phase. The first failed request stops the merge:
+// every rack has already run, so the rollback sees all committed
+// teardowns in the journals.
+func (s *PodScheduler) evictMerge(reqs []EvictRequest, out []EvictResult) (int, error) {
+	sc := &s.evict
+	relReqs := sc.relReqs[:len(reqs)]
+	subOut, pos, crossQ := sc.subOut, sc.pos[:len(reqs)], sc.cross
 
-	// Gather: the first failed request (in request order) aborts the
-	// whole batch; every rack has already run, so the rollback sees all
-	// worker-committed teardowns in the journals.
 	podLog := sc.podLog[:0]
 	for i := range relReqs {
 		if err := subOut[pos[i]].Err; err != nil {
-			return s.abortEvict(reqs, subReq, subOut, pos, podLog, seqStart, i, err)
+			sc.podLog = podLog
+			return i, err
 		}
 		out[i].DetachLat = subOut[pos[i]].DetachLat
 		out[i].Detached = subOut[pos[i]].Detached
 	}
 
-	// Phase 3 — cross-rack teardowns in request order. The attachment
-	// list and circuit-host positions of every cross item are looked up
-	// on worker goroutines first (speculate.go); each commit revalidates
-	// its plan by pointer identity in O(1).
-	plans := s.planCrossDetach(crossQ, workers)
-	for k, ci := range crossQ {
-		var plan *crossPlan
-		if plans != nil {
-			plan = &plans[k]
-		}
-		lat, err := s.batchDetachCross(ci.att, plan, &podLog)
+	for _, ci := range crossQ {
+		lat, err := s.batchDetachCross(ci.att, &podLog)
 		if err != nil {
 			sc.podLog = podLog
-			return s.abortEvict(reqs, subReq, subOut, pos, podLog, seqStart, ci.req, err)
+			return ci.req, err
 		}
 		out[ci.req].DetachLat += lat
 		out[ci.req].Detached++
 	}
 	sc.podLog = podLog
-	// Epilogue: the batch committed, so every torn-down attachment is
-	// dead — drain them into their compute rack's arena in request order.
-	for i := range reqs {
-		for _, att := range reqs[i].Atts {
-			s.racks[reqs[i].Rack].freeAttachment(att)
-		}
-	}
-	return nil
+	return -1, nil
 }
 
 // batchDetachCross mirrors detachCross — same validation, counters,
 // latency accounting and error surfaces, executed inline as one merged
-// commit — and journals the undo into the pod-phase log. plan, if
-// non-nil, carries pre-computed list positions (speculate.go); each is
-// checked by pointer identity before use, so a stale plan degrades to
-// the linear search rather than corrupting the splice.
-func (s *PodScheduler) batchDetachCross(att *Attachment, plan *crossPlan, log *[]detachUndo) (sim.Duration, error) {
+// commit — and journals the undo into the pod-phase log.
+func (s *PodScheduler) batchDetachCross(att *Attachment, log *[]detachUndo) (sim.Duration, error) {
 	s.requests++
 	rackA := s.racks[att.CPURack]
 	idx := -1
@@ -258,14 +267,10 @@ func (s *PodScheduler) batchDetachCross(att *Attachment, plan *crossPlan, log *[
 	if id := int(att.ownerID); id >= 0 && id < len(rackA.attachments) {
 		list = rackA.attachments[id]
 	}
-	if plan != nil && plan.attIdx >= 0 && plan.attIdx < len(list) && list[plan.attIdx] == att {
-		idx = plan.attIdx
-	} else {
-		for i, a := range list {
-			if a == att {
-				idx = i
-				break
-			}
+	for i, a := range list {
+		if a == att {
+			idx = i
+			break
 		}
 	}
 	if idx == -1 {
@@ -345,16 +350,11 @@ func (s *PodScheduler) batchDetachCross(att *Attachment, plan *crossPlan, log *[
 		s.failures++
 		return 0, err
 	}
-	hosts := s.crossHosts[att.CPURack][rackA.cpuPos(att.CPU)]
 	crossHostIdx := 0
-	if plan != nil && plan.hostIdx >= 0 && plan.hostIdx < len(hosts) && hosts[plan.hostIdx] == att {
-		crossHostIdx = plan.hostIdx
-	} else {
-		for i, a := range hosts {
-			if a == att {
-				crossHostIdx = i
-				break
-			}
+	for i, a := range s.crossHosts[att.CPURack][rackA.cpuPos(att.CPU)] {
+		if a == att {
+			crossHostIdx = i
+			break
 		}
 	}
 	*log = append(*log, detachUndo{
@@ -377,16 +377,20 @@ func (s *PodScheduler) batchDetachCross(att *Attachment, plan *crossPlan, log *[
 	return lat, nil
 }
 
-// abortEvict replays every journal in reverse — the pod phase first
-// (last torn down), then each rack's — re-reserves released compute,
-// and restores the spill sequence counter, leaving the pod as if the
-// batch never ran; it returns the annotated cause.
-func (s *PodScheduler) abortEvict(reqs []EvictRequest, subReq []ReleaseRequest, subOut []ReleaseResult, pos []int, podLog []detachUndo, seqStart uint64, failed int, cause error) error {
-	for i := len(podLog) - 1; i >= 0; i-- {
-		if err := podLog[i].undoDetach(); err != nil {
-			cause = fmt.Errorf("%w (and rollback of %q failed: %v)", cause, podLog[i].att.Owner, err)
+// rollbackEvict undoes the pod's share of an aborted eviction: the
+// cross-rack journal first (last torn down), then each rack's, then
+// the compute released by the last evictShard's requests; it restores
+// the spill sequence counter to seqStart, leaving the pod as if the
+// batch never ran. It returns cause annotated with any step that
+// failed to roll back.
+func (s *PodScheduler) rollbackEvict(seqStart uint64, cause error) error {
+	sc := &s.evict
+	for i := len(sc.podLog) - 1; i >= 0; i-- {
+		if err := sc.podLog[i].undoDetach(); err != nil {
+			cause = fmt.Errorf("%w (and rollback of %q failed: %v)", cause, sc.podLog[i].att.Owner, err)
 		}
 	}
+	sc.podLog = sc.podLog[:0]
 	for _, r := range s.racks {
 		for i := len(r.undoLog) - 1; i >= 0; i-- {
 			if err := r.undoLog[i].undoDetach(); err != nil {
@@ -395,12 +399,12 @@ func (s *PodScheduler) abortEvict(reqs []EvictRequest, subReq []ReleaseRequest, 
 		}
 		r.undoLog = r.undoLog[:0]
 	}
-	for i := len(reqs) - 1; i >= 0; i-- {
-		res := &subOut[pos[i]]
+	for i := sc.shardN - 1; i >= 0; i-- {
+		res := &sc.subOut[sc.pos[i]]
 		if !res.released {
 			continue
 		}
-		rr := &subReq[pos[i]]
+		rr := &sc.subReq[sc.pos[i]]
 		node := s.racks[rr.Rack].compute(rr.CPU)
 		if rr.VCPUs > 0 {
 			if err := node.Brick.AllocCores(rr.VCPUs); err != nil {
@@ -415,6 +419,7 @@ func (s *PodScheduler) abortEvict(reqs []EvictRequest, subReq []ReleaseRequest, 
 		s.racks[rr.Rack].touchCompute(rr.CPU)
 		res.released = false
 	}
+	sc.shardN = 0
 	s.attachSeq = seqStart
-	return fmt.Errorf("sdm: batch eviction rolled back at request %d (%q): %w", failed, reqs[failed].Owner, cause)
+	return cause
 }

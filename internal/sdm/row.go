@@ -66,23 +66,6 @@ type RowScheduler struct {
 	// steady burst train stops allocating.
 	evict rowEvictScratch
 	admit rowAdmitScratch
-	// spec holds the row's reused speculation buffers (speculate.go).
-	spec specScratch
-	// fo is the reusable fan-out scratch behind forEachPod,
-	// forEachShard and the speculation passes; the row's phases run
-	// sequentially, so one instance suffices (see fanout.go).
-	fo fanout
-	// The batch engines' wave closures, built once at construction:
-	// they read each batch's shard ranges through the reused scratch,
-	// so a serial batch creates no closure per call (a fan-out fn
-	// escapes into the fanout scratch and would otherwise
-	// heap-allocate every batch).
-	admitPlanWave   func(p int)
-	admitCommitWave func(sh rackShard)
-	admitMergeWave  func(p int)
-	evictPlanWave   func(p int)
-	evictCommitWave func(sh rackShard)
-	evictMergeWave  func(p int)
 
 	requests uint64
 	failures uint64
@@ -125,34 +108,6 @@ func NewRowScheduler(row *topo.Row, fabric *optical.RowFabric, bc BrickConfigs, 
 		for i, p := range s.pods {
 			s.aggs[i] = newPodAgg(p.racks)
 		}
-	}
-	s.admitPlanWave = func(p int) {
-		sc := &s.admit
-		s.pods[p].admitShardPlan(sc.subReq[sc.offsets[p]:sc.offsets[p+1]], sc.subOut[sc.offsets[p]:sc.offsets[p+1]])
-	}
-	s.admitCommitWave = func(sh rackShard) {
-		a := &s.pods[sh.pod].admit
-		s.pods[sh.pod].racks[sh.rack].placeBatch(
-			a.subReq[a.offsets[sh.rack]:a.offsets[sh.rack+1]],
-			a.subOut[a.offsets[sh.rack]:a.offsets[sh.rack+1]], true)
-	}
-	s.admitMergeWave = func(p int) {
-		sc := &s.admit
-		s.pods[p].admitShardMerge(sc.subReq[sc.offsets[p]:sc.offsets[p+1]], sc.subOut[sc.offsets[p]:sc.offsets[p+1]])
-	}
-	s.evictPlanWave = func(p int) {
-		sc := &s.evict
-		s.pods[p].evictShardPlan(sc.subReq[sc.offsets[p]:sc.offsets[p+1]])
-	}
-	s.evictCommitWave = func(sh rackShard) {
-		e := &s.pods[sh.pod].evict
-		s.pods[sh.pod].racks[sh.rack].ReleaseBatch(
-			e.subReq[e.offsets[sh.rack]:e.offsets[sh.rack+1]],
-			e.subOut[e.offsets[sh.rack]:e.offsets[sh.rack+1]])
-	}
-	s.evictMergeWave = func(p int) {
-		sc := &s.evict
-		sc.failAt[p], sc.failErr[p] = s.pods[p].evictShardMerge(sc.subReq[sc.offsets[p]:sc.offsets[p+1]], sc.subOut[sc.offsets[p]:sc.offsets[p+1]])
 	}
 	return s, nil
 }
@@ -401,33 +356,11 @@ func (s *RowScheduler) AttachRemoteMemory(owner string, cpu topo.RowBrickID, siz
 // every completed step rolls back on failure. Exhaustion of circuit
 // resources cascades into the row-tier packet fallback.
 func (s *RowScheduler) attachCross(owner string, cpu topo.RowBrickID, size brick.Bytes) (*Attachment, sim.Duration, error) {
-	return s.attachCrossHinted(owner, cpu, size, nil)
-}
-
-// attachCrossHinted is attachCross with an optional pre-planned spill
-// hint (speculate.go), revalidated in O(1) — max-gap screen, spread
-// bound, confirming picks — with the full pod scan as the fallback and
-// a doomed hint routed straight to the unhinted error surface.
-func (s *RowScheduler) attachCrossHinted(owner string, cpu topo.RowBrickID, size brick.Bytes, hint *spillHint) (*Attachment, sim.Duration, error) {
 	podA := s.pods[cpu.Pod]
 	rackA := podA.racks[cpu.Rack]
 	memPod := -1
 	op := planAttach(s.cfg, owner, size, rackA, cpu.Brick,
 		func() (memPick, bool, error) {
-			if hint != nil {
-				if hint.target == hintDoom {
-					return memPick{}, true, fmt.Errorf("sdm: no pod in the row with %v contiguous free and a spare port", size)
-				}
-				if t := hint.target; t != cpu.Pod && s.aggs[t].MaxGap() >= size &&
-					(s.cfg.Policy != PolicySpread || s.podFreeMemory(t) > hint.bound) {
-					if memRack, ok := s.pods[t].pickMemoryRack(size, -1); ok {
-						if memID, ok := s.pods[t].racks[memRack].pickMemory(size); ok {
-							memPod = t
-							return memPick{rack: s.pods[t].racks[memRack], rackIdx: memRack, brick: memID}, false, nil
-						}
-					}
-				}
-			}
 			p, ok := s.pickMemoryPod(size, cpu.Pod)
 			if !ok {
 				return memPick{}, true, fmt.Errorf("sdm: no pod in the row with %v contiguous free and a spare port", size)

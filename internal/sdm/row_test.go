@@ -173,7 +173,7 @@ func TestRowAdmitBatchOfOneMatchesSequential(t *testing.T) {
 		attSeq, latSeq, errSeq := seqRow.AttachRemoteMemory(owner, cpuSeq, brick.GiB)
 		res, errBat := batRow.AdmitBatch([]AdmitRequest{{
 			Owner: owner, Remote: brick.GiB, CPU: cpuBat.Brick, Rack: cpuBat.Rack, Pod: cpuBat.Pod,
-		}}, 1)
+		}})
 		if (errSeq == nil) != (errBat == nil) {
 			t.Fatalf("attach %d: sequential err %v, batch err %v", i, errSeq, errBat)
 		}
@@ -209,8 +209,9 @@ func TestRowAdmitBatchOfOneMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestRowAdmitBatchDeterministicAcrossWorkers: the pod-parallel
-// planning phase must be byte-identical at any worker count.
+// TestRowAdmitBatchDeterministicAcrossWorkers replays the same burst
+// on two identically built rows: placements and the state fingerprint
+// must be byte-identical, and the row must pass its invariants.
 func TestRowAdmitBatchDeterministicAcrossWorkers(t *testing.T) {
 	type placement struct {
 		pod, rack int
@@ -219,17 +220,18 @@ func TestRowAdmitBatchDeterministicAcrossWorkers(t *testing.T) {
 		mode      AttachMode
 		hasAtt    bool
 	}
-	var prev []placement
-	var prevFP string
-	for wi, workers := range []int{1, 4, 8} {
+	run := func() ([]placement, string) {
 		s := buildRowSched(t, 4, 2, 2*brick.GiB, DefaultConfig)
 		reqs := make([]AdmitRequest, 12)
 		for i := range reqs {
 			reqs[i] = AdmitRequest{Owner: fmt.Sprintf("vm%02d", i), VCPUs: 1, Remote: brick.GiB}
 		}
-		out, err := s.AdmitBatch(reqs, workers)
+		out, err := s.AdmitBatch(reqs)
 		if err != nil {
 			t.Fatal(err)
+		}
+		if err := s.CheckInvariants(); err != nil {
+			t.Fatalf("invariants: %v", err)
 		}
 		got := make([]placement, len(out))
 		for i, res := range out {
@@ -239,18 +241,17 @@ func TestRowAdmitBatchDeterministicAcrossWorkers(t *testing.T) {
 				got[i].mode = res.Att.Mode
 			}
 		}
-		fp := rowFingerprint(t, s, true)
-		if wi > 0 {
-			for i := range got {
-				if got[i] != prev[i] {
-					t.Fatalf("workers=%d: placement %d diverges: %+v vs %+v", workers, i, got[i], prev[i])
-				}
-			}
-			if fp != prevFP {
-				t.Fatalf("workers=%d: state fingerprint diverges", workers)
-			}
+		return got, rowFingerprint(t, s, true)
+	}
+	got, fp := run()
+	replay, replayFP := run()
+	for i := range got {
+		if got[i] != replay[i] {
+			t.Fatalf("placement %d diverges between two identical runs: %+v vs %+v", i, got[i], replay[i])
 		}
-		prev, prevFP = got, fp
+	}
+	if fp != replayFP {
+		t.Fatal("state fingerprint diverges between two identical runs")
 	}
 }
 
@@ -297,7 +298,7 @@ func TestRowEvictBatchRollsBack(t *testing.T) {
 		{Owner: "vm-a", CPU: cpuA.Brick, Rack: cpuA.Rack, Pod: cpuA.Pod, VCPUs: 1, Atts: []*Attachment{attsA[2], attsA[1], attsA[0]}},
 		{Owner: "vm-b", CPU: cpuB.Brick, Rack: cpuB.Rack, Pod: cpuB.Pod, VCPUs: 1, Atts: []*Attachment{attsB[0]}},
 	}
-	if _, err := s.EvictBatch(reqs, 2); err == nil {
+	if _, err := s.EvictBatch(reqs); err == nil {
 		t.Fatal("eviction with a stale attachment must fail")
 	} else if !strings.Contains(err.Error(), "rolled back at request 1") {
 		t.Fatalf("unexpected abort error: %v", err)
@@ -309,7 +310,7 @@ func TestRowEvictBatchRollsBack(t *testing.T) {
 	// Dropping the stale attachment, the batch commits and the row
 	// drains completely.
 	reqs[1].Atts = nil
-	if _, err := s.EvictBatch(reqs, 2); err != nil {
+	if _, err := s.EvictBatch(reqs); err != nil {
 		t.Fatal(err)
 	}
 	if s.Fabric().CrossCircuits() != 0 {
@@ -354,7 +355,7 @@ func TestRowEvictBatchOfOneMatchesSequential(t *testing.T) {
 	out, err := batRow.EvictBatch([]EvictRequest{{
 		Owner: "vm", CPU: cpuBat.Brick, Rack: cpuBat.Rack, Pod: cpuBat.Pod, VCPUs: 1,
 		Atts: []*Attachment{attsBat[2], attsBat[1], attsBat[0]},
-	}}, 1)
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}

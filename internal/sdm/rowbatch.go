@@ -1,61 +1,38 @@
 package sdm
 
 // Batched group-commit admission, row tier. AdmitBatch recurses the
-// pod tier's three-phase engine one level up, with the plan *and*
-// commit phases sharded across workers:
+// pod tier's three-phase engine one level up, all on the caller's
+// goroutine:
 //
-//  1. Partition (speculative parallel): every request is assigned a
-//     pod by the same O(1) cached aggregates the per-request pod
-//     choice reads — pod free-core sums adjusted by the cores already
-//     planned onto each pod — so a burst spreads (or packs) across
-//     pods the way the policy would have placed it one by one, in
-//     O(pods) per request. Large bursts run the loop speculatively on
-//     workers with a serial O(1)-per-request validation pass
-//     (speculate.go), byte-identical to the serial reference
-//     partitioner.
-//  2. Plan + commit (parallel, three waves): 2a partitions each pod's
-//     sub-batch across its racks (one worker per pod); 2b is the flat
-//     commit wave — every (pod, rack) shard across the whole row
-//     plans *and commits* on its own worker, so rack-local carves,
-//     circuit registrations and dirty-set leaf refreshes never drain
-//     through a serial loop, and a row of many lightly-loaded pods
-//     still keeps every worker busy; 2c merges each pod's leftovers
-//     through the pod's rack→pod spill cascade (one worker per pod
-//     again). Rack shards of one pod share that pod's aggregate
-//     summary, so the rack→pod rollup is deferred during the flat
-//     wave and flushed serially in (pod, rack) order before any
-//     pod- or row-tier pick reads it — a batched post-commit
-//     notifyAgg flush instead of per-touch propagation.
-//  3. Merge (serial commit, parallel pre-plan): leftovers — requests
-//     whose planned pod turned out full, or whose pod could not serve
-//     the remote part anywhere local — resolve in request order
-//     through the sequential row machinery (cross-pod circuits through
-//     the row switch, then the row-tier packet fallback), completing
-//     the rack→pod→row cascade exactly as the per-request path would.
-//     Cross-pod spill targets are pre-planned on workers and
-//     revalidated in O(1) before committing, counters fold once per
-//     batch, and only the leftover list is walked. Latency accounting
-//     and the attachSeq stamp stay in this serial epilogue.
+//  1. Partition: every request is assigned a pod by the same O(1)
+//     cached aggregates the per-request pod choice reads — pod
+//     free-core sums adjusted by the cores already planned onto each
+//     pod — so a burst spreads (or packs) across pods the way the
+//     policy would have placed it one by one, in O(pods) per request.
+//  2. Plan + commit, one pass per pod in pod order: the pod partitions
+//     its sub-batch across its racks, commits each rack's share through
+//     the rack's placeBatch, and merges its leftovers through its own
+//     rack→pod spill cascade (PodScheduler.admitShard). A pod shard
+//     reads and writes only its own racks, fabric and summary, so the
+//     pass order cannot move the outcome.
+//  3. Merge: leftovers — requests whose planned pod turned out full, or
+//     whose pod could not serve the remote part anywhere local —
+//     resolve in request order through the sequential row machinery
+//     (cross-pod circuits through the row switch, then the row-tier
+//     packet fallback), completing the rack→pod→row cascade exactly as
+//     the per-request path would. Counters fold once per batch, and
+//     only the leftover list is walked.
 //
-// Every wave writes disjoint state (racks own their bricks and
-// indexes, pods own their racks and summary), so the outcome is
-// byte-identical at any worker count. Admission is all-or-nothing: if
-// any request definitively fails, every committed admission is torn
-// down in reverse order and the spill sequence counters of the row
-// and every pod restored.
+// Admission is all-or-nothing: if any request definitively fails,
+// every committed admission is torn down in reverse order and the
+// spill sequence counters of the row and every pod restored.
 
 import (
 	"fmt"
-	"runtime"
 
 	"repro/internal/brick"
 	"repro/internal/topo"
 )
-
-// rackShard names one (pod, rack) unit of the row's flat commit wave.
-type rackShard struct {
-	pod, rack int
-}
 
 // rowAdmitScratch is the row AdmitBatch's reused partition state,
 // mirroring rowEvictScratch. Every buffer is fully overwritten or
@@ -70,43 +47,23 @@ type rowAdmitScratch struct {
 	subOut       []AdmitResult
 	pos          []int
 	fill         []int
-	active       []int
 	retry        []bool
-	shards       []rackShard
+	leftover     []int
 	podSeq       []uint64
 }
 
-// admitScratch is one pod's reused shard partition state for
-// row-driven batches (see admitShardPlan/admitShardMerge): the row's
-// flat commit wave reads the packed per-rack sub-batches out of it
-// between the two calls. Each pod's scratch is touched only by the
-// worker running that pod's plan/merge, so the waves stay
-// shared-nothing.
-type admitScratch struct {
-	rackOf       []int
-	plannedCores []int
-	counts       []int
-	offsets      []int
-	subReq       []AdmitRequest
-	subOut       []AdmitResult
-	pos          []int
-	fill         []int
-	retry        []bool
-	active       []int
-}
-
-// AdmitBatch admits a burst of requests row-wide using at most workers
-// goroutines for the sharded plan/commit waves (<= 0 means GOMAXPROCS).
-// Results are in request order. On error, nothing remains admitted.
-func (s *RowScheduler) AdmitBatch(reqs []AdmitRequest, workers int) ([]AdmitResult, error) {
+// AdmitBatch admits a burst of requests row-wide. Results are in
+// request order. On error, nothing remains admitted.
+func (s *RowScheduler) AdmitBatch(reqs []AdmitRequest) ([]AdmitResult, error) {
 	out := make([]AdmitResult, len(reqs))
-	return out, s.AdmitBatchInto(reqs, out, workers)
+	return out, s.AdmitBatchInto(reqs, out, 0)
 }
 
 // AdmitBatchInto is AdmitBatch writing results into a caller-provided
 // slice, whose length must equal len(reqs) — the steady-state form
 // for burst trains, which otherwise pay one result-slice allocation
-// per batch. Prior contents of out are overwritten.
+// per batch. Prior contents of out are overwritten. workers is unused:
+// the group commit runs on the caller's goroutine.
 func (s *RowScheduler) AdmitBatchInto(reqs []AdmitRequest, out []AdmitResult, workers int) error {
 	if len(out) != len(reqs) {
 		return fmt.Errorf("sdm: result slice length %d for %d requests", len(out), len(reqs))
@@ -139,8 +96,8 @@ func (s *RowScheduler) AdmitBatchInto(reqs []AdmitRequest, out []AdmitResult, wo
 		}
 	}()
 
-	// Phase 1 — validate everything up front (shards must never see a
-	// malformed request: they cannot abort) and partition by the O(1)
+	// Phase 1 — validate everything up front (pod shards must never see
+	// a malformed request: they cannot abort) and partition by the O(1)
 	// pod-choice aggregates.
 	if cap(sc.podOf) < len(reqs) {
 		sc.podOf = make([]int, len(reqs))
@@ -176,17 +133,13 @@ func (s *RowScheduler) AdmitBatchInto(reqs []AdmitRequest, out []AdmitResult, wo
 			podOf[i] = req.Pod
 		}
 	}
-	// Speculative parallel partition (speculate.go); the serial
-	// reference loop runs the identical per-request step when
-	// speculation is disengaged. The first compute placement takes the
-	// exact per-request pod choice either way — which also makes a
-	// batch of one reproduce the sequential path bit for bit.
-	if !s.specPartition(reqs, podOf, plannedCores, workers) {
-		plannedAny := false
-		for i := range reqs {
-			if reqs[i].VCPUs > 0 {
-				podOf[i] = s.partitionStep(&reqs[i], plannedCores, &plannedAny)
-			}
+	// The first compute placement takes the exact per-request pod
+	// choice, which also makes a batch of one reproduce the sequential
+	// path bit for bit.
+	plannedAny := false
+	for i := range reqs {
+		if reqs[i].VCPUs > 0 {
+			podOf[i] = s.partitionStep(&reqs[i], plannedCores, &plannedAny)
 		}
 	}
 
@@ -225,51 +178,21 @@ func (s *RowScheduler) AdmitBatchInto(reqs []AdmitRequest, out []AdmitResult, wo
 		fill[p]++
 	}
 
-	// Phase 2a — per-pod rack partition on worker goroutines.
-	active := sc.active[:0]
+	// Phase 2 — one plan/commit/merge pass per pod shard.
 	for p, n := range counts {
 		if n > 0 {
-			active = append(active, p)
+			s.pods[p].admitShard(subReq[offsets[p]:offsets[p+1]], subOut[offsets[p]:offsets[p+1]])
 		}
 	}
-	sc.active = active
-	s.forEachPod(workers, active, s.admitPlanWave)
-
-	// Phase 2b — the flat commit wave: every (pod, rack) shard across
-	// the row plans and commits on its own worker. The rack→pod rollup
-	// is deferred for the wave's duration (rack shards of one pod share
-	// a summary) and flushed serially in (pod, rack) order below.
-	shards := sc.shards[:0]
-	for _, p := range active {
-		ps := s.pods[p]
-		for r := range ps.racks {
-			if ps.admit.counts[r] > 0 {
-				shards = append(shards, rackShard{pod: p, rack: r})
-			}
-		}
-	}
-	sc.shards = shards
-	for _, sh := range shards {
-		s.pods[sh.pod].racks[sh.rack].deferAgg()
-	}
-	s.forEachShard(workers, shards, s.admitCommitWave)
-	for _, sh := range shards {
-		s.pods[sh.pod].racks[sh.rack].flushAgg()
-	}
-
-	// Phase 2c — per-pod merge on worker goroutines: gather the rack
-	// shards and run the pod's rack→pod spill cascade. Each pod merge
-	// touches only its own racks and summary.
-	s.forEachPod(workers, active, s.admitMergeWave)
 
 	// Phase 3a — gather every dispatched result before any merging, so
-	// a mid-merge abort sees all worker-committed state in out. Fold the
+	// a mid-merge abort sees all committed state in out. Fold the
 	// request counters for the whole batch here and collect just the
 	// requests the merge loop must revisit: retries and cross-pod
 	// spills.
 	retry := sc.retry[:len(reqs)]
 	clear(retry)
-	leftover, spills := s.spec.leftover[:0], s.spec.spills[:0]
+	leftover := sc.leftover[:0]
 	var batchReqs uint64
 	for i := range reqs {
 		if pos[i] < 0 {
@@ -303,22 +226,12 @@ func (s *RowScheduler) AdmitBatchInto(reqs []AdmitRequest, out []AdmitResult, wo
 		}
 		if out[i].needSpill {
 			leftover = append(leftover, i)
-			spills = append(spills, i)
 		}
 	}
 	s.requests += batchReqs
-	s.spec.leftover, s.spec.spills = leftover, spills
-
-	// Pre-plan the cross-pod spill targets on worker goroutines
-	// (speculate.go): phase 2 has quiesced, so the scan reads immutable
-	// aggregates; the merge loop revalidates each hint in O(1).
-	var hints []spillHint
-	if s.planSpills(reqs, out, workers) {
-		hints = s.spec.hints[:len(spills)]
-	}
+	sc.leftover = leftover
 
 	// Phase 3b — merge leftovers in request order.
-	hinted := 0
 	for _, i := range leftover {
 		req := &reqs[i]
 		if retry[i] {
@@ -343,12 +256,7 @@ func (s *RowScheduler) AdmitBatchInto(reqs []AdmitRequest, out []AdmitResult, wo
 		}
 		// Every non-retry leftover needs the cross-pod spill.
 		res := &out[i]
-		var hint *spillHint
-		if hints != nil {
-			hint = &hints[hinted]
-		}
-		hinted++
-		att, lat, err := s.attachCrossHinted(req.Owner, topo.RowBrickID{Pod: res.Pod, Rack: res.Rack, Brick: res.CPU}, req.Remote, hint)
+		att, lat, err := s.attachCross(req.Owner, topo.RowBrickID{Pod: res.Pod, Rack: res.Rack, Brick: res.CPU}, req.Remote)
 		if err != nil {
 			localErr := res.localErr
 			if localErr == nil {
@@ -363,6 +271,25 @@ func (s *RowScheduler) AdmitBatchInto(reqs []AdmitRequest, out []AdmitResult, wo
 		res.needSpill, res.localErr = false, nil
 	}
 	return nil
+}
+
+// partitionStep is the row analog of the pod tier's: the pod choice
+// for one request, consuming from plannedCores on success.
+func (s *RowScheduler) partitionStep(req *AdmitRequest, plannedCores []int, plannedAny *bool) int {
+	if !*plannedAny {
+		pod, ok := s.pickComputePod(req.VCPUs, req.LocalMem)
+		if !ok {
+			return -1
+		}
+		plannedCores[pod] += req.VCPUs
+		*plannedAny = true
+		return pod
+	}
+	p := s.pickComputePodPlanned(req.VCPUs, req.LocalMem, plannedCores)
+	if p >= 0 {
+		plannedCores[p] += req.VCPUs
+	}
+	return p
 }
 
 // pickComputePodPlanned applies the placement policy to pod choice
@@ -389,41 +316,6 @@ func (s *RowScheduler) pickComputePodPlanned(vcpus int, localMem brick.Bytes, pl
 		}
 	}
 	return -1
-}
-
-// forEachPod runs fn for every pod index in pods on a pool of at most
-// workers goroutines (<= 0 meaning GOMAXPROCS). Pod shards are
-// disjoint — each pod scheduler owns its racks, fabrics, indexes and
-// aggregate summary — so scheduling order cannot affect the outcome.
-func (s *RowScheduler) forEachPod(workers int, pods []int, fn func(p int)) {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers <= 1 || len(pods) <= 1 {
-		for _, p := range pods {
-			fn(p)
-		}
-		return
-	}
-	s.fo.run(workers, len(pods), func(i int) { fn(pods[i]) })
-}
-
-// forEachShard is forEachPod for the flat (pod, rack) commit wave:
-// every shard writes only its own rack's state — the shared pod
-// summary is not among it, because every shard rack enters the wave in
-// deferred-rollup mode and only marks its own pending flag — so
-// scheduling order cannot affect the outcome.
-func (s *RowScheduler) forEachShard(workers int, shards []rackShard, fn func(sh rackShard)) {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers <= 1 || len(shards) <= 1 {
-		for _, sh := range shards {
-			fn(sh)
-		}
-		return
-	}
-	s.fo.run(workers, len(shards), func(i int) { fn(shards[i]) })
 }
 
 // abortBatch tears every committed admission down in reverse request
@@ -455,114 +347,22 @@ func (s *RowScheduler) abortBatch(reqs []AdmitRequest, out []AdmitResult, seqSta
 	return fmt.Errorf("sdm: batch admission rolled back at request %d (%q): %w", failed, reqs[failed].Owner, cause)
 }
 
-// admitShardPlan is the first half of a pod's row-shard engine: the
-// pod tier's own partition of the shard across its racks, packed into
-// the pod's reused scratch so the row's flat commit wave can run every
-// (pod, rack) sub-batch on its own worker. Validation, boot logging
-// and all-or-nothing rollback belong to the row tier; the plan reads
-// only pod-local state.
-func (s *PodScheduler) admitShardPlan(reqs []AdmitRequest, out []AdmitResult) {
-	sc := &s.admit
-	if cap(sc.rackOf) < len(reqs) {
-		sc.rackOf = make([]int, len(reqs))
-		sc.pos = make([]int, len(reqs))
-		sc.retry = make([]bool, len(reqs))
-	}
-	if cap(sc.plannedCores) < len(s.racks) {
-		sc.plannedCores = make([]int, len(s.racks))
-		sc.counts = make([]int, len(s.racks))
-		sc.offsets = make([]int, len(s.racks)+1)
-		sc.fill = make([]int, len(s.racks))
-	}
-
-	// Phase 1 — partition by the O(1) rack-choice aggregates (requests
-	// are pre-validated by the row).
-	rackOf := sc.rackOf[:len(reqs)]
-	plannedCores := sc.plannedCores[:len(s.racks)]
-	clear(plannedCores)
-	plannedAny := false
-	for i := range reqs {
-		req := &reqs[i]
-		switch {
-		case req.VCPUs == 0:
-			rackOf[i] = req.Rack
-		case !plannedAny:
-			rack, ok := s.pickComputeRackExcept(req.VCPUs, req.LocalMem, -1)
-			if !ok {
-				rackOf[i] = -1
-				continue
-			}
-			rackOf[i] = rack
-			plannedCores[rack] += req.VCPUs
-			plannedAny = true
-		default:
-			rackOf[i] = s.pickComputeRackPlanned(req.VCPUs, req.LocalMem, plannedCores)
-			if rackOf[i] >= 0 {
-				plannedCores[rackOf[i]] += req.VCPUs
-			}
-		}
-	}
-
-	// Pack per-rack sub-batches, preserving request order within a rack.
-	counts := sc.counts[:len(s.racks)]
-	clear(counts)
-	dispatched := 0
-	for i := range reqs {
-		if rackOf[i] >= 0 {
-			counts[rackOf[i]]++
-			dispatched++
-		}
-	}
-	offsets := sc.offsets[:len(s.racks)+1]
-	offsets[0] = 0
-	for r := range counts {
-		offsets[r+1] = offsets[r] + counts[r]
-	}
-	if cap(sc.subReq) < dispatched {
-		sc.subReq = make([]AdmitRequest, dispatched)
-		sc.subOut = make([]AdmitResult, dispatched)
-	}
-	subReq, subOut := sc.subReq[:dispatched], sc.subOut[:dispatched]
-	clear(subOut)
-	pos := sc.pos[:len(reqs)]
-	fill := sc.fill[:len(s.racks)]
-	copy(fill, offsets[:len(s.racks)])
-	for i := range reqs {
-		r := rackOf[i]
-		if r < 0 {
-			pos[i] = -1
-			continue
-		}
-		pos[i] = fill[r]
-		subReq[fill[r]] = reqs[i]
-		fill[r]++
-	}
-}
-
-// admitShard runs a pod's row shard serially: the plan, the rack
-// commits in index order, and the merge. The row's AdmitBatch runs the
-// same three stages itself so the rack commits of different pods share
-// one flat wave; this entry point serves callers that want the shard
-// as one unit.
+// admitShard runs one pod's share of a row batch: the pod's own
+// partition of the shard across its racks, the rack commits in rack
+// order, and the merge. Validation, boot logging and all-or-nothing
+// rollback belong to the row tier.
 func (s *PodScheduler) admitShard(reqs []AdmitRequest, out []AdmitResult) {
-	s.admitShardPlan(reqs, out)
-	sc := &s.admit
-	for r := range s.racks {
-		if sc.counts[r] > 0 {
-			s.racks[r].placeBatch(sc.subReq[sc.offsets[r]:sc.offsets[r+1]], sc.subOut[sc.offsets[r]:sc.offsets[r+1]], true)
-		}
-	}
+	s.admitPlan(reqs)
+	s.admitCommit()
 	s.admitShardMerge(reqs, out)
 }
 
-// admitShardMerge is the second half of the shard engine: gather the
-// rack shard results and resolve leftovers through the pod's rack→pod
-// spill cascade. A request the pod cannot finish never aborts — a
-// definitive failure surfaces as Err (nothing committed, the row
-// re-places it), and a committed compute whose remote part found no
-// pod-local home surfaces as needSpill (the row crosses pods). The
-// merge touches only pod-local state, which is what makes the row's
-// selection byte-identical at any worker count.
+// admitShardMerge gathers the rack shard results and resolves leftovers
+// through the pod's rack→pod spill cascade. A request the pod cannot
+// finish never aborts — a definitive failure surfaces as Err (nothing
+// committed, the row re-places it), and a committed compute whose
+// remote part found no pod-local home surfaces as needSpill (the row
+// crosses pods). The merge touches only pod-local state.
 func (s *PodScheduler) admitShardMerge(reqs []AdmitRequest, out []AdmitResult) {
 	sc := &s.admit
 	rackOf, pos := sc.rackOf[:len(reqs)], sc.pos[:len(reqs)]

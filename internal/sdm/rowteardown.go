@@ -2,22 +2,19 @@ package sdm
 
 // Batched group-commit teardown, row tier — the inverse of rowbatch.go
 // and the recursive step up from podteardown.go. EvictBatch retires a
-// burst of consumers in the same three deterministic phases:
+// burst of consumers in the same three deterministic phases, all on
+// the caller's goroutine:
 //
-//  1. Partition (serial): every request names its pod and rack; its
+//  1. Partition: every request names its pod and rack; its
 //     pod-contained attachments (rack-local and cross-rack mixed) pack
 //     into a per-pod shard, and its cross-pod attachments queue for the
-//     serial row phase (their circuits ride the row switch, which no
-//     pod shard owns).
-//  2. Teardown (parallel): each pod's shard runs through
-//     PodScheduler.evictShard on a worker goroutine — the full pod
-//     teardown pipeline, serialized within the shard — so the outcome
-//     is byte-identical at any worker count.
-//  3. Cross phase (serial commit, parallel pre-plan): cross-pod
-//     attachments detach in request order, journaled like the pod and
-//     rack teardowns; their list and circuit-host positions are
-//     pre-located on workers and revalidated by pointer identity before
-//     each splice.
+//     row phase (their circuits ride the row switch, which no pod shard
+//     owns).
+//  2. Teardown: each pod's shard runs through PodScheduler.evictShard,
+//     in pod order — the full pod teardown pipeline, journaled for the
+//     row's rollback.
+//  3. Cross phase: cross-pod attachments detach in request order,
+//     journaled like the pod and rack teardowns.
 //
 // Eviction is all-or-nothing: on any definitive failure the row
 // journal, every pod journal, and every rack journal replay in
@@ -45,27 +42,25 @@ type rowEvictScratch struct {
 	offsets  []int
 	pos      []int
 	fill     []int
-	active   []int
 	failAt   []int
 	failErr  []error
 	rowLog   []detachUndo
 	podSeq   []uint64
-	shards   []rackShard
 }
 
-// EvictBatch retires a burst of consumers row-wide using at most
-// workers goroutines for the per-pod teardown phase (<= 0 means
-// GOMAXPROCS). Results are in request order. On error, the whole batch
-// rolls back and nothing remains evicted.
-func (s *RowScheduler) EvictBatch(reqs []EvictRequest, workers int) ([]EvictResult, error) {
+// EvictBatch retires a burst of consumers row-wide. Results are in
+// request order. On error, the whole batch rolls back and nothing
+// remains evicted.
+func (s *RowScheduler) EvictBatch(reqs []EvictRequest) ([]EvictResult, error) {
 	out := make([]EvictResult, len(reqs))
-	return out, s.EvictBatchInto(reqs, out, workers)
+	return out, s.EvictBatchInto(reqs, out, 0)
 }
 
 // EvictBatchInto is EvictBatch writing results into a caller-provided
 // slice, whose length must equal len(reqs) — the steady-state form
 // for burst trains, which otherwise pay one result-slice allocation
-// per batch. Prior contents of out are overwritten.
+// per batch. Prior contents of out are overwritten. workers is unused:
+// the group commit runs on the caller's goroutine.
 func (s *RowScheduler) EvictBatchInto(reqs []EvictRequest, out []EvictResult, workers int) error {
 	if len(out) != len(reqs) {
 		return fmt.Errorf("sdm: result slice length %d for %d requests", len(out), len(reqs))
@@ -98,8 +93,8 @@ func (s *RowScheduler) EvictBatchInto(reqs []EvictRequest, out []EvictResult, wo
 
 	// Phase 1 — validate and partition. Requests already name their
 	// pods and racks, so partitioning is a split of each request's
-	// attachment list: pod-contained teardown parallelizes, cross-pod
-	// serializes.
+	// attachment list: pod-contained teardown goes to the pod shards,
+	// cross-pod teardown to the row phase.
 	total := 0
 	for i := range reqs {
 		total += len(reqs[i].Atts)
@@ -139,10 +134,9 @@ func (s *RowScheduler) EvictBatchInto(reqs []EvictRequest, out []EvictResult, wo
 		sc.counts = make([]int, len(s.pods))
 		sc.offsets = make([]int, len(s.pods)+1)
 		sc.fill = make([]int, len(s.pods))
-		sc.active = make([]int, 0, len(s.pods))
 	}
 	counts, fill := sc.counts[:len(s.pods)], sc.fill[:len(s.pods)]
-	offsets, active := sc.offsets[:len(s.pods)+1], sc.active[:0]
+	offsets := sc.offsets[:len(s.pods)+1]
 	clear(counts)
 	for i := range shardReq {
 		counts[shardReq[i].Pod]++
@@ -166,39 +160,14 @@ func (s *RowScheduler) EvictBatchInto(reqs []EvictRequest, out []EvictResult, wo
 		fill[p]++
 	}
 
-	// Phase 2 — shard-parallel teardown in three waves, mirroring
-	// AdmitBatch: 2a partitions each pod's shard across its racks
-	// (parallel over pods); 2b is the flat commit wave — every
-	// (pod, rack) ReleaseBatch across the whole row runs on its own
-	// worker, with the rack→pod rollup deferred for the wave and
-	// flushed serially in (pod, rack) order; 2c resolves each pod's
-	// cross-rack teardowns (parallel over pods). Every wave writes
-	// disjoint state, so the merge below is order-deterministic.
+	// Phase 2 — one evictShard pass per pod. A failing shard stops at
+	// its first failed request; the gather below aborts on the first
+	// failure in request order.
 	for p, n := range counts {
 		if n > 0 {
-			active = append(active, p)
+			failAt[p], failErr[p] = s.pods[p].evictShard(subReq[offsets[p]:offsets[p+1]], subOut[offsets[p]:offsets[p+1]])
 		}
 	}
-	sc.active = active
-	s.forEachPod(workers, active, s.evictPlanWave)
-	shards := sc.shards[:0]
-	for _, p := range active {
-		ps := s.pods[p]
-		for r := range ps.racks {
-			if ps.evict.counts[r] > 0 {
-				shards = append(shards, rackShard{pod: p, rack: r})
-			}
-		}
-	}
-	sc.shards = shards
-	for _, sh := range shards {
-		s.pods[sh.pod].racks[sh.rack].deferAgg()
-	}
-	s.forEachShard(workers, shards, s.evictCommitWave)
-	for _, sh := range shards {
-		s.pods[sh.pod].racks[sh.rack].flushAgg()
-	}
-	s.forEachPod(workers, active, s.evictMergeWave)
 
 	// Gather: the first failed request in request order aborts the
 	// whole batch. Packing preserves request order within a pod, so a
@@ -215,16 +184,9 @@ func (s *RowScheduler) EvictBatchInto(reqs []EvictRequest, out []EvictResult, wo
 		out[i].Detached = subOut[pos[i]].Detached
 	}
 
-	// Phase 3 — cross-pod teardowns in request order, with list and
-	// circuit-host positions pre-located on worker goroutines
-	// (speculate.go) and revalidated by pointer identity per commit.
-	plans := s.planCrossDetach(crossQ, workers)
-	for k, ci := range crossQ {
-		var plan *crossPlan
-		if plans != nil {
-			plan = &plans[k]
-		}
-		lat, err := s.batchDetachCross(ci.att, plan, &rowLog)
+	// Phase 3 — cross-pod teardowns in request order.
+	for _, ci := range crossQ {
+		lat, err := s.batchDetachCross(ci.att, &rowLog)
 		if err != nil {
 			sc.rowLog = rowLog
 			return s.abortEvict(reqs, rowLog, seqStart, podSeq, ci.req, err)
@@ -244,121 +206,10 @@ func (s *RowScheduler) EvictBatchInto(reqs []EvictRequest, out []EvictResult, wo
 	return nil
 }
 
-// evictShardPlan is the first half of the pod teardown pipeline for a
-// row-tier shard: EvictBatch's partition, packed into the pod's reused
-// scratch so the row's flat commit wave can run every (pod, rack)
-// ReleaseBatch on its own worker. The row has already validated pods
-// and racks and cleared every journal.
-func (s *PodScheduler) evictShardPlan(reqs []EvictRequest) {
-	sc := &s.evict
-	sc.shardN = len(reqs)
-	if len(reqs) == 0 {
-		return
-	}
-	total := 0
-	for i := range reqs {
-		total += len(reqs[i].Atts)
-	}
-	if cap(sc.atts) < total {
-		sc.atts = make([]*Attachment, 0, total)
-	}
-	if cap(sc.relReqs) < len(reqs) {
-		sc.relReqs = make([]ReleaseRequest, len(reqs))
-	}
-	atts, crossQ := sc.atts[:0], sc.cross[:0]
-	relReqs := sc.relReqs[:len(reqs)]
-	for i := range reqs {
-		req := &reqs[i]
-		rr := ReleaseRequest{Owner: req.Owner, CPU: req.CPU, VCPUs: req.VCPUs, LocalMem: req.LocalMem, Rack: req.Rack}
-		start := len(atts)
-		for _, att := range req.Atts {
-			if att.cross != nil {
-				crossQ = append(crossQ, crossItem{req: i, att: att})
-			} else {
-				atts = append(atts, att)
-			}
-		}
-		rr.Atts = atts[start:len(atts):len(atts)]
-		relReqs[i] = rr
-	}
-	sc.atts, sc.cross = atts, crossQ
-
-	if cap(sc.counts) < len(s.racks) {
-		sc.counts = make([]int, len(s.racks))
-		sc.offsets = make([]int, len(s.racks)+1)
-		sc.fill = make([]int, len(s.racks))
-		sc.active = make([]int, 0, len(s.racks))
-	}
-	counts, fill := sc.counts[:len(s.racks)], sc.fill[:len(s.racks)]
-	offsets := sc.offsets[:len(s.racks)+1]
-	clear(counts)
-	for i := range relReqs {
-		counts[relReqs[i].Rack]++
-	}
-	offsets[0] = 0
-	for r := range counts {
-		offsets[r+1] = offsets[r] + counts[r]
-	}
-	if cap(sc.subReq) < len(relReqs) {
-		sc.subReq = make([]ReleaseRequest, len(relReqs))
-		sc.subOut = make([]ReleaseResult, len(relReqs))
-		sc.pos = make([]int, len(relReqs))
-	}
-	subReq := sc.subReq[:len(relReqs)]
-	pos := sc.pos[:len(relReqs)]
-	copy(fill, offsets[:len(s.racks)])
-	for i := range relReqs {
-		r := relReqs[i].Rack
-		pos[i] = fill[r]
-		subReq[fill[r]] = relReqs[i]
-		fill[r]++
-	}
-}
-
-// evictShardMerge is the second half of the shard pipeline: gather the
-// rack ReleaseBatch results out of the scratch and run the cross-rack
-// phase, journaling for the row's rollback instead of aborting. It
-// returns the index of the first failed request and its error, or
-// (-1, nil) on success.
-func (s *PodScheduler) evictShardMerge(reqs []EvictRequest, out []EvictResult) (int, error) {
-	sc := &s.evict
-	if len(reqs) == 0 {
-		return -1, nil
-	}
-	relReqs := sc.relReqs[:len(reqs)]
-	subOut, pos, crossQ := sc.subOut, sc.pos[:len(reqs)], sc.cross
-
-	podLog := sc.podLog[:0]
-	for i := range relReqs {
-		if err := subOut[pos[i]].Err; err != nil {
-			sc.podLog = podLog
-			return i, err
-		}
-		out[i].DetachLat = subOut[pos[i]].DetachLat
-		out[i].Detached = subOut[pos[i]].Detached
-	}
-
-	for _, ci := range crossQ {
-		// Shard merges run on row workers already; no nested pre-plan.
-		lat, err := s.batchDetachCross(ci.att, nil, &podLog)
-		if err != nil {
-			sc.podLog = podLog
-			return ci.req, err
-		}
-		out[ci.req].DetachLat += lat
-		out[ci.req].Detached++
-	}
-	sc.podLog = podLog
-	return -1, nil
-}
-
 // batchDetachCross mirrors the row's detachCross — same validation,
 // counters, latency accounting and error surfaces, executed inline as
 // one merged commit — and journals the undo into the row-phase log.
-// plan, if non-nil, carries pre-computed list positions (speculate.go);
-// each is checked by pointer identity before use, so a stale plan
-// degrades to the linear search rather than corrupting the splice.
-func (s *RowScheduler) batchDetachCross(att *Attachment, plan *crossPlan, log *[]detachUndo) (sim.Duration, error) {
+func (s *RowScheduler) batchDetachCross(att *Attachment, log *[]detachUndo) (sim.Duration, error) {
 	s.requests++
 	rackA := s.pods[att.CPUPod].racks[att.CPURack]
 	idx := -1
@@ -366,14 +217,10 @@ func (s *RowScheduler) batchDetachCross(att *Attachment, plan *crossPlan, log *[
 	if id := int(att.ownerID); id >= 0 && id < len(rackA.attachments) {
 		list = rackA.attachments[id]
 	}
-	if plan != nil && plan.attIdx >= 0 && plan.attIdx < len(list) && list[plan.attIdx] == att {
-		idx = plan.attIdx
-	} else {
-		for i, a := range list {
-			if a == att {
-				idx = i
-				break
-			}
+	for i, a := range list {
+		if a == att {
+			idx = i
+			break
 		}
 	}
 	if idx == -1 {
@@ -453,16 +300,11 @@ func (s *RowScheduler) batchDetachCross(att *Attachment, plan *crossPlan, log *[
 		s.failures++
 		return 0, err
 	}
-	hosts := s.crossHosts[att.CPUPod][att.CPURack][rackA.cpuPos(att.CPU)]
 	crossHostIdx := 0
-	if plan != nil && plan.hostIdx >= 0 && plan.hostIdx < len(hosts) && hosts[plan.hostIdx] == att {
-		crossHostIdx = plan.hostIdx
-	} else {
-		for i, a := range hosts {
-			if a == att {
-				crossHostIdx = i
-				break
-			}
+	for i, a := range s.crossHosts[att.CPUPod][att.CPURack][rackA.cpuPos(att.CPU)] {
+		if a == att {
+			crossHostIdx = i
+			break
 		}
 	}
 	*log = append(*log, detachUndo{
@@ -486,8 +328,7 @@ func (s *RowScheduler) batchDetachCross(att *Attachment, plan *crossPlan, log *[
 }
 
 // abortEvict replays every journal in reverse — the row phase first
-// (last torn down), then each pod's cross phase and rack teardowns —
-// re-reserves released compute out of each pod's shard scratch, and
+// (last torn down), then each pod's share through rollbackEvict — and
 // restores the spill sequence counters at both tiers, leaving the row
 // as if the batch never ran; it returns the annotated cause.
 func (s *RowScheduler) abortEvict(reqs []EvictRequest, rowLog []detachUndo, seqStart uint64, podSeq []uint64, failed int, cause error) error {
@@ -497,44 +338,7 @@ func (s *RowScheduler) abortEvict(reqs []EvictRequest, rowLog []detachUndo, seqS
 		}
 	}
 	for p := len(s.pods) - 1; p >= 0; p-- {
-		ps := s.pods[p]
-		pc := &ps.evict
-		for i := len(pc.podLog) - 1; i >= 0; i-- {
-			if err := pc.podLog[i].undoDetach(); err != nil {
-				cause = fmt.Errorf("%w (and rollback of %q failed: %v)", cause, pc.podLog[i].att.Owner, err)
-			}
-		}
-		pc.podLog = pc.podLog[:0]
-		for _, r := range ps.racks {
-			for i := len(r.undoLog) - 1; i >= 0; i-- {
-				if err := r.undoLog[i].undoDetach(); err != nil {
-					cause = fmt.Errorf("%w (and rollback of %q failed: %v)", cause, r.undoLog[i].att.Owner, err)
-				}
-			}
-			r.undoLog = r.undoLog[:0]
-		}
-		for i := pc.shardN - 1; i >= 0; i-- {
-			res := &pc.subOut[pc.pos[i]]
-			if !res.released {
-				continue
-			}
-			rr := &pc.subReq[pc.pos[i]]
-			node := ps.racks[rr.Rack].compute(rr.CPU)
-			if rr.VCPUs > 0 {
-				if err := node.Brick.AllocCores(rr.VCPUs); err != nil {
-					cause = fmt.Errorf("%w (and rollback of request %d failed: %v)", cause, i, err)
-				}
-			}
-			if rr.LocalMem > 0 {
-				if err := node.Brick.AllocLocal(rr.LocalMem); err != nil {
-					cause = fmt.Errorf("%w (and rollback of request %d failed: %v)", cause, i, err)
-				}
-			}
-			ps.racks[rr.Rack].touchCompute(rr.CPU)
-			res.released = false
-		}
-		ps.attachSeq = podSeq[p]
-		pc.shardN = 0
+		cause = s.pods[p].rollbackEvict(podSeq[p], cause)
 	}
 	s.attachSeq = seqStart
 	return fmt.Errorf("sdm: batch eviction rolled back at request %d (%q): %w", failed, reqs[failed].Owner, cause)

@@ -98,12 +98,6 @@ type Config struct {
 	// Scan selects the placement engine: indexed (default) or the
 	// pre-index linear-scan baseline.
 	Scan ScanMode
-	// NoSpeculate disables the speculative parallel partition and the
-	// parallel spill/teardown pre-planning inside the group-commit
-	// engines, forcing the serial reference path. The zero value keeps
-	// speculation on; either way the results are byte-identical — the
-	// knob exists as the reference arm of equivalence tests and CI.
-	NoSpeculate bool
 }
 
 // DefaultConfig holds representative control-plane costs.
@@ -272,11 +266,6 @@ type Controller struct {
 	// summaries instead of re-summing racks.
 	agg     *podAgg
 	aggSlot int
-	// aggDefer postpones the rollup while a row-tier commit wave runs
-	// racks of the same pod on different workers; aggPending marks a
-	// deferred fold for the wave's serial flush (see notifyAgg).
-	aggDefer   bool
-	aggPending bool
 
 	requests uint64
 	failures uint64
@@ -417,9 +406,8 @@ func (c *Controller) Accel(id topo.BrickID) (*brick.Accel, bool) {
 }
 
 // internOwner resolves an owner name to its dense ID, assigning the
-// next one on first sight. Writes happen only on paths that own their
-// rack (serial entry points, or the per-rack shard of a commit wave),
-// so the table needs no locking.
+// next one on first sight. Group commits run on the caller's
+// goroutine, so the table needs no locking.
 func (c *Controller) internOwner(owner string) int32 {
 	if id, ok := c.ownerIDs[owner]; ok {
 		return id

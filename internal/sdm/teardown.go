@@ -102,8 +102,8 @@ type detachUndo struct {
 }
 
 // undoLog is the controller's teardown journal for the in-flight batch.
-// It lives on the controller so the pod tier's parallel per-rack phase
-// journals without sharing state across racks.
+// It lives on the controller so each rack journals its own teardowns
+// and a rollback replays them rack by rack.
 
 // beginTeardown opens batch mode and resets the teardown journal.
 func (c *Controller) beginTeardown() {

@@ -70,7 +70,7 @@ func populateChurnPod(t *testing.T, s *PodScheduler, seed uint64, rounds, perRou
 		// Admit one request per batch so deterministic capacity misses
 		// skip that request alone instead of rolling back the round.
 		for _, req := range batchTestRequests(rng, perRound, placed) {
-			out, err := s.AdmitBatch([]AdmitRequest{req}, 1)
+			out, err := s.AdmitBatch([]AdmitRequest{req})
 			if err != nil {
 				continue
 			}
@@ -106,7 +106,7 @@ func TestEvictBatchSizeOneMatchesSequential(t *testing.T) {
 				seqReq := evictRequestFor(seqPod, reqs[i].Owner, reqs[i], seqPlaced[i])
 				batReq := evictRequestFor(batPod, reqs[i].Owner, reqs[i], batPlaced[i])
 				seqRes, seqErr := evictSequential(seqPod, seqReq)
-				batOut, batErr := batPod.EvictBatch([]EvictRequest{batReq}, 1)
+				batOut, batErr := batPod.EvictBatch([]EvictRequest{batReq})
 				if (seqErr == nil) != (batErr == nil) {
 					t.Fatalf("evict %d (%q): sequential err=%v, batch err=%v", i, reqs[i].Owner, seqErr, batErr)
 				}
@@ -201,13 +201,12 @@ func TestReleaseBatchSizeOneMatchesSequentialRack(t *testing.T) {
 	}
 }
 
-// TestEvictBatchDeterministicAcrossWorkers runs the same admission and
-// LIFO eviction trace at several worker counts: final state must be
-// byte-identical — the per-rack teardown parallelism contract.
+// TestEvictBatchDeterministicAcrossWorkers replays the same admission
+// and LIFO eviction trace on two identically built pods: the pod must
+// pass its invariants after the teardowns, and final state must be
+// byte-identical between the runs.
 func TestEvictBatchDeterministicAcrossWorkers(t *testing.T) {
-	counts := []int{1, 2, 8}
-	snaps := make([]string, len(counts))
-	for ci, workers := range counts {
+	run := func() string {
 		cfg := DefaultConfig
 		cfg.Policy = PolicySpread // spreads the trace across all racks
 		cfg.PacketFallback = true
@@ -220,19 +219,17 @@ func TestEvictBatchDeterministicAcrossWorkers(t *testing.T) {
 			for i := hi; i > hi-5 && i >= len(reqs)/2; i-- {
 				batch = append(batch, evictRequestFor(s, reqs[i].Owner, reqs[i], placed[i]))
 			}
-			if _, err := s.EvictBatch(batch, workers); err != nil {
-				t.Fatalf("workers=%d: %v", workers, err)
+			if _, err := s.EvictBatch(batch); err != nil {
+				t.Fatal(err)
 			}
 		}
 		if err := s.CheckInvariants(); err != nil {
-			t.Fatalf("workers=%d: invariants: %v", workers, err)
+			t.Fatalf("invariants: %v", err)
 		}
-		snaps[ci] = podSnapshotJSON(t, s)
+		return podSnapshotJSON(t, s)
 	}
-	for ci := 1; ci < len(counts); ci++ {
-		if snaps[0] != snaps[ci] {
-			t.Fatalf("final state diverges between workers=%d and workers=%d", counts[0], counts[ci])
-		}
+	if run() != run() {
+		t.Fatal("final state diverges between two identical runs")
 	}
 }
 
@@ -298,7 +295,7 @@ func TestEvictBatchRollbackRestoresState(t *testing.T) {
 				pi := int(rng.Uint64() % uint64(len(batch)))
 				batch[pi].Atts = append(append([]*Attachment(nil), batch[pi].Atts...), ghost)
 
-				if _, err := s.EvictBatch(batch, 1+int(rng.Uint64()%3)); err == nil {
+				if _, err := s.EvictBatch(batch); err == nil {
 					t.Fatalf("trial %d: poisoned eviction committed", trial)
 				}
 				comparePodBatchSnap(t, trial, before, snapPodBatch(s))
@@ -327,7 +324,7 @@ func TestEvictBatchRollbackIgnoresStaleJournals(t *testing.T) {
 	out, err := s.AdmitBatch([]AdmitRequest{
 		{Owner: "vm-r0", VCPUs: 1, LocalMem: brick.GiB, Remote: brick.GiB},
 		{Owner: "vm-r1", VCPUs: 1, LocalMem: brick.GiB, Remote: brick.GiB},
-	}, 1)
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -337,7 +334,7 @@ func TestEvictBatchRollbackIgnoresStaleJournals(t *testing.T) {
 
 	// Commit an eviction of vm-r0: its rack's journal now holds entries.
 	r0 := evictRequestFor(s, "vm-r0", AdmitRequest{Owner: "vm-r0", VCPUs: 1, LocalMem: brick.GiB}, out[0])
-	if _, err := s.EvictBatch([]EvictRequest{r0}, 1); err != nil {
+	if _, err := s.EvictBatch([]EvictRequest{r0}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -345,7 +342,7 @@ func TestEvictBatchRollbackIgnoresStaleJournals(t *testing.T) {
 	// not resurrect vm-r0's teardown.
 	r1 := evictRequestFor(s, "vm-r1", AdmitRequest{Owner: "vm-r1", VCPUs: 1, LocalMem: brick.GiB}, out[1])
 	r1.Atts = append(r1.Atts, &Attachment{Owner: "ghost", CPU: out[1].CPU})
-	if _, err := s.EvictBatch([]EvictRequest{r1}, 1); err == nil {
+	if _, err := s.EvictBatch([]EvictRequest{r1}); err == nil {
 		t.Fatal("poisoned eviction committed")
 	}
 	if n := len(s.Attachments("vm-r0")); n != 0 {
@@ -424,7 +421,7 @@ func TestRebalanceBatchMatchesSequential(t *testing.T) {
 			{Owner: "base", VCPUs: 2, LocalMem: brick.GiB, Remote: 3 * brick.GiB},
 			{Owner: "spill-1", VCPUs: 0, Remote: brick.GiB, CPU: topo.BrickID{}, Rack: 0},
 			{Owner: "spill-2", VCPUs: 0, Remote: brick.GiB, CPU: topo.BrickID{}, Rack: 0},
-		}, 1)
+		})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -474,7 +471,7 @@ func TestConsolidateDrainsAndPowersDown(t *testing.T) {
 		{Owner: "vm-a", VCPUs: 2, LocalMem: brick.GiB, Remote: 3 * brick.GiB},
 		{Owner: "vm-a-up1", VCPUs: 0, Remote: 2 * brick.GiB, CPU: topo.BrickID{}, Rack: 0},
 		{Owner: "vm-a-up2", VCPUs: 0, Remote: brick.GiB, CPU: topo.BrickID{}, Rack: 0},
-	}, 1)
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
