@@ -68,18 +68,23 @@ bench-check:
 			-alloc-threshold $(BENCHALLOCTHRESHOLD) \
 			$(if $(filter .,$(BENCHPATTERN)),,-allow-missing)
 
-# `make profile` captures CPU and heap pprof profiles of the row-tier
-# group-commit engine by looping BenchmarkFig10Row on its 16-pod,
+# `make profile` captures CPU and heap pprof profiles of two layers.
+# The row-tier group-commit engine: BenchmarkFig10Row on its 16-pod,
 # 512-rack row (the fig10row experiment itself finishes in
 # milliseconds, far under the profiler's sampling period; the benchmark
 # drives the identical AdmitBatch/EvictBatch path thousands of times —
 # its evictions run off the benchmark timer but inside the profile).
+# And the facade above it: BenchmarkFacadeBurst/row/pods-16, 256-VM
+# core.Row create+destroy bursts on the same row, which adds the
+# per-VM software stack (Scale-up controller, hypervisor, hotplug).
 # Profiles and the instrumented test binary land in artifacts/; the top
-# CPU frames print at the end. PROFILE.md holds the committed snapshot.
-# For an end-to-end experiment profile, dredbox-report has the same
-# knobs: see README "Profiling the group-commit engine".
+# CPU frames of each print at the end. PROFILE.md holds the committed
+# snapshot. For an end-to-end experiment profile, dredbox-report has
+# the same knobs: see README "Profiling the group-commit engine".
 PROFILEBENCH ?= Fig10Row/pods-16
 PROFILETIME ?= 5000x
+FACADEPROFILEBENCH ?= FacadeBurst/row/pods-16
+FACADEPROFILETIME ?= 5000x
 profile:
 	mkdir -p artifacts
 	$(GO) test -run '^$$' -bench='$(PROFILEBENCH)' -benchtime=$(PROFILETIME) \
@@ -87,6 +92,11 @@ profile:
 		-memprofile artifacts/fig10row.mem.pprof \
 		-o artifacts/repro.test .
 	$(GO) tool pprof -top -nodecount=15 artifacts/repro.test artifacts/fig10row.cpu.pprof
+	$(GO) test -run '^$$' -bench='$(FACADEPROFILEBENCH)' -benchtime=$(FACADEPROFILETIME) \
+		-cpuprofile artifacts/facade.cpu.pprof \
+		-memprofile artifacts/facade.mem.pprof \
+		-o artifacts/repro.test .
+	$(GO) tool pprof -top -nodecount=15 artifacts/repro.test artifacts/facade.cpu.pprof
 
 saturation:
 	mkdir -p artifacts/saturation

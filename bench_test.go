@@ -372,6 +372,101 @@ func BenchmarkFig10Row(b *testing.B) {
 	}
 }
 
+// facadeRackConfig is the rack of the facade-burst benchmark, the
+// Fig. 10 sweep rack: one tray of four compute bricks (8 cores, 32 GiB
+// local) and four 64 GiB memory bricks, 8 ports each, behind a 64-port
+// circuit switch, under the spread policy.
+func facadeRackConfig() core.Config {
+	cfg := core.DefaultConfig()
+	cfg.Topology = topo.BuildSpec{Trays: 1, ComputePerTray: 4, MemoryPerTray: 4, PortsPerBrick: 8}
+	cfg.Switch = optical.SwitchConfig{
+		Ports:           64,
+		InsertionLossDB: optical.Polatis48.InsertionLossDB,
+		PortPowerW:      optical.Polatis48.PortPowerW,
+		ReconfigTime:    optical.Polatis48.ReconfigTime,
+	}
+	cfg.Bricks.Compute = brick.ComputeConfig{Cores: 8, LocalMemory: 32 * brick.GiB}
+	cfg.Bricks.Memory = brick.MemoryConfig{Capacity: 64 * brick.GiB}
+	cfg.SDM.Policy = sdm.PolicySpread
+	return cfg
+}
+
+// BenchmarkFacadeBurst measures the whole per-VM software stack of a
+// steady-state burst train through the core facades: one op is a
+// CreateVMs burst (SDM group commit, then per VM the Scale-up
+// controller record, hypervisor spawn, baremetal and guest hotplug of
+// the remote DIMM) and the DestroyVMs burst that retires it. row/pods-16
+// drives 256-VM bursts on a 16-pod, 512-rack row, pod/racks-16 32-VM
+// bursts on a 16-rack pod; every VM carries 2 or 4 GiB of remote
+// memory. The facades are warmed first, so allocs/op is the
+// steady-state cost: about two allocations per VM plus each burst's
+// returned results.
+func BenchmarkFacadeBurst(b *testing.B) {
+	cases := []struct {
+		name  string
+		burst int
+		build func() (core.PipelineTarget, error)
+	}{
+		{"row/pods-16", 256, func() (core.PipelineTarget, error) {
+			cfg := core.DefaultRowConfig(16, 32)
+			cfg.Rack = facadeRackConfig()
+			cfg.Fabric.Switch.Ports = max(cfg.Fabric.Switch.Ports, cfg.Racks*cfg.Fabric.UplinksPerRack)
+			cfg.Row.Switch.Ports = max(cfg.Row.Switch.Ports, cfg.Pods*cfg.Row.UplinksPerPod)
+			row, err := core.NewRow(cfg)
+			if err != nil {
+				return nil, err
+			}
+			row.Scheduler().PowerOnAll()
+			return row, nil
+		}},
+		{"pod/racks-16", 32, func() (core.PipelineTarget, error) {
+			cfg := core.DefaultPodConfig(16)
+			cfg.Rack = facadeRackConfig()
+			cfg.Fabric.Switch.Ports = max(cfg.Fabric.Switch.Ports, cfg.Racks*cfg.Fabric.UplinksPerRack)
+			pod, err := core.NewPod(cfg)
+			if err != nil {
+				return nil, err
+			}
+			pod.Scheduler().PowerOnAll()
+			return pod, nil
+		}},
+	}
+	for _, tc := range cases {
+		b.Run(tc.name, func(b *testing.B) {
+			target, err := tc.build()
+			if err != nil {
+				b.Fatal(err)
+			}
+			reqs := make([]core.VMCreate, tc.burst)
+			ids := make([]string, tc.burst)
+			for v := range reqs {
+				ids[v] = fmt.Sprintf("vm%03d", v)
+				reqs[v] = core.VMCreate{
+					ID: ids[v], VCPUs: 1 + v%4,
+					Memory: brick.Bytes(1+v%3) * brick.GiB,
+					Remote: brick.Bytes(2<<(v%2)) * brick.GiB,
+				}
+			}
+			cycle := func() {
+				if _, err := target.CreateVMs(reqs, 0); err != nil {
+					b.Fatal(err)
+				}
+				if _, err := target.DestroyVMs(ids, 0); err != nil {
+					b.Fatal(err)
+				}
+			}
+			for i := 0; i < 3; i++ {
+				cycle()
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				cycle()
+			}
+			b.ReportMetric(float64(b.N*tc.burst)/b.Elapsed().Seconds(), "vms/s")
+		})
+	}
+}
+
 // batchAdmitPod assembles the 16-rack pod of the batch-admission
 // benchmark under one policy: per-rack fills leave every rack with a
 // mix of exhausted and free memory bricks, so picks are non-trivial

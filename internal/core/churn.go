@@ -28,37 +28,31 @@ import (
 // clock advances past the whole group's completion. workers is unused:
 // the commit runs on the caller's goroutine.
 func (p *Pod) DestroyVMs(ids []string, workers int) ([]scaleup.Result, error) {
-	seen := make(map[string]bool, len(ids))
-	ereqs := make([]sdm.EvictRequest, len(ids))
+	p.burst.resetSeen()
+	ereqs, evicted, atts := p.burst.evictBufs(len(ids))
 	for i, id := range ids {
 		rack, ok := p.vmRack[id]
-		if !ok || seen[id] {
+		if !ok {
 			return nil, fmt.Errorf("core: no VM %q in the pod", id)
 		}
-		seen[id] = true
-		scale := p.stacks[rack].scale
-		host, _ := scale.VMHost(hypervisor.VMID(id))
-		spec, _ := scale.VMSpec(hypervisor.VMID(id))
-		// Newest-first so packet riders detach before the circuits they
-		// ride.
-		atts := scale.BoundAttachments(hypervisor.VMID(id))
-		for a, b := 0, len(atts)-1; a < b; a, b = a+1, b-1 {
-			atts[a], atts[b] = atts[b], atts[a]
+		if p.burst.repeated(id) {
+			return nil, fmt.Errorf("core: VM %q named twice in the burst", id)
 		}
-		ereqs[i] = sdm.EvictRequest{
-			Owner: id, CPU: host, Rack: rack,
-			VCPUs: spec.VCPUs, LocalMem: spec.Memory, Atts: atts,
+		var req sdm.EvictRequest
+		if req, atts, ok = p.stacks[rack].scale.EvictRequest(hypervisor.VMID(id), atts); !ok {
+			return nil, fmt.Errorf("core: VM %q missing from rack %d", id, rack)
 		}
+		req.Rack = rack
+		ereqs[i] = req
 	}
-	evicted, err := p.sched.EvictBatch(ereqs)
-	if err != nil {
+	p.burst.atts = atts
+	if err := p.sched.EvictBatchInto(ereqs, evicted, 0); err != nil {
 		return nil, err
 	}
 	results := make([]scaleup.Result, len(ids))
 	done := p.now
 	for i, id := range ids {
-		rack := p.vmRack[id]
-		res, err := p.stacks[rack].scale.EvictVM(p.now, hypervisor.VMID(id), evicted[i].DetachLat)
+		res, err := p.stacks[ereqs[i].Rack].scale.EvictVM(p.now, hypervisor.VMID(id), evicted[i].DetachLat)
 		if err != nil {
 			// The SDM teardown already committed; a software-stack unwind
 			// failure past it is a controller bug worth surfacing loudly.
@@ -115,13 +109,14 @@ func (p *Pod) Consolidate() PodConsolidation {
 	var rep PodConsolidation
 	for d := len(p.stacks) - 1; d >= 1; d-- {
 		// The VMs on this rack, in deterministic order.
-		var ids []string
+		ids := p.burst.ids[:0]
 		for id, r := range p.vmRack {
 			if r == d {
 				ids = append(ids, id)
 			}
 		}
 		sort.Strings(ids)
+		p.burst.ids = ids
 		for _, id := range ids {
 			scale := p.stacks[d].scale
 			spec, ok := scale.VMSpec(hypervisor.VMID(id))

@@ -60,6 +60,8 @@ type Pod struct {
 
 	// vmRack tracks which rack hosts each VM.
 	vmRack map[string]int
+	// burst is the reused state of CreateVMs, DestroyVMs and Consolidate.
+	burst burstScratch
 
 	now sim.Time
 }
@@ -198,17 +200,18 @@ type VMCreate struct {
 // The clock advances past the whole group's completion. workers is
 // unused: the commit runs on the caller's goroutine.
 func (p *Pod) CreateVMs(reqs []VMCreate, workers int) ([]scaleup.Result, error) {
-	seen := make(map[string]bool, len(reqs))
-	areqs := make([]sdm.AdmitRequest, len(reqs))
+	p.burst.resetSeen()
+	areqs, admitted := p.burst.admitBufs(len(reqs))
 	for i, r := range reqs {
-		if _, dup := p.vmRack[r.ID]; dup || seen[r.ID] {
+		if _, dup := p.vmRack[r.ID]; dup {
 			return nil, fmt.Errorf("core: VM %q already exists in the pod", r.ID)
 		}
-		seen[r.ID] = true
+		if p.burst.repeated(r.ID) {
+			return nil, fmt.Errorf("core: VM %q named twice in the burst", r.ID)
+		}
 		areqs[i] = sdm.AdmitRequest{Owner: r.ID, VCPUs: r.VCPUs, LocalMem: r.Memory, Remote: r.Remote}
 	}
-	admitted, err := p.sched.AdmitBatch(areqs)
-	if err != nil {
+	if err := p.sched.AdmitBatchInto(areqs, admitted, 0); err != nil {
 		return nil, err
 	}
 	results := make([]scaleup.Result, len(reqs))

@@ -78,6 +78,8 @@ type Row struct {
 
 	// vmLoc tracks which pod and rack host each VM.
 	vmLoc map[string]rowLoc
+	// burst is the reused state of CreateVMs, DestroyVMs and Consolidate.
+	burst burstScratch
 
 	now sim.Time
 }
@@ -206,17 +208,18 @@ func (r *Row) CreateVM(id string, vcpus int, memory brick.Bytes) (scaleup.Result
 // group's completion. workers is unused: the commit runs on the
 // caller's goroutine.
 func (r *Row) CreateVMs(reqs []VMCreate, workers int) ([]scaleup.Result, error) {
-	seen := make(map[string]bool, len(reqs))
-	areqs := make([]sdm.AdmitRequest, len(reqs))
+	r.burst.resetSeen()
+	areqs, admitted := r.burst.admitBufs(len(reqs))
 	for i, req := range reqs {
-		if _, dup := r.vmLoc[req.ID]; dup || seen[req.ID] {
+		if _, dup := r.vmLoc[req.ID]; dup {
 			return nil, fmt.Errorf("core: VM %q already exists in the row", req.ID)
 		}
-		seen[req.ID] = true
+		if r.burst.repeated(req.ID) {
+			return nil, fmt.Errorf("core: VM %q named twice in the burst", req.ID)
+		}
 		areqs[i] = sdm.AdmitRequest{Owner: req.ID, VCPUs: req.VCPUs, LocalMem: req.Memory, Remote: req.Remote}
 	}
-	admitted, err := r.sched.AdmitBatch(areqs)
-	if err != nil {
+	if err := r.sched.AdmitBatchInto(areqs, admitted, 0); err != nil {
 		return nil, err
 	}
 	results := make([]scaleup.Result, len(reqs))
@@ -320,37 +323,31 @@ func (r *Row) ScaleDownVM(id string, size brick.Bytes) (scaleup.Result, error) {
 // group's completion. workers is unused: the commit runs on the
 // caller's goroutine.
 func (r *Row) DestroyVMs(ids []string, workers int) ([]scaleup.Result, error) {
-	seen := make(map[string]bool, len(ids))
-	ereqs := make([]sdm.EvictRequest, len(ids))
+	r.burst.resetSeen()
+	ereqs, evicted, atts := r.burst.evictBufs(len(ids))
 	for i, id := range ids {
 		loc, ok := r.vmLoc[id]
-		if !ok || seen[id] {
+		if !ok {
 			return nil, fmt.Errorf("core: no VM %q in the row", id)
 		}
-		seen[id] = true
-		scale := r.stacks[loc.pod][loc.rack].scale
-		host, _ := scale.VMHost(hypervisor.VMID(id))
-		spec, _ := scale.VMSpec(hypervisor.VMID(id))
-		// Newest-first so packet riders detach before the circuits they
-		// ride.
-		atts := scale.BoundAttachments(hypervisor.VMID(id))
-		for a, b := 0, len(atts)-1; a < b; a, b = a+1, b-1 {
-			atts[a], atts[b] = atts[b], atts[a]
+		if r.burst.repeated(id) {
+			return nil, fmt.Errorf("core: VM %q named twice in the burst", id)
 		}
-		ereqs[i] = sdm.EvictRequest{
-			Owner: id, CPU: host, Rack: loc.rack, Pod: loc.pod,
-			VCPUs: spec.VCPUs, LocalMem: spec.Memory, Atts: atts,
+		var req sdm.EvictRequest
+		if req, atts, ok = r.stacks[loc.pod][loc.rack].scale.EvictRequest(hypervisor.VMID(id), atts); !ok {
+			return nil, fmt.Errorf("core: VM %q missing from pod %d rack %d", id, loc.pod, loc.rack)
 		}
+		req.Rack, req.Pod = loc.rack, loc.pod
+		ereqs[i] = req
 	}
-	evicted, err := r.sched.EvictBatch(ereqs)
-	if err != nil {
+	r.burst.atts = atts
+	if err := r.sched.EvictBatchInto(ereqs, evicted, 0); err != nil {
 		return nil, err
 	}
 	results := make([]scaleup.Result, len(ids))
 	done := r.now
 	for i, id := range ids {
-		loc := r.vmLoc[id]
-		res, err := r.stacks[loc.pod][loc.rack].scale.EvictVM(r.now, hypervisor.VMID(id), evicted[i].DetachLat)
+		res, err := r.stacks[ereqs[i].Pod][ereqs[i].Rack].scale.EvictVM(r.now, hypervisor.VMID(id), evicted[i].DetachLat)
 		if err != nil {
 			return nil, fmt.Errorf("core: batch teardown of %q: %w", id, err)
 		}
@@ -399,13 +396,14 @@ func (r *Row) Consolidate() RowConsolidation {
 	for p := 0; p < r.cfg.Pods; p++ {
 		sched := r.sched.Pod(p)
 		for d := r.cfg.Racks - 1; d >= 1; d-- {
-			var ids []string
+			ids := r.burst.ids[:0]
 			for id, loc := range r.vmLoc {
 				if loc.pod == p && loc.rack == d {
 					ids = append(ids, id)
 				}
 			}
 			sort.Strings(ids)
+			r.burst.ids = ids
 			for _, id := range ids {
 				scale := r.stacks[p][d].scale
 				spec, ok := scale.VMSpec(hypervisor.VMID(id))

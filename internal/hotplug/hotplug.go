@@ -13,7 +13,7 @@ package hotplug
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/brick"
 	"repro/internal/sim"
@@ -95,20 +95,46 @@ type Block struct {
 	Pinned bool
 }
 
+// inlineBlocks is how many blocks a kernel holds before its block
+// slice moves to the heap: enough for a guest kernel's few hot-added
+// DIMMs, so a VM's guest kernel lives entirely inside the VM object.
+const inlineBlocks = 4
+
 // Kernel is the hotplug state of one baremetal OS instance.
+//
+// The blocks live in one slice sorted by base address, stored by value.
+// Every operation names a contiguous aligned range, which maps onto a
+// contiguous run of the slice found by binary search, so hot-adding and
+// removing memory allocates nothing once the slice has grown to the
+// kernel's high-water mark. A Kernel points into itself and must not be
+// copied after NewKernel or InitKernel.
 type Kernel struct {
 	cfg    Config
-	blocks map[uint64]*Block // keyed by base address
+	blocks []Block // sorted by Base; backed by inline until it outgrows it
+	inline [inlineBlocks]Block
 
 	adds, removes, onlines, offlines uint64
 }
 
 // NewKernel returns a kernel with no hot-added memory.
 func NewKernel(cfg Config) (*Kernel, error) {
-	if err := cfg.Validate(); err != nil {
+	k := new(Kernel)
+	if err := InitKernel(k, cfg); err != nil {
 		return nil, err
 	}
-	return &Kernel{cfg: cfg, blocks: make(map[uint64]*Block)}, nil
+	return k, nil
+}
+
+// InitKernel resets k in place to a kernel with no hot-added memory —
+// NewKernel for a Kernel embedded in a larger object, such as a VM's
+// guest kernel.
+func InitKernel(k *Kernel, cfg Config) error {
+	if err := cfg.Validate(); err != nil {
+		return err
+	}
+	*k = Kernel{cfg: cfg}
+	k.blocks = k.inline[:0]
+	return nil
 }
 
 // Config returns the kernel's hotplug configuration.
@@ -128,6 +154,48 @@ func (k *Kernel) checkRange(base uint64, size brick.Bytes) (nblocks int, err err
 	return int(uint64(size) / bs), nil
 }
 
+// search returns the index of the first block whose base is at least
+// base.
+func (k *Kernel) search(base uint64) int {
+	i, j := 0, len(k.blocks)
+	for i < j {
+		h := int(uint(i+j) >> 1)
+		if k.blocks[h].Base < base {
+			i = h + 1
+		} else {
+			j = h
+		}
+	}
+	return i
+}
+
+// block returns the block at base, or nil if none is present.
+func (k *Kernel) block(base uint64) *Block {
+	if i := k.search(base); i < len(k.blocks) && k.blocks[i].Base == base {
+		return &k.blocks[i]
+	}
+	return nil
+}
+
+// run returns the index of the first of the n blocks of the range
+// starting at base. It checks the blocks in address order and fails on
+// the first one that is absent or in the refused state, reporting the
+// latter with refusal (a format taking the block's base).
+func (k *Kernel) run(base uint64, n int, verb string, refused BlockState, refusal string) (lo int, err error) {
+	bs := uint64(k.cfg.BlockSize)
+	lo = k.search(base)
+	for j := 0; j < n; j++ {
+		want := base + uint64(j)*bs
+		if lo+j >= len(k.blocks) || k.blocks[lo+j].Base != want {
+			return 0, fmt.Errorf("hotplug: %s of absent block %#x", verb, want)
+		}
+		if k.blocks[lo+j].State == refused {
+			return 0, fmt.Errorf(refusal, want)
+		}
+	}
+	return lo, nil
+}
+
 // HotAdd registers the physical range [base, base+size) with the kernel,
 // leaving every block offline. It returns the virtual-time cost.
 func (k *Kernel) HotAdd(base uint64, size brick.Bytes) (sim.Duration, error) {
@@ -136,14 +204,15 @@ func (k *Kernel) HotAdd(base uint64, size brick.Bytes) (sim.Duration, error) {
 		return 0, err
 	}
 	bs := uint64(k.cfg.BlockSize)
-	for i := 0; i < n; i++ {
-		if _, dup := k.blocks[base+uint64(i)*bs]; dup {
-			return 0, fmt.Errorf("hotplug: block at %#x already present", base+uint64(i)*bs)
-		}
+	i := k.search(base)
+	if i < len(k.blocks) && k.blocks[i].Base-base < uint64(size) {
+		return 0, fmt.Errorf("hotplug: block at %#x already present", k.blocks[i].Base)
 	}
-	for i := 0; i < n; i++ {
-		b := base + uint64(i)*bs
-		k.blocks[b] = &Block{Base: b, State: StateOffline}
+	old := len(k.blocks)
+	k.blocks = slices.Grow(k.blocks, n)[:old+n]
+	copy(k.blocks[i+n:], k.blocks[i:old])
+	for j := 0; j < n; j++ {
+		k.blocks[i+j] = Block{Base: base + uint64(j)*bs, State: StateOffline}
 	}
 	k.adds++
 	gib := float64(size) / float64(brick.GiB)
@@ -156,19 +225,14 @@ func (k *Kernel) Online(base uint64, size brick.Bytes) (sim.Duration, error) {
 	if err != nil {
 		return 0, err
 	}
-	bs := uint64(k.cfg.BlockSize)
 	// Validate first: partial onlining on error would corrupt accounting.
-	for i := 0; i < n; i++ {
-		blk, ok := k.blocks[base+uint64(i)*bs]
-		if !ok {
-			return 0, fmt.Errorf("hotplug: online of absent block %#x", base+uint64(i)*bs)
-		}
-		if blk.State == StateOnline {
-			return 0, fmt.Errorf("hotplug: block %#x already online", blk.Base)
-		}
+	lo, err := k.run(base, n, "online", StateOnline, "hotplug: block %#x already online")
+	if err != nil {
+		return 0, err
 	}
-	for i := 0; i < n; i++ {
-		k.blocks[base+uint64(i)*bs].State = StateOnline
+	run := k.blocks[lo : lo+n]
+	for i := range run {
+		run[i].State = StateOnline
 	}
 	k.onlines += uint64(n)
 	return sim.Duration(n) * k.cfg.OnlinePerBlock, nil
@@ -182,24 +246,18 @@ func (k *Kernel) Offline(base uint64, size brick.Bytes) (sim.Duration, error) {
 	if err != nil {
 		return 0, err
 	}
-	bs := uint64(k.cfg.BlockSize)
-	for i := 0; i < n; i++ {
-		blk, ok := k.blocks[base+uint64(i)*bs]
-		if !ok {
-			return 0, fmt.Errorf("hotplug: offline of absent block %#x", base+uint64(i)*bs)
-		}
-		if blk.State == StateOffline {
-			return 0, fmt.Errorf("hotplug: block %#x already offline", blk.Base)
-		}
-	}
-	migrate, err := k.offlineMigrationCost(base, n)
+	lo, err := k.run(base, n, "offline", StateOffline, "hotplug: block %#x already offline")
 	if err != nil {
 		return 0, err
 	}
-	for i := 0; i < n; i++ {
-		blk := k.blocks[base+uint64(i)*bs]
-		blk.State = StateOffline
-		blk.Populated = 0 // pages migrated away
+	run := k.blocks[lo : lo+n]
+	migrate, err := k.offlineMigrationCost(run)
+	if err != nil {
+		return 0, err
+	}
+	for i := range run {
+		run[i].State = StateOffline
+		run[i].Populated = 0 // pages migrated away
 	}
 	k.offlines += uint64(n)
 	return sim.Duration(n)*k.cfg.OfflinePerBlock + migrate, nil
@@ -211,19 +269,11 @@ func (k *Kernel) HotRemove(base uint64, size brick.Bytes) (sim.Duration, error) 
 	if err != nil {
 		return 0, err
 	}
-	bs := uint64(k.cfg.BlockSize)
-	for i := 0; i < n; i++ {
-		blk, ok := k.blocks[base+uint64(i)*bs]
-		if !ok {
-			return 0, fmt.Errorf("hotplug: remove of absent block %#x", base+uint64(i)*bs)
-		}
-		if blk.State == StateOnline {
-			return 0, fmt.Errorf("hotplug: remove of online block %#x (offline it first)", blk.Base)
-		}
+	lo, err := k.run(base, n, "remove", StateOnline, "hotplug: remove of online block %#x (offline it first)")
+	if err != nil {
+		return 0, err
 	}
-	for i := 0; i < n; i++ {
-		delete(k.blocks, base+uint64(i)*bs)
-	}
+	k.blocks = append(k.blocks[:lo], k.blocks[lo+n:]...)
 	k.removes++
 	return k.cfg.RemoveOverhead, nil
 }
@@ -236,8 +286,8 @@ func (k *Kernel) ManagedBytes() brick.Bytes {
 // OnlineBytes returns the capacity currently online.
 func (k *Kernel) OnlineBytes() brick.Bytes {
 	var n brick.Bytes
-	for _, b := range k.blocks {
-		if b.State == StateOnline {
+	for i := range k.blocks {
+		if k.blocks[i].State == StateOnline {
 			n += k.cfg.BlockSize
 		}
 	}
@@ -246,12 +296,7 @@ func (k *Kernel) OnlineBytes() brick.Bytes {
 
 // Blocks returns all blocks sorted by base address (copies).
 func (k *Kernel) Blocks() []Block {
-	out := make([]Block, 0, len(k.blocks))
-	for _, b := range k.blocks {
-		out = append(out, *b)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Base < out[j].Base })
-	return out
+	return append(make([]Block, 0, len(k.blocks)), k.blocks...)
 }
 
 // Stats returns cumulative operation counters.

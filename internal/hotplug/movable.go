@@ -17,8 +17,8 @@ import (
 // PopulateBlock records that the allocator placed live data on the block
 // at base. Population is capped at the block size.
 func (k *Kernel) PopulateBlock(base uint64, bytes brick.Bytes) error {
-	blk, ok := k.blocks[base]
-	if !ok {
+	blk := k.block(base)
+	if blk == nil {
 		return fmt.Errorf("hotplug: populate of absent block %#x", base)
 	}
 	if blk.State != StateOnline {
@@ -34,8 +34,8 @@ func (k *Kernel) PopulateBlock(base uint64, bytes brick.Bytes) error {
 
 // DepopulateBlock records that data was freed from the block.
 func (k *Kernel) DepopulateBlock(base uint64, bytes brick.Bytes) error {
-	blk, ok := k.blocks[base]
-	if !ok {
+	blk := k.block(base)
+	if blk == nil {
 		return fmt.Errorf("hotplug: depopulate of absent block %#x", base)
 	}
 	if bytes > blk.Populated {
@@ -49,8 +49,8 @@ func (k *Kernel) DepopulateBlock(base uint64, bytes brick.Bytes) error {
 // long-lived DMA buffer). A pinned block cannot be offlined until
 // UnpinBlock — the failure mode ZONE_MOVABLE exists to prevent.
 func (k *Kernel) PinBlock(base uint64) error {
-	blk, ok := k.blocks[base]
-	if !ok {
+	blk := k.block(base)
+	if blk == nil {
 		return fmt.Errorf("hotplug: pin of absent block %#x", base)
 	}
 	if blk.State != StateOnline {
@@ -62,8 +62,8 @@ func (k *Kernel) PinBlock(base uint64) error {
 
 // UnpinBlock clears the pin.
 func (k *Kernel) UnpinBlock(base uint64) error {
-	blk, ok := k.blocks[base]
-	if !ok {
+	blk := k.block(base)
+	if blk == nil {
 		return fmt.Errorf("hotplug: unpin of absent block %#x", base)
 	}
 	if !blk.Pinned {
@@ -76,27 +76,22 @@ func (k *Kernel) UnpinBlock(base uint64) error {
 // PopulatedBytes returns the total live data across online blocks.
 func (k *Kernel) PopulatedBytes() brick.Bytes {
 	var n brick.Bytes
-	for _, b := range k.blocks {
-		n += b.Populated
+	for i := range k.blocks {
+		n += k.blocks[i].Populated
 	}
 	return n
 }
 
 // offlineMigrationCost returns the page-migration cost of vacating the
-// populated bytes of the blocks in [base, base+size), or an error if any
-// block is pinned.
-func (k *Kernel) offlineMigrationCost(base uint64, n int) (sim.Duration, error) {
-	bs := uint64(k.cfg.BlockSize)
+// populated bytes of a run of blocks, or an error if any block is
+// pinned.
+func (k *Kernel) offlineMigrationCost(run []Block) (sim.Duration, error) {
 	var populated brick.Bytes
-	for i := 0; i < n; i++ {
-		blk := k.blocks[base+uint64(i)*bs]
-		if blk == nil {
-			continue // caller already validated presence
+	for i := range run {
+		if run[i].Pinned {
+			return 0, fmt.Errorf("hotplug: block %#x holds pinned pages; offline impossible", run[i].Base)
 		}
-		if blk.Pinned {
-			return 0, fmt.Errorf("hotplug: block %#x holds pinned pages; offline impossible", blk.Base)
-		}
-		populated += blk.Populated
+		populated += run[i].Populated
 	}
 	gib := float64(populated) / float64(brick.GiB)
 	return sim.Duration(gib * float64(k.cfg.MigratePerGiB)), nil

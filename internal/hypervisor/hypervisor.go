@@ -69,14 +69,21 @@ type DIMM struct {
 // hotplug region (above the boot RAM window).
 const guestHotplugBase = 1 << 40
 
-// VM is a hosted virtual machine.
+// inlineDIMMs is how many DIMMs a VM holds before its DIMM list moves
+// to the heap.
+const inlineDIMMs = 2
+
+// VM is a hosted virtual machine. The guest kernel and the first few
+// DIMMs live inside the VM object, so spawning a VM is one allocation;
+// a VM points into itself and is only ever handled by pointer.
 type VM struct {
 	ID    VMID
 	Spec  VMSpec
 	state VMState
 
-	guest    *hotplug.Kernel
+	guest    hotplug.Kernel
 	dimms    []DIMM
+	dimmBuf  [inlineDIMMs]DIMM
 	nextDIMM int
 	nextBase uint64
 
@@ -106,6 +113,14 @@ func (v *VM) TotalMemory() brick.Bytes {
 // AvailableMemory returns memory usable by the guest: total minus what
 // the balloon has reclaimed.
 func (v *VM) AvailableMemory() brick.Bytes { return v.TotalMemory() - v.ballooned }
+
+// CanShrink reports whether size bytes can leave the guest — by balloon
+// or by DIMM detach — without dropping its available memory below the
+// recorded usage. A size beyond the available memory never fits.
+func (v *VM) CanShrink(size brick.Bytes) bool {
+	avail := v.AvailableMemory()
+	return size <= avail && avail-size >= v.usage
+}
 
 // Ballooned returns the amount currently held by the balloon.
 func (v *VM) Ballooned() brick.Bytes { return v.ballooned }
@@ -181,17 +196,16 @@ func (h *Hypervisor) Spawn(id VMID, spec VMSpec) (*VM, sim.Duration, error) {
 	if _, dup := h.vms[id]; dup {
 		return nil, 0, fmt.Errorf("hypervisor: VM %q already exists", id)
 	}
-	guest, err := hotplug.NewKernel(h.cfg.Guest)
-	if err != nil {
-		return nil, 0, err
-	}
 	vm := &VM{
 		ID:       id,
 		Spec:     spec,
 		state:    StateRunning,
-		guest:    guest,
 		nextBase: guestHotplugBase,
 	}
+	if err := hotplug.InitKernel(&vm.guest, h.cfg.Guest); err != nil {
+		return nil, 0, err
+	}
+	vm.dimms = vm.dimmBuf[:0]
 	h.vms[id] = vm
 	gib := float64(spec.Memory) / float64(brick.GiB)
 	lat := h.cfg.SpawnBase + sim.Duration(gib*float64(h.cfg.SpawnPerGiB))
@@ -280,7 +294,7 @@ func (h *Hypervisor) DetachDIMM(id VMID, dimmID int) (sim.Duration, error) {
 	d := vm.dimms[idx]
 	// Detaching must not leave the guest with less memory than its
 	// recorded usage — that is exactly the OOM the guard exists to avoid.
-	if vm.AvailableMemory()-d.Size < vm.usage {
+	if !vm.CanShrink(d.Size) {
 		return 0, fmt.Errorf("hypervisor: detaching DIMM %d (%v) would drop below usage %v", dimmID, d.Size, vm.usage)
 	}
 	gib := float64(d.Size) / float64(brick.GiB)
@@ -307,7 +321,7 @@ func (h *Hypervisor) BalloonInflate(id VMID, size brick.Bytes) (sim.Duration, er
 	if size == 0 {
 		return 0, fmt.Errorf("hypervisor: zero-byte balloon inflate")
 	}
-	if vm.AvailableMemory()-size < vm.usage {
+	if !vm.CanShrink(size) {
 		return 0, fmt.Errorf("hypervisor: inflating %v would drop below usage %v", size, vm.usage)
 	}
 	vm.ballooned += size

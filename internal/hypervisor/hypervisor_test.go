@@ -165,6 +165,69 @@ func TestBalloon(t *testing.T) {
 	}
 }
 
+// TestShrinkGuardsRefuseOversize covers the usage guards of the two
+// shrink paths when the shrink is larger than the guest's available
+// memory: available-size must not wrap around and let it through.
+func TestShrinkGuardsRefuseOversize(t *testing.T) {
+	cases := []struct {
+		name      string
+		boot      brick.Bytes
+		dimm      brick.Bytes // hot-added before the shrink; 0 for none
+		ballooned brick.Bytes
+		usage     brick.Bytes
+		detach    bool        // detach the DIMM instead of inflating
+		inflate   brick.Bytes // balloon inflate size when !detach
+		ok        bool
+	}{
+		{name: "inflate beyond total", boot: 4 * brick.GiB, inflate: 8 * brick.GiB},
+		{name: "inflate beyond available", boot: 4 * brick.GiB, ballooned: 3 * brick.GiB, inflate: 2 * brick.GiB},
+		{name: "inflate all available", boot: 4 * brick.GiB, inflate: 4 * brick.GiB, ok: true},
+		{name: "inflate down to usage", boot: 4 * brick.GiB, usage: brick.GiB, inflate: 3 * brick.GiB, ok: true},
+		{name: "inflate past usage", boot: 4 * brick.GiB, usage: brick.GiB, inflate: 4 * brick.GiB},
+		{name: "detach beyond available", boot: 2 * brick.GiB, dimm: brick.GiB, ballooned: 5 * brick.GiB / 2,
+			usage: brick.GiB / 4, detach: true},
+		{name: "detach all available", boot: 2 * brick.GiB, dimm: brick.GiB, ballooned: 2 * brick.GiB, detach: true, ok: true},
+		{name: "detach below usage", boot: 2 * brick.GiB, dimm: brick.GiB, ballooned: brick.GiB,
+			usage: 3 * brick.GiB / 2, detach: true},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			h := newHV(t)
+			vm, _, err := h.Spawn("vm", VMSpec{VCPUs: 1, Memory: tc.boot})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var d DIMM
+			if tc.dimm > 0 {
+				if d, _, err = h.AttachDIMM("vm", tc.dimm); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if tc.ballooned > 0 {
+				if _, err := h.BalloonInflate("vm", tc.ballooned); err != nil {
+					t.Fatal(err)
+				}
+			}
+			vm.SetUsage(tc.usage)
+			before := vm.AvailableMemory()
+			if tc.detach {
+				_, err = h.DetachDIMM("vm", d.ID)
+			} else {
+				_, err = h.BalloonInflate("vm", tc.inflate)
+			}
+			if (err == nil) != tc.ok {
+				t.Fatalf("shrink err = %v, want ok=%v (available %v)", err, tc.ok, vm.AvailableMemory())
+			}
+			if !tc.ok && vm.AvailableMemory() != before {
+				t.Fatalf("refused shrink moved available memory %v -> %v", before, vm.AvailableMemory())
+			}
+			if vm.AvailableMemory() > vm.TotalMemory() {
+				t.Fatalf("available %v exceeds total %v", vm.AvailableMemory(), vm.TotalMemory())
+			}
+		})
+	}
+}
+
 func TestStopAndLookup(t *testing.T) {
 	h := newHV(t)
 	spawn(t, h, "b")

@@ -17,12 +17,6 @@ func (c *Controller) SetJournal(j *trace.Log) { c.journal = j }
 // Journal returns the attached trace log, if any.
 func (c *Controller) Journal() *trace.Log { return c.journal }
 
-func (c *Controller) record(at sim.Time, kind trace.Kind, subject, format string, args ...any) {
-	if c.journal != nil {
-		c.journal.Append(at, kind, subject, format, args...)
-	}
-}
-
 // AutoScaler implements, end to end, the enhancement the paper leaves as
 // future work: "the guest memory hotplug support will be enhanced to
 // automatically protect the guest from running out-of-memory". It
@@ -71,8 +65,8 @@ type TickResult struct {
 // deployment wants (the examples use one tick per load change).
 func (a *AutoScaler) Tick(now sim.Time) (TickResult, error) {
 	var res TickResult
-	ids := make([]hypervisor.VMID, 0, len(a.ctl.vmHost))
-	for id := range a.ctl.vmHost {
+	ids := make([]hypervisor.VMID, 0, len(a.ctl.vms))
+	for id := range a.ctl.vms {
 		ids = append(ids, id)
 	}
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
@@ -88,7 +82,9 @@ func (a *AutoScaler) Tick(now sim.Time) (TickResult, error) {
 			if err != nil {
 				res.Failures++
 				a.failures++
-				a.ctl.record(now, trace.KindError, string(id), "auto scale-up failed: %v", err)
+				if a.ctl.journal != nil {
+					a.ctl.journal.Append(now, trace.KindError, string(id), "auto scale-up failed: %v", err)
+				}
 				break
 			}
 			steps++
@@ -97,7 +93,9 @@ func (a *AutoScaler) Tick(now sim.Time) (TickResult, error) {
 			if r.Delay() > res.WorstDelay {
 				res.WorstDelay = r.Delay()
 			}
-			a.ctl.record(now, trace.KindScale, string(id), "auto +%v in %v", a.Guard.StepSize, r.Delay())
+			if a.ctl.journal != nil {
+				a.ctl.journal.Append(now, trace.KindScale, string(id), "auto +%v in %v", a.Guard.StepSize, r.Delay())
+			}
 		}
 		// Shrink when usage collapsed and a detachable step exists.
 		if a.ShrinkFactor > 1 {
@@ -113,7 +111,9 @@ func (a *AutoScaler) Tick(now sim.Time) (TickResult, error) {
 				if r.Delay() > res.WorstDelay {
 					res.WorstDelay = r.Delay()
 				}
-				a.ctl.record(now, trace.KindScale, string(id), "auto -%v in %v", a.Guard.StepSize, r.Delay())
+				if a.ctl.journal != nil {
+					a.ctl.journal.Append(now, trace.KindScale, string(id), "auto -%v in %v", a.Guard.StepSize, r.Delay())
+				}
 			}
 		}
 	}

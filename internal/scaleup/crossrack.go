@@ -12,33 +12,57 @@ import (
 	"repro/internal/trace"
 )
 
-// BoundAttachments returns the SDM attachments behind a VM's remote
-// bindings, in attach order — the lifecycle engine's view of what must
-// move with the VM. Every binding inspection (migration pre-flight,
-// the pod tier's movability checks, diagnostics) routes through this
-// one query (or its allocation-free AppendBoundAttachments variant).
-func (c *Controller) BoundAttachments(id hypervisor.VMID) []*sdm.Attachment {
-	return c.AppendBoundAttachments(make([]*sdm.Attachment, 0, len(c.bindings[id])), id)
+// bindings returns a VM's remote bindings in attach order (nil for an
+// unknown VM).
+func (c *Controller) bindings(id hypervisor.VMID) []binding {
+	if rec, ok := c.vms[id]; ok {
+		return rec.bindings
+	}
+	return nil
 }
 
-// AppendBoundAttachments appends the VM's bound attachments to dst and
-// returns the extended slice — the variant migration pre-flights use
-// with a reused scratch buffer so repeated pre-flights allocate
-// nothing.
+// AppendBoundAttachments appends the SDM attachments behind a VM's
+// remote bindings to dst, in attach order, and returns the extended
+// slice — the lifecycle engine's view of what must move with the VM.
+// Every binding inspection (migration pre-flight, the pod tier's
+// movability checks, diagnostics) routes through this one query, with
+// a reused dst so repeated inspections allocate nothing.
 func (c *Controller) AppendBoundAttachments(dst []*sdm.Attachment, id hypervisor.VMID) []*sdm.Attachment {
-	for _, b := range c.bindings[id] {
+	for _, b := range c.bindings(id) {
 		dst = append(dst, b.att)
 	}
 	return dst
 }
 
+// EvictRequest describes a VM's SDM teardown in one lookup: its compute
+// brick and reservation, and its attachments newest first — the order
+// teardown detaches them, so packet riders go before the circuits they
+// ride. The attachments are appended to atts, which is returned
+// extended; the request's Atts is exactly the appended run. The caller
+// fills in the request's Rack and Pod.
+func (c *Controller) EvictRequest(id hypervisor.VMID, atts []*sdm.Attachment) (sdm.EvictRequest, []*sdm.Attachment, bool) {
+	rec, ok := c.vms[id]
+	if !ok {
+		return sdm.EvictRequest{}, atts, false
+	}
+	start := len(atts)
+	for i := len(rec.bindings) - 1; i >= 0; i-- {
+		atts = append(atts, rec.bindings[i].att)
+	}
+	return sdm.EvictRequest{
+		Owner: string(id), CPU: rec.host,
+		VCPUs: rec.spec.VCPUs, LocalMem: rec.spec.Memory,
+		Atts: atts[start:len(atts):len(atts)],
+	}, atts, true
+}
+
 // Bindings returns the number of remote-memory bindings a VM holds.
-func (c *Controller) Bindings(id hypervisor.VMID) int { return len(c.bindings[id]) }
+func (c *Controller) Bindings(id hypervisor.VMID) int { return len(c.bindings(id)) }
 
 // HasAttachmentOf reports whether the VM's bindings include the given
 // attachment (diagnostic helper for pod-tier tests).
 func (c *Controller) HasAttachmentOf(id hypervisor.VMID, att *sdm.Attachment) bool {
-	for _, b := range c.bindings[id] {
+	for _, b := range c.bindings(id) {
 		if b.att == att {
 			return true
 		}
@@ -48,8 +72,11 @@ func (c *Controller) HasAttachmentOf(id hypervisor.VMID, att *sdm.Attachment) bo
 
 // VMSpec returns the resource specification a VM was created with.
 func (c *Controller) VMSpec(id hypervisor.VMID) (hypervisor.VMSpec, bool) {
-	spec, ok := c.vmSpec[id]
-	return spec, ok
+	rec, ok := c.vms[id]
+	if !ok {
+		return hypervisor.VMSpec{}, false
+	}
+	return rec.spec, true
 }
 
 // preflightDestination verifies a destination brick can terminate
@@ -93,15 +120,14 @@ func (c *Controller) MigrateTo(now sim.Time, id hypervisor.VMID, dst *Controller
 	if dst == nil || dst == c {
 		return MigrationResult{}, fmt.Errorf("scaleup: MigrateTo needs a different rack's controller; use Migrate for rack-local moves")
 	}
-	src, ok := c.vmHost[id]
+	rec, ok := c.vms[id]
 	if !ok {
 		return MigrationResult{}, fmt.Errorf("scaleup: no VM %q", id)
 	}
-	if _, dup := dst.vmHost[id]; dup {
+	if _, dup := dst.vms[id]; dup {
 		return MigrationResult{}, fmt.Errorf("scaleup: VM %q already exists on the destination rack", id)
 	}
-	spec := c.vmSpec[id]
-	srcNode := c.nodes[src]
+	src, spec, srcNode := rec.host, rec.spec, rec.node
 	vm, ok := srcNode.hv.VM(id)
 	if !ok {
 		return MigrationResult{}, fmt.Errorf("scaleup: VM %q missing from host %v", id, src)
@@ -179,7 +205,7 @@ func (c *Controller) MigrateTo(now sim.Time, id hypervisor.VMID, dst *Controller
 		releaseDst()
 		return MigrationResult{}, cause
 	}
-	for _, b := range c.bindings[id] {
+	for _, b := range rec.bindings {
 		oldBase := b.att.Window.Base
 		size := b.att.Size()
 		w, lat, err := repoint(b.att, dst, dstBrick)
@@ -229,14 +255,9 @@ func (c *Controller) MigrateTo(now sim.Time, id hypervisor.VMID, dst *Controller
 	// Registration moves before the source compute release: if the
 	// release fails (a controller bug, surfaced loudly) the VM is still
 	// consistently owned by the destination.
-	dst.vmHost[id] = dstBrick
-	dst.vmSpec[id] = spec
-	if len(c.bindings[id]) > 0 {
-		dst.bindings[id] = c.bindings[id]
-	}
-	delete(c.vmHost, id)
-	delete(c.vmSpec, id)
-	delete(c.bindings, id)
+	rec.host, rec.node = dstBrick, dstNode
+	dst.vms[id] = rec
+	delete(c.vms, id)
 	if err := c.sdmc.ReleaseCompute(src, spec.VCPUs, spec.Memory); err != nil {
 		return MigrationResult{}, err
 	}
@@ -245,9 +266,13 @@ func (c *Controller) MigrateTo(now sim.Time, id hypervisor.VMID, dst *Controller
 
 	total := evicted.TotalMemory()
 	res.FullCopyBaseline = optical.SerializationDelay(int(total), migrationLinkGbps)
-	c.record(now, trace.KindMigrate, string(id), "emigrated %v -> %v with %d attachments, downtime %v (full copy would be %v)",
-		res.From, res.To, len(bound), res.Downtime, res.FullCopyBaseline)
-	dst.record(now, trace.KindMigrate, string(id), "adopted on %v (%d vCPU, %v, %d attachments)",
-		dstBrick, spec.VCPUs, spec.Memory, len(bound))
+	if c.journal != nil {
+		c.journal.Append(now, trace.KindMigrate, string(id), "emigrated %v -> %v with %d attachments, downtime %v (full copy would be %v)",
+			res.From, res.To, len(bound), res.Downtime, res.FullCopyBaseline)
+	}
+	if dst.journal != nil {
+		dst.journal.Append(now, trace.KindMigrate, string(id), "adopted on %v (%d vCPU, %v, %d attachments)",
+			dstBrick, spec.VCPUs, spec.Memory, len(bound))
+	}
 	return res, nil
 }

@@ -30,8 +30,8 @@ type EvacuationResult struct {
 func (c *Controller) Evacuate(now sim.Time, brickID topo.BrickID) (EvacuationResult, error) {
 	res := EvacuationResult{Brick: brickID}
 	var victims []hypervisor.VMID
-	for id, host := range c.vmHost {
-		if host == brickID {
+	for id, rec := range c.vms {
+		if rec.host == brickID {
 			victims = append(victims, id)
 		}
 	}
@@ -50,7 +50,9 @@ func (c *Controller) Evacuate(now sim.Time, brickID topo.BrickID) (EvacuationRes
 			res.WorstDowntime = m.Downtime
 		}
 	}
-	c.record(now, trace.KindPower, brickID.String(), "evacuated %d VMs (total downtime %v)",
-		len(res.Migrated), res.TotalDowntime)
+	if c.journal != nil {
+		c.journal.Append(now, trace.KindPower, brickID.String(), "evacuated %d VMs (total downtime %v)",
+			len(res.Migrated), res.TotalDowntime)
+	}
 	return res, nil
 }

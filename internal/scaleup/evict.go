@@ -19,16 +19,15 @@ import (
 // the per-request ScaleDown path's would. This is teardown's AdoptVM:
 // the batch entry point below CreateVM's sequential surface.
 func (c *Controller) EvictVM(now sim.Time, id hypervisor.VMID, orchLat sim.Duration) (Result, error) {
-	host, ok := c.vmHost[id]
+	rec, ok := c.vms[id]
 	if !ok {
 		return Result{}, fmt.Errorf("scaleup: no VM %q", id)
 	}
-	n := c.nodes[host]
-	spec := c.vmSpec[id]
+	n, spec := rec.node, rec.spec
 
 	var bm, hv sim.Duration
 	var size brick.Bytes
-	bs := c.bindings[id]
+	bs := rec.bindings
 	for i := len(bs) - 1; i >= 0; i-- {
 		b := bs[i]
 		hvLat, err := n.hv.DetachDIMM(id, b.dimm.ID)
@@ -50,11 +49,11 @@ func (c *Controller) EvictVM(now sim.Time, id hypervisor.VMID, orchLat sim.Durat
 	if _, err := n.hv.Evict(id); err != nil {
 		return Result{}, err
 	}
-	delete(c.vmHost, id)
-	delete(c.vmSpec, id)
-	delete(c.bindings, id)
+	delete(c.vms, id)
 	size += spec.Memory
-	c.record(now, trace.KindRelease, string(id), "VM destroyed on %v (%d vCPU, %v, %d bindings)", host, spec.VCPUs, spec.Memory, len(bs))
+	if c.journal != nil {
+		c.journal.Append(now, trace.KindRelease, string(id), "VM destroyed on %v (%d vCPU, %v, %d bindings)", rec.host, spec.VCPUs, spec.Memory, len(bs))
+	}
 
 	arrive := now.Add(c.cfg.APIOverhead)
 	start, orchDone := c.sdmQueue.Serve(arrive, orchLat)

@@ -44,12 +44,11 @@ const migrationLinkGbps = 10
 // objective of "enhanced elasticity and improved process/virtual machine
 // migration within the datacenter".
 func (c *Controller) Migrate(now sim.Time, id hypervisor.VMID) (MigrationResult, error) {
-	src, ok := c.vmHost[id]
+	rec, ok := c.vms[id]
 	if !ok {
 		return MigrationResult{}, fmt.Errorf("scaleup: no VM %q", id)
 	}
-	spec := c.vmSpec[id]
-	srcNode := c.nodes[src]
+	src, spec, srcNode := rec.host, rec.spec, rec.node
 	vm, ok := srcNode.hv.VM(id)
 	if !ok {
 		return MigrationResult{}, fmt.Errorf("scaleup: VM %q missing from host %v", id, src)
@@ -76,7 +75,7 @@ func (c *Controller) Migrate(now sim.Time, id hypervisor.VMID) (MigrationResult,
 	if err != nil {
 		return MigrationResult{}, err
 	}
-	if err := preflightDestination(c.sdmc, dst, len(c.bindings[id])); err != nil {
+	if err := preflightDestination(c.sdmc, dst, len(rec.bindings)); err != nil {
 		c.sdmc.ReleaseCompute(dst, spec.VCPUs, spec.Memory)
 		return MigrationResult{}, err
 	}
@@ -92,7 +91,7 @@ func (c *Controller) Migrate(now sim.Time, id hypervisor.VMID) (MigrationResult,
 	// Re-point every remote segment: circuit + TGL window move to the
 	// destination brick; the baremetal kernel on each side re-homes the
 	// physical range (the contents stay on the dMEMBRICK).
-	for _, b := range c.bindings[id] {
+	for _, b := range rec.bindings {
 		oldBase := b.att.Window.Base
 		size := b.att.Size()
 		newWindow, lat, err := c.sdmc.ReattachRemoteMemory(b.att, dst)
@@ -137,14 +136,16 @@ func (c *Controller) Migrate(now sim.Time, id hypervisor.VMID) (MigrationResult,
 	if err := c.sdmc.ReleaseCompute(src, spec.VCPUs, spec.Memory); err != nil {
 		return MigrationResult{}, err
 	}
-	c.vmHost[id] = dst
+	rec.host, rec.node = dst, dstNode
 
 	res.Downtime = res.LocalCopy + res.Reattach + res.Rehome + sim.Duration(resLat)
 
 	// Conventional baseline: ship the whole footprint.
 	total := evicted.TotalMemory()
 	res.FullCopyBaseline = optical.SerializationDelay(int(total), migrationLinkGbps)
-	c.record(now, trace.KindMigrate, string(id), "%v -> %v, downtime %v (full copy would be %v)",
-		res.From, res.To, res.Downtime, res.FullCopyBaseline)
+	if c.journal != nil {
+		c.journal.Append(now, trace.KindMigrate, string(id), "%v -> %v, downtime %v (full copy would be %v)",
+			res.From, res.To, res.Downtime, res.FullCopyBaseline)
+	}
 	return res, nil
 }

@@ -67,6 +67,19 @@ type binding struct {
 	dimm hypervisor.DIMM
 }
 
+// vmRecord is everything the controller tracks about one VM: the brick
+// hosting it and that brick's stack, the spec it was created with, and
+// its remote bindings in attach order. One record per VM makes every
+// per-VM query a single map lookup, and the first binding lives inline,
+// so a VM with one remote attachment costs one allocation here.
+type vmRecord struct {
+	host     topo.BrickID
+	node     *node
+	spec     hypervisor.VMSpec
+	bindings []binding
+	bindBuf  [1]binding
+}
+
 // node is the per-compute-brick software stack.
 type node struct {
 	kernel *hotplug.Kernel
@@ -101,15 +114,15 @@ type Controller struct {
 	cfg  Config
 	sdmc *sdm.Controller
 
-	nodes    map[topo.BrickID]*node
-	vmHost   map[hypervisor.VMID]topo.BrickID
-	vmSpec   map[hypervisor.VMID]hypervisor.VMSpec
-	bindings map[hypervisor.VMID][]binding
+	nodes map[topo.BrickID]*node
+	vms   map[hypervisor.VMID]*vmRecord
 
 	// sdmQueue serializes requests through the autonomous SDM service.
 	sdmQueue sim.Queue
 
-	// journal, when set, records every elasticity event.
+	// journal, when set, records every elasticity event. Call sites
+	// test it before formatting, so an untraced controller never boxes
+	// the event's arguments.
 	journal *trace.Log
 
 	// attScratch is the reused pre-flight buffer of AppendBoundAttachments
@@ -125,12 +138,10 @@ func New(sdmc *sdm.Controller, cfg Config) (*Controller, error) {
 		return nil, err
 	}
 	return &Controller{
-		cfg:      cfg,
-		sdmc:     sdmc,
-		nodes:    make(map[topo.BrickID]*node),
-		vmHost:   make(map[hypervisor.VMID]topo.BrickID),
-		vmSpec:   make(map[hypervisor.VMID]hypervisor.VMSpec),
-		bindings: make(map[hypervisor.VMID][]binding),
+		cfg:   cfg,
+		sdmc:  sdmc,
+		nodes: make(map[topo.BrickID]*node),
+		vms:   make(map[hypervisor.VMID]*vmRecord),
 	}, nil
 }
 
@@ -158,7 +169,7 @@ func (c *Controller) nodeFor(id topo.BrickID) (*node, error) {
 // boots a VM on the selected brick's hypervisor. It returns the host
 // brick and the total creation latency.
 func (c *Controller) CreateVM(now sim.Time, id hypervisor.VMID, spec hypervisor.VMSpec) (topo.BrickID, Result, error) {
-	if _, dup := c.vmHost[id]; dup {
+	if _, dup := c.vms[id]; dup {
 		return topo.BrickID{}, Result{}, fmt.Errorf("scaleup: VM %q already exists", id)
 	}
 	host, resLat, err := c.sdmc.ReserveCompute(string(id), spec.VCPUs, spec.Memory)
@@ -181,7 +192,7 @@ func (c *Controller) CreateVM(now sim.Time, id hypervisor.VMID, spec hypervisor.
 // the SDM queue exactly as CreateVM's would. The caller owns the
 // reservation: on error it is NOT released here.
 func (c *Controller) AdoptVM(now sim.Time, id hypervisor.VMID, spec hypervisor.VMSpec, host topo.BrickID, resLat sim.Duration) (Result, error) {
-	if _, dup := c.vmHost[id]; dup {
+	if _, dup := c.vms[id]; dup {
 		return Result{}, fmt.Errorf("scaleup: VM %q already exists", id)
 	}
 	n, err := c.nodeFor(host)
@@ -192,8 +203,9 @@ func (c *Controller) AdoptVM(now sim.Time, id hypervisor.VMID, spec hypervisor.V
 	if err != nil {
 		return Result{}, err
 	}
-	c.vmHost[id] = host
-	c.vmSpec[id] = spec
+	rec := &vmRecord{host: host, node: n, spec: spec}
+	rec.bindings = rec.bindBuf[:0]
+	c.vms[id] = rec
 	arrive := now.Add(c.cfg.APIOverhead)
 	start, done := c.sdmQueue.Serve(arrive, resLat)
 	res := Result{
@@ -204,7 +216,9 @@ func (c *Controller) AdoptVM(now sim.Time, id hypervisor.VMID, spec hypervisor.V
 		Virtual:       spawnLat,
 		Size:          spec.Memory,
 	}
-	c.record(now, trace.KindReserve, string(id), "VM created on %v (%d vCPU, %v) in %v", host, spec.VCPUs, spec.Memory, res.Delay())
+	if c.journal != nil {
+		c.journal.Append(now, trace.KindReserve, string(id), "VM created on %v (%d vCPU, %v) in %v", host, spec.VCPUs, spec.Memory, res.Delay())
+	}
 	return res, nil
 }
 
@@ -214,35 +228,36 @@ func (c *Controller) AdoptVM(now sim.Time, id hypervisor.VMID, spec hypervisor.V
 // error path's cleanup, not a graceful shutdown — the VM must hold no
 // bindings).
 func (c *Controller) DiscardVM(id hypervisor.VMID) error {
-	host, ok := c.vmHost[id]
+	rec, ok := c.vms[id]
 	if !ok {
 		return fmt.Errorf("scaleup: no VM %q", id)
 	}
-	if n := len(c.bindings[id]); n > 0 {
+	if n := len(rec.bindings); n > 0 {
 		return fmt.Errorf("scaleup: VM %q still holds %d remote bindings", id, n)
 	}
-	if _, err := c.nodes[host].hv.Evict(id); err != nil {
+	if _, err := rec.node.hv.Evict(id); err != nil {
 		return err
 	}
-	delete(c.vmHost, id)
-	delete(c.vmSpec, id)
-	delete(c.bindings, id)
+	delete(c.vms, id)
 	return nil
 }
 
 // VMHost returns the brick hosting a VM.
 func (c *Controller) VMHost(id hypervisor.VMID) (topo.BrickID, bool) {
-	h, ok := c.vmHost[id]
-	return h, ok
+	rec, ok := c.vms[id]
+	if !ok {
+		return topo.BrickID{}, false
+	}
+	return rec.host, true
 }
 
 // VM returns the hypervisor VM object.
 func (c *Controller) VM(id hypervisor.VMID) (*hypervisor.VM, bool) {
-	host, ok := c.vmHost[id]
+	rec, ok := c.vms[id]
 	if !ok {
 		return nil, false
 	}
-	return c.nodes[host].hv.VM(id)
+	return rec.node.hv.VM(id)
 }
 
 // ScaleUp grows a VM's memory by size, posted at virtual time now. The
@@ -258,7 +273,7 @@ func (c *Controller) ScaleUp(now sim.Time, id hypervisor.VMID, size brick.Bytes)
 // brick-local. Teardown needs no counterpart hook: detaching routes
 // through the attachment itself.
 func (c *Controller) ScaleUpVia(now sim.Time, id hypervisor.VMID, size brick.Bytes, attach func(owner string, cpu topo.BrickID, size brick.Bytes) (*sdm.Attachment, sim.Duration, error)) (Result, error) {
-	host, ok := c.vmHost[id]
+	rec, ok := c.vms[id]
 	if !ok {
 		return Result{}, fmt.Errorf("scaleup: no VM %q", id)
 	}
@@ -267,7 +282,7 @@ func (c *Controller) ScaleUpVia(now sim.Time, id hypervisor.VMID, size brick.Byt
 	}
 
 	// Step 2: orchestration, serialized through the SDM service.
-	att, orchLat, err := attach(string(id), host, size)
+	att, orchLat, err := attach(string(id), rec.host, size)
 	if err != nil {
 		return Result{}, err
 	}
@@ -283,11 +298,11 @@ func (c *Controller) ScaleUpVia(now sim.Time, id hypervisor.VMID, size brick.Byt
 // VM's rack controller binds its attachment here. On any hotplug
 // failure the attachment is detached and the error returned.
 func (c *Controller) BindAttachment(now sim.Time, id hypervisor.VMID, att *sdm.Attachment, orchLat sim.Duration) (Result, error) {
-	host, ok := c.vmHost[id]
+	rec, ok := c.vms[id]
 	if !ok {
 		return Result{}, fmt.Errorf("scaleup: no VM %q", id)
 	}
-	n := c.nodes[host]
+	n := rec.node
 	size := att.Size()
 	arrive := now.Add(c.cfg.APIOverhead)
 	start, orchDone := c.sdmQueue.Serve(arrive, orchLat)
@@ -312,9 +327,11 @@ func (c *Controller) BindAttachment(now sim.Time, id hypervisor.VMID, att *sdm.A
 		c.sdmc.DetachRemoteMemory(att)
 		return Result{}, err
 	}
-	c.bindings[id] = append(c.bindings[id], binding{att: att, dimm: dimm})
+	rec.bindings = append(rec.bindings, binding{att: att, dimm: dimm})
 	c.scaleUps++
-	c.record(now, trace.KindAttach, string(id), "+%v (%v mode) from %v", size, att.Mode, att.Segment.Brick)
+	if c.journal != nil {
+		c.journal.Append(now, trace.KindAttach, string(id), "+%v (%v mode) from %v", size, att.Mode, att.Segment.Brick)
+	}
 
 	bm := addLat + onLat
 	return Result{
@@ -331,11 +348,11 @@ func (c *Controller) BindAttachment(now sim.Time, id hypervisor.VMID, att *sdm.A
 // ScaleDown releases the most recently attached scale-up increment of at
 // least size (LIFO, matching the balloon-assisted shrink path).
 func (c *Controller) ScaleDown(now sim.Time, id hypervisor.VMID, size brick.Bytes) (Result, error) {
-	host, ok := c.vmHost[id]
+	rec, ok := c.vms[id]
 	if !ok {
 		return Result{}, fmt.Errorf("scaleup: no VM %q", id)
 	}
-	bs := c.bindings[id]
+	bs := rec.bindings
 	idx := -1
 	for i := len(bs) - 1; i >= 0; i-- {
 		if bs[i].dimm.Size < size {
@@ -353,12 +370,12 @@ func (c *Controller) ScaleDown(now sim.Time, id hypervisor.VMID, size brick.Byte
 		return Result{}, fmt.Errorf("scaleup: VM %q has no releasable attachment of at least %v (ridered circuits excluded)", id, size)
 	}
 	b := bs[idx]
-	n := c.nodes[host]
+	n := rec.node
 
 	// Pre-check the usage guard before mutating any layer, so a refusal
 	// cannot leave the kernel and hypervisor views disagreeing.
 	if vm, ok := n.hv.VM(id); ok {
-		if vm.AvailableMemory()-b.dimm.Size < vm.Usage() {
+		if !vm.CanShrink(b.dimm.Size) {
 			return Result{}, fmt.Errorf("scaleup: releasing %v would drop VM %q below its %v working set", b.dimm.Size, id, vm.Usage())
 		}
 	}
@@ -379,9 +396,11 @@ func (c *Controller) ScaleDown(now sim.Time, id hypervisor.VMID, size brick.Byte
 	if err != nil {
 		return Result{}, err
 	}
-	c.bindings[id] = append(bs[:idx], bs[idx+1:]...)
+	rec.bindings = append(bs[:idx], bs[idx+1:]...)
 	c.scaleDowns++
-	c.record(now, trace.KindDetach, string(id), "-%v", b.att.Size())
+	if c.journal != nil {
+		c.journal.Append(now, trace.KindDetach, string(id), "-%v", b.att.Size())
+	}
 
 	arrive := now.Add(c.cfg.APIOverhead)
 	start, orchDone := c.sdmQueue.Serve(arrive, sim.Duration(orchLat))

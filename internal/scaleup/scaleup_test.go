@@ -132,6 +132,37 @@ func TestScaleDownReleasesEverything(t *testing.T) {
 	}
 }
 
+// TestScaleDownRefusesOversizeRelease: with the balloon holding most of
+// the guest, releasing a DIMM larger than the available memory must be
+// refused before any layer moves — available-size must not wrap around
+// and slip past the usage pre-check.
+func TestScaleDownRefusesOversizeRelease(t *testing.T) {
+	c := testController(t)
+	host, _, err := c.CreateVM(0, "vm1", hypervisor.VMSpec{VCPUs: 1, Memory: 2 * brick.GiB})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.ScaleUp(0, "vm1", brick.GiB); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.nodes[host].hv.BalloonInflate("vm1", 5*brick.GiB/2); err != nil {
+		t.Fatal(err)
+	}
+	vm, _ := c.VM("vm1")
+	vm.SetUsage(brick.GiB / 4)
+	managed := c.nodes[host].kernel.ManagedBytes()
+	if _, err := c.ScaleDown(0, "vm1", brick.GiB); err == nil {
+		t.Fatalf("scale-down of 1 GiB with %v available succeeded", vm.AvailableMemory())
+	}
+	if vm.TotalMemory() != 3*brick.GiB || c.Bindings("vm1") != 1 || c.nodes[host].kernel.ManagedBytes() != managed {
+		t.Fatalf("refused scale-down moved state: total %v, bindings %d, baremetal %v (was %v)",
+			vm.TotalMemory(), c.Bindings("vm1"), c.nodes[host].kernel.ManagedBytes(), managed)
+	}
+	if got := len(c.SDM().Attachments("vm1")); got != 1 {
+		t.Fatalf("attachments = %d after refused scale-down", got)
+	}
+}
+
 func TestConcurrentScaleUpsQueueAtSDM(t *testing.T) {
 	c := testController(t)
 	for i, id := range []hypervisor.VMID{"a", "b", "c"} {
