@@ -83,8 +83,6 @@ bench-check:
 # the same knobs: see README "Profiling the group-commit engine".
 PROFILEBENCH ?= Fig10Row/pods-16
 PROFILETIME ?= 5000x
-FACADEPROFILEBENCH ?= FacadeBurst/row/pods-16
-FACADEPROFILETIME ?= 5000x
 profile:
 	mkdir -p artifacts
 	$(GO) test -run '^$$' -bench='$(PROFILEBENCH)' -benchtime=$(PROFILETIME) \
@@ -92,7 +90,7 @@ profile:
 		-memprofile artifacts/fig10row.mem.pprof \
 		-o artifacts/repro.test .
 	$(GO) tool pprof -top -nodecount=15 artifacts/repro.test artifacts/fig10row.cpu.pprof
-	$(GO) test -run '^$$' -bench='$(FACADEPROFILEBENCH)' -benchtime=$(FACADEPROFILETIME) \
+	$(GO) test -run '^$$' -bench='FacadeBurst/row/pods-16' -benchtime=$(PROFILETIME) \
 		-cpuprofile artifacts/facade.cpu.pprof \
 		-memprofile artifacts/facade.mem.pprof \
 		-o artifacts/repro.test .

@@ -372,33 +372,14 @@ func BenchmarkFig10Row(b *testing.B) {
 	}
 }
 
-// facadeRackConfig is the rack of the facade-burst benchmark, the
-// Fig. 10 sweep rack: one tray of four compute bricks (8 cores, 32 GiB
-// local) and four 64 GiB memory bricks, 8 ports each, behind a 64-port
-// circuit switch, under the spread policy.
-func facadeRackConfig() core.Config {
-	cfg := core.DefaultConfig()
-	cfg.Topology = topo.BuildSpec{Trays: 1, ComputePerTray: 4, MemoryPerTray: 4, PortsPerBrick: 8}
-	cfg.Switch = optical.SwitchConfig{
-		Ports:           64,
-		InsertionLossDB: optical.Polatis48.InsertionLossDB,
-		PortPowerW:      optical.Polatis48.PortPowerW,
-		ReconfigTime:    optical.Polatis48.ReconfigTime,
-	}
-	cfg.Bricks.Compute = brick.ComputeConfig{Cores: 8, LocalMemory: 32 * brick.GiB}
-	cfg.Bricks.Memory = brick.MemoryConfig{Capacity: 64 * brick.GiB}
-	cfg.SDM.Policy = sdm.PolicySpread
-	return cfg
-}
-
 // BenchmarkFacadeBurst measures the whole per-VM software stack of a
 // steady-state burst train through the core facades: one op is a
 // CreateVMs burst (SDM group commit, then per VM the Scale-up
 // controller record, hypervisor spawn, baremetal and guest hotplug of
 // the remote DIMM) and the DestroyVMs burst that retires it. row/pods-16
 // drives 256-VM bursts on a 16-pod, 512-rack row, pod/racks-16 32-VM
-// bursts on a 16-rack pod; every VM carries 2 or 4 GiB of remote
-// memory. The facades are warmed first, so allocs/op is the
+// bursts on a 16-rack pod, both built from the Fig. 10 sweep rack;
+// every VM carries 2 or 4 GiB of remote memory. The facades are warmed first, so allocs/op is the
 // steady-state cost: about two allocations per VM plus each burst's
 // returned results.
 func BenchmarkFacadeBurst(b *testing.B) {
@@ -409,7 +390,7 @@ func BenchmarkFacadeBurst(b *testing.B) {
 	}{
 		{"row/pods-16", 256, func() (core.PipelineTarget, error) {
 			cfg := core.DefaultRowConfig(16, 32)
-			cfg.Rack = facadeRackConfig()
+			cfg.Rack = exp.Fig10PodRackSpec()
 			cfg.Fabric.Switch.Ports = max(cfg.Fabric.Switch.Ports, cfg.Racks*cfg.Fabric.UplinksPerRack)
 			cfg.Row.Switch.Ports = max(cfg.Row.Switch.Ports, cfg.Pods*cfg.Row.UplinksPerPod)
 			row, err := core.NewRow(cfg)
@@ -421,7 +402,7 @@ func BenchmarkFacadeBurst(b *testing.B) {
 		}},
 		{"pod/racks-16", 32, func() (core.PipelineTarget, error) {
 			cfg := core.DefaultPodConfig(16)
-			cfg.Rack = facadeRackConfig()
+			cfg.Rack = exp.Fig10PodRackSpec()
 			cfg.Fabric.Switch.Ports = max(cfg.Fabric.Switch.Ports, cfg.Racks*cfg.Fabric.UplinksPerRack)
 			pod, err := core.NewPod(cfg)
 			if err != nil {

@@ -13,7 +13,9 @@ import (
 
 // burstRackConfig is the Fig. 10 sweep rack: one tray of four compute
 // bricks (8 cores, 32 GiB local) and four 64 GiB memory bricks behind a
-// 64-port circuit switch, all powered.
+// 64-port circuit switch, under the spread policy. It repeats
+// exp.Fig10PodRackSpec because exp imports core, so a core test cannot
+// import exp.
 func burstRackConfig() Config {
 	cfg := DefaultConfig()
 	cfg.Topology = topo.BuildSpec{Trays: 1, ComputePerTray: 4, MemoryPerTray: 4, PortsPerBrick: 8}

@@ -9,10 +9,10 @@ import (
 // burstScratch is a facade's reused burst state: the duplicate-ID set
 // and the request, result and attachment buffers CreateVMs and
 // DestroyVMs hand to the scheduler's AdmitBatchInto and
-// EvictBatchInto, plus Consolidate's per-rack VM list. Facade calls are
-// serial, so one set is reused across calls and a steady burst train
-// stops allocating it; only the []scaleup.Result a burst returns is
-// fresh. Every buffer is resized and overwritten at the top of a call.
+// EvictBatchInto. Facade calls are serial, so one set is reused across
+// calls and a steady burst train stops allocating it; only the
+// []scaleup.Result a burst returns is fresh. Every buffer is resized
+// and overwritten at the top of a call.
 type burstScratch struct {
 	seen     map[string]struct{}
 	admit    []sdm.AdmitRequest
@@ -22,8 +22,6 @@ type burstScratch struct {
 	// atts backs every teardown request's attachment list; each
 	// request's Atts is a capacity-capped run of it.
 	atts []*sdm.Attachment
-	// ids lists the VMs of the rack Consolidate is draining.
-	ids []string
 }
 
 // resetSeen empties the duplicate-ID set for a new burst.

@@ -109,14 +109,13 @@ func (p *Pod) Consolidate() PodConsolidation {
 	var rep PodConsolidation
 	for d := len(p.stacks) - 1; d >= 1; d-- {
 		// The VMs on this rack, in deterministic order.
-		ids := p.burst.ids[:0]
+		var ids []string
 		for id, r := range p.vmRack {
 			if r == d {
 				ids = append(ids, id)
 			}
 		}
 		sort.Strings(ids)
-		p.burst.ids = ids
 		for _, id := range ids {
 			scale := p.stacks[d].scale
 			spec, ok := scale.VMSpec(hypervisor.VMID(id))

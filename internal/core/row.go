@@ -396,14 +396,13 @@ func (r *Row) Consolidate() RowConsolidation {
 	for p := 0; p < r.cfg.Pods; p++ {
 		sched := r.sched.Pod(p)
 		for d := r.cfg.Racks - 1; d >= 1; d-- {
-			ids := r.burst.ids[:0]
+			var ids []string
 			for id, loc := range r.vmLoc {
 				if loc.pod == p && loc.rack == d {
 					ids = append(ids, id)
 				}
 			}
 			sort.Strings(ids)
-			r.burst.ids = ids
 			for _, id := range ids {
 				scale := r.stacks[p][d].scale
 				spec, ok := scale.VMSpec(hypervisor.VMID(id))

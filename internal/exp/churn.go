@@ -119,7 +119,7 @@ func RunChurn(p Params) (ChurnResult, error) {
 	}
 
 	cfg := core.DefaultPodConfig(racks)
-	cfg.Rack = fig10PodRackSpec()
+	cfg.Rack = Fig10PodRackSpec()
 	cfg.Rack.Seed = p.Seed
 	if need := racks * cfg.Fabric.UplinksPerRack; need > cfg.Fabric.Switch.Ports {
 		cfg.Fabric.Switch.Ports = need

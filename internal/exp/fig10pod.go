@@ -58,9 +58,10 @@ type Fig10PodResult struct {
 	Rows     []Fig10PodRow
 }
 
-// fig10PodRackSpec is the per-rack inventory: 4 compute bricks (8 cores,
-// 32 GiB local) and 4 memory bricks (64 GiB) behind a 64-port switch.
-func fig10PodRackSpec() core.Config {
+// Fig10PodRackSpec is the per-rack inventory of the Fig. 10 sweeps: 4
+// compute bricks (8 cores, 32 GiB local) and 4 memory bricks (64 GiB)
+// behind a 64-port switch, under the spread policy.
+func Fig10PodRackSpec() core.Config {
 	cfg := core.DefaultConfig()
 	cfg.Topology = topo.BuildSpec{
 		Trays: 1, ComputePerTray: 4, MemoryPerTray: 4, AccelPerTray: 0, PortsPerBrick: 8,
@@ -148,7 +149,7 @@ func RunFig10Pod(p Params) (Fig10PodResult, error) {
 // unpipelined batch run.
 func runFig10PodSharded(seed uint64, racks int, batch bool, batchSize, pipeline int) ([]fig10PodLevel, error) {
 	cfg := core.DefaultPodConfig(racks)
-	cfg.Rack = fig10PodRackSpec()
+	cfg.Rack = Fig10PodRackSpec()
 	cfg.Rack.Seed = seed
 	// Keep the rack sweep unbounded by the stock pod switch: above the
 	// default 384-port radix the sweep provisions a larger switch with
@@ -309,7 +310,7 @@ func runFig10PodSharded(seed uint64, racks int, batch bool, batchSize, pipeline 
 // runFig10PodGlobal runs the same levels against one monolithic rack
 // holding the whole pod's bricks behind a single SDM controller.
 func runFig10PodGlobal(seed uint64, racks int) ([]fig10PodLevel, error) {
-	cfg := fig10PodRackSpec()
+	cfg := Fig10PodRackSpec()
 	cfg.Seed = seed
 	cfg.Topology.Trays *= racks
 	cfg.Switch.Ports *= racks

@@ -130,7 +130,7 @@ func RunFig10Row(p Params) (Fig10RowResult, error) {
 // when the sweep demands it.
 func fig10RowConfig(seed uint64, pods, racks int) core.RowConfig {
 	cfg := core.DefaultRowConfig(pods, racks)
-	cfg.Rack = fig10PodRackSpec()
+	cfg.Rack = Fig10PodRackSpec()
 	cfg.Rack.Seed = seed
 	if need := racks * cfg.Fabric.UplinksPerRack; need > cfg.Fabric.Switch.Ports {
 		cfg.Fabric.Switch.Ports = need
@@ -310,7 +310,7 @@ func runFig10RowSharded(seed uint64, pods, racks int, batch bool, batchSize, pip
 // inventory, no row tier.
 func runFig10RowFlat(seed uint64, pods, racks int) ([]fig10RowLevel, error) {
 	cfg := core.DefaultPodConfig(pods * racks)
-	cfg.Rack = fig10PodRackSpec()
+	cfg.Rack = Fig10PodRackSpec()
 	cfg.Rack.Seed = seed
 	if need := pods * racks * cfg.Fabric.UplinksPerRack; need > cfg.Fabric.Switch.Ports {
 		cfg.Fabric.Switch.Ports = need
