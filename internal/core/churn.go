@@ -107,9 +107,10 @@ type PodConsolidation struct {
 // propagated. The clock advances past the migrations and the drain.
 func (p *Pod) Consolidate() PodConsolidation {
 	var rep PodConsolidation
+	var ids []string
 	for d := len(p.stacks) - 1; d >= 1; d-- {
 		// The VMs on this rack, in deterministic order.
-		var ids []string
+		ids = ids[:0]
 		for id, r := range p.vmRack {
 			if r == d {
 				ids = append(ids, id)

@@ -393,10 +393,11 @@ type RowConsolidation struct {
 // clock advances past the migrations and the drains.
 func (r *Row) Consolidate() RowConsolidation {
 	var rep RowConsolidation
+	var ids []string
 	for p := 0; p < r.cfg.Pods; p++ {
 		sched := r.sched.Pod(p)
 		for d := r.cfg.Racks - 1; d >= 1; d-- {
-			var ids []string
+			ids = ids[:0]
 			for id, loc := range r.vmLoc {
 				if loc.pod == p && loc.rack == d {
 					ids = append(ids, id)
