@@ -379,9 +379,11 @@ func BenchmarkFig10Row(b *testing.B) {
 // the remote DIMM) and the DestroyVMs burst that retires it. row/pods-16
 // drives 256-VM bursts on a 16-pod, 512-rack row, pod/racks-16 32-VM
 // bursts on a 16-rack pod, both built from the Fig. 10 sweep rack;
-// every VM carries 2 or 4 GiB of remote memory. The facades are warmed first, so allocs/op is the
-// steady-state cost: about two allocations per VM plus each burst's
-// returned results.
+// every VM carries 2 or 4 GiB of remote memory. pod-spill/racks-16 is
+// pod/racks-16 with 12 of the 16 racks' memory pre-filled to 1 GiB short
+// of full, so the 3 in 4 VMs homed on them spill cross-rack. The
+// facades are warmed first, so allocs/op is the steady-state cost:
+// about two allocations per VM plus each burst's returned results.
 func BenchmarkFacadeBurst(b *testing.B) {
 	cases := []struct {
 		name  string
@@ -409,6 +411,31 @@ func BenchmarkFacadeBurst(b *testing.B) {
 				return nil, err
 			}
 			pod.Scheduler().PowerOnAll()
+			return pod, nil
+		}},
+		{"pod-spill/racks-16", 32, func() (core.PipelineTarget, error) {
+			cfg := core.DefaultPodConfig(16)
+			cfg.Rack = exp.Fig10PodRackSpec()
+			cfg.Fabric.Switch.Ports = max(cfg.Fabric.Switch.Ports, cfg.Racks*cfg.Fabric.UplinksPerRack)
+			pod, err := core.NewPod(cfg)
+			if err != nil {
+				return nil, err
+			}
+			sched := pod.Scheduler()
+			sched.PowerOnAll()
+			for r := 0; r < cfg.Racks; r++ {
+				if r%4 == 0 {
+					continue
+				}
+				rack := pod.Topology().Rack(r)
+				cpus := rack.BricksOfKind(topo.KindCompute)
+				for k := 0; k < rack.Count(topo.KindMemory); k++ {
+					cpu := topo.PodBrickID{Rack: r, Brick: cpus[k%len(cpus)].ID}
+					if _, _, err := sched.AttachRemoteMemory(fmt.Sprintf("ballast-%d-%d", r, k), cpu, 63*brick.GiB); err != nil {
+						return nil, err
+					}
+				}
+			}
 			return pod, nil
 		}},
 	}

@@ -89,6 +89,32 @@ func TestFacadeSteadyStateAllocs(t *testing.T) {
 			t.Fatalf("pod create+destroy allocates %.2f per VM, want <= %d", n, maxPerVM)
 		}
 	})
+	t.Run("pod-spill", func(t *testing.T) {
+		// The pod-spill shape: 16 racks, 12 of them with every memory
+		// brick pre-filled to 1 GiB short of full, so every VM homed on
+		// one of them spills its remote memory cross-rack.
+		cfg := DefaultPodConfig(16)
+		cfg.Rack = burstRackConfig()
+		cfg.Fabric.Switch.Ports = max(cfg.Fabric.Switch.Ports, cfg.Racks*cfg.Fabric.UplinksPerRack)
+		pod, err := NewPod(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sched := pod.Scheduler()
+		sched.PowerOnAll()
+		for r := 0; r < cfg.Racks; r++ {
+			if r%4 != 0 {
+				fillRack(t, sched, pod.Topology().Rack(r), r, 63*brick.GiB)
+			}
+		}
+		_, _, spillsBefore := sched.Stats()
+		if n := burstAllocsPerVM(t, pod, burstReqs(32)); n > maxPerVM {
+			t.Fatalf("pod create+destroy with spills allocates %.2f per VM, want <= %d", n, maxPerVM)
+		}
+		if _, _, spills := sched.Stats(); spills == spillsBefore {
+			t.Fatal("no VM spilled cross-rack")
+		}
+	})
 	t.Run("row", func(t *testing.T) {
 		cfg := DefaultRowConfig(4, 8)
 		cfg.Rack = burstRackConfig()
@@ -102,6 +128,24 @@ func TestFacadeSteadyStateAllocs(t *testing.T) {
 			t.Fatalf("row create+destroy allocates %.2f per VM, want <= %d", n, maxPerVM)
 		}
 	})
+}
+
+// fillRack carves size on every memory brick of rack r through the
+// scheduler's own attach path, so indexes, ports and circuits stay
+// consistent.
+func fillRack(t *testing.T, sched *sdm.PodScheduler, rack *topo.Rack, r int, size brick.Bytes) {
+	t.Helper()
+	cpus := rack.BricksOfKind(topo.KindCompute)
+	for k := 0; k < rack.Count(topo.KindMemory); k++ {
+		cpu := topo.PodBrickID{Rack: r, Brick: cpus[k%len(cpus)].ID}
+		att, _, err := sched.AttachRemoteMemory(fmt.Sprintf("ballast-%d-%d", r, k), cpu, size)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if att.CrossRack() {
+			t.Fatalf("ballast for rack %d spilled cross-rack", r)
+		}
+	}
 }
 
 // TestBurstRejectsRepeatedID: a burst naming one VM twice is refused as

@@ -215,31 +215,16 @@ func (c *Controller) pickMemoryLinear(size brick.Bytes) (topo.BrickID, bool) {
 
 // AttachRemoteMemory performs the full orchestration sequence for one
 // memory attachment: select and reserve a segment, set up the circuit,
-// and push the TGL window to the compute brick's agent — one OpAttach
-// through the lifecycle engine, so on any failure every completed step
-// is rolled back, honouring the paper's "safely reserve" requirement.
+// and push the TGL window to the compute brick's agent — one inline
+// commit (attachCircuit), so on any failure every completed step is
+// rolled back, honouring the paper's "safely reserve" requirement.
 // The returned latency is the orchestration delay a scale-up request
 // observes before the OS-level hotplug begins.
 func (c *Controller) AttachRemoteMemory(owner string, cpu topo.BrickID, size brick.Bytes) (*Attachment, sim.Duration, error) {
 	c.requests++
-	op := planAttach(c.cfg, owner, size, c, cpu,
-		func() (memPick, bool, error) {
-			id, ok := c.pickMemory(size)
-			if !ok {
-				return memPick{}, true, fmt.Errorf("sdm: no memory brick with %v contiguous free and a spare port", size)
-			}
-			return memPick{rack: c, rackIdx: 0, brick: id}, false, nil
-		},
-		func(int) connector { return c.rackTier() },
-		true,
-		func(att *Attachment, _ int) {
-			c.register(att)
-			p := c.cpuPos(cpu)
-			c.circuitHosts[p] = append(c.circuitHosts[p], att)
-		})
-	lat, err := op.Commit()
+	att, lat, fallback, err := c.attachCircuit(owner, topo.RowBrickID{Brick: cpu}, size, nil, nil)
 	if err != nil {
-		if op.fallback && c.cfg.PacketFallback {
+		if fallback && c.cfg.PacketFallback {
 			if att, fl, ferr := c.attachPacket(owner, cpu, size); ferr == nil {
 				return att, lat + fl, nil
 			}
@@ -247,7 +232,7 @@ func (c *Controller) AttachRemoteMemory(owner string, cpu topo.BrickID, size bri
 		c.failures++
 		return nil, 0, err
 	}
-	return op.att, lat, nil
+	return att, lat, nil
 }
 
 // DetachRemoteMemory tears an attachment down in reverse order and

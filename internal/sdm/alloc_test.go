@@ -162,6 +162,117 @@ func TestAdmitEvictSteadyStateAllocFree(t *testing.T) {
 					t.Fatalf("row admit+evict cycle allocates %.1f/op, want 0", n)
 				}
 			})
+			t.Run("pod-spill/"+name, func(t *testing.T) {
+				cfg := DefaultConfig
+				cfg.Policy = pol.pol
+				s := buildBatchPod(t, 4, 2, 2, 8*brick.GiB, cfg)
+				// Racks 0-1 keep cores but no memory, racks 2-3 memory but no
+				// cores: every VM lands on 0-1 and spills cross-rack.
+				for r := 0; r < 2; r++ {
+					fillRackMemory(t, s.Rack(r), 8*brick.GiB)
+					fillRackCores(t, s.Rack(r+2))
+				}
+				reqs := make([]AdmitRequest, 6)
+				for i := range reqs {
+					reqs[i] = AdmitRequest{
+						Owner: fmt.Sprintf("spill-%d", i), VCPUs: 1, Remote: brick.GiB,
+					}
+				}
+				aout := make([]AdmitResult, len(reqs))
+				if err := s.AdmitBatchInto(reqs, aout, workers); err != nil {
+					t.Fatal(err)
+				}
+				for i := range aout {
+					if !aout[i].Att.CrossRack() {
+						t.Fatalf("request %d placed rack-locally, want a cross-rack spill", i)
+					}
+				}
+				evictAll(t, func(r []EvictRequest, o []EvictResult) error { return s.EvictBatchInto(r, o, workers) }, reqs, aout)
+				n := steadyChurn(t,
+					func(r []AdmitRequest, o []AdmitResult) error { return s.AdmitBatchInto(r, o, workers) },
+					func(r []EvictRequest, o []EvictResult) error { return s.EvictBatchInto(r, o, workers) },
+					reqs)
+				if n != 0 {
+					t.Fatalf("pod spill admit+evict cycle allocates %.1f/op, want 0", n)
+				}
+			})
+			t.Run("row-spill/"+name, func(t *testing.T) {
+				cfg := DefaultConfig
+				cfg.Policy = pol.pol
+				s := buildRowSched(t, 2, 2, 8*brick.GiB, cfg)
+				// Pod 0 keeps cores but no memory, pod 1 memory but no cores:
+				// every VM lands in pod 0 and spills cross-pod.
+				for r := 0; r < 2; r++ {
+					fillRackMemory(t, s.Pod(0).Rack(r), 8*brick.GiB)
+					fillRackCores(t, s.Pod(1).Rack(r))
+				}
+				// Three VMs: first-fit packs them on one 4-port compute brick
+				// whose fourth port holds its rack's ballast circuit.
+				reqs := make([]AdmitRequest, 3)
+				for i := range reqs {
+					reqs[i] = AdmitRequest{
+						Owner: fmt.Sprintf("spill-%d", i), VCPUs: 1, Remote: brick.GiB,
+					}
+				}
+				aout := make([]AdmitResult, len(reqs))
+				if err := s.AdmitBatchInto(reqs, aout, workers); err != nil {
+					t.Fatal(err)
+				}
+				for i := range aout {
+					if !aout[i].Att.CrossPod() {
+						t.Fatalf("request %d placed pod-locally, want a cross-pod spill", i)
+					}
+				}
+				evictAll(t, func(r []EvictRequest, o []EvictResult) error { return s.EvictBatchInto(r, o, workers) }, reqs, aout)
+				n := steadyChurn(t,
+					func(r []AdmitRequest, o []AdmitResult) error { return s.AdmitBatchInto(r, o, workers) },
+					func(r []EvictRequest, o []EvictResult) error { return s.EvictBatchInto(r, o, workers) },
+					reqs)
+				if n != 0 {
+					t.Fatalf("row spill admit+evict cycle allocates %.1f/op, want 0", n)
+				}
+			})
 		}
+	}
+}
+
+// fillRackMemory carves every memory brick of a rack full through the
+// rack's own attach path, so indexes, ports and circuits stay
+// consistent.
+func fillRackMemory(t *testing.T, c *Controller, capacity brick.Bytes) {
+	t.Helper()
+	cpu := c.computeOrder[0]
+	for i := range c.memories {
+		if _, _, err := c.AttachRemoteMemory(fmt.Sprintf("ballast-%d", i), cpu, capacity); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if gap := c.MaxMemoryGap(); gap != 0 {
+		t.Fatalf("filled rack keeps a %v gap", gap)
+	}
+}
+
+// fillRackCores reserves every core of a rack.
+func fillRackCores(t *testing.T, c *Controller) {
+	t.Helper()
+	for c.FreeCores() > 0 {
+		if _, _, err := c.ReserveCompute("ballast", 1, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// evictAll retires one admitted burst, checking it succeeds.
+func evictAll(t *testing.T, evict func([]EvictRequest, []EvictResult) error, reqs []AdmitRequest, aout []AdmitResult) {
+	t.Helper()
+	ereqs := make([]EvictRequest, len(reqs))
+	for i := range ereqs {
+		ereqs[i] = EvictRequest{
+			Owner: reqs[i].Owner, CPU: aout[i].CPU, Rack: aout[i].Rack, Pod: aout[i].Pod,
+			VCPUs: reqs[i].VCPUs, LocalMem: reqs[i].LocalMem, Atts: []*Attachment{aout[i].Att},
+		}
+	}
+	if err := evict(ereqs, make([]EvictResult, len(reqs))); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -23,11 +23,11 @@ package sdm
 //     leaves are flushed only when a fresh descent actually needs the
 //     tree (a pick-cache miss) and once more at batch end — one refresh
 //     per touched brick instead of one per op.
-//   - The attach sequence commits as one merged plan: the same steps as
-//     the lifecycle engine's OpAttach, in the same order with the same
-//     latency accounting and the same unwind-on-failure, but executed
-//     inline with explicit reverse-order releases instead of one
-//     closure per step, so a burst allocates no plan machinery.
+//   - The attach sequence is the same inline commit the per-request
+//     path runs (attachCircuit in lifecycle.go): it serves its memory
+//     pick from the batch cache while the rack's batch is open and
+//     drops the caches when a failure returns capacity, so a burst
+//     allocates no plan machinery.
 //
 // Selection is byte-identical to the per-request path: cache hits
 // return what a fresh descent would return (the invariant above), and
@@ -36,13 +36,10 @@ package sdm
 // ReserveCompute + AttachRemoteMemory results bit for bit.
 
 import (
-	"errors"
 	"fmt"
 
 	"repro/internal/brick"
-	"repro/internal/optical"
 	"repro/internal/sim"
-	"repro/internal/tgl"
 	"repro/internal/topo"
 )
 
@@ -324,7 +321,7 @@ func (c *Controller) admitOne(req *AdmitRequest, res *AdmitResult, pod bool) {
 		res.needSpill = true
 		return
 	}
-	att, lat, err := c.batchAttachLocal(req.Owner, cpu, req.Remote)
+	att, lat, err := c.AttachRemoteMemory(req.Owner, cpu, req.Remote)
 	if err != nil {
 		if pod {
 			res.needSpill = true
@@ -413,151 +410,4 @@ func (c *Controller) batchReserveCompute(owner string, vcpus int, localMem brick
 	}
 	c.touchCompute(id)
 	return id, lat, nil
-}
-
-// batchAttachLocal mirrors AttachRemoteMemory's rack-local circuit
-// attach — the same steps in the same order as the lifecycle engine's
-// OpAttach, with the same latency accounting, counters, packet-fallback
-// cascade and quarantine-and-retry fault recovery — executed inline as
-// one merged commit with explicit reverse-order unwinding.
-func (c *Controller) batchAttachLocal(owner string, cpu topo.BrickID, size brick.Bytes) (*Attachment, sim.Duration, error) {
-	c.requests++
-	cpuOrd := c.cpuPos(cpu)
-	if cpuOrd < 0 {
-		c.failures++
-		return nil, 0, fmt.Errorf("sdm: no compute brick %v", cpu)
-	}
-	node := c.computes[cpuOrd]
-	if size == 0 {
-		c.failures++
-		return nil, 0, fmt.Errorf("sdm: zero-size attachment")
-	}
-	lat := c.cfg.DecisionLatency
-	var (
-		m         *brick.Memory
-		memID     topo.BrickID
-		memChosen bool
-		ok        bool
-	)
-	// The op's touch hooks, deferred so every exit marks both endpoints
-	// dirty exactly as Commit would have touched them.
-	defer func() {
-		c.touchCompute(cpu)
-		if memChosen {
-			c.touchMemory(memID)
-		}
-	}()
-	// fail concludes a mid-plan failure after the caller has unwound the
-	// completed steps: caches drop (the unwind returned capacity), the
-	// packet fallback cascades when circuit resources were exhausted.
-	fallback := false
-	fail := func(err error) (*Attachment, sim.Duration, error) {
-		c.batch.invalidateCaches()
-		if fallback && c.cfg.PacketFallback {
-			if att, fl, ferr := c.attachPacket(owner, cpu, size); ferr == nil {
-				return att, lat + fl, nil
-			}
-		}
-		c.failures++
-		return nil, 0, err
-	}
-
-	// CPU-side port first — the scarcest resource (see planAttach).
-	cpuPort, err := node.Brick.Ports.Acquire()
-	if err != nil {
-		fallback = true
-		return fail(err)
-	}
-	// Memory selection and power-up.
-	memID, ok = c.batchPickMemory(size)
-	if !ok {
-		node.Brick.Ports.Release(cpuPort)
-		fallback = true
-		return fail(fmt.Errorf("sdm: no memory brick with %v contiguous free and a spare port", size))
-	}
-	m, memChosen = c.memory(memID), true
-	if m.State() == brick.PowerOff {
-		m.PowerOn()
-		lat += c.cfg.BrickBoot
-		c.batch.memCache.valid = false
-		c.logBootMem(memID)
-	}
-	// Segment carve.
-	seg, err := m.Carve(size, owner)
-	if err != nil {
-		node.Brick.Ports.Release(cpuPort)
-		return fail(err)
-	}
-	// Memory-side port.
-	memPort, err := m.Ports.Acquire()
-	if err != nil {
-		m.Release(seg)
-		node.Brick.Ports.Release(cpuPort)
-		fallback = true
-		return fail(err)
-	}
-	// Circuit setup with the rack tier's quarantine-and-retry recovery.
-	t := c.rackTier()
-	var circuit *optical.Circuit
-	maxRetries := node.Brick.Ports.Total() + m.Ports.Total()
-	for retry := 0; ; retry++ {
-		cc, reconfig, cerr := t.connect(cpuPort, memPort)
-		if cerr == nil {
-			circuit = cc
-			lat += reconfig
-			break
-		}
-		var pf *optical.PortFailedError
-		if errors.As(cerr, &pf) && retry < maxRetries {
-			var reacquireErr error
-			if pf.Port == cpuPort {
-				if reacquireErr = node.Brick.Ports.Quarantine(cpuPort); reacquireErr == nil {
-					cpuPort, reacquireErr = node.Brick.Ports.Acquire()
-				}
-			} else {
-				if reacquireErr = m.Ports.Quarantine(memPort); reacquireErr == nil {
-					memPort, reacquireErr = m.Ports.Acquire()
-				}
-			}
-			if reacquireErr == nil {
-				continue
-			}
-			cerr = fmt.Errorf("sdm: circuit fault recovery exhausted ports: %w", reacquireErr)
-		}
-		m.Ports.Release(memPort)
-		m.Release(seg)
-		node.Brick.Ports.Release(cpuPort)
-		return fail(cerr)
-	}
-	// TGL window push via the SDM Agent.
-	window := tgl.Entry{
-		Base:       node.nextWindow,
-		Size:       uint64(size),
-		Dest:       memID,
-		DestOffset: uint64(seg.Offset),
-		Port:       cpuPort,
-	}
-	if err := node.Agent.Glue.Attach(window); err != nil {
-		t.disconnect(circuit)
-		m.Ports.Release(memPort)
-		m.Release(seg)
-		node.Brick.Ports.Release(cpuPort)
-		return fail(err)
-	}
-	node.nextWindow += uint64(size)
-	lat += c.cfg.AgentRTT
-	// Registration — final and infallible. The attachment comes from the
-	// rack's arena, so steady-state batch churn allocates no objects.
-	att := c.newAttachment()
-	att.Owner = owner
-	att.CPU = cpu
-	att.Segment = seg
-	att.Circuit = circuit
-	att.CPUPort = cpuPort
-	att.MemPort = memPort
-	att.Window = window
-	att.Mode = ModeCircuit
-	c.register(att)
-	c.circuitHosts[cpuOrd] = append(c.circuitHosts[cpuOrd], att)
-	return att, lat, nil
 }

@@ -1,14 +1,17 @@
 package sdm
 
-// The attachment lifecycle engine: every mutation of a live
-// remote-memory attachment — attach, detach, re-point of the compute
-// end, re-home of the memory end, and the cross-rack→rack-local
-// promotion the rebalancer runs — executes as one AttachmentOp, a plan
-// of reversible steps committed atomically. The engine owns circuit
-// setup and teardown on both optical tiers (the rack fabric and the
-// pod switch's uplinks), the TGL window moves, rider safety, and the
-// per-rack registration indexes; alloc.go, reattach.go and pod.go are
-// thin callers that select resources, build a plan and commit it.
+// The attachment lifecycle engine. Attach is one inline commit shared by
+// every tier (attachCircuit): the rack's own fabric, a cross-rack spill
+// through the pod switch and a cross-pod spill through the row switch
+// run the same steps in the same order and unwind explicitly on
+// failure, with no plan or closure per call. The rarer mutations of a
+// live attachment — detach, re-point of the compute end, re-home of the
+// memory end, and the cross-rack→rack-local promotion the rebalancer
+// runs — each execute as one AttachmentOp, a plan of reversible steps
+// committed atomically. The engine owns circuit setup and teardown on
+// every optical tier, the TGL window moves, rider safety, and the
+// per-rack registration indexes; alloc.go, reattach.go, pod.go and
+// row.go are thin callers.
 
 import (
 	"errors"
@@ -26,6 +29,7 @@ type OpKind int
 
 const (
 	// OpAttach provisions a new attachment: segment, circuit, TGL window.
+	// It runs inline (attachCircuit) and names the op in its errors.
 	OpAttach OpKind = iota
 	// OpDetach tears an attachment down in reverse order.
 	OpDetach
@@ -83,16 +87,10 @@ type AttachmentOp struct {
 	steps []opStep
 	lat   sim.Duration
 
-	// att is the attachment the op produced (OpAttach only).
-	att *Attachment
-	// fallback marks failures caused by circuit-resource exhaustion —
-	// the cases where the caller may cascade into the packet fallback.
-	fallback bool
 	// err short-circuits Commit for plans that failed validation.
 	err error
 	// stepBuf/touchBuf are the inline backing arrays of steps and
-	// touches: plans are built and committed on the scheduler's hottest
-	// path, so the slices must not allocate separately from the op.
+	// touches, so the slices do not allocate separately from the op.
 	stepBuf  [10]opStep
 	touchBuf [2]func()
 	// touches are the placement-index refresh hooks of every brick the
@@ -101,11 +99,6 @@ type AttachmentOp struct {
 	// lifecycle engine the one choke point where scheduler indexes and
 	// brick state reconcile.
 	touches []func()
-}
-
-// failedOp returns a plan that refuses to commit.
-func failedOp(kind OpKind, err error) *AttachmentOp {
-	return &AttachmentOp{Kind: kind, err: err}
 }
 
 // newOp builds an empty plan whose step and touch slices alias the
@@ -189,8 +182,7 @@ func (c *Controller) rackTier() connector {
 // tier returns the connector joining compute rack ra to memory rack
 // rb: the rack's own fabric when they coincide, the pod switch (one
 // uplink per endpoint rack) otherwise. Cross-rack connectors are cached
-// per rack pair — circuit setup runs on every spill, so the closures
-// are built once, not per plan.
+// per rack pair, so the closures are built once, not per plan.
 func (s *PodScheduler) tier(ra, rb int) connector {
 	if ra == rb {
 		return s.racks[ra].rackTier()
@@ -268,184 +260,223 @@ func (c *Controller) unregister(att *Attachment) {
 	}
 }
 
-// memPick is the memory-end selection a tier's placement policy makes
-// for an attach plan.
-type memPick struct {
-	rack    *Controller
-	rackIdx int
-	brick   topo.BrickID
-}
+// attachCircuit provisions one circuit-mode attachment from compute
+// brick cpu of this rack, committed inline: CPU-side port, memory pick
+// and power-up, segment carve, memory-side port, circuit, TGL window,
+// registration. A failing step unwinds every completed one in reverse
+// before returning, so a failed attach leaves the circuit state exactly
+// as it found it.
+//
+// The tier is data, not closures. With pod and row nil the memory end
+// is this rack's and the circuit its own fabric, which recovers from
+// optical path faults by quarantine-and-retry. With pod set the memory
+// end is another rack of the pod (cpu.Rack names the home rack) and the
+// circuit crosses the pod switch; with row set it is another pod's
+// (cpu.Pod, cpu.Rack name home) and the circuit crosses the row switch.
+//
+// On failure lat is what the attempt already spent (a brick boot stays
+// spent), and fallback reports circuit-resource exhaustion: the cases
+// the caller may cascade into its packet fallback. Both endpoints'
+// index leaves are touched before it returns, ahead of any fallback.
+func (c *Controller) attachCircuit(owner string, cpu topo.RowBrickID, size brick.Bytes,
+	pod *PodScheduler, row *RowScheduler) (att *Attachment, lat sim.Duration, fallback bool, err error) {
 
-// planAttach builds the circuit-mode attach plan shared by both tiers:
-// CPU-side port, memory selection and power-up, segment carve,
-// memory-side port, circuit, TGL window, registration. pick applies
-// the tier's placement policy (returning exhausted=true when the
-// failure should cascade into the packet fallback); tierFor supplies
-// the circuit fabric for the chosen memory rack; faultRetry enables
-// the rack tier's quarantine-and-retry recovery; register installs the
-// finished attachment into the owning indexes and cannot fail.
-func planAttach(cfg Config, owner string, size brick.Bytes,
-	rackA *Controller, cpu topo.BrickID,
-	pick func() (memPick, bool, error),
-	tierFor func(memRack int) connector,
-	faultRetry bool,
-	register func(att *Attachment, memRack int)) *AttachmentOp {
-
-	op := newOp(OpAttach)
-	node := rackA.compute(cpu)
-	if node == nil {
-		op.err = fmt.Errorf("sdm: no compute brick %v", cpu)
-		return op
+	ord := c.cpuPos(cpu.Brick)
+	if ord < 0 {
+		return nil, 0, false, fmt.Errorf("sdm: no compute brick %v", cpu.Brick)
 	}
+	node := c.computes[ord]
 	if size == 0 {
-		op.err = fmt.Errorf("sdm: zero-size attachment")
-		return op
+		return nil, 0, false, fmt.Errorf("sdm: zero-size attachment")
 	}
-	op.charge(cfg.DecisionLatency)
-
+	lat = c.cfg.DecisionLatency
 	var (
+		memCtl           *Controller // the memory end's rack, nil until picked
+		memPod, memRack  int
+		memID            topo.BrickID
 		cpuPort, memPort topo.PortID
-		chosen           memPick
-		m                *brick.Memory
-		seg              *brick.Segment
-		circuit          *optical.Circuit
-		window           tgl.Entry
 	)
-	op.touch(func() { rackA.touchCompute(cpu) })
-	op.touch(func() {
-		if chosen.rack != nil {
-			chosen.rack.touchMemory(chosen.brick)
+	defer func() {
+		c.touchCompute(cpu.Brick)
+		if memCtl != nil {
+			memCtl.touchMemory(memID)
 		}
-	})
+		// A failure may have returned capacity, which voids the batch
+		// planner's pick caches (see batch.go).
+		if err != nil && c.batch != nil && c.batch.active {
+			c.batch.invalidateCaches()
+		}
+	}()
+
 	// The CPU-side port is the scarcest resource: claim it before any
 	// memory brick is selected (and possibly powered on), so that port
 	// exhaustion falls back to packet mode without wasted boots.
-	op.step(func() (sim.Duration, error) {
-		p, err := node.Brick.Ports.Acquire()
-		if err != nil {
-			op.fallback = true
-			return 0, err
+	if cpuPort, err = node.Brick.Ports.Acquire(); err != nil {
+		return nil, lat, true, err
+	}
+	// Memory pick and power-up.
+	var ok bool
+	switch {
+	case row != nil:
+		if memPod, memRack, memID, ok = row.pickMemoryPod(size, cpu.Pod); ok {
+			memCtl = row.pods[memPod].racks[memRack]
+		} else {
+			err = fmt.Errorf("sdm: no pod in the row with %v contiguous free and a spare port", size)
 		}
-		cpuPort = p
-		return 0, nil
-	}, func() error { node.Brick.Ports.Release(cpuPort); return nil })
-	// Memory selection and power-up.
-	op.step(func() (sim.Duration, error) {
-		var exhausted bool
-		var err error
-		chosen, exhausted, err = pick()
-		if err != nil {
-			op.fallback = exhausted
-			return 0, err
+	case pod != nil:
+		if memRack, memID, ok = pod.pickMemoryRack(size, cpu.Rack); ok {
+			memCtl = pod.racks[memRack]
+		} else {
+			err = fmt.Errorf("sdm: no rack in the pod with %v contiguous free and a spare port", size)
 		}
-		m = chosen.rack.memory(chosen.brick)
-		if m.State() == brick.PowerOff {
-			m.PowerOn()
-			chosen.rack.logBootMem(chosen.brick)
-			return cfg.BrickBoot, nil
+	default:
+		// While the rack's batch is open, the batch planner's pick cache
+		// serves the pick (see batch.go).
+		if c.batch != nil && c.batch.active {
+			memID, ok = c.batchPickMemory(size)
+		} else {
+			memID, ok = c.pickMemory(size)
 		}
-		return 0, nil
-	}, nil)
+		if ok {
+			memCtl = c
+		} else {
+			err = fmt.Errorf("sdm: no memory brick with %v contiguous free and a spare port", size)
+		}
+	}
+	if !ok {
+		node.Brick.Ports.Release(cpuPort)
+		return nil, lat, true, err
+	}
+	m := memCtl.memory(memID)
+	if m.State() == brick.PowerOff {
+		m.PowerOn()
+		lat += c.cfg.BrickBoot
+		if b := memCtl.batch; b != nil && b.active {
+			b.memCache.valid = false
+		}
+		memCtl.logBootMem(memID)
+	}
 	// Segment carve.
-	op.step(func() (sim.Duration, error) {
-		var err error
-		seg, err = m.Carve(size, owner)
-		return 0, err
-	}, func() error { m.Release(seg); return nil })
+	seg, err := m.Carve(size, owner)
+	if err != nil {
+		node.Brick.Ports.Release(cpuPort)
+		return nil, lat, false, err
+	}
 	// Memory-side port.
-	op.step(func() (sim.Duration, error) {
-		p, err := m.Ports.Acquire()
-		if err != nil {
-			op.fallback = true
-			return 0, err
-		}
-		memPort = p
-		return 0, nil
-	}, func() error { m.Ports.Release(memPort); return nil })
-	// Circuit setup. The rack tier recovers from optical path faults by
-	// quarantining the failed endpoint and retrying through another
-	// port; the retry bound covers the worst case of every port failing.
-	op.step(func() (sim.Duration, error) {
-		t := tierFor(chosen.rackIdx)
-		if !faultRetry {
-			c, reconfig, err := t.connect(cpuPort, memPort)
-			if err != nil {
-				op.fallback = true
-				return 0, err
-			}
-			circuit = c
-			return reconfig, nil
-		}
+	if memPort, err = m.Ports.Acquire(); err != nil {
+		m.Release(seg)
+		node.Brick.Ports.Release(cpuPort)
+		return nil, lat, true, err
+	}
+	// Circuit setup.
+	var (
+		circuit  *optical.Circuit
+		reconfig sim.Duration
+	)
+	switch {
+	case row != nil:
+		circuit, reconfig, err = row.fabric.ConnectCross(cpu.Pod, cpu.Rack, cpuPort, memPod, memRack, memPort)
+	case pod != nil:
+		circuit, reconfig, err = pod.fabric.ConnectCross(cpu.Rack, cpuPort, memRack, memPort)
+	default:
+		// The rack tier quarantines a failed endpoint and retries through
+		// another port; the bound covers every port failing. A quarantined
+		// port stays withdrawn for the operator (releasing it below is a
+		// no-op); the healthy side is released by the ordinary unwind.
 		maxRetries := node.Brick.Ports.Total() + m.Ports.Total()
 		for retry := 0; ; retry++ {
-			c, reconfig, err := t.connect(cpuPort, memPort)
-			if err == nil {
-				circuit = c
-				return reconfig, nil
+			if circuit, reconfig, err = c.fabric.Connect(cpuPort, memPort); err == nil {
+				break
 			}
 			var pf *optical.PortFailedError
 			if !errors.As(err, &pf) || retry >= maxRetries {
-				return 0, err
+				break
 			}
-			// Quarantine the faulty endpoint and acquire a replacement.
-			// The quarantined port stays withdrawn for the operator (its
-			// release undo is a no-op on a quarantined port); the healthy
-			// side is restored by the ordinary rollback.
-			cpuSideFailed := pf.Port == cpuPort
-			var reacquireErr error
-			if cpuSideFailed {
-				if reacquireErr = node.Brick.Ports.Quarantine(cpuPort); reacquireErr == nil {
-					cpuPort, reacquireErr = node.Brick.Ports.Acquire()
-				}
-			} else {
-				if reacquireErr = m.Ports.Quarantine(memPort); reacquireErr == nil {
-					memPort, reacquireErr = m.Ports.Acquire()
-				}
+			held, ports := &memPort, m.Ports
+			if pf.Port == cpuPort {
+				held, ports = &cpuPort, node.Brick.Ports
 			}
-			if reacquireErr != nil {
-				return 0, fmt.Errorf("sdm: circuit fault recovery exhausted ports: %w", reacquireErr)
+			var p topo.PortID
+			rerr := ports.Quarantine(*held)
+			if rerr == nil {
+				p, rerr = ports.Acquire()
 			}
+			if rerr != nil {
+				err = fmt.Errorf("sdm: circuit fault recovery exhausted ports: %w", rerr)
+				break
+			}
+			*held = p
 		}
-	}, func() error {
-		_, err := tierFor(chosen.rackIdx).disconnect(circuit)
-		return err
-	})
+	}
+	if err != nil {
+		m.Ports.Release(memPort)
+		m.Release(seg)
+		node.Brick.Ports.Release(cpuPort)
+		return nil, lat, pod != nil || row != nil, err
+	}
+	lat += reconfig
 	// TGL window push via the SDM Agent.
-	op.step(func() (sim.Duration, error) {
-		window = tgl.Entry{
-			Base:       node.nextWindow,
-			Size:       uint64(size),
-			Dest:       chosen.brick,
-			DestOffset: uint64(seg.Offset),
-			Port:       cpuPort,
+	window := tgl.Entry{
+		Base:       node.nextWindow,
+		Size:       uint64(size),
+		Dest:       memID,
+		DestOffset: uint64(seg.Offset),
+		Port:       cpuPort,
+	}
+	if err = node.Agent.Glue.Attach(window); err != nil {
+		var uerr error
+		switch {
+		case row != nil:
+			_, uerr = row.fabric.DisconnectCross(circuit)
+		case pod != nil:
+			_, uerr = pod.fabric.DisconnectCross(circuit)
+		default:
+			_, uerr = c.fabric.Disconnect(circuit)
 		}
-		if err := node.Agent.Glue.Attach(window); err != nil {
-			return 0, err
+		if uerr != nil {
+			return nil, lat, false, fmt.Errorf("sdm: %v failed (%v) and rollback failed: %w", OpAttach, err, uerr)
 		}
-		node.nextWindow += uint64(size)
-		return cfg.AgentRTT, nil
-	}, func() error { return node.Agent.Glue.Detach(window.Base) })
-	// Registration — final and infallible. The attachment comes from the
+		m.Ports.Release(memPort)
+		m.Release(seg)
+		node.Brick.Ports.Release(cpuPort)
+		return nil, lat, false, err
+	}
+	node.nextWindow += uint64(size)
+	lat += c.cfg.AgentRTT
+	// Registration, final and infallible. The attachment comes from the
 	// compute rack's arena, so steady-state churn allocates no objects.
-	op.step(func() (sim.Duration, error) {
-		att := rackA.newAttachment()
-		att.Owner = owner
-		att.CPU = cpu
-		att.Segment = seg
-		att.Circuit = circuit
-		att.CPUPort = cpuPort
-		att.MemPort = memPort
-		att.Window = window
-		att.Mode = ModeCircuit
-		op.att = att
-		register(op.att, chosen.rackIdx)
-		return 0, nil
-	}, nil)
-	return op
+	att = c.newAttachment()
+	att.Owner = owner
+	att.CPU = cpu.Brick
+	att.Segment = seg
+	att.Circuit = circuit
+	att.CPUPort = cpuPort
+	att.MemPort = memPort
+	att.Window = window
+	att.Mode = ModeCircuit
+	switch {
+	case row != nil:
+		att.CPURack, att.MemRack = cpu.Rack, memRack
+		att.CPUPod, att.MemPod = cpu.Pod, memPod
+		att.crossRow = row
+		c.register(att)
+		row.crossHosts[cpu.Pod][cpu.Rack][ord] = append(row.crossHosts[cpu.Pod][cpu.Rack][ord], att)
+		row.addCrossOrder(att)
+	case pod != nil:
+		att.CPURack, att.MemRack = cpu.Rack, memRack
+		att.cross = pod
+		c.register(att)
+		pod.crossHosts[cpu.Rack][ord] = append(pod.crossHosts[cpu.Rack][ord], att)
+		pod.addCrossOrder(att)
+	default:
+		c.register(att)
+		c.circuitHosts[ord] = append(c.circuitHosts[ord], att)
+	}
+	return att, lat, false, nil
 }
 
 // planDetach builds the teardown plan shared by both tiers, the exact
-// reverse of planAttach: window, circuit, ports, segment,
+// reverse of attachCircuit: window, circuit, ports, segment,
 // unregistration. Validation (liveness, packet mode, riders) is the
 // thin caller's job; t carries the attachment's circuit tier.
 func planDetach(cfg Config, att *Attachment, rackA, rackB *Controller, t connector, unregister func()) *AttachmentOp {

@@ -199,9 +199,23 @@ func (s *PodScheduler) pickComputeRackLinear(vcpus int, localMem brick.Bytes, ex
 	return -1, false
 }
 
+// maxMemoryGap is the largest contiguous free gap on any memory brick
+// of the pod, read from the rack index roots.
+func (s *PodScheduler) maxMemoryGap() brick.Bytes {
+	var max brick.Bytes
+	for _, r := range s.racks {
+		if g := r.MaxMemoryGap(); g > max {
+			max = g
+		}
+	}
+	return max
+}
+
 // pickMemoryRack applies the placement policy to the rack choice of a
-// cross-rack spill, never returning the VM's home rack.
-func (s *PodScheduler) pickMemoryRack(size brick.Bytes, home int) (int, bool) {
+// cross-rack spill, never returning the VM's home rack. It also returns
+// the brick its confirming pick found on the winner, so the spill does
+// not descend that rack again.
+func (s *PodScheduler) pickMemoryRack(size brick.Bytes, home int) (int, topo.BrickID, bool) {
 	if s.cfg.Scan == ScanLinear {
 		return s.pickMemoryRackLinear(size, home)
 	}
@@ -209,7 +223,7 @@ func (s *PodScheduler) pickMemoryRack(size brick.Bytes, home int) (int, bool) {
 	// per-rack feasibility (largest-gap/port maxima at the index root)
 	// and free-byte rank sums; one O(log n) confirming pick.
 	if s.cfg.Policy == PolicySpread {
-		best, found := -1, false
+		best, bestID, found := -1, topo.BrickID{}, false
 		var bestFree brick.Bytes
 		for i, r := range s.racks {
 			if i == home {
@@ -219,11 +233,11 @@ func (s *PodScheduler) pickMemoryRack(size brick.Bytes, home int) (int, bool) {
 			if (found && free <= bestFree) || !r.CanPlaceMemory(size) {
 				continue
 			}
-			if _, ok := r.pickMemory(size); ok {
-				best, bestFree, found = i, free, true
+			if id, ok := r.pickMemory(size); ok {
+				best, bestID, bestFree, found = i, id, free, true
 			}
 		}
-		return best, found
+		return best, bestID, found
 	}
 	for i, r := range s.racks {
 		if i == home {
@@ -232,38 +246,38 @@ func (s *PodScheduler) pickMemoryRack(size brick.Bytes, home int) (int, bool) {
 		if !r.CanPlaceMemory(size) {
 			continue
 		}
-		if _, ok := r.pickMemory(size); ok {
-			return i, true
+		if id, ok := r.pickMemory(size); ok {
+			return i, id, true
 		}
 	}
-	return -1, false
+	return -1, topo.BrickID{}, false
 }
 
 // pickMemoryRackLinear is the pre-index nested scan over racks and
 // bricks.
-func (s *PodScheduler) pickMemoryRackLinear(size brick.Bytes, home int) (int, bool) {
+func (s *PodScheduler) pickMemoryRackLinear(size brick.Bytes, home int) (int, topo.BrickID, bool) {
 	if s.cfg.Policy == PolicySpread {
-		best, found := -1, false
+		best, bestID, found := -1, topo.BrickID{}, false
 		var bestFree brick.Bytes
 		for i, r := range s.racks {
 			if i == home {
 				continue
 			}
-			if _, ok := r.pickMemory(size); ok && (!found || r.FreeMemory() > bestFree) {
-				best, bestFree, found = i, r.FreeMemory(), true
+			if id, ok := r.pickMemory(size); ok && (!found || r.FreeMemory() > bestFree) {
+				best, bestID, bestFree, found = i, id, r.FreeMemory(), true
 			}
 		}
-		return best, found
+		return best, bestID, found
 	}
 	for i, r := range s.racks {
 		if i == home {
 			continue
 		}
-		if _, ok := r.pickMemory(size); ok {
-			return i, true
+		if id, ok := r.pickMemory(size); ok {
+			return i, id, true
 		}
 	}
-	return -1, false
+	return -1, topo.BrickID{}, false
 }
 
 // ReserveCompute places a compute reservation pod-wide: the policy
@@ -334,44 +348,22 @@ func (s *PodScheduler) AttachRemoteMemory(owner string, cpu topo.PodBrickID, siz
 
 // attachCross provisions a cross-rack attachment: a segment on another
 // rack's dMEMBRICK, a circuit through the pod switch, and the TGL
-// window on the home rack's compute brick — one OpAttach through the
-// lifecycle engine, so every completed step rolls back on failure.
+// window on the home rack's compute brick — one inline commit
+// (attachCircuit), so every completed step rolls back on failure.
 // Exhaustion of circuit resources cascades into the pod-tier packet
 // fallback.
 func (s *PodScheduler) attachCross(owner string, cpu topo.PodBrickID, size brick.Bytes) (*Attachment, sim.Duration, error) {
-	rackA := s.racks[cpu.Rack]
-	op := planAttach(s.cfg, owner, size, rackA, cpu.Brick,
-		func() (memPick, bool, error) {
-			memRack, ok := s.pickMemoryRack(size, cpu.Rack)
-			if !ok {
-				return memPick{}, true, fmt.Errorf("sdm: no rack in the pod with %v contiguous free and a spare port", size)
-			}
-			memID, ok := s.racks[memRack].pickMemory(size)
-			if !ok {
-				return memPick{}, false, fmt.Errorf("sdm: rack %d memory vanished mid-selection", memRack)
-			}
-			return memPick{rack: s.racks[memRack], rackIdx: memRack, brick: memID}, false, nil
-		},
-		func(memRack int) connector { return s.tier(cpu.Rack, memRack) },
-		false,
-		func(att *Attachment, memRack int) {
-			att.CPURack, att.MemRack = cpu.Rack, memRack
-			att.cross = s
-			rackA.register(att)
-			ord := rackA.cpuPos(cpu.Brick)
-			s.crossHosts[cpu.Rack][ord] = append(s.crossHosts[cpu.Rack][ord], att)
-			s.addCrossOrder(att)
-		})
-	lat, err := op.Commit()
+	home := topo.RowBrickID{Rack: cpu.Rack, Brick: cpu.Brick}
+	att, lat, fallback, err := s.racks[cpu.Rack].attachCircuit(owner, home, size, s, nil)
 	if err != nil {
-		if op.fallback {
+		if fallback {
 			if att, fl, ferr := s.attachPacketCross(owner, cpu, size); ferr == nil {
 				return att, lat + fl, nil
 			}
 		}
 		return nil, 0, err
 	}
-	return op.att, lat, nil
+	return att, lat, nil
 }
 
 // addCrossOrder stamps an attachment with the next spill sequence

@@ -197,13 +197,7 @@ func (s *RowScheduler) PodMaxGap(i int) brick.Bytes {
 	if s.aggs != nil {
 		return s.aggs[i].MaxGap()
 	}
-	var max brick.Bytes
-	for _, r := range s.pods[i].racks {
-		if g := r.MaxMemoryGap(); g > max {
-			max = g
-		}
-	}
-	return max
+	return s.pods[i].maxMemoryGap()
 }
 
 // pickComputePod applies the placement policy to pod choice for a
@@ -241,27 +235,28 @@ func (s *RowScheduler) pickComputePod(vcpus int, localMem brick.Bytes) (int, boo
 // pickMemoryPod applies the placement policy to the pod choice of a
 // cross-pod spill, never returning the VM's home pod. The max-gap
 // aggregate is an exact screen (the pod-wide maximum gap), so a doomed
-// pod costs O(1) without touching its racks.
-func (s *RowScheduler) pickMemoryPod(size brick.Bytes, home int) (int, bool) {
+// pod costs O(1) without touching its racks. It also returns the rack
+// and brick the winner's confirming rack pick found.
+func (s *RowScheduler) pickMemoryPod(size brick.Bytes, home int) (pod, rack int, id topo.BrickID, ok bool) {
+	pod, rack = -1, -1
 	if s.cfg.Policy == PolicySpread {
-		best, found := -1, false
 		var bestFree brick.Bytes
 		for i, p := range s.pods {
 			if i == home {
 				continue
 			}
 			free := s.podFreeMemory(i)
-			if found && free <= bestFree {
+			if ok && free <= bestFree {
 				continue
 			}
 			if s.aggs != nil && s.aggs[i].MaxGap() < size {
 				continue
 			}
-			if _, ok := p.pickMemoryRack(size, -1); ok {
-				best, bestFree, found = i, free, true
+			if r, b, fits := p.pickMemoryRack(size, -1); fits {
+				pod, rack, id, bestFree, ok = i, r, b, free, true
 			}
 		}
-		return best, found
+		return pod, rack, id, ok
 	}
 	for i, p := range s.pods {
 		if i == home {
@@ -270,11 +265,11 @@ func (s *RowScheduler) pickMemoryPod(size brick.Bytes, home int) (int, bool) {
 		if s.aggs != nil && s.aggs[i].MaxGap() < size {
 			continue
 		}
-		if _, ok := p.pickMemoryRack(size, -1); ok {
-			return i, true
+		if r, b, fits := p.pickMemoryRack(size, -1); fits {
+			return i, r, b, true
 		}
 	}
-	return -1, false
+	return pod, rack, id, false
 }
 
 // ReserveCompute places a compute reservation row-wide: the policy
@@ -352,53 +347,20 @@ func (s *RowScheduler) AttachRemoteMemory(owner string, cpu topo.RowBrickID, siz
 
 // attachCross provisions a cross-pod attachment: a segment in another
 // pod, a circuit through the row switch, and the TGL window on the home
-// rack's compute brick — one OpAttach through the lifecycle engine, so
-// every completed step rolls back on failure. Exhaustion of circuit
-// resources cascades into the row-tier packet fallback.
+// rack's compute brick — one inline commit (attachCircuit), so every
+// completed step rolls back on failure. Exhaustion of circuit resources
+// cascades into the row-tier packet fallback.
 func (s *RowScheduler) attachCross(owner string, cpu topo.RowBrickID, size brick.Bytes) (*Attachment, sim.Duration, error) {
-	podA := s.pods[cpu.Pod]
-	rackA := podA.racks[cpu.Rack]
-	memPod := -1
-	op := planAttach(s.cfg, owner, size, rackA, cpu.Brick,
-		func() (memPick, bool, error) {
-			p, ok := s.pickMemoryPod(size, cpu.Pod)
-			if !ok {
-				return memPick{}, true, fmt.Errorf("sdm: no pod in the row with %v contiguous free and a spare port", size)
-			}
-			memRack, ok := s.pods[p].pickMemoryRack(size, -1)
-			if !ok {
-				return memPick{}, false, fmt.Errorf("sdm: pod %d memory vanished mid-selection", p)
-			}
-			memID, ok := s.pods[p].racks[memRack].pickMemory(size)
-			if !ok {
-				return memPick{}, false, fmt.Errorf("sdm: pod %d rack %d memory vanished mid-selection", p, memRack)
-			}
-			memPod = p
-			return memPick{rack: s.pods[p].racks[memRack], rackIdx: memRack, brick: memID}, false, nil
-		},
-		// The pick above runs before the circuit step, so memPod is set by
-		// the time the connector is chosen.
-		func(memRack int) connector { return s.tier(cpu.Pod, cpu.Rack, memPod, memRack) },
-		false,
-		func(att *Attachment, memRack int) {
-			att.CPURack, att.MemRack = cpu.Rack, memRack
-			att.CPUPod, att.MemPod = cpu.Pod, memPod
-			att.crossRow = s
-			rackA.register(att)
-			ord := rackA.cpuPos(cpu.Brick)
-			s.crossHosts[cpu.Pod][cpu.Rack][ord] = append(s.crossHosts[cpu.Pod][cpu.Rack][ord], att)
-			s.addCrossOrder(att)
-		})
-	lat, err := op.Commit()
+	att, lat, fallback, err := s.pods[cpu.Pod].racks[cpu.Rack].attachCircuit(owner, cpu, size, nil, s)
 	if err != nil {
-		if op.fallback {
+		if fallback {
 			if att, fl, ferr := s.attachPacketCross(owner, cpu, size); ferr == nil {
 				return att, lat + fl, nil
 			}
 		}
 		return nil, 0, err
 	}
-	return op.att, lat, nil
+	return att, lat, nil
 }
 
 // addCrossOrder stamps an attachment with the next spill sequence

@@ -423,6 +423,15 @@ func (s *PodScheduler) admitShardMerge(reqs []AdmitRequest, out []AdmitResult) {
 		if req.Remote > 0 {
 			s.requests++
 		}
+		if res.needSpill && res.localErr == nil && s.maxMemoryGap() < req.Remote {
+			// No brick anywhere in the pod can hold the segment, so the
+			// cross-rack spill and its packet fallback are doomed: count
+			// the failed attempt and leave the error text unmaterialized,
+			// as the rack tier did, for the row to build only if the
+			// cross-pod spill fails too.
+			s.failures++
+			continue
+		}
 		if res.needSpill {
 			att, lat, err := s.attachCross(req.Owner, topo.PodBrickID{Rack: res.Rack, Brick: res.CPU}, req.Remote)
 			if err != nil {
