@@ -14,6 +14,7 @@ package repro
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 	"time"
 
@@ -368,6 +369,51 @@ func BenchmarkFig10Row(b *testing.B) {
 			}
 			b.ReportMetric(float64(placements)/b.Elapsed().Seconds(), "placements/s")
 			b.ReportMetric(float64(placements)/(float64(evictNS)/1e9), "teardowns/s")
+		})
+	}
+}
+
+// BenchmarkRowBatchOfOne measures the fixed cost of a row group
+// commit, the cost an open loop of tenants arriving one at a time pays
+// per VM: one 1-VM AdmitBatchInto plus the EvictBatchInto that retires
+// it per op, on 8, 16 and 32 pods of 32 racks each (256 to 1024
+// racks), reported as vms/s for the perf gate. A batch of one touches
+// one rack, so the cost should barely grow with the rack count
+// (DESIGN.md §17); the warmed cycle allocates nothing.
+func BenchmarkRowBatchOfOne(b *testing.B) {
+	for _, pods := range []int{8, 16, 32} {
+		b.Run(fmt.Sprintf("pods-%d", pods), func(b *testing.B) {
+			sched := benchRow(b, pods)
+			reqs := []sdm.AdmitRequest{{Owner: "one", VCPUs: 1, LocalMem: brick.GiB, Remote: 2 * brick.GiB}}
+			out := make([]sdm.AdmitResult, 1)
+			ereqs := []sdm.EvictRequest{{Atts: make([]*sdm.Attachment, 1)}}
+			eout := make([]sdm.EvictResult, 1)
+			cycle := func() {
+				if err := sched.AdmitBatchInto(reqs, out, 0); err != nil {
+					b.Fatal(err)
+				}
+				ereqs[0] = sdm.EvictRequest{
+					Owner: reqs[0].Owner, CPU: out[0].CPU, Rack: out[0].Rack, Pod: out[0].Pod,
+					VCPUs: reqs[0].VCPUs, LocalMem: reqs[0].LocalMem, Atts: ereqs[0].Atts,
+				}
+				ereqs[0].Atts[0] = out[0].Att
+				if err := sched.EvictBatchInto(ereqs, eout, 0); err != nil {
+					b.Fatal(err)
+				}
+			}
+			for i := 0; i < 3; i++ {
+				cycle() // warm the arenas and batch scratch
+			}
+			// Collect the row's construction garbage now: at a few hundred
+			// microsecond-scale ops, a collection cycle still running would
+			// be most of the timed work.
+			runtime.GC()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				cycle()
+			}
+			b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "vms/s")
 		})
 	}
 }

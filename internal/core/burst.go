@@ -14,7 +14,10 @@ import (
 // []scaleup.Result a burst returns is fresh. Every buffer is resized
 // and overwritten at the top of a call.
 type burstScratch struct {
+	// seen is the duplicate-ID set; dedup is false for a one-VM burst,
+	// which skips it.
 	seen     map[string]struct{}
+	dedup    bool
 	admit    []sdm.AdmitRequest
 	admitted []sdm.AdmitResult
 	evict    []sdm.EvictRequest
@@ -24,8 +27,15 @@ type burstScratch struct {
 	atts []*sdm.Attachment
 }
 
-// resetSeen empties the duplicate-ID set for a new burst.
-func (b *burstScratch) resetSeen() {
+// resetSeen empties the duplicate-ID set for a new burst of n VMs. A
+// one-VM burst cannot name a VM twice, so it leaves the set alone:
+// clearing a map an earlier large burst grew costs several times a
+// one-VM burst's own checks.
+func (b *burstScratch) resetSeen(n int) {
+	b.dedup = n > 1
+	if !b.dedup {
+		return
+	}
 	if b.seen == nil {
 		b.seen = make(map[string]struct{})
 	}
@@ -35,6 +45,9 @@ func (b *burstScratch) resetSeen() {
 // repeated records id as named by the current burst and reports
 // whether the burst already named it.
 func (b *burstScratch) repeated(id string) bool {
+	if !b.dedup {
+		return false
+	}
 	if _, dup := b.seen[id]; dup {
 		return true
 	}

@@ -28,7 +28,7 @@ import (
 // clock advances past the whole group's completion. workers is unused:
 // the commit runs on the caller's goroutine.
 func (p *Pod) DestroyVMs(ids []string, workers int) ([]scaleup.Result, error) {
-	p.burst.resetSeen()
+	p.burst.resetSeen(len(ids))
 	ereqs, evicted, atts := p.burst.evictBufs(len(ids))
 	for i, id := range ids {
 		rack, ok := p.vmRack[id]

@@ -200,7 +200,7 @@ type VMCreate struct {
 // The clock advances past the whole group's completion. workers is
 // unused: the commit runs on the caller's goroutine.
 func (p *Pod) CreateVMs(reqs []VMCreate, workers int) ([]scaleup.Result, error) {
-	p.burst.resetSeen()
+	p.burst.resetSeen(len(reqs))
 	areqs, admitted := p.burst.admitBufs(len(reqs))
 	for i, r := range reqs {
 		if _, dup := p.vmRack[r.ID]; dup {

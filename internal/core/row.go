@@ -208,7 +208,7 @@ func (r *Row) CreateVM(id string, vcpus int, memory brick.Bytes) (scaleup.Result
 // group's completion. workers is unused: the commit runs on the
 // caller's goroutine.
 func (r *Row) CreateVMs(reqs []VMCreate, workers int) ([]scaleup.Result, error) {
-	r.burst.resetSeen()
+	r.burst.resetSeen(len(reqs))
 	areqs, admitted := r.burst.admitBufs(len(reqs))
 	for i, req := range reqs {
 		if _, dup := r.vmLoc[req.ID]; dup {
@@ -323,7 +323,7 @@ func (r *Row) ScaleDownVM(id string, size brick.Bytes) (scaleup.Result, error) {
 // group's completion. workers is unused: the commit runs on the
 // caller's goroutine.
 func (r *Row) DestroyVMs(ids []string, workers int) ([]scaleup.Result, error) {
-	r.burst.resetSeen()
+	r.burst.resetSeen(len(ids))
 	ereqs, evicted, atts := r.burst.evictBufs(len(ids))
 	for i, id := range ids {
 		loc, ok := r.vmLoc[id]

@@ -28,7 +28,7 @@ func (c *Controller) ReserveCompute(owner string, vcpus int, localMem brick.Byte
 	if node.Brick.State() == brick.PowerOff {
 		node.Brick.PowerOn()
 		lat += c.cfg.BrickBoot
-		c.logBootCPU(id)
+		c.boots.log(c, id, false)
 	}
 	if err := node.Brick.AllocCores(vcpus); err != nil {
 		c.failures++

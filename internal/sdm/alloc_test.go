@@ -162,6 +162,32 @@ func TestAdmitEvictSteadyStateAllocFree(t *testing.T) {
 					t.Fatalf("row admit+evict cycle allocates %.1f/op, want 0", n)
 				}
 			})
+			t.Run("row-one/"+name, func(t *testing.T) {
+				cfg := DefaultConfig
+				cfg.Policy = pol.pol
+				s := buildRowSched(t, 2, 2, 8*brick.GiB, cfg)
+				// A batch of one, with every idle brick powered off first so
+				// each cycle boots a compute and a memory brick into the
+				// row's shared boot journal, whose entries must be reused.
+				reqs := []AdmitRequest{{Owner: "one", VCPUs: 1, Remote: brick.GiB / 4}}
+				offs := 0
+				n := steadyChurn(t,
+					func(r []AdmitRequest, o []AdmitResult) error {
+						offs += s.PowerOffIdle()
+						return s.AdmitBatchInto(r, o, workers)
+					},
+					func(r []EvictRequest, o []EvictResult) error { return s.EvictBatchInto(r, o, workers) },
+					reqs)
+				if n != 0 {
+					t.Fatalf("row batch-of-one admit+evict cycle allocates %.1f/op, want 0", n)
+				}
+				if offs == 0 {
+					t.Fatal("no cycle powered a brick off, so none booted one")
+				}
+				if err := s.CheckInvariants(); err != nil {
+					t.Fatal(err)
+				}
+			})
 			t.Run("pod-spill/"+name, func(t *testing.T) {
 				cfg := DefaultConfig
 				cfg.Policy = pol.pol

@@ -99,7 +99,7 @@ func refPlanAttach(cfg Config, owner string, size brick.Bytes,
 		m = chosen.rack.memory(chosen.brick)
 		if m.State() == brick.PowerOff {
 			m.PowerOn()
-			chosen.rack.logBootMem(chosen.brick)
+			chosen.rack.boots.log(chosen.rack, chosen.brick, true)
 			return cfg.BrickBoot, nil
 		}
 		return 0, nil

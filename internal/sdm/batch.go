@@ -117,53 +117,65 @@ func (b *batchState) invalidateCaches() {
 	b.memCache.valid = false
 }
 
-// startBootLog begins recording the bricks this controller powers on
-// during an admission, so an aborting batch can power its own boots
-// back down and restore the pre-batch power census exactly. Recording
-// covers both the batch planner and the sequential entry points the pod
-// tier's merge phase routes through.
-func (c *Controller) startBootLog() {
-	c.bootLogging = true
-	c.bootCPULog = c.bootCPULog[:0]
-	c.bootMemLog = c.bootMemLog[:0]
+// bootJournal records the bricks an in-flight admission powers on, so
+// an aborting batch can power its own boots back down and restore the
+// pre-batch power census exactly. Recording covers both the batch
+// planner and the sequential entry points the pod and row merge phases
+// route through. One journal serves a whole tier: a standalone
+// Controller owns its own, NewPodScheduler points its racks at the
+// pod's, and NewRowScheduler points every pod and rack at the row's —
+// so starting, stopping and replaying it costs what the batch booted,
+// never a walk over every rack (DESIGN.md §17).
+type bootJournal struct {
+	on      bool
+	entries []bootEntry
 }
 
-// stopBootLog stops recording; the log stays readable for rollback.
-func (c *Controller) stopBootLog() { c.bootLogging = false }
+// bootEntry is one logged boot: a compute or memory brick and the
+// controller that owns it.
+type bootEntry struct {
+	c   *Controller
+	id  topo.BrickID
+	mem bool
+}
 
-func (c *Controller) logBootCPU(id topo.BrickID) {
-	if c.bootLogging {
-		c.bootCPULog = append(c.bootCPULog, id)
+// start begins recording into an emptied journal.
+func (j *bootJournal) start() {
+	j.on = true
+	j.entries = j.entries[:0]
+}
+
+// stop stops recording; the entries stay readable for rollback.
+func (j *bootJournal) stop() { j.on = false }
+
+// log records one boot of brick id on controller c while recording.
+func (j *bootJournal) log(c *Controller, id topo.BrickID, mem bool) {
+	if j.on {
+		j.entries = append(j.entries, bootEntry{c: c, id: id, mem: mem})
 	}
 }
 
-func (c *Controller) logBootMem(id topo.BrickID) {
-	if c.bootLogging {
-		c.bootMemLog = append(c.bootMemLog, id)
-	}
-}
-
-// rollbackBoots powers down every brick the logged admission booted
-// that ended up unused after the teardown — a batch that rolls back
-// leaves the power census exactly as it found it. (The boot latency
-// stays spent, matching the lifecycle engine's failed-plan contract.)
-func (c *Controller) rollbackBoots() {
-	for i := len(c.bootCPULog) - 1; i >= 0; i-- {
-		id := c.bootCPULog[i]
-		if n := c.compute(id); n.Brick.State() != brick.PowerOff && n.Brick.IsIdle() {
+// rollback powers down, newest first, every logged brick that ended up
+// idle after the teardown — a batch that rolls back leaves the power
+// census exactly as it found it. (The boot latency stays spent,
+// matching the lifecycle engine's failed-plan contract.) Each step
+// reads and powers down one brick and refreshes only that brick's
+// index leaf, so how the racks' entries interleave does not change the
+// state the replay leaves.
+func (j *bootJournal) rollback() {
+	for i := len(j.entries) - 1; i >= 0; i-- {
+		e := &j.entries[i]
+		if e.mem {
+			if m := e.c.memory(e.id); m.State() != brick.PowerOff && m.IsIdle() {
+				m.PowerDown()
+				e.c.touchMemory(e.id)
+			}
+		} else if n := e.c.compute(e.id); n.Brick.State() != brick.PowerOff && n.Brick.IsIdle() {
 			n.Brick.PowerDown()
-			c.touchCompute(id)
+			e.c.touchCompute(e.id)
 		}
 	}
-	for i := len(c.bootMemLog) - 1; i >= 0; i-- {
-		id := c.bootMemLog[i]
-		if m := c.memory(id); m.State() != brick.PowerOff && m.IsIdle() {
-			m.PowerDown()
-			c.touchMemory(id)
-		}
-	}
-	c.bootCPULog = c.bootCPULog[:0]
-	c.bootMemLog = c.bootMemLog[:0]
+	j.entries = j.entries[:0]
 }
 
 // beginBatch opens batch mode: index touches divert to the dirty sets
@@ -269,9 +281,9 @@ func (c *Controller) batchPickMemory(size brick.Bytes) (topo.BrickID, bool) {
 // RollbackBatch to undo the whole batch — e.g. when admission is
 // all-or-nothing and one request failing voids the rest.
 func (c *Controller) PlaceBatch(reqs []AdmitRequest, out []AdmitResult) {
-	c.startBootLog()
+	c.boots.start()
 	c.placeBatch(reqs, out, false)
-	c.stopBootLog()
+	c.boots.stop()
 }
 
 // placeBatch is PlaceBatch with the pod tier's leftover contract: in
@@ -370,7 +382,7 @@ func (c *Controller) RollbackBatch(reqs []AdmitRequest, out []AdmitResult) error
 			out[i].computeDone = false
 		}
 	}
-	c.rollbackBoots()
+	c.boots.rollback()
 	return first
 }
 
@@ -393,7 +405,7 @@ func (c *Controller) batchReserveCompute(owner string, vcpus int, localMem brick
 		node.Brick.PowerOn()
 		lat += c.cfg.BrickBoot
 		c.batch.cpuCache.valid = false
-		c.logBootCPU(id)
+		c.boots.log(c, id, false)
 	}
 	if err := node.Brick.AllocCores(vcpus); err != nil {
 		c.failures++

@@ -354,7 +354,7 @@ func (c *Controller) attachCircuit(owner string, cpu topo.RowBrickID, size brick
 		if b := memCtl.batch; b != nil && b.active {
 			b.memCache.valid = false
 		}
-		memCtl.logBootMem(memID)
+		memCtl.boots.log(memCtl, memID, true)
 	}
 	// Segment carve.
 	seg, err := m.Carve(size, owner)

@@ -64,6 +64,16 @@ type PodScheduler struct {
 	evict evictScratch
 	admit admitScratch
 
+	// boots is the boot journal every rack of the pod shares (the row's
+	// when the pod belongs to one), so a group commit starts, stops and
+	// replays one journal instead of one per rack.
+	boots *bootJournal
+
+	// spreadFallbacks counts spread rack choices whose most-free
+	// candidate failed its confirming pick, so the choice fell back to
+	// confirming every improving candidate.
+	spreadFallbacks uint64
+
 	requests uint64
 	failures uint64
 	spills   uint64
@@ -86,12 +96,14 @@ func NewPodScheduler(pod *topo.Pod, fabric *optical.PodFabric, bc BrickConfigs, 
 		cfg:    cfg,
 		pod:    pod,
 		fabric: fabric,
+		boots:  &bootJournal{},
 	}
 	for i := 0; i < pod.Racks(); i++ {
 		c, err := NewController(pod.Rack(i), fabric.Rack(i), bc, cfg)
 		if err != nil {
 			return nil, fmt.Errorf("sdm: rack %d: %w", i, err)
 		}
+		c.boots = s.boots
 		s.racks = append(s.racks, c)
 	}
 	s.crossHosts = make([][][]*Attachment, len(s.racks))
@@ -143,6 +155,28 @@ func (s *PodScheduler) pickComputeRackExcept(vcpus int, localMem brick.Bytes, ex
 	// and the free-cores rank sum (FreeCores, O(1)); only the rack that
 	// could actually win runs an O(log n) brick pick to confirm.
 	if s.cfg.Policy == PolicySpread {
+		// Winner first: the answer is the most-free rack whose confirming
+		// pick succeeds (lowest index on ties), so when the most-free rack
+		// passing the screen confirms, it is the answer after a single
+		// pick. Only a failed confirmation (split maxima: the cores fit on
+		// one brick, the local memory on another) runs the loop below,
+		// which confirms every improving candidate.
+		top, topFree := -1, -1
+		for i, r := range s.racks {
+			if i == exclude {
+				continue
+			}
+			if free := r.FreeCores(); free > topFree && r.CanPlaceCompute(vcpus, localMem) {
+				top, topFree = i, free
+			}
+		}
+		if top < 0 {
+			return -1, false
+		}
+		if _, ok := s.racks[top].pickCompute(vcpus, localMem); ok {
+			return top, true
+		}
+		s.spreadFallbacks++
 		best, bestFree, found := -1, -1, false
 		for i, r := range s.racks {
 			if i == exclude {
@@ -223,6 +257,27 @@ func (s *PodScheduler) pickMemoryRack(size brick.Bytes, home int) (int, topo.Bri
 	// per-rack feasibility (largest-gap/port maxima at the index root)
 	// and free-byte rank sums; one O(log n) confirming pick.
 	if s.cfg.Policy == PolicySpread {
+		// Winner first, as in pickComputeRackExcept: confirm the most-free
+		// rack passing the screen, and fall back to the loop below only if
+		// its pick fails (split maxima: the largest gap on a brick with no
+		// spare port).
+		top := -1
+		var topFree brick.Bytes
+		for i, r := range s.racks {
+			if i == home {
+				continue
+			}
+			if free := r.FreeMemory(); (top < 0 || free > topFree) && r.CanPlaceMemory(size) {
+				top, topFree = i, free
+			}
+		}
+		if top < 0 {
+			return -1, topo.BrickID{}, false
+		}
+		if id, ok := s.racks[top].pickMemory(size); ok {
+			return top, id, true
+		}
+		s.spreadFallbacks++
 		best, bestID, found := -1, topo.BrickID{}, false
 		var bestFree brick.Bytes
 		for i, r := range s.racks {

@@ -74,14 +74,8 @@ func (s *PodScheduler) AdmitBatchInto(reqs []AdmitRequest, out []AdmitResult, wo
 		return nil
 	}
 	seqStart := s.attachSeq
-	for _, r := range s.racks {
-		r.startBootLog()
-	}
-	defer func() {
-		for _, r := range s.racks {
-			r.stopBootLog()
-		}
-	}()
+	s.boots.start()
+	defer s.boots.stop()
 
 	// Validate in request order first — malformed requests surface (and
 	// count) exactly as they would mid-partition, since partitioning
@@ -345,8 +339,6 @@ func (s *PodScheduler) abortBatch(reqs []AdmitRequest, out []AdmitResult, seqSta
 		}
 	}
 	s.attachSeq = seqStart
-	for _, r := range s.racks {
-		r.rollbackBoots()
-	}
+	s.boots.rollback()
 	return fmt.Errorf("sdm: batch admission rolled back at request %d (%q): %w", failed, reqs[failed].Owner, cause)
 }

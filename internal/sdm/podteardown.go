@@ -121,12 +121,6 @@ func (s *PodScheduler) EvictBatchInto(reqs []EvictRequest, out []EvictResult, wo
 		}
 	}
 	seqStart := s.attachSeq
-	// Clear every rack's teardown journal up front: a rollback replays
-	// all of them, and a rack this batch never touches must not replay
-	// entries left over from an earlier committed batch.
-	for _, r := range s.racks {
-		r.undoLog = r.undoLog[:0]
-	}
 	if failed, err := s.evictShard(reqs, out); err != nil {
 		cause := s.rollbackEvict(seqStart, err)
 		return fmt.Errorf("sdm: batch eviction rolled back at request %d (%q): %w", failed, reqs[failed].Owner, cause)
@@ -378,11 +372,16 @@ func (s *PodScheduler) batchDetachCross(att *Attachment, log *[]detachUndo) (sim
 }
 
 // rollbackEvict undoes the pod's share of an aborted eviction: the
-// cross-rack journal first (last torn down), then each rack's, then
-// the compute released by the last evictShard's requests; it restores
-// the spill sequence counter to seqStart, leaving the pod as if the
-// batch never ran. It returns cause annotated with any step that
-// failed to roll back.
+// cross-rack journal first (last torn down), then the journal of each
+// rack the last evictShard ran a ReleaseBatch on, then the compute
+// released by that shard's requests; it restores the spill sequence
+// counter to seqStart, leaving the pod as if the batch never ran. It
+// returns cause annotated with any step that failed to roll back.
+//
+// Only the shard's racks replay: each of them reset its journal when
+// its ReleaseBatch began, while every other rack's journal still holds
+// an earlier committed batch's teardowns, which must not be undone. A
+// pod the batch never entered has shardN 0 and replays no rack.
 func (s *PodScheduler) rollbackEvict(seqStart uint64, cause error) error {
 	sc := &s.evict
 	for i := len(sc.podLog) - 1; i >= 0; i-- {
@@ -391,7 +390,10 @@ func (s *PodScheduler) rollbackEvict(seqStart uint64, cause error) error {
 		}
 	}
 	sc.podLog = sc.podLog[:0]
-	for _, r := range s.racks {
+	for ri, r := range s.racks {
+		if sc.shardN == 0 || sc.counts[ri] == 0 {
+			continue
+		}
 		for i := len(r.undoLog) - 1; i >= 0; i-- {
 			if err := r.undoLog[i].undoDetach(); err != nil {
 				cause = fmt.Errorf("%w (and rollback of %q failed: %v)", cause, r.undoLog[i].att.Owner, err)

@@ -67,6 +67,14 @@ type RowScheduler struct {
 	evict rowEvictScratch
 	admit rowAdmitScratch
 
+	// boots is the boot journal every pod and rack of the row shares.
+	boots bootJournal
+
+	// spreadFallbacks counts spread pod choices whose most-free
+	// candidate failed its confirming pick, so the choice fell back to
+	// confirming every improving candidate.
+	spreadFallbacks uint64
+
 	requests uint64
 	failures uint64
 	spills   uint64
@@ -93,6 +101,10 @@ func NewRowScheduler(row *topo.Row, fabric *optical.RowFabric, bc BrickConfigs, 
 		p, err := NewPodScheduler(row.Pod(i), fabric.Pod(i), bc, cfg)
 		if err != nil {
 			return nil, fmt.Errorf("sdm: pod %d: %w", i, err)
+		}
+		p.boots = &s.boots
+		for _, r := range p.racks {
+			r.boots = &s.boots
 		}
 		s.pods = append(s.pods, p)
 	}
@@ -202,10 +214,24 @@ func (s *RowScheduler) PodMaxGap(i int) brick.Bytes {
 
 // pickComputePod applies the placement policy to pod choice for a
 // compute reservation: per-pod O(1) screens over the cached aggregates
-// plus one confirming rack pick per surviving candidate — the exact
-// recursion of the pod tier's rack choice.
+// plus a confirming rack pick on the candidate that could win — the
+// exact recursion of the pod tier's rack choice.
 func (s *RowScheduler) pickComputePod(vcpus int, localMem brick.Bytes) (int, bool) {
 	if s.cfg.Policy == PolicySpread {
+		// Winner first, as in the pod tier's rack choice: confirm only
+		// the most-free pod (lowest index on ties), and fall back to the
+		// loop below, which confirms every improving candidate, only if
+		// its rack pick fails.
+		top, topFree := -1, int64(-1)
+		for i := range s.pods {
+			if free := s.podFreeCores(i); free > topFree {
+				top, topFree = i, free
+			}
+		}
+		if _, ok := s.pods[top].pickComputeRackExcept(vcpus, localMem, -1); ok {
+			return top, true
+		}
+		s.spreadFallbacks++
 		best, bestFree, found := -1, int64(-1), false
 		for i, p := range s.pods {
 			free := s.podFreeCores(i)
@@ -240,6 +266,25 @@ func (s *RowScheduler) pickComputePod(vcpus int, localMem brick.Bytes) (int, boo
 func (s *RowScheduler) pickMemoryPod(size brick.Bytes, home int) (pod, rack int, id topo.BrickID, ok bool) {
 	pod, rack = -1, -1
 	if s.cfg.Policy == PolicySpread {
+		// Winner first: confirm only the most-free pod passing the screen,
+		// and fall back to the loop below only if its rack pick fails.
+		top := -1
+		var topFree brick.Bytes
+		for i := range s.pods {
+			if i == home || (s.aggs != nil && s.aggs[i].MaxGap() < size) {
+				continue
+			}
+			if free := s.podFreeMemory(i); top < 0 || free > topFree {
+				top, topFree = i, free
+			}
+		}
+		if top < 0 {
+			return pod, rack, id, false
+		}
+		if r, b, fits := s.pods[top].pickMemoryRack(size, -1); fits {
+			return top, r, b, true
+		}
+		s.spreadFallbacks++
 		var bestFree brick.Bytes
 		for i, p := range s.pods {
 			if i == home {

@@ -84,17 +84,9 @@ func (s *RowScheduler) AdmitBatchInto(reqs []AdmitRequest, out []AdmitResult, wo
 	podSeqStart := sc.podSeq[:len(s.pods)]
 	for p, ps := range s.pods {
 		podSeqStart[p] = ps.attachSeq
-		for _, r := range ps.racks {
-			r.startBootLog()
-		}
 	}
-	defer func() {
-		for _, ps := range s.pods {
-			for _, r := range ps.racks {
-				r.stopBootLog()
-			}
-		}
-	}()
+	s.boots.start()
+	defer s.boots.stop()
 
 	// Phase 1 — validate everything up front (pod shards must never see
 	// a malformed request: they cannot abort) and partition by the O(1)
@@ -340,10 +332,8 @@ func (s *RowScheduler) abortBatch(reqs []AdmitRequest, out []AdmitResult, seqSta
 	s.attachSeq = seqStart
 	for p, ps := range s.pods {
 		ps.attachSeq = podSeqStart[p]
-		for _, r := range ps.racks {
-			r.rollbackBoots()
-		}
 	}
+	s.boots.rollback()
 	return fmt.Errorf("sdm: batch admission rolled back at request %d (%q): %w", failed, reqs[failed].Owner, cause)
 }
 

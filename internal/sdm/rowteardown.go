@@ -17,8 +17,8 @@ package sdm
 //     journaled like the pod and rack teardowns.
 //
 // Eviction is all-or-nothing: on any definitive failure the row
-// journal, every pod journal, and every rack journal replay in
-// reverse, released compute re-reserves, and the spill sequence
+// journal, every pod journal, and the journal of every rack a pod
+// shard ran on replay in reverse, released compute re-reserves, and the spill sequence
 // counters at both tiers restore — leaving the row answering exactly
 // as before the batch.
 
@@ -78,16 +78,15 @@ func (s *RowScheduler) EvictBatchInto(reqs []EvictRequest, out []EvictResult, wo
 	}
 	podSeq := sc.podSeq[:len(s.pods)]
 	failAt, failErr := sc.failAt[:len(s.pods)], sc.failErr[:len(s.pods)]
-	// Clear every journal up front: abortEvict replays all of them, and
-	// a pod or rack this batch never touches must not replay entries
-	// left over from an earlier committed batch.
+	// Clear every pod's journal up front: abortEvict replays all of
+	// them, and a pod this batch never touches must not replay entries
+	// left over from an earlier committed batch. Rack journals need no
+	// reset here: each ReleaseBatch resets its own, and a pod replays
+	// only the racks its shard ran on (rollbackEvict).
 	for p, ps := range s.pods {
 		podSeq[p] = ps.attachSeq
 		ps.evict.podLog = ps.evict.podLog[:0]
 		ps.evict.shardN = 0
-		for _, r := range ps.racks {
-			r.undoLog = r.undoLog[:0]
-		}
 		failErr[p] = nil
 	}
 

@@ -252,12 +252,14 @@ type Controller struct {
 	// batch is the batch-admission planning context (see batch.go),
 	// allocated on first use and reused across batches.
 	batch *batchState
-	// bootLogging/bootCPULog/bootMemLog record bricks powered on by an
-	// in-flight batch admission so an abort can power them back down.
-	bootLogging            bool
-	bootCPULog, bootMemLog []topo.BrickID
-	// undoLog journals the teardowns of an in-flight release batch so an
-	// aborting eviction can restore them exactly (see teardown.go).
+	// boots journals the bricks an in-flight batch admission powers on
+	// so an abort can power them back down (see batch.go). It is the
+	// controller's own journal, or its pod's or row's when it belongs
+	// to one.
+	boots *bootJournal
+	// undoLog journals the teardowns of this rack's last release batch
+	// so an aborting eviction can restore them exactly (see
+	// teardown.go).
 	undoLog []detachUndo
 
 	// agg, when non-nil, is the pod-level aggregate summary this rack
@@ -291,6 +293,7 @@ func NewController(rack *topo.Rack, fabric *optical.Fabric, bc BrickConfigs, cfg
 		rack:     rack,
 		fabric:   fabric,
 		ownerIDs: make(map[string]int32),
+		boots:    &bootJournal{},
 	}
 	setPos := func(tab *[][]int32, id topo.BrickID, ord int) {
 		for id.Tray >= len(*tab) {

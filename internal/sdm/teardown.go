@@ -101,9 +101,11 @@ type detachUndo struct {
 	crossNext *Attachment
 }
 
-// undoLog is the controller's teardown journal for the in-flight batch.
-// It lives on the controller so each rack journals its own teardowns
-// and a rollback replays them rack by rack.
+// undoLog is the controller's teardown journal for its last release
+// batch. It lives on the controller so each rack journals its own
+// teardowns; beginTeardown resets it, so no tier resets it for racks a
+// batch never touches, and a pod rollback replays only the racks its
+// shard ran on.
 
 // beginTeardown opens batch mode and resets the teardown journal.
 func (c *Controller) beginTeardown() {
