@@ -20,6 +20,13 @@
 // the gate unless -allow-missing marks the run as an intentional
 // subset.
 //
+// The artifact records the host facts the numbers depend on beside the
+// CPU model go test prints: GOMAXPROCS, the CPU count and the Go
+// version, read from benchjson's own process, which `make bench` runs
+// in the same environment right after the benchmarks. -compare prints
+// a warning, not a failure, when they differ from the baseline's (or
+// the baseline predates them).
+//
 // Repeated entries for the same benchmark name (a `-count=N` run, the
 // flakiness guard `make bench`/`bench-check` use) are collapsed to one
 // best-of entry before emitting or comparing: throughput metrics keep
@@ -34,6 +41,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"runtime"
 	"sort"
 	"strconv"
 	"strings"
@@ -52,7 +60,34 @@ type Baseline struct {
 	GOARCH     string      `json:"goarch,omitempty"`
 	Pkg        string      `json:"pkg,omitempty"`
 	CPU        string      `json:"cpu,omitempty"`
+	GOMAXPROCS int         `json:"gomaxprocs,omitempty"`
+	NumCPU     int         `json:"numcpu,omitempty"`
+	GoVersion  string      `json:"go_version,omitempty"`
 	Benchmarks []Benchmark `json:"benchmarks"`
+}
+
+// hostWarnings compares the host facts of a fresh run with the
+// baseline's and returns one line per difference, or one line when the
+// baseline records none.
+func hostWarnings(base, fresh Baseline) []string {
+	if base.GOMAXPROCS == 0 && base.NumCPU == 0 && base.GoVersion == "" {
+		return []string{"host: WARNING baseline records no gomaxprocs, numcpu or go_version; the comparison cannot tell a host change from a regression"}
+	}
+	var out []string
+	for _, f := range []struct {
+		name        string
+		base, fresh any
+	}{
+		{"cpu", base.CPU, fresh.CPU},
+		{"gomaxprocs", base.GOMAXPROCS, fresh.GOMAXPROCS},
+		{"numcpu", base.NumCPU, fresh.NumCPU},
+		{"go_version", base.GoVersion, fresh.GoVersion},
+	} {
+		if f.base != f.fresh {
+			out = append(out, fmt.Sprintf("host: WARNING %s differs: baseline %v, fresh %v", f.name, f.base, f.fresh))
+		}
+	}
+	return out
 }
 
 // metric looks one benchmark's metric up by name.
@@ -206,6 +241,7 @@ func main() {
 		fail(fmt.Errorf("no benchmark lines on stdin"))
 	}
 	fresh, stats := merge(fresh)
+	fresh.GOMAXPROCS, fresh.NumCPU, fresh.GoVersion = runtime.GOMAXPROCS(0), runtime.NumCPU(), runtime.Version()
 	// Spread report goes to stderr so the JSON artifact on stdout stays
 	// clean; only multi-run (-count > 1) benchmarks have a spread.
 	for _, fb := range fresh.Benchmarks {
@@ -244,6 +280,9 @@ func main() {
 	var base Baseline
 	if err := json.Unmarshal(data, &base); err != nil {
 		fail(fmt.Errorf("parsing %s: %w", *compare, err))
+	}
+	for _, w := range hostWarnings(base, fresh) {
+		fmt.Println(w)
 	}
 	regressions := 0
 	checked := 0

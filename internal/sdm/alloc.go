@@ -222,7 +222,7 @@ func (c *Controller) pickMemoryLinear(size brick.Bytes) (topo.BrickID, bool) {
 // observes before the OS-level hotplug begins.
 func (c *Controller) AttachRemoteMemory(owner string, cpu topo.BrickID, size brick.Bytes) (*Attachment, sim.Duration, error) {
 	c.requests++
-	att, lat, fallback, err := c.attachCircuit(owner, topo.RowBrickID{Brick: cpu}, size, nil, nil)
+	att, lat, fallback, err := c.attachCircuit(owner, topo.RowBrickID{Brick: cpu}, size, nil)
 	if err != nil {
 		if fallback && c.cfg.PacketFallback {
 			if att, fl, ferr := c.attachPacket(owner, cpu, size); ferr == nil {
@@ -236,15 +236,11 @@ func (c *Controller) AttachRemoteMemory(owner string, cpu topo.BrickID, size bri
 }
 
 // DetachRemoteMemory tears an attachment down in reverse order and
-// returns the orchestration latency. Pod-tier cross-rack attachments
-// route to their owning pod scheduler, so rack-local callers need not
-// distinguish them.
+// returns the orchestration latency. Spilled attachments route to their
+// owning spill tier, so rack-local callers need not distinguish them.
 func (c *Controller) DetachRemoteMemory(att *Attachment) (sim.Duration, error) {
-	if att.crossRow != nil {
-		return att.crossRow.detachCross(att)
-	}
-	if att.cross != nil {
-		return att.cross.detachCross(att)
+	if att.spill != nil {
+		return att.spill.detachCross(att)
 	}
 	c.requests++
 	idx := -1
@@ -267,9 +263,9 @@ func (c *Controller) DetachRemoteMemory(att *Attachment) (sim.Duration, error) {
 		c.failures++
 		return 0, fmt.Errorf("sdm: circuit of %q on %v carries %d packet-mode riders; detach them first", att.Owner, att.CPU, n)
 	}
-	op := planDetach(c.cfg, att, c, c, c.rackTier(), func() {
+	op := planDetach(c.cfg, att, c, c, c.rackConn(), func() {
 		c.unregister(att)
-		c.removeCircuitHost(att)
+		c.removeHost(nil, att)
 	})
 	lat, err := op.Commit()
 	if err != nil {
@@ -279,16 +275,44 @@ func (c *Controller) DetachRemoteMemory(att *Attachment) (sim.Duration, error) {
 	return lat, nil
 }
 
-// removeCircuitHost drops a circuit-mode attachment from the host index.
-func (c *Controller) removeCircuitHost(att *Attachment) {
+// hosts is the host index the packet fallback of a tier searches, by
+// compute ordinal: this rack's own circuits when spill is nil, else the
+// spill circuits of that tier leaving this rack.
+func (c *Controller) hosts(spill *spillTier) [][]*Attachment {
+	if spill == nil {
+		return c.circuitHosts
+	}
+	return c.crossHosts[spill.level]
+}
+
+// addHost appends a circuit-mode attachment from compute ordinal ord to
+// its tier's host index.
+func (c *Controller) addHost(spill *spillTier, ord int, att *Attachment) {
+	hosts := c.hosts(spill)
+	hosts[ord] = append(hosts[ord], att)
+}
+
+// hostIndex is att's position in its compute brick's host list, or 0
+// when it is not there.
+func (c *Controller) hostIndex(spill *spillTier, att *Attachment) int {
+	for i, a := range c.hosts(spill)[c.cpuPos(att.CPU)] {
+		if a == att {
+			return i
+		}
+	}
+	return 0
+}
+
+// removeHost drops a circuit-mode attachment from its tier's host index.
+func (c *Controller) removeHost(spill *spillTier, att *Attachment) {
 	p := c.cpuPos(att.CPU)
 	if p < 0 {
 		return
 	}
-	hosts := c.circuitHosts[p]
-	for i, a := range hosts {
+	hosts := c.hosts(spill)
+	for i, a := range hosts[p] {
 		if a == att {
-			c.circuitHosts[p] = append(hosts[:i], hosts[i+1:]...)
+			hosts[p] = append(hosts[p][:i], hosts[p][i+1:]...)
 			return
 		}
 	}

@@ -380,7 +380,7 @@ func attachDiffState(a *Attachment) string {
 	return fmt.Sprintf("%s cpu=%v seg=%v+%v@%v ports=%v/%v win=%+v mode=%v rack=%d/%d pod=%d/%d hops=%d fiber=%v ends=%v/%v riders=%d cross=%t/%t seq=%d",
 		a.Owner, a.CPU, a.Segment.Offset, a.Segment.Size, a.Segment.Brick, a.CPUPort, a.MemPort, a.Window,
 		a.Mode, a.CPURack, a.MemRack, a.CPUPod, a.MemPod, a.Circuit.Hops, a.Circuit.FiberMeters,
-		a.Circuit.A, a.Circuit.B, a.Circuit.Riders, a.cross != nil, a.crossRow != nil, a.seq)
+		a.Circuit.A, a.Circuit.B, a.Circuit.Riders, a.spill != nil && a.spill.level == podLevel, a.spill != nil && a.spill.level == rowLevel, a.seq)
 }
 
 // attachDiffFingerprint is the row's full observable state: every
@@ -430,7 +430,7 @@ func attachCall(s *RowScheduler, ref bool, tier int, owner string, home topo.Row
 		if ref {
 			att, lat, err = refAttachCrossPod(podA, owner, cpu, size)
 		} else {
-			att, lat, err = podA.attachCross(owner, cpu, size)
+			att, lat, err = podA.attachCross(owner, topo.RowBrickID{Rack: cpu.Rack, Brick: cpu.Brick}, size)
 		}
 	default:
 		if ref {

@@ -214,7 +214,7 @@ func refAttachRack(c *Controller, owner string, cpu topo.BrickID, size brick.Byt
 			}
 			return refMemPick{rack: c, rackIdx: 0, brick: id}, false, nil
 		},
-		func(int) connector { return c.rackTier() },
+		func(int) connector { return c.rackConn() },
 		true,
 		func(att *Attachment, _ int) {
 			c.register(att)
@@ -250,20 +250,20 @@ func refAttachCrossPod(s *PodScheduler, owner string, cpu topo.PodBrickID, size 
 			}
 			return refMemPick{rack: s.racks[memRack], rackIdx: memRack, brick: memID}, false, nil
 		},
-		func(memRack int) connector { return s.tier(cpu.Rack, memRack) },
+		func(memRack int) connector { return s.pairConn(cpu.Rack, memRack) },
 		false,
 		func(att *Attachment, memRack int) {
 			att.CPURack, att.MemRack = cpu.Rack, memRack
-			att.cross = s
+			att.spill = &s.spillTier
 			rackA.register(att)
 			ord := rackA.cpuPos(cpu.Brick)
-			s.crossHosts[cpu.Rack][ord] = append(s.crossHosts[cpu.Rack][ord], att)
+			rackA.crossHosts[podLevel][ord] = append(rackA.crossHosts[podLevel][ord], att)
 			s.addCrossOrder(att)
 		})
 	lat, err := op.Commit()
 	if err != nil {
 		if op.fallback {
-			if att, fl, ferr := s.attachPacketCross(owner, cpu, size); ferr == nil {
+			if att, fl, ferr := s.attachPacketCross(owner, topo.RowBrickID{Rack: cpu.Rack, Brick: cpu.Brick}, size); ferr == nil {
 				return att, lat + fl, nil
 			}
 		}
@@ -297,15 +297,15 @@ func refAttachCrossRow(s *RowScheduler, owner string, cpu topo.RowBrickID, size 
 		},
 		// The pick above runs before the circuit step, so memPod is set by
 		// the time the connector is chosen.
-		func(memRack int) connector { return s.tier(cpu.Pod, cpu.Rack, memPod, memRack) },
+		func(memRack int) connector { return s.conn(cpu.Pod, cpu.Rack, memPod, memRack) },
 		false,
 		func(att *Attachment, memRack int) {
 			att.CPURack, att.MemRack = cpu.Rack, memRack
 			att.CPUPod, att.MemPod = cpu.Pod, memPod
-			att.crossRow = s
+			att.spill = &s.spillTier
 			rackA.register(att)
 			ord := rackA.cpuPos(cpu.Brick)
-			s.crossHosts[cpu.Pod][cpu.Rack][ord] = append(s.crossHosts[cpu.Pod][cpu.Rack][ord], att)
+			rackA.crossHosts[rowLevel][ord] = append(rackA.crossHosts[rowLevel][ord], att)
 			s.addCrossOrder(att)
 		})
 	lat, err := op.Commit()

@@ -32,7 +32,7 @@ func (s *RowScheduler) CheckInvariants() error {
 	riders := make(map[*optical.Circuit]int)
 	registered := 0
 	for p, ps := range s.pods {
-		n, err := ps.checkPod(live, s, riders)
+		n, err := ps.checkPod(live, &s.spillTier, riders)
 		if err != nil {
 			return fmt.Errorf("pod %d: %w", p, err)
 		}
@@ -49,11 +49,13 @@ func (s *RowScheduler) CheckInvariants() error {
 
 // checkPod checks the pod's racks, registrations, cross-rack riders and
 // walk order, recording every live attachment's segment in live.
-// Attachments tagged with row — the cross-pod ones this pod's racks
-// register — are tallied into rowRiders and counted in the result.
-func (s *PodScheduler) checkPod(live map[*brick.Segment]*Attachment, row *RowScheduler, rowRiders map[*optical.Circuit]int) (int, error) {
-	crossRegistered, rowRegistered := 0, 0
-	podRiders := make(map[*optical.Circuit]int)
+// Attachments of the row's spill tier — the cross-pod ones this pod's
+// racks register — are tallied into rowRiders and counted in the
+// result.
+func (s *PodScheduler) checkPod(live map[*brick.Segment]*Attachment, row *spillTier, rowRiders map[*optical.Circuit]int) (int, error) {
+	tiers := [spillLevels]*spillTier{podLevel: &s.spillTier, rowLevel: row}
+	riders := [spillLevels]map[*optical.Circuit]int{podLevel: make(map[*optical.Circuit]int), rowLevel: rowRiders}
+	var registered [spillLevels]int
 	for ri, r := range s.racks {
 		if r.batch != nil && r.batch.active {
 			return 0, fmt.Errorf("rack %d: invariants checked mid-batch", ri)
@@ -76,61 +78,50 @@ func (s *PodScheduler) checkPod(live map[*brick.Segment]*Attachment, row *RowSch
 					return 0, fmt.Errorf("rack %d: segment %v+%v owned by both %q and %q", ri, att.Segment.Offset, att.Segment.Size, prev.Owner, att.Owner)
 				}
 				live[att.Segment] = att
-				if att.crossRow != nil {
-					if att.crossRow != row {
-						return 0, fmt.Errorf("rack %d: attachment of %q tagged with a foreign row scheduler", ri, att.Owner)
+				if sp := att.spill; sp != nil {
+					w := &tierWords[sp.level]
+					if sp != tiers[sp.level] {
+						return 0, fmt.Errorf("rack %d: attachment of %q tagged with a foreign %s scheduler", ri, att.Owner, w.tier)
 					}
 					if att.CPURack != ri {
-						return 0, fmt.Errorf("rack %d: cross-pod attachment of %q registered off its compute rack %d", ri, att.Owner, att.CPURack)
+						return 0, fmt.Errorf("rack %d: %s attachment of %q registered off its compute rack %d", ri, w.cross, att.Owner, att.CPURack)
 					}
-					if !row.cross.contains(att) {
-						return 0, fmt.Errorf("rack %d: cross-pod attachment of %q missing from the row walk order", ri, att.Owner)
+					if !sp.cross.contains(att) {
+						return 0, fmt.Errorf("rack %d: %s attachment of %q missing from the %s walk order", ri, w.cross, att.Owner, w.tier)
 					}
-					rowRegistered++
-					tallyRider(rowRiders, att)
-					continue
+					registered[sp.level]++
+					tallyRider(riders[sp.level], att)
+				} else {
+					if att.CPURack != att.MemRack {
+						return 0, fmt.Errorf("rack %d: attachment of %q spans racks %d→%d without a pod tag", ri, att.Owner, att.CPURack, att.MemRack)
+					}
+					tallyRider(rackRiders, att)
 				}
-				if att.cross != nil {
-					if att.cross != s {
-						return 0, fmt.Errorf("rack %d: attachment of %q tagged with a foreign pod scheduler", ri, att.Owner)
-					}
-					if att.CPURack != ri {
-						return 0, fmt.Errorf("rack %d: cross attachment of %q registered off its compute rack %d", ri, att.Owner, att.CPURack)
-					}
-					crossRegistered++
-					if !s.cross.contains(att) {
-						return 0, fmt.Errorf("rack %d: cross attachment of %q missing from the cross walk order", ri, att.Owner)
-					}
-					tallyRider(podRiders, att)
-					continue
-				}
-				if att.CPURack != att.MemRack {
-					return 0, fmt.Errorf("rack %d: attachment of %q spans racks %d→%d without a pod tag", ri, att.Owner, att.CPURack, att.MemRack)
-				}
-				tallyRider(rackRiders, att)
 				if att.Mode == ModePacket {
 					continue
 				}
 				found := false
-				for _, h := range r.circuitHosts[r.cpuPos(att.CPU)] {
+				for _, h := range r.hosts(att.spill)[r.cpuPos(att.CPU)] {
 					if h == att {
 						if found {
-							return 0, fmt.Errorf("rack %d: attachment of %q twice in circuitHosts", ri, att.Owner)
+							return 0, fmt.Errorf("rack %d: attachment of %q twice in its host index", ri, att.Owner)
 						}
 						found = true
 					}
 				}
 				if !found {
-					return 0, fmt.Errorf("rack %d: circuit attachment of %q missing from circuitHosts", ri, att.Owner)
+					return 0, fmt.Errorf("rack %d: circuit attachment of %q missing from its host index", ri, att.Owner)
 				}
 				hostSeen[att] = true
 			}
 		}
-		// circuitHosts carries no stale entries.
-		for ord, hosts := range r.circuitHosts {
-			for _, h := range hosts {
-				if !hostSeen[h] {
-					return 0, fmt.Errorf("rack %d: orphaned circuitHosts entry for %q on %v", ri, h.Owner, r.computeOrder[ord])
+		// The host indexes carry no stale entries.
+		for _, index := range [...][][]*Attachment{r.circuitHosts, r.crossHosts[podLevel], r.crossHosts[rowLevel]} {
+			for ord, hosts := range index {
+				for _, h := range hosts {
+					if !hostSeen[h] {
+						return 0, fmt.Errorf("rack %d: orphaned host index entry for %q on %v", ri, h.Owner, r.computeOrder[ord])
+					}
 				}
 			}
 		}
@@ -138,13 +129,13 @@ func (s *PodScheduler) checkPod(live map[*brick.Segment]*Attachment, row *RowSch
 			return 0, err
 		}
 	}
-	if err := checkRiders("pod", podRiders); err != nil {
+	if err := checkRiders("pod", riders[podLevel]); err != nil {
 		return 0, err
 	}
-	if err := checkWalk("pod", &s.cross, s.attachSeq, live, crossRegistered); err != nil {
+	if err := checkWalk("pod", &s.cross, s.attachSeq, live, registered[podLevel]); err != nil {
 		return 0, err
 	}
-	return rowRegistered, nil
+	return registered[rowLevel], nil
 }
 
 // tallyRider records att's circuit in a rider census: every circuit an

@@ -10,8 +10,8 @@ package sdm
 // runs — each execute as one AttachmentOp, a plan of reversible steps
 // committed atomically. The engine owns circuit setup and teardown on
 // every optical tier, the TGL window moves, rider safety, and the
-// per-rack registration indexes; alloc.go, reattach.go, pod.go and
-// row.go are thin callers.
+// per-rack registration indexes; alloc.go, reattach.go and the spill
+// tier (spill.go) are thin callers.
 
 import (
 	"errors"
@@ -162,46 +162,51 @@ func (op *AttachmentOp) Commit() (sim.Duration, error) {
 	return op.lat, nil
 }
 
-// connector hides which optical tier carries a circuit: a rack's own
-// fabric or the pod switch. Plans connect and disconnect through it
-// without knowing the tier.
+// connector names the optical tier carrying a circuit and its
+// endpoints: a rack's own fabric, or the pod or row switch between two
+// racks. Exactly one fabric is set. Plans and teardown journals connect
+// and disconnect through it without knowing the tier; it is plain data,
+// so carrying one allocates nothing.
 type connector struct {
-	connect    func(a, b topo.PortID) (*optical.Circuit, sim.Duration, error)
-	disconnect func(*optical.Circuit) (sim.Duration, error)
+	rack *optical.Fabric
+	pod  *optical.PodFabric
+	row  *optical.RowFabric
+	// cpuPod/cpuRack and memPod/memRack name a spill circuit's endpoint
+	// racks (the pod switch ignores the pods).
+	cpuPod, cpuRack, memPod, memRack int
 }
 
-// rackTier is the connector for this rack's own circuit fabric,
-// built once so plans on the hot path allocate no closures.
-func (c *Controller) rackTier() connector {
-	if c.tierConn.connect == nil {
-		c.tierConn = connector{connect: c.fabric.Connect, disconnect: c.fabric.Disconnect}
+func (t connector) connect(a, b topo.PortID) (*optical.Circuit, sim.Duration, error) {
+	switch {
+	case t.row != nil:
+		return t.row.ConnectCross(t.cpuPod, t.cpuRack, a, t.memPod, t.memRack, b)
+	case t.pod != nil:
+		return t.pod.ConnectCross(t.cpuRack, a, t.memRack, b)
 	}
-	return c.tierConn
+	return t.rack.Connect(a, b)
 }
 
-// tier returns the connector joining compute rack ra to memory rack
-// rb: the rack's own fabric when they coincide, the pod switch (one
-// uplink per endpoint rack) otherwise. Cross-rack connectors are cached
-// per rack pair, so the closures are built once, not per plan.
-func (s *PodScheduler) tier(ra, rb int) connector {
+func (t connector) disconnect(c *optical.Circuit) (sim.Duration, error) {
+	switch {
+	case t.row != nil:
+		return t.row.DisconnectCross(c)
+	case t.pod != nil:
+		return t.pod.DisconnectCross(c)
+	}
+	return t.rack.Disconnect(c)
+}
+
+// rackConn is the connector for this rack's own circuit fabric.
+func (c *Controller) rackConn() connector { return connector{rack: c.fabric} }
+
+// pairConn is the connector joining compute rack ra to memory rack rb
+// of the pod: the rack's own fabric when they coincide, the pod switch
+// (one uplink per endpoint rack) otherwise.
+func (s *PodScheduler) pairConn(ra, rb int) connector {
 	if ra == rb {
-		return s.racks[ra].rackTier()
+		return s.racks[ra].rackConn()
 	}
-	if s.tierConns == nil {
-		s.tierConns = make(map[[2]int]connector)
-	}
-	key := [2]int{ra, rb}
-	if t, ok := s.tierConns[key]; ok {
-		return t
-	}
-	t := connector{
-		connect: func(a, b topo.PortID) (*optical.Circuit, sim.Duration, error) {
-			return s.fabric.ConnectCross(ra, a, rb, b)
-		},
-		disconnect: s.fabric.DisconnectCross,
-	}
-	s.tierConns[key] = t
-	return t
+	return s.conn(0, ra, 0, rb)
 }
 
 // CanRepoint reports whether an attachment's circuit can be moved
@@ -267,20 +272,17 @@ func (c *Controller) unregister(att *Attachment) {
 // before returning, so a failed attach leaves the circuit state exactly
 // as it found it.
 //
-// The tier is data, not closures. With pod and row nil the memory end
-// is this rack's and the circuit its own fabric, which recovers from
-// optical path faults by quarantine-and-retry. With pod set the memory
-// end is another rack of the pod (cpu.Rack names the home rack) and the
-// circuit crosses the pod switch; with row set it is another pod's
-// (cpu.Pod, cpu.Rack name home) and the circuit crosses the row switch.
+// The tier is data, not closures. With spill nil the memory end is
+// this rack's and the circuit its own fabric, which recovers from
+// optical path faults by quarantine-and-retry. Otherwise cpu names the
+// home rack in the spill tier's coordinates, the spill tier picks the
+// memory end beyond it, and the circuit crosses the tier's switch.
 //
 // On failure lat is what the attempt already spent (a brick boot stays
 // spent), and fallback reports circuit-resource exhaustion: the cases
 // the caller may cascade into its packet fallback. Both endpoints'
 // index leaves are touched before it returns, ahead of any fallback.
-func (c *Controller) attachCircuit(owner string, cpu topo.RowBrickID, size brick.Bytes,
-	pod *PodScheduler, row *RowScheduler) (att *Attachment, lat sim.Duration, fallback bool, err error) {
-
+func (c *Controller) attachCircuit(owner string, cpu topo.RowBrickID, size brick.Bytes, spill *spillTier) (att *Attachment, lat sim.Duration, fallback bool, err error) {
 	ord := c.cpuPos(cpu.Brick)
 	if ord < 0 {
 		return nil, 0, false, fmt.Errorf("sdm: no compute brick %v", cpu.Brick)
@@ -316,20 +318,13 @@ func (c *Controller) attachCircuit(owner string, cpu topo.RowBrickID, size brick
 	}
 	// Memory pick and power-up.
 	var ok bool
-	switch {
-	case row != nil:
-		if memPod, memRack, memID, ok = row.pickMemoryPod(size, cpu.Pod); ok {
-			memCtl = row.pods[memPod].racks[memRack]
+	if spill != nil {
+		if memPod, memRack, memID, ok = spill.owner.pickSpill(size, cpu); ok {
+			memCtl = spill.owner.rackAt(memPod, memRack)
 		} else {
-			err = fmt.Errorf("sdm: no pod in the row with %v contiguous free and a spare port", size)
+			err = fmt.Errorf("sdm: %s with %v contiguous free and a spare port", tierWords[spill.level].none, size)
 		}
-	case pod != nil:
-		if memRack, memID, ok = pod.pickMemoryRack(size, cpu.Rack); ok {
-			memCtl = pod.racks[memRack]
-		} else {
-			err = fmt.Errorf("sdm: no rack in the pod with %v contiguous free and a spare port", size)
-		}
-	default:
+	} else {
 		// While the rack's batch is open, the batch planner's pick cache
 		// serves the pick (see batch.go).
 		if c.batch != nil && c.batch.active {
@@ -368,51 +363,47 @@ func (c *Controller) attachCircuit(owner string, cpu topo.RowBrickID, size brick
 		node.Brick.Ports.Release(cpuPort)
 		return nil, lat, true, err
 	}
-	// Circuit setup.
+	// Circuit setup. The rack tier quarantines a failed endpoint and
+	// retries through another port; the bound covers every port failing.
+	// A quarantined port stays withdrawn for the operator (releasing it
+	// below is a no-op); the healthy side is released by the ordinary
+	// unwind. A spill circuit gets no retry.
+	t, maxRetries := c.rackConn(), node.Brick.Ports.Total()+m.Ports.Total()
+	if spill != nil {
+		t, maxRetries = spill.conn(cpu.Pod, cpu.Rack, memPod, memRack), 0
+	}
 	var (
 		circuit  *optical.Circuit
 		reconfig sim.Duration
 	)
-	switch {
-	case row != nil:
-		circuit, reconfig, err = row.fabric.ConnectCross(cpu.Pod, cpu.Rack, cpuPort, memPod, memRack, memPort)
-	case pod != nil:
-		circuit, reconfig, err = pod.fabric.ConnectCross(cpu.Rack, cpuPort, memRack, memPort)
-	default:
-		// The rack tier quarantines a failed endpoint and retries through
-		// another port; the bound covers every port failing. A quarantined
-		// port stays withdrawn for the operator (releasing it below is a
-		// no-op); the healthy side is released by the ordinary unwind.
-		maxRetries := node.Brick.Ports.Total() + m.Ports.Total()
-		for retry := 0; ; retry++ {
-			if circuit, reconfig, err = c.fabric.Connect(cpuPort, memPort); err == nil {
-				break
-			}
-			var pf *optical.PortFailedError
-			if !errors.As(err, &pf) || retry >= maxRetries {
-				break
-			}
-			held, ports := &memPort, m.Ports
-			if pf.Port == cpuPort {
-				held, ports = &cpuPort, node.Brick.Ports
-			}
-			var p topo.PortID
-			rerr := ports.Quarantine(*held)
-			if rerr == nil {
-				p, rerr = ports.Acquire()
-			}
-			if rerr != nil {
-				err = fmt.Errorf("sdm: circuit fault recovery exhausted ports: %w", rerr)
-				break
-			}
-			*held = p
+	for retry := 0; ; retry++ {
+		if circuit, reconfig, err = t.connect(cpuPort, memPort); err == nil {
+			break
 		}
+		var pf *optical.PortFailedError
+		if !errors.As(err, &pf) || retry >= maxRetries {
+			break
+		}
+		held, ports := &memPort, m.Ports
+		if pf.Port == cpuPort {
+			held, ports = &cpuPort, node.Brick.Ports
+		}
+		var p topo.PortID
+		rerr := ports.Quarantine(*held)
+		if rerr == nil {
+			p, rerr = ports.Acquire()
+		}
+		if rerr != nil {
+			err = fmt.Errorf("sdm: circuit fault recovery exhausted ports: %w", rerr)
+			break
+		}
+		*held = p
 	}
 	if err != nil {
 		m.Ports.Release(memPort)
 		m.Release(seg)
 		node.Brick.Ports.Release(cpuPort)
-		return nil, lat, pod != nil || row != nil, err
+		return nil, lat, spill != nil, err
 	}
 	lat += reconfig
 	// TGL window push via the SDM Agent.
@@ -424,16 +415,7 @@ func (c *Controller) attachCircuit(owner string, cpu topo.RowBrickID, size brick
 		Port:       cpuPort,
 	}
 	if err = node.Agent.Glue.Attach(window); err != nil {
-		var uerr error
-		switch {
-		case row != nil:
-			_, uerr = row.fabric.DisconnectCross(circuit)
-		case pod != nil:
-			_, uerr = pod.fabric.DisconnectCross(circuit)
-		default:
-			_, uerr = c.fabric.Disconnect(circuit)
-		}
-		if uerr != nil {
+		if _, uerr := t.disconnect(circuit); uerr != nil {
 			return nil, lat, false, fmt.Errorf("sdm: %v failed (%v) and rollback failed: %w", OpAttach, err, uerr)
 		}
 		m.Ports.Release(memPort)
@@ -454,28 +436,18 @@ func (c *Controller) attachCircuit(owner string, cpu topo.RowBrickID, size brick
 	att.MemPort = memPort
 	att.Window = window
 	att.Mode = ModeCircuit
-	switch {
-	case row != nil:
-		att.CPURack, att.MemRack = cpu.Rack, memRack
-		att.CPUPod, att.MemPod = cpu.Pod, memPod
-		att.crossRow = row
-		c.register(att)
-		row.crossHosts[cpu.Pod][cpu.Rack][ord] = append(row.crossHosts[cpu.Pod][cpu.Rack][ord], att)
-		row.addCrossOrder(att)
-	case pod != nil:
-		att.CPURack, att.MemRack = cpu.Rack, memRack
-		att.cross = pod
-		c.register(att)
-		pod.crossHosts[cpu.Rack][ord] = append(pod.crossHosts[cpu.Rack][ord], att)
-		pod.addCrossOrder(att)
-	default:
-		c.register(att)
-		c.circuitHosts[ord] = append(c.circuitHosts[ord], att)
+	att.CPURack, att.MemRack = cpu.Rack, memRack
+	att.CPUPod, att.MemPod = cpu.Pod, memPod
+	att.spill = spill
+	c.register(att)
+	c.addHost(spill, ord, att)
+	if spill != nil {
+		spill.addCrossOrder(att)
 	}
 	return att, lat, false, nil
 }
 
-// planDetach builds the teardown plan shared by both tiers, the exact
+// planDetach builds the teardown plan shared by every tier, the exact
 // reverse of attachCircuit: window, circuit, ports, segment,
 // unregistration. Validation (liveness, packet mode, riders) is the
 // thin caller's job; t carries the attachment's circuit tier.

@@ -27,30 +27,14 @@ import (
 //     from the same compute brick, steered by the on-brick packet
 //     switches.
 //
-// Cross-rack attachments are registered in the compute rack's
-// controller (so Attachments, scale-down and rider queries stay
-// uniform) and tagged with the scheduler, which owns their teardown.
+// The cross-rack spill — circuit, packet fallback, detach and their
+// bookkeeping — is the embedded spillTier (spill.go).
 type PodScheduler struct {
-	cfg    Config
+	spillTier
+
 	pod    *topo.Pod
 	fabric *optical.PodFabric
 	racks  []*Controller
-
-	// crossHosts indexes cross-rack circuit attachments by compute brick
-	// — [rack][compute ordinal] — for the pod-tier packet fallback.
-	// (Packet-rider counts live on the circuits: optical.Circuit.Riders.)
-	crossHosts [][][]*Attachment
-
-	// cross lists every live cross-rack attachment in spill order (each
-	// stamped with a seq from attachSeq) — the oldest-first walk order of
-	// the rebalancer, threaded intrusively through the attachments so
-	// Repoint/Rebalance/detach remove in O(1) with no pointer-keyed map.
-	cross     crossList
-	attachSeq uint64
-
-	// tierConns caches the cross-rack connectors per rack pair (see
-	// tier in lifecycle.go).
-	tierConns map[[2]int]connector
 
 	// rebalScratch is the rebalancer's reused sweep snapshot buffer, so
 	// periodic sweeps stop allocating per call.
@@ -74,9 +58,6 @@ type PodScheduler struct {
 	// confirming every improving candidate.
 	spreadFallbacks uint64
 
-	requests uint64
-	failures uint64
-	spills   uint64
 	promoted uint64
 }
 
@@ -93,24 +74,31 @@ func NewPodScheduler(pod *topo.Pod, fabric *optical.PodFabric, bc BrickConfigs, 
 		return nil, fmt.Errorf("sdm: pod has %d racks but the fabric has %d", pod.Racks(), fabric.Racks())
 	}
 	s := &PodScheduler{
-		cfg:    cfg,
 		pod:    pod,
 		fabric: fabric,
 		boots:  &bootJournal{},
 	}
+	s.spillTier = spillTier{cfg: cfg, level: podLevel, owner: s, crossFabric: connector{pod: fabric}}
 	for i := 0; i < pod.Racks(); i++ {
 		c, err := NewController(pod.Rack(i), fabric.Rack(i), bc, cfg)
 		if err != nil {
 			return nil, fmt.Errorf("sdm: rack %d: %w", i, err)
 		}
 		c.boots = s.boots
+		c.crossHosts[podLevel] = make([][]*Attachment, len(c.computes))
 		s.racks = append(s.racks, c)
 	}
-	s.crossHosts = make([][][]*Attachment, len(s.racks))
-	for i, r := range s.racks {
-		s.crossHosts[i] = make([][]*Attachment, len(r.computes))
-	}
 	return s, nil
+}
+
+// rackAt resolves an endpoint to its rack controller; the pod
+// coordinate belongs to the row and plays no part here.
+func (s *PodScheduler) rackAt(_, rack int) *Controller { return s.racks[rack] }
+
+// pickSpill picks the memory end of a cross-rack spill from home's rack.
+func (s *PodScheduler) pickSpill(size brick.Bytes, home topo.RowBrickID) (int, int, topo.BrickID, bool) {
+	rack, id, ok := s.pickMemoryRack(size, home.Rack)
+	return home.Pod, rack, id, ok
 }
 
 // Racks returns the rack count.
@@ -370,8 +358,6 @@ func (s *PodScheduler) AttachRemoteMemory(owner string, cpu topo.PodBrickID, siz
 		return nil, 0, fmt.Errorf("sdm: no rack %d in the pod", cpu.Rack)
 	}
 	rackA := s.racks[cpu.Rack]
-	var att *Attachment
-	var lat sim.Duration
 	var localErr error
 	if s.cfg.Scan != ScanLinear && rackA.MaxMemoryGap() < size {
 		// No rack-local brick has a contiguous gap for the request, so
@@ -383,177 +369,27 @@ func (s *PodScheduler) AttachRemoteMemory(owner string, cpu topo.PodBrickID, siz
 		rackA.requests++
 		rackA.failures++
 	} else {
-		att, lat, localErr = rackA.AttachRemoteMemory(owner, cpu.Brick, size)
-		if localErr == nil {
+		att, lat, err := rackA.AttachRemoteMemory(owner, cpu.Brick, size)
+		if err == nil {
 			att.CPURack, att.MemRack = cpu.Rack, cpu.Rack
 			return att, lat, nil
 		}
+		localErr = err
 	}
-	att, lat, err := s.attachCross(owner, cpu, size)
-	if err != nil {
-		if localErr == nil {
-			localErr = fmt.Errorf("sdm: no memory brick with %v contiguous free and a spare port", size)
-		}
-		s.failures++
-		return nil, 0, fmt.Errorf("sdm: pod attach for %q failed rack-locally (%v) and cross-rack: %w", owner, localErr, err)
-	}
-	s.spills++
-	return att, lat, nil
-}
-
-// attachCross provisions a cross-rack attachment: a segment on another
-// rack's dMEMBRICK, a circuit through the pod switch, and the TGL
-// window on the home rack's compute brick — one inline commit
-// (attachCircuit), so every completed step rolls back on failure.
-// Exhaustion of circuit resources cascades into the pod-tier packet
-// fallback.
-func (s *PodScheduler) attachCross(owner string, cpu topo.PodBrickID, size brick.Bytes) (*Attachment, sim.Duration, error) {
-	home := topo.RowBrickID{Rack: cpu.Rack, Brick: cpu.Brick}
-	att, lat, fallback, err := s.racks[cpu.Rack].attachCircuit(owner, home, size, s, nil)
-	if err != nil {
-		if fallback {
-			if att, fl, ferr := s.attachPacketCross(owner, cpu, size); ferr == nil {
-				return att, lat + fl, nil
-			}
-		}
-		return nil, 0, err
-	}
-	return att, lat, nil
-}
-
-// addCrossOrder stamps an attachment with the next spill sequence
-// number and appends it to the rebalancer's oldest-first walk order.
-func (s *PodScheduler) addCrossOrder(att *Attachment) {
-	s.attachSeq++
-	att.seq = s.attachSeq
-	s.cross.pushBack(att)
-}
-
-// removeCrossOrder drops an attachment from the rebalancer walk order
-// in O(1) by unlinking it in place.
-func (s *PodScheduler) removeCrossOrder(att *Attachment) {
-	s.cross.remove(att)
-}
-
-// attachPacketCross preserves the packet fallback across the pod tier:
-// the new attachment rides an existing cross-rack circuit from the same
-// compute brick, with the on-brick packet switches steering its
-// transactions — two lookup-table pushes instead of a pod-switch
-// reconfiguration.
-func (s *PodScheduler) attachPacketCross(owner string, cpu topo.PodBrickID, size brick.Bytes) (*Attachment, sim.Duration, error) {
-	if !s.cfg.PacketFallback {
-		return nil, 0, fmt.Errorf("sdm: packet fallback disabled")
-	}
-	rackA := s.racks[cpu.Rack]
-	node := rackA.compute(cpu.Brick)
-	var host *Attachment
-	for _, a := range s.crossHosts[cpu.Rack][rackA.cpuPos(cpu.Brick)] {
-		m := s.racks[a.MemRack].memory(a.Segment.Brick)
-		if m.LargestGap() >= size {
-			host = a
-			break
-		}
-	}
-	if host == nil {
-		return nil, 0, fmt.Errorf("sdm: pod packet fallback: no live cross-rack circuit from %v to a memory brick with %v contiguous free", cpu, size)
-	}
-	m := s.racks[host.MemRack].memory(host.Segment.Brick)
-	seg, err := m.Carve(size, owner)
-	if err != nil {
-		return nil, 0, err
-	}
-	window := tgl.Entry{
-		Base:       node.nextWindow,
-		Size:       uint64(size),
-		Dest:       host.Segment.Brick,
-		DestOffset: uint64(seg.Offset),
-		Port:       host.CPUPort, // shares the host circuit's port
-	}
-	if err := node.Agent.Glue.Attach(window); err != nil {
-		m.Release(seg)
-		return nil, 0, err
-	}
-	node.nextWindow += window.Size
-
-	att := rackA.newAttachment()
-	att.Owner = owner
-	att.CPU = cpu.Brick
-	att.Segment = seg
-	att.Circuit = host.Circuit
-	att.CPUPort = host.CPUPort
-	att.MemPort = host.MemPort
-	att.Window = window
-	att.Mode = ModePacket
-	att.CPURack = cpu.Rack
-	att.MemRack = host.MemRack
-	att.cross = s
-	host.Circuit.Riders++
-	rackA.register(att)
-	s.addCrossOrder(att)
-	s.racks[host.MemRack].touchMemory(host.Segment.Brick)
-	return att, s.cfg.DecisionLatency + 2*s.cfg.AgentRTT, nil
+	return s.attachSpill(owner, topo.RowBrickID{Rack: cpu.Rack, Brick: cpu.Brick}, size, localErr)
 }
 
 // DetachRemoteMemory tears a pod attachment down: rack-local ones
-// delegate to their rack's controller, cross-rack ones to detachCross
+// delegate to their rack's controller, spilled ones to their spill tier
 // (the routing lives on the attachment, so either entry point works).
 func (s *PodScheduler) DetachRemoteMemory(att *Attachment) (sim.Duration, error) {
-	if att.crossRow != nil {
-		return att.crossRow.detachCross(att)
-	}
-	if att.cross != nil {
-		return s.detachCross(att)
+	if att.spill != nil {
+		return att.spill.detachCross(att)
 	}
 	if att.CPURack < 0 || att.CPURack >= len(s.racks) {
 		return 0, fmt.Errorf("sdm: attachment names rack %d outside the pod", att.CPURack)
 	}
 	return s.racks[att.CPURack].DetachRemoteMemory(att)
-}
-
-// detachCross tears down a cross-rack attachment in reverse order.
-func (s *PodScheduler) detachCross(att *Attachment) (sim.Duration, error) {
-	s.requests++
-	rackA := s.racks[att.CPURack]
-	if !rackA.registered(att) {
-		s.failures++
-		return 0, fmt.Errorf("sdm: cross-rack attachment for %q on %v not live", att.Owner, att.CPU)
-	}
-	node := rackA.compute(att.CPU)
-	m := s.racks[att.MemRack].memory(att.Segment.Brick)
-
-	if att.Mode == ModePacket {
-		memID := att.Segment.Brick
-		if err := node.Agent.Glue.Detach(att.Window.Base); err != nil {
-			s.failures++
-			return 0, err
-		}
-		if err := m.Release(att.Segment); err != nil {
-			s.failures++
-			return 0, err
-		}
-		if att.Circuit.Riders > 0 {
-			att.Circuit.Riders--
-		}
-		rackA.unregister(att)
-		s.removeCrossOrder(att)
-		s.racks[att.MemRack].touchMemory(memID)
-		return s.cfg.DecisionLatency + 2*s.cfg.AgentRTT, nil
-	}
-	if n := att.Circuit.Riders; n > 0 {
-		s.failures++
-		return 0, fmt.Errorf("sdm: cross-rack circuit of %q on %v carries %d packet-mode riders; detach them first", att.Owner, att.CPU, n)
-	}
-	op := planDetach(s.cfg, att, rackA, s.racks[att.MemRack], s.tier(att.CPURack, att.MemRack), func() {
-		rackA.unregister(att)
-		s.removeCrossHost(att)
-		s.removeCrossOrder(att)
-	})
-	lat, err := op.Commit()
-	if err != nil {
-		s.failures++
-		return 0, err
-	}
-	return lat, nil
 }
 
 // Repoint re-points an attachment's compute end at any brick in the
@@ -565,11 +401,11 @@ func (s *PodScheduler) detachCross(att *Attachment) (sim.Duration, error) {
 // primitive that lets a VM's remote memory follow it across racks
 // during migration.
 func (s *PodScheduler) Repoint(att *Attachment, newCPU topo.PodBrickID) (tgl.Entry, sim.Duration, error) {
-	if att.crossRow != nil {
+	if att.spill != nil && att.spill.level == rowLevel {
 		// Re-tiering through the row switch is not modeled yet.
 		return tgl.Entry{}, 0, fmt.Errorf("sdm: cannot repoint cross-pod attachment of %q", att.Owner)
 	}
-	if att.cross == nil && att.CPURack == newCPU.Rack {
+	if att.spill == nil && att.CPURack == newCPU.Rack {
 		// Purely rack-local: the rack controller owns the bookkeeping.
 		return s.racks[att.CPURack].ReattachRemoteMemory(att, newCPU.Brick)
 	}
@@ -595,9 +431,8 @@ func (s *PodScheduler) Repoint(att *Attachment, newCPU topo.PodBrickID) (tgl.Ent
 		s.failures++
 		return tgl.Entry{}, 0, err
 	}
-	wasCross := att.CrossRack()
 	op := planRepoint(s.cfg, att, oldRack, newRack, newCPU.Brick,
-		s.tier(att.CPURack, att.MemRack), s.tier(newCPU.Rack, att.MemRack),
+		s.pairConn(att.CPURack, att.MemRack), s.pairConn(newCPU.Rack, att.MemRack),
 		func(newCPUPort topo.PortID, circuit *optical.Circuit, window tgl.Entry) {
 			// Owner registration follows the compute rack (register re-stamps
 			// ownerID against the new rack's intern table).
@@ -605,26 +440,21 @@ func (s *PodScheduler) Repoint(att *Attachment, newCPU topo.PodBrickID) (tgl.Ent
 				oldRack.unregister(att)
 				newRack.register(att)
 			}
-			if wasCross {
-				s.removeCrossHost(att)
-				s.removeCrossOrder(att)
-			} else {
-				oldRack.removeCircuitHost(att)
+			oldRack.removeHost(att.spill, att)
+			if att.spill != nil {
+				s.cross.remove(att)
 			}
 			att.CPU = newCPU.Brick
 			att.CPUPort = newCPUPort
 			att.Circuit = circuit
 			att.Window = window
 			att.CPURack = newCPU.Rack
-			ord := newRack.cpuPos(newCPU.Brick)
+			att.spill = nil
 			if att.CrossRack() {
-				att.cross = s
-				s.crossHosts[newCPU.Rack][ord] = append(s.crossHosts[newCPU.Rack][ord], att)
+				att.spill = &s.spillTier
 				s.addCrossOrder(att)
-			} else {
-				att.cross = nil
-				newRack.circuitHosts[ord] = append(newRack.circuitHosts[ord], att)
 			}
+			newRack.addHost(att.spill, newRack.cpuPos(newCPU.Brick), att)
 		})
 	lat, err := op.Commit()
 	if err != nil {
@@ -632,19 +462,6 @@ func (s *PodScheduler) Repoint(att *Attachment, newCPU topo.PodBrickID) (tgl.Ent
 		return tgl.Entry{}, 0, err
 	}
 	return att.Window, lat, nil
-}
-
-// removeCrossHost drops a cross-rack circuit attachment from the
-// fallback host index.
-func (s *PodScheduler) removeCrossHost(att *Attachment) {
-	ord := s.racks[att.CPURack].cpuPos(att.CPU)
-	hosts := s.crossHosts[att.CPURack][ord]
-	for i, a := range hosts {
-		if a == att {
-			s.crossHosts[att.CPURack][ord] = append(hosts[:i], hosts[i+1:]...)
-			return
-		}
-	}
 }
 
 // Attachments returns the live attachments of an owner across the pod

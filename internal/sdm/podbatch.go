@@ -173,17 +173,10 @@ func (s *PodScheduler) AdmitBatchInto(reqs []AdmitRequest, out []AdmitResult, wo
 		}
 		// Every non-retry leftover needs the cross-rack spill.
 		res := &out[i]
-		att, lat, err := s.attachCross(req.Owner, topo.PodBrickID{Rack: res.Rack, Brick: res.CPU}, req.Remote)
+		att, lat, err := s.attachSpill(req.Owner, topo.RowBrickID{Rack: res.Rack, Brick: res.CPU}, req.Remote, res.localErr)
 		if err != nil {
-			localErr := res.localErr
-			if localErr == nil {
-				localErr = fmt.Errorf("sdm: no memory brick with %v contiguous free and a spare port", req.Remote)
-			}
-			s.failures++
-			err = fmt.Errorf("sdm: pod attach for %q failed rack-locally (%v) and cross-rack: %w", req.Owner, localErr, err)
 			return s.abortBatch(reqs, out, seqStart, i, err)
 		}
-		s.spills++
 		res.Att, res.AttachLat = att, lat
 		res.needSpill, res.localErr = false, nil
 	}

@@ -13,8 +13,8 @@ package sdm
 //     Controller.ReleaseBatch, in rack order, with one deferred
 //     index-leaf refresh per touched brick.
 //  3. Cross phase: cross-rack attachments detach in request order
-//     through the same steps as detachCross, journaled like the rack
-//     teardowns.
+//     through the spill tier's batchDetachCross (spill.go), journaled
+//     like the rack teardowns.
 //
 // Eviction is all-or-nothing: if any teardown definitively fails, the
 // journals replay in reverse — segments re-carve at their exact
@@ -176,7 +176,7 @@ func (s *PodScheduler) evictPlan(reqs []EvictRequest) {
 		rr := ReleaseRequest{Owner: req.Owner, CPU: req.CPU, VCPUs: req.VCPUs, LocalMem: req.LocalMem, Rack: req.Rack}
 		start := len(atts)
 		for _, att := range req.Atts {
-			if att.cross != nil {
+			if att.spill == &s.spillTier {
 				crossQ = append(crossQ, crossItem{req: i, att: att})
 			} else {
 				atts = append(atts, att)
@@ -248,127 +248,6 @@ func (s *PodScheduler) evictMerge(reqs []EvictRequest, out []EvictResult) (int, 
 	}
 	sc.podLog = podLog
 	return -1, nil
-}
-
-// batchDetachCross mirrors detachCross — same validation, counters,
-// latency accounting and error surfaces, executed inline as one merged
-// commit — and journals the undo into the pod-phase log.
-func (s *PodScheduler) batchDetachCross(att *Attachment, log *[]detachUndo) (sim.Duration, error) {
-	s.requests++
-	rackA := s.racks[att.CPURack]
-	idx := -1
-	var list []*Attachment
-	if id := int(att.ownerID); id >= 0 && id < len(rackA.attachments) {
-		list = rackA.attachments[id]
-	}
-	for i, a := range list {
-		if a == att {
-			idx = i
-			break
-		}
-	}
-	if idx == -1 {
-		s.failures++
-		return 0, fmt.Errorf("sdm: cross-rack attachment for %q on %v not live", att.Owner, att.CPU)
-	}
-	node := rackA.compute(att.CPU)
-	rackB := s.racks[att.MemRack]
-	m := rackB.memory(att.Segment.Brick)
-
-	// crossNext is the attachment's successor in the rebalancer walk
-	// order, so rollback can re-thread it at the exact position.
-	crossNext := att.crossNext
-
-	if att.Mode == ModePacket {
-		memID := att.Segment.Brick
-		segOffset, segSize := att.Segment.Offset, att.Segment.Size
-		if err := node.Agent.Glue.Detach(att.Window.Base); err != nil {
-			s.failures++
-			return 0, err
-		}
-		if err := m.Release(att.Segment); err != nil {
-			s.failures++
-			return 0, err
-		}
-		if att.Circuit.Riders > 0 {
-			att.Circuit.Riders--
-		}
-		*log = append(*log, detachUndo{
-			att:       att,
-			packet:    true,
-			cpuRack:   rackA,
-			memRack:   rackB,
-			memID:     memID,
-			segOffset: segOffset,
-			segSize:   segSize,
-			attIdx:    idx,
-			pod:       s,
-			crossNext: crossNext,
-		})
-		rackA.unregister(att)
-		s.removeCrossOrder(att)
-		rackB.touchMemory(memID)
-		return s.cfg.DecisionLatency + 2*s.cfg.AgentRTT, nil
-	}
-	if n := att.Circuit.Riders; n > 0 {
-		s.failures++
-		return 0, fmt.Errorf("sdm: cross-rack circuit of %q on %v carries %d packet-mode riders; detach them first", att.Owner, att.CPU, n)
-	}
-
-	cpu, memID := att.CPU, att.Segment.Brick
-	defer func() {
-		rackA.touchCompute(cpu)
-		rackB.touchMemory(memID)
-	}()
-	lat := s.cfg.DecisionLatency
-	t := s.tier(att.CPURack, att.MemRack)
-	oldWindow := att.Window
-
-	if err := node.Agent.Glue.Detach(oldWindow.Base); err != nil {
-		s.failures++
-		return 0, err
-	}
-	lat += s.cfg.AgentRTT
-	d, err := t.disconnect(att.Circuit)
-	lat += d
-	if err != nil {
-		if uerr := node.Agent.Glue.Attach(oldWindow); uerr != nil {
-			s.failures++
-			return 0, fmt.Errorf("sdm: detach failed (%v) and rollback failed: %w", err, uerr)
-		}
-		s.failures++
-		return 0, err
-	}
-	segOffset, segSize := att.Segment.Offset, att.Segment.Size
-	if err := rackA.finishDetach(node, m, att); err != nil {
-		s.failures++
-		return 0, err
-	}
-	crossHostIdx := 0
-	for i, a := range s.crossHosts[att.CPURack][rackA.cpuPos(att.CPU)] {
-		if a == att {
-			crossHostIdx = i
-			break
-		}
-	}
-	*log = append(*log, detachUndo{
-		att:          att,
-		cpuRack:      rackA,
-		memRack:      rackB,
-		memID:        memID,
-		segOffset:    segOffset,
-		segSize:      segSize,
-		t:            t,
-		attIdx:       idx,
-		crossHostIdx: crossHostIdx,
-		pod:          s,
-		crossNext:    crossNext,
-	})
-	ownerList := rackA.attachments[att.ownerID]
-	rackA.attachments[att.ownerID] = append(ownerList[:idx], ownerList[idx+1:]...)
-	s.removeCrossHost(att)
-	s.removeCrossOrder(att)
-	return lat, nil
 }
 
 // rollbackEvict undoes the pod's share of an aborted eviction: the

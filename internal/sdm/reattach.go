@@ -64,13 +64,13 @@ func (c *Controller) ReserveComputeExcept(owner string, vcpus int, localMem bric
 // It returns the new window (migration callers must re-home the
 // baremetal hotplug range) and the orchestration latency.
 func (c *Controller) ReattachRemoteMemory(att *Attachment, newCPU topo.BrickID) (tgl.Entry, sim.Duration, error) {
-	if att.crossRow != nil {
-		// Cross-pod circuits would have to be rebuilt through the row
-		// switch; row-tier migration is not modeled yet.
-		return tgl.Entry{}, 0, fmt.Errorf("sdm: cannot repoint cross-pod attachment of %q", att.Owner)
-	}
-	if att.cross != nil {
-		return att.cross.Repoint(att, topo.PodBrickID{Rack: att.CPURack, Brick: newCPU})
+	if att.spill != nil {
+		if att.spill.level == rowLevel {
+			// Cross-pod circuits would have to be rebuilt through the row
+			// switch; row-tier migration is not modeled yet.
+			return tgl.Entry{}, 0, fmt.Errorf("sdm: cannot repoint cross-pod attachment of %q", att.Owner)
+		}
+		return att.spill.owner.(*PodScheduler).Repoint(att, topo.PodBrickID{Rack: att.CPURack, Brick: newCPU})
 	}
 	c.requests++
 	if !c.registered(att) {
@@ -89,15 +89,14 @@ func (c *Controller) ReattachRemoteMemory(att *Attachment, newCPU topo.BrickID) 
 		c.failures++
 		return tgl.Entry{}, 0, err
 	}
-	op := planRepoint(c.cfg, att, c, c, newCPU, c.rackTier(), c.rackTier(),
+	op := planRepoint(c.cfg, att, c, c, newCPU, c.rackConn(), c.rackConn(),
 		func(newCPUPort topo.PortID, circuit *optical.Circuit, window tgl.Entry) {
-			c.removeCircuitHost(att)
+			c.removeHost(nil, att)
 			att.CPU = newCPU
 			att.CPUPort = newCPUPort
 			att.Circuit = circuit
 			att.Window = window
-			ord := c.cpuPos(newCPU)
-			c.circuitHosts[ord] = append(c.circuitHosts[ord], att)
+			c.addHost(nil, c.cpuPos(newCPU), att)
 		})
 	lat, err := op.Commit()
 	if err != nil {

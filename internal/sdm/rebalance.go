@@ -102,7 +102,7 @@ func (s *PodScheduler) Rehome(att *Attachment, targetRack int) (sim.Duration, er
 	newMemRack := s.racks[targetRack]
 	op := planRehome(kind, s.cfg, att, rackA, s.racks[att.MemRack], newMemRack,
 		func() (topo.BrickID, bool) { return newMemRack.pickMemory(att.Size()) },
-		s.tier(att.CPURack, att.MemRack), s.tier(att.CPURack, targetRack),
+		s.pairConn(att.CPURack, att.MemRack), s.pairConn(att.CPURack, targetRack),
 		func(newMem topo.BrickID, seg *brick.Segment, memPort topo.PortID, circuit *optical.Circuit, window tgl.Entry) {
 			att.Segment = seg
 			att.MemPort = memPort
@@ -113,15 +113,15 @@ func (s *PodScheduler) Rehome(att *Attachment, targetRack int) (sim.Duration, er
 			ord := rackA.cpuPos(att.CPU)
 			switch {
 			case wasCross && !nowCross:
-				s.removeCrossHost(att)
-				s.removeCrossOrder(att)
-				att.cross = nil
-				rackA.circuitHosts[ord] = append(rackA.circuitHosts[ord], att)
+				rackA.removeHost(att.spill, att)
+				s.cross.remove(att)
+				att.spill = nil
+				rackA.addHost(nil, ord, att)
 				s.promoted++
 			case !wasCross && nowCross:
-				rackA.removeCircuitHost(att)
-				att.cross = s
-				s.crossHosts[att.CPURack][ord] = append(s.crossHosts[att.CPURack][ord], att)
+				rackA.removeHost(nil, att)
+				att.spill = &s.spillTier
+				rackA.addHost(att.spill, ord, att)
 				s.addCrossOrder(att)
 			}
 		})

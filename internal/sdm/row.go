@@ -6,7 +6,6 @@ import (
 	"repro/internal/brick"
 	"repro/internal/optical"
 	"repro/internal/sim"
-	"repro/internal/tgl"
 	"repro/internal/topo"
 )
 
@@ -31,11 +30,11 @@ import (
 //     the row tier: the attachment rides an existing cross-pod circuit
 //     from the same compute brick.
 //
-// Cross-pod attachments register in the compute rack's controller (so
-// Attachments and scale-down stay uniform) and are tagged with the row
-// scheduler, which owns their teardown.
+// The cross-pod spill is the embedded spillTier (spill.go), the same
+// one the pod tier embeds for its cross-rack spill.
 type RowScheduler struct {
-	cfg    Config
+	spillTier
+
 	row    *topo.Row
 	fabric *optical.RowFabric
 	pods   []*PodScheduler
@@ -44,21 +43,6 @@ type RowScheduler struct {
 	// linear-scan mode (where the index choke points don't fire and the
 	// row falls back to summing rack roots on demand).
 	aggs []*podAgg
-
-	// crossHosts indexes cross-pod circuit attachments by compute brick
-	// — [pod][rack][compute ordinal] — for the row-tier packet fallback.
-	// (Packet-rider counts live on the circuits: optical.Circuit.Riders.)
-	crossHosts [][][][]*Attachment
-
-	// cross lists every live cross-pod attachment in spill order,
-	// mirroring the pod tier's rebalancer walk order one tier up,
-	// threaded intrusively through the attachments themselves.
-	cross     crossList
-	attachSeq uint64
-
-	// tierConns caches cross-pod connectors per endpoint quadruple
-	// (cpuPod, cpuRack, memPod, memRack).
-	tierConns map[[4]int]connector
 
 	// evict holds EvictBatch's reused partition buffers (see
 	// rowteardown.go); admit holds AdmitBatch's (see rowbatch.go). Both
@@ -74,10 +58,6 @@ type RowScheduler struct {
 	// candidate failed its confirming pick, so the choice fell back to
 	// confirming every improving candidate.
 	spreadFallbacks uint64
-
-	requests uint64
-	failures uint64
-	spills   uint64
 }
 
 // NewRowScheduler builds one PodScheduler per pod over the row fabric's
@@ -93,10 +73,10 @@ func NewRowScheduler(row *topo.Row, fabric *optical.RowFabric, bc BrickConfigs, 
 		return nil, fmt.Errorf("sdm: row has %d pods but the fabric has %d", row.Pods(), fabric.Pods())
 	}
 	s := &RowScheduler{
-		cfg:    cfg,
 		row:    row,
 		fabric: fabric,
 	}
+	s.spillTier = spillTier{cfg: cfg, level: rowLevel, owner: s, crossFabric: connector{row: fabric}}
 	for i := 0; i < row.Pods(); i++ {
 		p, err := NewPodScheduler(row.Pod(i), fabric.Pod(i), bc, cfg)
 		if err != nil {
@@ -105,15 +85,9 @@ func NewRowScheduler(row *topo.Row, fabric *optical.RowFabric, bc BrickConfigs, 
 		p.boots = &s.boots
 		for _, r := range p.racks {
 			r.boots = &s.boots
+			r.crossHosts[rowLevel] = make([][]*Attachment, len(r.computes))
 		}
 		s.pods = append(s.pods, p)
-	}
-	s.crossHosts = make([][][][]*Attachment, len(s.pods))
-	for i, p := range s.pods {
-		s.crossHosts[i] = make([][][]*Attachment, len(p.racks))
-		for j, r := range p.racks {
-			s.crossHosts[i][j] = make([][]*Attachment, len(r.computes))
-		}
 	}
 	if cfg.Scan != ScanLinear {
 		s.aggs = make([]*podAgg, len(s.pods))
@@ -144,29 +118,12 @@ func (s *RowScheduler) Stats() (requests, failures, spills uint64) {
 	return s.requests, s.failures, s.spills
 }
 
-// tier returns the connector joining the compute endpoint (pod pa, rack
-// ra) to the memory endpoint (pod pb, rack rb): the pod's own tiers
-// when the pods coincide, the row switch otherwise. Cross-pod
-// connectors are cached per endpoint quadruple.
-func (s *RowScheduler) tier(pa, ra, pb, rb int) connector {
-	if pa == pb {
-		return s.pods[pa].tier(ra, rb)
-	}
-	if s.tierConns == nil {
-		s.tierConns = make(map[[4]int]connector)
-	}
-	key := [4]int{pa, ra, pb, rb}
-	if t, ok := s.tierConns[key]; ok {
-		return t
-	}
-	t := connector{
-		connect: func(a, b topo.PortID) (*optical.Circuit, sim.Duration, error) {
-			return s.fabric.ConnectCross(pa, ra, a, pb, rb, b)
-		},
-		disconnect: s.fabric.DisconnectCross,
-	}
-	s.tierConns[key] = t
-	return t
+// rackAt resolves an endpoint to its rack controller.
+func (s *RowScheduler) rackAt(pod, rack int) *Controller { return s.pods[pod].racks[rack] }
+
+// pickSpill picks the memory end of a cross-pod spill from home's pod.
+func (s *RowScheduler) pickSpill(size brick.Bytes, home topo.RowBrickID) (int, int, topo.BrickID, bool) {
+	return s.pickMemoryPod(size, home.Pod)
 }
 
 // podFreeCores reads one pod's free-core sum — cached O(1) when the
@@ -356,8 +313,6 @@ func (s *RowScheduler) AttachRemoteMemory(owner string, cpu topo.RowBrickID, siz
 		s.failures++
 		return nil, 0, fmt.Errorf("sdm: no rack %d in pod %d", cpu.Rack, cpu.Pod)
 	}
-	var att *Attachment
-	var lat sim.Duration
 	var localErr error
 	if s.aggs != nil && s.aggs[cpu.Pod].MaxGap() < size {
 		// No brick anywhere in the pod has a contiguous gap for the
@@ -372,185 +327,27 @@ func (s *RowScheduler) AttachRemoteMemory(owner string, cpu topo.RowBrickID, siz
 		rackA.requests++
 		rackA.failures++
 	} else {
-		att, lat, localErr = podA.AttachRemoteMemory(owner, topo.PodBrickID{Rack: cpu.Rack, Brick: cpu.Brick}, size)
-		if localErr == nil {
+		att, lat, err := podA.AttachRemoteMemory(owner, topo.PodBrickID{Rack: cpu.Rack, Brick: cpu.Brick}, size)
+		if err == nil {
 			att.CPUPod, att.MemPod = cpu.Pod, cpu.Pod
 			return att, lat, nil
 		}
+		localErr = err
 	}
-	att, lat, err := s.attachCross(owner, cpu, size)
-	if err != nil {
-		if localErr == nil {
-			localErr = fmt.Errorf("sdm: no memory brick in pod %d with %v contiguous free and a spare port", cpu.Pod, size)
-		}
-		s.failures++
-		return nil, 0, fmt.Errorf("sdm: row attach for %q failed pod-locally (%v) and cross-pod: %w", owner, localErr, err)
-	}
-	s.spills++
-	return att, lat, nil
-}
-
-// attachCross provisions a cross-pod attachment: a segment in another
-// pod, a circuit through the row switch, and the TGL window on the home
-// rack's compute brick — one inline commit (attachCircuit), so every
-// completed step rolls back on failure. Exhaustion of circuit resources
-// cascades into the row-tier packet fallback.
-func (s *RowScheduler) attachCross(owner string, cpu topo.RowBrickID, size brick.Bytes) (*Attachment, sim.Duration, error) {
-	att, lat, fallback, err := s.pods[cpu.Pod].racks[cpu.Rack].attachCircuit(owner, cpu, size, nil, s)
-	if err != nil {
-		if fallback {
-			if att, fl, ferr := s.attachPacketCross(owner, cpu, size); ferr == nil {
-				return att, lat + fl, nil
-			}
-		}
-		return nil, 0, err
-	}
-	return att, lat, nil
-}
-
-// addCrossOrder stamps an attachment with the next spill sequence
-// number and appends it to the oldest-first cross-pod walk order.
-func (s *RowScheduler) addCrossOrder(att *Attachment) {
-	s.attachSeq++
-	att.seq = s.attachSeq
-	s.cross.pushBack(att)
-}
-
-// removeCrossOrder drops an attachment from the walk order in O(1).
-func (s *RowScheduler) removeCrossOrder(att *Attachment) {
-	s.cross.remove(att)
-}
-
-// attachPacketCross preserves the packet fallback across the row tier:
-// the new attachment rides an existing cross-pod circuit from the same
-// compute brick, steered by the on-brick packet switches.
-func (s *RowScheduler) attachPacketCross(owner string, cpu topo.RowBrickID, size brick.Bytes) (*Attachment, sim.Duration, error) {
-	if !s.cfg.PacketFallback {
-		return nil, 0, fmt.Errorf("sdm: packet fallback disabled")
-	}
-	rackA := s.pods[cpu.Pod].racks[cpu.Rack]
-	node := rackA.compute(cpu.Brick)
-	var host *Attachment
-	for _, a := range s.crossHosts[cpu.Pod][cpu.Rack][rackA.cpuPos(cpu.Brick)] {
-		m := s.pods[a.MemPod].racks[a.MemRack].memory(a.Segment.Brick)
-		if m.LargestGap() >= size {
-			host = a
-			break
-		}
-	}
-	if host == nil {
-		return nil, 0, fmt.Errorf("sdm: row packet fallback: no live cross-pod circuit from %v to a memory brick with %v contiguous free", cpu, size)
-	}
-	m := s.pods[host.MemPod].racks[host.MemRack].memory(host.Segment.Brick)
-	seg, err := m.Carve(size, owner)
-	if err != nil {
-		return nil, 0, err
-	}
-	window := tgl.Entry{
-		Base:       node.nextWindow,
-		Size:       uint64(size),
-		Dest:       host.Segment.Brick,
-		DestOffset: uint64(seg.Offset),
-		Port:       host.CPUPort, // shares the host circuit's port
-	}
-	if err := node.Agent.Glue.Attach(window); err != nil {
-		m.Release(seg)
-		return nil, 0, err
-	}
-	node.nextWindow += window.Size
-
-	att := rackA.newAttachment()
-	att.Owner = owner
-	att.CPU = cpu.Brick
-	att.Segment = seg
-	att.Circuit = host.Circuit
-	att.CPUPort = host.CPUPort
-	att.MemPort = host.MemPort
-	att.Window = window
-	att.Mode = ModePacket
-	att.CPURack = cpu.Rack
-	att.MemRack = host.MemRack
-	att.CPUPod = cpu.Pod
-	att.MemPod = host.MemPod
-	att.crossRow = s
-	host.Circuit.Riders++
-	rackA.register(att)
-	s.addCrossOrder(att)
-	s.pods[host.MemPod].racks[host.MemRack].touchMemory(host.Segment.Brick)
-	return att, s.cfg.DecisionLatency + 2*s.cfg.AgentRTT, nil
+	return s.attachSpill(owner, cpu, size, localErr)
 }
 
 // DetachRemoteMemory tears a row attachment down: pod-local ones
-// delegate to their pod's scheduler, cross-pod ones to detachCross (the
-// routing lives on the attachment, so any entry point works).
+// delegate to their pod's scheduler, spilled ones to their spill tier
+// (the routing lives on the attachment, so any entry point works).
 func (s *RowScheduler) DetachRemoteMemory(att *Attachment) (sim.Duration, error) {
-	if att.crossRow != nil {
-		return s.detachCross(att)
+	if att.spill != nil {
+		return att.spill.detachCross(att)
 	}
 	if att.CPUPod < 0 || att.CPUPod >= len(s.pods) {
 		return 0, fmt.Errorf("sdm: attachment names pod %d outside the row", att.CPUPod)
 	}
 	return s.pods[att.CPUPod].DetachRemoteMemory(att)
-}
-
-// detachCross tears down a cross-pod attachment in reverse order.
-func (s *RowScheduler) detachCross(att *Attachment) (sim.Duration, error) {
-	s.requests++
-	rackA := s.pods[att.CPUPod].racks[att.CPURack]
-	if !rackA.registered(att) {
-		s.failures++
-		return 0, fmt.Errorf("sdm: cross-pod attachment for %q on %v not live", att.Owner, att.CPU)
-	}
-	node := rackA.compute(att.CPU)
-	rackB := s.pods[att.MemPod].racks[att.MemRack]
-	m := rackB.memory(att.Segment.Brick)
-
-	if att.Mode == ModePacket {
-		memID := att.Segment.Brick
-		if err := node.Agent.Glue.Detach(att.Window.Base); err != nil {
-			s.failures++
-			return 0, err
-		}
-		if err := m.Release(att.Segment); err != nil {
-			s.failures++
-			return 0, err
-		}
-		if att.Circuit.Riders > 0 {
-			att.Circuit.Riders--
-		}
-		rackA.unregister(att)
-		s.removeCrossOrder(att)
-		rackB.touchMemory(memID)
-		return s.cfg.DecisionLatency + 2*s.cfg.AgentRTT, nil
-	}
-	if n := att.Circuit.Riders; n > 0 {
-		s.failures++
-		return 0, fmt.Errorf("sdm: cross-pod circuit of %q on %v carries %d packet-mode riders; detach them first", att.Owner, att.CPU, n)
-	}
-	op := planDetach(s.cfg, att, rackA, rackB, s.tier(att.CPUPod, att.CPURack, att.MemPod, att.MemRack), func() {
-		rackA.unregister(att)
-		s.removeCrossHost(att)
-		s.removeCrossOrder(att)
-	})
-	lat, err := op.Commit()
-	if err != nil {
-		s.failures++
-		return 0, err
-	}
-	return lat, nil
-}
-
-// removeCrossHost drops a cross-pod circuit attachment from the
-// fallback host index.
-func (s *RowScheduler) removeCrossHost(att *Attachment) {
-	ord := s.pods[att.CPUPod].racks[att.CPURack].cpuPos(att.CPU)
-	hosts := s.crossHosts[att.CPUPod][att.CPURack][ord]
-	for i, a := range hosts {
-		if a == att {
-			s.crossHosts[att.CPUPod][att.CPURack][ord] = append(hosts[:i], hosts[i+1:]...)
-			return
-		}
-	}
 }
 
 // Attachments returns the live attachments of an owner across the row

@@ -248,17 +248,10 @@ func (s *RowScheduler) AdmitBatchInto(reqs []AdmitRequest, out []AdmitResult, wo
 		}
 		// Every non-retry leftover needs the cross-pod spill.
 		res := &out[i]
-		att, lat, err := s.attachCross(req.Owner, topo.RowBrickID{Pod: res.Pod, Rack: res.Rack, Brick: res.CPU}, req.Remote)
+		att, lat, err := s.attachSpill(req.Owner, topo.RowBrickID{Pod: res.Pod, Rack: res.Rack, Brick: res.CPU}, req.Remote, res.localErr)
 		if err != nil {
-			localErr := res.localErr
-			if localErr == nil {
-				localErr = fmt.Errorf("sdm: no memory brick in pod %d with %v contiguous free and a spare port", res.Pod, req.Remote)
-			}
-			s.failures++
-			err = fmt.Errorf("sdm: row attach for %q failed pod-locally (%v) and cross-pod: %w", req.Owner, localErr, err)
 			return s.abortBatch(reqs, out, seqStart, podSeqStart, i, err)
 		}
-		s.spills++
 		res.Att, res.AttachLat = att, lat
 		res.needSpill, res.localErr = false, nil
 	}
@@ -423,18 +416,12 @@ func (s *PodScheduler) admitShardMerge(reqs []AdmitRequest, out []AdmitResult) {
 			continue
 		}
 		if res.needSpill {
-			att, lat, err := s.attachCross(req.Owner, topo.PodBrickID{Rack: res.Rack, Brick: res.CPU}, req.Remote)
+			att, lat, err := s.attachSpill(req.Owner, topo.RowBrickID{Rack: res.Rack, Brick: res.CPU}, req.Remote, res.localErr)
 			if err != nil {
-				localErr := res.localErr
-				if localErr == nil {
-					localErr = fmt.Errorf("sdm: no memory brick with %v contiguous free and a spare port", req.Remote)
-				}
-				s.failures++
 				// needSpill stays set: the row crosses pods in its merge.
-				res.localErr = fmt.Errorf("sdm: pod attach for %q failed rack-locally (%v) and cross-rack: %w", req.Owner, localErr, err)
+				res.localErr = err
 				continue
 			}
-			s.spills++
 			res.Att, res.AttachLat = att, lat
 			res.needSpill, res.localErr = false, nil
 		}

@@ -13,8 +13,9 @@ package sdm
 //  2. Teardown: each pod's shard runs through PodScheduler.evictShard,
 //     in pod order — the full pod teardown pipeline, journaled for the
 //     row's rollback.
-//  3. Cross phase: cross-pod attachments detach in request order,
-//     journaled like the pod and rack teardowns.
+//  3. Cross phase: cross-pod attachments detach in request order
+//     through the spill tier's batchDetachCross (spill.go), journaled
+//     like the pod and rack teardowns.
 //
 // Eviction is all-or-nothing: on any definitive failure the row
 // journal, every pod journal, and the journal of every rack a pod
@@ -24,8 +25,6 @@ package sdm
 
 import (
 	"fmt"
-
-	"repro/internal/sim"
 )
 
 // rowEvictScratch is the row EvictBatch's reused partition state,
@@ -117,7 +116,7 @@ func (s *RowScheduler) EvictBatchInto(reqs []EvictRequest, out []EvictResult, wo
 		sr := EvictRequest{Owner: req.Owner, CPU: req.CPU, Rack: req.Rack, Pod: req.Pod, VCPUs: req.VCPUs, LocalMem: req.LocalMem}
 		start := len(atts)
 		for _, att := range req.Atts {
-			if att.crossRow != nil {
+			if att.spill == &s.spillTier {
 				crossQ = append(crossQ, crossItem{req: i, att: att})
 			} else {
 				atts = append(atts, att)
@@ -203,127 +202,6 @@ func (s *RowScheduler) EvictBatchInto(reqs []EvictRequest, out []EvictResult, wo
 		}
 	}
 	return nil
-}
-
-// batchDetachCross mirrors the row's detachCross — same validation,
-// counters, latency accounting and error surfaces, executed inline as
-// one merged commit — and journals the undo into the row-phase log.
-func (s *RowScheduler) batchDetachCross(att *Attachment, log *[]detachUndo) (sim.Duration, error) {
-	s.requests++
-	rackA := s.pods[att.CPUPod].racks[att.CPURack]
-	idx := -1
-	var list []*Attachment
-	if id := int(att.ownerID); id >= 0 && id < len(rackA.attachments) {
-		list = rackA.attachments[id]
-	}
-	for i, a := range list {
-		if a == att {
-			idx = i
-			break
-		}
-	}
-	if idx == -1 {
-		s.failures++
-		return 0, fmt.Errorf("sdm: cross-pod attachment for %q on %v not live", att.Owner, att.CPU)
-	}
-	node := rackA.compute(att.CPU)
-	rackB := s.pods[att.MemPod].racks[att.MemRack]
-	m := rackB.memory(att.Segment.Brick)
-
-	// crossNext is the attachment's successor in the cross-pod walk
-	// order, so rollback can re-thread it at the exact position.
-	crossNext := att.crossNext
-
-	if att.Mode == ModePacket {
-		memID := att.Segment.Brick
-		segOffset, segSize := att.Segment.Offset, att.Segment.Size
-		if err := node.Agent.Glue.Detach(att.Window.Base); err != nil {
-			s.failures++
-			return 0, err
-		}
-		if err := m.Release(att.Segment); err != nil {
-			s.failures++
-			return 0, err
-		}
-		if att.Circuit.Riders > 0 {
-			att.Circuit.Riders--
-		}
-		*log = append(*log, detachUndo{
-			att:       att,
-			packet:    true,
-			cpuRack:   rackA,
-			memRack:   rackB,
-			memID:     memID,
-			segOffset: segOffset,
-			segSize:   segSize,
-			attIdx:    idx,
-			row:       s,
-			crossNext: crossNext,
-		})
-		rackA.unregister(att)
-		s.removeCrossOrder(att)
-		rackB.touchMemory(memID)
-		return s.cfg.DecisionLatency + 2*s.cfg.AgentRTT, nil
-	}
-	if n := att.Circuit.Riders; n > 0 {
-		s.failures++
-		return 0, fmt.Errorf("sdm: cross-pod circuit of %q on %v carries %d packet-mode riders; detach them first", att.Owner, att.CPU, n)
-	}
-
-	cpu, memID := att.CPU, att.Segment.Brick
-	defer func() {
-		rackA.touchCompute(cpu)
-		rackB.touchMemory(memID)
-	}()
-	lat := s.cfg.DecisionLatency
-	t := s.tier(att.CPUPod, att.CPURack, att.MemPod, att.MemRack)
-	oldWindow := att.Window
-
-	if err := node.Agent.Glue.Detach(oldWindow.Base); err != nil {
-		s.failures++
-		return 0, err
-	}
-	lat += s.cfg.AgentRTT
-	d, err := t.disconnect(att.Circuit)
-	lat += d
-	if err != nil {
-		if uerr := node.Agent.Glue.Attach(oldWindow); uerr != nil {
-			s.failures++
-			return 0, fmt.Errorf("sdm: detach failed (%v) and rollback failed: %w", err, uerr)
-		}
-		s.failures++
-		return 0, err
-	}
-	segOffset, segSize := att.Segment.Offset, att.Segment.Size
-	if err := rackA.finishDetach(node, m, att); err != nil {
-		s.failures++
-		return 0, err
-	}
-	crossHostIdx := 0
-	for i, a := range s.crossHosts[att.CPUPod][att.CPURack][rackA.cpuPos(att.CPU)] {
-		if a == att {
-			crossHostIdx = i
-			break
-		}
-	}
-	*log = append(*log, detachUndo{
-		att:          att,
-		cpuRack:      rackA,
-		memRack:      rackB,
-		memID:        memID,
-		segOffset:    segOffset,
-		segSize:      segSize,
-		t:            t,
-		attIdx:       idx,
-		crossHostIdx: crossHostIdx,
-		row:          s,
-		crossNext:    crossNext,
-	})
-	ownerList := rackA.attachments[att.ownerID]
-	rackA.attachments[att.ownerID] = append(ownerList[:idx], ownerList[idx+1:]...)
-	s.removeCrossHost(att)
-	s.removeCrossOrder(att)
-	return lat, nil
 }
 
 // abortEvict replays every journal in reverse — the row phase first

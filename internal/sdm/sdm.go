@@ -165,23 +165,20 @@ type Attachment struct {
 	// Zero below the row tier; they differ only for attachments spilled
 	// across the row tier.
 	CPUPod, MemPod int
-	// cross, when non-nil, marks a pod-tier cross-rack attachment and
-	// names the scheduler that owns its bookkeeping — detach and rider
-	// queries route there, so rack-local callers (scale-up controllers)
-	// handle pod attachments without knowing about the pod.
-	cross *PodScheduler
-	// crossRow, when non-nil, marks a row-tier cross-pod attachment and
-	// names the row scheduler that owns its bookkeeping, with the same
-	// routing contract as cross one tier down.
-	crossRow *RowScheduler
-	// seq is the pod scheduler's spill sequence number, the rebalancer's
-	// oldest-first walk order; zero for attachments that never crossed.
+	// spill, when non-nil, marks a spilled attachment — cross-rack in a
+	// pod, cross-pod in a row — and names the spill tier that owns its
+	// bookkeeping: detach and rider queries route there, so rack-local
+	// callers (scale-up controllers) handle spills without knowing the
+	// tier.
+	spill *spillTier
+	// seq is the spill tier's sequence number, the rebalancer's
+	// oldest-first walk order; zero for attachments that never spilled.
 	seq uint64
 	// ownerID is Owner interned against the registering (compute-end)
 	// controller's owner table, so every hot-path registry lookup is a
 	// slice index instead of a string hash.
 	ownerID int32
-	// crossPrev/crossNext thread the owning cross scheduler's
+	// crossPrev/crossNext thread the owning spill tier's
 	// oldest-first walk order through the attachments themselves — the
 	// intrusive replacement for the old list.List + map[*Attachment]
 	// element table. An attachment is on at most one tier's list.
@@ -231,6 +228,10 @@ type Controller struct {
 	// (Packet-rider counts live on the circuits themselves now:
 	// optical.Circuit.Riders.)
 	circuitHosts [][]*Attachment
+	// crossHosts is the same index for the spill circuits leaving this
+	// rack, one per spill level (pod, row), allocated by the tier that
+	// owns the level: the hosts its packet fallback rides.
+	crossHosts [spillLevels][][]*Attachment
 
 	// bareMetal maps compute ordinals to the tenant holding the brick
 	// exclusively ("" = none); bareMetalCount tracks occupancy.
@@ -245,9 +246,6 @@ type Controller struct {
 	// cpuIdx/memIdx are the placement indexes (see index.go), whose leaf
 	// positions are exactly the brick ordinals above.
 	cpuIdx, memIdx *placementIndex
-
-	// tierConn is the cached rack-fabric connector (see rackTier).
-	tierConn connector
 
 	// batch is the batch-admission planning context (see batch.go),
 	// allocated on first use and reused across batches.

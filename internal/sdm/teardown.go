@@ -83,21 +83,18 @@ type detachUndo struct {
 	memID     topo.BrickID
 	segOffset brick.Bytes
 	segSize   brick.Bytes
-	t         connector
 
-	// attIdx is the attachment's position in attachments[owner];
-	// hostIdx its position in circuitHosts[cpu] (rack-local circuit
-	// mode), crossHostIdx its position in crossHosts (pod circuit mode).
-	attIdx       int
-	hostIdx      int
-	crossHostIdx int
+	// attIdx is the attachment's position in attachments[owner]; hostIdx
+	// its position in its tier's host index (circuit mode only).
+	attIdx  int
+	hostIdx int
 
-	// pod (or row, one tier up) and crossNext restore the spill walk
-	// order: the attachment is re-inserted before crossNext (appended
-	// when nil) with its original seq — attachSeq itself never moves on
-	// teardown. At most one of pod/row is set.
-	pod       *PodScheduler
-	row       *RowScheduler
+	// spill is the tier a spilled attachment belongs to (nil for
+	// rack-local ones); the circuit is rebuilt through its switch, and
+	// crossNext restores its walk order: the attachment is re-inserted
+	// before crossNext (appended when nil) with its original seq —
+	// attachSeq itself never moves on teardown.
+	spill     *spillTier
 	crossNext *Attachment
 }
 
@@ -151,14 +148,11 @@ func (c *Controller) releaseOne(req *ReleaseRequest, res *ReleaseResult) {
 // batchDetach mirrors DetachRemoteMemory's rack-local teardown — the
 // same validation, counters, latency accounting and error surfaces as
 // the lifecycle engine's OpDetach, executed inline as one merged commit
-// — and journals an undo record. Pod-tier cross-rack attachments are
-// the pod scheduler's to tear down, never this path's.
+// — and journals an undo record. Spilled attachments are their spill
+// tier's to tear down, never this path's.
 func (c *Controller) batchDetach(att *Attachment) (sim.Duration, error) {
-	if att.crossRow != nil {
-		return 0, fmt.Errorf("sdm: cross-pod attachment of %q in a rack-local release batch", att.Owner)
-	}
-	if att.cross != nil {
-		return 0, fmt.Errorf("sdm: cross-rack attachment of %q in a rack-local release batch", att.Owner)
+	if att.spill != nil {
+		return 0, fmt.Errorf("sdm: %s attachment of %q in a rack-local release batch", tierWords[att.spill.level].cross, att.Owner)
 	}
 	c.requests++
 	idx := -1
@@ -193,7 +187,6 @@ func (c *Controller) batchDetach(att *Attachment) (sim.Duration, error) {
 		c.touchMemory(memID)
 	}()
 	lat := c.cfg.DecisionLatency
-	t := c.rackTier()
 	oldWindow := att.Window
 
 	// Window removal.
@@ -203,7 +196,7 @@ func (c *Controller) batchDetach(att *Attachment) (sim.Duration, error) {
 	}
 	lat += c.cfg.AgentRTT
 	// Circuit teardown.
-	d, err := t.disconnect(att.Circuit)
+	d, err := c.fabric.Disconnect(att.Circuit)
 	lat += d
 	if err != nil {
 		if uerr := node.Agent.Glue.Attach(oldWindow); uerr != nil {
@@ -222,13 +215,6 @@ func (c *Controller) batchDetach(att *Attachment) (sim.Duration, error) {
 		c.failures++
 		return 0, err
 	}
-	hostIdx := 0
-	for i, a := range c.circuitHosts[cpuOrd] {
-		if a == att {
-			hostIdx = i
-			break
-		}
-	}
 	c.undoLog = append(c.undoLog, detachUndo{
 		att:       att,
 		cpuRack:   c,
@@ -236,18 +222,17 @@ func (c *Controller) batchDetach(att *Attachment) (sim.Duration, error) {
 		memID:     memID,
 		segOffset: segOffset,
 		segSize:   segSize,
-		t:         t,
 		attIdx:    idx,
-		hostIdx:   hostIdx,
+		hostIdx:   c.hostIndex(nil, att),
 	})
 	list := c.attachments[att.ownerID]
 	c.attachments[att.ownerID] = append(list[:idx], list[idx+1:]...)
-	c.removeCircuitHost(att)
+	c.removeHost(nil, att)
 	return lat, nil
 }
 
 // finishDetach releases the ports and segment of a circuit teardown —
-// the shared tail of the rack and pod merged detach paths.
+// the shared tail of the rack and spill-tier merged detach paths.
 func (c *Controller) finishDetach(node *ComputeNode, m *brick.Memory, att *Attachment) error {
 	if err := node.Brick.Ports.Release(att.CPUPort); err != nil {
 		return err
@@ -317,7 +302,7 @@ func (u *detachUndo) undoDetach() error {
 	if u.packet {
 		// Re-key onto the host circuit, which a circuit-mode restore may
 		// have rebuilt: the live host for this CPU port carries it.
-		if host := findHost(rackA, u.pod, u.row, att); host != nil {
+		if host := findHost(rackA, u.spill, att); host != nil {
 			att.Circuit = host.Circuit
 		}
 		if err := node.Agent.Glue.Attach(att.Window); err != nil {
@@ -335,7 +320,8 @@ func (u *detachUndo) undoDetach() error {
 			m.Release(seg)
 			return err
 		}
-		circuit, _, err := u.t.connect(att.CPUPort, att.MemPort)
+		t := attConn(u.spill, att, rackA)
+		circuit, _, err := t.connect(att.CPUPort, att.MemPort)
 		if err != nil {
 			m.Ports.Release(att.MemPort)
 			node.Brick.Ports.Release(att.CPUPort)
@@ -344,7 +330,7 @@ func (u *detachUndo) undoDetach() error {
 		}
 		att.Circuit = circuit
 		if err := node.Agent.Glue.Attach(att.Window); err != nil {
-			u.t.disconnect(circuit)
+			t.disconnect(circuit)
 			m.Ports.Release(att.MemPort)
 			node.Brick.Ports.Release(att.CPUPort)
 			m.Release(seg)
@@ -355,25 +341,14 @@ func (u *detachUndo) undoDetach() error {
 	rackA.register(att)
 	list := rackA.attachments[att.ownerID]
 	rackA.attachments[att.ownerID] = insertAtt(list[:len(list)-1], u.attIdx, att)
-	cpuOrd := rackA.cpuPos(att.CPU)
 	if !u.packet {
-		switch {
-		case u.row != nil:
-			hosts := u.row.crossHosts[att.CPUPod][att.CPURack]
-			hosts[cpuOrd] = insertAtt(hosts[cpuOrd], u.crossHostIdx, att)
-		case u.pod != nil:
-			hosts := u.pod.crossHosts[att.CPURack]
-			hosts[cpuOrd] = insertAtt(hosts[cpuOrd], u.crossHostIdx, att)
-		default:
-			rackA.circuitHosts[cpuOrd] = insertAtt(rackA.circuitHosts[cpuOrd], u.hostIdx, att)
-		}
+		hosts := rackA.hosts(u.spill)
+		ord := rackA.cpuPos(att.CPU)
+		hosts[ord] = insertAtt(hosts[ord], u.hostIdx, att)
 	}
-	if u.row != nil {
-		// Re-thread the cross-pod walk order without re-stamping seq.
-		u.row.cross.insertBefore(att, u.crossNext)
-	} else if u.pod != nil {
-		// Re-thread the rebalancer walk order without re-stamping seq.
-		u.pod.cross.insertBefore(att, u.crossNext)
+	if u.spill != nil {
+		// Re-thread the spill walk order without re-stamping seq.
+		u.spill.cross.insertBefore(att, u.crossNext)
 	}
 	rackA.touchCompute(att.CPU)
 	u.memRack.touchMemory(u.memID)
@@ -381,27 +356,9 @@ func (u *detachUndo) undoDetach() error {
 }
 
 // findHost locates the live circuit-mode attachment whose circuit a
-// packet rider shares: same CPU port, circuit mode.
-func findHost(rackA *Controller, pod *PodScheduler, row *RowScheduler, rider *Attachment) *Attachment {
-	if row != nil {
-		ord := rackA.cpuPos(rider.CPU)
-		for _, a := range row.crossHosts[rider.CPUPod][rider.CPURack][ord] {
-			if a.CPUPort == rider.CPUPort {
-				return a
-			}
-		}
-		return nil
-	}
-	if pod != nil {
-		ord := rackA.cpuPos(rider.CPU)
-		for _, a := range pod.crossHosts[rider.CPURack][ord] {
-			if a.CPUPort == rider.CPUPort {
-				return a
-			}
-		}
-		return nil
-	}
-	for _, a := range rackA.circuitHosts[rackA.cpuPos(rider.CPU)] {
+// packet rider shares: same tier, same CPU port.
+func findHost(rackA *Controller, spill *spillTier, rider *Attachment) *Attachment {
+	for _, a := range rackA.hosts(spill)[rackA.cpuPos(rider.CPU)] {
 		if a.CPUPort == rider.CPUPort {
 			return a
 		}

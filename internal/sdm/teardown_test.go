@@ -16,7 +16,7 @@ import (
 func evictSequential(s *PodScheduler, req EvictRequest) (EvictResult, error) {
 	var res EvictResult
 	for _, att := range req.Atts {
-		if att.cross != nil {
+		if att.spill != nil {
 			continue
 		}
 		lat, err := s.racks[req.Rack].DetachRemoteMemory(att)
@@ -32,7 +32,7 @@ func evictSequential(s *PodScheduler, req EvictRequest) (EvictResult, error) {
 		}
 	}
 	for _, att := range req.Atts {
-		if att.cross == nil {
+		if att.spill == nil {
 			continue
 		}
 		lat, err := s.DetachRemoteMemory(att)
@@ -289,7 +289,7 @@ func TestEvictBatchRollbackRestoresState(t *testing.T) {
 				if trial%2 == 1 {
 					// Odd trials poison the serial cross phase instead of
 					// the parallel rack phase.
-					ghost.cross = s
+					ghost.spill = &s.spillTier
 					ghost.CPURack, ghost.MemRack = placed[0].Rack, (placed[0].Rack+1)%3
 				}
 				pi := int(rng.Uint64() % uint64(len(batch)))
