@@ -100,12 +100,11 @@ var benchBrickConfigs = sdm.BrickConfigs{
 }
 
 // benchSDMConfig returns the scheduler config of the placement
-// benchmark: the spread policy (the worst case for linear scans and the
-// target of the ordered indexes) under the given scan mode.
-func benchSDMConfig(scan sdm.ScanMode) sdm.Config {
+// benchmark: the spread policy, the worst case for linear scans and the
+// target of the ordered indexes.
+func benchSDMConfig() sdm.Config {
 	cfg := sdm.DefaultConfig
 	cfg.Policy = sdm.PolicySpread
-	cfg.Scan = scan
 	return cfg
 }
 
@@ -154,9 +153,9 @@ func fillController(b *testing.B, c *sdm.Controller, rack *topo.Rack, rounds int
 }
 
 // BenchmarkFig10Pod measures the placement throughput behind the
-// pod-scale Fig. 10 sweep at 16 racks, indexed against the pre-index
-// linear-scan path (sdm.ScanLinear reproduces the seed's full rescans,
-// including the O(segments) largest-gap probes).
+// pod-scale Fig. 10 sweep at 16 racks on the indexed placement engine.
+// (BenchmarkPickIndexedVsLinear in internal/sdm times the same picks
+// against the pre-index linear scans.)
 //
 // The pod variant drives cross-rack spill churn — the O(racks × bricks)
 // worst case the ROADMAP item calls out: every home rack is fragmented
@@ -169,102 +168,98 @@ func BenchmarkFig10Pod(b *testing.B) {
 	const churn = 32 // attach+detach pairs per iteration
 
 	b.Run("pod-16racks", func(b *testing.B) {
-		for _, scan := range []sdm.ScanMode{sdm.ScanIndexed, sdm.ScanLinear} {
-			b.Run(scan.String(), func(b *testing.B) {
-				racks := fig10PodBenchRacks
-				pod, err := topo.BuildPod(racks, benchRackSpec)
-				if err != nil {
-					b.Fatal(err)
-				}
-				fabrics := make([]*optical.Fabric, racks)
-				for i := range fabrics {
-					fabrics[i] = benchRackFabric(b, 768)
-				}
-				pf, err := optical.NewPodFabric(optical.DefaultPodProfile, fabrics)
-				if err != nil {
-					b.Fatal(err)
-				}
-				sched, err := sdm.NewPodScheduler(pod, pf, benchBrickConfigs, benchSDMConfig(scan))
-				if err != nil {
-					b.Fatal(err)
-				}
-				sched.PowerOnAll()
-				// Fragment racks 0..N-2 full (2 GiB tail gaps, too small
-				// for the 3 GiB churn size); the last rack keeps room.
-				for r := 0; r < racks-1; r++ {
-					fillController(b, sched.Rack(r), pod.Rack(r), 11, fmt.Sprintf("r%d", r))
-				}
-				fillController(b, sched.Rack(racks-1), pod.Rack(racks-1), 6, "target")
-				homeCPUs := make([][]topo.BrickID, racks)
-				for r := range homeCPUs {
-					homeCPUs[r] = computeIDs(pod.Rack(r))
-				}
-				owners := make([]string, churn)
-				for v := range owners {
-					owners[v] = fmt.Sprintf("churn%d", v)
-				}
-				b.ResetTimer()
-				placements := 0
-				for i := 0; i < b.N; i++ {
-					for v := 0; v < churn; v++ {
-						home := v % (racks - 1)
-						cpu := topo.PodBrickID{Rack: home, Brick: homeCPUs[home][v%len(homeCPUs[home])]}
-						att, _, err := sched.AttachRemoteMemory(owners[v], cpu, 3*brick.GiB)
-						if err != nil {
-							b.Fatal(err)
-						}
-						if !att.CrossRack() {
-							b.Fatal("churn attachment did not spill cross-rack")
-						}
-						placements++
-						if _, err := sched.DetachRemoteMemory(att); err != nil {
-							b.Fatal(err)
-						}
+		b.Run("indexed", func(b *testing.B) {
+			racks := fig10PodBenchRacks
+			pod, err := topo.BuildPod(racks, benchRackSpec)
+			if err != nil {
+				b.Fatal(err)
+			}
+			fabrics := make([]*optical.Fabric, racks)
+			for i := range fabrics {
+				fabrics[i] = benchRackFabric(b, 768)
+			}
+			pf, err := optical.NewPodFabric(optical.DefaultPodProfile, fabrics)
+			if err != nil {
+				b.Fatal(err)
+			}
+			sched, err := sdm.NewPodScheduler(pod, pf, benchBrickConfigs, benchSDMConfig())
+			if err != nil {
+				b.Fatal(err)
+			}
+			sched.PowerOnAll()
+			// Fragment racks 0..N-2 full (2 GiB tail gaps, too small
+			// for the 3 GiB churn size); the last rack keeps room.
+			for r := 0; r < racks-1; r++ {
+				fillController(b, sched.Rack(r), pod.Rack(r), 11, fmt.Sprintf("r%d", r))
+			}
+			fillController(b, sched.Rack(racks-1), pod.Rack(racks-1), 6, "target")
+			homeCPUs := make([][]topo.BrickID, racks)
+			for r := range homeCPUs {
+				homeCPUs[r] = computeIDs(pod.Rack(r))
+			}
+			owners := make([]string, churn)
+			for v := range owners {
+				owners[v] = fmt.Sprintf("churn%d", v)
+			}
+			b.ResetTimer()
+			placements := 0
+			for i := 0; i < b.N; i++ {
+				for v := 0; v < churn; v++ {
+					home := v % (racks - 1)
+					cpu := topo.PodBrickID{Rack: home, Brick: homeCPUs[home][v%len(homeCPUs[home])]}
+					att, _, err := sched.AttachRemoteMemory(owners[v], cpu, 3*brick.GiB)
+					if err != nil {
+						b.Fatal(err)
+					}
+					if !att.CrossRack() {
+						b.Fatal("churn attachment did not spill cross-rack")
+					}
+					placements++
+					if _, err := sched.DetachRemoteMemory(att); err != nil {
+						b.Fatal(err)
 					}
 				}
-				b.ReportMetric(float64(placements)/b.Elapsed().Seconds(), "placements/s")
-			})
-		}
+			}
+			b.ReportMetric(float64(placements)/b.Elapsed().Seconds(), "placements/s")
+		})
 	})
 
 	b.Run("global-sdm", func(b *testing.B) {
-		for _, scan := range []sdm.ScanMode{sdm.ScanIndexed, sdm.ScanLinear} {
-			b.Run(scan.String(), func(b *testing.B) {
-				spec := benchRackSpec
-				spec.Trays *= fig10PodBenchRacks
-				rack, err := topo.Build(spec)
-				if err != nil {
-					b.Fatal(err)
-				}
-				fabric := benchRackFabric(b, 768*fig10PodBenchRacks)
-				ctrl, err := sdm.NewController(rack, fabric, benchBrickConfigs, benchSDMConfig(scan))
-				if err != nil {
-					b.Fatal(err)
-				}
-				ctrl.PowerOnAll()
-				fillController(b, ctrl, rack, 11, "global")
-				cpus := computeIDs(rack)
-				owners := make([]string, churn)
-				for v := range owners {
-					owners[v] = fmt.Sprintf("churn%d", v)
-				}
-				b.ResetTimer()
-				placements := 0
-				for i := 0; i < b.N; i++ {
-					for v := 0; v < churn; v++ {
-						att, _, err := ctrl.AttachRemoteMemory(owners[v], cpus[v%len(cpus)], 2*brick.GiB)
-						if err != nil {
-							b.Fatal(err)
-						}
-						placements++
-						if _, err := ctrl.DetachRemoteMemory(att); err != nil {
-							b.Fatal(err)
-						}
+		b.Run("indexed", func(b *testing.B) {
+			spec := benchRackSpec
+			spec.Trays *= fig10PodBenchRacks
+			rack, err := topo.Build(spec)
+			if err != nil {
+				b.Fatal(err)
+			}
+			fabric := benchRackFabric(b, 768*fig10PodBenchRacks)
+			ctrl, err := sdm.NewController(rack, fabric, benchBrickConfigs, benchSDMConfig())
+			if err != nil {
+				b.Fatal(err)
+			}
+			ctrl.PowerOnAll()
+			fillController(b, ctrl, rack, 11, "global")
+			cpus := computeIDs(rack)
+			owners := make([]string, churn)
+			for v := range owners {
+				owners[v] = fmt.Sprintf("churn%d", v)
+			}
+			b.ResetTimer()
+			placements := 0
+			for i := 0; i < b.N; i++ {
+				for v := 0; v < churn; v++ {
+					att, _, err := ctrl.AttachRemoteMemory(owners[v], cpus[v%len(cpus)], 2*brick.GiB)
+					if err != nil {
+						b.Fatal(err)
+					}
+					placements++
+					if _, err := ctrl.DetachRemoteMemory(att); err != nil {
+						b.Fatal(err)
 					}
 				}
-				b.ReportMetric(float64(placements)/b.Elapsed().Seconds(), "placements/s")
-			})
-		}
+			}
+			b.ReportMetric(float64(placements)/b.Elapsed().Seconds(), "placements/s")
+		})
 	})
 }
 
@@ -314,7 +309,7 @@ func benchRow(b *testing.B, pods int) *sdm.RowScheduler {
 	sched, err := sdm.NewRowScheduler(row, rf, sdm.BrickConfigs{
 		Compute: brick.ComputeConfig{Cores: 8, LocalMemory: 16 * brick.GiB},
 		Memory:  brick.MemoryConfig{Capacity: 8 * brick.GiB},
-	}, benchSDMConfig(sdm.ScanIndexed))
+	}, benchSDMConfig())
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -540,7 +535,7 @@ func batchAdmitPod(b *testing.B, policy sdm.Policy) *sdm.PodScheduler {
 	if err != nil {
 		b.Fatal(err)
 	}
-	cfg := benchSDMConfig(sdm.ScanIndexed)
+	cfg := benchSDMConfig()
 	cfg.Policy = policy
 	sched, err := sdm.NewPodScheduler(pod, pf, benchBrickConfigs, cfg)
 	if err != nil {

@@ -291,8 +291,8 @@ func (m *Memory) LargestGap() Bytes { return m.largest }
 
 // LargestGapScan recomputes the largest contiguous free region by
 // scanning the segment list — the pre-index O(segments) path, kept as
-// the ground truth for tests and as the faithful cost model of the
-// linear-scan scheduler baseline.
+// the ground truth CheckInvariants pins the cached gap to, and as the
+// fitness probe of the test-only linear pickers in internal/sdm.
 func (m *Memory) LargestGapScan() Bytes {
 	var cursor, best Bytes
 	for _, s := range m.segments {

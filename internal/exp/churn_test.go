@@ -1,9 +1,6 @@
 package exp
 
-import (
-	"reflect"
-	"testing"
-)
+import "testing"
 
 // TestChurnMeetsAcceptance pins the scenario's headline claims at the
 // full 16-rack scale: sustained churn holds fragmentation in steady
@@ -35,41 +32,5 @@ func TestChurnMeetsAcceptance(t *testing.T) {
 	}
 	if res.LiveFinal == 0 {
 		t.Fatal("decay drained the pod completely; the dark-rack claim needs survivors")
-	}
-}
-
-// TestChurnBatchSizeOneMatchesSequential is the in-process version of
-// the CI check: batched admission and teardown at batch size 1 must
-// produce byte-identical experiment output to the per-request facade.
-func TestChurnBatchSizeOneMatchesSequential(t *testing.T) {
-	seq, err := RunChurn(Params{Seed: 1, Racks: 4, Workers: 1, Fast: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	bat, err := RunChurn(Params{Seed: 1, Racks: 4, Workers: 1, Fast: true, Batch: true, BatchSize: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Mode is recorded on the result struct (not in the text); blank it
-	// for the compare.
-	bat.Batch, bat.BatchSize = false, 0
-	if !reflect.DeepEqual(seq, bat) {
-		t.Fatalf("batch-size-1 churn diverges from sequential:\nbatch:      %+v\nsequential: %+v", bat, seq)
-	}
-}
-
-// TestChurnBatchDeterministicAcrossWorkers: the batched scenario must
-// be byte-identical at any trial-level worker count.
-func TestChurnBatchDeterministicAcrossWorkers(t *testing.T) {
-	var prev ChurnResult
-	for i, workers := range []int{1, 4, 8} {
-		res, err := RunChurn(Params{Seed: 1, Racks: 4, Workers: workers, Fast: true, Batch: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if i > 0 && !reflect.DeepEqual(prev, res) {
-			t.Fatalf("batch churn diverges between worker counts:\n%+v\n%+v", prev, res)
-		}
-		prev = res
 	}
 }

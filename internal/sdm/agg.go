@@ -22,10 +22,8 @@ package sdm
 // amortized O(1) because a recompute only follows a shrink of the
 // current maximum.
 //
-// Aggregates are only installed in indexed-scan mode: under ScanLinear
-// the touch hooks return before notifying (faithful to the baseline's
-// cost profile), so the summaries would go stale; the row scheduler
-// falls back to summing rack roots directly there.
+// Every RowScheduler installs the summaries; CheckInvariants checks
+// each against its racks' index roots whenever no batch is open.
 
 import "repro/internal/brick"
 

@@ -67,14 +67,11 @@ func (c *Controller) ReleaseCompute(id topo.BrickID, vcpus int, localMem brick.B
 	return nil
 }
 
-// pickCompute applies the placement policy to compute brick selection,
-// dispatching to the placement index (O(log n) descents) or, in
-// linear-scan mode, to the pre-index full scan. Both paths select the
-// byte-identical brick (see TestPickEquivalence).
+// pickCompute applies the placement policy to compute brick selection
+// through the placement index (O(log n) descents). It selects the
+// brick the pre-index full scan in linear_test.go would (see
+// TestPickEquivalence).
 func (c *Controller) pickCompute(vcpus int, localMem brick.Bytes) (topo.BrickID, bool) {
-	if c.cfg.Scan == ScanLinear {
-		return c.pickComputeLinear(vcpus, localMem)
-	}
 	if c.batch != nil && c.batch.active {
 		// A batched sweep (rebalance, consolidation) routed a sequential
 		// pick here while index touches divert to the dirty sets: flush
@@ -109,49 +106,10 @@ func (c *Controller) pickComputeIndexed(vcpus int, localMem brick.Bytes, exclude
 	return topo.BrickID{}, false
 }
 
-// pickComputeLinear is the pre-index scan over computeOrder.
-func (c *Controller) pickComputeLinear(vcpus int, localMem brick.Bytes) (topo.BrickID, bool) {
-	fits := func(n *ComputeNode) bool {
-		if n.Brick.FreeCores() < vcpus {
-			return false
-		}
-		return n.Brick.LocalMemory-n.Brick.UsedLocal() >= localMem
-	}
-	switch c.cfg.Policy {
-	case PolicyFirstFit:
-		for pos, n := range c.computes {
-			if fits(n) {
-				return c.computeOrder[pos], true
-			}
-		}
-	case PolicySpread:
-		best, found := topo.BrickID{}, false
-		bestFree := -1
-		for pos, n := range c.computes {
-			if fits(n) && n.Brick.FreeCores() > bestFree {
-				best, bestFree, found = c.computeOrder[pos], n.Brick.FreeCores(), true
-			}
-		}
-		return best, found
-	default:
-		for _, want := range powerPreference {
-			for pos, n := range c.computes {
-				if n.Brick.State() == want && fits(n) {
-					return c.computeOrder[pos], true
-				}
-			}
-		}
-	}
-	return topo.BrickID{}, false
-}
-
 // pickMemory applies the placement policy to memory brick selection,
 // requiring a contiguous gap of at least size and a free transceiver
 // port to terminate the new circuit.
 func (c *Controller) pickMemory(size brick.Bytes) (topo.BrickID, bool) {
-	if c.cfg.Scan == ScanLinear {
-		return c.pickMemoryLinear(size)
-	}
 	if c.batch != nil && c.batch.active {
 		c.flushDirtyMem()
 	}
@@ -174,39 +132,6 @@ func (c *Controller) pickMemoryIndexed(size brick.Bytes) (topo.BrickID, bool) {
 		for _, want := range powerPreference {
 			if pos := c.memIdx.firstFitState(want, minA, minB, -1); pos >= 0 {
 				return c.memoryOrder[pos], true
-			}
-		}
-	}
-	return topo.BrickID{}, false
-}
-
-// pickMemoryLinear is the pre-index scan over memoryOrder; its fitness
-// probe rescans each brick's segment list (LargestGapScan), faithfully
-// reproducing the pre-index cost profile.
-func (c *Controller) pickMemoryLinear(size brick.Bytes) (topo.BrickID, bool) {
-	fits := func(m *brick.Memory) bool { return m.LargestGapScan() >= size && m.Ports.Free() > 0 }
-	switch c.cfg.Policy {
-	case PolicyFirstFit:
-		for pos, m := range c.memories {
-			if fits(m) {
-				return c.memoryOrder[pos], true
-			}
-		}
-	case PolicySpread:
-		best, found := topo.BrickID{}, false
-		var bestFree brick.Bytes
-		for pos, m := range c.memories {
-			if fits(m) && (!found || m.Free() > bestFree) {
-				best, bestFree, found = c.memoryOrder[pos], m.Free(), true
-			}
-		}
-		return best, found
-	default:
-		for _, want := range powerPreference {
-			for pos, m := range c.memories {
-				if m.State() == want && fits(m) {
-					return c.memoryOrder[pos], true
-				}
 			}
 		}
 	}

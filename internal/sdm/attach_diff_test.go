@@ -456,7 +456,6 @@ func TestAttachMatchesReference(t *testing.T) {
 	type variant struct {
 		name   string
 		policy Policy
-		scan   ScanMode
 		packet bool
 	}
 	var variants []variant
@@ -465,10 +464,9 @@ func TestAttachMatchesReference(t *testing.T) {
 		p    Policy
 	}{{"poweraware", PolicyPowerAware}, {"firstfit", PolicyFirstFit}, {"spread", PolicySpread}} {
 		for _, packet := range []bool{false, true} {
-			variants = append(variants, variant{fmt.Sprintf("%s/packet=%t", pol.name, packet), pol.p, ScanIndexed, packet})
+			variants = append(variants, variant{fmt.Sprintf("%s/packet=%t", pol.name, packet), pol.p, packet})
 		}
 	}
-	variants = append(variants, variant{"poweraware/linear", PolicyPowerAware, ScanLinear, true})
 	var hit [nTiers][nFaults]int
 	const seeds = 3
 	ran := 0
@@ -477,7 +475,7 @@ func TestAttachMatchesReference(t *testing.T) {
 			t.Run(fmt.Sprintf("%s/seed=%d", v.name, seed), func(t *testing.T) {
 				ran++
 				cfg := DefaultConfig
-				cfg.Policy, cfg.Scan, cfg.PacketFallback = v.policy, v.scan, v.packet
+				cfg.Policy, cfg.PacketFallback = v.policy, v.packet
 				worlds := [2]*RowScheduler{attachDiffRow(t, cfg), attachDiffRow(t, cfg)}
 				var live [][2]*Attachment
 				rng := sim.NewRand(seed)

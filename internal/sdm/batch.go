@@ -230,9 +230,6 @@ func (c *Controller) flushDirtyMem() {
 // batchPickCompute is pickCompute under batch planning: cache hit with
 // O(1) live revalidation, or dirty-leaf flush plus an exact descent.
 func (c *Controller) batchPickCompute(vcpus int, localMem brick.Bytes) (topo.BrickID, bool) {
-	if c.cfg.Scan == ScanLinear {
-		return c.pickComputeLinear(vcpus, localMem)
-	}
 	b := c.batch
 	minA, minB := int64(vcpus), int64(localMem)
 	if b.cpuCache.valid && b.cpuCache.minA == minA && b.cpuCache.minB == minB {
@@ -252,9 +249,6 @@ func (c *Controller) batchPickCompute(vcpus int, localMem brick.Bytes) (topo.Bri
 
 // batchPickMemory is pickMemory under batch planning.
 func (c *Controller) batchPickMemory(size brick.Bytes) (topo.BrickID, bool) {
-	if c.cfg.Scan == ScanLinear {
-		return c.pickMemoryLinear(size)
-	}
 	b := c.batch
 	minA, minB := int64(size), int64(1)
 	if b.memCache.valid && b.memCache.minA == minA && b.memCache.minB == minB {
@@ -323,7 +317,7 @@ func (c *Controller) admitOne(req *AdmitRequest, res *AdmitResult, pod bool) {
 	if req.Remote == 0 {
 		return
 	}
-	if pod && c.cfg.Scan != ScanLinear && c.MaxMemoryGap() < req.Remote {
+	if pod && c.MaxMemoryGap() < req.Remote {
 		// No rack-local brick can hold the segment (the dirty-deferred
 		// root only over-estimates, so a failing gate is exact): skip
 		// the doomed local plan, mirror the counters, and hand the

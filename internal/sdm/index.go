@@ -408,15 +408,10 @@ func (c *Controller) buildIndexes() {
 	c.memIdx = newPlacementIndex(len(c.memoryOrder), c.memoryStat)
 }
 
-// touchCompute refreshes one compute brick's index leaf. In linear-scan
-// mode the indexes are not consulted, so maintenance is skipped to keep
-// the baseline's cost profile faithful to the pre-index path. Under
-// batch planning the refresh is deferred instead: the position joins
-// the batch's dirty set and is flushed once per batch (see batch.go).
+// touchCompute refreshes one compute brick's index leaf. Under batch
+// planning the refresh is deferred instead: the position joins the
+// batch's dirty set and is flushed once per batch (see batch.go).
 func (c *Controller) touchCompute(id topo.BrickID) {
-	if c.cfg.Scan == ScanLinear {
-		return
-	}
 	pos := c.cpuPos(id)
 	if pos < 0 {
 		return
@@ -435,9 +430,6 @@ func (c *Controller) touchCompute(id topo.BrickID) {
 // touchMemory refreshes one memory brick's index leaf (deferred to the
 // batch dirty set under batch planning, like touchCompute).
 func (c *Controller) touchMemory(id topo.BrickID) {
-	if c.cfg.Scan == ScanLinear {
-		return
-	}
 	pos := c.memPos(id)
 	if pos < 0 {
 		return
@@ -455,9 +447,6 @@ func (c *Controller) touchMemory(id topo.BrickID) {
 
 // reindexAll rebuilds both indexes after a bulk mutation (power sweep).
 func (c *Controller) reindexAll() {
-	if c.cfg.Scan == ScanLinear {
-		return
-	}
 	c.cpuIdx.rebuild()
 	c.memIdx.rebuild()
 	c.notifyAgg()
@@ -469,10 +458,6 @@ func (c *Controller) reindexAll() {
 // bricks); false is exact — the property the pod tier's rack loop
 // relies on to skip infeasible racks without scanning their bricks.
 func (c *Controller) CanPlaceCompute(vcpus int, localMem brick.Bytes) bool {
-	if c.cfg.Scan == ScanLinear {
-		_, ok := c.pickCompute(vcpus, localMem)
-		return ok
-	}
 	return c.cpuIdx.canFit(int64(vcpus), int64(localMem))
 }
 
@@ -480,15 +465,6 @@ func (c *Controller) CanPlaceCompute(vcpus int, localMem brick.Bytes) bool {
 // the rack's memory bricks — O(1) at the index root; the pod tier uses
 // it to skip a doomed rack-local attach without building a plan.
 func (c *Controller) MaxMemoryGap() brick.Bytes {
-	if c.cfg.Scan == ScanLinear {
-		var best brick.Bytes
-		for _, m := range c.memories {
-			if g := m.LargestGapScan(); g > best {
-				best = g
-			}
-		}
-		return best
-	}
 	return brick.Bytes(c.memIdx.maxFitAAny())
 }
 
@@ -496,9 +472,5 @@ func (c *Controller) MaxMemoryGap() brick.Bytes {
 // brick with a contiguous gap of at least size and a spare port, with
 // the same conservative contract as CanPlaceCompute.
 func (c *Controller) CanPlaceMemory(size brick.Bytes) bool {
-	if c.cfg.Scan == ScanLinear {
-		_, ok := c.pickMemory(size)
-		return ok
-	}
 	return c.memIdx.canFit(int64(size), 1)
 }

@@ -161,10 +161,7 @@ func TestPickComputeExceptEquivalence(t *testing.T) {
 			exclude := c.computeOrder[rng.Uint64()%uint64(len(c.computeOrder))]
 			vcpus := 1 + int(rng.Uint64()%4)
 
-			cfg := c.cfg
-			c.cfg.Scan = ScanLinear
-			li, lok := c.pickComputeExcept(vcpus, brick.GiB, exclude)
-			c.cfg = cfg
+			li, lok := c.pickComputeExceptLinear(vcpus, brick.GiB, exclude)
 			ii, iok := c.pickComputeExcept(vcpus, brick.GiB, exclude)
 			if lok != iok || li != ii {
 				t.Fatalf("%v step %d: pickComputeExcept linear=(%v,%v) indexed=(%v,%v)",

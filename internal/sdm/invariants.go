@@ -12,6 +12,7 @@ import (
 
 	"repro/internal/brick"
 	"repro/internal/optical"
+	"repro/internal/topo"
 )
 
 // CheckInvariants cross-checks every rack's derived state against
@@ -44,7 +45,45 @@ func (s *RowScheduler) CheckInvariants() error {
 	if err := checkWalk("row", &s.cross, s.attachSeq, live, registered); err != nil {
 		return err
 	}
+	for p, g := range s.aggs {
+		if err := g.check(); err != nil {
+			return fmt.Errorf("pod %d: %w", p, err)
+		}
+	}
 	return checkSegments(live, s.pods...)
+}
+
+// check recomputes the pod summary from its racks' index roots (which
+// checkRack pins to the bricks) and compares every cached aggregate.
+func (g *podAgg) check() error {
+	var cores int64
+	var mem, gap brick.Bytes
+	var cpuCensus, memCensus [nStates]int32
+	for _, r := range g.racks {
+		cores += int64(r.FreeCores())
+		mem += r.FreeMemory()
+		if rg := r.MaxMemoryGap(); rg > gap {
+			gap = rg
+		}
+		cc, mc := r.cpuIdx.stateCounts(), r.memIdx.stateCounts()
+		for st := range cpuCensus {
+			cpuCensus[st] += cc[st]
+			memCensus[st] += mc[st]
+		}
+	}
+	switch {
+	case g.FreeCores() != cores:
+		return fmt.Errorf("aggregate says %d free cores, rack roots say %d", g.FreeCores(), cores)
+	case g.FreeMemory() != mem:
+		return fmt.Errorf("aggregate says %v free memory, rack roots say %v", g.FreeMemory(), mem)
+	case g.MaxGap() != gap:
+		return fmt.Errorf("aggregate says %v max gap, rack roots say %v", g.MaxGap(), gap)
+	case g.cpuCensus != cpuCensus:
+		return fmt.Errorf("aggregate compute census %v, rack roots say %v", g.cpuCensus, cpuCensus)
+	case g.memCensus != memCensus:
+		return fmt.Errorf("aggregate memory census %v, rack roots say %v", g.memCensus, memCensus)
+	}
+	return nil
 }
 
 // checkPod checks the pod's racks, registrations, cross-rack riders and
@@ -255,5 +294,18 @@ func (c *Controller) checkRack(ri int) error {
 	if got := c.MaxMemoryGap(); got != maxGapScan {
 		return fmt.Errorf("rack %d: index root says %v max gap, scan says %v", ri, got, maxGapScan)
 	}
+	if got, want := c.cpuIdx.stateCounts(), c.Census(topo.KindCompute); got != censusCounts(want) {
+		return fmt.Errorf("rack %d: compute index root census %v, scan says %+v", ri, got, want)
+	}
+	if got, want := c.memIdx.stateCounts(), c.Census(topo.KindMemory); got != censusCounts(want) {
+		return fmt.Errorf("rack %d: memory index root census %v, scan says %+v", ri, got, want)
+	}
 	return nil
+}
+
+// censusCounts lays a census out as an index root's per-state counts.
+func censusCounts(pc PowerCensus) [nStates]int32 {
+	var cnt [nStates]int32
+	cnt[brick.PowerOff], cnt[brick.PowerIdle], cnt[brick.PowerActive] = int32(pc.Off), int32(pc.Idle), int32(pc.Active)
+	return cnt
 }

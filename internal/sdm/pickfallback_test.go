@@ -153,8 +153,8 @@ func TestSpreadPodPickFallbackMatchesLinear(t *testing.T) {
 func rowPickComputeOracle(s *RowScheduler, vcpus int, local brick.Bytes) (int, bool) {
 	best, bestFree := -1, int64(-1)
 	for i, p := range s.pods {
-		if _, ok := p.pickComputeRackLinear(vcpus, local, -1); ok && s.podFreeCores(i) > bestFree {
-			best, bestFree = i, s.podFreeCores(i)
+		if _, ok := p.pickComputeRackLinear(vcpus, local, -1); ok && s.PodFreeCores(i) > bestFree {
+			best, bestFree = i, s.PodFreeCores(i)
 		}
 	}
 	return best, best >= 0
@@ -169,8 +169,8 @@ func rowPickMemoryOracle(s *RowScheduler, size brick.Bytes, home int) (int, int,
 		if i == home {
 			continue
 		}
-		if r, id, ok := p.pickMemoryRackLinear(size, -1); ok && (best < 0 || s.podFreeMemory(i) > bestFree) {
-			best, bestRack, bestID, bestFree = i, r, id, s.podFreeMemory(i)
+		if r, id, ok := p.pickMemoryRackLinear(size, -1); ok && (best < 0 || s.PodFreeMemory(i) > bestFree) {
+			best, bestRack, bestID, bestFree = i, r, id, s.PodFreeMemory(i)
 		}
 	}
 	return best, bestRack, bestID, best >= 0

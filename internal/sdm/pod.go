@@ -135,9 +135,6 @@ func (s *PodScheduler) PickComputeRackExcept(vcpus int, localMem brick.Bytes, ex
 }
 
 func (s *PodScheduler) pickComputeRackExcept(vcpus int, localMem brick.Bytes, exclude int) (int, bool) {
-	if s.cfg.Scan == ScanLinear {
-		return s.pickComputeRackLinear(vcpus, localMem, exclude)
-	}
 	// Indexed rack choice is O(racks) arithmetic: each rack answers the
 	// feasibility question from its index root (CanPlaceCompute, O(1))
 	// and the free-cores rank sum (FreeCores, O(1)); only the rack that
@@ -195,32 +192,6 @@ func (s *PodScheduler) pickComputeRackExcept(vcpus int, localMem brick.Bytes, ex
 	return -1, false
 }
 
-// pickComputeRackLinear is the pre-index nested scan: every rack runs a
-// full brick pick per probe.
-func (s *PodScheduler) pickComputeRackLinear(vcpus int, localMem brick.Bytes, exclude int) (int, bool) {
-	if s.cfg.Policy == PolicySpread {
-		best, bestFree, found := -1, -1, false
-		for i, r := range s.racks {
-			if i == exclude {
-				continue
-			}
-			if _, ok := r.pickCompute(vcpus, localMem); ok && r.FreeCores() > bestFree {
-				best, bestFree, found = i, r.FreeCores(), true
-			}
-		}
-		return best, found
-	}
-	for i, r := range s.racks {
-		if i == exclude {
-			continue
-		}
-		if _, ok := r.pickCompute(vcpus, localMem); ok {
-			return i, true
-		}
-	}
-	return -1, false
-}
-
 // maxMemoryGap is the largest contiguous free gap on any memory brick
 // of the pod, read from the rack index roots.
 func (s *PodScheduler) maxMemoryGap() brick.Bytes {
@@ -238,9 +209,6 @@ func (s *PodScheduler) maxMemoryGap() brick.Bytes {
 // the brick its confirming pick found on the winner, so the spill does
 // not descend that rack again.
 func (s *PodScheduler) pickMemoryRack(size brick.Bytes, home int) (int, topo.BrickID, bool) {
-	if s.cfg.Scan == ScanLinear {
-		return s.pickMemoryRackLinear(size, home)
-	}
 	// O(racks) arithmetic, same structure as compute rack choice: O(1)
 	// per-rack feasibility (largest-gap/port maxima at the index root)
 	// and free-byte rank sums; one O(log n) confirming pick.
@@ -296,33 +264,6 @@ func (s *PodScheduler) pickMemoryRack(size brick.Bytes, home int) (int, topo.Bri
 	return -1, topo.BrickID{}, false
 }
 
-// pickMemoryRackLinear is the pre-index nested scan over racks and
-// bricks.
-func (s *PodScheduler) pickMemoryRackLinear(size brick.Bytes, home int) (int, topo.BrickID, bool) {
-	if s.cfg.Policy == PolicySpread {
-		best, bestID, found := -1, topo.BrickID{}, false
-		var bestFree brick.Bytes
-		for i, r := range s.racks {
-			if i == home {
-				continue
-			}
-			if id, ok := r.pickMemory(size); ok && (!found || r.FreeMemory() > bestFree) {
-				best, bestID, bestFree, found = i, id, r.FreeMemory(), true
-			}
-		}
-		return best, bestID, found
-	}
-	for i, r := range s.racks {
-		if i == home {
-			continue
-		}
-		if id, ok := r.pickMemory(size); ok {
-			return i, id, true
-		}
-	}
-	return -1, topo.BrickID{}, false
-}
-
 // ReserveCompute places a compute reservation pod-wide: the policy
 // picks a rack, the rack's controller picks the brick.
 func (s *PodScheduler) ReserveCompute(owner string, vcpus int, localMem brick.Bytes) (topo.PodBrickID, sim.Duration, error) {
@@ -359,7 +300,7 @@ func (s *PodScheduler) AttachRemoteMemory(owner string, cpu topo.PodBrickID, siz
 	}
 	rackA := s.racks[cpu.Rack]
 	var localErr error
-	if s.cfg.Scan != ScanLinear && rackA.MaxMemoryGap() < size {
+	if rackA.MaxMemoryGap() < size {
 		// No rack-local brick has a contiguous gap for the request, so
 		// neither the circuit path nor the packet fallback (which also
 		// needs a local gap) can succeed: skip the doomed rack-local

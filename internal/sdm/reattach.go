@@ -107,43 +107,5 @@ func (c *Controller) ReattachRemoteMemory(att *Attachment, newCPU topo.BrickID) 
 }
 
 func (c *Controller) pickComputeExcept(vcpus int, localMem brick.Bytes, exclude topo.BrickID) (topo.BrickID, bool) {
-	if c.cfg.Scan != ScanLinear {
-		return c.pickComputeIndexed(vcpus, localMem, c.cpuPos(exclude))
-	}
-	fits := func(pos int) bool {
-		if c.computeOrder[pos] == exclude {
-			return false
-		}
-		n := c.computes[pos]
-		if n.Brick.FreeCores() < vcpus {
-			return false
-		}
-		return n.Brick.LocalMemory-n.Brick.UsedLocal() >= localMem
-	}
-	switch c.cfg.Policy {
-	case PolicyFirstFit:
-		for pos := range c.computes {
-			if fits(pos) {
-				return c.computeOrder[pos], true
-			}
-		}
-	case PolicySpread:
-		best, found := topo.BrickID{}, false
-		bestFree := -1
-		for pos, n := range c.computes {
-			if fits(pos) && n.Brick.FreeCores() > bestFree {
-				best, bestFree, found = c.computeOrder[pos], n.Brick.FreeCores(), true
-			}
-		}
-		return best, found
-	default:
-		for _, want := range powerPreference {
-			for pos, n := range c.computes {
-				if n.Brick.State() == want && fits(pos) {
-					return c.computeOrder[pos], true
-				}
-			}
-		}
-	}
-	return topo.BrickID{}, false
+	return c.pickComputeIndexed(vcpus, localMem, c.cpuPos(exclude))
 }

@@ -39,9 +39,8 @@ type RowScheduler struct {
 	fabric *optical.RowFabric
 	pods   []*PodScheduler
 
-	// aggs holds one cached aggregate summary per pod, nil in
-	// linear-scan mode (where the index choke points don't fire and the
-	// row falls back to summing rack roots on demand).
+	// aggs holds one cached aggregate summary per pod (agg.go), kept
+	// exact by the racks' index choke points.
 	aggs []*podAgg
 
 	// evict holds EvictBatch's reused partition buffers (see
@@ -89,11 +88,9 @@ func NewRowScheduler(row *topo.Row, fabric *optical.RowFabric, bc BrickConfigs, 
 		}
 		s.pods = append(s.pods, p)
 	}
-	if cfg.Scan != ScanLinear {
-		s.aggs = make([]*podAgg, len(s.pods))
-		for i, p := range s.pods {
-			s.aggs[i] = newPodAgg(p.racks)
-		}
+	s.aggs = make([]*podAgg, len(s.pods))
+	for i, p := range s.pods {
+		s.aggs[i] = newPodAgg(p.racks)
 	}
 	return s, nil
 }
@@ -126,48 +123,16 @@ func (s *RowScheduler) pickSpill(size brick.Bytes, home topo.RowBrickID) (int, i
 	return s.pickMemoryPod(size, home.Pod)
 }
 
-// podFreeCores reads one pod's free-core sum — cached O(1) when the
-// aggregates are installed, a rack-root sum otherwise.
-func (s *RowScheduler) podFreeCores(i int) int64 {
-	if s.aggs != nil {
-		return s.aggs[i].FreeCores()
-	}
-	var n int64
-	for _, r := range s.pods[i].racks {
-		n += int64(r.FreeCores())
-	}
-	return n
-}
-
-// podFreeMemory reads one pod's free pooled bytes, like podFreeCores.
-func (s *RowScheduler) podFreeMemory(i int) brick.Bytes {
-	if s.aggs != nil {
-		return s.aggs[i].FreeMemory()
-	}
-	var n brick.Bytes
-	for _, r := range s.pods[i].racks {
-		n += r.FreeMemory()
-	}
-	return n
-}
-
 // PodFreeCores reads one pod's free-core sum — the cached per-pod
-// aggregate pod choice is arithmetic over, O(1) under the default
-// indexed scan.
-func (s *RowScheduler) PodFreeCores(i int) int64 { return s.podFreeCores(i) }
+// aggregate pod choice is arithmetic over, O(1).
+func (s *RowScheduler) PodFreeCores(i int) int64 { return s.aggs[i].FreeCores() }
 
 // PodFreeMemory reads one pod's free pooled bytes, like PodFreeCores.
-func (s *RowScheduler) PodFreeMemory(i int) brick.Bytes { return s.podFreeMemory(i) }
+func (s *RowScheduler) PodFreeMemory(i int) brick.Bytes { return s.aggs[i].FreeMemory() }
 
 // PodMaxGap reads one pod's largest contiguous memory gap — the
-// admission doom-screen quantity. Linear mode takes the max over the
-// rack index roots.
-func (s *RowScheduler) PodMaxGap(i int) brick.Bytes {
-	if s.aggs != nil {
-		return s.aggs[i].MaxGap()
-	}
-	return s.pods[i].maxMemoryGap()
-}
+// admission doom-screen quantity, from the cached aggregate.
+func (s *RowScheduler) PodMaxGap(i int) brick.Bytes { return s.aggs[i].MaxGap() }
 
 // pickComputePod applies the placement policy to pod choice for a
 // compute reservation: per-pod O(1) screens over the cached aggregates
@@ -181,7 +146,7 @@ func (s *RowScheduler) pickComputePod(vcpus int, localMem brick.Bytes) (int, boo
 		// its rack pick fails.
 		top, topFree := -1, int64(-1)
 		for i := range s.pods {
-			if free := s.podFreeCores(i); free > topFree {
+			if free := s.PodFreeCores(i); free > topFree {
 				top, topFree = i, free
 			}
 		}
@@ -191,7 +156,7 @@ func (s *RowScheduler) pickComputePod(vcpus int, localMem brick.Bytes) (int, boo
 		s.spreadFallbacks++
 		best, bestFree, found := -1, int64(-1), false
 		for i, p := range s.pods {
-			free := s.podFreeCores(i)
+			free := s.PodFreeCores(i)
 			if free <= bestFree {
 				continue
 			}
@@ -205,7 +170,7 @@ func (s *RowScheduler) pickComputePod(vcpus int, localMem brick.Bytes) (int, boo
 	// sum is a sound screen: no brick can offer more cores than the pod
 	// holds in total.
 	for i, p := range s.pods {
-		if s.aggs != nil && s.podFreeCores(i) < int64(vcpus) {
+		if s.PodFreeCores(i) < int64(vcpus) {
 			continue
 		}
 		if _, ok := p.pickComputeRackExcept(vcpus, localMem, -1); ok {
@@ -228,10 +193,10 @@ func (s *RowScheduler) pickMemoryPod(size brick.Bytes, home int) (pod, rack int,
 		top := -1
 		var topFree brick.Bytes
 		for i := range s.pods {
-			if i == home || (s.aggs != nil && s.aggs[i].MaxGap() < size) {
+			if i == home || s.aggs[i].MaxGap() < size {
 				continue
 			}
-			if free := s.podFreeMemory(i); top < 0 || free > topFree {
+			if free := s.PodFreeMemory(i); top < 0 || free > topFree {
 				top, topFree = i, free
 			}
 		}
@@ -247,11 +212,11 @@ func (s *RowScheduler) pickMemoryPod(size brick.Bytes, home int) (pod, rack int,
 			if i == home {
 				continue
 			}
-			free := s.podFreeMemory(i)
+			free := s.PodFreeMemory(i)
 			if ok && free <= bestFree {
 				continue
 			}
-			if s.aggs != nil && s.aggs[i].MaxGap() < size {
+			if s.aggs[i].MaxGap() < size {
 				continue
 			}
 			if r, b, fits := p.pickMemoryRack(size, -1); fits {
@@ -264,7 +229,7 @@ func (s *RowScheduler) pickMemoryPod(size brick.Bytes, home int) (pod, rack int,
 		if i == home {
 			continue
 		}
-		if s.aggs != nil && s.aggs[i].MaxGap() < size {
+		if s.aggs[i].MaxGap() < size {
 			continue
 		}
 		if r, b, fits := p.pickMemoryRack(size, -1); fits {
@@ -314,7 +279,7 @@ func (s *RowScheduler) AttachRemoteMemory(owner string, cpu topo.RowBrickID, siz
 		return nil, 0, fmt.Errorf("sdm: no rack %d in pod %d", cpu.Rack, cpu.Pod)
 	}
 	var localErr error
-	if s.aggs != nil && s.aggs[cpu.Pod].MaxGap() < size {
+	if s.aggs[cpu.Pod].MaxGap() < size {
 		// No brick anywhere in the pod has a contiguous gap for the
 		// request (the aggregate max is exact), so neither the rack-local
 		// attempt nor the pod's cross-rack spill nor its packet fallback
@@ -404,10 +369,10 @@ func (s *RowScheduler) Census(kind topo.BrickKind) PowerCensus {
 
 // AggCensus reads the power census for one brick kind from the cached
 // pod summaries — O(pods) instead of a walk over every brick. Falls
-// back to the exact walk in linear-scan mode and for accelerators
-// (which the placement indexes don't cover).
+// back to the exact walk for accelerators (which the placement indexes
+// don't cover).
 func (s *RowScheduler) AggCensus(kind topo.BrickKind) PowerCensus {
-	if s.aggs == nil || (kind != topo.KindCompute && kind != topo.KindMemory) {
+	if kind != topo.KindCompute && kind != topo.KindMemory {
 		return s.Census(kind)
 	}
 	var pc PowerCensus

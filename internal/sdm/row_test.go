@@ -369,41 +369,46 @@ func TestRowEvictBatchOfOneMatchesSequential(t *testing.T) {
 
 // TestRowSpillOrderingMatchesLinearReference is the property test: on
 // a randomized admit/detach trace, the indexed row — aggregate screens,
-// segment-tree picks, batch planning — must make exactly the placement
-// decisions of the linear-scan reference scheduler, across the whole
-// rack -> pod -> row spill cascade, for both packing and spread
-// policies.
+// segment-tree picks — must make exactly the placement decisions of the
+// linear-scan oracle (linear_test.go), across the whole rack -> pod ->
+// row spill cascade, for both packing and spread policies. Every
+// reserve must land on the linear pod -> rack -> brick choice; before
+// every attach the indexed and linear picks must agree at each tier
+// (home-rack brick, pod spill rack, row spill pod), and the attachment
+// must land on the pick of the tier that served it.
 func TestRowSpillOrderingMatchesLinearReference(t *testing.T) {
 	for _, policy := range []Policy{PolicyPowerAware, PolicySpread} {
-		cfgIdx := DefaultConfig
-		cfgIdx.Policy = policy
-		cfgLin := cfgIdx
-		cfgLin.Scan = ScanLinear
-		idx := buildRowSched(t, 3, 2, 4*brick.GiB, cfgIdx)
-		lin := buildRowSched(t, 3, 2, 4*brick.GiB, cfgLin)
+		cfg := DefaultConfig
+		cfg.Policy = policy
+		s := buildRowSched(t, 3, 2, 4*brick.GiB, cfg)
 
 		rng := sim.NewRand(42)
 		type vm struct {
-			owner            string
-			cpuIdx, cpuLin   topo.RowBrickID
-			attsIdx, attsLin []*Attachment
+			owner string
+			cpu   topo.RowBrickID
+			atts  []*Attachment
 		}
 		var vms []*vm
 		for step := 0; step < 200; step++ {
 			switch op := rng.Intn(10); {
 			case op < 3: // boot a VM
 				v := &vm{owner: fmt.Sprintf("p%v-vm%03d", policy, step)}
-				var errI, errL error
-				v.cpuIdx, _, errI = idx.ReserveCompute(v.owner, 1, 0)
-				v.cpuLin, _, errL = lin.ReserveCompute(v.owner, 1, 0)
-				if (errI == nil) != (errL == nil) {
-					t.Fatalf("%v step %d: reserve diverges: %v vs %v", policy, step, errI, errL)
+				want, ok := topo.RowBrickID{}, false
+				if want.Pod, ok = s.pickComputePodLinear(1, 0); ok {
+					pod := s.pods[want.Pod]
+					want.Rack, _ = pod.pickComputeRackLinear(1, 0, -1)
+					want.Brick, _ = pod.racks[want.Rack].pickComputeLinear(1, 0)
 				}
-				if errI != nil {
+				var err error
+				v.cpu, _, err = s.ReserveCompute(v.owner, 1, 0)
+				if (err == nil) != ok {
+					t.Fatalf("%v step %d: reserve: %v, linear pick found=%t", policy, step, err, ok)
+				}
+				if err != nil {
 					continue
 				}
-				if v.cpuIdx != v.cpuLin {
-					t.Fatalf("%v step %d: compute pick %v vs %v", policy, step, v.cpuIdx, v.cpuLin)
+				if v.cpu != want {
+					t.Fatalf("%v step %d: compute pick %v, linear %v", policy, step, v.cpu, want)
 				}
 				vms = append(vms, v)
 			case op < 8: // attach memory to a random VM
@@ -412,43 +417,55 @@ func TestRowSpillOrderingMatchesLinearReference(t *testing.T) {
 				}
 				v := vms[rng.Intn(len(vms))]
 				size := brick.Bytes(rng.Intn(3)+1) * brick.GiB / 2
-				attI, _, errI := idx.AttachRemoteMemory(v.owner, v.cpuIdx, size)
-				attL, _, errL := lin.AttachRemoteMemory(v.owner, v.cpuLin, size)
-				if (errI == nil) != (errL == nil) {
-					t.Fatalf("%v step %d: attach diverges: %v vs %v", policy, step, errI, errL)
+				pod := s.pods[v.cpu.Pod]
+				rackBrick, rackOK := pod.racks[v.cpu.Rack].pickMemory(size)
+				if b, ok := pod.racks[v.cpu.Rack].pickMemoryLinear(size); b != rackBrick || ok != rackOK {
+					t.Fatalf("%v step %d (size %v): home-rack pick %v/%t, linear %v/%t", policy, step, size, rackBrick, rackOK, b, ok)
 				}
-				if errI != nil {
+				podRack, podBrick, podOK := pod.pickMemoryRack(size, v.cpu.Rack)
+				if r, b, ok := pod.pickMemoryRackLinear(size, v.cpu.Rack); r != podRack || b != podBrick || ok != podOK {
+					t.Fatalf("%v step %d (size %v): pod spill pick %d/%v/%t, linear %d/%v/%t", policy, step, size, podRack, podBrick, podOK, r, b, ok)
+				}
+				rowPod, rowRack, rowBrick, rowOK := s.pickMemoryPod(size, v.cpu.Pod)
+				if p, r, b, ok := s.pickMemoryPodLinear(size, v.cpu.Pod); p != rowPod || r != rowRack || b != rowBrick || ok != rowOK {
+					t.Fatalf("%v step %d (size %v): row spill pick %d/%d/%v/%t, linear %d/%d/%v/%t", policy, step, size, rowPod, rowRack, rowBrick, rowOK, p, r, b, ok)
+				}
+				att, _, err := s.AttachRemoteMemory(v.owner, v.cpu, size)
+				if err != nil {
 					continue
 				}
-				if attI.CPUPod != attL.CPUPod || attI.MemPod != attL.MemPod ||
-					attI.CPURack != attL.CPURack || attI.MemRack != attL.MemRack ||
-					attI.Segment.Brick != attL.Segment.Brick || attI.Segment.Offset != attL.Segment.Offset ||
-					attI.Mode != attL.Mode {
-					t.Fatalf("%v step %d (size %v): spill diverges:\nindexed: %+v\nlinear:  %+v",
-						policy, step, size, attI, attL)
+				// The tier that served the attach is where its memory end
+				// sits; a tier above the rack serves only after the tiers
+				// below it failed (for lack of a pick, or of compute ports).
+				tier, want, picked := "rack", topo.RowBrickID{Pod: v.cpu.Pod, Rack: v.cpu.Rack, Brick: rackBrick}, rackOK
+				if att.MemPod != v.cpu.Pod {
+					tier, want, picked = "row", topo.RowBrickID{Pod: rowPod, Rack: rowRack, Brick: rowBrick}, rowOK
+				} else if att.MemRack != v.cpu.Rack {
+					tier, want, picked = "pod", topo.RowBrickID{Pod: v.cpu.Pod, Rack: podRack, Brick: podBrick}, podOK
 				}
-				v.attsIdx = append(v.attsIdx, attI)
-				v.attsLin = append(v.attsLin, attL)
+				got := topo.RowBrickID{Pod: att.MemPod, Rack: att.MemRack, Brick: att.Segment.Brick}
+				if !picked || got != want || att.CPUPod != v.cpu.Pod || att.CPURack != v.cpu.Rack || att.Mode != ModeCircuit {
+					t.Fatalf("%v step %d (size %v): %s tier served the attach on %v (mode %v), its pick was %v/%t:\n%+v",
+						policy, step, size, tier, got, att.Mode, want, picked, att)
+				}
+				v.atts = append(v.atts, att)
 			default: // detach a random attachment (newest first per VM)
 				if len(vms) == 0 {
 					continue
 				}
 				v := vms[rng.Intn(len(vms))]
-				if len(v.attsIdx) == 0 {
+				if len(v.atts) == 0 {
 					continue
 				}
-				n := len(v.attsIdx) - 1
-				if _, err := idx.DetachRemoteMemory(v.attsIdx[n]); err != nil {
-					t.Fatalf("%v step %d: indexed detach: %v", policy, step, err)
+				n := len(v.atts) - 1
+				if _, err := s.DetachRemoteMemory(v.atts[n]); err != nil {
+					t.Fatalf("%v step %d: detach: %v", policy, step, err)
 				}
-				if _, err := lin.DetachRemoteMemory(v.attsLin[n]); err != nil {
-					t.Fatalf("%v step %d: linear detach: %v", policy, step, err)
-				}
-				v.attsIdx, v.attsLin = v.attsIdx[:n], v.attsLin[:n]
+				v.atts = v.atts[:n]
 			}
-		}
-		if a, b := rowFingerprint(t, idx, true), rowFingerprint(t, lin, true); a != b {
-			t.Fatalf("%v: final state diverges between indexed and linear", policy)
+			if err := s.CheckInvariants(); err != nil {
+				t.Fatalf("%v step %d: %v", policy, step, err)
+			}
 		}
 	}
 }

@@ -286,7 +286,7 @@ func (s *RowScheduler) pickComputePodPlanned(vcpus int, localMem brick.Bytes, pl
 	if s.cfg.Policy == PolicySpread {
 		best, bestFree := -1, int64(-1)
 		for i := range s.pods {
-			free := s.podFreeCores(i) - int64(planned[i])
+			free := s.PodFreeCores(i) - int64(planned[i])
 			if free < int64(vcpus) || free <= bestFree {
 				continue
 			}
@@ -296,7 +296,7 @@ func (s *RowScheduler) pickComputePodPlanned(vcpus int, localMem brick.Bytes, pl
 	}
 	// Power-aware and first-fit pack pods in index order.
 	for i := range s.pods {
-		if s.podFreeCores(i)-int64(planned[i]) >= int64(vcpus) {
+		if s.PodFreeCores(i)-int64(planned[i]) >= int64(vcpus) {
 			return i
 		}
 	}

@@ -50,26 +50,6 @@ func (p Policy) String() string {
 	}
 }
 
-// ScanMode selects how the controller's hot-path brick selection runs.
-type ScanMode int
-
-const (
-	// ScanIndexed (the default) serves picks from the placement indexes
-	// maintained at mutation time — O(log n) ordered-tree descents.
-	ScanIndexed ScanMode = iota
-	// ScanLinear is the pre-index baseline: every pick rescans the brick
-	// lists (and every memory fitness probe rescans the segment list).
-	// Kept for the equivalence tests and as the benchmark baseline.
-	ScanLinear
-)
-
-func (s ScanMode) String() string {
-	if s == ScanLinear {
-		return "linear-scan"
-	}
-	return "indexed"
-}
-
 // Config parameterizes the controller's control-plane latency model and
 // datapath provisioning.
 type Config struct {
@@ -95,9 +75,6 @@ type Config struct {
 	// attachment rides an existing circuit between the same brick pair,
 	// steered by the on-brick packet switches (paper §III).
 	PacketFallback bool
-	// Scan selects the placement engine: indexed (default) or the
-	// pre-index linear-scan baseline.
-	Scan ScanMode
 }
 
 // DefaultConfig holds representative control-plane costs.
@@ -468,28 +445,13 @@ func (c *Controller) Stats() (requests, failures uint64) { return c.requests, c.
 
 // FreeCores returns the rack's total unallocated compute cores — the
 // quantity the pod scheduler's spread policy balances across racks. An
-// O(1) read of the compute index's rank sum; the linear-scan baseline
-// pays the pre-index walk.
+// O(1) read of the compute index's rank sum.
 func (c *Controller) FreeCores() int {
-	if c.cfg.Scan == ScanLinear {
-		n := 0
-		for _, node := range c.computes {
-			n += node.Brick.FreeCores()
-		}
-		return n
-	}
 	return int(c.cpuIdx.rankSum())
 }
 
 // FreeMemory returns the rack's total unreserved pooled memory — an
 // O(1) read of the memory index's rank sum.
 func (c *Controller) FreeMemory() brick.Bytes {
-	if c.cfg.Scan == ScanLinear {
-		var n brick.Bytes
-		for _, m := range c.memories {
-			n += m.Free()
-		}
-		return n
-	}
 	return brick.Bytes(c.memIdx.rankSum())
 }
