@@ -168,21 +168,12 @@ func (c *Controller) DetachRemoteMemory(att *Attachment) (sim.Duration, error) {
 		return att.spill.detachCross(att)
 	}
 	c.requests++
-	idx := -1
-	if id, ok := c.ownerIDs[att.Owner]; ok {
-		for i, a := range c.attachments[id] {
-			if a == att {
-				idx = i
-				break
-			}
-		}
-	}
-	if idx == -1 {
+	if !c.registered(att) {
 		c.failures++
 		return 0, fmt.Errorf("sdm: attachment for %q on %v not live", att.Owner, att.CPU)
 	}
 	if att.Mode == ModePacket {
-		return c.detachPacket(att, idx)
+		return c.detachPacket(att)
 	}
 	if n := att.Circuit.Riders; n > 0 {
 		c.failures++

@@ -80,8 +80,8 @@ func TestRebalanceSweepAllocFree(t *testing.T) {
 // steadyChurn runs warmed admit→evict cycles over caller-held buffers
 // and returns the amortised allocations per full cycle. Every cycle
 // admits the same owners and evicts them again, so the schedulers'
-// arenas (attachments, circuits, segments), interned owner IDs and
-// batch scratch all reach steady state during the warm-up cycles.
+// arenas (attachments, circuits, segments), live lists and batch
+// scratch all reach steady state during the warm-up cycles.
 func steadyChurn(t *testing.T, admit func([]AdmitRequest, []AdmitResult) error,
 	evict func([]EvictRequest, []EvictResult) error, reqs []AdmitRequest) float64 {
 	t.Helper()
@@ -107,7 +107,7 @@ func steadyChurn(t *testing.T, admit func([]AdmitRequest, []AdmitResult) error,
 		}
 	}
 	for i := 0; i < 3; i++ {
-		cycle() // warm arenas, interning tables and batch scratch
+		cycle() // warm arenas, live lists and batch scratch
 	}
 	return testing.AllocsPerRun(10, cycle)
 }
@@ -260,6 +260,103 @@ func TestAdmitEvictSteadyStateAllocFree(t *testing.T) {
 			})
 		}
 	}
+}
+
+// TestAdmitEvictUniqueOwnersAllocFree is the steady churn with a fresh
+// owner name for every VM, drawn from a pre-built slice, at the rack,
+// pod and row tiers: registration keys nothing by name, so once warm a
+// cycle allocates nothing however many distinct owners pass through,
+// and no rack's live list outgrows its peak occupancy.
+func TestAdmitEvictUniqueOwnersAllocFree(t *testing.T) {
+	// churn runs steadyChurn with every admitted request renamed first;
+	// racks are the controllers whose live lists are bounded.
+	churn := func(t *testing.T, n int, racks []*Controller,
+		admit func([]AdmitRequest, []AdmitResult) error, evict func([]EvictRequest, []EvictResult) error) {
+		t.Helper()
+		names := make([]string, 64*n)
+		for i := range names {
+			names[i] = fmt.Sprintf("vm-%d", i)
+		}
+		next := 0
+		peak := make([]int, len(racks))
+		reqs := make([]AdmitRequest, n)
+		for i := range reqs {
+			reqs[i] = AdmitRequest{VCPUs: 1, Remote: brick.GiB / 4}
+		}
+		allocs := steadyChurn(t, func(r []AdmitRequest, o []AdmitResult) error {
+			if next+len(r) > len(names) {
+				t.Fatal("owner names exhausted")
+			}
+			for i := range r {
+				r[i].Owner = names[next]
+				next++
+			}
+			err := admit(r, o)
+			for i, c := range racks {
+				peak[i] = max(peak[i], len(c.live))
+			}
+			return err
+		}, evict, reqs)
+		if allocs != 0 {
+			t.Fatalf("unique-owner admit+evict cycle allocates %.1f/op, want 0", allocs)
+		}
+		for i, c := range racks {
+			if cap(c.live) > 2*peak[i] {
+				t.Fatalf("rack %d live list cap %d after a peak of %d live attachments", i, cap(c.live), peak[i])
+			}
+		}
+	}
+	t.Run("rack", func(t *testing.T) {
+		s := buildBatchPod(t, 1, 4, 4, 8*brick.GiB, DefaultConfig)
+		c := s.Rack(0)
+		rel := make([]ReleaseRequest, 6)
+		relOut := make([]ReleaseResult, len(rel))
+		churn(t, len(rel), []*Controller{c},
+			func(r []AdmitRequest, o []AdmitResult) error {
+				c.PlaceBatch(r, o)
+				for i := range o {
+					if o[i].Err != nil {
+						return o[i].Err
+					}
+				}
+				return nil
+			},
+			func(r []EvictRequest, o []EvictResult) error {
+				for i := range r {
+					rel[i] = ReleaseRequest{Owner: r[i].Owner, CPU: r[i].CPU, VCPUs: r[i].VCPUs, LocalMem: r[i].LocalMem, Atts: r[i].Atts}
+				}
+				c.ReleaseBatch(rel, relOut)
+				for i := range relOut {
+					if relOut[i].Err != nil {
+						return relOut[i].Err
+					}
+				}
+				// The rack tier has no batch epilogue of its own: park the
+				// retired attachments as the pod and row epilogues do.
+				for i := range rel {
+					for _, att := range rel[i].Atts {
+						c.freeAttachment(att)
+					}
+				}
+				return nil
+			})
+	})
+	t.Run("pod", func(t *testing.T) {
+		s := buildBatchPod(t, 2, 4, 4, 8*brick.GiB, DefaultConfig)
+		churn(t, 6, s.racks,
+			func(r []AdmitRequest, o []AdmitResult) error { return s.AdmitBatchInto(r, o, 0) },
+			func(r []EvictRequest, o []EvictResult) error { return s.EvictBatchInto(r, o, 0) })
+	})
+	t.Run("row", func(t *testing.T) {
+		s := buildRowSched(t, 2, 2, 8*brick.GiB, DefaultConfig)
+		var racks []*Controller
+		for _, p := range s.pods {
+			racks = append(racks, p.racks...)
+		}
+		churn(t, 4, racks,
+			func(r []AdmitRequest, o []AdmitResult) error { return s.AdmitBatchInto(r, o, 0) },
+			func(r []EvictRequest, o []EvictResult) error { return s.EvictBatchInto(r, o, 0) })
+	})
 }
 
 // fillRackMemory carves every memory brick of a rack full through the

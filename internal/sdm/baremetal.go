@@ -74,10 +74,8 @@ func (c *Controller) ReleaseBareMetal(id topo.BrickID) error {
 	if owner == "" {
 		return fmt.Errorf("sdm: brick %v is not a bare-metal reservation", id)
 	}
-	if oid, ok := c.ownerIDs[owner]; ok {
-		if n := len(c.attachments[oid]); n > 0 {
-			return fmt.Errorf("sdm: bare-metal tenant %q still holds %d attachments", owner, n)
-		}
+	if n := len(c.Attachments(owner)); n > 0 {
+		return fmt.Errorf("sdm: bare-metal tenant %q still holds %d attachments", owner, n)
 	}
 	node := c.computes[pos]
 	if err := node.Brick.FreeCoresBack(node.Brick.Cores); err != nil {

@@ -19,7 +19,7 @@ import (
 // ground truth and returns the first violation found, or nil.
 func (s *PodScheduler) CheckInvariants() error {
 	live := make(map[*brick.Segment]*Attachment)
-	if _, err := s.checkPod(live, nil, nil); err != nil {
+	if _, err := s.checkPod(-1, live, nil, nil); err != nil {
 		return err
 	}
 	return checkSegments(live, s)
@@ -33,7 +33,7 @@ func (s *RowScheduler) CheckInvariants() error {
 	riders := make(map[*optical.Circuit]int)
 	registered := 0
 	for p, ps := range s.pods {
-		n, err := ps.checkPod(live, &s.spillTier, riders)
+		n, err := ps.checkPod(p, live, &s.spillTier, riders)
 		if err != nil {
 			return fmt.Errorf("pod %d: %w", p, err)
 		}
@@ -87,11 +87,13 @@ func (g *podAgg) check() error {
 }
 
 // checkPod checks the pod's racks, registrations, cross-rack riders and
-// walk order, recording every live attachment's segment in live.
+// walk order, recording every live attachment's segment in live. pi is
+// the pod's index in its row, or -1 when the pod is checked on its own
+// and its attachments' pod coordinate is not checked.
 // Attachments of the row's spill tier — the cross-pod ones this pod's
 // racks register — are tallied into rowRiders and counted in the
 // result.
-func (s *PodScheduler) checkPod(live map[*brick.Segment]*Attachment, row *spillTier, rowRiders map[*optical.Circuit]int) (int, error) {
+func (s *PodScheduler) checkPod(pi int, live map[*brick.Segment]*Attachment, row *spillTier, rowRiders map[*optical.Circuit]int) (int, error) {
 	tiers := [spillLevels]*spillTier{podLevel: &s.spillTier, rowLevel: row}
 	riders := [spillLevels]map[*optical.Circuit]int{podLevel: make(map[*optical.Circuit]int), rowLevel: rowRiders}
 	var registered [spillLevels]int
@@ -104,55 +106,57 @@ func (s *PodScheduler) checkPod(live map[*brick.Segment]*Attachment, row *spillT
 		}
 		rackRiders := make(map[*optical.Circuit]int)
 		hostSeen := make(map[*Attachment]bool)
-		for oid, list := range r.attachments {
-			owner := r.owners[oid]
-			for _, att := range list {
-				if att.Owner != owner {
-					return 0, fmt.Errorf("rack %d: attachment of %q registered under %q", ri, att.Owner, owner)
-				}
-				if int(att.ownerID) != oid {
-					return 0, fmt.Errorf("rack %d: attachment of %q carries owner id %d, registered at %d", ri, att.Owner, att.ownerID, oid)
-				}
-				if prev, dup := live[att.Segment]; dup {
-					return 0, fmt.Errorf("rack %d: segment %v+%v owned by both %q and %q", ri, att.Segment.Offset, att.Segment.Size, prev.Owner, att.Owner)
-				}
-				live[att.Segment] = att
-				if sp := att.spill; sp != nil {
-					w := &tierWords[sp.level]
-					if sp != tiers[sp.level] {
-						return 0, fmt.Errorf("rack %d: attachment of %q tagged with a foreign %s scheduler", ri, att.Owner, w.tier)
-					}
-					if att.CPURack != ri {
-						return 0, fmt.Errorf("rack %d: %s attachment of %q registered off its compute rack %d", ri, w.cross, att.Owner, att.CPURack)
-					}
-					if !sp.cross.contains(att) {
-						return 0, fmt.Errorf("rack %d: %s attachment of %q missing from the %s walk order", ri, w.cross, att.Owner, w.tier)
-					}
-					registered[sp.level]++
-					tallyRider(riders[sp.level], att)
-				} else {
-					if att.CPURack != att.MemRack {
-						return 0, fmt.Errorf("rack %d: attachment of %q spans racks %d→%d without a pod tag", ri, att.Owner, att.CPURack, att.MemRack)
-					}
-					tallyRider(rackRiders, att)
-				}
-				if att.Mode == ModePacket {
-					continue
-				}
-				found := false
-				for _, h := range r.hosts(att.spill)[r.cpuPos(att.CPU)] {
-					if h == att {
-						if found {
-							return 0, fmt.Errorf("rack %d: attachment of %q twice in its host index", ri, att.Owner)
-						}
-						found = true
-					}
-				}
-				if !found {
-					return 0, fmt.Errorf("rack %d: circuit attachment of %q missing from its host index", ri, att.Owner)
-				}
-				hostSeen[att] = true
+		stamps := make(map[uint32]bool, len(r.live))
+		for i, att := range r.live {
+			if int(att.slot) != i {
+				return 0, fmt.Errorf("rack %d: attachment of %q at live slot %d records slot %d", ri, att.Owner, i, att.slot)
 			}
+			if att.stamp >= r.nextStamp {
+				return 0, fmt.Errorf("rack %d: attachment of %q stamped %d, counter at %d", ri, att.Owner, att.stamp, r.nextStamp)
+			}
+			if stamps[att.stamp] {
+				return 0, fmt.Errorf("rack %d: registration stamp %d issued twice", ri, att.stamp)
+			}
+			stamps[att.stamp] = true
+			if att.CPURack != ri || pi >= 0 && att.CPUPod != pi {
+				return 0, fmt.Errorf("rack %d: attachment of %q registered off its compute rack p%d.r%d", ri, att.Owner, att.CPUPod, att.CPURack)
+			}
+			if prev, dup := live[att.Segment]; dup {
+				return 0, fmt.Errorf("rack %d: segment %v+%v owned by both %q and %q", ri, att.Segment.Offset, att.Segment.Size, prev.Owner, att.Owner)
+			}
+			live[att.Segment] = att
+			if sp := att.spill; sp != nil {
+				w := &tierWords[sp.level]
+				if sp != tiers[sp.level] {
+					return 0, fmt.Errorf("rack %d: attachment of %q tagged with a foreign %s scheduler", ri, att.Owner, w.tier)
+				}
+				if !sp.cross.contains(att) {
+					return 0, fmt.Errorf("rack %d: %s attachment of %q missing from the %s walk order", ri, w.cross, att.Owner, w.tier)
+				}
+				registered[sp.level]++
+				tallyRider(riders[sp.level], att)
+			} else {
+				if att.CPURack != att.MemRack {
+					return 0, fmt.Errorf("rack %d: attachment of %q spans racks %d→%d without a pod tag", ri, att.Owner, att.CPURack, att.MemRack)
+				}
+				tallyRider(rackRiders, att)
+			}
+			if att.Mode == ModePacket {
+				continue
+			}
+			found := false
+			for _, h := range r.hosts(att.spill)[r.cpuPos(att.CPU)] {
+				if h == att {
+					if found {
+						return 0, fmt.Errorf("rack %d: attachment of %q twice in its host index", ri, att.Owner)
+					}
+					found = true
+				}
+			}
+			if !found {
+				return 0, fmt.Errorf("rack %d: circuit attachment of %q missing from its host index", ri, att.Owner)
+			}
+			hostSeen[att] = true
 		}
 		// The host indexes carry no stale entries.
 		for _, index := range [...][][]*Attachment{r.circuitHosts, r.crossHosts[podLevel], r.crossHosts[rowLevel]} {

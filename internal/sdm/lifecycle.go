@@ -16,6 +16,7 @@ package sdm
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"repro/internal/brick"
 	"repro/internal/optical"
@@ -225,44 +226,58 @@ func (c *Controller) CanRepoint(att *Attachment) error {
 	return nil
 }
 
-// register interns the owner and appends the attachment to its live
-// list, stamping the dense ownerID every later registry access keys by.
+// register links a newly attached (or re-pointed) attachment into the
+// rack's live list under a fresh stamp, so it sorts after every
+// attachment already registered here.
 func (c *Controller) register(att *Attachment) {
-	id := c.internOwner(att.Owner)
-	att.ownerID = id
-	c.attachments[id] = append(c.attachments[id], att)
+	if c.nextStamp == math.MaxUint32 {
+		c.restamp()
+	}
+	att.stamp = c.nextStamp
+	c.nextStamp++
+	c.relink(att)
 }
 
-// registered locates an attachment in its owner's live list. An
-// attachment registered elsewhere scans (at worst) a different owner's
-// list and is correctly not found — the pointer identity check makes a
-// stale ownerID safe.
+// relink appends att to the live list keeping its stamp — the rollback
+// half of register, which puts a restored attachment back at its place
+// in attach order.
+func (c *Controller) relink(att *Attachment) {
+	att.slot = int32(len(c.live))
+	c.live = append(c.live, att)
+}
+
+// restamp renumbers the live list densely in stamp order when the
+// counter would wrap. Nothing registers while a teardown journal is
+// open, so no detached attachment awaiting rollback holds a stale
+// stamp.
+func (c *Controller) restamp() {
+	sortByStamp(c.live)
+	for i, att := range c.live {
+		att.slot, att.stamp = int32(i), uint32(i)
+	}
+	c.nextStamp = uint32(len(c.live))
+}
+
+// registered reports whether att is live on this rack: its slot holds
+// it. An attachment registered elsewhere, or since detached, fails the
+// pointer check whatever its slot says.
 func (c *Controller) registered(att *Attachment) bool {
-	id := int(att.ownerID)
-	if id < 0 || id >= len(c.attachments) {
-		return false
-	}
-	for _, a := range c.attachments[id] {
-		if a == att {
-			return true
-		}
-	}
-	return false
+	i := int(att.slot)
+	return i < len(c.live) && c.live[i] == att
 }
 
-// unregister removes an attachment from its owner's live list.
+// unregister removes att from the live list, moving the last entry
+// into its slot.
 func (c *Controller) unregister(att *Attachment) {
-	id := int(att.ownerID)
-	if id < 0 || id >= len(c.attachments) {
+	if !c.registered(att) {
 		return
 	}
-	list := c.attachments[id]
-	for i, a := range list {
-		if a == att {
-			c.attachments[id] = append(list[:i], list[i+1:]...)
-			return
-		}
-	}
+	last := len(c.live) - 1
+	moved := c.live[last]
+	moved.slot = att.slot
+	c.live[att.slot] = moved
+	c.live[last] = nil
+	c.live = c.live[:last]
 }
 
 // attachCircuit provisions one circuit-mode attachment from compute

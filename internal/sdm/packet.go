@@ -88,7 +88,7 @@ func (c *Controller) attachPacket(owner string, cpu topo.BrickID, size brick.Byt
 }
 
 // detachPacket releases a packet-mode attachment.
-func (c *Controller) detachPacket(att *Attachment, idx int) (sim.Duration, error) {
+func (c *Controller) detachPacket(att *Attachment) (sim.Duration, error) {
 	node := c.compute(att.CPU)
 	memID := att.Segment.Brick
 	m := c.memory(memID)
@@ -103,8 +103,7 @@ func (c *Controller) detachPacket(att *Attachment, idx int) (sim.Duration, error
 	if att.Circuit.Riders > 0 {
 		att.Circuit.Riders--
 	}
-	list := c.attachments[att.ownerID]
-	c.attachments[att.ownerID] = append(list[:idx], list[idx+1:]...)
+	c.unregister(att)
 	c.touchMemory(memID)
 	return c.cfg.DecisionLatency + 2*c.cfg.AgentRTT, nil
 }

@@ -375,8 +375,8 @@ func (s *PodScheduler) Repoint(att *Attachment, newCPU topo.PodBrickID) (tgl.Ent
 	op := planRepoint(s.cfg, att, oldRack, newRack, newCPU.Brick,
 		s.pairConn(att.CPURack, att.MemRack), s.pairConn(newCPU.Rack, att.MemRack),
 		func(newCPUPort topo.PortID, circuit *optical.Circuit, window tgl.Entry) {
-			// Owner registration follows the compute rack (register re-stamps
-			// ownerID against the new rack's intern table).
+			// Registration follows the compute rack: the new rack stamps
+			// the attachment after everything already registered there.
 			if att.CPURack != newCPU.Rack {
 				oldRack.unregister(att)
 				newRack.register(att)
@@ -409,12 +409,7 @@ func (s *PodScheduler) Repoint(att *Attachment, newCPU topo.PodBrickID) (tgl.Ent
 // (a copy, in attach order — an owner's attachments all register on its
 // compute rack's controller).
 func (s *PodScheduler) Attachments(owner string) []*Attachment {
-	for _, r := range s.racks {
-		if id, ok := r.ownerIDs[owner]; ok && len(r.attachments[id]) > 0 {
-			return r.Attachments(owner)
-		}
-	}
-	return nil
+	return s.AppendAttachments(nil, owner)
 }
 
 // AppendAttachments appends the owner's live attachments across the pod
@@ -422,8 +417,8 @@ func (s *PodScheduler) Attachments(owner string) []*Attachment {
 // of Attachments.
 func (s *PodScheduler) AppendAttachments(dst []*Attachment, owner string) []*Attachment {
 	for _, r := range s.racks {
-		if id, ok := r.ownerIDs[owner]; ok && len(r.attachments[id]) > 0 {
-			return r.AppendAttachments(dst, owner)
+		if out := r.AppendAttachments(dst, owner); len(out) > len(dst) {
+			return out
 		}
 	}
 	return dst

@@ -318,12 +318,7 @@ func (s *RowScheduler) DetachRemoteMemory(att *Attachment) (sim.Duration, error)
 // Attachments returns the live attachments of an owner across the row
 // (a copy, in attach order).
 func (s *RowScheduler) Attachments(owner string) []*Attachment {
-	for _, p := range s.pods {
-		if a := p.Attachments(owner); a != nil {
-			return a
-		}
-	}
-	return nil
+	return s.AppendAttachments(nil, owner)
 }
 
 // AppendAttachments appends the owner's live attachments across the row

@@ -151,10 +151,14 @@ type Attachment struct {
 	// seq is the spill tier's sequence number, the rebalancer's
 	// oldest-first walk order; zero for attachments that never spilled.
 	seq uint64
-	// ownerID is Owner interned against the registering (compute-end)
-	// controller's owner table, so every hot-path registry lookup is a
-	// slice index instead of a string hash.
-	ownerID int32
+	// slot is the attachment's position in its compute-end rack's live
+	// list while registered there, so registration checks and removal
+	// are O(1) and never look the owner up by name. stamp comes from
+	// that rack's registration counter when the attachment registers:
+	// per-owner queries order by it, which reproduces attach order, and
+	// a rollback re-links under the original stamp.
+	slot  int32
+	stamp uint32
 	// crossPrev/crossNext thread the owning spill tier's
 	// oldest-first walk order through the attachments themselves — the
 	// intrusive replacement for the old list.List + map[*Attachment]
@@ -192,13 +196,12 @@ type Controller struct {
 
 	cpuPosTab, memPosTab, accPosTab [][]int32
 
-	// attachments is indexed by interned owner ID (see internOwner);
-	// owners is the reverse table. IDs are never freed — the table
-	// mirrors the old map's key lifetime, where an owner's (possibly
-	// empty) slot persisted across re-admissions.
-	attachments [][]*Attachment
-	ownerIDs    map[string]int32
-	owners      []string
+	// live holds every attachment registered on this rack (its compute
+	// end), in no particular order: each knows its slot, and removal
+	// swaps the last entry into the hole. nextStamp is the registration
+	// counter every stamp is drawn from (see register).
+	live      []*Attachment
+	nextStamp uint32
 
 	// circuitHosts indexes circuit-mode attachments by compute ordinal so
 	// the packet fallback can find a host circuit deterministically.
@@ -264,11 +267,10 @@ func NewController(rack *topo.Rack, fabric *optical.Fabric, bc BrickConfigs, cfg
 		return nil, err
 	}
 	c := &Controller{
-		cfg:      cfg,
-		rack:     rack,
-		fabric:   fabric,
-		ownerIDs: make(map[string]int32),
-		boots:    &bootJournal{},
+		cfg:    cfg,
+		rack:   rack,
+		fabric: fabric,
+		boots:  &bootJournal{},
 	}
 	setPos := func(tab *[][]int32, id topo.BrickID, ord int) {
 		for id.Tray >= len(*tab) {
@@ -383,26 +385,6 @@ func (c *Controller) Accel(id topo.BrickID) (*brick.Accel, bool) {
 	return nil, false
 }
 
-// internOwner resolves an owner name to its dense ID, assigning the
-// next one on first sight. Group commits run on the caller's
-// goroutine, so the table needs no locking.
-func (c *Controller) internOwner(owner string) int32 {
-	if id, ok := c.ownerIDs[owner]; ok {
-		return id
-	}
-	id := int32(len(c.owners))
-	c.ownerIDs[owner] = id
-	c.owners = append(c.owners, owner)
-	c.attachments = append(c.attachments, nil)
-	return id
-}
-
-// attachmentsOf returns the registry slot the attachment registers in —
-// the interned-ID fast path for the old attachments[att.Owner] lookup.
-func (c *Controller) attachmentsOf(att *Attachment) []*Attachment {
-	return c.attachments[att.ownerID]
-}
-
 // newAttachment pops a recycled attachment off the arena (or allocates
 // one), fully zeroed.
 func (c *Controller) newAttachment() *Attachment {
@@ -424,7 +406,8 @@ func (c *Controller) freeAttachment(att *Attachment) {
 	c.attFree = append(c.attFree, att)
 }
 
-// Attachments returns the live attachments of an owner (a copy).
+// Attachments returns the live attachments of an owner (a copy, in
+// attach order).
 func (c *Controller) Attachments(owner string) []*Attachment {
 	return c.AppendAttachments(nil, owner)
 }
@@ -434,10 +417,25 @@ func (c *Controller) Attachments(owner string) []*Attachment {
 // callers that reuse a scratch buffer (migration pre-flights, the
 // rebalancer) instead of copying per query.
 func (c *Controller) AppendAttachments(dst []*Attachment, owner string) []*Attachment {
-	if id, ok := c.ownerIDs[owner]; ok {
-		return append(dst, c.attachments[id]...)
+	start := len(dst)
+	for _, att := range c.live {
+		if att.Owner == owner {
+			dst = append(dst, att)
+		}
 	}
+	sortByStamp(dst[start:])
 	return dst
+}
+
+// sortByStamp orders one rack's attachments by registration stamp — an
+// allocation-free insertion sort: a query sorts one owner's few
+// attachments, and only a counter wrap sorts a whole live list.
+func sortByStamp(atts []*Attachment) {
+	for i := 1; i < len(atts); i++ {
+		for j := i; j > 0 && atts[j].stamp < atts[j-1].stamp; j-- {
+			atts[j], atts[j-1] = atts[j-1], atts[j]
+		}
+	}
 }
 
 // Stats returns cumulative request/failure counters.

@@ -90,7 +90,7 @@ func (c *Controller) Snapshot() Snapshot {
 		})
 	}
 	// Attachments: deterministic order via compute bricks' host index
-	// plus per-owner lists (which are append-ordered).
+	// first.
 	seen := map[*Attachment]bool{}
 	for ord := range c.computes {
 		for _, att := range c.circuitHosts[ord] {
@@ -98,21 +98,23 @@ func (c *Controller) Snapshot() Snapshot {
 			seen[att] = true
 		}
 	}
-	// Packet-mode attachments are not circuit hosts; collect them by
-	// owner in sorted owner order for determinism.
-	owners := make([]string, 0, len(c.owners))
-	for _, o := range c.owners {
-		if len(c.attachments[c.ownerIDs[o]]) > 0 {
-			owners = append(owners, o)
+	// Packet-mode and spilled attachments are not rack circuit hosts;
+	// collect them by owner in sorted owner order, each owner's in
+	// attach (stamp) order, for determinism.
+	var rest []*Attachment
+	for _, att := range c.live {
+		if !seen[att] {
+			rest = append(rest, att)
 		}
 	}
-	sort.Strings(owners)
-	for _, o := range owners {
-		for _, att := range c.attachments[c.ownerIDs[o]] {
-			if !seen[att] {
-				s.Attachments = append(s.Attachments, c.attachmentState(att))
-			}
+	sort.Slice(rest, func(i, j int) bool {
+		if rest[i].Owner != rest[j].Owner {
+			return rest[i].Owner < rest[j].Owner
 		}
+		return rest[i].stamp < rest[j].stamp
+	})
+	for _, att := range rest {
+		s.Attachments = append(s.Attachments, c.attachmentState(att))
 	}
 	if c.bareMetalCount > 0 {
 		s.BareMetal = make(map[string]string, c.bareMetalCount)

@@ -263,18 +263,7 @@ func (t *spillTier) detachCross(att *Attachment) (sim.Duration, error) {
 func (t *spillTier) batchDetachCross(att *Attachment, log *[]detachUndo) (sim.Duration, error) {
 	t.requests++
 	rackA := t.owner.rackAt(att.CPUPod, att.CPURack)
-	idx := -1
-	var list []*Attachment
-	if id := int(att.ownerID); id >= 0 && id < len(rackA.attachments) {
-		list = rackA.attachments[id]
-	}
-	for i, a := range list {
-		if a == att {
-			idx = i
-			break
-		}
-	}
-	if idx == -1 {
+	if !rackA.registered(att) {
 		t.failures++
 		return 0, fmt.Errorf("sdm: %s attachment for %q on %v not live", tierWords[t.level].cross, att.Owner, att.CPU)
 	}
@@ -288,7 +277,6 @@ func (t *spillTier) batchDetachCross(att *Attachment, log *[]detachUndo) (sim.Du
 		memID:     att.Segment.Brick,
 		segOffset: att.Segment.Offset,
 		segSize:   att.Segment.Size,
-		attIdx:    idx,
 		spill:     t,
 		// The successor in the walk order, so rollback can re-thread the
 		// attachment at its exact position.
@@ -348,7 +336,7 @@ func (t *spillTier) batchDetachCross(att *Attachment, log *[]detachUndo) (sim.Du
 	}
 	u.hostIdx = rackA.hostIndex(t, att)
 	*log = append(*log, u)
-	rackA.attachments[att.ownerID] = append(list[:idx], list[idx+1:]...)
+	rackA.unregister(att)
 	rackA.removeHost(t, att)
 	t.cross.remove(att)
 	return lat, nil

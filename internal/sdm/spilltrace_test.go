@@ -52,14 +52,24 @@ func spillAttLine(a *Attachment) string {
 		a.CrossRack(), a.CrossPod())
 }
 
-// podState records every live attachment of the pod in rack and
-// registration order, the tier counters and, for a standalone pod, the
-// invariant check (a row checks its pods itself).
+// podState records every live attachment of the pod in rack order —
+// within a rack, owners by their oldest live registration, each owner's
+// attachments in registration order — the tier counters and, for a
+// standalone pod, the invariant check (a row checks its pods itself).
 func (tr *spillTrace) podState(tag string, s *PodScheduler, check bool) {
 	for r, c := range s.racks {
-		for _, list := range c.attachments {
-			for _, a := range list {
-				tr.add("%s: rack%d %s", tag, r, spillAttLine(a))
+		live := append([]*Attachment(nil), c.live...)
+		sortByStamp(live)
+		listed := make(map[string]bool)
+		for _, first := range live {
+			if listed[first.Owner] {
+				continue
+			}
+			listed[first.Owner] = true
+			for _, a := range live {
+				if a.Owner == first.Owner {
+					tr.add("%s: rack%d %s", tag, r, spillAttLine(a))
+				}
 			}
 		}
 		req, fail := c.Stats()

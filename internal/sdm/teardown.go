@@ -66,8 +66,9 @@ type ReleaseResult struct {
 }
 
 // detachUndo records one teardown so an aborting batch can restore the
-// attachment exactly: same segment offset, same ports, same positions
-// in every registration index, same spill sequence number.
+// attachment exactly: same segment offset, same ports, same host index
+// position, same registration stamp and spill sequence number (both
+// stay on the attachment).
 type detachUndo struct {
 	att    *Attachment
 	packet bool
@@ -84,9 +85,8 @@ type detachUndo struct {
 	segOffset brick.Bytes
 	segSize   brick.Bytes
 
-	// attIdx is the attachment's position in attachments[owner]; hostIdx
-	// its position in its tier's host index (circuit mode only).
-	attIdx  int
+	// hostIdx is the attachment's position in its tier's host index
+	// (circuit mode only).
 	hostIdx int
 
 	// spill is the tier a spilled attachment belongs to (nil for
@@ -155,21 +155,12 @@ func (c *Controller) batchDetach(att *Attachment) (sim.Duration, error) {
 		return 0, fmt.Errorf("sdm: %s attachment of %q in a rack-local release batch", tierWords[att.spill.level].cross, att.Owner)
 	}
 	c.requests++
-	idx := -1
-	if id := int(att.ownerID); id >= 0 && id < len(c.attachments) {
-		for i, a := range c.attachments[id] {
-			if a == att {
-				idx = i
-				break
-			}
-		}
-	}
-	if idx == -1 {
+	if !c.registered(att) {
 		c.failures++
 		return 0, fmt.Errorf("sdm: attachment for %q on %v not live", att.Owner, att.CPU)
 	}
 	if att.Mode == ModePacket {
-		return c.batchDetachPacket(att, idx)
+		return c.batchDetachPacket(att)
 	}
 	if n := att.Circuit.Riders; n > 0 {
 		c.failures++
@@ -222,11 +213,9 @@ func (c *Controller) batchDetach(att *Attachment) (sim.Duration, error) {
 		memID:     memID,
 		segOffset: segOffset,
 		segSize:   segSize,
-		attIdx:    idx,
 		hostIdx:   c.hostIndex(nil, att),
 	})
-	list := c.attachments[att.ownerID]
-	c.attachments[att.ownerID] = append(list[:idx], list[idx+1:]...)
+	c.unregister(att)
 	c.removeHost(nil, att)
 	return lat, nil
 }
@@ -244,7 +233,7 @@ func (c *Controller) finishDetach(node *ComputeNode, m *brick.Memory, att *Attac
 }
 
 // batchDetachPacket mirrors detachPacket and journals the undo.
-func (c *Controller) batchDetachPacket(att *Attachment, idx int) (sim.Duration, error) {
+func (c *Controller) batchDetachPacket(att *Attachment) (sim.Duration, error) {
 	node := c.compute(att.CPU)
 	memID := att.Segment.Brick
 	m := c.memory(memID)
@@ -268,10 +257,8 @@ func (c *Controller) batchDetachPacket(att *Attachment, idx int) (sim.Duration, 
 		memID:     memID,
 		segOffset: segOffset,
 		segSize:   segSize,
-		attIdx:    idx,
 	})
-	list := c.attachments[att.ownerID]
-	c.attachments[att.ownerID] = append(list[:idx], list[idx+1:]...)
+	c.unregister(att)
 	c.touchMemory(memID)
 	return c.cfg.DecisionLatency + 2*c.cfg.AgentRTT, nil
 }
@@ -337,10 +324,9 @@ func (u *detachUndo) undoDetach() error {
 			return err
 		}
 	}
-	// Registrations go back at their recorded positions.
-	rackA.register(att)
-	list := rackA.attachments[att.ownerID]
-	rackA.attachments[att.ownerID] = insertAtt(list[:len(list)-1], u.attIdx, att)
+	// The registration keeps its stamp, so attach order is restored;
+	// the host index entry goes back at its recorded position.
+	rackA.relink(att)
 	if !u.packet {
 		hosts := rackA.hosts(u.spill)
 		ord := rackA.cpuPos(att.CPU)
