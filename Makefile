@@ -43,7 +43,7 @@ SATURATION_ROW_RACKS ?= 4
 SHELL := /bin/bash
 .SHELLFLAGS := -o pipefail -ec
 
-.PHONY: build test vet bench bench-check profile saturation saturation-row
+.PHONY: build test vet loc bench bench-check profile saturation saturation-row
 
 build:
 	$(GO) build ./...
@@ -53,6 +53,18 @@ test:
 
 vet:
 	$(GO) vet ./...
+
+# `make loc` prints the non-test Go line count (`wc -l`) of every
+# package under internal/ and cmd/, then their total: the counting rule
+# behind the line numbers ROADMAP.md and CHANGES.md quote.
+loc:
+	@total=0; \
+	for d in $$(find internal cmd -name '*.go' ! -name '*_test.go' | xargs -n1 dirname | sort -u); do \
+		n=$$(find $$d -maxdepth 1 -name '*.go' ! -name '*_test.go' | xargs cat | wc -l); \
+		printf '%7d %s\n' $$n $$d; \
+		total=$$((total + n)); \
+	done; \
+	printf '%7d total\n' $$total
 
 bench:
 	$(GO) test -run '^$$' -bench='$(BENCHPATTERN)' -benchmem -benchtime=$(BENCHTIME) -count=$(BENCHCOUNT) . \

@@ -48,17 +48,25 @@ func (c *Controller) ReserveCompute(owner string, vcpus int, localMem brick.Byte
 	return id, lat, nil
 }
 
-// ReleaseCompute returns cores and local memory to a brick.
+// ReleaseCompute returns cores and local memory to a brick. It is
+// all-or-nothing: a release either half of which the brick would
+// refuse changes neither.
 func (c *Controller) ReleaseCompute(id topo.BrickID, vcpus int, localMem brick.Bytes) error {
 	node := c.compute(id)
 	if node == nil {
 		return fmt.Errorf("sdm: no compute brick %v", id)
 	}
-	if err := node.Brick.FreeCoresBack(vcpus); err != nil {
+	b := node.Brick
+	if vcpus > 0 && vcpus <= b.UsedCores() && localMem > b.UsedLocal() {
+		// The cores would go back but the local memory cannot: fail with
+		// the brick's own refusal before either half changes.
+		return b.FreeLocal(localMem)
+	}
+	if err := b.FreeCoresBack(vcpus); err != nil {
 		return err
 	}
 	if localMem > 0 {
-		if err := node.Brick.FreeLocal(localMem); err != nil {
+		if err := b.FreeLocal(localMem); err != nil {
 			c.touchCompute(id)
 			return err
 		}

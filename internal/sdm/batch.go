@@ -85,9 +85,9 @@ type AdmitResult struct {
 	// computeDone records a committed compute reservation (rollback
 	// needs it even when the attach part is still pending cross-rack).
 	computeDone bool
-	// needSpill and localErr mark a pod-mode leftover: the compute part
-	// (if any) is committed, but the rack could not serve the remote
-	// part locally and the pod tier must spill it cross-rack.
+	// needSpill and localErr mark a shard leftover: the compute part
+	// (if any) is committed, but the child could not serve the remote
+	// part and the tier above must spill it.
 	needSpill bool
 	localErr  error
 }
@@ -125,7 +125,7 @@ func (b *batchState) invalidateCaches() {
 // Controller owns its own, NewPodScheduler points its racks at the
 // pod's, and NewRowScheduler points every pod and rack at the row's —
 // so starting, stopping and replaying it costs what the batch booted,
-// never a walk over every rack (DESIGN.md §17).
+// never a walk over every rack (DESIGN.md §16).
 type bootJournal struct {
 	on      bool
 	entries []bootEntry
@@ -290,6 +290,12 @@ func (c *Controller) placeBatch(reqs []AdmitRequest, out []AdmitResult, pod bool
 		c.admitOne(&reqs[i], &out[i], pod)
 	}
 	c.endBatch()
+}
+
+// admitShard is placeBatch over a pod's share of a group-commit
+// admission.
+func (c *Controller) admitShard(reqs []AdmitRequest, out []AdmitResult) {
+	c.placeBatch(reqs, out, true)
 }
 
 // admitOne serves one request of a batch.

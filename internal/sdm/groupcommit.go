@@ -1,0 +1,627 @@
+package sdm
+
+// The group commit: batched admission and teardown for every tier above
+// the rack. A pod's children are rack Controllers, a row's children are
+// PodSchedulers, and both run this one engine (groupCommit, which both
+// schedulers embed beside their spillTier) on the caller's goroutine:
+//
+//  1. Validate the whole burst in request order before anything moves.
+//  2. Partition: admission assigns each request a child by the same
+//     O(1) aggregates the per-request choice reads, less the cores
+//     already planned onto each child (pickChild); the first compute
+//     request takes the exact per-request choice, so a batch of one
+//     reproduces the sequential path bit for bit. Attach-only requests
+//     and evictions already name their child. An eviction's attachments
+//     of this tier's spill queue for the cross phase; the rest go down.
+//  3. Commit: the per-child sub-batches run in child order, each through
+//     the child's shard entry — a rack's placeBatch and evictShard, or a
+//     pod's own group commit (the recursion). A shard reads and writes
+//     only its child's racks, fabric and summary, so the order cannot
+//     move the outcome.
+//  4. Merge: gather every child's results, fold the counters once, then
+//     walk only the leftovers in request order — re-placing what the
+//     planned child could not take and spilling what found no home
+//     inside its child (spill.go) — or run the eviction's cross phase.
+//
+// At the top of the stack the batch is all-or-nothing: a definitive
+// failure aborts it. An admission tears every committed request down in
+// reverse order, restores the spill sequence counters of the tier and
+// its children and powers the batch's boots back down (one bootJournal
+// per stack). An eviction replays its journals in reverse — this tier's
+// cross phase, then every child whose share ran — so segments re-carve
+// at their exact offsets, circuits rebuild, riders re-key, walk orders
+// re-thread and released compute re-reserves. In a shard (a pod under a
+// row) nothing aborts: a request the pod cannot finish surfaces to the
+// row as Err (nothing committed) or needSpill (compute committed, the
+// remote part needs the row's spill), and the row owns the rollback.
+
+import (
+	"fmt"
+
+	"repro/internal/brick"
+	"repro/internal/sim"
+	"repro/internal/topo"
+)
+
+// EvictRequest is one retirement of a VM-shaped consumer in a batch:
+// the attachments to tear down (rack-local and spilled mixed, in the
+// caller's order — scale-down paths pass newest-first so packet riders
+// precede their hosts) and the compute reservation to return.
+type EvictRequest struct {
+	// Owner tags the consumer being retired.
+	Owner string
+	// CPU and Rack name the compute brick whose reservation is released.
+	CPU  topo.BrickID
+	Rack int
+	// Pod names CPU's pod at the row tier; lower tiers ignore it.
+	Pod int
+	// VCPUs and LocalMem are the compute reservation being returned; 0/0
+	// marks a detach-only request.
+	VCPUs    int
+	LocalMem brick.Bytes
+	// Atts are the attachments to detach.
+	Atts []*Attachment
+}
+
+// EvictResult is one retirement's outcome.
+type EvictResult struct {
+	// DetachLat is the summed orchestration latency of the request's
+	// detaches, each accounted exactly as the per-request path would.
+	DetachLat sim.Duration
+	// Detached counts attachments torn down.
+	Detached int
+
+	// released records a completed compute release for rollback.
+	released bool
+}
+
+// shardChild is a child of a tier in the group commit: a rack
+// Controller under a pod, a PodScheduler under a row.
+type shardChild interface {
+	// admitShard plans and commits the child's share of an admission.
+	// It never aborts: a request it cannot finish comes back with Err
+	// set (nothing committed) or needSpill (the remote part needs the
+	// parent's spill).
+	admitShard(reqs []AdmitRequest, out []AdmitResult)
+	// evictShard tears the child's share of an eviction down, journaling
+	// every step. It returns the first failed request of the share and
+	// its error, or (-1, nil).
+	evictShard(reqs []EvictRequest, out []EvictResult) (int, error)
+	// rollbackEvict undoes the child's last evictShard, given back its
+	// share, and returns cause annotated with any step that failed.
+	rollbackEvict(reqs []EvictRequest, out []EvictResult, cause error) error
+}
+
+// commitTier is the scheduler a group commit belongs to: what differs
+// between the pod and the row.
+type commitTier interface {
+	spillOwner
+	// checkAddr reports an address outside the tier, in the tier's words.
+	checkAddr(pod, rack int) error
+	// pickChild is the partition's child choice for a compute request:
+	// the exact per-request choice, or else the policy applied to the
+	// children's aggregates less the planned cores, with no confirming
+	// pick (a mis-estimate surfaces as a leftover). -1 for none.
+	pickChild(vcpus int, localMem brick.Bytes, planned []int, exact bool) int
+	// reserve and attach are the tier's sequential entry points, which
+	// the merge re-places leftovers through.
+	reserve(owner string, vcpus int, localMem brick.Bytes) (topo.RowBrickID, sim.Duration, error)
+	attach(owner string, cpu topo.RowBrickID, size brick.Bytes) (*Attachment, sim.Duration, error)
+	DetachRemoteMemory(att *Attachment) (sim.Duration, error)
+	// maxMemoryGap is the largest contiguous free gap anywhere in the
+	// tier, the shard merge's doom screen.
+	maxMemoryGap() brick.Bytes
+}
+
+// groupCommit is a tier's group-commit engine.
+type groupCommit struct {
+	// spillTier is the tier's own spill tier: its counters, spill
+	// sequence counter and cross phase.
+	*spillTier
+	tier     commitTier
+	children []shardChild
+	// subTiers are the children's spill tiers (a row's pods), whose
+	// sequence counters an aborted admission restores too.
+	subTiers []*spillTier
+
+	// boots is the boot journal the whole stack shares: the row's when
+	// the pod belongs to one.
+	boots *bootJournal
+
+	// admit and evict are the reused batch buffers. Every buffer is
+	// overwritten or length-reset at the top of a batch, and group
+	// commits are serial per scheduler, so a steady burst train stops
+	// allocating.
+	admit admitScratch
+	evict evictScratch
+}
+
+// shards packs a batch into per-child sub-batches.
+type shards struct {
+	counts  []int // requests per child
+	offsets []int // each child's first slot; offsets[len] is the total
+	fill    []int
+	pos     []int // each request's slot, -1 when planned onto no child
+}
+
+// pack groups reqs into per-child sub-batches by child[i], preserving
+// request order within a child, and returns them in sub's backing
+// (grown if short). A request with child -1 is left out.
+func pack[R any](sh *shards, width int, child []int, reqs, sub []R) []R {
+	if cap(sh.counts) < width {
+		sh.counts = make([]int, width)
+		sh.offsets = make([]int, width+1)
+		sh.fill = make([]int, width)
+	}
+	if cap(sh.pos) < len(reqs) {
+		sh.pos = make([]int, len(reqs))
+	}
+	counts, offsets, fill := sh.counts[:width], sh.offsets[:width+1], sh.fill[:width]
+	clear(counts)
+	for _, c := range child {
+		if c >= 0 {
+			counts[c]++
+		}
+	}
+	n := 0
+	for c, k := range counts {
+		offsets[c], fill[c] = n, n
+		n += k
+	}
+	offsets[width] = n
+	if cap(sub) < n {
+		sub = make([]R, n)
+	}
+	sub = sub[:n]
+	pos := sh.pos[:len(reqs)]
+	for i, c := range child {
+		if c < 0 {
+			pos[i] = -1
+			continue
+		}
+		pos[i] = fill[c]
+		sub[fill[c]] = reqs[i]
+		fill[c]++
+	}
+	return sub
+}
+
+// childOf is the child coordinate of an address: its rack in a pod, its
+// pod in a row.
+func (g *groupCommit) childOf(pod, rack int) int {
+	if g.level == podLevel {
+		return rack
+	}
+	return pod
+}
+
+// stamp records on a result, and on its attachment, the child serving
+// it; an abort routes teardown through them. A shard's attachments
+// never leave their child, so both endpoints sit in it.
+func (g *groupCommit) stamp(res *AdmitResult, c int) {
+	if g.level == podLevel {
+		res.Rack = c
+		if res.Att != nil {
+			res.Att.CPURack, res.Att.MemRack = c, c
+		}
+		return
+	}
+	res.Pod = c
+	if res.Att != nil {
+		res.Att.CPUPod, res.Att.MemPod = c, c
+	}
+}
+
+// admitScratch holds an admission's reused buffers.
+type admitScratch struct {
+	shards
+	child    []int // each request's planned child
+	planned  []int // cores planned onto each child
+	subReq   []AdmitRequest
+	subOut   []AdmitResult
+	retry    []bool
+	leftover []int
+	seqs     []uint64 // spill sequence counters at the top of the batch
+}
+
+// AdmitBatch admits a burst of requests tier-wide. Results are in
+// request order. On error, nothing remains admitted.
+func (g *groupCommit) AdmitBatch(reqs []AdmitRequest) ([]AdmitResult, error) {
+	out := make([]AdmitResult, len(reqs))
+	return out, g.AdmitBatchInto(reqs, out, 0)
+}
+
+// AdmitBatchInto is AdmitBatch writing results into a caller-provided
+// slice, whose length must equal len(reqs) — the steady-state form
+// for burst trains, which otherwise pay one result-slice allocation
+// per batch. Prior contents of out are overwritten. workers is unused:
+// the group commit runs on the caller's goroutine.
+func (g *groupCommit) AdmitBatchInto(reqs []AdmitRequest, out []AdmitResult, workers int) error {
+	if len(out) != len(reqs) {
+		return fmt.Errorf("sdm: result slice length %d for %d requests", len(out), len(reqs))
+	}
+	clear(out)
+	if len(reqs) == 0 {
+		return nil
+	}
+	// Shards cannot abort, so a malformed request must surface (and
+	// count) here, before anything moves.
+	for i := range reqs {
+		req := &reqs[i]
+		switch {
+		case req.VCPUs < 0:
+			return fmt.Errorf("sdm: batch request %d (%q): reserve of %d vcpus", i, req.Owner, req.VCPUs)
+		case req.VCPUs == 0:
+			if req.Remote == 0 {
+				return fmt.Errorf("sdm: batch request %d (%q): no vCPUs and no remote memory", i, req.Owner)
+			}
+			if err := g.tier.checkAddr(req.Pod, req.Rack); err != nil {
+				g.requests++
+				g.failures++
+				return fmt.Errorf("sdm: batch request %d (%q): %v", i, req.Owner, err)
+			}
+		}
+	}
+	seqs := append(g.admit.seqs[:0], g.attachSeq)
+	for _, st := range g.subTiers {
+		seqs = append(seqs, st.attachSeq)
+	}
+	g.admit.seqs = seqs
+	g.boots.start()
+	defer g.boots.stop()
+	if failed, err := g.admitGroup(reqs, out, false); err != nil {
+		return g.abortAdmit(reqs, out, failed, err)
+	}
+	return nil
+}
+
+// admitShard runs a pod's share of a row admission.
+func (g *groupCommit) admitShard(reqs []AdmitRequest, out []AdmitResult) {
+	g.admitGroup(reqs, out, true)
+}
+
+// admitGroup partitions a validated burst, commits every child's share
+// and merges the leftovers. At the top of the stack the first request
+// that definitively fails stops it, and it returns that request and its
+// error for the caller to abort; in a shard it returns (-1, nil) and
+// leaves such requests to the parent.
+func (g *groupCommit) admitGroup(reqs []AdmitRequest, out []AdmitResult, shard bool) (int, error) {
+	g.admitPlan(reqs)
+	sc := &g.admit
+	for c, n := range sc.counts[:len(g.children)] {
+		if n > 0 {
+			lo, hi := sc.offsets[c], sc.offsets[c+1]
+			g.children[c].admitShard(sc.subReq[lo:hi], sc.subOut[lo:hi])
+		}
+	}
+
+	// Gather every child's results before merging, so an abort sees all
+	// committed state in out; fold the request counters once, and list
+	// the requests the merge must revisit.
+	child, pos := sc.child[:len(reqs)], sc.pos[:len(reqs)]
+	retry := sc.retry[:len(reqs)]
+	clear(retry)
+	leftover := sc.leftover[:0]
+	var counted uint64
+	for i := range reqs {
+		res := &out[i]
+		if pos[i] >= 0 {
+			*res = sc.subOut[pos[i]]
+			g.stamp(res, child[i])
+		}
+		if pos[i] < 0 || res.Err != nil {
+			// No child was planned for it, or the planned child could not
+			// serve it after all (the partition reads pre-batch
+			// aggregates). Nothing committed: re-place it through the
+			// tier's sequential path against committed state.
+			*res = AdmitResult{}
+			retry[i] = true
+			leftover = append(leftover, i)
+			continue
+		}
+		if reqs[i].VCPUs > 0 {
+			counted++
+		}
+		if reqs[i].Remote > 0 {
+			counted++
+		}
+		if res.needSpill {
+			leftover = append(leftover, i)
+		}
+	}
+	g.requests += counted
+	sc.leftover = leftover
+
+	// Merge the leftovers in request order.
+	for _, i := range leftover {
+		req, res := &reqs[i], &out[i]
+		if retry[i] {
+			if req.VCPUs > 0 {
+				id, lat, err := g.tier.reserve(req.Owner, req.VCPUs, req.LocalMem)
+				if err != nil {
+					if !shard {
+						return i, err
+					}
+					res.Err = err // nothing committed: the parent re-places it
+					continue
+				}
+				res.CPU, res.Rack, res.Pod = id.Brick, id.Rack, id.Pod
+				res.ComputeLat, res.computeDone = lat, true
+			} else {
+				res.CPU, res.Rack = req.CPU, req.Rack
+				g.stamp(res, g.childOf(req.Pod, req.Rack))
+			}
+			if req.Remote > 0 {
+				att, lat, err := g.tier.attach(req.Owner, topo.RowBrickID{Pod: res.Pod, Rack: res.Rack, Brick: res.CPU}, req.Remote)
+				if err != nil {
+					if !shard {
+						return i, err
+					}
+					// No home anywhere in the tier: keep the compute and
+					// hand the spill to the parent.
+					res.needSpill, res.localErr = true, err
+					continue
+				}
+				res.Att, res.AttachLat = att, lat
+			}
+			continue
+		}
+		// Every other leftover needs this tier's spill.
+		if shard && res.localErr == nil && g.tier.maxMemoryGap() < req.Remote {
+			// No brick anywhere in the tier can hold the segment, so the
+			// spill and its packet fallback are doomed: count the failed
+			// attempt and leave the error text unmaterialized, as the
+			// child did, for the parent to build only if its own spill
+			// fails too.
+			g.failures++
+			continue
+		}
+		att, lat, err := g.attachSpill(req.Owner, topo.RowBrickID{Pod: res.Pod, Rack: res.Rack, Brick: res.CPU}, req.Remote, res.localErr)
+		if err != nil {
+			if !shard {
+				return i, err
+			}
+			res.localErr = err // needSpill stays set: the parent spills
+			continue
+		}
+		res.Att, res.AttachLat = att, lat
+		res.needSpill, res.localErr = false, nil
+	}
+	return -1, nil
+}
+
+// admitPlan partitions a validated burst across the tier's children and
+// packs the per-child sub-batches.
+func (g *groupCommit) admitPlan(reqs []AdmitRequest) {
+	sc := &g.admit
+	width := len(g.children)
+	if cap(sc.child) < len(reqs) {
+		sc.child = make([]int, len(reqs))
+		sc.retry = make([]bool, len(reqs))
+	}
+	if cap(sc.planned) < width {
+		sc.planned = make([]int, width)
+	}
+	child, planned := sc.child[:len(reqs)], sc.planned[:width]
+	clear(planned)
+	exact := true
+	for i := range reqs {
+		req := &reqs[i]
+		if req.VCPUs == 0 {
+			child[i] = g.childOf(req.Pod, req.Rack)
+			continue
+		}
+		c := g.tier.pickChild(req.VCPUs, req.LocalMem, planned, exact)
+		if c >= 0 {
+			planned[c] += req.VCPUs
+			exact = false
+		}
+		child[i] = c
+	}
+	sc.subReq = pack(&sc.shards, width, child, reqs, sc.subReq)
+	n := len(sc.subReq)
+	if cap(sc.subOut) < n {
+		sc.subOut = make([]AdmitResult, n)
+	}
+	sc.subOut = sc.subOut[:n]
+	clear(sc.subOut)
+}
+
+// abortAdmit tears every committed admission down in reverse request
+// order, restores the spill sequence counters of the tier and its
+// children and powers the batch's boots back down, leaving the tier as
+// if the batch never ran; it returns the annotated cause.
+func (g *groupCommit) abortAdmit(reqs []AdmitRequest, out []AdmitResult, failed int, cause error) error {
+	for i := len(out) - 1; i >= 0; i-- {
+		res := &out[i]
+		if res.Att != nil {
+			if _, err := g.tier.DetachRemoteMemory(res.Att); err != nil {
+				cause = fmt.Errorf("%w (and rollback of request %d failed: %v)", cause, i, err)
+			}
+			res.Att = nil
+		}
+		if res.computeDone {
+			if err := g.tier.rackAt(res.Pod, res.Rack).ReleaseCompute(res.CPU, reqs[i].VCPUs, reqs[i].LocalMem); err != nil {
+				cause = fmt.Errorf("%w (and rollback of request %d failed: %v)", cause, i, err)
+			}
+			res.computeDone = false
+		}
+	}
+	g.attachSeq = g.admit.seqs[0]
+	for k, st := range g.subTiers {
+		st.attachSeq = g.admit.seqs[k+1]
+	}
+	g.boots.rollback()
+	return fmt.Errorf("sdm: batch admission rolled back at request %d (%q): %w", failed, reqs[failed].Owner, cause)
+}
+
+// crossItem queues one spilled attachment for the cross phase,
+// remembering which request it settles into.
+type crossItem struct {
+	req int
+	att *Attachment
+}
+
+// evictScratch holds an eviction's reused buffers. The shared atts
+// backing is sized to the batch's attachment count before the
+// partition, so the per-request sub-slices carved out of it never move.
+type evictScratch struct {
+	shards
+	child    []int
+	shardReq []EvictRequest
+	atts     []*Attachment
+	cross    []crossItem
+	subReq   []EvictRequest
+	subOut   []EvictResult
+	failAt   []int
+	failErr  []error
+	// log journals the cross phase of the last evictShard.
+	log []detachUndo
+}
+
+// EvictBatch retires a burst of consumers tier-wide. Results are in
+// request order. On error, the whole batch rolls back and nothing
+// remains evicted.
+func (g *groupCommit) EvictBatch(reqs []EvictRequest) ([]EvictResult, error) {
+	out := make([]EvictResult, len(reqs))
+	return out, g.EvictBatchInto(reqs, out, 0)
+}
+
+// EvictBatchInto is EvictBatch writing results into a caller-provided
+// slice, whose length must equal len(reqs) — the steady-state form
+// for burst trains, which otherwise pay one result-slice allocation
+// per batch. Prior contents of out are overwritten. workers is unused:
+// the group commit runs on the caller's goroutine.
+func (g *groupCommit) EvictBatchInto(reqs []EvictRequest, out []EvictResult, workers int) error {
+	if len(out) != len(reqs) {
+		return fmt.Errorf("sdm: result slice length %d for %d requests", len(out), len(reqs))
+	}
+	clear(out)
+	if len(reqs) == 0 {
+		return nil
+	}
+	for i := range reqs {
+		if err := g.tier.checkAddr(reqs[i].Pod, reqs[i].Rack); err != nil {
+			return fmt.Errorf("sdm: batch eviction request %d (%q): %v", i, reqs[i].Owner, err)
+		}
+	}
+	// Teardown never moves a spill sequence counter: a rollback
+	// re-threads the walk orders with the original stamps.
+	if failed, err := g.evictShard(reqs, out); err != nil {
+		cause := g.rollbackEvict(nil, nil, err)
+		return fmt.Errorf("sdm: batch eviction rolled back at request %d (%q): %w", failed, reqs[failed].Owner, cause)
+	}
+	// The batch committed, so every torn-down attachment is dead: drain
+	// them into their compute rack's arena in request order.
+	for i := range reqs {
+		rack := g.tier.rackAt(reqs[i].Pod, reqs[i].Rack)
+		for _, att := range reqs[i].Atts {
+			rack.freeAttachment(att)
+		}
+	}
+	return nil
+}
+
+// evictShard partitions validated requests across the tier's children,
+// tears each child's share down and runs the cross phase, journaling
+// every step instead of rolling back. It returns the first failed
+// request in request order and its error, or (-1, nil); the caller owns
+// the rollback.
+func (g *groupCommit) evictShard(reqs []EvictRequest, out []EvictResult) (int, error) {
+	sc := &g.evict
+	width := len(g.children)
+	total := 0
+	for i := range reqs {
+		total += len(reqs[i].Atts)
+	}
+	if cap(sc.atts) < total {
+		sc.atts = make([]*Attachment, 0, total)
+	}
+	if cap(sc.shardReq) < len(reqs) {
+		sc.shardReq = make([]EvictRequest, len(reqs))
+		sc.child = make([]int, len(reqs))
+		sc.subOut = make([]EvictResult, len(reqs))
+	}
+	atts, cross := sc.atts[:0], sc.cross[:0]
+	shardReq, child := sc.shardReq[:len(reqs)], sc.child[:len(reqs)]
+	for i := range reqs {
+		req := &reqs[i]
+		start := len(atts)
+		for _, att := range req.Atts {
+			if att.spill == g.spillTier {
+				cross = append(cross, crossItem{req: i, att: att})
+			} else {
+				atts = append(atts, att)
+			}
+		}
+		shardReq[i] = *req
+		shardReq[i].Atts = atts[start:len(atts):len(atts)]
+		child[i] = g.childOf(req.Pod, req.Rack)
+	}
+	sc.atts, sc.cross = atts, cross
+	sc.subReq = pack(&sc.shards, width, child, shardReq, sc.subReq)
+	subOut := sc.subOut[:len(reqs)]
+
+	// Each child's share, in child order. A failing child stops at its
+	// first failed request; the gather below stops the batch at the
+	// first failure in request order.
+	if cap(sc.failAt) < width {
+		sc.failAt = make([]int, width)
+		sc.failErr = make([]error, width)
+	}
+	failAt, failErr := sc.failAt[:width], sc.failErr[:width]
+	clear(failErr)
+	for c, n := range sc.counts[:width] {
+		if n > 0 {
+			lo, hi := sc.offsets[c], sc.offsets[c+1]
+			failAt[c], failErr[c] = g.children[c].evictShard(sc.subReq[lo:hi], subOut[lo:hi])
+		}
+	}
+
+	// Gather. Packing preserves request order within a child, so a
+	// child's failed slot is reached before any of its later entries,
+	// which the child never wrote.
+	log := sc.log[:0]
+	pos := sc.pos[:len(reqs)]
+	for i := range reqs {
+		c := child[i]
+		if failErr[c] != nil && sc.offsets[c]+failAt[c] == pos[i] {
+			sc.log = log
+			return i, failErr[c]
+		}
+		out[i].DetachLat = subOut[pos[i]].DetachLat
+		out[i].Detached = subOut[pos[i]].Detached
+	}
+
+	// The cross phase: this tier's spills, in request order.
+	for _, ci := range cross {
+		lat, err := g.batchDetachCross(ci.att, &log)
+		if err != nil {
+			sc.log = log
+			return ci.req, err
+		}
+		out[ci.req].DetachLat += lat
+		out[ci.req].Detached++
+	}
+	sc.log = log
+	return -1, nil
+}
+
+// rollbackEvict undoes the last evictShard: the cross-phase journal
+// first (torn down last), then every child whose share it ran, last
+// child first. Only those children replay: each reset its journals when
+// its share began, while any other child's journals still hold an
+// earlier committed batch's teardowns, which must not be undone. It
+// returns cause annotated with any step that failed to roll back.
+func (g *groupCommit) rollbackEvict(_ []EvictRequest, _ []EvictResult, cause error) error {
+	sc := &g.evict
+	cause = replayUndo(sc.log, cause)
+	sc.log = sc.log[:0]
+	for c := len(g.children) - 1; c >= 0; c-- {
+		if sc.counts[c] > 0 {
+			lo, hi := sc.offsets[c], sc.offsets[c+1]
+			cause = g.children[c].rollbackEvict(sc.subReq[lo:hi], sc.subOut[lo:hi], cause)
+		}
+	}
+	return cause
+}

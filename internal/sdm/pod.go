@@ -28,9 +28,12 @@ import (
 //     switches.
 //
 // The cross-rack spill — circuit, packet fallback, detach and their
-// bookkeeping — is the embedded spillTier (spill.go).
+// bookkeeping — is the embedded spillTier (spill.go); batched admission
+// and teardown are the embedded groupCommit (groupcommit.go), whose
+// children are the rack controllers.
 type PodScheduler struct {
 	spillTier
+	groupCommit
 
 	pod    *topo.Pod
 	fabric *optical.PodFabric
@@ -39,19 +42,6 @@ type PodScheduler struct {
 	// rebalScratch is the rebalancer's reused sweep snapshot buffer, so
 	// periodic sweeps stop allocating per call.
 	rebalScratch []*Attachment
-
-	// evict and admit hold the batch engines' reused partition buffers
-	// (see podteardown.go and podbatch.go), shared by the pod's own
-	// batches and the row's per-pod shards. Group commits are serial per
-	// scheduler, so one set of each suffices and a steady churn stops
-	// allocating.
-	evict evictScratch
-	admit admitScratch
-
-	// boots is the boot journal every rack of the pod shares (the row's
-	// when the pod belongs to one), so a group commit starts, stops and
-	// replays one journal instead of one per rack.
-	boots *bootJournal
 
 	// spreadFallbacks counts spread rack choices whose most-free
 	// candidate failed its confirming pick, so the choice fell back to
@@ -76,9 +66,9 @@ func NewPodScheduler(pod *topo.Pod, fabric *optical.PodFabric, bc BrickConfigs, 
 	s := &PodScheduler{
 		pod:    pod,
 		fabric: fabric,
-		boots:  &bootJournal{},
 	}
 	s.spillTier = spillTier{cfg: cfg, level: podLevel, owner: s, crossFabric: connector{pod: fabric}}
+	s.groupCommit = groupCommit{spillTier: &s.spillTier, tier: s, boots: &bootJournal{}}
 	for i := 0; i < pod.Racks(); i++ {
 		c, err := NewController(pod.Rack(i), fabric.Rack(i), bc, cfg)
 		if err != nil {
@@ -87,6 +77,7 @@ func NewPodScheduler(pod *topo.Pod, fabric *optical.PodFabric, bc BrickConfigs, 
 		c.boots = s.boots
 		c.crossHosts[podLevel] = make([][]*Attachment, len(c.computes))
 		s.racks = append(s.racks, c)
+		s.children = append(s.children, c)
 	}
 	return s, nil
 }
@@ -99,6 +90,54 @@ func (s *PodScheduler) rackAt(_, rack int) *Controller { return s.racks[rack] }
 func (s *PodScheduler) pickSpill(size brick.Bytes, home topo.RowBrickID) (int, int, topo.BrickID, bool) {
 	rack, id, ok := s.pickMemoryRack(size, home.Rack)
 	return home.Pod, rack, id, ok
+}
+
+// checkAddr reports a rack outside the pod; the pod coordinate belongs
+// to the row.
+func (s *PodScheduler) checkAddr(_, rack int) error {
+	if rack < 0 || rack >= len(s.racks) {
+		return fmt.Errorf("no rack %d in the pod", rack)
+	}
+	return nil
+}
+
+// pickChild is the group commit's rack choice. The planned choice
+// subtracts the batch's planned cores from each rack's free-core
+// aggregate: O(racks) arithmetic with no confirming brick pick.
+func (s *PodScheduler) pickChild(vcpus int, localMem brick.Bytes, planned []int, exact bool) int {
+	if exact {
+		rack, _ := s.pickComputeRackExcept(vcpus, localMem, -1)
+		return rack
+	}
+	if s.cfg.Policy == PolicySpread {
+		best, bestFree := -1, -1
+		for i, r := range s.racks {
+			free := r.FreeCores() - planned[i]
+			if free < vcpus || free <= bestFree || !r.CanPlaceCompute(vcpus, localMem) {
+				continue
+			}
+			best, bestFree = i, free
+		}
+		return best
+	}
+	// Power-aware and first-fit pack racks in index order.
+	for i, r := range s.racks {
+		if r.FreeCores()-planned[i] >= vcpus && r.CanPlaceCompute(vcpus, localMem) {
+			return i
+		}
+	}
+	return -1
+}
+
+// reserve is ReserveCompute by row address, for the group commit.
+func (s *PodScheduler) reserve(owner string, vcpus int, localMem brick.Bytes) (topo.RowBrickID, sim.Duration, error) {
+	id, lat, err := s.ReserveCompute(owner, vcpus, localMem)
+	return topo.RowBrickID{Rack: id.Rack, Brick: id.Brick}, lat, err
+}
+
+// attach is AttachRemoteMemory by row address, for the group commit.
+func (s *PodScheduler) attach(owner string, cpu topo.RowBrickID, size brick.Bytes) (*Attachment, sim.Duration, error) {
+	return s.AttachRemoteMemory(owner, topo.PodBrickID{Rack: cpu.Rack, Brick: cpu.Brick}, size)
 }
 
 // Racks returns the rack count.

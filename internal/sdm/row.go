@@ -30,10 +30,12 @@ import (
 //     the row tier: the attachment rides an existing cross-pod circuit
 //     from the same compute brick.
 //
-// The cross-pod spill is the embedded spillTier (spill.go), the same
-// one the pod tier embeds for its cross-rack spill.
+// The cross-pod spill is the embedded spillTier (spill.go) and batched
+// admission and teardown the embedded groupCommit (groupcommit.go) —
+// the same two the pod tier embeds, here with pods for children.
 type RowScheduler struct {
 	spillTier
+	groupCommit
 
 	row    *topo.Row
 	fabric *optical.RowFabric
@@ -42,16 +44,6 @@ type RowScheduler struct {
 	// aggs holds one cached aggregate summary per pod (agg.go), kept
 	// exact by the racks' index choke points.
 	aggs []*podAgg
-
-	// evict holds EvictBatch's reused partition buffers (see
-	// rowteardown.go); admit holds AdmitBatch's (see rowbatch.go). Both
-	// are serial at the row tier, so one set of each suffices and a
-	// steady burst train stops allocating.
-	evict rowEvictScratch
-	admit rowAdmitScratch
-
-	// boots is the boot journal every pod and rack of the row shares.
-	boots bootJournal
 
 	// spreadFallbacks counts spread pod choices whose most-free
 	// candidate failed its confirming pick, so the choice fell back to
@@ -76,17 +68,20 @@ func NewRowScheduler(row *topo.Row, fabric *optical.RowFabric, bc BrickConfigs, 
 		fabric: fabric,
 	}
 	s.spillTier = spillTier{cfg: cfg, level: rowLevel, owner: s, crossFabric: connector{row: fabric}}
+	s.groupCommit = groupCommit{spillTier: &s.spillTier, tier: s, boots: &bootJournal{}}
 	for i := 0; i < row.Pods(); i++ {
 		p, err := NewPodScheduler(row.Pod(i), fabric.Pod(i), bc, cfg)
 		if err != nil {
 			return nil, fmt.Errorf("sdm: pod %d: %w", i, err)
 		}
-		p.boots = &s.boots
+		p.boots = s.boots
 		for _, r := range p.racks {
-			r.boots = &s.boots
+			r.boots = s.boots
 			r.crossHosts[rowLevel] = make([][]*Attachment, len(r.computes))
 		}
 		s.pods = append(s.pods, p)
+		s.children = append(s.children, p)
+		s.subTiers = append(s.subTiers, &p.spillTier)
 	}
 	s.aggs = make([]*podAgg, len(s.pods))
 	for i, p := range s.pods {
@@ -121,6 +116,67 @@ func (s *RowScheduler) rackAt(pod, rack int) *Controller { return s.pods[pod].ra
 // pickSpill picks the memory end of a cross-pod spill from home's pod.
 func (s *RowScheduler) pickSpill(size brick.Bytes, home topo.RowBrickID) (int, int, topo.BrickID, bool) {
 	return s.pickMemoryPod(size, home.Pod)
+}
+
+// checkAddr reports a pod outside the row, or a rack outside its pod.
+func (s *RowScheduler) checkAddr(pod, rack int) error {
+	if pod < 0 || pod >= len(s.pods) {
+		return fmt.Errorf("no pod %d in the row", pod)
+	}
+	if rack < 0 || rack >= len(s.pods[pod].racks) {
+		return fmt.Errorf("no rack %d in pod %d", rack, pod)
+	}
+	return nil
+}
+
+// pickChild is the group commit's pod choice. The planned choice
+// subtracts the batch's planned cores from each pod's cached free-core
+// aggregate: O(pods) arithmetic with no confirming pick.
+func (s *RowScheduler) pickChild(vcpus int, localMem brick.Bytes, planned []int, exact bool) int {
+	if exact {
+		pod, _ := s.pickComputePod(vcpus, localMem)
+		return pod
+	}
+	if s.cfg.Policy == PolicySpread {
+		best, bestFree := -1, int64(-1)
+		for i := range s.pods {
+			free := s.PodFreeCores(i) - int64(planned[i])
+			if free < int64(vcpus) || free <= bestFree {
+				continue
+			}
+			best, bestFree = i, free
+		}
+		return best
+	}
+	// Power-aware and first-fit pack pods in index order.
+	for i := range s.pods {
+		if s.PodFreeCores(i)-int64(planned[i]) >= int64(vcpus) {
+			return i
+		}
+	}
+	return -1
+}
+
+// reserve and attach are the row's sequential entry points, for the
+// group commit.
+func (s *RowScheduler) reserve(owner string, vcpus int, localMem brick.Bytes) (topo.RowBrickID, sim.Duration, error) {
+	return s.ReserveCompute(owner, vcpus, localMem)
+}
+
+func (s *RowScheduler) attach(owner string, cpu topo.RowBrickID, size brick.Bytes) (*Attachment, sim.Duration, error) {
+	return s.AttachRemoteMemory(owner, cpu, size)
+}
+
+// maxMemoryGap is the largest contiguous free gap on any memory brick
+// of the row, read from the cached pod summaries.
+func (s *RowScheduler) maxMemoryGap() brick.Bytes {
+	var max brick.Bytes
+	for _, g := range s.aggs {
+		if gap := g.MaxGap(); gap > max {
+			max = gap
+		}
+	}
+	return max
 }
 
 // PodFreeCores reads one pod's free-core sum — the cached per-pod

@@ -60,9 +60,6 @@ type ReleaseResult struct {
 	// release were skipped (already-detached attachments stay detached —
 	// use the pod tier's EvictBatch for all-or-nothing semantics).
 	Err error
-
-	// released records a completed compute release for rollback.
-	released bool
 }
 
 // detachUndo records one teardown so an aborting batch can restore the
@@ -119,30 +116,78 @@ func (c *Controller) beginTeardown() {
 func (c *Controller) ReleaseBatch(reqs []ReleaseRequest, out []ReleaseResult) {
 	c.beginTeardown()
 	for i := range reqs {
-		c.releaseOne(&reqs[i], &out[i])
+		req, res := &reqs[i], &out[i]
+		res.DetachLat, res.Detached, _, res.Err = c.releaseOne(req.CPU, req.VCPUs, req.LocalMem, req.Atts)
 	}
 	c.endBatch()
 }
 
-// releaseOne serves one retirement of a batch.
-func (c *Controller) releaseOne(req *ReleaseRequest, res *ReleaseResult) {
-	*res = ReleaseResult{}
-	for _, att := range req.Atts {
-		lat, err := c.batchDetach(att)
+// evictShard is ReleaseBatch over a pod's share of a group-commit
+// eviction: it returns the share's first failed request and its error,
+// and records each completed compute release for rollbackEvict.
+func (c *Controller) evictShard(reqs []EvictRequest, out []EvictResult) (int, error) {
+	c.beginTeardown()
+	failed, ferr := -1, error(nil)
+	for i := range reqs {
+		req, res := &reqs[i], &out[i]
+		var err error
+		res.DetachLat, res.Detached, res.released, err = c.releaseOne(req.CPU, req.VCPUs, req.LocalMem, req.Atts)
+		if err != nil && failed < 0 {
+			failed, ferr = i, err
+		}
+	}
+	c.endBatch()
+	return failed, ferr
+}
+
+// rollbackEvict undoes the rack's share of an aborted eviction: the
+// teardown journal in reverse, then the compute its last evictShard
+// released, newest first. It returns cause annotated with any step that
+// failed to roll back.
+func (c *Controller) rollbackEvict(reqs []EvictRequest, out []EvictResult, cause error) error {
+	cause = replayUndo(c.undoLog, cause)
+	c.undoLog = c.undoLog[:0]
+	for i := len(reqs) - 1; i >= 0; i-- {
+		if !out[i].released {
+			continue
+		}
+		req := &reqs[i]
+		node := c.compute(req.CPU)
+		if req.VCPUs > 0 {
+			if err := node.Brick.AllocCores(req.VCPUs); err != nil {
+				cause = fmt.Errorf("%w (and rollback of %q failed: %v)", cause, req.Owner, err)
+			}
+		}
+		if req.LocalMem > 0 {
+			if err := node.Brick.AllocLocal(req.LocalMem); err != nil {
+				cause = fmt.Errorf("%w (and rollback of %q failed: %v)", cause, req.Owner, err)
+			}
+		}
+		c.touchCompute(req.CPU)
+		out[i].released = false
+	}
+	return cause
+}
+
+// releaseOne serves one retirement of a batch: its detaches in order,
+// then its compute release. released reports a completed compute
+// release.
+func (c *Controller) releaseOne(cpu topo.BrickID, vcpus int, localMem brick.Bytes, atts []*Attachment) (lat sim.Duration, detached int, released bool, err error) {
+	for _, att := range atts {
+		d, err := c.batchDetach(att)
 		if err != nil {
-			res.Err = err
-			return
+			return lat, detached, false, err
 		}
-		res.DetachLat += lat
-		res.Detached++
+		lat += d
+		detached++
 	}
-	if req.VCPUs > 0 || req.LocalMem > 0 {
-		if err := c.ReleaseCompute(req.CPU, req.VCPUs, req.LocalMem); err != nil {
-			res.Err = err
-			return
+	if vcpus > 0 || localMem > 0 {
+		if err := c.ReleaseCompute(cpu, vcpus, localMem); err != nil {
+			return lat, detached, false, err
 		}
-		res.released = true
+		released = true
 	}
+	return lat, detached, released, nil
 }
 
 // batchDetach mirrors DetachRemoteMemory's rack-local teardown — the
@@ -269,6 +314,17 @@ func insertAtt(list []*Attachment, idx int, att *Attachment) []*Attachment {
 	copy(list[idx+1:], list[idx:])
 	list[idx] = att
 	return list
+}
+
+// replayUndo restores a teardown journal newest first and returns
+// cause annotated with any record that failed to restore.
+func replayUndo(log []detachUndo, cause error) error {
+	for i := len(log) - 1; i >= 0; i-- {
+		if err := log[i].undoDetach(); err != nil {
+			cause = fmt.Errorf("%w (and rollback of %q failed: %v)", cause, log[i].att.Owner, err)
+		}
+	}
+	return cause
 }
 
 // undoDetach restores one journaled teardown. Circuit-mode restores
