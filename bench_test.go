@@ -1112,26 +1112,27 @@ func BenchmarkExtensionFillSweep(b *testing.B) {
 // BenchmarkAblationBalloon compares balloon-assisted memory reclaim with
 // full DIMM detach for elastic scale-down (DESIGN.md §6).
 func BenchmarkAblationBalloon(b *testing.B) {
-	setup := func(b *testing.B) *hypervisor.Hypervisor {
+	setup := func(b *testing.B) (*hypervisor.Hypervisor, *hypervisor.VM) {
 		b.Helper()
 		hv, err := hypervisor.New(hypervisor.DefaultConfig)
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, _, err := hv.Spawn("vm", hypervisor.VMSpec{VCPUs: 1, Memory: 2 * brick.GiB}); err != nil {
+		vm := new(hypervisor.VM)
+		if _, err := hv.Spawn(vm, "vm", hypervisor.VMSpec{VCPUs: 1, Memory: 2 * brick.GiB}); err != nil {
 			b.Fatal(err)
 		}
-		return hv
+		return hv, vm
 	}
 	b.Run("balloon", func(b *testing.B) {
-		hv := setup(b)
+		hv, vm := setup(b)
 		var lat sim.Duration
 		for i := 0; i < b.N; i++ {
-			l1, err := hv.BalloonInflate("vm", brick.GiB)
+			l1, err := hv.BalloonInflate(vm, brick.GiB)
 			if err != nil {
 				b.Fatal(err)
 			}
-			l2, err := hv.BalloonDeflate("vm", brick.GiB)
+			l2, err := hv.BalloonDeflate(vm, brick.GiB)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -1140,14 +1141,14 @@ func BenchmarkAblationBalloon(b *testing.B) {
 		b.ReportMetric(float64(lat), "reclaim+return-ns")
 	})
 	b.Run("detach", func(b *testing.B) {
-		hv := setup(b)
+		hv, vm := setup(b)
 		var lat sim.Duration
 		for i := 0; i < b.N; i++ {
-			d, l1, err := hv.AttachDIMM("vm", brick.GiB)
+			d, l1, err := hv.AttachDIMM(vm, brick.GiB)
 			if err != nil {
 				b.Fatal(err)
 			}
-			l2, err := hv.DetachDIMM("vm", d.ID)
+			l2, err := hv.DetachDIMM(vm, d.ID)
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -72,11 +72,11 @@ func burstAllocsPerVM(t *testing.T, target PipelineTarget, reqs []VMCreate) floa
 
 // TestFacadeSteadyStateAllocs pins the per-VM allocation cost of a
 // warmed facade burst: the SDM group commit allocates nothing, and the
-// software stack above it — Scale-up controller record, hypervisor VM
-// with its embedded guest kernel, baremetal hotplug — about two
-// allocations per VM, plus each burst's returned results.
+// software stack above it makes one allocation per VM — the Scale-up
+// controller's record, which embeds the hypervisor VM with its guest
+// kernel and first binding — plus each burst's returned results.
 func TestFacadeSteadyStateAllocs(t *testing.T) {
-	const maxPerVM = 3
+	const maxPerVM = 2
 	t.Run("pod", func(t *testing.T) {
 		cfg := DefaultPodConfig(4)
 		cfg.Rack = burstRackConfig()

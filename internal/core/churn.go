@@ -2,9 +2,7 @@ package core
 
 import (
 	"fmt"
-	"sort"
 
-	"repro/internal/hypervisor"
 	"repro/internal/scaleup"
 	"repro/internal/sdm"
 	"repro/internal/sim"
@@ -29,9 +27,10 @@ import (
 // the commit runs on the caller's goroutine.
 func (p *Pod) DestroyVMs(ids []string, workers int) ([]scaleup.Result, error) {
 	p.burst.resetSeen(len(ids))
-	ereqs, evicted, atts := p.burst.evictBufs(len(ids))
+	ereqs, evicted, vms, atts := p.burst.evictBufs(len(ids))
+	defer clear(vms)
 	for i, id := range ids {
-		rack, ok := p.vmRack[id]
+		loc, ok := p.vmRack[id]
 		if !ok {
 			return nil, fmt.Errorf("core: no VM %q in the pod", id)
 		}
@@ -39,11 +38,12 @@ func (p *Pod) DestroyVMs(ids []string, workers int) ([]scaleup.Result, error) {
 			return nil, fmt.Errorf("core: VM %q named twice in the burst", id)
 		}
 		var req sdm.EvictRequest
-		if req, atts, ok = p.stacks[rack].scale.EvictRequest(hypervisor.VMID(id), atts); !ok {
-			return nil, fmt.Errorf("core: VM %q missing from rack %d", id, rack)
+		if req, atts, ok = p.stacks[loc.rack].scale.EvictRequest(loc.vm, atts); !ok {
+			return nil, fmt.Errorf("core: VM %q missing from rack %d", id, loc.rack)
 		}
-		req.Rack = rack
+		req.Rack = loc.rack
 		ereqs[i] = req
+		vms[i] = loc.vm
 	}
 	p.burst.atts = atts
 	if err := p.sched.EvictBatchInto(ereqs, evicted, 0); err != nil {
@@ -52,7 +52,7 @@ func (p *Pod) DestroyVMs(ids []string, workers int) ([]scaleup.Result, error) {
 	results := make([]scaleup.Result, len(ids))
 	done := p.now
 	for i, id := range ids {
-		res, err := p.stacks[ereqs[i].Rack].scale.EvictVM(p.now, hypervisor.VMID(id), evicted[i].DetachLat)
+		res, err := p.stacks[ereqs[i].Rack].scale.EvictVM(p.now, vms[i], evicted[i].DetachLat)
 		if err != nil {
 			// The SDM teardown already committed; a software-stack unwind
 			// failure past it is a controller bug worth surfacing loudly.
@@ -107,22 +107,18 @@ type PodConsolidation struct {
 // propagated. The clock advances past the migrations and the drain.
 func (p *Pod) Consolidate() PodConsolidation {
 	var rep PodConsolidation
-	var ids []string
+	var vms []*scaleup.VM
 	for d := len(p.stacks) - 1; d >= 1; d-- {
-		// The VMs on this rack, in deterministic order.
-		ids = ids[:0]
-		for id, r := range p.vmRack {
-			if r == d {
-				ids = append(ids, id)
-			}
-		}
-		sort.Strings(ids)
-		for _, id := range ids {
-			scale := p.stacks[d].scale
-			spec, ok := scale.VMSpec(hypervisor.VMID(id))
-			if !ok {
+		// The VMs on this rack, in ID order, listed from the rack's own
+		// Scale-up table when the scan reaches it.
+		scale := p.stacks[d].scale
+		vms = scale.AppendVMs(vms[:0])
+		for _, vm := range vms {
+			id := string(vm.ID)
+			if loc, ok := p.vmRack[id]; !ok || loc.vm != vm {
 				continue
 			}
+			spec := vm.Spec
 			target := -1
 			for t := 0; t < d; t++ {
 				if p.sched.Rack(t).CanPlaceCompute(spec.VCPUs, spec.Memory) {
@@ -140,7 +136,7 @@ func (p *Pod) Consolidate() PodConsolidation {
 				}
 				return dst
 			}
-			res, err := scale.MigrateTo(p.now, hypervisor.VMID(id), p.stacks[dst].scale,
+			res, err := scale.MigrateTo(p.now, vm, p.stacks[dst].scale,
 				func(att *sdm.Attachment, onto *scaleup.Controller, cpu topo.BrickID) (tgl.Entry, sim.Duration, error) {
 					return p.sched.Repoint(att, topo.PodBrickID{Rack: rackOf(onto), Brick: cpu})
 				})
@@ -148,7 +144,7 @@ func (p *Pod) Consolidate() PodConsolidation {
 				rep.MovesFailed++
 				continue
 			}
-			p.vmRack[id] = dst
+			p.vmRack[id] = podVM{rack: dst, vm: vm}
 			rep.VMsMoved++
 			rep.MoveDowntime += res.Downtime
 			p.now = p.now.Add(res.Downtime)

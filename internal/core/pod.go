@@ -58,8 +58,9 @@ type Pod struct {
 	sched  *sdm.PodScheduler
 	stacks []*rackStack
 
-	// vmRack tracks which rack hosts each VM.
-	vmRack map[string]int
+	// vmRack tracks which rack hosts each VM, beside its Scale-up
+	// handle.
+	vmRack map[string]podVM
 	// burst is the reused state of CreateVMs, DestroyVMs and Consolidate.
 	burst burstScratch
 
@@ -94,7 +95,7 @@ func NewPod(cfg PodConfig) (*Pod, error) {
 		pod:    pod,
 		fabric: pf,
 		sched:  sched,
-		vmRack: make(map[string]int),
+		vmRack: make(map[string]podVM),
 	}
 	for i := 0; i < cfg.Racks; i++ {
 		stack, err := newRackStack(pod.Rack(i), sched.Rack(i), cfg.Rack)
@@ -144,19 +145,26 @@ func (p *Pod) ScaleController(rack int) (*scaleup.Controller, bool) {
 	return p.stacks[rack].scale, true
 }
 
+// podVM is a pod VM's facade entry: its rack and its handle in that
+// rack's Scale-up controller.
+type podVM struct {
+	rack int
+	vm   *scaleup.VM
+}
+
 // VMRack returns the rack hosting a VM.
 func (p *Pod) VMRack(id string) (int, bool) {
-	r, ok := p.vmRack[id]
-	return r, ok
+	loc, ok := p.vmRack[id]
+	return loc.rack, ok
 }
 
 // VM returns the hypervisor view of a VM.
 func (p *Pod) VM(id string) (*hypervisor.VM, bool) {
-	r, ok := p.vmRack[id]
+	loc, ok := p.vmRack[id]
 	if !ok {
 		return nil, false
 	}
-	return p.stacks[r].scale.VM(hypervisor.VMID(id))
+	return &loc.vm.VM, true
 }
 
 // CreateVM boots a VM somewhere in the pod: the pod policy picks the
@@ -170,11 +178,13 @@ func (p *Pod) CreateVM(id string, vcpus int, memory brick.Bytes) (scaleup.Result
 	if !ok {
 		return scaleup.Result{}, fmt.Errorf("core: no rack in the %d-rack pod can host %d vCPUs and %v", p.cfg.Racks, vcpus, memory)
 	}
-	_, res, err := p.stacks[rack].scale.CreateVM(p.now, hypervisor.VMID(id), hypervisor.VMSpec{VCPUs: vcpus, Memory: memory})
+	scale := p.stacks[rack].scale
+	_, res, err := scale.CreateVM(p.now, hypervisor.VMID(id), hypervisor.VMSpec{VCPUs: vcpus, Memory: memory})
 	if err != nil {
 		return scaleup.Result{}, err
 	}
-	p.vmRack[id] = rack
+	vm, _ := scale.Lookup(hypervisor.VMID(id))
+	p.vmRack[id] = podVM{rack: rack, vm: vm}
 	p.now = res.Done
 	return res, nil
 }
@@ -218,7 +228,7 @@ func (p *Pod) CreateVMs(reqs []VMCreate, workers int) ([]scaleup.Result, error) 
 	done := p.now
 	for i, r := range reqs {
 		scale := p.stacks[admitted[i].Rack].scale
-		res, err := scale.AdoptVM(p.now, hypervisor.VMID(r.ID), hypervisor.VMSpec{VCPUs: r.VCPUs, Memory: r.Memory}, admitted[i].CPU, admitted[i].ComputeLat)
+		vm, res, err := scale.AdoptVM(p.now, hypervisor.VMID(r.ID), hypervisor.VMSpec{VCPUs: r.VCPUs, Memory: r.Memory}, admitted[i].CPU, admitted[i].ComputeLat)
 		if err != nil {
 			// Boot failures here (fragmented window space, exhausted RMST
 			// slots) void the whole burst: release what this and the
@@ -233,13 +243,13 @@ func (p *Pod) CreateVMs(reqs []VMCreate, workers int) ([]scaleup.Result, error) 
 			// post time: remote memory becomes usable only once the VM
 			// exists, and a batch of one then times its bundled Remote
 			// exactly like ScaleUpVM issued after CreateVM returns.
-			up, err := scale.BindAttachment(res.Done, hypervisor.VMID(r.ID), admitted[i].Att, admitted[i].AttachLat)
+			up, err := scale.Bind(res.Done, vm, admitted[i].Att, admitted[i].AttachLat)
 			if err != nil {
-				// BindAttachment already detached the failing request's
+				// Bind already detached the failing request's
 				// attachment; discard its freshly spawned VM, release its
 				// compute along with the not-yet-adopted admissions, and
 				// unwind the already-adopted prefix.
-				scale.DiscardVM(hypervisor.VMID(r.ID))
+				scale.DiscardVM(vm)
 				admitted[i].Att = nil
 				p.releaseAdmitted(reqs[i:], admitted[i:])
 				p.unwindAdopted(reqs[:i], admitted[:i])
@@ -255,7 +265,7 @@ func (p *Pod) CreateVMs(reqs []VMCreate, workers int) ([]scaleup.Result, error) 
 			res.Virtual += up.Virtual
 			res.Size += up.Size
 		}
-		p.vmRack[r.ID] = admitted[i].Rack
+		p.vmRack[r.ID] = podVM{rack: admitted[i].Rack, vm: vm}
 		results[i] = res
 		if res.Done > done {
 			done = res.Done
@@ -283,7 +293,7 @@ func (p *Pod) releaseAdmitted(reqs []VMCreate, admitted []sdm.AdmitResult) {
 // release like never-adopted ones.
 func (p *Pod) unwindAdopted(reqs []VMCreate, admitted []sdm.AdmitResult) {
 	for i := len(admitted) - 1; i >= 0; i-- {
-		p.stacks[admitted[i].Rack].scale.EvictVM(p.now, hypervisor.VMID(reqs[i].ID), 0)
+		p.stacks[admitted[i].Rack].scale.EvictVM(p.now, p.vmRack[reqs[i].ID].vm, 0)
 		delete(p.vmRack, reqs[i].ID)
 	}
 	p.releaseAdmitted(reqs, admitted)
@@ -293,7 +303,7 @@ func (p *Pod) unwindAdopted(reqs []VMCreate, admitted []sdm.AdmitResult) {
 // the home rack has it, a cross-rack attachment through the pod switch
 // when it does not. The clock advances past the request's completion.
 func (p *Pod) ScaleUpVM(id string, size brick.Bytes) (scaleup.Result, error) {
-	rack, ok := p.vmRack[id]
+	rack, ok := p.VMRack(id)
 	if !ok {
 		return scaleup.Result{}, fmt.Errorf("core: no VM %q in the pod", id)
 	}
@@ -312,7 +322,7 @@ func (p *Pod) ScaleUpVM(id string, size brick.Bytes) (scaleup.Result, error) {
 // Datacenter facade); cross-rack attachments tear down through the pod
 // tier transparently. The clock advances past the request's completion.
 func (p *Pod) ScaleDownVM(id string, size brick.Bytes) (scaleup.Result, error) {
-	rack, ok := p.vmRack[id]
+	rack, ok := p.VMRack(id)
 	if !ok {
 		return scaleup.Result{}, fmt.Errorf("core: no VM %q in the pod", id)
 	}
@@ -330,7 +340,7 @@ func (p *Pod) ScaleDownVM(id string, size brick.Bytes) (scaleup.Result, error) {
 // breakdown reflects the longer inter-rack fiber and extra switch hops.
 // As a pure datapath measurement it does not advance the facade clock.
 func (p *Pod) RemoteAccess(id string, op mem.Op, offset uint64, size int) (pktnet.Breakdown, error) {
-	rack, ok := p.vmRack[id]
+	rack, ok := p.VMRack(id)
 	if !ok {
 		return pktnet.Breakdown{}, fmt.Errorf("core: no VM %q in the pod", id)
 	}
@@ -359,20 +369,18 @@ type PodMigration struct {
 // inter-rack lane. A migration that fails mid-plan rolls back to the
 // exact prior circuit state. The clock advances past the downtime.
 func (p *Pod) MigrateVM(id string) (PodMigration, error) {
-	rack, ok := p.vmRack[id]
+	loc, ok := p.vmRack[id]
 	if !ok {
 		return PodMigration{}, fmt.Errorf("core: no VM %q in the pod", id)
 	}
+	rack, vm := loc.rack, loc.vm
 	scale := p.stacks[rack].scale
-	res, localErr := scale.Migrate(p.now, hypervisor.VMID(id))
+	res, localErr := scale.Migrate(p.now, vm.ID)
 	if localErr == nil {
 		p.now = p.now.Add(res.Downtime)
 		return PodMigration{MigrationResult: res, FromRack: rack, ToRack: rack}, nil
 	}
-	spec, ok := scale.VMSpec(hypervisor.VMID(id))
-	if !ok {
-		return PodMigration{}, localErr
-	}
+	spec := vm.Spec
 	dst, ok := p.sched.PickComputeRackExcept(spec.VCPUs, spec.Memory, rack)
 	if !ok {
 		return PodMigration{}, fmt.Errorf("core: rack-local migration failed (%v) and no other rack can host VM %q", localErr, id)
@@ -385,14 +393,14 @@ func (p *Pod) MigrateVM(id string) (PodMigration, error) {
 		}
 		return dst
 	}
-	res, err := scale.MigrateTo(p.now, hypervisor.VMID(id), p.stacks[dst].scale,
+	res, err := scale.MigrateTo(p.now, vm, p.stacks[dst].scale,
 		func(att *sdm.Attachment, onto *scaleup.Controller, cpu topo.BrickID) (tgl.Entry, sim.Duration, error) {
 			return p.sched.Repoint(att, topo.PodBrickID{Rack: rackOf(onto), Brick: cpu})
 		})
 	if err != nil {
 		return PodMigration{}, fmt.Errorf("core: cross-rack migration of %q (after rack-local failed: %v): %w", id, localErr, err)
 	}
-	p.vmRack[id] = dst
+	p.vmRack[id] = podVM{rack: dst, vm: vm}
 	p.now = p.now.Add(res.Downtime)
 	return PodMigration{MigrationResult: res, FromRack: rack, ToRack: dst}, nil
 }
@@ -411,7 +419,7 @@ func (p *Pod) Rebalance() sdm.RebalanceReport {
 // ships the bitstream and reconfigures the slot; the clock advances
 // past the total latency.
 func (p *Pod) AttachAccelerator(id string, bs accel.Bitstream) (topo.PodBrickID, int, sim.Duration, error) {
-	rack, ok := p.vmRack[id]
+	rack, ok := p.VMRack(id)
 	if !ok {
 		return topo.PodBrickID{}, 0, 0, fmt.Errorf("core: no VM %q in the pod", id)
 	}

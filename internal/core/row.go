@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/brick"
 	"repro/internal/hypervisor"
@@ -56,9 +55,11 @@ func (c RowConfig) Validate() error {
 	return c.Row.Validate(c.Pods)
 }
 
-// rowLoc names the pod and rack hosting a VM.
+// rowLoc names the pod and rack hosting a VM, beside its handle in
+// that rack's Scale-up controller.
 type rowLoc struct {
 	pod, rack int
+	vm        *scaleup.VM
 }
 
 // Row is the datacenter-row facade: N assembled pods sharded behind
@@ -184,7 +185,7 @@ func (r *Row) VM(id string) (*hypervisor.VM, bool) {
 	if !ok {
 		return nil, false
 	}
-	return r.stacks[loc.pod][loc.rack].scale.VM(hypervisor.VMID(id))
+	return &loc.vm.VM, true
 }
 
 // CreateVM boots one VM somewhere in the row — an admission batch of
@@ -226,16 +227,16 @@ func (r *Row) CreateVMs(reqs []VMCreate, workers int) ([]scaleup.Result, error) 
 	done := r.now
 	for i, req := range reqs {
 		scale := r.stacks[admitted[i].Pod][admitted[i].Rack].scale
-		res, err := scale.AdoptVM(r.now, hypervisor.VMID(req.ID), hypervisor.VMSpec{VCPUs: req.VCPUs, Memory: req.Memory}, admitted[i].CPU, admitted[i].ComputeLat)
+		vm, res, err := scale.AdoptVM(r.now, hypervisor.VMID(req.ID), hypervisor.VMSpec{VCPUs: req.VCPUs, Memory: req.Memory}, admitted[i].CPU, admitted[i].ComputeLat)
 		if err != nil {
 			r.releaseAdmitted(reqs[i:], admitted[i:])
 			r.unwindAdopted(reqs[:i], admitted[:i])
 			return nil, fmt.Errorf("core: batch boot of %q: %w", req.ID, err)
 		}
 		if admitted[i].Att != nil {
-			up, err := scale.BindAttachment(res.Done, hypervisor.VMID(req.ID), admitted[i].Att, admitted[i].AttachLat)
+			up, err := scale.Bind(res.Done, vm, admitted[i].Att, admitted[i].AttachLat)
 			if err != nil {
-				scale.DiscardVM(hypervisor.VMID(req.ID))
+				scale.DiscardVM(vm)
 				admitted[i].Att = nil
 				r.releaseAdmitted(reqs[i:], admitted[i:])
 				r.unwindAdopted(reqs[:i], admitted[:i])
@@ -249,7 +250,7 @@ func (r *Row) CreateVMs(reqs []VMCreate, workers int) ([]scaleup.Result, error) 
 			res.Virtual += up.Virtual
 			res.Size += up.Size
 		}
-		r.vmLoc[req.ID] = rowLoc{pod: admitted[i].Pod, rack: admitted[i].Rack}
+		r.vmLoc[req.ID] = rowLoc{pod: admitted[i].Pod, rack: admitted[i].Rack, vm: vm}
 		results[i] = res
 		if res.Done > done {
 			done = res.Done
@@ -274,7 +275,7 @@ func (r *Row) releaseAdmitted(reqs []VMCreate, admitted []sdm.AdmitResult) {
 // adopted and bound, newest first (best-effort, error path only).
 func (r *Row) unwindAdopted(reqs []VMCreate, admitted []sdm.AdmitResult) {
 	for i := len(admitted) - 1; i >= 0; i-- {
-		r.stacks[admitted[i].Pod][admitted[i].Rack].scale.EvictVM(r.now, hypervisor.VMID(reqs[i].ID), 0)
+		r.stacks[admitted[i].Pod][admitted[i].Rack].scale.EvictVM(r.now, r.vmLoc[reqs[i].ID].vm, 0)
 		delete(r.vmLoc, reqs[i].ID)
 	}
 	r.releaseAdmitted(reqs, admitted)
@@ -324,7 +325,8 @@ func (r *Row) ScaleDownVM(id string, size brick.Bytes) (scaleup.Result, error) {
 // caller's goroutine.
 func (r *Row) DestroyVMs(ids []string, workers int) ([]scaleup.Result, error) {
 	r.burst.resetSeen(len(ids))
-	ereqs, evicted, atts := r.burst.evictBufs(len(ids))
+	ereqs, evicted, vms, atts := r.burst.evictBufs(len(ids))
+	defer clear(vms)
 	for i, id := range ids {
 		loc, ok := r.vmLoc[id]
 		if !ok {
@@ -334,11 +336,12 @@ func (r *Row) DestroyVMs(ids []string, workers int) ([]scaleup.Result, error) {
 			return nil, fmt.Errorf("core: VM %q named twice in the burst", id)
 		}
 		var req sdm.EvictRequest
-		if req, atts, ok = r.stacks[loc.pod][loc.rack].scale.EvictRequest(hypervisor.VMID(id), atts); !ok {
+		if req, atts, ok = r.stacks[loc.pod][loc.rack].scale.EvictRequest(loc.vm, atts); !ok {
 			return nil, fmt.Errorf("core: VM %q missing from pod %d rack %d", id, loc.pod, loc.rack)
 		}
 		req.Rack, req.Pod = loc.rack, loc.pod
 		ereqs[i] = req
+		vms[i] = loc.vm
 	}
 	r.burst.atts = atts
 	if err := r.sched.EvictBatchInto(ereqs, evicted, 0); err != nil {
@@ -347,7 +350,7 @@ func (r *Row) DestroyVMs(ids []string, workers int) ([]scaleup.Result, error) {
 	results := make([]scaleup.Result, len(ids))
 	done := r.now
 	for i, id := range ids {
-		res, err := r.stacks[ereqs[i].Pod][ereqs[i].Rack].scale.EvictVM(r.now, hypervisor.VMID(id), evicted[i].DetachLat)
+		res, err := r.stacks[ereqs[i].Pod][ereqs[i].Rack].scale.EvictVM(r.now, vms[i], evicted[i].DetachLat)
 		if err != nil {
 			return nil, fmt.Errorf("core: batch teardown of %q: %w", id, err)
 		}
@@ -393,23 +396,20 @@ type RowConsolidation struct {
 // clock advances past the migrations and the drains.
 func (r *Row) Consolidate() RowConsolidation {
 	var rep RowConsolidation
-	var ids []string
+	var vms []*scaleup.VM
 	for p := 0; p < r.cfg.Pods; p++ {
 		sched := r.sched.Pod(p)
 		for d := r.cfg.Racks - 1; d >= 1; d-- {
-			ids = ids[:0]
-			for id, loc := range r.vmLoc {
-				if loc.pod == p && loc.rack == d {
-					ids = append(ids, id)
-				}
-			}
-			sort.Strings(ids)
-			for _, id := range ids {
-				scale := r.stacks[p][d].scale
-				spec, ok := scale.VMSpec(hypervisor.VMID(id))
-				if !ok {
+			// The rack's VMs in ID order, listed from its own Scale-up
+			// table when the scan reaches it.
+			scale := r.stacks[p][d].scale
+			vms = scale.AppendVMs(vms[:0])
+			for _, vm := range vms {
+				id := string(vm.ID)
+				if loc, ok := r.vmLoc[id]; !ok || loc.vm != vm {
 					continue
 				}
+				spec := vm.Spec
 				target := -1
 				for t := 0; t < d; t++ {
 					if sched.Rack(t).CanPlaceCompute(spec.VCPUs, spec.Memory) {
@@ -427,7 +427,7 @@ func (r *Row) Consolidate() RowConsolidation {
 					}
 					return dst
 				}
-				res, err := scale.MigrateTo(r.now, hypervisor.VMID(id), r.stacks[p][dst].scale,
+				res, err := scale.MigrateTo(r.now, vm, r.stacks[p][dst].scale,
 					func(att *sdm.Attachment, onto *scaleup.Controller, cpu topo.BrickID) (tgl.Entry, sim.Duration, error) {
 						return sched.Repoint(att, topo.PodBrickID{Rack: rackOf(onto), Brick: cpu})
 					})
@@ -435,7 +435,7 @@ func (r *Row) Consolidate() RowConsolidation {
 					rep.MovesFailed++
 					continue
 				}
-				r.vmLoc[id] = rowLoc{pod: p, rack: dst}
+				r.vmLoc[id] = rowLoc{pod: p, rack: dst, vm: vm}
 				rep.VMsMoved++
 				rep.MoveDowntime += res.Downtime
 				r.now = r.now.Add(res.Downtime)

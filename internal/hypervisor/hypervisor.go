@@ -74,12 +74,19 @@ const guestHotplugBase = 1 << 40
 const inlineDIMMs = 2
 
 // VM is a hosted virtual machine. The guest kernel and the first few
-// DIMMs live inside the VM object, so spawning a VM is one allocation;
-// a VM points into itself and is only ever handled by pointer.
+// DIMMs live inside the VM object, and the object itself is owned by
+// the caller (the Scale-up controller embeds it in its per-VM record),
+// so spawning a VM allocates nothing here; a VM points into itself and
+// is only ever handled by pointer.
 type VM struct {
 	ID    VMID
 	Spec  VMSpec
 	state VMState
+	// host is the hypervisor running the VM: set by Spawn and Adopt,
+	// cleared by Evict. Every hypervisor method refuses a VM whose host
+	// is not itself, so a foreign, evicted or never-spawned VM is
+	// caught without a name table.
+	host *Hypervisor
 
 	guest    hotplug.Kernel
 	dimms    []DIMM
@@ -170,10 +177,10 @@ func (c Config) Validate() error {
 	return c.Guest.Validate()
 }
 
-// Hypervisor hosts VMs on one dCOMPUBRICK.
+// Hypervisor hosts VMs on one dCOMPUBRICK. It keeps no VM table: each
+// VM records its host, and callers hand the VM itself to every method.
 type Hypervisor struct {
 	cfg Config
-	vms map[VMID]*VM
 }
 
 // New returns an empty hypervisor.
@@ -181,62 +188,60 @@ func New(cfg Config) (*Hypervisor, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	return &Hypervisor{cfg: cfg, vms: make(map[VMID]*VM)}, nil
+	return &Hypervisor{cfg: cfg}, nil
 }
 
 // Config returns the hypervisor configuration.
 func (h *Hypervisor) Config() Config { return h.cfg }
 
-// Spawn boots a new VM and returns the startup latency — the cost the
-// conventional scale-out baseline pays for every elasticity event.
-func (h *Hypervisor) Spawn(id VMID, spec VMSpec) (*VM, sim.Duration, error) {
+// hosts refuses a VM this hypervisor does not run: nil, never spawned,
+// evicted, or hosted by another hypervisor.
+func (h *Hypervisor) hosts(vm *VM) error {
+	if vm == nil {
+		return fmt.Errorf("hypervisor: nil VM")
+	}
+	if vm.host != h {
+		return fmt.Errorf("hypervisor: no VM %q", vm.ID)
+	}
+	return nil
+}
+
+// Spawn boots a new VM into the caller-owned vm, initialising it in
+// place the way hotplug.InitKernel does, and returns the startup
+// latency — the cost the conventional scale-out baseline pays for
+// every elasticity event. A VM still hosted by a hypervisor is refused.
+// Callers keep VM IDs unique (the Scale-up controller's per-rack table
+// refuses a duplicate before it spawns).
+func (h *Hypervisor) Spawn(vm *VM, id VMID, spec VMSpec) (sim.Duration, error) {
 	if err := spec.Validate(); err != nil {
-		return nil, 0, err
+		return 0, err
 	}
-	if _, dup := h.vms[id]; dup {
-		return nil, 0, fmt.Errorf("hypervisor: VM %q already exists", id)
+	if vm.host != nil {
+		return 0, fmt.Errorf("hypervisor: VM %q already exists", vm.ID)
 	}
-	vm := &VM{
+	*vm = VM{
 		ID:       id,
 		Spec:     spec,
 		state:    StateRunning,
 		nextBase: guestHotplugBase,
 	}
 	if err := hotplug.InitKernel(&vm.guest, h.cfg.Guest); err != nil {
-		return nil, 0, err
+		return 0, err
 	}
 	vm.dimms = vm.dimmBuf[:0]
-	h.vms[id] = vm
+	vm.host = h
 	gib := float64(spec.Memory) / float64(brick.GiB)
-	lat := h.cfg.SpawnBase + sim.Duration(gib*float64(h.cfg.SpawnPerGiB))
-	return vm, lat, nil
-}
-
-// VM looks up a VM by ID.
-func (h *Hypervisor) VM(id VMID) (*VM, bool) {
-	v, ok := h.vms[id]
-	return v, ok
-}
-
-// VMs returns all VM IDs in sorted order.
-func (h *Hypervisor) VMs() []VMID {
-	ids := make([]VMID, 0, len(h.vms))
-	for id := range h.vms {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	return ids
+	return h.cfg.SpawnBase + sim.Duration(gib*float64(h.cfg.SpawnPerGiB)), nil
 }
 
 // Stop shuts a VM down. Its resources must be released by the caller
 // (the orchestrator owns segment/circuit teardown).
-func (h *Hypervisor) Stop(id VMID) error {
-	vm, ok := h.vms[id]
-	if !ok {
-		return fmt.Errorf("hypervisor: no VM %q", id)
+func (h *Hypervisor) Stop(vm *VM) error {
+	if err := h.hosts(vm); err != nil {
+		return err
 	}
 	if vm.state == StateStopped {
-		return fmt.Errorf("hypervisor: VM %q already stopped", id)
+		return fmt.Errorf("hypervisor: VM %q already stopped", vm.ID)
 	}
 	vm.state = StateStopped
 	return nil
@@ -247,13 +252,12 @@ func (h *Hypervisor) Stop(id VMID) error {
 // new DIMM and the total virtualization-layer latency (the physical
 // attach latency — orchestration, circuit setup — is the SDM layer's and
 // is accounted there).
-func (h *Hypervisor) AttachDIMM(id VMID, size brick.Bytes) (DIMM, sim.Duration, error) {
-	vm, ok := h.vms[id]
-	if !ok {
-		return DIMM{}, 0, fmt.Errorf("hypervisor: no VM %q", id)
+func (h *Hypervisor) AttachDIMM(vm *VM, size brick.Bytes) (DIMM, sim.Duration, error) {
+	if err := h.hosts(vm); err != nil {
+		return DIMM{}, 0, err
 	}
 	if vm.state != StateRunning {
-		return DIMM{}, 0, fmt.Errorf("hypervisor: VM %q not running", id)
+		return DIMM{}, 0, fmt.Errorf("hypervisor: VM %q not running", vm.ID)
 	}
 	if size == 0 || size%h.cfg.Guest.BlockSize != 0 {
 		return DIMM{}, 0, fmt.Errorf("hypervisor: DIMM size %v must be a positive multiple of the guest block size %v", size, h.cfg.Guest.BlockSize)
@@ -276,25 +280,37 @@ func (h *Hypervisor) AttachDIMM(id VMID, size brick.Bytes) (DIMM, sim.Duration, 
 
 // DetachDIMM removes a hot-added DIMM: the balloon first vacates its
 // pages, the guest offlines and hot-removes the range, then device_del.
-func (h *Hypervisor) DetachDIMM(id VMID, dimmID int) (sim.Duration, error) {
-	vm, ok := h.vms[id]
-	if !ok {
-		return 0, fmt.Errorf("hypervisor: no VM %q", id)
+// It refuses a detach that would leave the guest with less memory than
+// its recorded usage — exactly the OOM the guard exists to avoid.
+func (h *Hypervisor) DetachDIMM(vm *VM, dimmID int) (sim.Duration, error) {
+	return h.detachDIMM(vm, dimmID, true)
+}
+
+// TeardownDIMM is DetachDIMM for a VM being destroyed: the same steps
+// and latency, without the working-set guard, because the guest and
+// its working set are going away. The balloon keeps at most what the
+// guest still has, so available memory never wraps below zero.
+func (h *Hypervisor) TeardownDIMM(vm *VM, dimmID int) (sim.Duration, error) {
+	return h.detachDIMM(vm, dimmID, false)
+}
+
+func (h *Hypervisor) detachDIMM(vm *VM, dimmID int, guard bool) (sim.Duration, error) {
+	if err := h.hosts(vm); err != nil {
+		return 0, err
 	}
+	// Newest first: teardown detaches in reverse attach order.
 	idx := -1
-	for i, d := range vm.dimms {
-		if d.ID == dimmID {
+	for i := len(vm.dimms) - 1; i >= 0; i-- {
+		if vm.dimms[i].ID == dimmID {
 			idx = i
 			break
 		}
 	}
 	if idx == -1 {
-		return 0, fmt.Errorf("hypervisor: VM %q has no DIMM %d", id, dimmID)
+		return 0, fmt.Errorf("hypervisor: VM %q has no DIMM %d", vm.ID, dimmID)
 	}
 	d := vm.dimms[idx]
-	// Detaching must not leave the guest with less memory than its
-	// recorded usage — that is exactly the OOM the guard exists to avoid.
-	if !vm.CanShrink(d.Size) {
+	if guard && !vm.CanShrink(d.Size) {
 		return 0, fmt.Errorf("hypervisor: detaching DIMM %d (%v) would drop below usage %v", dimmID, d.Size, vm.usage)
 	}
 	gib := float64(d.Size) / float64(brick.GiB)
@@ -308,15 +324,17 @@ func (h *Hypervisor) DetachDIMM(id VMID, dimmID int) (sim.Duration, error) {
 		return 0, err
 	}
 	vm.dimms = append(vm.dimms[:idx], vm.dimms[idx+1:]...)
+	if total := vm.TotalMemory(); vm.ballooned > total {
+		vm.ballooned = total
+	}
 	return vacate + offLat + rmLat + h.cfg.DIMMDetach, nil
 }
 
 // BalloonInflate reclaims size bytes from the guest without detaching
 // hardware; the detach-only ablation compares against this path.
-func (h *Hypervisor) BalloonInflate(id VMID, size brick.Bytes) (sim.Duration, error) {
-	vm, ok := h.vms[id]
-	if !ok {
-		return 0, fmt.Errorf("hypervisor: no VM %q", id)
+func (h *Hypervisor) BalloonInflate(vm *VM, size brick.Bytes) (sim.Duration, error) {
+	if err := h.hosts(vm); err != nil {
+		return 0, err
 	}
 	if size == 0 {
 		return 0, fmt.Errorf("hypervisor: zero-byte balloon inflate")
@@ -330,10 +348,9 @@ func (h *Hypervisor) BalloonInflate(id VMID, size brick.Bytes) (sim.Duration, er
 }
 
 // BalloonDeflate returns size bytes to the guest.
-func (h *Hypervisor) BalloonDeflate(id VMID, size brick.Bytes) (sim.Duration, error) {
-	vm, ok := h.vms[id]
-	if !ok {
-		return 0, fmt.Errorf("hypervisor: no VM %q", id)
+func (h *Hypervisor) BalloonDeflate(vm *VM, size brick.Bytes) (sim.Duration, error) {
+	if err := h.hosts(vm); err != nil {
+		return 0, err
 	}
 	if size == 0 || size > vm.ballooned {
 		return 0, fmt.Errorf("hypervisor: deflate %v with %v ballooned", size, vm.ballooned)

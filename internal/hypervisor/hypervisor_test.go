@@ -19,8 +19,8 @@ func newHV(t *testing.T) *Hypervisor {
 
 func spawn(t *testing.T, h *Hypervisor, id VMID) *VM {
 	t.Helper()
-	vm, _, err := h.Spawn(id, VMSpec{VCPUs: 2, Memory: 2 * brick.GiB})
-	if err != nil {
+	vm := new(VM)
+	if _, err := h.Spawn(vm, id, VMSpec{VCPUs: 2, Memory: 2 * brick.GiB}); err != nil {
 		t.Fatal(err)
 	}
 	return vm
@@ -28,7 +28,7 @@ func spawn(t *testing.T, h *Hypervisor, id VMID) *VM {
 
 func TestSpawnLatencyModel(t *testing.T) {
 	h := newHV(t)
-	_, lat, err := h.Spawn("vm1", VMSpec{VCPUs: 2, Memory: 4 * brick.GiB})
+	lat, err := h.Spawn(new(VM), "vm1", VMSpec{VCPUs: 2, Memory: 4 * brick.GiB})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,15 +43,25 @@ func TestSpawnLatencyModel(t *testing.T) {
 
 func TestSpawnValidation(t *testing.T) {
 	h := newHV(t)
-	if _, _, err := h.Spawn("x", VMSpec{VCPUs: 0, Memory: brick.GiB}); err == nil {
+	if _, err := h.Spawn(new(VM), "x", VMSpec{VCPUs: 0, Memory: brick.GiB}); err == nil {
 		t.Fatal("zero-vCPU spec accepted")
 	}
-	if _, _, err := h.Spawn("x", VMSpec{VCPUs: 1}); err == nil {
+	if _, err := h.Spawn(new(VM), "x", VMSpec{VCPUs: 1}); err == nil {
 		t.Fatal("zero-memory spec accepted")
 	}
-	spawn(t, h, "dup")
-	if _, _, err := h.Spawn("dup", VMSpec{VCPUs: 1, Memory: brick.GiB}); err == nil {
-		t.Fatal("duplicate VM ID accepted")
+	// Re-spawning a VM still hosted — here or on another hypervisor —
+	// is refused and leaves it untouched; duplicate IDs are the Scale-up
+	// controller's to refuse.
+	vm := spawn(t, h, "dup")
+	vm.SetUsage(brick.GiB)
+	if _, err := h.Spawn(vm, "dup", VMSpec{VCPUs: 1, Memory: brick.GiB}); err == nil {
+		t.Fatal("re-spawn of a hosted VM accepted")
+	}
+	if _, err := newHV(t).Spawn(vm, "other", VMSpec{VCPUs: 1, Memory: brick.GiB}); err == nil {
+		t.Fatal("spawn of a VM hosted elsewhere accepted")
+	}
+	if vm.ID != "dup" || vm.Spec.VCPUs != 2 || vm.Usage() != brick.GiB {
+		t.Fatalf("refused spawn reset the VM: %+v", vm.Spec)
 	}
 }
 
@@ -61,7 +71,7 @@ func TestAttachDIMMGrowsGuestMemory(t *testing.T) {
 	if vm.TotalMemory() != 2*brick.GiB {
 		t.Fatalf("boot memory = %v", vm.TotalMemory())
 	}
-	d, lat, err := h.AttachDIMM("vm1", 4*brick.GiB)
+	d, lat, err := h.AttachDIMM(vm, 4*brick.GiB)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +88,7 @@ func TestAttachDIMMGrowsGuestMemory(t *testing.T) {
 		t.Fatalf("attach latency = %v, want (device_add, 1s)", lat)
 	}
 	// Second DIMM gets a distinct ID and non-overlapping guest base.
-	d2, _, err := h.AttachDIMM("vm1", brick.GiB)
+	d2, _, err := h.AttachDIMM(vm, brick.GiB)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,18 +99,18 @@ func TestAttachDIMMGrowsGuestMemory(t *testing.T) {
 
 func TestAttachDIMMValidation(t *testing.T) {
 	h := newHV(t)
-	spawn(t, h, "vm1")
-	if _, _, err := h.AttachDIMM("ghost", brick.GiB); err == nil {
+	vm := spawn(t, h, "vm1")
+	if _, _, err := h.AttachDIMM(new(VM), brick.GiB); err == nil {
 		t.Fatal("attach to absent VM succeeded")
 	}
-	if _, _, err := h.AttachDIMM("vm1", brick.GiB/2); err == nil {
+	if _, _, err := h.AttachDIMM(vm, brick.GiB/2); err == nil {
 		t.Fatal("sub-block DIMM accepted")
 	}
-	if _, _, err := h.AttachDIMM("vm1", 0); err == nil {
+	if _, _, err := h.AttachDIMM(vm, 0); err == nil {
 		t.Fatal("zero DIMM accepted")
 	}
-	h.Stop("vm1")
-	if _, _, err := h.AttachDIMM("vm1", brick.GiB); err == nil {
+	h.Stop(vm)
+	if _, _, err := h.AttachDIMM(vm, brick.GiB); err == nil {
 		t.Fatal("attach to stopped VM succeeded")
 	}
 }
@@ -108,13 +118,13 @@ func TestAttachDIMMValidation(t *testing.T) {
 func TestDetachDIMM(t *testing.T) {
 	h := newHV(t)
 	vm := spawn(t, h, "vm1")
-	d, _, _ := h.AttachDIMM("vm1", 2*brick.GiB)
+	d, _, _ := h.AttachDIMM(vm, 2*brick.GiB)
 	vm.SetUsage(3 * brick.GiB) // 2 boot + 2 DIMM = 4 total, usage 3
-	if _, err := h.DetachDIMM("vm1", d.ID); err == nil {
+	if _, err := h.DetachDIMM(vm, d.ID); err == nil {
 		t.Fatal("detach below usage succeeded")
 	}
 	vm.SetUsage(brick.GiB)
-	lat, err := h.DetachDIMM("vm1", d.ID)
+	lat, err := h.DetachDIMM(vm, d.ID)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,11 +134,114 @@ func TestDetachDIMM(t *testing.T) {
 	if vm.TotalMemory() != 2*brick.GiB {
 		t.Fatalf("total = %v after detach", vm.TotalMemory())
 	}
-	if _, err := h.DetachDIMM("vm1", d.ID); err == nil {
+	if _, err := h.DetachDIMM(vm, d.ID); err == nil {
 		t.Fatal("double detach succeeded")
 	}
-	if _, err := h.DetachDIMM("ghost", 0); err == nil {
+	if _, err := h.DetachDIMM(new(VM), 0); err == nil {
 		t.Fatal("detach on absent VM succeeded")
+	}
+}
+
+// TestTeardownDIMMSkipsUsageGuard: teardown of a VM being destroyed
+// detaches a DIMM its working set still needs, at exactly DetachDIMM's
+// latency, and clamps the balloon to what the guest keeps.
+func TestTeardownDIMMSkipsUsageGuard(t *testing.T) {
+	h := newHV(t)
+	guarded := spawn(t, h, "guarded")
+	gd, _, _ := h.AttachDIMM(guarded, 2*brick.GiB)
+	want, err := h.DetachDIMM(guarded, gd.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	vm := spawn(t, h, "vm1")
+	d, _, _ := h.AttachDIMM(vm, 2*brick.GiB)
+	if _, err := h.BalloonInflate(vm, 3*brick.GiB); err != nil {
+		t.Fatal(err)
+	}
+	vm.SetUsage(brick.GiB) // 4 total, 3 ballooned, usage 1: no room to detach
+	if _, err := h.DetachDIMM(vm, d.ID); err == nil {
+		t.Fatal("guarded detach below usage succeeded")
+	}
+	lat, err := h.TeardownDIMM(vm, d.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if lat != want {
+		t.Fatalf("teardown latency %v, want DetachDIMM's %v", lat, want)
+	}
+	if vm.TotalMemory() != 2*brick.GiB || vm.Ballooned() != 2*brick.GiB || vm.AvailableMemory() != 0 {
+		t.Fatalf("after teardown: total %v ballooned %v available %v", vm.TotalMemory(), vm.Ballooned(), vm.AvailableMemory())
+	}
+	if _, err := h.TeardownDIMM(vm, d.ID); err == nil {
+		t.Fatal("double teardown succeeded")
+	}
+}
+
+// TestForeignAndEvictedVMsRefused: every method taking a VM refuses one
+// this hypervisor does not host — never spawned, hosted by another
+// hypervisor, or evicted — and leaves it untouched; Adopt refuses a VM
+// that is still hosted anywhere.
+func TestForeignAndEvictedVMsRefused(t *testing.T) {
+	h, other := newHV(t), newHV(t)
+	foreign := spawn(t, other, "foreign")
+	fd, _, _ := other.AttachDIMM(foreign, brick.GiB)
+	evicted := spawn(t, h, "evicted")
+	ed, _, _ := h.AttachDIMM(evicted, brick.GiB)
+	if err := h.Evict(evicted); err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		name string
+		vm   *VM
+		dimm int
+	}{
+		{"never spawned", new(VM), 0},
+		{"foreign", foreign, fd.ID},
+		{"evicted", evicted, ed.ID},
+		{"nil", nil, 0},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			var before brick.Bytes
+			if tc.vm != nil {
+				before = tc.vm.TotalMemory()
+			}
+			calls := map[string]error{}
+			_, _, calls["AttachDIMM"] = h.AttachDIMM(tc.vm, brick.GiB)
+			_, calls["DetachDIMM"] = h.DetachDIMM(tc.vm, tc.dimm)
+			_, calls["TeardownDIMM"] = h.TeardownDIMM(tc.vm, tc.dimm)
+			_, calls["BalloonInflate"] = h.BalloonInflate(tc.vm, brick.GiB/2)
+			_, calls["BalloonDeflate"] = h.BalloonDeflate(tc.vm, brick.GiB/2)
+			calls["Stop"] = h.Stop(tc.vm)
+			calls["Evict"] = h.Evict(tc.vm)
+			for name, err := range calls {
+				if err == nil {
+					t.Errorf("%s accepted a %s VM", name, tc.name)
+				}
+			}
+			if tc.vm != nil && (tc.vm.TotalMemory() != before || tc.vm.Ballooned() != 0 || tc.vm.State() != StateRunning) {
+				t.Fatalf("refused calls moved the VM: total %v -> %v, ballooned %v, %v",
+					before, tc.vm.TotalMemory(), tc.vm.Ballooned(), tc.vm.State())
+			}
+		})
+	}
+	if err := h.Adopt(foreign); err == nil {
+		t.Fatal("adopt of a VM hosted elsewhere succeeded")
+	}
+	hosted := spawn(t, h, "hosted")
+	if err := h.Adopt(hosted); err == nil {
+		t.Fatal("adopt of a VM already hosted here succeeded")
+	}
+	// The evicted VM is adoptable, and then works on its new host only.
+	if err := other.Adopt(evicted); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := other.DetachDIMM(evicted, ed.ID); err != nil {
+		t.Fatalf("detach on the adopting host: %v", err)
+	}
+	if _, _, err := h.AttachDIMM(evicted, brick.GiB); err == nil {
+		t.Fatal("former host accepted an adopted VM")
 	}
 }
 
@@ -136,31 +249,31 @@ func TestBalloon(t *testing.T) {
 	h := newHV(t)
 	vm := spawn(t, h, "vm1")
 	vm.SetUsage(brick.GiB)
-	if _, err := h.BalloonInflate("vm1", 2*brick.GiB); err == nil {
+	if _, err := h.BalloonInflate(vm, 2*brick.GiB); err == nil {
 		t.Fatal("inflate below usage succeeded")
 	}
-	if _, err := h.BalloonInflate("vm1", brick.GiB); err != nil {
+	if _, err := h.BalloonInflate(vm, brick.GiB); err != nil {
 		t.Fatal(err)
 	}
 	if vm.AvailableMemory() != brick.GiB || vm.Ballooned() != brick.GiB {
 		t.Fatalf("avail=%v ballooned=%v", vm.AvailableMemory(), vm.Ballooned())
 	}
-	if _, err := h.BalloonDeflate("vm1", 2*brick.GiB); err == nil {
+	if _, err := h.BalloonDeflate(vm, 2*brick.GiB); err == nil {
 		t.Fatal("over-deflate succeeded")
 	}
-	if _, err := h.BalloonDeflate("vm1", brick.GiB); err != nil {
+	if _, err := h.BalloonDeflate(vm, brick.GiB); err != nil {
 		t.Fatal(err)
 	}
 	if vm.Ballooned() != 0 {
 		t.Fatal("balloon not empty after deflate")
 	}
-	if _, err := h.BalloonInflate("vm1", 0); err == nil {
+	if _, err := h.BalloonInflate(vm, 0); err == nil {
 		t.Fatal("zero inflate succeeded")
 	}
-	if _, err := h.BalloonInflate("ghost", brick.GiB); err == nil {
+	if _, err := h.BalloonInflate(new(VM), brick.GiB); err == nil {
 		t.Fatal("inflate on absent VM succeeded")
 	}
-	if _, err := h.BalloonDeflate("ghost", brick.GiB); err == nil {
+	if _, err := h.BalloonDeflate(new(VM), brick.GiB); err == nil {
 		t.Fatal("deflate on absent VM succeeded")
 	}
 }
@@ -193,27 +306,28 @@ func TestShrinkGuardsRefuseOversize(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			h := newHV(t)
-			vm, _, err := h.Spawn("vm", VMSpec{VCPUs: 1, Memory: tc.boot})
+			vm := new(VM)
+			_, err := h.Spawn(vm, "vm", VMSpec{VCPUs: 1, Memory: tc.boot})
 			if err != nil {
 				t.Fatal(err)
 			}
 			var d DIMM
 			if tc.dimm > 0 {
-				if d, _, err = h.AttachDIMM("vm", tc.dimm); err != nil {
+				if d, _, err = h.AttachDIMM(vm, tc.dimm); err != nil {
 					t.Fatal(err)
 				}
 			}
 			if tc.ballooned > 0 {
-				if _, err := h.BalloonInflate("vm", tc.ballooned); err != nil {
+				if _, err := h.BalloonInflate(vm, tc.ballooned); err != nil {
 					t.Fatal(err)
 				}
 			}
 			vm.SetUsage(tc.usage)
 			before := vm.AvailableMemory()
 			if tc.detach {
-				_, err = h.DetachDIMM("vm", d.ID)
+				_, err = h.DetachDIMM(vm, d.ID)
 			} else {
-				_, err = h.BalloonInflate("vm", tc.inflate)
+				_, err = h.BalloonInflate(vm, tc.inflate)
 			}
 			if (err == nil) != tc.ok {
 				t.Fatalf("shrink err = %v, want ok=%v (available %v)", err, tc.ok, vm.AvailableMemory())
@@ -230,23 +344,18 @@ func TestShrinkGuardsRefuseOversize(t *testing.T) {
 
 func TestStopAndLookup(t *testing.T) {
 	h := newHV(t)
-	spawn(t, h, "b")
-	spawn(t, h, "a")
-	ids := h.VMs()
-	if len(ids) != 2 || ids[0] != "a" || ids[1] != "b" {
-		t.Fatalf("VMs() = %v", ids)
-	}
-	if err := h.Stop("a"); err != nil {
+	b := spawn(t, h, "b")
+	a := spawn(t, h, "a")
+	if err := h.Stop(a); err != nil {
 		t.Fatal(err)
 	}
-	if err := h.Stop("a"); err == nil {
+	if err := h.Stop(a); err == nil {
 		t.Fatal("double stop succeeded")
 	}
-	if err := h.Stop("ghost"); err == nil {
+	if err := h.Stop(new(VM)); err == nil {
 		t.Fatal("stop of absent VM succeeded")
 	}
-	vm, ok := h.VM("a")
-	if !ok || vm.State() != StateStopped {
+	if a.State() != StateStopped || b.State() != StateRunning {
 		t.Fatal("stopped VM state wrong")
 	}
 	if StateRunning.String() != "running" || StateStopped.String() != "stopped" {
@@ -292,23 +401,23 @@ func TestConfigValidate(t *testing.T) {
 func TestPropMemoryAccounting(t *testing.T) {
 	f := func(ops []uint8) bool {
 		h, _ := New(DefaultConfig)
-		vm, _, err := h.Spawn("p", VMSpec{VCPUs: 1, Memory: 2 * brick.GiB})
-		if err != nil {
+		vm := new(VM)
+		if _, err := h.Spawn(vm, "p", VMSpec{VCPUs: 1, Memory: 2 * brick.GiB}); err != nil {
 			return false
 		}
 		for _, op := range ops {
 			switch op % 4 {
 			case 0:
-				h.AttachDIMM("p", brick.Bytes(op%3+1)*brick.GiB)
+				h.AttachDIMM(vm, brick.Bytes(op%3+1)*brick.GiB)
 			case 1:
 				ds := vm.DIMMs()
 				if len(ds) > 0 {
-					h.DetachDIMM("p", ds[int(op)%len(ds)].ID)
+					h.DetachDIMM(vm, ds[int(op)%len(ds)].ID)
 				}
 			case 2:
-				h.BalloonInflate("p", brick.Bytes(op%2+1)*brick.GiB)
+				h.BalloonInflate(vm, brick.Bytes(op%2+1)*brick.GiB)
 			case 3:
-				h.BalloonDeflate("p", brick.GiB)
+				h.BalloonDeflate(vm, brick.GiB)
 			}
 		}
 		var dimmTotal brick.Bytes

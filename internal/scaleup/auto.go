@@ -2,7 +2,6 @@ package scaleup
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/brick"
 	"repro/internal/hypervisor"
@@ -65,14 +64,9 @@ type TickResult struct {
 // deployment wants (the examples use one tick per load change).
 func (a *AutoScaler) Tick(now sim.Time) (TickResult, error) {
 	var res TickResult
-	ids := make([]hypervisor.VMID, 0, len(a.ctl.vms))
-	for id := range a.ctl.vms {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	for _, id := range ids {
-		vm, ok := a.ctl.VM(id)
-		if !ok || vm.State() != hypervisor.StateRunning {
+	for _, rec := range a.ctl.AppendVMs(nil) {
+		vm, id := &rec.VM, rec.ID
+		if vm.State() != hypervisor.StateRunning {
 			continue
 		}
 		// Grow while the guard fires, bounded per tick.

@@ -15,10 +15,19 @@ import (
 // bindings returns a VM's remote bindings in attach order (nil for an
 // unknown VM).
 func (c *Controller) bindings(id hypervisor.VMID) []binding {
-	if rec, ok := c.vms[id]; ok {
-		return rec.bindings
+	if vm, ok := c.vms[id]; ok {
+		return vm.bindings
 	}
 	return nil
+}
+
+// appendBound appends the SDM attachments behind bindings bs to dst,
+// in order.
+func appendBound(dst []*sdm.Attachment, bs []binding) []*sdm.Attachment {
+	for _, b := range bs {
+		dst = append(dst, b.att)
+	}
+	return dst
 }
 
 // AppendBoundAttachments appends the SDM attachments behind a VM's
@@ -28,30 +37,27 @@ func (c *Controller) bindings(id hypervisor.VMID) []binding {
 // movability checks, diagnostics) routes through this one query, with
 // a reused dst so repeated inspections allocate nothing.
 func (c *Controller) AppendBoundAttachments(dst []*sdm.Attachment, id hypervisor.VMID) []*sdm.Attachment {
-	for _, b := range c.bindings(id) {
-		dst = append(dst, b.att)
-	}
-	return dst
+	return appendBound(dst, c.bindings(id))
 }
 
-// EvictRequest describes a VM's SDM teardown in one lookup: its compute
-// brick and reservation, and its attachments newest first — the order
-// teardown detaches them, so packet riders go before the circuits they
-// ride. The attachments are appended to atts, which is returned
-// extended; the request's Atts is exactly the appended run. The caller
-// fills in the request's Rack and Pod.
-func (c *Controller) EvictRequest(id hypervisor.VMID, atts []*sdm.Attachment) (sdm.EvictRequest, []*sdm.Attachment, bool) {
-	rec, ok := c.vms[id]
-	if !ok {
+// EvictRequest describes a VM's SDM teardown: its compute brick and
+// reservation, and its attachments newest first — the order teardown
+// detaches them, so packet riders go before the circuits they ride.
+// The attachments are appended to atts, which is returned extended; the
+// request's Atts is exactly the appended run. The caller fills in the
+// request's Rack and Pod. ok is false for a VM this controller does
+// not hold.
+func (c *Controller) EvictRequest(vm *VM, atts []*sdm.Attachment) (req sdm.EvictRequest, _ []*sdm.Attachment, ok bool) {
+	if !c.owns(vm) {
 		return sdm.EvictRequest{}, atts, false
 	}
 	start := len(atts)
-	for i := len(rec.bindings) - 1; i >= 0; i-- {
-		atts = append(atts, rec.bindings[i].att)
+	for i := len(vm.bindings) - 1; i >= 0; i-- {
+		atts = append(atts, vm.bindings[i].att)
 	}
 	return sdm.EvictRequest{
-		Owner: string(id), CPU: rec.host,
-		VCPUs: rec.spec.VCPUs, LocalMem: rec.spec.Memory,
+		Owner: string(vm.ID), CPU: vm.host,
+		VCPUs: vm.Spec.VCPUs, LocalMem: vm.Spec.Memory,
 		Atts: atts[start:len(atts):len(atts)],
 	}, atts, true
 }
@@ -72,11 +78,11 @@ func (c *Controller) HasAttachmentOf(id hypervisor.VMID, att *sdm.Attachment) bo
 
 // VMSpec returns the resource specification a VM was created with.
 func (c *Controller) VMSpec(id hypervisor.VMID) (hypervisor.VMSpec, bool) {
-	rec, ok := c.vms[id]
+	vm, ok := c.vms[id]
 	if !ok {
 		return hypervisor.VMSpec{}, false
 	}
-	return rec.spec, true
+	return vm.Spec, true
 }
 
 // preflightDestination verifies a destination brick can terminate
@@ -115,27 +121,23 @@ type RepointFunc func(att *sdm.Attachment, onto *Controller, cpu topo.BrickID) (
 // On any mid-plan failure every completed step is rolled back — each
 // already-moved binding is re-pointed to the source brick and its
 // kernel range restored — so a failed migration leaves the exact prior
-// circuit state.
-func (c *Controller) MigrateTo(now sim.Time, id hypervisor.VMID, dst *Controller, repoint RepointFunc) (MigrationResult, error) {
+// circuit state. The VM's record moves to dst, so vm stays its handle.
+func (c *Controller) MigrateTo(now sim.Time, vm *VM, dst *Controller, repoint RepointFunc) (MigrationResult, error) {
 	if dst == nil || dst == c {
 		return MigrationResult{}, fmt.Errorf("scaleup: MigrateTo needs a different rack's controller; use Migrate for rack-local moves")
 	}
-	rec, ok := c.vms[id]
-	if !ok {
-		return MigrationResult{}, fmt.Errorf("scaleup: no VM %q", id)
+	if !c.owns(vm) {
+		return MigrationResult{}, fmt.Errorf("scaleup: no VM %q", vmID(vm))
 	}
+	id := vm.ID
 	if _, dup := dst.vms[id]; dup {
 		return MigrationResult{}, fmt.Errorf("scaleup: VM %q already exists on the destination rack", id)
 	}
-	src, spec, srcNode := rec.host, rec.spec, rec.node
-	vm, ok := srcNode.hv.VM(id)
-	if !ok {
-		return MigrationResult{}, fmt.Errorf("scaleup: VM %q missing from host %v", id, src)
-	}
+	src, spec, srcNode := vm.host, vm.Spec, vm.node
 	if vm.State() != hypervisor.StateRunning {
 		return MigrationResult{}, fmt.Errorf("scaleup: VM %q is not running", id)
 	}
-	bound := c.AppendBoundAttachments(c.attScratch[:0], id)
+	bound := appendBound(c.attScratch[:0], vm.bindings)
 	c.attScratch = bound
 	if len(bound) > 0 && repoint == nil {
 		return MigrationResult{}, fmt.Errorf("scaleup: VM %q holds %d remote attachments and no circuit mover was supplied", id, len(bound))
@@ -205,7 +207,7 @@ func (c *Controller) MigrateTo(now sim.Time, id hypervisor.VMID, dst *Controller
 		releaseDst()
 		return MigrationResult{}, cause
 	}
-	for _, b := range rec.bindings {
+	for _, b := range vm.bindings {
 		oldBase := b.att.Window.Base
 		size := b.att.Size()
 		w, lat, err := repoint(b.att, dst, dstBrick)
@@ -242,21 +244,20 @@ func (c *Controller) MigrateTo(now sim.Time, id hypervisor.VMID, dst *Controller
 	}
 
 	// Hand the VM object over.
-	evicted, err := srcNode.hv.Evict(id)
-	if err != nil {
+	if err := srcNode.hv.Evict(&vm.VM); err != nil {
 		return rollback(err)
 	}
-	if err := dstNode.hv.Adopt(evicted); err != nil {
-		// Put it back; adoption can only fail on a duplicate ID, which
-		// would be a controller bug worth surfacing loudly.
-		srcNode.hv.Adopt(evicted)
+	if err := dstNode.hv.Adopt(&vm.VM); err != nil {
+		// Put it back; adoption of a running, just-evicted VM cannot
+		// fail, so this is a controller bug worth surfacing loudly.
+		srcNode.hv.Adopt(&vm.VM)
 		return rollback(err)
 	}
 	// Registration moves before the source compute release: if the
 	// release fails (a controller bug, surfaced loudly) the VM is still
 	// consistently owned by the destination.
-	rec.host, rec.node = dstBrick, dstNode
-	dst.vms[id] = rec
+	vm.host, vm.node = dstBrick, dstNode
+	dst.vms[id] = vm
 	delete(c.vms, id)
 	if err := c.sdmc.ReleaseCompute(src, spec.VCPUs, spec.Memory); err != nil {
 		return MigrationResult{}, err
@@ -264,7 +265,7 @@ func (c *Controller) MigrateTo(now sim.Time, id hypervisor.VMID, dst *Controller
 
 	res.Downtime = res.LocalCopy + res.Reattach + res.Rehome + resLat
 
-	total := evicted.TotalMemory()
+	total := vm.TotalMemory()
 	res.FullCopyBaseline = optical.SerializationDelay(int(total), migrationLinkGbps)
 	if c.journal != nil {
 		c.journal.Append(now, trace.KindMigrate, string(id), "emigrated %v -> %v with %d attachments, downtime %v (full copy would be %v)",

@@ -2,7 +2,7 @@ package scaleup
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/hypervisor"
 	"repro/internal/sim"
@@ -29,22 +29,17 @@ type EvacuationResult struct {
 // correctly at their new homes); the error reports which VM blocked.
 func (c *Controller) Evacuate(now sim.Time, brickID topo.BrickID) (EvacuationResult, error) {
 	res := EvacuationResult{Brick: brickID}
-	var victims []hypervisor.VMID
-	for id, rec := range c.vms {
-		if rec.host == brickID {
-			victims = append(victims, id)
-		}
-	}
-	sort.Slice(victims, func(i, j int) bool { return victims[i] < victims[j] })
+	victims := c.AppendVMs(nil)
+	victims = slices.DeleteFunc(victims, func(vm *VM) bool { return vm.host != brickID })
 	if len(victims) == 0 {
 		return res, nil
 	}
-	for _, id := range victims {
-		m, err := c.Migrate(now, id)
+	for _, vm := range victims {
+		m, err := c.migrate(now, vm)
 		if err != nil {
-			return res, fmt.Errorf("scaleup: evacuating %v: VM %q: %w", brickID, id, err)
+			return res, fmt.Errorf("scaleup: evacuating %v: VM %q: %w", brickID, vm.ID, err)
 		}
-		res.Migrated = append(res.Migrated, id)
+		res.Migrated = append(res.Migrated, vm.ID)
 		res.TotalDowntime += m.Downtime
 		if m.Downtime > res.WorstDowntime {
 			res.WorstDowntime = m.Downtime

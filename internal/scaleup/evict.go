@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/brick"
-	"repro/internal/hypervisor"
 	"repro/internal/sim"
 	"repro/internal/trace"
 )
@@ -17,20 +16,21 @@ import (
 // (sdm.PodScheduler.EvictBatch), whose summed orchestration latency
 // arrives as orchLat and serializes through the SDM queue exactly as
 // the per-request ScaleDown path's would. This is teardown's AdoptVM:
-// the batch entry point below CreateVM's sequential surface.
-func (c *Controller) EvictVM(now sim.Time, id hypervisor.VMID, orchLat sim.Duration) (Result, error) {
-	rec, ok := c.vms[id]
-	if !ok {
-		return Result{}, fmt.Errorf("scaleup: no VM %q", id)
+// the batch entry point below CreateVM's sequential surface. The DIMMs
+// detach without the working-set guard ScaleDown applies: the VM is
+// going away, and the SDM teardown behind it has already committed.
+func (c *Controller) EvictVM(now sim.Time, vm *VM, orchLat sim.Duration) (Result, error) {
+	if !c.owns(vm) {
+		return Result{}, fmt.Errorf("scaleup: no VM %q", vmID(vm))
 	}
-	n, spec := rec.node, rec.spec
+	id, n, spec := vm.ID, vm.node, vm.Spec
 
 	var bm, hv sim.Duration
 	var size brick.Bytes
-	bs := rec.bindings
+	bs := vm.bindings
 	for i := len(bs) - 1; i >= 0; i-- {
 		b := bs[i]
-		hvLat, err := n.hv.DetachDIMM(id, b.dimm.ID)
+		hvLat, err := n.hv.TeardownDIMM(&vm.VM, b.dimm.ID)
 		if err != nil {
 			return Result{}, err
 		}
@@ -46,13 +46,14 @@ func (c *Controller) EvictVM(now sim.Time, id hypervisor.VMID, orchLat sim.Durat
 		bm += offLat + rmLat
 		size += b.dimm.Size
 	}
-	if _, err := n.hv.Evict(id); err != nil {
+	if err := n.hv.Evict(&vm.VM); err != nil {
 		return Result{}, err
 	}
 	delete(c.vms, id)
+	vm.node = nil
 	size += spec.Memory
 	if c.journal != nil {
-		c.journal.Append(now, trace.KindRelease, string(id), "VM destroyed on %v (%d vCPU, %v, %d bindings)", rec.host, spec.VCPUs, spec.Memory, len(bs))
+		c.journal.Append(now, trace.KindRelease, string(id), "VM destroyed on %v (%d vCPU, %v, %d bindings)", vm.host, spec.VCPUs, spec.Memory, len(bs))
 	}
 
 	arrive := now.Add(c.cfg.APIOverhead)

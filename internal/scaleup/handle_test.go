@@ -1,0 +1,139 @@
+package scaleup
+
+import (
+	"testing"
+
+	"repro/internal/brick"
+	"repro/internal/hypervisor"
+	"repro/internal/sim"
+)
+
+// TestEvictVMIgnoresWorkingSet: teardown of a VM whose working set
+// needs its remote memory still succeeds — the VM is going away and the
+// SDM teardown behind EvictVM has already committed — while ScaleDown
+// keeps refusing the same release.
+func TestEvictVMIgnoresWorkingSet(t *testing.T) {
+	c := testController(t)
+	c.SDM().PowerOnAll()
+	if _, _, err := c.CreateVM(0, "vm1", hypervisor.VMSpec{VCPUs: 1, Memory: brick.GiB}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.ScaleUp(0, "vm1", 2*brick.GiB); err != nil {
+		t.Fatal(err)
+	}
+	vm, _ := c.Lookup("vm1")
+	vm.SetUsage(2 * brick.GiB)
+	if _, err := c.ScaleDown(0, "vm1", 2*brick.GiB); err == nil {
+		t.Fatal("scale-down below the working set succeeded")
+	}
+
+	req, _, ok := c.EvictRequest(vm, nil)
+	if !ok || len(req.Atts) != 1 {
+		t.Fatalf("evict request = %+v, %v", req, ok)
+	}
+	for _, att := range req.Atts {
+		if _, err := c.SDM().DetachRemoteMemory(att); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := c.SDM().ReleaseCompute(req.CPU, req.VCPUs, req.LocalMem); err != nil {
+		t.Fatal(err)
+	}
+	res, err := c.EvictVM(sim.Time(sim.Hour), vm, 0)
+	if err != nil {
+		t.Fatalf("teardown below the working set: %v", err)
+	}
+	if res.Size != 3*brick.GiB || res.Virtual <= 0 || res.Baremetal <= 0 {
+		t.Fatalf("teardown result %+v", res)
+	}
+	if _, ok := c.Lookup("vm1"); ok {
+		t.Fatal("VM still registered after teardown")
+	}
+	if vm.AvailableMemory() > vm.TotalMemory() {
+		t.Fatalf("available %v exceeds total %v after teardown", vm.AvailableMemory(), vm.TotalMemory())
+	}
+}
+
+// TestHandleMethodsRefuseForeignVMs: the handle-taking entry points
+// refuse a handle from another rack's controller and a stale handle of
+// a retired VM — even once its ID is reused — without touching either
+// controller; a duplicate ID is refused here, before the hypervisor
+// spawns anything.
+func TestHandleMethodsRefuseForeignVMs(t *testing.T) {
+	a, b := testController(t), testController(t)
+	spec := hypervisor.VMSpec{VCPUs: 1, Memory: brick.GiB}
+	for _, c := range []*Controller{a, b} {
+		if _, _, err := c.CreateVM(0, "vm1", spec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	refused := func(t *testing.T, c *Controller, vm *VM) {
+		t.Helper()
+		if _, err := c.Bind(0, vm, nil, 0); err == nil {
+			t.Error("Bind accepted the handle")
+		}
+		if _, _, ok := c.EvictRequest(vm, nil); ok {
+			t.Error("EvictRequest accepted the handle")
+		}
+		if _, err := c.EvictVM(0, vm, 0); err == nil {
+			t.Error("EvictVM accepted the handle")
+		}
+		if err := c.DiscardVM(vm); err == nil {
+			t.Error("DiscardVM accepted the handle")
+		}
+		other := a
+		if c == a {
+			other = b
+		}
+		if _, err := c.MigrateTo(0, vm, other, nil); err == nil {
+			t.Error("MigrateTo accepted the handle")
+		}
+	}
+
+	foreign, _ := b.Lookup("vm1")
+	own, _ := a.Lookup("vm1")
+	refused(t, a, foreign)
+	refused(t, a, nil)
+	if got, ok := b.Lookup("vm1"); !ok || got != foreign || foreign.State() != hypervisor.StateRunning {
+		t.Fatal("refused calls disturbed the foreign VM")
+	}
+	if got, ok := a.Lookup("vm1"); !ok || got != own {
+		t.Fatal("refused calls disturbed the local VM of the same ID")
+	}
+
+	if err := a.DiscardVM(own); err != nil {
+		t.Fatal(err)
+	}
+	refused(t, a, own)
+	if _, _, err := a.CreateVM(0, "vm1", spec); err != nil {
+		t.Fatal(err)
+	}
+	refused(t, a, own)
+	fresh, ok := a.Lookup("vm1")
+	if !ok || fresh == own {
+		t.Fatal("stale handle disturbed the VM that reused its ID")
+	}
+
+	host, _ := a.VMHost("vm1")
+	if _, _, err := a.AdoptVM(0, "vm1", spec, host, 0); err == nil {
+		t.Fatal("duplicate VM ID adopted")
+	}
+	if got, _ := a.Lookup("vm1"); got != fresh {
+		t.Fatal("refused adoption replaced the registered VM")
+	}
+}
+
+// TestAppendVMsListsInIDOrder: the controller's VM listing is sorted by
+// ID and appends after whatever dst already holds.
+func TestAppendVMsListsInIDOrder(t *testing.T) {
+	c := testController(t)
+	for _, id := range []hypervisor.VMID{"c", "a", "b"} {
+		if _, _, err := c.CreateVM(0, id, hypervisor.VMSpec{VCPUs: 1, Memory: brick.GiB}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	got := c.AppendVMs([]*VM{nil})
+	if len(got) != 4 || got[0] != nil || got[1].ID != "a" || got[2].ID != "b" || got[3].ID != "c" {
+		t.Fatalf("AppendVMs = %v", got)
+	}
+}

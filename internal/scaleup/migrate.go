@@ -44,15 +44,18 @@ const migrationLinkGbps = 10
 // objective of "enhanced elasticity and improved process/virtual machine
 // migration within the datacenter".
 func (c *Controller) Migrate(now sim.Time, id hypervisor.VMID) (MigrationResult, error) {
-	rec, ok := c.vms[id]
+	vm, ok := c.vms[id]
 	if !ok {
 		return MigrationResult{}, fmt.Errorf("scaleup: no VM %q", id)
 	}
-	src, spec, srcNode := rec.host, rec.spec, rec.node
-	vm, ok := srcNode.hv.VM(id)
-	if !ok {
-		return MigrationResult{}, fmt.Errorf("scaleup: VM %q missing from host %v", id, src)
-	}
+	return c.migrate(now, vm)
+}
+
+// migrate is Migrate for a VM handle; the record stays on this
+// controller with its host and node re-pointed.
+func (c *Controller) migrate(now sim.Time, vm *VM) (MigrationResult, error) {
+	id := vm.ID
+	src, spec, srcNode := vm.host, vm.Spec, vm.node
 	if vm.State() != hypervisor.StateRunning {
 		return MigrationResult{}, fmt.Errorf("scaleup: VM %q is not running", id)
 	}
@@ -64,7 +67,7 @@ func (c *Controller) Migrate(now sim.Time, id hypervisor.VMID) (MigrationResult,
 	// split across two bricks. Cross-rack circuits re-point through the
 	// pod tier transparently. The scratch buffer keeps the pre-flight
 	// allocation-free.
-	c.attScratch = c.AppendBoundAttachments(c.attScratch[:0], id)
+	c.attScratch = appendBound(c.attScratch[:0], vm.bindings)
 	for _, att := range c.attScratch {
 		if err := c.sdmc.CanRepoint(att); err != nil {
 			return MigrationResult{}, fmt.Errorf("scaleup: VM %q cannot migrate: %w", id, err)
@@ -75,7 +78,7 @@ func (c *Controller) Migrate(now sim.Time, id hypervisor.VMID) (MigrationResult,
 	if err != nil {
 		return MigrationResult{}, err
 	}
-	if err := preflightDestination(c.sdmc, dst, len(rec.bindings)); err != nil {
+	if err := preflightDestination(c.sdmc, dst, len(vm.bindings)); err != nil {
 		c.sdmc.ReleaseCompute(dst, spec.VCPUs, spec.Memory)
 		return MigrationResult{}, err
 	}
@@ -91,7 +94,7 @@ func (c *Controller) Migrate(now sim.Time, id hypervisor.VMID) (MigrationResult,
 	// Re-point every remote segment: circuit + TGL window move to the
 	// destination brick; the baremetal kernel on each side re-homes the
 	// physical range (the contents stay on the dMEMBRICK).
-	for _, b := range rec.bindings {
+	for _, b := range vm.bindings {
 		oldBase := b.att.Window.Base
 		size := b.att.Size()
 		newWindow, lat, err := c.sdmc.ReattachRemoteMemory(b.att, dst)
@@ -123,25 +126,24 @@ func (c *Controller) Migrate(now sim.Time, id hypervisor.VMID) (MigrationResult,
 	}
 
 	// Hand the VM object over.
-	evicted, err := srcNode.hv.Evict(id)
-	if err != nil {
+	if err := srcNode.hv.Evict(&vm.VM); err != nil {
 		return MigrationResult{}, err
 	}
-	if err := dstNode.hv.Adopt(evicted); err != nil {
-		// Put it back; adoption can only fail on a duplicate ID, which
-		// would be a controller bug worth surfacing loudly.
-		srcNode.hv.Adopt(evicted)
+	if err := dstNode.hv.Adopt(&vm.VM); err != nil {
+		// Put it back; adoption of a running, just-evicted VM cannot
+		// fail, so this is a controller bug worth surfacing loudly.
+		srcNode.hv.Adopt(&vm.VM)
 		return MigrationResult{}, err
 	}
 	if err := c.sdmc.ReleaseCompute(src, spec.VCPUs, spec.Memory); err != nil {
 		return MigrationResult{}, err
 	}
-	rec.host, rec.node = dst, dstNode
+	vm.host, vm.node = dst, dstNode
 
 	res.Downtime = res.LocalCopy + res.Reattach + res.Rehome + sim.Duration(resLat)
 
 	// Conventional baseline: ship the whole footprint.
-	total := evicted.TotalMemory()
+	total := vm.TotalMemory()
 	res.FullCopyBaseline = optical.SerializationDelay(int(total), migrationLinkGbps)
 	if c.journal != nil {
 		c.journal.Append(now, trace.KindMigrate, string(id), "%v -> %v, downtime %v (full copy would be %v)",

@@ -16,6 +16,7 @@ func TestMigratePreservesMemoryLayout(t *testing.T) {
 	c.ScaleUp(0, "vm1", 4*brick.GiB)
 	c.ScaleUp(0, "vm1", 2*brick.GiB)
 	src, _ := c.VMHost("vm1")
+	before, _ := c.VM("vm1")
 
 	res, err := c.Migrate(sim.Time(sim.Hour), "vm1")
 	if err != nil {
@@ -35,6 +36,9 @@ func TestMigratePreservesMemoryLayout(t *testing.T) {
 	if vm.TotalMemory() != 8*brick.GiB {
 		t.Fatalf("memory = %v after migration, want 8GiB", vm.TotalMemory())
 	}
+	if vm != before {
+		t.Fatal("migration replaced the VM object instead of moving it")
+	}
 	// Attachments re-homed to the destination brick.
 	for _, att := range c.SDM().Attachments("vm1") {
 		if att.CPU != res.To {
@@ -45,9 +49,9 @@ func TestMigratePreservesMemoryLayout(t *testing.T) {
 	if _, err := c.ScaleUp(sim.Time(2*sim.Hour), "vm1", brick.GiB); err != nil {
 		t.Fatalf("scale-up after migration: %v", err)
 	}
-	// And the old host's hypervisor no longer knows the VM.
-	if _, ok := c.nodes[src].hv.VM("vm1"); ok {
-		t.Fatal("VM still registered on source hypervisor")
+	// And the old host's hypervisor no longer accepts the VM.
+	if _, _, err := c.nodes[src].hv.AttachDIMM(vm, brick.GiB); err == nil {
+		t.Fatal("VM still hosted by the source hypervisor")
 	}
 }
 
@@ -143,7 +147,8 @@ func TestMigrateErrors(t *testing.T) {
 	}
 	// A stopped VM cannot migrate.
 	host, _ := c.VMHost("vm1")
-	c.nodes[host].hv.Stop("vm1")
+	vm, _ := c.VM("vm1")
+	c.nodes[host].hv.Stop(vm)
 	if _, err := c.Migrate(0, "vm1"); err == nil {
 		t.Fatal("migration of stopped VM succeeded")
 	}
@@ -151,18 +156,17 @@ func TestMigrateErrors(t *testing.T) {
 
 func TestEvictAdoptSemantics(t *testing.T) {
 	hv, _ := hypervisor.New(hypervisor.DefaultConfig)
-	if _, err := hv.Evict("ghost"); err == nil {
+	if err := hv.Evict(new(hypervisor.VM)); err == nil {
 		t.Fatal("evict of absent VM succeeded")
 	}
-	vm, _, err := hv.Spawn("vm", hypervisor.VMSpec{VCPUs: 1, Memory: brick.GiB})
-	if err != nil {
+	vm := new(hypervisor.VM)
+	if _, err := hv.Spawn(vm, "vm", hypervisor.VMSpec{VCPUs: 1, Memory: brick.GiB}); err != nil {
 		t.Fatal(err)
 	}
-	got, err := hv.Evict("vm")
-	if err != nil || got != vm {
-		t.Fatalf("evict = %v, %v", got, err)
+	if err := hv.Evict(vm); err != nil {
+		t.Fatalf("evict = %v", err)
 	}
-	if _, ok := hv.VM("vm"); ok {
+	if err := hv.Stop(vm); err == nil {
 		t.Fatal("VM present after evict")
 	}
 	hv2, _ := hypervisor.New(hypervisor.DefaultConfig)
@@ -175,7 +179,7 @@ func TestEvictAdoptSemantics(t *testing.T) {
 	if err := hv2.Adopt(vm); err == nil {
 		t.Fatal("double adopt succeeded")
 	}
-	if _, ok := hv2.VM("vm"); !ok {
-		t.Fatal("VM absent after adopt")
+	if _, _, err := hv2.AttachDIMM(vm, brick.GiB); err != nil {
+		t.Fatalf("VM absent after adopt: %v", err)
 	}
 }

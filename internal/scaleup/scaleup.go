@@ -21,7 +21,9 @@
 package scaleup
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"repro/internal/brick"
 	"repro/internal/hotplug"
@@ -67,15 +69,20 @@ type binding struct {
 	dimm hypervisor.DIMM
 }
 
-// vmRecord is everything the controller tracks about one VM: the brick
-// hosting it and that brick's stack, the spec it was created with, and
-// its remote bindings in attach order. One record per VM makes every
-// per-VM query a single map lookup, and the first binding lives inline,
-// so a VM with one remote attachment costs one allocation here.
-type vmRecord struct {
+// VM is everything the controller tracks about one VM, and the handle
+// callers hold for it: the hypervisor VM itself (embedded, so its ID,
+// Spec and guest state are the record's), the brick hosting it and that
+// brick's stack, and its remote bindings in attach order. The first
+// binding lives inline, so a VM with one remote attachment costs one
+// allocation across the whole per-VM stack. Batch callers (the core
+// facades) keep the handle AdoptVM returns and pass it back, so a burst
+// resolves each VM name once; sequential callers use the ID-keyed
+// methods, each one table lookup in front of the same body. Migration
+// moves the record itself between controllers.
+type VM struct {
+	hypervisor.VM
 	host     topo.BrickID
 	node     *node
-	spec     hypervisor.VMSpec
 	bindings []binding
 	bindBuf  [1]binding
 }
@@ -84,6 +91,9 @@ type vmRecord struct {
 type node struct {
 	kernel *hotplug.Kernel
 	hv     *hypervisor.Hypervisor
+	// ctl is the controller owning the brick, so a handle from another
+	// rack's controller is refused.
+	ctl *Controller
 }
 
 // Result reports the timing decomposition of one elasticity request.
@@ -115,7 +125,7 @@ type Controller struct {
 	sdmc *sdm.Controller
 
 	nodes map[topo.BrickID]*node
-	vms   map[hypervisor.VMID]*vmRecord
+	vms   map[hypervisor.VMID]*VM
 
 	// sdmQueue serializes requests through the autonomous SDM service.
 	sdmQueue sim.Queue
@@ -141,7 +151,7 @@ func New(sdmc *sdm.Controller, cfg Config) (*Controller, error) {
 		cfg:   cfg,
 		sdmc:  sdmc,
 		nodes: make(map[topo.BrickID]*node),
-		vms:   make(map[hypervisor.VMID]*vmRecord),
+		vms:   make(map[hypervisor.VMID]*VM),
 	}, nil
 }
 
@@ -160,7 +170,7 @@ func (c *Controller) nodeFor(id topo.BrickID) (*node, error) {
 	if err != nil {
 		return nil, err
 	}
-	n := &node{kernel: kernel, hv: hv}
+	n := &node{kernel: kernel, hv: hv, ctl: c}
 	c.nodes[id] = n
 	return n, nil
 }
@@ -176,7 +186,7 @@ func (c *Controller) CreateVM(now sim.Time, id hypervisor.VMID, spec hypervisor.
 	if err != nil {
 		return topo.BrickID{}, Result{}, err
 	}
-	res, err := c.AdoptVM(now, id, spec, host, sim.Duration(resLat))
+	_, res, err := c.AdoptVM(now, id, spec, host, sim.Duration(resLat))
 	if err != nil {
 		c.sdmc.ReleaseCompute(host, spec.VCPUs, spec.Memory)
 		return topo.BrickID{}, Result{}, err
@@ -187,25 +197,27 @@ func (c *Controller) CreateVM(now sim.Time, id hypervisor.VMID, spec hypervisor.
 // AdoptVM registers and boots a VM whose compute reservation was
 // already made elsewhere — the pod tier's batch admission reserves
 // whole bursts through sdm.PodScheduler.AdmitBatch and then adopts
-// each VM onto its rack's controller through this entry point. resLat
-// is the reservation's orchestration latency, which serializes through
-// the SDM queue exactly as CreateVM's would. The caller owns the
-// reservation: on error it is NOT released here.
-func (c *Controller) AdoptVM(now sim.Time, id hypervisor.VMID, spec hypervisor.VMSpec, host topo.BrickID, resLat sim.Duration) (Result, error) {
+// each VM onto its rack's controller through this entry point. It
+// returns the VM's handle for the batch entry points (Bind, EvictRequest,
+// EvictVM, DiscardVM, MigrateTo). resLat is the reservation's
+// orchestration latency, which serializes through the SDM queue exactly
+// as CreateVM's would. The caller owns the reservation: on error it is
+// NOT released here.
+func (c *Controller) AdoptVM(now sim.Time, id hypervisor.VMID, spec hypervisor.VMSpec, host topo.BrickID, resLat sim.Duration) (*VM, Result, error) {
 	if _, dup := c.vms[id]; dup {
-		return Result{}, fmt.Errorf("scaleup: VM %q already exists", id)
+		return nil, Result{}, fmt.Errorf("scaleup: VM %q already exists", id)
 	}
 	n, err := c.nodeFor(host)
 	if err != nil {
-		return Result{}, err
+		return nil, Result{}, err
 	}
-	_, spawnLat, err := n.hv.Spawn(id, spec)
+	vm := &VM{host: host, node: n}
+	spawnLat, err := n.hv.Spawn(&vm.VM, id, spec)
 	if err != nil {
-		return Result{}, err
+		return nil, Result{}, err
 	}
-	rec := &vmRecord{host: host, node: n, spec: spec}
-	rec.bindings = rec.bindBuf[:0]
-	c.vms[id] = rec
+	vm.bindings = vm.bindBuf[:0]
+	c.vms[id] = vm
 	arrive := now.Add(c.cfg.APIOverhead)
 	start, done := c.sdmQueue.Serve(arrive, resLat)
 	res := Result{
@@ -219,7 +231,14 @@ func (c *Controller) AdoptVM(now sim.Time, id hypervisor.VMID, spec hypervisor.V
 	if c.journal != nil {
 		c.journal.Append(now, trace.KindReserve, string(id), "VM created on %v (%d vCPU, %v) in %v", host, spec.VCPUs, spec.Memory, res.Delay())
 	}
-	return res, nil
+	return vm, res, nil
+}
+
+// owns reports whether vm is a live VM of this controller: a handle
+// that was discarded, evicted or migrated to another rack's controller
+// is not.
+func (c *Controller) owns(vm *VM) bool {
+	return vm != nil && vm.node != nil && vm.node.ctl == c
 }
 
 // DiscardVM removes a VM that failed mid-admission: the hypervisor
@@ -227,37 +246,62 @@ func (c *Controller) AdoptVM(now sim.Time, id hypervisor.VMID, spec hypervisor.V
 // compute reservation and any attachments (this is the batch boot
 // error path's cleanup, not a graceful shutdown — the VM must hold no
 // bindings).
-func (c *Controller) DiscardVM(id hypervisor.VMID) error {
-	rec, ok := c.vms[id]
-	if !ok {
-		return fmt.Errorf("scaleup: no VM %q", id)
+func (c *Controller) DiscardVM(vm *VM) error {
+	if !c.owns(vm) {
+		return fmt.Errorf("scaleup: no VM %q", vmID(vm))
 	}
-	if n := len(rec.bindings); n > 0 {
-		return fmt.Errorf("scaleup: VM %q still holds %d remote bindings", id, n)
+	if n := len(vm.bindings); n > 0 {
+		return fmt.Errorf("scaleup: VM %q still holds %d remote bindings", vm.ID, n)
 	}
-	if _, err := rec.node.hv.Evict(id); err != nil {
+	if err := vm.node.hv.Evict(&vm.VM); err != nil {
 		return err
 	}
-	delete(c.vms, id)
+	delete(c.vms, vm.ID)
+	vm.node = nil
 	return nil
+}
+
+// vmID names a handle in an error, nil included.
+func vmID(vm *VM) hypervisor.VMID {
+	if vm == nil {
+		return ""
+	}
+	return vm.ID
+}
+
+// Lookup resolves a VM ID to its handle.
+func (c *Controller) Lookup(id hypervisor.VMID) (*VM, bool) {
+	vm, ok := c.vms[id]
+	return vm, ok
+}
+
+// AppendVMs appends the controller's VMs to dst in ID order and
+// returns the extended slice.
+func (c *Controller) AppendVMs(dst []*VM) []*VM {
+	start := len(dst)
+	for _, vm := range c.vms {
+		dst = append(dst, vm)
+	}
+	slices.SortFunc(dst[start:], func(a, b *VM) int { return cmp.Compare(a.ID, b.ID) })
+	return dst
 }
 
 // VMHost returns the brick hosting a VM.
 func (c *Controller) VMHost(id hypervisor.VMID) (topo.BrickID, bool) {
-	rec, ok := c.vms[id]
+	vm, ok := c.vms[id]
 	if !ok {
 		return topo.BrickID{}, false
 	}
-	return rec.host, true
+	return vm.host, true
 }
 
 // VM returns the hypervisor VM object.
 func (c *Controller) VM(id hypervisor.VMID) (*hypervisor.VM, bool) {
-	rec, ok := c.vms[id]
+	vm, ok := c.vms[id]
 	if !ok {
 		return nil, false
 	}
-	return rec.node.hv.VM(id)
+	return &vm.VM, true
 }
 
 // ScaleUp grows a VM's memory by size, posted at virtual time now. The
@@ -273,7 +317,7 @@ func (c *Controller) ScaleUp(now sim.Time, id hypervisor.VMID, size brick.Bytes)
 // brick-local. Teardown needs no counterpart hook: detaching routes
 // through the attachment itself.
 func (c *Controller) ScaleUpVia(now sim.Time, id hypervisor.VMID, size brick.Bytes, attach func(owner string, cpu topo.BrickID, size brick.Bytes) (*sdm.Attachment, sim.Duration, error)) (Result, error) {
-	rec, ok := c.vms[id]
+	vm, ok := c.vms[id]
 	if !ok {
 		return Result{}, fmt.Errorf("scaleup: no VM %q", id)
 	}
@@ -282,11 +326,11 @@ func (c *Controller) ScaleUpVia(now sim.Time, id hypervisor.VMID, size brick.Byt
 	}
 
 	// Step 2: orchestration, serialized through the SDM service.
-	att, orchLat, err := attach(string(id), rec.host, size)
+	att, orchLat, err := attach(string(id), vm.host, size)
 	if err != nil {
 		return Result{}, err
 	}
-	return c.BindAttachment(now, id, att, orchLat)
+	return c.Bind(now, vm, att, orchLat)
 }
 
 // BindAttachment completes a scale-up whose SDM attachment was already
@@ -298,11 +342,19 @@ func (c *Controller) ScaleUpVia(now sim.Time, id hypervisor.VMID, size brick.Byt
 // VM's rack controller binds its attachment here. On any hotplug
 // failure the attachment is detached and the error returned.
 func (c *Controller) BindAttachment(now sim.Time, id hypervisor.VMID, att *sdm.Attachment, orchLat sim.Duration) (Result, error) {
-	rec, ok := c.vms[id]
+	vm, ok := c.vms[id]
 	if !ok {
 		return Result{}, fmt.Errorf("scaleup: no VM %q", id)
 	}
-	n := rec.node
+	return c.Bind(now, vm, att, orchLat)
+}
+
+// Bind is BindAttachment for a VM handle.
+func (c *Controller) Bind(now sim.Time, vm *VM, att *sdm.Attachment, orchLat sim.Duration) (Result, error) {
+	if !c.owns(vm) {
+		return Result{}, fmt.Errorf("scaleup: no VM %q", vmID(vm))
+	}
+	id, n := vm.ID, vm.node
 	size := att.Size()
 	arrive := now.Add(c.cfg.APIOverhead)
 	start, orchDone := c.sdmQueue.Serve(arrive, orchLat)
@@ -320,14 +372,14 @@ func (c *Controller) BindAttachment(now sim.Time, id hypervisor.VMID, att *sdm.A
 	}
 
 	// Step 4: hypervisor expands the VM.
-	dimm, hvLat, err := n.hv.AttachDIMM(id, size)
+	dimm, hvLat, err := n.hv.AttachDIMM(&vm.VM, size)
 	if err != nil {
 		n.kernel.Offline(att.Window.Base, size)
 		n.kernel.HotRemove(att.Window.Base, size)
 		c.sdmc.DetachRemoteMemory(att)
 		return Result{}, err
 	}
-	rec.bindings = append(rec.bindings, binding{att: att, dimm: dimm})
+	vm.bindings = append(vm.bindings, binding{att: att, dimm: dimm})
 	c.scaleUps++
 	if c.journal != nil {
 		c.journal.Append(now, trace.KindAttach, string(id), "+%v (%v mode) from %v", size, att.Mode, att.Segment.Brick)
@@ -348,11 +400,11 @@ func (c *Controller) BindAttachment(now sim.Time, id hypervisor.VMID, att *sdm.A
 // ScaleDown releases the most recently attached scale-up increment of at
 // least size (LIFO, matching the balloon-assisted shrink path).
 func (c *Controller) ScaleDown(now sim.Time, id hypervisor.VMID, size brick.Bytes) (Result, error) {
-	rec, ok := c.vms[id]
+	vm, ok := c.vms[id]
 	if !ok {
 		return Result{}, fmt.Errorf("scaleup: no VM %q", id)
 	}
-	bs := rec.bindings
+	bs := vm.bindings
 	idx := -1
 	for i := len(bs) - 1; i >= 0; i-- {
 		if bs[i].dimm.Size < size {
@@ -370,17 +422,15 @@ func (c *Controller) ScaleDown(now sim.Time, id hypervisor.VMID, size brick.Byte
 		return Result{}, fmt.Errorf("scaleup: VM %q has no releasable attachment of at least %v (ridered circuits excluded)", id, size)
 	}
 	b := bs[idx]
-	n := rec.node
+	n := vm.node
 
 	// Pre-check the usage guard before mutating any layer, so a refusal
 	// cannot leave the kernel and hypervisor views disagreeing.
-	if vm, ok := n.hv.VM(id); ok {
-		if !vm.CanShrink(b.dimm.Size) {
-			return Result{}, fmt.Errorf("scaleup: releasing %v would drop VM %q below its %v working set", b.dimm.Size, id, vm.Usage())
-		}
+	if !vm.CanShrink(b.dimm.Size) {
+		return Result{}, fmt.Errorf("scaleup: releasing %v would drop VM %q below its %v working set", b.dimm.Size, id, vm.Usage())
 	}
 
-	hvLat, err := n.hv.DetachDIMM(id, b.dimm.ID)
+	hvLat, err := n.hv.DetachDIMM(&vm.VM, b.dimm.ID)
 	if err != nil {
 		return Result{}, err
 	}
@@ -396,7 +446,7 @@ func (c *Controller) ScaleDown(now sim.Time, id hypervisor.VMID, size brick.Byte
 	if err != nil {
 		return Result{}, err
 	}
-	rec.bindings = append(bs[:idx], bs[idx+1:]...)
+	vm.bindings = append(bs[:idx], bs[idx+1:]...)
 	c.scaleDowns++
 	if c.journal != nil {
 		c.journal.Append(now, trace.KindDetach, string(id), "-%v", b.att.Size())

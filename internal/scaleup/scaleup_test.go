@@ -145,10 +145,10 @@ func TestScaleDownRefusesOversizeRelease(t *testing.T) {
 	if _, err := c.ScaleUp(0, "vm1", brick.GiB); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.nodes[host].hv.BalloonInflate("vm1", 5*brick.GiB/2); err != nil {
+	vm, _ := c.VM("vm1")
+	if _, err := c.nodes[host].hv.BalloonInflate(vm, 5*brick.GiB/2); err != nil {
 		t.Fatal(err)
 	}
-	vm, _ := c.VM("vm1")
 	vm.SetUsage(brick.GiB / 4)
 	managed := c.nodes[host].kernel.ManagedBytes()
 	if _, err := c.ScaleDown(0, "vm1", brick.GiB); err == nil {
