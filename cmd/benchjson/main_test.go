@@ -104,8 +104,8 @@ func TestBaselineHostFactsRoundTrip(t *testing.T) {
 	}
 }
 
-// TestCommittedBaselineParses reads the repository's baseline, which
-// predates the host facts.
+// TestCommittedBaselineParses reads the repository's committed
+// baseline.
 func TestCommittedBaselineParses(t *testing.T) {
 	data, err := os.ReadFile("../../BENCH_baseline.json")
 	if err != nil {

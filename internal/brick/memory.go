@@ -57,14 +57,28 @@ type Memory struct {
 	used     Bytes
 	state    PowerState
 
-	// gapCount is a multiset of free-gap sizes and largest its maximum,
-	// maintained incrementally by Carve and Release so LargestGap reads
-	// in O(1) instead of rescanning the segment list — the quantity every
-	// placement-fitness probe asks for.
-	gapCount map[Bytes]int
-	largest  Bytes
-	epoch    uint64
+	// gaps is a multiset of free-gap sizes: one (size, count) run per
+	// distinct size, largest first, maintained incrementally by Carve and
+	// Release so LargestGap reads gaps[0] in O(1) instead of rescanning
+	// the segment list — the quantity every placement-fitness probe asks
+	// for. A brick carries few segments, so it has few distinct gap sizes
+	// and a linear walk over the runs is cheaper than hashing; gapBuf
+	// backs the list inline, so carve and release never allocate for it
+	// until a brick holds more distinct sizes than gapBuf has room for.
+	gaps   []gapRun
+	gapBuf [gapInline]gapRun
+	epoch  uint64
 }
+
+// gapRun is one distinct free-gap size and how many gaps have it.
+type gapRun struct {
+	size Bytes
+	n    int
+}
+
+// gapInline is how many distinct gap sizes a brick tracks before its
+// gap list spills to the heap.
+const gapInline = 8
 
 // MemoryConfig parameterizes NewMemory. Zero fields take prototype
 // defaults: 64 GiB DDR behind 2 controllers.
@@ -86,16 +100,16 @@ func NewMemory(id topo.BrickID, cfg MemoryConfig) *Memory {
 	if cfg.Ports <= 0 {
 		cfg.Ports = 8
 	}
-	return &Memory{
+	m := &Memory{
 		ID:          id,
 		Capacity:    cfg.Capacity,
 		Controllers: cfg.Controllers,
 		Tech:        cfg.Tech,
 		Ports:       NewPortSet(id, cfg.Ports),
 		state:       PowerOff,
-		gapCount:    map[Bytes]int{cfg.Capacity: 1},
-		largest:     cfg.Capacity,
 	}
+	m.gaps = append(m.gapBuf[:0], gapRun{size: cfg.Capacity, n: 1})
+	return m
 }
 
 // Epoch returns a counter bumped by every capacity or power mutation of
@@ -104,37 +118,39 @@ func NewMemory(id topo.BrickID, cfg MemoryConfig) *Memory {
 // is stale.
 func (m *Memory) Epoch() uint64 { return m.epoch + m.Ports.Epoch() }
 
-// addGap records one free gap of the given size.
+// addGap records one free gap of the given size, keeping the runs
+// sorted largest first.
 func (m *Memory) addGap(sz Bytes) {
 	if sz == 0 {
 		return
 	}
-	m.gapCount[sz]++
-	if sz > m.largest {
-		m.largest = sz
+	i := 0
+	for ; i < len(m.gaps) && m.gaps[i].size >= sz; i++ {
+		if m.gaps[i].size == sz {
+			m.gaps[i].n++
+			return
+		}
 	}
+	m.gaps = append(m.gaps, gapRun{})
+	copy(m.gaps[i+1:], m.gaps[i:])
+	m.gaps[i] = gapRun{size: sz, n: 1}
 }
 
-// removeGap drops one free gap of the given size, recomputing the
-// cached maximum only when the last gap of the current maximum size
-// disappears (a walk over distinct gap sizes, not over segments).
+// removeGap drops one free gap of the given size; a run whose last gap
+// goes leaves the list, so gaps[0] stays the largest gap.
 func (m *Memory) removeGap(sz Bytes) {
 	if sz == 0 {
 		return
 	}
-	if n := m.gapCount[sz] - 1; n > 0 {
-		m.gapCount[sz] = n
-		return
-	}
-	delete(m.gapCount, sz)
-	if sz != m.largest {
-		return
-	}
-	m.largest = 0
-	for g := range m.gapCount {
-		if g > m.largest {
-			m.largest = g
+	for i := range m.gaps {
+		if m.gaps[i].size != sz {
+			continue
 		}
+		if m.gaps[i].n--; m.gaps[i].n == 0 {
+			copy(m.gaps[i:], m.gaps[i+1:])
+			m.gaps = m.gaps[:len(m.gaps)-1]
+		}
+		return
 	}
 }
 
@@ -212,7 +228,7 @@ func (m *Memory) Carve(size Bytes, owner string) (*Segment, error) {
 	if size > m.Free() {
 		return nil, fmt.Errorf("memory %v: %v requested, %v free", m.ID, size, m.Free())
 	}
-	if size > m.largest {
+	if size > m.LargestGap() {
 		// Free capacity exists but is fragmented into gaps smaller
 		// than the request.
 		return nil, fmt.Errorf("memory %v: fragmentation prevents %v contiguous segment (%v free total)", m.ID, size, m.Free())
@@ -287,7 +303,12 @@ func (m *Memory) Release(seg *Segment) error {
 // the biggest segment Carve can satisfy. The value is maintained
 // incrementally by Carve and Release, so this is an O(1) read — the
 // property the scheduler's fitness probes depend on.
-func (m *Memory) LargestGap() Bytes { return m.largest }
+func (m *Memory) LargestGap() Bytes {
+	if len(m.gaps) == 0 {
+		return 0
+	}
+	return m.gaps[0].size
+}
 
 // LargestGapScan recomputes the largest contiguous free region by
 // scanning the segment list — the pre-index O(segments) path, kept as

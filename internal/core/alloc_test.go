@@ -6,7 +6,9 @@ import (
 	"testing"
 
 	"repro/internal/brick"
+	"repro/internal/hypervisor"
 	"repro/internal/optical"
+	"repro/internal/scaleup"
 	"repro/internal/sdm"
 	"repro/internal/topo"
 )
@@ -150,7 +152,12 @@ func fillRack(t *testing.T, sched *sdm.PodScheduler, rack *topo.Rack, r int, siz
 
 // TestBurstRejectsRepeatedID: a burst naming one VM twice is refused as
 // a duplicate within the burst — not as a missing or existing VM — and
-// touches nothing, on both facades.
+// touches nothing, on both facades. So are the other ways a create
+// burst aborts after claiming names: a name that already exists past
+// the burst's first position, a burst too large to admit, and a boot
+// failure after earlier VMs of the burst were adopted and bound. Each
+// refusal leaves the facade's table, every rack's Scale-up table and
+// free capacity as they were, and the same names create afterwards.
 func TestBurstRejectsRepeatedID(t *testing.T) {
 	podCfg := DefaultPodConfig(2)
 	podCfg.Rack = burstRackConfig()
@@ -164,13 +171,25 @@ func TestBurstRejectsRepeatedID(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	var podRacks, rowRacks []*scaleup.Controller
+	for _, stack := range pod.stacks {
+		podRacks = append(podRacks, stack.scale)
+	}
+	for _, stacks := range row.stacks {
+		for _, stack := range stacks {
+			rowRacks = append(rowRacks, stack.scale)
+		}
+	}
 	facades := []struct {
-		name   string
-		target PipelineTarget
-		live   func(id string) bool
+		name       string
+		target     PipelineTarget
+		live       func(id string) bool
+		table      *vmTable
+		racks      []*scaleup.Controller
+		invariants func() error
 	}{
-		{"pod", pod, func(id string) bool { _, ok := pod.VMRack(id); return ok }},
-		{"row", row, func(id string) bool { _, _, ok := row.VMLoc(id); return ok }},
+		{"pod", pod, func(id string) bool { _, ok := pod.VMRack(id); return ok }, &pod.vms, podRacks, pod.Scheduler().CheckInvariants},
+		{"row", row, func(id string) bool { _, _, ok := row.VMLoc(id); return ok }, &row.vms, rowRacks, row.Scheduler().CheckInvariants},
 	}
 	for _, f := range facades {
 		t.Run(f.name, func(t *testing.T) {
@@ -197,8 +216,112 @@ func TestBurstRejectsRepeatedID(t *testing.T) {
 					t.Fatalf("refused destroy burst retired %q", r.ID)
 				}
 			}
-			if _, err := f.target.DestroyVMs([]string{reqs[0].ID, reqs[1].ID, reqs[2].ID}, 0); err != nil {
+
+			// state is what a refused burst must leave as it found it.
+			state := func() string {
+				var b strings.Builder
+				fmt.Fprintf(&b, "table holds %d\n", f.table.len())
+				for i, scale := range f.racks {
+					fmt.Fprintf(&b, "rack %d: %d cores, %v free;", i, scale.SDM().FreeCores(), scale.SDM().FreeMemory())
+					for _, vm := range scale.AppendVMs(nil) {
+						fmt.Fprintf(&b, " %s@%p", vm.ID, vm)
+					}
+					b.WriteByte('\n')
+				}
+				return b.String()
+			}
+			refused := func(what string, burst []VMCreate, want string) {
+				t.Helper()
+				before := state()
+				_, err := f.target.CreateVMs(burst, 0)
+				if err == nil || !strings.Contains(err.Error(), want) {
+					t.Fatalf("%s: err = %v, want one containing %q", what, err, want)
+				}
+				if after := state(); after != before {
+					t.Fatalf("%s changed the facade:\nbefore:\n%safter:\n%s", what, before, after)
+				}
+				if err := f.invariants(); err != nil {
+					t.Fatalf("%s: %v", what, err)
+				}
+				if err := f.table.consistent(); err != nil {
+					t.Fatalf("%s: facade table: %v", what, err)
+				}
+			}
+			rename := func(burst []VMCreate, prefix string) []VMCreate {
+				burst = append([]VMCreate(nil), burst...)
+				for i := range burst {
+					burst[i].ID = fmt.Sprintf("%s%d", prefix, i)
+				}
+				return burst
+			}
+			create := func(burst []VMCreate) {
+				t.Helper()
+				if _, err := f.target.CreateVMs(burst, 0); err != nil {
+					t.Fatalf("the refused burst's names: %v", err)
+				}
+				if err := f.table.consistent(); err != nil {
+					t.Fatal(err)
+				}
+			}
+
+			// A name that already exists, at position 1.
+			exists := rename(burstReqs(3), "vm-x")
+			exists[1].ID = reqs[1].ID
+			refused("burst naming an existing VM", exists, fmt.Sprintf("core: VM %q already exists in the %s", reqs[1].ID, f.name))
+			create([]VMCreate{exists[0], exists[2]})
+
+			// A burst asking for more cores than the facade has.
+			big := rename(burstReqs(48), "vm-b")
+			for i := range big {
+				big[i].VCPUs = 4
+			}
+			refused("burst too large to admit", big, "")
+			for i := range big {
+				big[i].VCPUs, big[i].Memory, big[i].Remote = 1, brick.GiB, 0
+			}
+			create(big)
+			bigIDs := make([]string, len(big))
+			for i, r := range big {
+				bigIDs[i] = r.ID
+			}
+			if _, err := f.target.DestroyVMs(bigIDs, 0); err != nil {
 				t.Fatal(err)
+			}
+
+			// A boot failure at position 1, after position 0 was adopted
+			// and bound: every rack's Scale-up controller already holds a
+			// stray VM of that name, which the facade does not know.
+			boot := rename(burstReqs(3), "vm-s")
+			spec := hypervisor.VMSpec{VCPUs: 1, Memory: brick.GiB}
+			for _, scale := range f.racks {
+				if _, _, err := scale.CreateVM(0, hypervisor.VMID(boot[1].ID), spec); err != nil {
+					t.Fatal(err)
+				}
+			}
+			refused("burst failing to boot", boot, fmt.Sprintf("core: batch boot of %q: scaleup: VM %q already exists", boot[1].ID, boot[1].ID))
+			for _, scale := range f.racks {
+				stray, _ := scale.Lookup(hypervisor.VMID(boot[1].ID))
+				req, _, _ := scale.EvictRequest(stray, nil)
+				if err := scale.SDM().ReleaseCompute(req.CPU, req.VCPUs, req.LocalMem); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := scale.EvictVM(0, stray, 0); err != nil {
+					t.Fatal(err)
+				}
+			}
+			create(boot)
+
+			var all []string
+			for _, burst := range [][]VMCreate{reqs, {exists[0], exists[2]}, boot} {
+				for _, r := range burst {
+					all = append(all, r.ID)
+				}
+			}
+			if _, err := f.target.DestroyVMs(all, 0); err != nil {
+				t.Fatal(err)
+			}
+			if n := f.table.len(); n != 0 {
+				t.Fatalf("table holds %d VMs after the last destroy", n)
 			}
 		})
 	}

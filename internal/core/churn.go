@@ -26,24 +26,24 @@ import (
 // clock advances past the whole group's completion. workers is unused:
 // the commit runs on the caller's goroutine.
 func (p *Pod) DestroyVMs(ids []string, workers int) ([]scaleup.Result, error) {
-	p.burst.resetSeen(len(ids))
-	ereqs, evicted, vms, atts := p.burst.evictBufs(len(ids))
-	defer clear(vms)
+	p.vms.begin()
+	ereqs, evicted, slots, atts := p.burst.evictBufs(len(ids))
 	for i, id := range ids {
-		loc, ok := p.vmRack[id]
+		s, ok := p.vms.find(id)
 		if !ok {
 			return nil, fmt.Errorf("core: no VM %q in the pod", id)
 		}
-		if p.burst.repeated(id) {
+		if p.vms.mark(s) {
 			return nil, fmt.Errorf("core: VM %q named twice in the burst", id)
 		}
+		loc := p.vms.at(s)
 		var req sdm.EvictRequest
 		if req, atts, ok = p.stacks[loc.rack].scale.EvictRequest(loc.vm, atts); !ok {
 			return nil, fmt.Errorf("core: VM %q missing from rack %d", id, loc.rack)
 		}
-		req.Rack = loc.rack
+		req.Rack = int(loc.rack)
 		ereqs[i] = req
-		vms[i] = loc.vm
+		slots[i] = s
 	}
 	p.burst.atts = atts
 	if err := p.sched.EvictBatchInto(ereqs, evicted, 0); err != nil {
@@ -52,13 +52,13 @@ func (p *Pod) DestroyVMs(ids []string, workers int) ([]scaleup.Result, error) {
 	results := make([]scaleup.Result, len(ids))
 	done := p.now
 	for i, id := range ids {
-		res, err := p.stacks[ereqs[i].Rack].scale.EvictVM(p.now, vms[i], evicted[i].DetachLat)
+		res, err := p.stacks[ereqs[i].Rack].scale.EvictVM(p.now, p.vms.at(slots[i]).vm, evicted[i].DetachLat)
 		if err != nil {
 			// The SDM teardown already committed; a software-stack unwind
 			// failure past it is a controller bug worth surfacing loudly.
 			return nil, fmt.Errorf("core: batch teardown of %q: %w", id, err)
 		}
-		delete(p.vmRack, id)
+		p.vms.drop(id, slots[i])
 		results[i] = res
 		if res.Done > done {
 			done = res.Done
@@ -110,12 +110,12 @@ func (p *Pod) Consolidate() PodConsolidation {
 	var vms []*scaleup.VM
 	for d := len(p.stacks) - 1; d >= 1; d-- {
 		// The VMs on this rack, in ID order, listed from the rack's own
-		// Scale-up table when the scan reaches it.
+		// Scale-up controller when the scan reaches it.
 		scale := p.stacks[d].scale
 		vms = scale.AppendVMs(vms[:0])
 		for _, vm := range vms {
-			id := string(vm.ID)
-			if loc, ok := p.vmRack[id]; !ok || loc.vm != vm {
+			s, ok := p.vms.find(string(vm.ID))
+			if !ok || p.vms.at(s).vm != vm {
 				continue
 			}
 			spec := vm.Spec
@@ -144,7 +144,7 @@ func (p *Pod) Consolidate() PodConsolidation {
 				rep.MovesFailed++
 				continue
 			}
-			p.vmRack[id] = podVM{rack: dst, vm: vm}
+			p.vms.at(s).rack = int32(dst)
 			rep.VMsMoved++
 			rep.MoveDowntime += res.Downtime
 			p.now = p.now.Add(res.Downtime)

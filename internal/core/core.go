@@ -81,12 +81,14 @@ func DefaultConfig() Config {
 // controllers. Datacenter is exactly one of these; Pod holds one per
 // rack.
 type rackStack struct {
-	rack   *topo.Rack
-	sdmc   *sdm.Controller
-	scale  *scaleup.Controller
-	accels map[topo.BrickID]*accel.Middleware
-	// ddr holds one controller per memory brick for datapath timing.
-	ddr map[topo.BrickID]*mem.DDRController
+	rack  *topo.Rack
+	sdmc  *sdm.Controller
+	scale *scaleup.Controller
+	// accels holds each accelerator brick's middleware by accelerator
+	// ordinal, and ddr each memory brick's DDR controller (for datapath
+	// timing) by memory ordinal.
+	accels []*accel.Middleware
+	ddr    []*mem.DDRController
 }
 
 // newRackStack builds the software stack above an assembled SDM
@@ -96,29 +98,47 @@ func newRackStack(rack *topo.Rack, sdmc *sdm.Controller, cfg Config) (*rackStack
 	if err != nil {
 		return nil, err
 	}
+	accels := rack.BricksOfKind(topo.KindAccel)
+	mems := rack.BricksOfKind(topo.KindMemory)
 	rs := &rackStack{
 		rack:   rack,
 		sdmc:   sdmc,
 		scale:  scale,
-		accels: make(map[topo.BrickID]*accel.Middleware),
-		ddr:    make(map[topo.BrickID]*mem.DDRController),
+		accels: make([]*accel.Middleware, len(accels)),
+		ddr:    make([]*mem.DDRController, len(mems)),
 	}
-	for _, b := range rack.BricksOfKind(topo.KindAccel) {
+	for _, b := range accels {
 		ab, _ := sdmc.Accel(b.ID)
 		mw, err := accel.NewMiddleware(ab, cfg.Accel)
 		if err != nil {
 			return nil, err
 		}
-		rs.accels[b.ID] = mw
+		rs.accels[sdmc.AccelOrdinal(b.ID)] = mw
 	}
-	for _, b := range rack.BricksOfKind(topo.KindMemory) {
+	for _, b := range mems {
 		ctrl, err := mem.NewDDR(mem.DDR4_2400)
 		if err != nil {
 			return nil, err
 		}
-		rs.ddr[b.ID] = ctrl
+		rs.ddr[sdmc.MemoryOrdinal(b.ID)] = ctrl
 	}
 	return rs, nil
+}
+
+// memController returns a memory brick's DDR controller.
+func (rs *rackStack) memController(id topo.BrickID) (*mem.DDRController, bool) {
+	if ord := rs.sdmc.MemoryOrdinal(id); ord >= 0 {
+		return rs.ddr[ord], true
+	}
+	return nil, false
+}
+
+// accelerator returns an accelerator brick's middleware.
+func (rs *rackStack) accelerator(id topo.BrickID) (*accel.Middleware, bool) {
+	if ord := rs.sdmc.AccelOrdinal(id); ord >= 0 {
+		return rs.accels[ord], true
+	}
+	return nil, false
 }
 
 // Datacenter is an assembled dReDBox rack with its software stack — the
@@ -189,8 +209,7 @@ func (d *Datacenter) Config() Config { return d.cfg }
 // MemController returns the DDR controller of a memory brick — the
 // datapath model experiments time remote accesses against.
 func (d *Datacenter) MemController(id topo.BrickID) (*mem.DDRController, bool) {
-	ctrl, ok := d.stack.ddr[id]
-	return ctrl, ok
+	return d.stack.memController(id)
 }
 
 // Advance moves the virtual clock forward explicitly. Facade
@@ -320,8 +339,7 @@ func (rs *rackStack) remoteAccess(prof pktnet.Profile, id string, op mem.Op, off
 func (d *Datacenter) RemoteAccess(id string, op mem.Op, offset uint64, size int) (pktnet.Breakdown, error) {
 	return d.stack.remoteAccess(d.cfg.Packet, id, op, offset, size,
 		func(_ *sdm.Attachment, b topo.BrickID) (*mem.DDRController, bool) {
-			ctrl, ok := d.stack.ddr[b]
-			return ctrl, ok
+			return d.stack.memController(b)
 		})
 }
 
@@ -333,7 +351,7 @@ func (rs *rackStack) attachAccelerator(id string, bs accel.Bitstream) (topo.Bric
 	if err != nil {
 		return topo.BrickID{}, 0, 0, err
 	}
-	mw := rs.accels[brickID]
+	mw, _ := rs.accelerator(brickID)
 	var xferLat sim.Duration
 	if !mw.Stored(bs.Name) {
 		xferLat, err = mw.ReceiveBitstream(bs)
@@ -365,7 +383,7 @@ func (d *Datacenter) AttachAccelerator(id string, bs accel.Bitstream) (topo.Bric
 // Offload runs a near-data task on an accelerator slot and advances the
 // clock past its completion.
 func (d *Datacenter) Offload(brickID topo.BrickID, slot int, task accel.Task) (sim.Duration, brick.Bytes, error) {
-	mw, ok := d.stack.accels[brickID]
+	mw, ok := d.stack.accelerator(brickID)
 	if !ok {
 		return 0, 0, fmt.Errorf("core: no accelerator brick %v", brickID)
 	}
@@ -380,8 +398,7 @@ func (d *Datacenter) Offload(brickID topo.BrickID, slot int, task accel.Task) (s
 
 // Accelerator returns the middleware of an accelerator brick.
 func (d *Datacenter) Accelerator(id topo.BrickID) (*accel.Middleware, bool) {
-	mw, ok := d.stack.accels[id]
-	return mw, ok
+	return d.stack.accelerator(id)
 }
 
 // MigrateVM moves a VM to another compute brick. Remote memory segments

@@ -58,9 +58,8 @@ type Pod struct {
 	sched  *sdm.PodScheduler
 	stacks []*rackStack
 
-	// vmRack tracks which rack hosts each VM, beside its Scale-up
-	// handle.
-	vmRack map[string]podVM
+	// vms tracks which rack hosts each VM, beside its Scale-up handle.
+	vms vmTable
 	// burst is the reused state of CreateVMs, DestroyVMs and Consolidate.
 	burst burstScratch
 
@@ -95,7 +94,7 @@ func NewPod(cfg PodConfig) (*Pod, error) {
 		pod:    pod,
 		fabric: pf,
 		sched:  sched,
-		vmRack: make(map[string]podVM),
+		vms:    newVMTable(),
 	}
 	for i := 0; i < cfg.Racks; i++ {
 		stack, err := newRackStack(pod.Rack(i), sched.Rack(i), cfg.Rack)
@@ -145,46 +144,47 @@ func (p *Pod) ScaleController(rack int) (*scaleup.Controller, bool) {
 	return p.stacks[rack].scale, true
 }
 
-// podVM is a pod VM's facade entry: its rack and its handle in that
-// rack's Scale-up controller.
-type podVM struct {
-	rack int
-	vm   *scaleup.VM
-}
-
 // VMRack returns the rack hosting a VM.
 func (p *Pod) VMRack(id string) (int, bool) {
-	loc, ok := p.vmRack[id]
-	return loc.rack, ok
+	s, ok := p.vms.find(id)
+	if !ok {
+		return 0, false
+	}
+	return int(p.vms.at(s).rack), true
 }
 
 // VM returns the hypervisor view of a VM.
 func (p *Pod) VM(id string) (*hypervisor.VM, bool) {
-	loc, ok := p.vmRack[id]
+	s, ok := p.vms.find(id)
 	if !ok {
 		return nil, false
 	}
-	return &loc.vm.VM, true
+	return &p.vms.at(s).vm.VM, true
 }
 
 // CreateVM boots a VM somewhere in the pod: the pod policy picks the
 // rack, the rack's SDM controller picks the brick. The clock advances
 // past the creation delay.
 func (p *Pod) CreateVM(id string, vcpus int, memory brick.Bytes) (scaleup.Result, error) {
-	if _, dup := p.vmRack[id]; dup {
+	p.vms.begin()
+	s, fresh := p.vms.claim(id)
+	if !fresh {
 		return scaleup.Result{}, fmt.Errorf("core: VM %q already exists in the pod", id)
 	}
 	rack, ok := p.sched.PickComputeRack(vcpus, memory)
 	if !ok {
+		p.vms.drop(id, s)
 		return scaleup.Result{}, fmt.Errorf("core: no rack in the %d-rack pod can host %d vCPUs and %v", p.cfg.Racks, vcpus, memory)
 	}
 	scale := p.stacks[rack].scale
 	_, res, err := scale.CreateVM(p.now, hypervisor.VMID(id), hypervisor.VMSpec{VCPUs: vcpus, Memory: memory})
 	if err != nil {
+		p.vms.drop(id, s)
 		return scaleup.Result{}, err
 	}
-	vm, _ := scale.Lookup(hypervisor.VMID(id))
-	p.vmRack[id] = podVM{rack: rack, vm: vm}
+	slot := p.vms.at(s)
+	slot.rack = int32(rack)
+	slot.vm, _ = scale.Lookup(hypervisor.VMID(id))
 	p.now = res.Done
 	return res, nil
 }
@@ -210,18 +210,23 @@ type VMCreate struct {
 // The clock advances past the whole group's completion. workers is
 // unused: the commit runs on the caller's goroutine.
 func (p *Pod) CreateVMs(reqs []VMCreate, workers int) ([]scaleup.Result, error) {
-	p.burst.resetSeen(len(reqs))
-	areqs, admitted := p.burst.admitBufs(len(reqs))
+	p.vms.begin()
+	areqs, admitted, slots := p.burst.admitBufs(len(reqs))
 	for i, r := range reqs {
-		if _, dup := p.vmRack[r.ID]; dup {
-			return nil, fmt.Errorf("core: VM %q already exists in the pod", r.ID)
+		s, fresh := p.vms.claim(r.ID)
+		if !fresh {
+			err := fmt.Errorf("core: VM %q already exists in the pod", r.ID)
+			if p.vms.named(s) {
+				err = fmt.Errorf("core: VM %q named twice in the burst", r.ID)
+			}
+			p.vms.unclaim(reqs[:i], slots[:i])
+			return nil, err
 		}
-		if p.burst.repeated(r.ID) {
-			return nil, fmt.Errorf("core: VM %q named twice in the burst", r.ID)
-		}
+		slots[i] = s
 		areqs[i] = sdm.AdmitRequest{Owner: r.ID, VCPUs: r.VCPUs, LocalMem: r.Memory, Remote: r.Remote}
 	}
 	if err := p.sched.AdmitBatchInto(areqs, admitted, 0); err != nil {
+		p.vms.unclaim(reqs, slots)
 		return nil, err
 	}
 	results := make([]scaleup.Result, len(reqs))
@@ -235,7 +240,7 @@ func (p *Pod) CreateVMs(reqs []VMCreate, workers int) ([]scaleup.Result, error) 
 			// not-yet-adopted admissions hold, and unwind the VMs already
 			// adopted so admission stays all-or-nothing.
 			p.releaseAdmitted(reqs[i:], admitted[i:])
-			p.unwindAdopted(reqs[:i], admitted[:i])
+			p.unwindAdopted(reqs, admitted, slots, i)
 			return nil, fmt.Errorf("core: batch boot of %q: %w", r.ID, err)
 		}
 		if admitted[i].Att != nil {
@@ -252,7 +257,7 @@ func (p *Pod) CreateVMs(reqs []VMCreate, workers int) ([]scaleup.Result, error) 
 				scale.DiscardVM(vm)
 				admitted[i].Att = nil
 				p.releaseAdmitted(reqs[i:], admitted[i:])
-				p.unwindAdopted(reqs[:i], admitted[:i])
+				p.unwindAdopted(reqs, admitted, slots, i)
 				return nil, fmt.Errorf("core: batch scale-up of %q: %w", r.ID, err)
 			}
 			// Fold the bundled scale-up into the admission's result: the
@@ -265,7 +270,8 @@ func (p *Pod) CreateVMs(reqs []VMCreate, workers int) ([]scaleup.Result, error) 
 			res.Virtual += up.Virtual
 			res.Size += up.Size
 		}
-		p.vmRack[r.ID] = podVM{rack: admitted[i].Rack, vm: vm}
+		slot := p.vms.at(slots[i])
+		slot.rack, slot.vm = int32(admitted[i].Rack), vm
 		results[i] = res
 		if res.Done > done {
 			done = res.Done
@@ -286,17 +292,18 @@ func (p *Pod) releaseAdmitted(reqs []VMCreate, admitted []sdm.AdmitResult) {
 	}
 }
 
-// unwindAdopted retires VMs of a failed burst that were already
-// adopted and bound, newest first, so the whole burst stays
+// unwindAdopted retires the first n VMs of a failed burst, which were
+// already adopted and bound, newest first, so the whole burst stays
 // all-or-nothing (best-effort, error path only): the software stack
 // unwinds through EvictVM, then the admission's attachment and compute
-// release like never-adopted ones.
-func (p *Pod) unwindAdopted(reqs []VMCreate, admitted []sdm.AdmitResult) {
-	for i := len(admitted) - 1; i >= 0; i-- {
-		p.stacks[admitted[i].Rack].scale.EvictVM(p.now, p.vmRack[reqs[i].ID].vm, 0)
-		delete(p.vmRack, reqs[i].ID)
+// release like never-adopted ones. Every name the burst claimed leaves
+// the table.
+func (p *Pod) unwindAdopted(reqs []VMCreate, admitted []sdm.AdmitResult, slots []int32, n int) {
+	for i := n - 1; i >= 0; i-- {
+		p.stacks[admitted[i].Rack].scale.EvictVM(p.now, p.vms.at(slots[i]).vm, 0)
 	}
-	p.releaseAdmitted(reqs, admitted)
+	p.releaseAdmitted(reqs[:n], admitted[:n])
+	p.vms.unclaim(reqs, slots)
 }
 
 // ScaleUpVM grows a VM's memory: rack-local disaggregated memory when
@@ -348,8 +355,7 @@ func (p *Pod) RemoteAccess(id string, op mem.Op, offset uint64, size int) (pktne
 		// The memory brick lives on the attachment's memory rack — brick
 		// IDs collide across racks, so the rack index disambiguates.
 		func(att *sdm.Attachment, b topo.BrickID) (*mem.DDRController, bool) {
-			ctrl, ok := p.stacks[att.MemRack].ddr[b]
-			return ctrl, ok
+			return p.stacks[att.MemRack].memController(b)
 		})
 }
 
@@ -369,11 +375,11 @@ type PodMigration struct {
 // inter-rack lane. A migration that fails mid-plan rolls back to the
 // exact prior circuit state. The clock advances past the downtime.
 func (p *Pod) MigrateVM(id string) (PodMigration, error) {
-	loc, ok := p.vmRack[id]
+	s, ok := p.vms.find(id)
 	if !ok {
 		return PodMigration{}, fmt.Errorf("core: no VM %q in the pod", id)
 	}
-	rack, vm := loc.rack, loc.vm
+	rack, vm := int(p.vms.at(s).rack), p.vms.at(s).vm
 	scale := p.stacks[rack].scale
 	res, localErr := scale.Migrate(p.now, vm.ID)
 	if localErr == nil {
@@ -400,7 +406,7 @@ func (p *Pod) MigrateVM(id string) (PodMigration, error) {
 	if err != nil {
 		return PodMigration{}, fmt.Errorf("core: cross-rack migration of %q (after rack-local failed: %v): %w", id, localErr, err)
 	}
-	p.vmRack[id] = podVM{rack: dst, vm: vm}
+	p.vms.at(s).rack = int32(dst)
 	p.now = p.now.Add(res.Downtime)
 	return PodMigration{MigrationResult: res, FromRack: rack, ToRack: dst}, nil
 }

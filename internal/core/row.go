@@ -55,13 +55,6 @@ func (c RowConfig) Validate() error {
 	return c.Row.Validate(c.Pods)
 }
 
-// rowLoc names the pod and rack hosting a VM, beside its handle in
-// that rack's Scale-up controller.
-type rowLoc struct {
-	pod, rack int
-	vm        *scaleup.VM
-}
-
 // Row is the datacenter-row facade: N assembled pods sharded behind
 // one row scheduler, with the Pod's batched programming model
 // (CreateVMs, DestroyVMs, Consolidate) extended across pods. Placement
@@ -77,8 +70,9 @@ type Row struct {
 	sched  *sdm.RowScheduler
 	stacks [][]*rackStack
 
-	// vmLoc tracks which pod and rack host each VM.
-	vmLoc map[string]rowLoc
+	// vms tracks which pod and rack host each VM, beside its Scale-up
+	// handle.
+	vms vmTable
 	// burst is the reused state of CreateVMs, DestroyVMs and Consolidate.
 	burst burstScratch
 
@@ -119,7 +113,7 @@ func NewRow(cfg RowConfig) (*Row, error) {
 		row:    row,
 		fabric: rf,
 		sched:  sched,
-		vmLoc:  make(map[string]rowLoc),
+		vms:    newVMTable(),
 	}
 	for p := 0; p < cfg.Pods; p++ {
 		stacks := make([]*rackStack, cfg.Racks)
@@ -175,17 +169,21 @@ func (r *Row) ScaleController(pod, rack int) (*scaleup.Controller, bool) {
 
 // VMLoc returns the pod and rack hosting a VM.
 func (r *Row) VMLoc(id string) (pod, rack int, ok bool) {
-	loc, ok := r.vmLoc[id]
-	return loc.pod, loc.rack, ok
+	s, ok := r.vms.find(id)
+	if !ok {
+		return 0, 0, false
+	}
+	loc := r.vms.at(s)
+	return int(loc.pod), int(loc.rack), true
 }
 
 // VM returns the hypervisor view of a VM.
 func (r *Row) VM(id string) (*hypervisor.VM, bool) {
-	loc, ok := r.vmLoc[id]
+	s, ok := r.vms.find(id)
 	if !ok {
 		return nil, false
 	}
-	return &loc.vm.VM, true
+	return &r.vms.at(s).vm.VM, true
 }
 
 // CreateVM boots one VM somewhere in the row — an admission batch of
@@ -209,18 +207,23 @@ func (r *Row) CreateVM(id string, vcpus int, memory brick.Bytes) (scaleup.Result
 // group's completion. workers is unused: the commit runs on the
 // caller's goroutine.
 func (r *Row) CreateVMs(reqs []VMCreate, workers int) ([]scaleup.Result, error) {
-	r.burst.resetSeen(len(reqs))
-	areqs, admitted := r.burst.admitBufs(len(reqs))
+	r.vms.begin()
+	areqs, admitted, slots := r.burst.admitBufs(len(reqs))
 	for i, req := range reqs {
-		if _, dup := r.vmLoc[req.ID]; dup {
-			return nil, fmt.Errorf("core: VM %q already exists in the row", req.ID)
+		s, fresh := r.vms.claim(req.ID)
+		if !fresh {
+			err := fmt.Errorf("core: VM %q already exists in the row", req.ID)
+			if r.vms.named(s) {
+				err = fmt.Errorf("core: VM %q named twice in the burst", req.ID)
+			}
+			r.vms.unclaim(reqs[:i], slots[:i])
+			return nil, err
 		}
-		if r.burst.repeated(req.ID) {
-			return nil, fmt.Errorf("core: VM %q named twice in the burst", req.ID)
-		}
+		slots[i] = s
 		areqs[i] = sdm.AdmitRequest{Owner: req.ID, VCPUs: req.VCPUs, LocalMem: req.Memory, Remote: req.Remote}
 	}
 	if err := r.sched.AdmitBatchInto(areqs, admitted, 0); err != nil {
+		r.vms.unclaim(reqs, slots)
 		return nil, err
 	}
 	results := make([]scaleup.Result, len(reqs))
@@ -230,7 +233,7 @@ func (r *Row) CreateVMs(reqs []VMCreate, workers int) ([]scaleup.Result, error) 
 		vm, res, err := scale.AdoptVM(r.now, hypervisor.VMID(req.ID), hypervisor.VMSpec{VCPUs: req.VCPUs, Memory: req.Memory}, admitted[i].CPU, admitted[i].ComputeLat)
 		if err != nil {
 			r.releaseAdmitted(reqs[i:], admitted[i:])
-			r.unwindAdopted(reqs[:i], admitted[:i])
+			r.unwindAdopted(reqs, admitted, slots, i)
 			return nil, fmt.Errorf("core: batch boot of %q: %w", req.ID, err)
 		}
 		if admitted[i].Att != nil {
@@ -239,7 +242,7 @@ func (r *Row) CreateVMs(reqs []VMCreate, workers int) ([]scaleup.Result, error) 
 				scale.DiscardVM(vm)
 				admitted[i].Att = nil
 				r.releaseAdmitted(reqs[i:], admitted[i:])
-				r.unwindAdopted(reqs[:i], admitted[:i])
+				r.unwindAdopted(reqs, admitted, slots, i)
 				return nil, fmt.Errorf("core: batch scale-up of %q: %w", req.ID, err)
 			}
 			if up.Done > res.Done {
@@ -250,7 +253,8 @@ func (r *Row) CreateVMs(reqs []VMCreate, workers int) ([]scaleup.Result, error) 
 			res.Virtual += up.Virtual
 			res.Size += up.Size
 		}
-		r.vmLoc[req.ID] = rowLoc{pod: admitted[i].Pod, rack: admitted[i].Rack, vm: vm}
+		slot := r.vms.at(slots[i])
+		slot.pod, slot.rack, slot.vm = int32(admitted[i].Pod), int32(admitted[i].Rack), vm
 		results[i] = res
 		if res.Done > done {
 			done = res.Done
@@ -271,27 +275,28 @@ func (r *Row) releaseAdmitted(reqs []VMCreate, admitted []sdm.AdmitResult) {
 	}
 }
 
-// unwindAdopted retires VMs of a failed burst that were already
-// adopted and bound, newest first (best-effort, error path only).
-func (r *Row) unwindAdopted(reqs []VMCreate, admitted []sdm.AdmitResult) {
-	for i := len(admitted) - 1; i >= 0; i-- {
-		r.stacks[admitted[i].Pod][admitted[i].Rack].scale.EvictVM(r.now, r.vmLoc[reqs[i].ID].vm, 0)
-		delete(r.vmLoc, reqs[i].ID)
+// unwindAdopted retires the first n VMs of a failed burst, which were
+// already adopted and bound, newest first, and drops every name the
+// burst claimed (best-effort, error path only).
+func (r *Row) unwindAdopted(reqs []VMCreate, admitted []sdm.AdmitResult, slots []int32, n int) {
+	for i := n - 1; i >= 0; i-- {
+		r.stacks[admitted[i].Pod][admitted[i].Rack].scale.EvictVM(r.now, r.vms.at(slots[i]).vm, 0)
 	}
-	r.releaseAdmitted(reqs, admitted)
+	r.releaseAdmitted(reqs[:n], admitted[:n])
+	r.vms.unclaim(reqs, slots)
 }
 
 // ScaleUpVM grows a VM's memory: rack-local or cross-rack within its
 // home pod when the pod has it, a cross-pod attachment through the row
 // switch when it does not. The clock advances past completion.
 func (r *Row) ScaleUpVM(id string, size brick.Bytes) (scaleup.Result, error) {
-	loc, ok := r.vmLoc[id]
+	pod, rack, ok := r.VMLoc(id)
 	if !ok {
 		return scaleup.Result{}, fmt.Errorf("core: no VM %q in the row", id)
 	}
-	res, err := r.stacks[loc.pod][loc.rack].scale.ScaleUpVia(r.now, hypervisor.VMID(id), size,
+	res, err := r.stacks[pod][rack].scale.ScaleUpVia(r.now, hypervisor.VMID(id), size,
 		func(owner string, cpu topo.BrickID, size brick.Bytes) (*sdm.Attachment, sim.Duration, error) {
-			return r.sched.AttachRemoteMemory(owner, topo.RowBrickID{Pod: loc.pod, Rack: loc.rack, Brick: cpu}, size)
+			return r.sched.AttachRemoteMemory(owner, topo.RowBrickID{Pod: pod, Rack: rack, Brick: cpu}, size)
 		})
 	if err != nil {
 		return scaleup.Result{}, err
@@ -304,11 +309,11 @@ func (r *Row) ScaleUpVM(id string, size brick.Bytes) (scaleup.Result, error) {
 // cross-pod attachments tear down through their owning tier
 // transparently. The clock advances past completion.
 func (r *Row) ScaleDownVM(id string, size brick.Bytes) (scaleup.Result, error) {
-	loc, ok := r.vmLoc[id]
+	pod, rack, ok := r.VMLoc(id)
 	if !ok {
 		return scaleup.Result{}, fmt.Errorf("core: no VM %q in the row", id)
 	}
-	res, err := r.stacks[loc.pod][loc.rack].scale.ScaleDown(r.now, hypervisor.VMID(id), size)
+	res, err := r.stacks[pod][rack].scale.ScaleDown(r.now, hypervisor.VMID(id), size)
 	if err != nil {
 		return scaleup.Result{}, err
 	}
@@ -324,24 +329,24 @@ func (r *Row) ScaleDownVM(id string, size brick.Bytes) (scaleup.Result, error) {
 // group's completion. workers is unused: the commit runs on the
 // caller's goroutine.
 func (r *Row) DestroyVMs(ids []string, workers int) ([]scaleup.Result, error) {
-	r.burst.resetSeen(len(ids))
-	ereqs, evicted, vms, atts := r.burst.evictBufs(len(ids))
-	defer clear(vms)
+	r.vms.begin()
+	ereqs, evicted, slots, atts := r.burst.evictBufs(len(ids))
 	for i, id := range ids {
-		loc, ok := r.vmLoc[id]
+		s, ok := r.vms.find(id)
 		if !ok {
 			return nil, fmt.Errorf("core: no VM %q in the row", id)
 		}
-		if r.burst.repeated(id) {
+		if r.vms.mark(s) {
 			return nil, fmt.Errorf("core: VM %q named twice in the burst", id)
 		}
+		loc := r.vms.at(s)
 		var req sdm.EvictRequest
 		if req, atts, ok = r.stacks[loc.pod][loc.rack].scale.EvictRequest(loc.vm, atts); !ok {
 			return nil, fmt.Errorf("core: VM %q missing from pod %d rack %d", id, loc.pod, loc.rack)
 		}
-		req.Rack, req.Pod = loc.rack, loc.pod
+		req.Rack, req.Pod = int(loc.rack), int(loc.pod)
 		ereqs[i] = req
-		vms[i] = loc.vm
+		slots[i] = s
 	}
 	r.burst.atts = atts
 	if err := r.sched.EvictBatchInto(ereqs, evicted, 0); err != nil {
@@ -350,11 +355,11 @@ func (r *Row) DestroyVMs(ids []string, workers int) ([]scaleup.Result, error) {
 	results := make([]scaleup.Result, len(ids))
 	done := r.now
 	for i, id := range ids {
-		res, err := r.stacks[ereqs[i].Pod][ereqs[i].Rack].scale.EvictVM(r.now, vms[i], evicted[i].DetachLat)
+		res, err := r.stacks[ereqs[i].Pod][ereqs[i].Rack].scale.EvictVM(r.now, r.vms.at(slots[i]).vm, evicted[i].DetachLat)
 		if err != nil {
 			return nil, fmt.Errorf("core: batch teardown of %q: %w", id, err)
 		}
-		delete(r.vmLoc, id)
+		r.vms.drop(id, slots[i])
 		results[i] = res
 		if res.Done > done {
 			done = res.Done
@@ -401,12 +406,12 @@ func (r *Row) Consolidate() RowConsolidation {
 		sched := r.sched.Pod(p)
 		for d := r.cfg.Racks - 1; d >= 1; d-- {
 			// The rack's VMs in ID order, listed from its own Scale-up
-			// table when the scan reaches it.
+			// controller when the scan reaches it.
 			scale := r.stacks[p][d].scale
 			vms = scale.AppendVMs(vms[:0])
 			for _, vm := range vms {
-				id := string(vm.ID)
-				if loc, ok := r.vmLoc[id]; !ok || loc.vm != vm {
+				s, ok := r.vms.find(string(vm.ID))
+				if !ok || r.vms.at(s).vm != vm {
 					continue
 				}
 				spec := vm.Spec
@@ -435,7 +440,7 @@ func (r *Row) Consolidate() RowConsolidation {
 					rep.MovesFailed++
 					continue
 				}
-				r.vmLoc[id] = rowLoc{pod: p, rack: dst, vm: vm}
+				r.vms.at(s).rack = int32(dst)
 				rep.VMsMoved++
 				rep.MoveDowntime += res.Downtime
 				r.now = r.now.Add(res.Downtime)

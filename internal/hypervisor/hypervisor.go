@@ -210,8 +210,10 @@ func (h *Hypervisor) hosts(vm *VM) error {
 // place the way hotplug.InitKernel does, and returns the startup
 // latency — the cost the conventional scale-out baseline pays for
 // every elasticity event. A VM still hosted by a hypervisor is refused.
-// Callers keep VM IDs unique (the Scale-up controller's per-rack table
-// refuses a duplicate before it spawns).
+// The hypervisor keeps no VM table, so callers keep VM IDs unique: the
+// Scale-up controller scans its rack's VM list and refuses a duplicate
+// before it spawns, and the core facades refuse one in their own name
+// table before that.
 func (h *Hypervisor) Spawn(vm *VM, id VMID, spec VMSpec) (sim.Duration, error) {
 	if err := spec.Validate(); err != nil {
 		return 0, err

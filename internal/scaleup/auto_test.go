@@ -104,7 +104,7 @@ func TestAutoScalerSkipsStoppedVMs(t *testing.T) {
 	vm, _ := c.VM("vm1")
 	vm.SetUsage(2 * brick.GiB)
 	host, _ := c.VMHost("vm1")
-	c.nodes[host].hv.Stop(vm)
+	c.nodeAt(host).hv.Stop(vm)
 	res, err := a.Tick(sim.Time(sim.Hour))
 	if err != nil {
 		t.Fatal(err)

@@ -15,7 +15,7 @@ import (
 // bindings returns a VM's remote bindings in attach order (nil for an
 // unknown VM).
 func (c *Controller) bindings(id hypervisor.VMID) []binding {
-	if vm, ok := c.vms[id]; ok {
+	if vm := c.find(id); vm != nil {
 		return vm.bindings
 	}
 	return nil
@@ -78,8 +78,8 @@ func (c *Controller) HasAttachmentOf(id hypervisor.VMID, att *sdm.Attachment) bo
 
 // VMSpec returns the resource specification a VM was created with.
 func (c *Controller) VMSpec(id hypervisor.VMID) (hypervisor.VMSpec, bool) {
-	vm, ok := c.vms[id]
-	if !ok {
+	vm := c.find(id)
+	if vm == nil {
 		return hypervisor.VMSpec{}, false
 	}
 	return vm.Spec, true
@@ -130,7 +130,7 @@ func (c *Controller) MigrateTo(now sim.Time, vm *VM, dst *Controller, repoint Re
 		return MigrationResult{}, fmt.Errorf("scaleup: no VM %q", vmID(vm))
 	}
 	id := vm.ID
-	if _, dup := dst.vms[id]; dup {
+	if dst.find(id) != nil {
 		return MigrationResult{}, fmt.Errorf("scaleup: VM %q already exists on the destination rack", id)
 	}
 	src, spec, srcNode := vm.host, vm.Spec, vm.node
@@ -257,8 +257,8 @@ func (c *Controller) MigrateTo(now sim.Time, vm *VM, dst *Controller, repoint Re
 	// release fails (a controller bug, surfaced loudly) the VM is still
 	// consistently owned by the destination.
 	vm.host, vm.node = dstBrick, dstNode
-	dst.vms[id] = vm
-	delete(c.vms, id)
+	c.remove(vm)
+	dst.add(vm)
 	if err := c.sdmc.ReleaseCompute(src, spec.VCPUs, spec.Memory); err != nil {
 		return MigrationResult{}, err
 	}

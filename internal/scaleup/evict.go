@@ -49,7 +49,7 @@ func (c *Controller) EvictVM(now sim.Time, vm *VM, orchLat sim.Duration) (Result
 	if err := n.hv.Evict(&vm.VM); err != nil {
 		return Result{}, err
 	}
-	delete(c.vms, id)
+	c.remove(vm)
 	vm.node = nil
 	size += spec.Memory
 	if c.journal != nil {

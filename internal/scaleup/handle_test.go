@@ -137,3 +137,99 @@ func TestAppendVMsListsInIDOrder(t *testing.T) {
 		t.Fatalf("AppendVMs = %v", got)
 	}
 }
+
+// TestLiveListAfterEvictAndMigrate: evicting a VM from the middle of a
+// controller's live list and migrating another to a second controller
+// keeps both lists exact — every lookup, host query, listing and
+// duplicate refusal agrees on both sides, and the handles of the
+// evicted and the emigrated VM are refused where they no longer live.
+func TestLiveListAfterEvictAndMigrate(t *testing.T) {
+	a, b := testController(t), testController(t)
+	spec := hypervisor.VMSpec{VCPUs: 1, Memory: brick.GiB}
+	handles := map[hypervisor.VMID]*VM{}
+	create := func(c *Controller, id hypervisor.VMID) {
+		t.Helper()
+		if _, _, err := c.CreateVM(0, id, spec); err != nil {
+			t.Fatal(err)
+		}
+		handles[id], _ = c.Lookup(id)
+	}
+	for _, id := range []hypervisor.VMID{"vm1", "vm2", "vm3", "vm4"} {
+		create(a, id)
+	}
+	create(b, "b1")
+
+	// Evict vm2, the second of four: the last VM moves into its slot.
+	gone := handles["vm2"]
+	req, _, ok := a.EvictRequest(gone, nil)
+	if !ok {
+		t.Fatal("EvictRequest refused a live VM")
+	}
+	if err := a.SDM().ReleaseCompute(req.CPU, req.VCPUs, req.LocalMem); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := a.EvictVM(0, gone, 0); err != nil {
+		t.Fatal(err)
+	}
+	moved := handles["vm3"]
+	res, err := a.MigrateTo(0, moved, b, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	expect := func(c *Controller, name string, ids ...hypervisor.VMID) {
+		t.Helper()
+		for i, vm := range c.live {
+			if vm.slot != i {
+				t.Fatalf("%s: VM %q in slot %d records slot %d", name, vm.ID, i, vm.slot)
+			}
+		}
+		got := c.AppendVMs(nil)
+		if len(got) != len(ids) {
+			t.Fatalf("%s: AppendVMs lists %d VMs, want %v", name, len(got), ids)
+		}
+		for i, id := range ids {
+			vm, ok := c.Lookup(id)
+			if !ok || vm != handles[id] || got[i] != vm {
+				t.Fatalf("%s: VM %q: Lookup = %p, %v; listed %p; want %p", name, id, vm, ok, got[i], handles[id])
+			}
+			if host, ok := c.VMHost(id); !ok || host != vm.host {
+				t.Fatalf("%s: VMHost(%q) = %v, %v; want %v", name, id, host, ok, vm.host)
+			}
+			if _, _, err := c.CreateVM(0, id, spec); err == nil {
+				t.Fatalf("%s: duplicate CreateVM of %q accepted", name, id)
+			}
+		}
+	}
+	expect(a, "source", "vm1", "vm4")
+	expect(b, "destination", "b1", "vm3")
+	if host, _ := b.VMHost("vm3"); host != res.To {
+		t.Fatalf("migrated VM hosted on %v, migration reported %v", host, res.To)
+	}
+	for _, id := range []hypervisor.VMID{"vm2", "vm3"} {
+		if _, ok := a.Lookup(id); ok {
+			t.Fatalf("source still finds %q", id)
+		}
+		if _, ok := a.VMHost(id); ok {
+			t.Fatalf("source still hosts %q", id)
+		}
+	}
+	for _, stale := range []*VM{gone, moved} {
+		if _, _, ok := a.EvictRequest(stale, nil); ok {
+			t.Fatalf("source accepted the stale handle of %q", stale.ID)
+		}
+		if _, err := a.EvictVM(0, stale, 0); err == nil {
+			t.Fatalf("source evicted the stale handle of %q", stale.ID)
+		}
+	}
+	if _, err := b.EvictVM(0, gone, 0); err == nil {
+		t.Fatal("destination evicted the retired VM's handle")
+	}
+	expect(a, "source after refusals", "vm1", "vm4")
+	expect(b, "destination after refusals", "b1", "vm3")
+
+	// The names freed on the source are free again there.
+	create(a, "vm2")
+	create(a, "vm3")
+	expect(a, "source after reuse", "vm1", "vm2", "vm3", "vm4")
+}

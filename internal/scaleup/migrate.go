@@ -44,8 +44,8 @@ const migrationLinkGbps = 10
 // objective of "enhanced elasticity and improved process/virtual machine
 // migration within the datacenter".
 func (c *Controller) Migrate(now sim.Time, id hypervisor.VMID) (MigrationResult, error) {
-	vm, ok := c.vms[id]
-	if !ok {
+	vm := c.find(id)
+	if vm == nil {
 		return MigrationResult{}, fmt.Errorf("scaleup: no VM %q", id)
 	}
 	return c.migrate(now, vm)

@@ -50,7 +50,7 @@ func TestMigratePreservesMemoryLayout(t *testing.T) {
 		t.Fatalf("scale-up after migration: %v", err)
 	}
 	// And the old host's hypervisor no longer accepts the VM.
-	if _, _, err := c.nodes[src].hv.AttachDIMM(vm, brick.GiB); err == nil {
+	if _, _, err := c.nodeAt(src).hv.AttachDIMM(vm, brick.GiB); err == nil {
 		t.Fatal("VM still hosted by the source hypervisor")
 	}
 }
@@ -148,7 +148,7 @@ func TestMigrateErrors(t *testing.T) {
 	// A stopped VM cannot migrate.
 	host, _ := c.VMHost("vm1")
 	vm, _ := c.VM("vm1")
-	c.nodes[host].hv.Stop(vm)
+	c.nodeAt(host).hv.Stop(vm)
 	if _, err := c.Migrate(0, "vm1"); err == nil {
 		t.Fatal("migration of stopped VM succeeded")
 	}

@@ -77,12 +77,14 @@ type binding struct {
 // allocation across the whole per-VM stack. Batch callers (the core
 // facades) keep the handle AdoptVM returns and pass it back, so a burst
 // resolves each VM name once; sequential callers use the ID-keyed
-// methods, each one table lookup in front of the same body. Migration
-// moves the record itself between controllers.
+// methods, each one scan of the rack's VM list in front of the same
+// body. Migration moves the record itself between controllers.
 type VM struct {
 	hypervisor.VM
-	host     topo.BrickID
-	node     *node
+	host topo.BrickID
+	node *node
+	// slot is the VM's index in its controller's live list.
+	slot     int
 	bindings []binding
 	bindBuf  [1]binding
 }
@@ -124,8 +126,16 @@ type Controller struct {
 	cfg  Config
 	sdmc *sdm.Controller
 
-	nodes map[topo.BrickID]*node
-	vms   map[hypervisor.VMID]*VM
+	// nodes holds each compute brick's software stack by compute
+	// ordinal, built when the brick hosts its first VM, so set-up builds
+	// no kernel or hypervisor it does not use.
+	nodes []*node
+	// live holds the controller's VMs in no particular order: each knows
+	// its slot, and removal swaps the last entry into the hole. The
+	// ID-keyed methods scan it. It stays short: AllocCores refuses
+	// overcommit and every VM has at least one vCPU, so a rack holds at
+	// most its core count in VMs.
+	live []*VM
 
 	// sdmQueue serializes requests through the autonomous SDM service.
 	sdmQueue sim.Queue
@@ -150,16 +160,21 @@ func New(sdmc *sdm.Controller, cfg Config) (*Controller, error) {
 	return &Controller{
 		cfg:   cfg,
 		sdmc:  sdmc,
-		nodes: make(map[topo.BrickID]*node),
-		vms:   make(map[hypervisor.VMID]*VM),
+		nodes: make([]*node, sdmc.ComputeBricks()),
 	}, nil
 }
 
 // SDM returns the underlying SDM controller.
 func (c *Controller) SDM() *sdm.Controller { return c.sdmc }
 
+// nodeFor returns a compute brick's software stack, building it on
+// first use.
 func (c *Controller) nodeFor(id topo.BrickID) (*node, error) {
-	if n, ok := c.nodes[id]; ok {
+	ord := c.sdmc.ComputeOrdinal(id)
+	if ord < 0 {
+		return nil, fmt.Errorf("scaleup: no compute brick %v", id)
+	}
+	if n := c.nodes[ord]; n != nil {
 		return n, nil
 	}
 	kernel, err := hotplug.NewKernel(c.cfg.Baremetal)
@@ -171,15 +186,40 @@ func (c *Controller) nodeFor(id topo.BrickID) (*node, error) {
 		return nil, err
 	}
 	n := &node{kernel: kernel, hv: hv, ctl: c}
-	c.nodes[id] = n
+	c.nodes[ord] = n
 	return n, nil
+}
+
+// find returns the VM with the given ID, or nil.
+func (c *Controller) find(id hypervisor.VMID) *VM {
+	for _, vm := range c.live {
+		if vm.ID == id {
+			return vm
+		}
+	}
+	return nil
+}
+
+// add registers vm in the live list.
+func (c *Controller) add(vm *VM) {
+	vm.slot = len(c.live)
+	c.live = append(c.live, vm)
+}
+
+// remove drops vm from the live list, moving the last VM into its slot.
+func (c *Controller) remove(vm *VM) {
+	last := len(c.live) - 1
+	moved := c.live[last]
+	c.live[vm.slot], moved.slot = moved, vm.slot
+	c.live[last] = nil
+	c.live = c.live[:last]
 }
 
 // CreateVM reserves compute resources through the SDM Controller and
 // boots a VM on the selected brick's hypervisor. It returns the host
 // brick and the total creation latency.
 func (c *Controller) CreateVM(now sim.Time, id hypervisor.VMID, spec hypervisor.VMSpec) (topo.BrickID, Result, error) {
-	if _, dup := c.vms[id]; dup {
+	if c.find(id) != nil {
 		return topo.BrickID{}, Result{}, fmt.Errorf("scaleup: VM %q already exists", id)
 	}
 	host, resLat, err := c.sdmc.ReserveCompute(string(id), spec.VCPUs, spec.Memory)
@@ -204,7 +244,7 @@ func (c *Controller) CreateVM(now sim.Time, id hypervisor.VMID, spec hypervisor.
 // as CreateVM's would. The caller owns the reservation: on error it is
 // NOT released here.
 func (c *Controller) AdoptVM(now sim.Time, id hypervisor.VMID, spec hypervisor.VMSpec, host topo.BrickID, resLat sim.Duration) (*VM, Result, error) {
-	if _, dup := c.vms[id]; dup {
+	if c.find(id) != nil {
 		return nil, Result{}, fmt.Errorf("scaleup: VM %q already exists", id)
 	}
 	n, err := c.nodeFor(host)
@@ -217,7 +257,7 @@ func (c *Controller) AdoptVM(now sim.Time, id hypervisor.VMID, spec hypervisor.V
 		return nil, Result{}, err
 	}
 	vm.bindings = vm.bindBuf[:0]
-	c.vms[id] = vm
+	c.add(vm)
 	arrive := now.Add(c.cfg.APIOverhead)
 	start, done := c.sdmQueue.Serve(arrive, resLat)
 	res := Result{
@@ -256,7 +296,7 @@ func (c *Controller) DiscardVM(vm *VM) error {
 	if err := vm.node.hv.Evict(&vm.VM); err != nil {
 		return err
 	}
-	delete(c.vms, vm.ID)
+	c.remove(vm)
 	vm.node = nil
 	return nil
 }
@@ -271,25 +311,23 @@ func vmID(vm *VM) hypervisor.VMID {
 
 // Lookup resolves a VM ID to its handle.
 func (c *Controller) Lookup(id hypervisor.VMID) (*VM, bool) {
-	vm, ok := c.vms[id]
-	return vm, ok
+	vm := c.find(id)
+	return vm, vm != nil
 }
 
 // AppendVMs appends the controller's VMs to dst in ID order and
 // returns the extended slice.
 func (c *Controller) AppendVMs(dst []*VM) []*VM {
 	start := len(dst)
-	for _, vm := range c.vms {
-		dst = append(dst, vm)
-	}
+	dst = append(dst, c.live...)
 	slices.SortFunc(dst[start:], func(a, b *VM) int { return cmp.Compare(a.ID, b.ID) })
 	return dst
 }
 
 // VMHost returns the brick hosting a VM.
 func (c *Controller) VMHost(id hypervisor.VMID) (topo.BrickID, bool) {
-	vm, ok := c.vms[id]
-	if !ok {
+	vm := c.find(id)
+	if vm == nil {
 		return topo.BrickID{}, false
 	}
 	return vm.host, true
@@ -297,8 +335,8 @@ func (c *Controller) VMHost(id hypervisor.VMID) (topo.BrickID, bool) {
 
 // VM returns the hypervisor VM object.
 func (c *Controller) VM(id hypervisor.VMID) (*hypervisor.VM, bool) {
-	vm, ok := c.vms[id]
-	if !ok {
+	vm := c.find(id)
+	if vm == nil {
 		return nil, false
 	}
 	return &vm.VM, true
@@ -317,8 +355,8 @@ func (c *Controller) ScaleUp(now sim.Time, id hypervisor.VMID, size brick.Bytes)
 // brick-local. Teardown needs no counterpart hook: detaching routes
 // through the attachment itself.
 func (c *Controller) ScaleUpVia(now sim.Time, id hypervisor.VMID, size brick.Bytes, attach func(owner string, cpu topo.BrickID, size brick.Bytes) (*sdm.Attachment, sim.Duration, error)) (Result, error) {
-	vm, ok := c.vms[id]
-	if !ok {
+	vm := c.find(id)
+	if vm == nil {
 		return Result{}, fmt.Errorf("scaleup: no VM %q", id)
 	}
 	if size == 0 {
@@ -342,8 +380,8 @@ func (c *Controller) ScaleUpVia(now sim.Time, id hypervisor.VMID, size brick.Byt
 // VM's rack controller binds its attachment here. On any hotplug
 // failure the attachment is detached and the error returned.
 func (c *Controller) BindAttachment(now sim.Time, id hypervisor.VMID, att *sdm.Attachment, orchLat sim.Duration) (Result, error) {
-	vm, ok := c.vms[id]
-	if !ok {
+	vm := c.find(id)
+	if vm == nil {
 		return Result{}, fmt.Errorf("scaleup: no VM %q", id)
 	}
 	return c.Bind(now, vm, att, orchLat)
@@ -400,8 +438,8 @@ func (c *Controller) Bind(now sim.Time, vm *VM, att *sdm.Attachment, orchLat sim
 // ScaleDown releases the most recently attached scale-up increment of at
 // least size (LIFO, matching the balloon-assisted shrink path).
 func (c *Controller) ScaleDown(now sim.Time, id hypervisor.VMID, size brick.Bytes) (Result, error) {
-	vm, ok := c.vms[id]
-	if !ok {
+	vm := c.find(id)
+	if vm == nil {
 		return Result{}, fmt.Errorf("scaleup: no VM %q", id)
 	}
 	bs := vm.bindings

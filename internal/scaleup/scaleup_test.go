@@ -38,6 +38,10 @@ func testController(t *testing.T) *Controller {
 	return c
 }
 
+// nodeAt returns the software stack of a compute brick that hosts or
+// hosted a VM.
+func (c *Controller) nodeAt(id topo.BrickID) *node { return c.nodes[c.sdmc.ComputeOrdinal(id)] }
+
 func TestCreateVM(t *testing.T) {
 	c := testController(t)
 	host, res, err := c.CreateVM(0, "vm1", hypervisor.VMSpec{VCPUs: 2, Memory: 2 * brick.GiB})
@@ -146,17 +150,17 @@ func TestScaleDownRefusesOversizeRelease(t *testing.T) {
 		t.Fatal(err)
 	}
 	vm, _ := c.VM("vm1")
-	if _, err := c.nodes[host].hv.BalloonInflate(vm, 5*brick.GiB/2); err != nil {
+	if _, err := c.nodeAt(host).hv.BalloonInflate(vm, 5*brick.GiB/2); err != nil {
 		t.Fatal(err)
 	}
 	vm.SetUsage(brick.GiB / 4)
-	managed := c.nodes[host].kernel.ManagedBytes()
+	managed := c.nodeAt(host).kernel.ManagedBytes()
 	if _, err := c.ScaleDown(0, "vm1", brick.GiB); err == nil {
 		t.Fatalf("scale-down of 1 GiB with %v available succeeded", vm.AvailableMemory())
 	}
-	if vm.TotalMemory() != 3*brick.GiB || c.Bindings("vm1") != 1 || c.nodes[host].kernel.ManagedBytes() != managed {
+	if vm.TotalMemory() != 3*brick.GiB || c.Bindings("vm1") != 1 || c.nodeAt(host).kernel.ManagedBytes() != managed {
 		t.Fatalf("refused scale-down moved state: total %v, bindings %d, baremetal %v (was %v)",
-			vm.TotalMemory(), c.Bindings("vm1"), c.nodes[host].kernel.ManagedBytes(), managed)
+			vm.TotalMemory(), c.Bindings("vm1"), c.nodeAt(host).kernel.ManagedBytes(), managed)
 	}
 	if got := len(c.SDM().Attachments("vm1")); got != 1 {
 		t.Fatalf("attachments = %d after refused scale-down", got)

@@ -349,6 +349,22 @@ func (c *Controller) memPos(id topo.BrickID) int { return posIn(c.memPosTab, id)
 // accPos returns the accelerator ordinal of a brick ID, or -1.
 func (c *Controller) accPos(id topo.BrickID) int { return posIn(c.accPosTab, id) }
 
+// ComputeOrdinal, MemoryOrdinal and AccelOrdinal return a brick's
+// dense ordinal among the rack's bricks of its kind, in (tray, slot)
+// order, or -1 for a brick of another kind or none. Layers above key
+// their per-brick state by it, in slices with one entry per brick of
+// the kind, instead of hashing brick IDs.
+func (c *Controller) ComputeOrdinal(id topo.BrickID) int { return c.cpuPos(id) }
+
+// MemoryOrdinal: see ComputeOrdinal.
+func (c *Controller) MemoryOrdinal(id topo.BrickID) int { return c.memPos(id) }
+
+// AccelOrdinal: see ComputeOrdinal.
+func (c *Controller) AccelOrdinal(id topo.BrickID) int { return c.accPos(id) }
+
+// ComputeBricks returns the rack's compute brick count.
+func (c *Controller) ComputeBricks() int { return len(c.computes) }
+
 // compute returns the compute node for a brick ID, or nil.
 func (c *Controller) compute(id topo.BrickID) *ComputeNode {
 	if p := c.cpuPos(id); p >= 0 {
