@@ -13,15 +13,28 @@ import (
 // control-plane latency (decision time, plus boot time if the brick had
 // to be powered on).
 func (c *Controller) ReserveCompute(owner string, vcpus int, localMem brick.Bytes) (topo.BrickID, sim.Duration, error) {
+	return c.reserveCompute(owner, vcpus, localMem, nil)
+}
+
+// reserveCompute is ReserveCompute never choosing brick avoid, unless
+// avoid is nil.
+func (c *Controller) reserveCompute(owner string, vcpus int, localMem brick.Bytes, avoid *topo.BrickID) (topo.BrickID, sim.Duration, error) {
 	c.requests++
 	if vcpus <= 0 {
 		c.failures++
 		return topo.BrickID{}, 0, fmt.Errorf("sdm: reserve of %d vcpus", vcpus)
 	}
 	lat := c.cfg.DecisionLatency
-	id, ok := c.pickCompute(vcpus, localMem)
+	exclude := -1
+	if avoid != nil {
+		exclude = c.cpuPos(*avoid)
+	}
+	id, ok := c.pickCompute(vcpus, localMem, exclude)
 	if !ok {
 		c.failures++
+		if avoid != nil {
+			return topo.BrickID{}, 0, fmt.Errorf("sdm: no compute brick other than %v with %d free cores and %v local memory", *avoid, vcpus, localMem)
+		}
 		return topo.BrickID{}, 0, fmt.Errorf("sdm: no compute brick with %d free cores and %v local memory", vcpus, localMem)
 	}
 	node := c.compute(id)
@@ -79,14 +92,14 @@ func (c *Controller) ReleaseCompute(id topo.BrickID, vcpus int, localMem brick.B
 // through the placement index (O(log n) descents). It selects the
 // brick the pre-index full scan in linear_test.go would (see
 // TestPickEquivalence).
-func (c *Controller) pickCompute(vcpus int, localMem brick.Bytes) (topo.BrickID, bool) {
+func (c *Controller) pickCompute(vcpus int, localMem brick.Bytes, exclude int) (topo.BrickID, bool) {
 	if c.batch != nil && c.batch.active {
 		// A batched sweep (rebalance, consolidation) routed a sequential
 		// pick here while index touches divert to the dirty sets: flush
 		// them first so the descent runs on an exact tree.
 		c.flushDirtyCPU()
 	}
-	return c.pickComputeIndexed(vcpus, localMem, -1)
+	return c.pickComputeIndexed(vcpus, localMem, exclude)
 }
 
 // pickComputeIndexed serves compute selection from the placement index;
@@ -175,25 +188,48 @@ func (c *Controller) DetachRemoteMemory(att *Attachment) (sim.Duration, error) {
 	if att.spill != nil {
 		return att.spill.detachCross(att)
 	}
-	c.requests++
+	return c.detach(att)
+}
+
+// detach tears down att, registered on this rack, in reverse order:
+// through its spill tier's switch when it spilled, else through the
+// rack's own fabric. The request counts on the tier that owns it.
+func (c *Controller) detach(att *Attachment) (sim.Duration, error) {
+	sp := att.spill
+	n := c.counts(sp)
+	n.requests++
 	if !c.registered(att) {
-		c.failures++
-		return 0, fmt.Errorf("sdm: attachment for %q on %v not live", att.Owner, att.CPU)
+		n.failures++
+		return 0, fmt.Errorf("sdm: %sattachment for %q on %v not live", crossWord(sp), att.Owner, att.CPU)
 	}
+	rackB := c.memEnd(att)
 	if att.Mode == ModePacket {
-		return c.detachPacket(att)
-	}
-	if n := att.Circuit.Riders; n > 0 {
-		c.failures++
-		return 0, fmt.Errorf("sdm: circuit of %q on %v carries %d packet-mode riders; detach them first", att.Owner, att.CPU, n)
-	}
-	op := planDetach(c.cfg, att, c, c, c.rackConn(), func() {
+		memID := att.Segment.Brick
+		if err := c.dropRider(att, rackB); err != nil {
+			n.failures++
+			return 0, err
+		}
 		c.unregister(att)
-		c.removeHost(nil, att)
+		if sp != nil {
+			sp.cross.remove(att)
+		}
+		rackB.touchMemory(memID)
+		return c.cfg.DecisionLatency + 2*c.cfg.AgentRTT, nil
+	}
+	if k := att.Circuit.Riders; k > 0 {
+		n.failures++
+		return 0, fmt.Errorf("sdm: %scircuit of %q on %v carries %d packet-mode riders; detach them first", crossWord(sp), att.Owner, att.CPU, k)
+	}
+	op := planDetach(c.cfg, att, c, rackB, attConn(sp, att, c), func() {
+		c.unregister(att)
+		c.removeHost(sp, att)
+		if sp != nil {
+			sp.cross.remove(att)
+		}
 	})
 	lat, err := op.Commit()
 	if err != nil {
-		c.failures++
+		n.failures++
 		return 0, err
 	}
 	return lat, nil
@@ -202,7 +238,7 @@ func (c *Controller) DetachRemoteMemory(att *Attachment) (sim.Duration, error) {
 // hosts is the host index the packet fallback of a tier searches, by
 // compute ordinal: this rack's own circuits when spill is nil, else the
 // spill circuits of that tier leaving this rack.
-func (c *Controller) hosts(spill *spillTier) [][]*Attachment {
+func (c *Controller) hosts(spill *tier) [][]*Attachment {
 	if spill == nil {
 		return c.circuitHosts
 	}
@@ -211,14 +247,14 @@ func (c *Controller) hosts(spill *spillTier) [][]*Attachment {
 
 // addHost appends a circuit-mode attachment from compute ordinal ord to
 // its tier's host index.
-func (c *Controller) addHost(spill *spillTier, ord int, att *Attachment) {
+func (c *Controller) addHost(spill *tier, ord int, att *Attachment) {
 	hosts := c.hosts(spill)
 	hosts[ord] = append(hosts[ord], att)
 }
 
 // hostIndex is att's position in its compute brick's host list, or 0
 // when it is not there.
-func (c *Controller) hostIndex(spill *spillTier, att *Attachment) int {
+func (c *Controller) hostIndex(spill *tier, att *Attachment) int {
 	for i, a := range c.hosts(spill)[c.cpuPos(att.CPU)] {
 		if a == att {
 			return i
@@ -228,7 +264,7 @@ func (c *Controller) hostIndex(spill *spillTier, att *Attachment) int {
 }
 
 // removeHost drops a circuit-mode attachment from its tier's host index.
-func (c *Controller) removeHost(spill *spillTier, att *Attachment) {
+func (c *Controller) removeHost(spill *tier, att *Attachment) {
 	p := c.cpuPos(att.CPU)
 	if p < 0 {
 		return

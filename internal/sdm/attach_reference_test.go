@@ -254,7 +254,7 @@ func refAttachCrossPod(s *PodScheduler, owner string, cpu topo.PodBrickID, size 
 		false,
 		func(att *Attachment, memRack int) {
 			att.CPURack, att.MemRack = cpu.Rack, memRack
-			att.spill = &s.spillTier
+			att.spill = &s.tier
 			rackA.register(att)
 			ord := rackA.cpuPos(cpu.Brick)
 			rackA.crossHosts[podLevel][ord] = append(rackA.crossHosts[podLevel][ord], att)
@@ -302,7 +302,7 @@ func refAttachCrossRow(s *RowScheduler, owner string, cpu topo.RowBrickID, size 
 		func(att *Attachment, memRack int) {
 			att.CPURack, att.MemRack = cpu.Rack, memRack
 			att.CPUPod, att.MemPod = cpu.Pod, memPod
-			att.spill = &s.spillTier
+			att.spill = &s.tier
 			rackA.register(att)
 			ord := rackA.cpuPos(cpu.Brick)
 			rackA.crossHosts[rowLevel][ord] = append(rackA.crossHosts[rowLevel][ord], att)

@@ -2,8 +2,8 @@ package sdm
 
 // The group commit: batched admission and teardown for every tier above
 // the rack. A pod's children are rack Controllers, a row's children are
-// PodSchedulers, and both run this one engine (groupCommit, which both
-// schedulers embed beside their spillTier) on the caller's goroutine:
+// PodSchedulers, and both run this one engine, on the tier (tier.go),
+// on the caller's goroutine:
 //
 //  1. Validate the whole burst in request order before anything moves.
 //  2. Partition: admission assigns each request a child by the same
@@ -75,67 +75,6 @@ type EvictResult struct {
 	released bool
 }
 
-// shardChild is a child of a tier in the group commit: a rack
-// Controller under a pod, a PodScheduler under a row.
-type shardChild interface {
-	// admitShard plans and commits the child's share of an admission.
-	// It never aborts: a request it cannot finish comes back with Err
-	// set (nothing committed) or needSpill (the remote part needs the
-	// parent's spill).
-	admitShard(reqs []AdmitRequest, out []AdmitResult)
-	// evictShard tears the child's share of an eviction down, journaling
-	// every step. It returns the first failed request of the share and
-	// its error, or (-1, nil).
-	evictShard(reqs []EvictRequest, out []EvictResult) (int, error)
-	// rollbackEvict undoes the child's last evictShard, given back its
-	// share, and returns cause annotated with any step that failed.
-	rollbackEvict(reqs []EvictRequest, out []EvictResult, cause error) error
-}
-
-// commitTier is the scheduler a group commit belongs to: what differs
-// between the pod and the row.
-type commitTier interface {
-	spillOwner
-	// checkAddr reports an address outside the tier, in the tier's words.
-	checkAddr(pod, rack int) error
-	// pickChild is the partition's child choice for a compute request:
-	// the exact per-request choice, or else the policy applied to the
-	// children's aggregates less the planned cores, with no confirming
-	// pick (a mis-estimate surfaces as a leftover). -1 for none.
-	pickChild(vcpus int, localMem brick.Bytes, planned []int, exact bool) int
-	// reserve and attach are the tier's sequential entry points, which
-	// the merge re-places leftovers through.
-	reserve(owner string, vcpus int, localMem brick.Bytes) (topo.RowBrickID, sim.Duration, error)
-	attach(owner string, cpu topo.RowBrickID, size brick.Bytes) (*Attachment, sim.Duration, error)
-	DetachRemoteMemory(att *Attachment) (sim.Duration, error)
-	// maxMemoryGap is the largest contiguous free gap anywhere in the
-	// tier, the shard merge's doom screen.
-	maxMemoryGap() brick.Bytes
-}
-
-// groupCommit is a tier's group-commit engine.
-type groupCommit struct {
-	// spillTier is the tier's own spill tier: its counters, spill
-	// sequence counter and cross phase.
-	*spillTier
-	tier     commitTier
-	children []shardChild
-	// subTiers are the children's spill tiers (a row's pods), whose
-	// sequence counters an aborted admission restores too.
-	subTiers []*spillTier
-
-	// boots is the boot journal the whole stack shares: the row's when
-	// the pod belongs to one.
-	boots *bootJournal
-
-	// admit and evict are the reused batch buffers. Every buffer is
-	// overwritten or length-reset at the top of a batch, and group
-	// commits are serial per scheduler, so a steady burst train stops
-	// allocating.
-	admit admitScratch
-	evict evictScratch
-}
-
 // shards packs a batch into per-child sub-batches.
 type shards struct {
 	counts  []int // requests per child
@@ -186,37 +125,22 @@ func pack[R any](sh *shards, width int, child []int, reqs, sub []R) []R {
 	return sub
 }
 
-// childOf is the child coordinate of an address: its rack in a pod, its
-// pod in a row.
-func (g *groupCommit) childOf(pod, rack int) int {
-	if g.level == podLevel {
-		return rack
-	}
-	return pod
-}
-
 // stamp records on a result, and on its attachment, the child serving
 // it; an abort routes teardown through them. A shard's attachments
 // never leave their child, so both endpoints sit in it.
-func (g *groupCommit) stamp(res *AdmitResult, c int) {
-	if g.level == podLevel {
-		res.Rack = c
-		if res.Att != nil {
-			res.Att.CPURack, res.Att.MemRack = c, c
-		}
-		return
-	}
-	res.Pod = c
+func (t *tier) stamp(res *AdmitResult, c int) {
+	*t.coord(&res.Pod, &res.Rack) = c
 	if res.Att != nil {
-		res.Att.CPUPod, res.Att.MemPod = c, c
+		t.stampAtt(res.Att, c)
 	}
 }
 
 // admitScratch holds an admission's reused buffers.
 type admitScratch struct {
 	shards
-	child    []int // each request's planned child
-	planned  []int // cores planned onto each child
+	child    []int   // each request's planned child
+	planned  []int   // cores planned onto each child
+	free     []int64 // each child's free cores at the top of the batch
 	subReq   []AdmitRequest
 	subOut   []AdmitResult
 	retry    []bool
@@ -226,9 +150,9 @@ type admitScratch struct {
 
 // AdmitBatch admits a burst of requests tier-wide. Results are in
 // request order. On error, nothing remains admitted.
-func (g *groupCommit) AdmitBatch(reqs []AdmitRequest) ([]AdmitResult, error) {
+func (t *tier) AdmitBatch(reqs []AdmitRequest) ([]AdmitResult, error) {
 	out := make([]AdmitResult, len(reqs))
-	return out, g.AdmitBatchInto(reqs, out, 0)
+	return out, t.AdmitBatchInto(reqs, out, 0)
 }
 
 // AdmitBatchInto is AdmitBatch writing results into a caller-provided
@@ -236,7 +160,7 @@ func (g *groupCommit) AdmitBatch(reqs []AdmitRequest) ([]AdmitResult, error) {
 // for burst trains, which otherwise pay one result-slice allocation
 // per batch. Prior contents of out are overwritten. workers is unused:
 // the group commit runs on the caller's goroutine.
-func (g *groupCommit) AdmitBatchInto(reqs []AdmitRequest, out []AdmitResult, workers int) error {
+func (t *tier) AdmitBatchInto(reqs []AdmitRequest, out []AdmitResult, workers int) error {
 	if len(out) != len(reqs) {
 		return fmt.Errorf("sdm: result slice length %d for %d requests", len(out), len(reqs))
 	}
@@ -255,29 +179,29 @@ func (g *groupCommit) AdmitBatchInto(reqs []AdmitRequest, out []AdmitResult, wor
 			if req.Remote == 0 {
 				return fmt.Errorf("sdm: batch request %d (%q): no vCPUs and no remote memory", i, req.Owner)
 			}
-			if err := g.tier.checkAddr(req.Pod, req.Rack); err != nil {
-				g.requests++
-				g.failures++
+			if err := t.checkAddr(topo.RowBrickID{Pod: req.Pod, Rack: req.Rack}); err != nil {
+				t.requests++
+				t.failures++
 				return fmt.Errorf("sdm: batch request %d (%q): %v", i, req.Owner, err)
 			}
 		}
 	}
-	seqs := append(g.admit.seqs[:0], g.attachSeq)
-	for _, st := range g.subTiers {
+	seqs := append(t.admit.seqs[:0], t.attachSeq)
+	for _, st := range t.subTiers {
 		seqs = append(seqs, st.attachSeq)
 	}
-	g.admit.seqs = seqs
-	g.boots.start()
-	defer g.boots.stop()
-	if failed, err := g.admitGroup(reqs, out, false); err != nil {
-		return g.abortAdmit(reqs, out, failed, err)
+	t.admit.seqs = seqs
+	t.boots.start()
+	defer t.boots.stop()
+	if failed, err := t.admitGroup(reqs, out, false); err != nil {
+		return t.abortAdmit(reqs, out, failed, err)
 	}
 	return nil
 }
 
 // admitShard runs a pod's share of a row admission.
-func (g *groupCommit) admitShard(reqs []AdmitRequest, out []AdmitResult) {
-	g.admitGroup(reqs, out, true)
+func (t *tier) admitShard(reqs []AdmitRequest, out []AdmitResult) {
+	t.admitGroup(reqs, out, true)
 }
 
 // admitGroup partitions a validated burst, commits every child's share
@@ -285,13 +209,13 @@ func (g *groupCommit) admitShard(reqs []AdmitRequest, out []AdmitResult) {
 // that definitively fails stops it, and it returns that request and its
 // error for the caller to abort; in a shard it returns (-1, nil) and
 // leaves such requests to the parent.
-func (g *groupCommit) admitGroup(reqs []AdmitRequest, out []AdmitResult, shard bool) (int, error) {
-	g.admitPlan(reqs)
-	sc := &g.admit
-	for c, n := range sc.counts[:len(g.children)] {
+func (t *tier) admitGroup(reqs []AdmitRequest, out []AdmitResult, shard bool) (int, error) {
+	t.admitPlan(reqs)
+	sc := &t.admit
+	for c, n := range sc.counts[:len(t.children)] {
 		if n > 0 {
 			lo, hi := sc.offsets[c], sc.offsets[c+1]
-			g.children[c].admitShard(sc.subReq[lo:hi], sc.subOut[lo:hi])
+			t.children[c].admitShard(sc.subReq[lo:hi], sc.subOut[lo:hi])
 		}
 	}
 
@@ -307,7 +231,7 @@ func (g *groupCommit) admitGroup(reqs []AdmitRequest, out []AdmitResult, shard b
 		res := &out[i]
 		if pos[i] >= 0 {
 			*res = sc.subOut[pos[i]]
-			g.stamp(res, child[i])
+			t.stamp(res, child[i])
 		}
 		if pos[i] < 0 || res.Err != nil {
 			// No child was planned for it, or the planned child could not
@@ -329,7 +253,7 @@ func (g *groupCommit) admitGroup(reqs []AdmitRequest, out []AdmitResult, shard b
 			leftover = append(leftover, i)
 		}
 	}
-	g.requests += counted
+	t.requests += counted
 	sc.leftover = leftover
 
 	// Merge the leftovers in request order.
@@ -337,7 +261,7 @@ func (g *groupCommit) admitGroup(reqs []AdmitRequest, out []AdmitResult, shard b
 		req, res := &reqs[i], &out[i]
 		if retry[i] {
 			if req.VCPUs > 0 {
-				id, lat, err := g.tier.reserve(req.Owner, req.VCPUs, req.LocalMem)
+				id, lat, err := t.reserve(req.Owner, req.VCPUs, req.LocalMem)
 				if err != nil {
 					if !shard {
 						return i, err
@@ -349,10 +273,10 @@ func (g *groupCommit) admitGroup(reqs []AdmitRequest, out []AdmitResult, shard b
 				res.ComputeLat, res.computeDone = lat, true
 			} else {
 				res.CPU, res.Rack = req.CPU, req.Rack
-				g.stamp(res, g.childOf(req.Pod, req.Rack))
+				t.stamp(res, t.childOf(req.Pod, req.Rack))
 			}
 			if req.Remote > 0 {
-				att, lat, err := g.tier.attach(req.Owner, topo.RowBrickID{Pod: res.Pod, Rack: res.Rack, Brick: res.CPU}, req.Remote)
+				att, lat, err := t.attach(req.Owner, topo.RowBrickID{Pod: res.Pod, Rack: res.Rack, Brick: res.CPU}, req.Remote)
 				if err != nil {
 					if !shard {
 						return i, err
@@ -367,16 +291,16 @@ func (g *groupCommit) admitGroup(reqs []AdmitRequest, out []AdmitResult, shard b
 			continue
 		}
 		// Every other leftover needs this tier's spill.
-		if shard && res.localErr == nil && g.tier.maxMemoryGap() < req.Remote {
+		if shard && res.localErr == nil && t.maxMemoryGap() < req.Remote {
 			// No brick anywhere in the tier can hold the segment, so the
 			// spill and its packet fallback are doomed: count the failed
 			// attempt and leave the error text unmaterialized, as the
 			// child did, for the parent to build only if its own spill
 			// fails too.
-			g.failures++
+			t.failures++
 			continue
 		}
-		att, lat, err := g.attachSpill(req.Owner, topo.RowBrickID{Pod: res.Pod, Rack: res.Rack, Brick: res.CPU}, req.Remote, res.localErr)
+		att, lat, err := t.attachSpill(req.Owner, topo.RowBrickID{Pod: res.Pod, Rack: res.Rack, Brick: res.CPU}, req.Remote, res.localErr)
 		if err != nil {
 			if !shard {
 				return i, err
@@ -392,26 +316,40 @@ func (g *groupCommit) admitGroup(reqs []AdmitRequest, out []AdmitResult, shard b
 
 // admitPlan partitions a validated burst across the tier's children and
 // packs the per-child sub-batches.
-func (g *groupCommit) admitPlan(reqs []AdmitRequest) {
-	sc := &g.admit
-	width := len(g.children)
+func (t *tier) admitPlan(reqs []AdmitRequest) {
+	sc := &t.admit
+	width := len(t.children)
 	if cap(sc.child) < len(reqs) {
 		sc.child = make([]int, len(reqs))
 		sc.retry = make([]bool, len(reqs))
 	}
 	if cap(sc.planned) < width {
 		sc.planned = make([]int, width)
+		sc.free = make([]int64, width)
 	}
-	child, planned := sc.child[:len(reqs)], sc.planned[:width]
+	child, planned, free := sc.child[:len(reqs)], sc.planned[:width], sc.free[:width]
 	clear(planned)
-	exact := true
+	exact, read := true, false
 	for i := range reqs {
 		req := &reqs[i]
 		if req.VCPUs == 0 {
-			child[i] = g.childOf(req.Pod, req.Rack)
+			child[i] = t.childOf(req.Pod, req.Rack)
 			continue
 		}
-		c := g.tier.pickChild(req.VCPUs, req.LocalMem, planned, exact)
+		var c int
+		if exact {
+			c, _ = t.pickCompute(req.VCPUs, req.LocalMem, -1)
+		} else {
+			if !read {
+				// Planning commits nothing, so the children's free cores
+				// hold still: read them once.
+				for k, ch := range t.children {
+					free[k] = ch.freeCores()
+				}
+				read = true
+			}
+			c = t.pickChild(req.VCPUs, req.LocalMem, free, planned)
+		}
 		if c >= 0 {
 			planned[c] += req.VCPUs
 			exact = false
@@ -431,27 +369,27 @@ func (g *groupCommit) admitPlan(reqs []AdmitRequest) {
 // order, restores the spill sequence counters of the tier and its
 // children and powers the batch's boots back down, leaving the tier as
 // if the batch never ran; it returns the annotated cause.
-func (g *groupCommit) abortAdmit(reqs []AdmitRequest, out []AdmitResult, failed int, cause error) error {
+func (t *tier) abortAdmit(reqs []AdmitRequest, out []AdmitResult, failed int, cause error) error {
 	for i := len(out) - 1; i >= 0; i-- {
 		res := &out[i]
 		if res.Att != nil {
-			if _, err := g.tier.DetachRemoteMemory(res.Att); err != nil {
+			if _, err := t.DetachRemoteMemory(res.Att); err != nil {
 				cause = fmt.Errorf("%w (and rollback of request %d failed: %v)", cause, i, err)
 			}
 			res.Att = nil
 		}
 		if res.computeDone {
-			if err := g.tier.rackAt(res.Pod, res.Rack).ReleaseCompute(res.CPU, reqs[i].VCPUs, reqs[i].LocalMem); err != nil {
+			if err := t.rackAt(topo.RowBrickID{Pod: res.Pod, Rack: res.Rack}).ReleaseCompute(res.CPU, reqs[i].VCPUs, reqs[i].LocalMem); err != nil {
 				cause = fmt.Errorf("%w (and rollback of request %d failed: %v)", cause, i, err)
 			}
 			res.computeDone = false
 		}
 	}
-	g.attachSeq = g.admit.seqs[0]
-	for k, st := range g.subTiers {
-		st.attachSeq = g.admit.seqs[k+1]
+	t.attachSeq = t.admit.seqs[0]
+	for k, st := range t.subTiers {
+		st.attachSeq = t.admit.seqs[k+1]
 	}
-	g.boots.rollback()
+	t.boots.rollback()
 	return fmt.Errorf("sdm: batch admission rolled back at request %d (%q): %w", failed, reqs[failed].Owner, cause)
 }
 
@@ -482,9 +420,9 @@ type evictScratch struct {
 // EvictBatch retires a burst of consumers tier-wide. Results are in
 // request order. On error, the whole batch rolls back and nothing
 // remains evicted.
-func (g *groupCommit) EvictBatch(reqs []EvictRequest) ([]EvictResult, error) {
+func (t *tier) EvictBatch(reqs []EvictRequest) ([]EvictResult, error) {
 	out := make([]EvictResult, len(reqs))
-	return out, g.EvictBatchInto(reqs, out, 0)
+	return out, t.EvictBatchInto(reqs, out, 0)
 }
 
 // EvictBatchInto is EvictBatch writing results into a caller-provided
@@ -492,7 +430,7 @@ func (g *groupCommit) EvictBatch(reqs []EvictRequest) ([]EvictResult, error) {
 // for burst trains, which otherwise pay one result-slice allocation
 // per batch. Prior contents of out are overwritten. workers is unused:
 // the group commit runs on the caller's goroutine.
-func (g *groupCommit) EvictBatchInto(reqs []EvictRequest, out []EvictResult, workers int) error {
+func (t *tier) EvictBatchInto(reqs []EvictRequest, out []EvictResult, workers int) error {
 	if len(out) != len(reqs) {
 		return fmt.Errorf("sdm: result slice length %d for %d requests", len(out), len(reqs))
 	}
@@ -501,20 +439,20 @@ func (g *groupCommit) EvictBatchInto(reqs []EvictRequest, out []EvictResult, wor
 		return nil
 	}
 	for i := range reqs {
-		if err := g.tier.checkAddr(reqs[i].Pod, reqs[i].Rack); err != nil {
+		if err := t.checkAddr(topo.RowBrickID{Pod: reqs[i].Pod, Rack: reqs[i].Rack}); err != nil {
 			return fmt.Errorf("sdm: batch eviction request %d (%q): %v", i, reqs[i].Owner, err)
 		}
 	}
 	// Teardown never moves a spill sequence counter: a rollback
 	// re-threads the walk orders with the original stamps.
-	if failed, err := g.evictShard(reqs, out); err != nil {
-		cause := g.rollbackEvict(nil, nil, err)
+	if failed, err := t.evictShard(reqs, out); err != nil {
+		cause := t.rollbackEvict(nil, nil, err)
 		return fmt.Errorf("sdm: batch eviction rolled back at request %d (%q): %w", failed, reqs[failed].Owner, cause)
 	}
 	// The batch committed, so every torn-down attachment is dead: drain
 	// them into their compute rack's arena in request order.
 	for i := range reqs {
-		rack := g.tier.rackAt(reqs[i].Pod, reqs[i].Rack)
+		rack := t.rackAt(topo.RowBrickID{Pod: reqs[i].Pod, Rack: reqs[i].Rack})
 		for _, att := range reqs[i].Atts {
 			rack.freeAttachment(att)
 		}
@@ -527,9 +465,9 @@ func (g *groupCommit) EvictBatchInto(reqs []EvictRequest, out []EvictResult, wor
 // every step instead of rolling back. It returns the first failed
 // request in request order and its error, or (-1, nil); the caller owns
 // the rollback.
-func (g *groupCommit) evictShard(reqs []EvictRequest, out []EvictResult) (int, error) {
-	sc := &g.evict
-	width := len(g.children)
+func (t *tier) evictShard(reqs []EvictRequest, out []EvictResult) (int, error) {
+	sc := &t.evict
+	width := len(t.children)
 	total := 0
 	for i := range reqs {
 		total += len(reqs[i].Atts)
@@ -548,7 +486,7 @@ func (g *groupCommit) evictShard(reqs []EvictRequest, out []EvictResult) (int, e
 		req := &reqs[i]
 		start := len(atts)
 		for _, att := range req.Atts {
-			if att.spill == g.spillTier {
+			if att.spill == t {
 				cross = append(cross, crossItem{req: i, att: att})
 			} else {
 				atts = append(atts, att)
@@ -556,7 +494,7 @@ func (g *groupCommit) evictShard(reqs []EvictRequest, out []EvictResult) (int, e
 		}
 		shardReq[i] = *req
 		shardReq[i].Atts = atts[start:len(atts):len(atts)]
-		child[i] = g.childOf(req.Pod, req.Rack)
+		child[i] = t.childOf(req.Pod, req.Rack)
 	}
 	sc.atts, sc.cross = atts, cross
 	sc.subReq = pack(&sc.shards, width, child, shardReq, sc.subReq)
@@ -574,7 +512,7 @@ func (g *groupCommit) evictShard(reqs []EvictRequest, out []EvictResult) (int, e
 	for c, n := range sc.counts[:width] {
 		if n > 0 {
 			lo, hi := sc.offsets[c], sc.offsets[c+1]
-			failAt[c], failErr[c] = g.children[c].evictShard(sc.subReq[lo:hi], subOut[lo:hi])
+			failAt[c], failErr[c] = t.children[c].evictShard(sc.subReq[lo:hi], subOut[lo:hi])
 		}
 	}
 
@@ -595,7 +533,7 @@ func (g *groupCommit) evictShard(reqs []EvictRequest, out []EvictResult) (int, e
 
 	// The cross phase: this tier's spills, in request order.
 	for _, ci := range cross {
-		lat, err := g.batchDetachCross(ci.att, &log)
+		lat, err := t.rackAt(ci.att.cpuAt()).batchDetach(ci.att, &log)
 		if err != nil {
 			sc.log = log
 			return ci.req, err
@@ -613,14 +551,14 @@ func (g *groupCommit) evictShard(reqs []EvictRequest, out []EvictResult) (int, e
 // its share began, while any other child's journals still hold an
 // earlier committed batch's teardowns, which must not be undone. It
 // returns cause annotated with any step that failed to roll back.
-func (g *groupCommit) rollbackEvict(_ []EvictRequest, _ []EvictResult, cause error) error {
-	sc := &g.evict
+func (t *tier) rollbackEvict(_ []EvictRequest, _ []EvictResult, cause error) error {
+	sc := &t.evict
 	cause = replayUndo(sc.log, cause)
 	sc.log = sc.log[:0]
-	for c := len(g.children) - 1; c >= 0; c-- {
+	for c := len(t.children) - 1; c >= 0; c-- {
 		if sc.counts[c] > 0 {
 			lo, hi := sc.offsets[c], sc.offsets[c+1]
-			cause = g.children[c].rollbackEvict(sc.subReq[lo:hi], sc.subOut[lo:hi], cause)
+			cause = t.children[c].rollbackEvict(sc.subReq[lo:hi], sc.subOut[lo:hi], cause)
 		}
 	}
 	return cause

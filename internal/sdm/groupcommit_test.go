@@ -208,9 +208,9 @@ type rowBatchSnap struct {
 func snapRowBatch(t *testing.T, s *RowScheduler) rowBatchSnap {
 	t.Helper()
 	snap := rowBatchSnap{state: rowFingerprint(t, s, false)}
-	tiers := []*spillTier{&s.spillTier}
+	tiers := []*tier{&s.tier}
 	for p := 0; p < s.Pods(); p++ {
-		tiers = append(tiers, &s.Pod(p).spillTier)
+		tiers = append(tiers, &s.Pod(p).tier)
 	}
 	for _, st := range tiers {
 		var order []*Attachment

@@ -162,7 +162,7 @@ func TestPickComputeExceptEquivalence(t *testing.T) {
 			vcpus := 1 + int(rng.Uint64()%4)
 
 			li, lok := c.pickComputeExceptLinear(vcpus, brick.GiB, exclude)
-			ii, iok := c.pickComputeExcept(vcpus, brick.GiB, exclude)
+			ii, iok := c.pickCompute(vcpus, brick.GiB, c.cpuPos(exclude))
 			if lok != iok || li != ii {
 				t.Fatalf("%v step %d: pickComputeExcept linear=(%v,%v) indexed=(%v,%v)",
 					policy, step, li, lok, ii, iok)

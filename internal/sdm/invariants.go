@@ -15,42 +15,70 @@ import (
 	"repro/internal/topo"
 )
 
-// CheckInvariants cross-checks every rack's derived state against
-// ground truth and returns the first violation found, or nil.
-func (s *PodScheduler) CheckInvariants() error {
-	live := make(map[*brick.Segment]*Attachment)
-	if _, err := s.checkPod(-1, live, nil, nil); err != nil {
-		return err
-	}
-	return checkSegments(live, s)
+// invCheck is one CheckInvariants walk's state.
+type invCheck struct {
+	live map[*brick.Segment]*Attachment
+	// tiers, riders and registered hold, per level, the tier being
+	// walked, the rider census of its spill circuits and its registered
+	// spills.
+	tiers      [spillLevels]*tier
+	riders     [spillLevels]map[*optical.Circuit]int
+	registered [spillLevels]int
+	// pod is the index of the pod being walked in a row, -1 in a lone
+	// pod (whose attachments' pod coordinate is not checked).
+	pod int
+	// racks lists every rack walked, with its index in its pod, for the
+	// closing segment scan.
+	racks []checkedRack
 }
 
-// CheckInvariants is the row analog: every pod's own invariants, plus
-// the cross-pod registrations, their circuits' rider counts and the
-// row's walk order, with segment ownership checked row-wide.
-func (s *RowScheduler) CheckInvariants() error {
-	live := make(map[*brick.Segment]*Attachment)
-	riders := make(map[*optical.Circuit]int)
-	registered := 0
-	for p, ps := range s.pods {
-		n, err := ps.checkPod(p, live, &s.spillTier, riders)
-		if err != nil {
-			return fmt.Errorf("pod %d: %w", p, err)
-		}
-		registered += n
-	}
-	if err := checkRiders("row", riders); err != nil {
+type checkedRack struct {
+	ri int
+	c  *Controller
+}
+
+// CheckInvariants cross-checks every rack's derived state against
+// ground truth — and, in a row, every pod's cached summary — plus each
+// tier's spill registrations, their circuits' rider counts and its walk
+// order, with segment ownership checked tier-wide. It returns the first
+// violation found, or nil.
+func (t *tier) CheckInvariants() error {
+	c := &invCheck{live: make(map[*brick.Segment]*Attachment), pod: -1}
+	if err := t.check(c); err != nil {
 		return err
 	}
-	if err := checkWalk("row", &s.cross, s.attachSeq, live, registered); err != nil {
-		return err
-	}
-	for p, g := range s.aggs {
-		if err := g.check(); err != nil {
-			return fmt.Errorf("pod %d: %w", p, err)
+	return c.checkSegments()
+}
+
+// check walks the tier's children, then its spills' riders and walk
+// order.
+func (t *tier) check(c *invCheck) error {
+	c.tiers[t.level] = t
+	c.riders[t.level] = make(map[*optical.Circuit]int)
+	c.registered[t.level] = 0
+	for i, child := range t.children {
+		if err := child.checkIn(c, i); err != nil {
+			return err
 		}
 	}
-	return checkSegments(live, s.pods...)
+	w := tierWords[t.level].tier
+	if err := checkRiders(w, c.riders[t.level]); err != nil {
+		return err
+	}
+	return checkWalk(w, &t.cross, t.attachSeq, c.live, c.registered[t.level])
+}
+
+// checkIn walks pod i of a row: its tier, then its cached summary.
+func (s *PodScheduler) checkIn(c *invCheck, i int) error {
+	c.pod = i
+	err := s.check(c)
+	if err == nil {
+		err = s.agg.check()
+	}
+	if err != nil {
+		return fmt.Errorf("pod %d: %w", i, err)
+	}
+	return nil
 }
 
 // check recomputes the pod summary from its racks' index roots (which
@@ -86,99 +114,82 @@ func (g *podAgg) check() error {
 	return nil
 }
 
-// checkPod checks the pod's racks, registrations, cross-rack riders and
-// walk order, recording every live attachment's segment in live. pi is
-// the pod's index in its row, or -1 when the pod is checked on its own
-// and its attachments' pod coordinate is not checked.
-// Attachments of the row's spill tier — the cross-pod ones this pod's
-// racks register — are tallied into rowRiders and counted in the
-// result.
-func (s *PodScheduler) checkPod(pi int, live map[*brick.Segment]*Attachment, row *spillTier, rowRiders map[*optical.Circuit]int) (int, error) {
-	tiers := [spillLevels]*spillTier{podLevel: &s.spillTier, rowLevel: row}
-	riders := [spillLevels]map[*optical.Circuit]int{podLevel: make(map[*optical.Circuit]int), rowLevel: rowRiders}
-	var registered [spillLevels]int
-	for ri, r := range s.racks {
-		if r.batch != nil && r.batch.active {
-			return 0, fmt.Errorf("rack %d: invariants checked mid-batch", ri)
+// checkIn checks rack ri of a pod — its index roots, registrations,
+// host indexes and rack-local riders — tallying its spills into their
+// tiers' censuses and recording every live attachment's segment.
+func (r *Controller) checkIn(c *invCheck, ri int) error {
+	if r.batch != nil && r.batch.active {
+		return fmt.Errorf("rack %d: invariants checked mid-batch", ri)
+	}
+	if err := r.checkRack(ri); err != nil {
+		return err
+	}
+	c.racks = append(c.racks, checkedRack{ri, r})
+	rackRiders := make(map[*optical.Circuit]int)
+	hostSeen := make(map[*Attachment]bool)
+	stamps := make(map[uint32]bool, len(r.live))
+	for i, att := range r.live {
+		if int(att.slot) != i {
+			return fmt.Errorf("rack %d: attachment of %q at live slot %d records slot %d", ri, att.Owner, i, att.slot)
 		}
-		if err := r.checkRack(ri); err != nil {
-			return 0, err
+		if att.stamp >= r.nextStamp {
+			return fmt.Errorf("rack %d: attachment of %q stamped %d, counter at %d", ri, att.Owner, att.stamp, r.nextStamp)
 		}
-		rackRiders := make(map[*optical.Circuit]int)
-		hostSeen := make(map[*Attachment]bool)
-		stamps := make(map[uint32]bool, len(r.live))
-		for i, att := range r.live {
-			if int(att.slot) != i {
-				return 0, fmt.Errorf("rack %d: attachment of %q at live slot %d records slot %d", ri, att.Owner, i, att.slot)
-			}
-			if att.stamp >= r.nextStamp {
-				return 0, fmt.Errorf("rack %d: attachment of %q stamped %d, counter at %d", ri, att.Owner, att.stamp, r.nextStamp)
-			}
-			if stamps[att.stamp] {
-				return 0, fmt.Errorf("rack %d: registration stamp %d issued twice", ri, att.stamp)
-			}
-			stamps[att.stamp] = true
-			if att.CPURack != ri || pi >= 0 && att.CPUPod != pi {
-				return 0, fmt.Errorf("rack %d: attachment of %q registered off its compute rack p%d.r%d", ri, att.Owner, att.CPUPod, att.CPURack)
-			}
-			if prev, dup := live[att.Segment]; dup {
-				return 0, fmt.Errorf("rack %d: segment %v+%v owned by both %q and %q", ri, att.Segment.Offset, att.Segment.Size, prev.Owner, att.Owner)
-			}
-			live[att.Segment] = att
-			if sp := att.spill; sp != nil {
-				w := &tierWords[sp.level]
-				if sp != tiers[sp.level] {
-					return 0, fmt.Errorf("rack %d: attachment of %q tagged with a foreign %s scheduler", ri, att.Owner, w.tier)
-				}
-				if !sp.cross.contains(att) {
-					return 0, fmt.Errorf("rack %d: %s attachment of %q missing from the %s walk order", ri, w.cross, att.Owner, w.tier)
-				}
-				registered[sp.level]++
-				tallyRider(riders[sp.level], att)
-			} else {
-				if att.CPURack != att.MemRack {
-					return 0, fmt.Errorf("rack %d: attachment of %q spans racks %d→%d without a pod tag", ri, att.Owner, att.CPURack, att.MemRack)
-				}
-				tallyRider(rackRiders, att)
-			}
-			if att.Mode == ModePacket {
-				continue
-			}
-			found := false
-			for _, h := range r.hosts(att.spill)[r.cpuPos(att.CPU)] {
-				if h == att {
-					if found {
-						return 0, fmt.Errorf("rack %d: attachment of %q twice in its host index", ri, att.Owner)
-					}
-					found = true
-				}
-			}
-			if !found {
-				return 0, fmt.Errorf("rack %d: circuit attachment of %q missing from its host index", ri, att.Owner)
-			}
-			hostSeen[att] = true
+		if stamps[att.stamp] {
+			return fmt.Errorf("rack %d: registration stamp %d issued twice", ri, att.stamp)
 		}
-		// The host indexes carry no stale entries.
-		for _, index := range [...][][]*Attachment{r.circuitHosts, r.crossHosts[podLevel], r.crossHosts[rowLevel]} {
-			for ord, hosts := range index {
-				for _, h := range hosts {
-					if !hostSeen[h] {
-						return 0, fmt.Errorf("rack %d: orphaned host index entry for %q on %v", ri, h.Owner, r.computeOrder[ord])
-					}
+		stamps[att.stamp] = true
+		if att.CPURack != ri || c.pod >= 0 && att.CPUPod != c.pod {
+			return fmt.Errorf("rack %d: attachment of %q registered off its compute rack p%d.r%d", ri, att.Owner, att.CPUPod, att.CPURack)
+		}
+		if prev, dup := c.live[att.Segment]; dup {
+			return fmt.Errorf("rack %d: segment %v+%v owned by both %q and %q", ri, att.Segment.Offset, att.Segment.Size, prev.Owner, att.Owner)
+		}
+		c.live[att.Segment] = att
+		if sp := att.spill; sp != nil {
+			w := &tierWords[sp.level]
+			if sp != c.tiers[sp.level] {
+				return fmt.Errorf("rack %d: attachment of %q tagged with a foreign %s scheduler", ri, att.Owner, w.tier)
+			}
+			if !sp.cross.contains(att) {
+				return fmt.Errorf("rack %d: %s attachment of %q missing from the %s walk order", ri, w.cross, att.Owner, w.tier)
+			}
+			c.registered[sp.level]++
+			tallyRider(c.riders[sp.level], att)
+		} else {
+			if att.CPURack != att.MemRack {
+				return fmt.Errorf("rack %d: attachment of %q spans racks %d→%d without a pod tag", ri, att.Owner, att.CPURack, att.MemRack)
+			}
+			tallyRider(rackRiders, att)
+		}
+		if att.Mode == ModePacket {
+			continue
+		}
+		found := false
+		for _, h := range r.hosts(att.spill)[r.cpuPos(att.CPU)] {
+			if h == att {
+				if found {
+					return fmt.Errorf("rack %d: attachment of %q twice in its host index", ri, att.Owner)
 				}
+				found = true
 			}
 		}
-		if err := checkRiders(fmt.Sprintf("rack %d", ri), rackRiders); err != nil {
-			return 0, err
+		if !found {
+			return fmt.Errorf("rack %d: circuit attachment of %q missing from its host index", ri, att.Owner)
+		}
+		hostSeen[att] = true
+	}
+	// The host indexes carry no stale entries.
+	for _, index := range [...][][]*Attachment{r.circuitHosts, r.crossHosts[podLevel], r.crossHosts[rowLevel]} {
+		for ord, hosts := range index {
+			for _, h := range hosts {
+				if !hostSeen[h] {
+					return fmt.Errorf("rack %d: orphaned host index entry for %q on %v", ri, h.Owner, r.computeOrder[ord])
+				}
+			}
 		}
 	}
-	if err := checkRiders("pod", riders[podLevel]); err != nil {
-		return 0, err
-	}
-	if err := checkWalk("pod", &s.cross, s.attachSeq, live, registered[podLevel]); err != nil {
-		return 0, err
-	}
-	return registered[rowLevel], nil
+	return checkRiders(fmt.Sprintf("rack %d", ri), rackRiders)
 }
 
 // tallyRider records att's circuit in a rider census: every circuit an
@@ -232,27 +243,26 @@ func checkWalk(tier string, l *crossList, attachSeq uint64, live map[*brick.Segm
 }
 
 // checkSegments is the ground-truth segment scan: every carved segment
-// on the pods' memory bricks belongs to exactly one live attachment,
-// and every live attachment's segment is carved.
-func checkSegments(live map[*brick.Segment]*Attachment, pods ...*PodScheduler) error {
-	for _, s := range pods {
-		for ri, r := range s.racks {
-			for pos, m := range r.memories {
-				id := r.memoryOrder[pos]
-				for _, seg := range m.Segments() {
-					att, ok := live[seg]
-					if !ok {
-						return fmt.Errorf("rack %d: orphaned segment %v+%v owned by %q on %v", ri, seg.Offset, seg.Size, seg.Owner, id)
-					}
-					if att.Segment.Brick != id {
-						return fmt.Errorf("rack %d: attachment of %q names brick %v but its segment lives on %v", ri, att.Owner, att.Segment.Brick, id)
-					}
-					delete(live, seg)
+// on the walked racks' memory bricks belongs to exactly one live
+// attachment, and every live attachment's segment is carved.
+func (c *invCheck) checkSegments() error {
+	for _, cr := range c.racks {
+		ri, r := cr.ri, cr.c
+		for pos, m := range r.memories {
+			id := r.memoryOrder[pos]
+			for _, seg := range m.Segments() {
+				att, ok := c.live[seg]
+				if !ok {
+					return fmt.Errorf("rack %d: orphaned segment %v+%v owned by %q on %v", ri, seg.Offset, seg.Size, seg.Owner, id)
 				}
+				if att.Segment.Brick != id {
+					return fmt.Errorf("rack %d: attachment of %q names brick %v but its segment lives on %v", ri, att.Owner, att.Segment.Brick, id)
+				}
+				delete(c.live, seg)
 			}
 		}
 	}
-	for _, att := range live {
+	for _, att := range c.live {
 		return fmt.Errorf("attachment of %q holds a segment no memory brick carries", att.Owner)
 	}
 	return nil

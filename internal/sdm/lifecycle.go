@@ -200,16 +200,6 @@ func (t connector) disconnect(c *optical.Circuit) (sim.Duration, error) {
 // rackConn is the connector for this rack's own circuit fabric.
 func (c *Controller) rackConn() connector { return connector{rack: c.fabric} }
 
-// pairConn is the connector joining compute rack ra to memory rack rb
-// of the pod: the rack's own fabric when they coincide, the pod switch
-// (one uplink per endpoint rack) otherwise.
-func (s *PodScheduler) pairConn(ra, rb int) connector {
-	if ra == rb {
-		return s.racks[ra].rackConn()
-	}
-	return s.conn(0, ra, 0, rb)
-}
-
 // CanRepoint reports whether an attachment's circuit can be moved
 // (compute end re-pointed or memory end re-homed). Packet-mode
 // attachments have no circuit of their own, and a circuit carrying
@@ -297,7 +287,7 @@ func (c *Controller) unregister(att *Attachment) {
 // spent), and fallback reports circuit-resource exhaustion: the cases
 // the caller may cascade into its packet fallback. Both endpoints'
 // index leaves are touched before it returns, ahead of any fallback.
-func (c *Controller) attachCircuit(owner string, cpu topo.RowBrickID, size brick.Bytes, spill *spillTier) (att *Attachment, lat sim.Duration, fallback bool, err error) {
+func (c *Controller) attachCircuit(owner string, cpu topo.RowBrickID, size brick.Bytes, spill *tier) (att *Attachment, lat sim.Duration, fallback bool, err error) {
 	ord := c.cpuPos(cpu.Brick)
 	if ord < 0 {
 		return nil, 0, false, fmt.Errorf("sdm: no compute brick %v", cpu.Brick)
@@ -334,10 +324,13 @@ func (c *Controller) attachCircuit(owner string, cpu topo.RowBrickID, size brick
 	// Memory pick and power-up.
 	var ok bool
 	if spill != nil {
-		if memPod, memRack, memID, ok = spill.owner.pickSpill(size, cpu); ok {
-			memCtl = spill.owner.rackAt(memPod, memRack)
+		var mem topo.RowBrickID
+		if mem, ok = spill.pickMemory(size, spill.childOf(cpu.Pod, cpu.Rack)); ok {
+			memPod, memRack, memID = mem.Pod, mem.Rack, mem.Brick
+			memCtl = spill.rackAt(mem)
 		} else {
-			err = fmt.Errorf("sdm: %s with %v contiguous free and a spare port", tierWords[spill.level].none, size)
+			w := &tierWords[spill.level]
+			err = fmt.Errorf("sdm: no %s in the %s with %v contiguous free and a spare port", w.child, w.tier, size)
 		}
 	} else {
 		// While the rack's batch is open, the batch planner's pick cache

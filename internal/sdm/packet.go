@@ -30,29 +30,43 @@ func (m AttachMode) String() string {
 	return "circuit"
 }
 
-// attachPacket carves a segment on a memory brick already reachable from
-// cpu over a live circuit and rides that circuit in packet mode. The
-// control path programs the packet-switch lookup tables on both bricks
-// (two agent pushes) instead of reconfiguring the optical switch, so it
-// is much faster on the control plane — the datapath pays instead (see
-// pktnet.RoundTrip vs. CircuitRoundTrip).
+// attachPacket is the rack's packet fallback (ridePacket over its own
+// circuits).
 func (c *Controller) attachPacket(owner string, cpu topo.BrickID, size brick.Bytes) (*Attachment, sim.Duration, error) {
-	node := c.compute(cpu)
-	// Find a host circuit: any live circuit-mode attachment from this
-	// compute brick to a memory brick with room. Iterate deterministically
-	// over this brick's live circuit attachments.
-	var host *Attachment
-	for _, a := range c.circuitHosts[c.cpuPos(cpu)] {
-		m := c.memory(a.Segment.Brick)
-		if m.LargestGap() >= size {
-			host = a
+	return c.ridePacket(owner, topo.RowBrickID{Brick: cpu}, size, nil)
+}
+
+// ridePacket carves a segment on a memory brick already reachable from
+// cpu over a live circuit and rides that circuit in packet mode: one of
+// this rack's own circuits when spill is nil, else one of the spill
+// tier's circuits leaving this rack. The control path programs the
+// packet-switch lookup tables on both bricks (two agent pushes) instead
+// of reconfiguring the optical switch, so it is much faster on the
+// control plane — the datapath pays instead (see pktnet.RoundTrip vs.
+// CircuitRoundTrip).
+func (c *Controller) ridePacket(owner string, cpu topo.RowBrickID, size brick.Bytes, spill *tier) (*Attachment, sim.Duration, error) {
+	node := c.compute(cpu.Brick)
+	// Find a host circuit: the first live circuit-mode attachment from
+	// this compute brick to a memory brick with room, in host index
+	// order.
+	var (
+		host   *Attachment
+		memCtl *Controller
+		m      *brick.Memory
+	)
+	for _, a := range c.hosts(spill)[c.cpuPos(cpu.Brick)] {
+		if mc := c.memEnd(a); mc.memory(a.Segment.Brick).LargestGap() >= size {
+			host, memCtl, m = a, mc, mc.memory(a.Segment.Brick)
 			break
 		}
 	}
 	if host == nil {
-		return nil, 0, fmt.Errorf("sdm: packet fallback: no live circuit from %v to a memory brick with %v contiguous free", cpu, size)
+		if spill == nil {
+			return nil, 0, fmt.Errorf("sdm: packet fallback: no live circuit from %v to a memory brick with %v contiguous free", cpu.Brick, size)
+		}
+		w := &tierWords[spill.level]
+		return nil, 0, fmt.Errorf("sdm: %s packet fallback: no live %s circuit from %v to a memory brick with %v contiguous free", w.tier, w.cross, spill.home(cpu), size)
 	}
-	m := c.memory(host.Segment.Brick)
 	seg, err := m.Carve(size, owner)
 	if err != nil {
 		return nil, 0, err
@@ -72,40 +86,42 @@ func (c *Controller) attachPacket(owner string, cpu topo.BrickID, size brick.Byt
 
 	att := c.newAttachment()
 	att.Owner = owner
-	att.CPU = cpu
+	att.CPU = cpu.Brick
 	att.Segment = seg
 	att.Circuit = host.Circuit
 	att.CPUPort = host.CPUPort
 	att.MemPort = host.MemPort
 	att.Window = window
 	att.Mode = ModePacket
+	if spill != nil {
+		att.CPURack, att.MemRack = cpu.Rack, host.MemRack
+		att.CPUPod, att.MemPod = host.CPUPod, host.MemPod
+		att.spill = spill
+	}
 	host.Circuit.Riders++
 	c.register(att)
-	c.touchMemory(host.Segment.Brick)
+	if spill != nil {
+		spill.addCrossOrder(att)
+	}
+	memCtl.touchMemory(host.Segment.Brick)
 	// Two lookup-table pushes: compute-brick switch and memory-brick
 	// glue, plus the decision that found the host circuit.
 	return att, c.cfg.DecisionLatency + 2*c.cfg.AgentRTT, nil
 }
 
-// detachPacket releases a packet-mode attachment.
-func (c *Controller) detachPacket(att *Attachment) (sim.Duration, error) {
-	node := c.compute(att.CPU)
-	memID := att.Segment.Brick
-	m := c.memory(memID)
-	if err := node.Agent.Glue.Detach(att.Window.Base); err != nil {
-		c.failures++
-		return 0, err
+// dropRider removes a packet-mode attachment's window and segment and
+// its ride on the host circuit; rackB holds the segment.
+func (c *Controller) dropRider(att *Attachment, rackB *Controller) error {
+	if err := c.compute(att.CPU).Agent.Glue.Detach(att.Window.Base); err != nil {
+		return err
 	}
-	if err := m.Release(att.Segment); err != nil {
-		c.failures++
-		return 0, err
+	if err := rackB.memory(att.Segment.Brick).Release(att.Segment); err != nil {
+		return err
 	}
 	if att.Circuit.Riders > 0 {
 		att.Circuit.Riders--
 	}
-	c.unregister(att)
-	c.touchMemory(memID)
-	return c.cfg.DecisionLatency + 2*c.cfg.AgentRTT, nil
+	return nil
 }
 
 // Riders returns how many packet-mode attachments share the circuit of

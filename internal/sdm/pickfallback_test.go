@@ -104,7 +104,7 @@ func TestSpreadPodPickFallbackMatchesLinear(t *testing.T) {
 			exclude := rng.Intn(len(s.racks)+1) - 1
 			li, lok := s.pickComputeRackLinear(vcpus, local, exclude)
 			n := s.spreadFallbacks
-			ii, iok := s.pickComputeRackExcept(vcpus, local, exclude)
+			ii, iok := s.pickCompute(vcpus, local, exclude)
 			cpuFallbacks += s.spreadFallbacks - n
 			if lok != iok || li != ii {
 				t.Fatalf("step %d: rack for %d vCPUs + %v local (exclude %d): linear (%d,%v), indexed (%d,%v)",

@@ -18,36 +18,7 @@ var powerPreference = []brick.PowerState{brick.PowerActive, brick.PowerIdle, bri
 // ReserveCompute, but never the excluded brick — used by VM migration,
 // which must land the VM somewhere other than its current host.
 func (c *Controller) ReserveComputeExcept(owner string, vcpus int, localMem brick.Bytes, exclude topo.BrickID) (topo.BrickID, sim.Duration, error) {
-	c.requests++
-	if vcpus <= 0 {
-		c.failures++
-		return topo.BrickID{}, 0, fmt.Errorf("sdm: reserve of %d vcpus", vcpus)
-	}
-	lat := c.cfg.DecisionLatency
-	id, ok := c.pickComputeExcept(vcpus, localMem, exclude)
-	if !ok {
-		c.failures++
-		return topo.BrickID{}, 0, fmt.Errorf("sdm: no compute brick other than %v with %d free cores and %v local memory", exclude, vcpus, localMem)
-	}
-	node := c.compute(id)
-	if node.Brick.State() == brick.PowerOff {
-		node.Brick.PowerOn()
-		lat += c.cfg.BrickBoot
-	}
-	if err := node.Brick.AllocCores(vcpus); err != nil {
-		c.failures++
-		return topo.BrickID{}, 0, err
-	}
-	if localMem > 0 {
-		if err := node.Brick.AllocLocal(localMem); err != nil {
-			node.Brick.FreeCoresBack(vcpus)
-			c.touchCompute(id)
-			c.failures++
-			return topo.BrickID{}, 0, err
-		}
-	}
-	c.touchCompute(id)
-	return id, lat, nil
+	return c.reserveCompute(owner, vcpus, localMem, &exclude)
 }
 
 // ReattachRemoteMemory re-points a live attachment at a new compute
@@ -57,20 +28,16 @@ func (c *Controller) ReserveComputeExcept(owner string, vcpus int, localMem bric
 // up from the new brick, the TGL window is installed on the new brick's
 // agent and removed from the old one — one OpRepoint through the
 // lifecycle engine, so on failure the attachment is left in its
-// original state. Pod-tier cross-rack attachments route to their owning
-// scheduler, which rebuilds the circuit through the pod switch so the
-// re-point never silently drops the pod tier.
+// original state. Spilled attachments route to their tier: a pod
+// rebuilds the circuit through the pod switch so the re-point never
+// silently drops the pod tier, and a row refuses (re-tiering through
+// the row switch is not modeled yet).
 //
 // It returns the new window (migration callers must re-home the
 // baremetal hotplug range) and the orchestration latency.
 func (c *Controller) ReattachRemoteMemory(att *Attachment, newCPU topo.BrickID) (tgl.Entry, sim.Duration, error) {
 	if att.spill != nil {
-		if att.spill.level == rowLevel {
-			// Cross-pod circuits would have to be rebuilt through the row
-			// switch; row-tier migration is not modeled yet.
-			return tgl.Entry{}, 0, fmt.Errorf("sdm: cannot repoint cross-pod attachment of %q", att.Owner)
-		}
-		return att.spill.owner.(*PodScheduler).Repoint(att, topo.PodBrickID{Rack: att.CPURack, Brick: newCPU})
+		return att.spill.repoint(att, topo.RowBrickID{Rack: att.CPURack, Brick: newCPU})
 	}
 	c.requests++
 	if !c.registered(att) {
@@ -104,8 +71,4 @@ func (c *Controller) ReattachRemoteMemory(att *Attachment, newCPU topo.BrickID) 
 		return tgl.Entry{}, 0, err
 	}
 	return att.Window, lat, nil
-}
-
-func (c *Controller) pickComputeExcept(vcpus int, localMem brick.Bytes, exclude topo.BrickID) (topo.BrickID, bool) {
-	return c.pickComputeIndexed(vcpus, localMem, c.cpuPos(exclude))
 }

@@ -64,6 +64,9 @@ type RebalanceReport struct {
 // the lifecycle engine, rolled back completely on any mid-plan
 // failure.
 func (s *PodScheduler) Promote(att *Attachment) (sim.Duration, error) {
+	if err := s.movable(att); err != nil {
+		return 0, err
+	}
 	if !att.CrossRack() {
 		return 0, fmt.Errorf("sdm: attachment of %q is already rack-local", att.Owner)
 	}
@@ -76,6 +79,9 @@ func (s *PodScheduler) Promote(att *Attachment) (sim.Duration, error) {
 // move); landing elsewhere re-spills the segment sideways, which is
 // the drain primitive for emptying a rack's memory bricks.
 func (s *PodScheduler) Rehome(att *Attachment, targetRack int) (sim.Duration, error) {
+	if err := s.movable(att); err != nil {
+		return 0, err
+	}
 	s.requests++
 	if targetRack < 0 || targetRack >= len(s.racks) {
 		s.failures++
@@ -120,7 +126,7 @@ func (s *PodScheduler) Rehome(att *Attachment, targetRack int) (sim.Duration, er
 				s.promoted++
 			case !wasCross && nowCross:
 				rackA.removeHost(nil, att)
-				att.spill = &s.spillTier
+				att.spill = &s.tier
 				rackA.addHost(att.spill, ord, att)
 				s.addCrossOrder(att)
 			}

@@ -147,7 +147,7 @@ type Attachment struct {
 	// bookkeeping: detach and rider queries route there, so rack-local
 	// callers (scale-up controllers) handle spills without knowing the
 	// tier.
-	spill *spillTier
+	spill *tier
 	// seq is the spill tier's sequence number, the rebalancer's
 	// oldest-first walk order; zero for attachments that never spilled.
 	seq uint64
@@ -171,6 +171,10 @@ func (a *Attachment) CrossRack() bool { return a.CPURack != a.MemRack }
 
 // CrossPod reports whether the attachment crosses the row tier.
 func (a *Attachment) CrossPod() bool { return a.CPUPod != a.MemPod }
+
+// cpuAt and memAt are the endpoints' racks as row paths.
+func (a *Attachment) cpuAt() topo.RowBrickID { return topo.RowBrickID{Pod: a.CPUPod, Rack: a.CPURack} }
+func (a *Attachment) memAt() topo.RowBrickID { return topo.RowBrickID{Pod: a.MemPod, Rack: a.MemRack} }
 
 // Size returns the attachment's capacity.
 func (a *Attachment) Size() brick.Bytes { return a.Segment.Size }
@@ -247,8 +251,38 @@ type Controller struct {
 	agg     *podAgg
 	aggSlot int
 
-	requests uint64
-	failures uint64
+	counters
+}
+
+// counters are a controller's or tier's cumulative request and
+// failure counts.
+type counters struct{ requests, failures uint64 }
+
+// counts is the counters a request about att's spill tier (nil: this
+// rack) lands on.
+func (c *Controller) counts(spill *tier) *counters {
+	if spill == nil {
+		return &c.counters
+	}
+	return &spill.counters
+}
+
+// memEnd is the rack controller holding att's segment, for an att
+// registered on this rack.
+func (c *Controller) memEnd(att *Attachment) *Controller {
+	if att.spill == nil {
+		return c
+	}
+	return att.spill.rackAt(att.memAt())
+}
+
+// crossWord names what att's spill tier crosses, as a prefix of the
+// error text about it ("" for a rack-local attachment).
+func crossWord(spill *tier) string {
+	if spill == nil {
+		return ""
+	}
+	return tierWords[spill.level].cross + " "
 }
 
 // BrickConfigs carries per-kind construction parameters for the bricks

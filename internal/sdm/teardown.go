@@ -91,7 +91,7 @@ type detachUndo struct {
 	// crossNext restores its walk order: the attachment is re-inserted
 	// before crossNext (appended when nil) with its original seq —
 	// attachSeq itself never moves on teardown.
-	spill     *spillTier
+	spill     *tier
 	crossNext *Attachment
 }
 
@@ -174,7 +174,11 @@ func (c *Controller) rollbackEvict(reqs []EvictRequest, out []EvictResult, cause
 // release.
 func (c *Controller) releaseOne(cpu topo.BrickID, vcpus int, localMem brick.Bytes, atts []*Attachment) (lat sim.Duration, detached int, released bool, err error) {
 	for _, att := range atts {
-		d, err := c.batchDetach(att)
+		if att.spill != nil {
+			// Spilled attachments are their spill tier's to tear down.
+			return lat, detached, false, fmt.Errorf("sdm: %s attachment of %q in a rack-local release batch", tierWords[att.spill.level].cross, att.Owner)
+		}
+		d, err := c.batchDetach(att, &c.undoLog)
 		if err != nil {
 			return lat, detached, false, err
 		}
@@ -190,83 +194,95 @@ func (c *Controller) releaseOne(cpu topo.BrickID, vcpus int, localMem brick.Byte
 	return lat, detached, released, nil
 }
 
-// batchDetach mirrors DetachRemoteMemory's rack-local teardown — the
-// same validation, counters, latency accounting and error surfaces as
-// the lifecycle engine's OpDetach, executed inline as one merged commit
-// — and journals an undo record. Spilled attachments are their spill
-// tier's to tear down, never this path's.
-func (c *Controller) batchDetach(att *Attachment) (sim.Duration, error) {
-	if att.spill != nil {
-		return 0, fmt.Errorf("sdm: %s attachment of %q in a rack-local release batch", tierWords[att.spill.level].cross, att.Owner)
-	}
-	c.requests++
+// batchDetach mirrors detach — the same validation, counters, latency
+// accounting and error surfaces as the lifecycle engine's OpDetach,
+// executed inline as one merged commit — and journals an undo record
+// into log.
+func (c *Controller) batchDetach(att *Attachment, log *[]detachUndo) (sim.Duration, error) {
+	sp := att.spill
+	n := c.counts(sp)
+	n.requests++
 	if !c.registered(att) {
-		c.failures++
-		return 0, fmt.Errorf("sdm: attachment for %q on %v not live", att.Owner, att.CPU)
+		n.failures++
+		return 0, fmt.Errorf("sdm: %sattachment for %q on %v not live", crossWord(sp), att.Owner, att.CPU)
+	}
+	rackB := c.memEnd(att)
+	u := detachUndo{
+		att:       att,
+		cpuRack:   c,
+		memRack:   rackB,
+		memID:     att.Segment.Brick,
+		segOffset: att.Segment.Offset,
+		segSize:   att.Segment.Size,
+		spill:     sp,
+		// The successor in the walk order, so rollback can re-thread the
+		// attachment at its exact position.
+		crossNext: att.crossNext,
 	}
 	if att.Mode == ModePacket {
-		return c.batchDetachPacket(att)
+		if err := c.dropRider(att, rackB); err != nil {
+			n.failures++
+			return 0, err
+		}
+		u.packet = true
+		*log = append(*log, u)
+		c.unregister(att)
+		if sp != nil {
+			sp.cross.remove(att)
+		}
+		rackB.touchMemory(u.memID)
+		return c.cfg.DecisionLatency + 2*c.cfg.AgentRTT, nil
 	}
-	if n := att.Circuit.Riders; n > 0 {
-		c.failures++
-		return 0, fmt.Errorf("sdm: circuit of %q on %v carries %d packet-mode riders; detach them first", att.Owner, att.CPU, n)
+	if k := att.Circuit.Riders; k > 0 {
+		n.failures++
+		return 0, fmt.Errorf("sdm: %scircuit of %q on %v carries %d packet-mode riders; detach them first", crossWord(sp), att.Owner, att.CPU, k)
 	}
 
-	cpuOrd := c.cpuPos(att.CPU)
-	node := c.computes[cpuOrd]
-	m := c.memory(att.Segment.Brick)
-	cpu, memID := att.CPU, att.Segment.Brick
+	node := c.compute(att.CPU)
+	cpu, memID := att.CPU, u.memID
 	// The op's touch hooks, deferred so every exit marks both endpoints
 	// dirty exactly as Commit would have touched them.
 	defer func() {
 		c.touchCompute(cpu)
-		c.touchMemory(memID)
+		rackB.touchMemory(memID)
 	}()
 	lat := c.cfg.DecisionLatency
 	oldWindow := att.Window
 
 	// Window removal.
 	if err := node.Agent.Glue.Detach(oldWindow.Base); err != nil {
-		c.failures++
+		n.failures++
 		return 0, err
 	}
 	lat += c.cfg.AgentRTT
 	// Circuit teardown.
-	d, err := c.fabric.Disconnect(att.Circuit)
+	d, err := attConn(sp, att, c).disconnect(att.Circuit)
 	lat += d
 	if err != nil {
 		if uerr := node.Agent.Glue.Attach(oldWindow); uerr != nil {
-			c.failures++
+			n.failures++
 			return 0, fmt.Errorf("sdm: detach failed (%v) and rollback failed: %w", err, uerr)
 		}
-		c.failures++
+		n.failures++
 		return 0, err
 	}
-	// Capture the segment identity before the release returns the object
-	// to its brick's arena.
-	segOffset, segSize := att.Segment.Offset, att.Segment.Size
 	// Ports, segment, unregistration — final, mirroring planDetach's
 	// irreversible last step.
-	if err := c.finishDetach(node, m, att); err != nil {
-		c.failures++
+	if err := c.finishDetach(node, rackB.memory(memID), att); err != nil {
+		n.failures++
 		return 0, err
 	}
-	c.undoLog = append(c.undoLog, detachUndo{
-		att:       att,
-		cpuRack:   c,
-		memRack:   c,
-		memID:     memID,
-		segOffset: segOffset,
-		segSize:   segSize,
-		hostIdx:   c.hostIndex(nil, att),
-	})
+	u.hostIdx = c.hostIndex(sp, att)
+	*log = append(*log, u)
 	c.unregister(att)
-	c.removeHost(nil, att)
+	c.removeHost(sp, att)
+	if sp != nil {
+		sp.cross.remove(att)
+	}
 	return lat, nil
 }
 
-// finishDetach releases the ports and segment of a circuit teardown —
-// the shared tail of the rack and spill-tier merged detach paths.
+// finishDetach releases the ports and segment of a circuit teardown.
 func (c *Controller) finishDetach(node *ComputeNode, m *brick.Memory, att *Attachment) error {
 	if err := node.Brick.Ports.Release(att.CPUPort); err != nil {
 		return err
@@ -275,37 +291,6 @@ func (c *Controller) finishDetach(node *ComputeNode, m *brick.Memory, att *Attac
 		return err
 	}
 	return m.Release(att.Segment)
-}
-
-// batchDetachPacket mirrors detachPacket and journals the undo.
-func (c *Controller) batchDetachPacket(att *Attachment) (sim.Duration, error) {
-	node := c.compute(att.CPU)
-	memID := att.Segment.Brick
-	m := c.memory(memID)
-	segOffset, segSize := att.Segment.Offset, att.Segment.Size
-	if err := node.Agent.Glue.Detach(att.Window.Base); err != nil {
-		c.failures++
-		return 0, err
-	}
-	if err := m.Release(att.Segment); err != nil {
-		c.failures++
-		return 0, err
-	}
-	if att.Circuit.Riders > 0 {
-		att.Circuit.Riders--
-	}
-	c.undoLog = append(c.undoLog, detachUndo{
-		att:       att,
-		packet:    true,
-		cpuRack:   c,
-		memRack:   c,
-		memID:     memID,
-		segOffset: segOffset,
-		segSize:   segSize,
-	})
-	c.unregister(att)
-	c.touchMemory(memID)
-	return c.cfg.DecisionLatency + 2*c.cfg.AgentRTT, nil
 }
 
 // insertAtt re-inserts att into list at position idx.
@@ -399,7 +384,7 @@ func (u *detachUndo) undoDetach() error {
 
 // findHost locates the live circuit-mode attachment whose circuit a
 // packet rider shares: same tier, same CPU port.
-func findHost(rackA *Controller, spill *spillTier, rider *Attachment) *Attachment {
+func findHost(rackA *Controller, spill *tier, rider *Attachment) *Attachment {
 	for _, a := range rackA.hosts(spill)[rackA.cpuPos(rider.CPU)] {
 		if a.CPUPort == rider.CPUPort {
 			return a

@@ -289,7 +289,7 @@ func TestEvictBatchRollbackRestoresState(t *testing.T) {
 				if trial%2 == 1 {
 					// Odd trials poison the serial cross phase instead of
 					// the parallel rack phase.
-					ghost.spill = &s.spillTier
+					ghost.spill = &s.tier
 					ghost.CPURack, ghost.MemRack = placed[0].Rack, (placed[0].Rack+1)%3
 				}
 				pi := int(rng.Uint64() % uint64(len(batch)))
