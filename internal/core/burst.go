@@ -100,8 +100,9 @@ func (t *vmTable) drop(id string, s int32) {
 
 // burstScratch is a facade's reused burst state: the request, result
 // and attachment buffers CreateVMs and DestroyVMs hand to the
-// scheduler's AdmitBatchInto and EvictBatchInto, and the table slots a
-// burst resolves once and uses again after the commit. Facade calls are
+// scheduler's AdmitBatchInto and EvictBatchInto, the table slots a
+// burst resolves once and uses again after the commit, and the rack VM
+// list the consolidation pass walks. Facade calls are
 // serial, so one set is reused across calls and a steady burst train
 // stops allocating it; only the []scaleup.Result a burst returns is
 // fresh. Every buffer is resized and overwritten at the top of a call.
@@ -116,6 +117,9 @@ type burstScratch struct {
 	// slots holds each VM's table slot between the name lookup and the
 	// commit's epilogue.
 	slots []int32
+	// vms lists one rack's VMs during a consolidation pass; the pass
+	// clears it, so retired VMs are not kept reachable.
+	vms []*scaleup.VM
 }
 
 // admitBufs returns the admission request, result and slot buffers

@@ -151,11 +151,28 @@ func (rs *rackStack) accelerator(id topo.BrickID) (*accel.Middleware, bool) {
 // measurements (RemoteAccess) and queries never move it. Advance is the
 // only way to pass time explicitly.
 type Datacenter struct {
+	clock
+
 	cfg    Config
 	fabric *optical.Fabric
 	stack  *rackStack
+}
 
-	now sim.Time
+// clock is a facade's virtual clock.
+type clock struct{ now sim.Time }
+
+// Now returns the facade's virtual clock.
+func (c *clock) Now() sim.Time { return c.now }
+
+// Advance moves the virtual clock forward explicitly. Facade
+// control-plane calls advance the clock themselves (see the clock
+// contracts); Advance is for modeling think time between them.
+func (c *clock) Advance(dur sim.Duration) error {
+	if dur < 0 {
+		return fmt.Errorf("core: cannot advance clock by %v", dur)
+	}
+	c.now = c.now.Add(dur)
+	return nil
 }
 
 // New assembles a datacenter from the config.
@@ -200,9 +217,6 @@ func newRackFabric(cfg Config) (*optical.Fabric, error) {
 	return fabric, nil
 }
 
-// Now returns the datacenter's virtual clock.
-func (d *Datacenter) Now() sim.Time { return d.now }
-
 // Config returns the configuration the datacenter was assembled from.
 func (d *Datacenter) Config() Config { return d.cfg }
 
@@ -210,17 +224,6 @@ func (d *Datacenter) Config() Config { return d.cfg }
 // datapath model experiments time remote accesses against.
 func (d *Datacenter) MemController(id topo.BrickID) (*mem.DDRController, bool) {
 	return d.stack.memController(id)
-}
-
-// Advance moves the virtual clock forward explicitly. Facade
-// control-plane calls advance the clock themselves (see the Datacenter
-// clock contract); Advance is for modeling think time between them.
-func (d *Datacenter) Advance(dur sim.Duration) error {
-	if dur < 0 {
-		return fmt.Errorf("core: cannot advance clock by %v", dur)
-	}
-	d.now = d.now.Add(dur)
-	return nil
 }
 
 // SDM exposes the orchestration layer.

@@ -12,7 +12,6 @@ import (
 	"repro/internal/scaleup"
 	"repro/internal/sdm"
 	"repro/internal/sim"
-	"repro/internal/tgl"
 	"repro/internal/topo"
 )
 
@@ -46,24 +45,22 @@ func (c PodConfig) Validate() error {
 // ScaleUpVM, RemoteAccess, MigrateVM) extended across racks. Placement
 // is rack-local first; memory a rack cannot supply spills cross-rack
 // through the pod circuit switch, and VMs without remote attachments
-// can migrate to another rack entirely.
+// can migrate to another rack entirely. It is a shell over the facade
+// engine (facade.go), which runs the bursts, scale-ups and re-packing
+// it shares with Row.
 //
 // Clock contract: identical to Datacenter — control-plane operations
 // advance the clock past their completion, datapath measurements and
 // queries never move it.
 type Pod struct {
+	facade
+
 	cfg    PodConfig
 	pod    *topo.Pod
 	fabric *optical.PodFabric
 	sched  *sdm.PodScheduler
+	// stacks is the engine's one pod of rack stacks, by rack.
 	stacks []*rackStack
-
-	// vms tracks which rack hosts each VM, beside its Scale-up handle.
-	vms vmTable
-	// burst is the reused state of CreateVMs, DestroyVMs and Consolidate.
-	burst burstScratch
-
-	now sim.Time
 }
 
 // NewPod assembles a pod from the config.
@@ -75,13 +72,7 @@ func NewPod(cfg PodConfig) (*Pod, error) {
 	if err != nil {
 		return nil, err
 	}
-	fabrics := make([]*optical.Fabric, cfg.Racks)
-	for i := range fabrics {
-		if fabrics[i], err = newRackFabric(cfg.Rack); err != nil {
-			return nil, err
-		}
-	}
-	pf, err := optical.NewPodFabric(cfg.Fabric, fabrics)
+	pf, err := newPodFabric(cfg.Fabric, cfg.Racks, cfg.Rack)
 	if err != nil {
 		return nil, err
 	}
@@ -89,37 +80,15 @@ func NewPod(cfg PodConfig) (*Pod, error) {
 	if err != nil {
 		return nil, err
 	}
-	p := &Pod{
-		cfg:    cfg,
-		pod:    pod,
-		fabric: pf,
-		sched:  sched,
-		vms:    newVMTable(),
+	f, err := newFacade(&podWords, sched, []*topo.Pod{pod}, []*sdm.PodScheduler{sched}, cfg.Rack)
+	if err != nil {
+		return nil, err
 	}
-	for i := 0; i < cfg.Racks; i++ {
-		stack, err := newRackStack(pod.Rack(i), sched.Rack(i), cfg.Rack)
-		if err != nil {
-			return nil, fmt.Errorf("core: rack %d stack: %w", i, err)
-		}
-		p.stacks = append(p.stacks, stack)
-	}
-	return p, nil
+	return &Pod{facade: f, cfg: cfg, pod: pod, fabric: pf, sched: sched, stacks: f.stacks[0]}, nil
 }
-
-// Now returns the pod's virtual clock.
-func (p *Pod) Now() sim.Time { return p.now }
 
 // Config returns the configuration the pod was assembled from.
 func (p *Pod) Config() PodConfig { return p.cfg }
-
-// Advance moves the virtual clock forward explicitly.
-func (p *Pod) Advance(dur sim.Duration) error {
-	if dur < 0 {
-		return fmt.Errorf("core: cannot advance clock by %v", dur)
-	}
-	p.now = p.now.Add(dur)
-	return nil
-}
 
 // Racks returns the rack count.
 func (p *Pod) Racks() int { return p.cfg.Racks }
@@ -146,20 +115,8 @@ func (p *Pod) ScaleController(rack int) (*scaleup.Controller, bool) {
 
 // VMRack returns the rack hosting a VM.
 func (p *Pod) VMRack(id string) (int, bool) {
-	s, ok := p.vms.find(id)
-	if !ok {
-		return 0, false
-	}
-	return int(p.vms.at(s).rack), true
-}
-
-// VM returns the hypervisor view of a VM.
-func (p *Pod) VM(id string) (*hypervisor.VM, bool) {
-	s, ok := p.vms.find(id)
-	if !ok {
-		return nil, false
-	}
-	return &p.vms.at(s).vm.VM, true
+	_, rack, ok := p.locate(id)
+	return rack, ok
 }
 
 // CreateVM boots a VM somewhere in the pod: the pod policy picks the
@@ -185,158 +142,6 @@ func (p *Pod) CreateVM(id string, vcpus int, memory brick.Bytes) (scaleup.Result
 	slot := p.vms.at(s)
 	slot.rack = int32(rack)
 	slot.vm, _ = scale.Lookup(hypervisor.VMID(id))
-	p.now = res.Done
-	return res, nil
-}
-
-// VMCreate describes one VM of a batch admission: its boot resources
-// and, optionally, remote memory attached as part of the same
-// admission.
-type VMCreate struct {
-	ID     string
-	VCPUs  int
-	Memory brick.Bytes
-	// Remote, when nonzero, bundles a remote-memory scale-up of that
-	// size into the admission.
-	Remote brick.Bytes
-}
-
-// CreateVMs boots a burst of VMs through the pod scheduler's batched
-// group-commit admission: the whole burst is partitioned across rack
-// shards by the O(1) rack-choice aggregates and group-committed with
-// one index refresh per touched brick, and a batch of one reproduces
-// CreateVM (plus ScaleUpVM for a bundled Remote) exactly. Admission is
-// all-or-nothing: if any VM cannot be placed, nothing is admitted.
-// The clock advances past the whole group's completion. workers is
-// unused: the commit runs on the caller's goroutine.
-func (p *Pod) CreateVMs(reqs []VMCreate, workers int) ([]scaleup.Result, error) {
-	p.vms.begin()
-	areqs, admitted, slots := p.burst.admitBufs(len(reqs))
-	for i, r := range reqs {
-		s, fresh := p.vms.claim(r.ID)
-		if !fresh {
-			err := fmt.Errorf("core: VM %q already exists in the pod", r.ID)
-			if p.vms.named(s) {
-				err = fmt.Errorf("core: VM %q named twice in the burst", r.ID)
-			}
-			p.vms.unclaim(reqs[:i], slots[:i])
-			return nil, err
-		}
-		slots[i] = s
-		areqs[i] = sdm.AdmitRequest{Owner: r.ID, VCPUs: r.VCPUs, LocalMem: r.Memory, Remote: r.Remote}
-	}
-	if err := p.sched.AdmitBatchInto(areqs, admitted, 0); err != nil {
-		p.vms.unclaim(reqs, slots)
-		return nil, err
-	}
-	results := make([]scaleup.Result, len(reqs))
-	done := p.now
-	for i, r := range reqs {
-		scale := p.stacks[admitted[i].Rack].scale
-		vm, res, err := scale.AdoptVM(p.now, hypervisor.VMID(r.ID), hypervisor.VMSpec{VCPUs: r.VCPUs, Memory: r.Memory}, admitted[i].CPU, admitted[i].ComputeLat)
-		if err != nil {
-			// Boot failures here (fragmented window space, exhausted RMST
-			// slots) void the whole burst: release what this and the
-			// not-yet-adopted admissions hold, and unwind the VMs already
-			// adopted so admission stays all-or-nothing.
-			p.releaseAdmitted(reqs[i:], admitted[i:])
-			p.unwindAdopted(reqs, admitted, slots, i)
-			return nil, fmt.Errorf("core: batch boot of %q: %w", r.ID, err)
-		}
-		if admitted[i].Att != nil {
-			// The bind joins at the VM's boot completion, not the batch
-			// post time: remote memory becomes usable only once the VM
-			// exists, and a batch of one then times its bundled Remote
-			// exactly like ScaleUpVM issued after CreateVM returns.
-			up, err := scale.Bind(res.Done, vm, admitted[i].Att, admitted[i].AttachLat)
-			if err != nil {
-				// Bind already detached the failing request's
-				// attachment; discard its freshly spawned VM, release its
-				// compute along with the not-yet-adopted admissions, and
-				// unwind the already-adopted prefix.
-				scale.DiscardVM(vm)
-				admitted[i].Att = nil
-				p.releaseAdmitted(reqs[i:], admitted[i:])
-				p.unwindAdopted(reqs, admitted, slots, i)
-				return nil, fmt.Errorf("core: batch scale-up of %q: %w", r.ID, err)
-			}
-			// Fold the bundled scale-up into the admission's result: the
-			// VM is usable when both its boot and its remote memory are.
-			if up.Done > res.Done {
-				res.Done = up.Done
-			}
-			res.Orchestration += up.Orchestration
-			res.Baremetal += up.Baremetal
-			res.Virtual += up.Virtual
-			res.Size += up.Size
-		}
-		slot := p.vms.at(slots[i])
-		slot.rack, slot.vm = int32(admitted[i].Rack), vm
-		results[i] = res
-		if res.Done > done {
-			done = res.Done
-		}
-	}
-	p.now = done
-	return results, nil
-}
-
-// releaseAdmitted tears down batch admissions that never made it into a
-// running VM (best-effort, error path only).
-func (p *Pod) releaseAdmitted(reqs []VMCreate, admitted []sdm.AdmitResult) {
-	for i := len(admitted) - 1; i >= 0; i-- {
-		if admitted[i].Att != nil {
-			p.sched.DetachRemoteMemory(admitted[i].Att)
-		}
-		p.sched.ReleaseCompute(topo.PodBrickID{Rack: admitted[i].Rack, Brick: admitted[i].CPU}, reqs[i].VCPUs, reqs[i].Memory)
-	}
-}
-
-// unwindAdopted retires the first n VMs of a failed burst, which were
-// already adopted and bound, newest first, so the whole burst stays
-// all-or-nothing (best-effort, error path only): the software stack
-// unwinds through EvictVM, then the admission's attachment and compute
-// release like never-adopted ones. Every name the burst claimed leaves
-// the table.
-func (p *Pod) unwindAdopted(reqs []VMCreate, admitted []sdm.AdmitResult, slots []int32, n int) {
-	for i := n - 1; i >= 0; i-- {
-		p.stacks[admitted[i].Rack].scale.EvictVM(p.now, p.vms.at(slots[i]).vm, 0)
-	}
-	p.releaseAdmitted(reqs[:n], admitted[:n])
-	p.vms.unclaim(reqs, slots)
-}
-
-// ScaleUpVM grows a VM's memory: rack-local disaggregated memory when
-// the home rack has it, a cross-rack attachment through the pod switch
-// when it does not. The clock advances past the request's completion.
-func (p *Pod) ScaleUpVM(id string, size brick.Bytes) (scaleup.Result, error) {
-	rack, ok := p.VMRack(id)
-	if !ok {
-		return scaleup.Result{}, fmt.Errorf("core: no VM %q in the pod", id)
-	}
-	res, err := p.stacks[rack].scale.ScaleUpVia(p.now, hypervisor.VMID(id), size,
-		func(owner string, cpu topo.BrickID, size brick.Bytes) (*sdm.Attachment, sim.Duration, error) {
-			return p.sched.AttachRemoteMemory(owner, topo.PodBrickID{Rack: rack, Brick: cpu}, size)
-		})
-	if err != nil {
-		return scaleup.Result{}, err
-	}
-	p.now = res.Done
-	return res, nil
-}
-
-// ScaleDownVM releases remote memory from a VM (LIFO, like the
-// Datacenter facade); cross-rack attachments tear down through the pod
-// tier transparently. The clock advances past the request's completion.
-func (p *Pod) ScaleDownVM(id string, size brick.Bytes) (scaleup.Result, error) {
-	rack, ok := p.VMRack(id)
-	if !ok {
-		return scaleup.Result{}, fmt.Errorf("core: no VM %q in the pod", id)
-	}
-	res, err := p.stacks[rack].scale.ScaleDown(p.now, hypervisor.VMID(id), size)
-	if err != nil {
-		return scaleup.Result{}, err
-	}
 	p.now = res.Done
 	return res, nil
 }
@@ -380,34 +185,19 @@ func (p *Pod) MigrateVM(id string) (PodMigration, error) {
 		return PodMigration{}, fmt.Errorf("core: no VM %q in the pod", id)
 	}
 	rack, vm := int(p.vms.at(s).rack), p.vms.at(s).vm
-	scale := p.stacks[rack].scale
-	res, localErr := scale.Migrate(p.now, vm.ID)
+	res, localErr := p.stacks[rack].scale.Migrate(p.now, vm.ID)
 	if localErr == nil {
 		p.now = p.now.Add(res.Downtime)
 		return PodMigration{MigrationResult: res, FromRack: rack, ToRack: rack}, nil
 	}
-	spec := vm.Spec
-	dst, ok := p.sched.PickComputeRackExcept(spec.VCPUs, spec.Memory, rack)
+	dst, ok := p.sched.PickComputeRackExcept(vm.Spec.VCPUs, vm.Spec.Memory, rack)
 	if !ok {
 		return PodMigration{}, fmt.Errorf("core: rack-local migration failed (%v) and no other rack can host VM %q", localErr, id)
 	}
-	// The circuit mover: MigrateTo re-points forward onto the
-	// destination rack and, when rolling back, onto the source rack.
-	rackOf := func(onto *scaleup.Controller) int {
-		if onto == scale {
-			return rack
-		}
-		return dst
-	}
-	res, err := scale.MigrateTo(p.now, vm, p.stacks[dst].scale,
-		func(att *sdm.Attachment, onto *scaleup.Controller, cpu topo.BrickID) (tgl.Entry, sim.Duration, error) {
-			return p.sched.Repoint(att, topo.PodBrickID{Rack: rackOf(onto), Brick: cpu})
-		})
+	res, err := p.moveVM(s, 0, rack, dst)
 	if err != nil {
 		return PodMigration{}, fmt.Errorf("core: cross-rack migration of %q (after rack-local failed: %v): %w", id, localErr, err)
 	}
-	p.vms.at(s).rack = int32(dst)
-	p.now = p.now.Add(res.Downtime)
 	return PodMigration{MigrationResult: res, FromRack: rack, ToRack: dst}, nil
 }
 
@@ -437,12 +227,23 @@ func (p *Pod) AttachAccelerator(id string, bs accel.Bitstream) (topo.PodBrickID,
 	return topo.PodBrickID{Rack: rack, Brick: brickID}, slot, total, nil
 }
 
-// PowerOffIdle sweeps every rack and returns the total bricks stopped.
-func (p *Pod) PowerOffIdle() int { return p.sched.PowerOffIdle() }
+// RebalanceBatch runs one rebalancing sweep with every rack's index
+// maintenance group-committed — the batched counterpart of Rebalance,
+// with a byte-identical report. The clock advances past the sweep.
+func (p *Pod) RebalanceBatch() sdm.RebalanceReport {
+	rep := p.sched.RebalanceBatch(p.now)
+	p.now = p.now.Add(rep.Latency)
+	return rep
+}
+
+// Consolidate runs one re-packing pass: VMs on sparse trailing racks
+// migrate onto the lowest-index rack with room (remote segments stay
+// put; circuits re-point through the pod switch), then the scheduler's
+// consolidation drains the remote memory parked on the now-empty racks
+// and powers every drained brick down. Opportunistic like the
+// rebalancer: a migration that fails rolls back and is reported, never
+// propagated. The clock advances past the migrations and the drain.
+func (p *Pod) Consolidate() PodConsolidation { return p.consolidatePod(0) }
 
 // Census returns the pod-wide power census for a brick kind.
 func (p *Pod) Census(kind topo.BrickKind) sdm.PowerCensus { return p.sched.Census(kind) }
-
-// DrawW returns the pod's current electrical draw (racks plus the pod
-// switch).
-func (p *Pod) DrawW() float64 { return p.sched.DrawW(brick.DefaultProfiles) }
