@@ -21,6 +21,13 @@
 # "Plotting the saturation sweep"). `make saturation-row` is the same
 # sweep one tier up: fig10row across pods 8/16/32 into
 # artifacts/saturation-row.csv.
+#
+# `make cmp-parent` builds dredbox-report and dredbox-rack at REV
+# (default HEAD) and at the working tree, runs a fixed list of report
+# legs and rack tours with each build, and fails on any byte difference
+# in a report, an artifact, a tour's output or an exit status
+# (scripts/cmp-parent.sh). A change meant to leave placement untouched
+# runs it against its parent commit.
 
 GO ?= go
 BENCHTIME ?= 500x
@@ -37,13 +44,14 @@ SATURATION_PODS ?= 8 16 32
 # Racks per pod for the row sweep; keeps row sizes tractable while the
 # pod count is the swept variable.
 SATURATION_ROW_RACKS ?= 4
+REV ?= HEAD
 
 # The bench target pipes `go test` into benchjson; without pipefail a
 # mid-suite benchmark failure would be masked by benchjson's exit 0.
 SHELL := /bin/bash
 .SHELLFLAGS := -o pipefail -ec
 
-.PHONY: build test vet loc bench bench-check profile saturation saturation-row
+.PHONY: build test vet loc bench bench-check profile saturation saturation-row cmp-parent
 
 build:
 	$(GO) build ./...
@@ -135,3 +143,6 @@ saturation-row:
 		tail -n +2 artifacts/saturation-row/p$$p/fig10row.csv >> artifacts/saturation-row.csv; \
 	done
 	@echo "wrote artifacts/saturation-row.csv"
+
+cmp-parent:
+	bash scripts/cmp-parent.sh $(REV)

@@ -246,91 +246,10 @@ func podTour(racks int, seed uint64, journalCap int, jsonOut, rebalance bool, bu
 	}
 
 	if burst > 0 {
-		// Batch admission: one burst from the workload generator, booted
-		// in a single group commit — the pod scheduler partitions the
-		// burst across rack shards, plans and commits each shard, and
-		// merges cross-rack spills in request order.
-		src, err := workload.NewBurstSource(workload.HalfHalf, seed, burst, 0)
-		if err != nil {
-			fail(err)
-		}
-		b, err := src.Next(pod.Now())
-		if err != nil {
-			fail(err)
-		}
-		reqs := make([]core.VMCreate, burst)
-		for i, r := range b.Reqs {
-			// Scale Table I shapes down to the tour's tiny racks; remote
-			// memory stays hotplug-block (GiB) aligned.
-			reqs[i] = core.VMCreate{
-				ID:     fmt.Sprintf("burst%02d", i),
-				VCPUs:  1 + r.VCPUs/32,
-				Memory: brick.Bytes(r.RAMGiB) * brick.MiB * 8,
-				Remote: brick.Bytes(1+r.RAMGiB/32) * brick.GiB,
-			}
-		}
-		var pipe *core.BatchPipeline
-		if pipeline > 1 {
-			if pipe, err = core.NewBatchPipeline(pod, pipeline); err != nil {
-				fail(err)
-			}
-		}
-		_, _, spillsBefore := pod.Scheduler().Stats()
-		var results []scaleup.Result
-		if pipe != nil {
-			results, err = pipe.CreateVMs(reqs)
-		} else {
-			results, err = pod.CreateVMs(reqs, 0)
-		}
-		if err != nil {
-			fail(err)
-		}
-		_, _, spillsAfter := pod.Scheduler().Stats()
-		var worst sim.Duration
-		for _, r := range results {
-			if d := r.Delay(); d > worst {
-				worst = d
-			}
-		}
-		fmt.Printf("== batch admission (%d VMs, one group commit) ==\n", burst)
-		// Self-describing commit plane for determinism-matrix CI logs:
-		// the shard count and pipeline depth the burst ran at.
-		fmt.Printf("commit plane: serial, %d rack shards, pipeline depth %d\n", pod.Racks(), pipelineDepth(pipe))
-		perRack := make([]int, pod.Racks())
-		for i := range reqs {
-			if r, ok := pod.VMRack(reqs[i].ID); ok {
-				perRack[r]++
-			}
-		}
-		fmt.Printf("placed per rack: %v; %d attachments spilled cross-rack; worst admission delay %v\n\n",
-			perRack, spillsAfter-spillsBefore, worst)
-
-		if drain {
-			// The inverse group commit: the whole burst retires in one
-			// batched eviction (all-or-nothing, one index refresh per
-			// touched brick), then a consolidation pass re-packs what
-			// is left and powers the drained racks down.
-			ids := make([]string, burst)
-			for i := range ids {
-				ids[i] = reqs[i].ID
-			}
-			if pipe != nil {
-				_, err = pipe.DestroyVMs(ids)
-			} else {
-				_, err = pod.DestroyVMs(ids, 0)
-			}
-			if err != nil {
-				fail(err)
-			}
-			if pipe != nil {
-				// Consolidation migrates VMs: land in-flight boots first.
-				pipe.Drain()
-			}
-			rep := pod.Consolidate()
-			fmt.Printf("== batch teardown (%d VMs, one group commit) + consolidation ==\n", burst)
-			fmt.Printf("moved %d VMs off sparse racks, re-homed %d remote segments, drained %d racks, powered off %d bricks; %d racks now fully dark\n\n",
-				rep.VMsMoved, rep.Rehomed, rep.RacksDrained, rep.PoweredOff, rep.DarkRacks)
-		}
+		burstTour(tourTier{
+			PipelineTarget: pod, words: &podTourText, shards: pod.Racks(), sched: pod.Scheduler(),
+			shardOf: pod.VMRack, consolidate: pod.Consolidate,
+		}, seed, burst, drain, pipeline)
 	}
 
 	// The scheduler's per-rack free aggregates — O(1) reads off each
@@ -442,85 +361,14 @@ func rowTour(pods, racks int, seed uint64, journalCap int, jsonOut bool, burst i
 	fmt.Printf("row spills so far: %d; row cross circuits: %d\n\n", spills, row.Fabric().CrossCircuits())
 
 	if burst > 0 {
-		// Group-commit admission one tier up: the row partitions the
-		// burst by pod over the planned-adjusted aggregates, runs each
-		// pod shard through the pod's batch engine, and merges the
-		// rack -> pod -> row spill cascade in request order.
-		src, err := workload.NewBurstSource(workload.HalfHalf, seed, burst, 0)
-		if err != nil {
-			fail(err)
-		}
-		b, err := src.Next(row.Now())
-		if err != nil {
-			fail(err)
-		}
-		reqs := make([]core.VMCreate, burst)
-		for i, r := range b.Reqs {
-			reqs[i] = core.VMCreate{
-				ID:     fmt.Sprintf("burst%02d", i),
-				VCPUs:  1 + r.VCPUs/32,
-				Memory: brick.Bytes(r.RAMGiB) * brick.MiB * 8,
-				Remote: brick.Bytes(1+r.RAMGiB/32) * brick.GiB,
-			}
-		}
-		var pipe *core.BatchPipeline
-		if pipeline > 1 {
-			if pipe, err = core.NewBatchPipeline(row, pipeline); err != nil {
-				fail(err)
-			}
-		}
-		_, _, spillsBefore := row.Scheduler().Stats()
-		var results []scaleup.Result
-		if pipe != nil {
-			results, err = pipe.CreateVMs(reqs)
-		} else {
-			results, err = row.CreateVMs(reqs, 0)
-		}
-		if err != nil {
-			fail(err)
-		}
-		_, _, spillsAfter := row.Scheduler().Stats()
-		var worst sim.Duration
-		for _, r := range results {
-			if d := r.Delay(); d > worst {
-				worst = d
-			}
-		}
-		perPod := make([]int, row.Pods())
-		for i := range reqs {
-			if p, _, ok := row.VMLoc(reqs[i].ID); ok {
-				perPod[p]++
-			}
-		}
-		fmt.Printf("== batch admission (%d VMs, one group commit across pods) ==\n", burst)
-		// Self-describing commit plane for determinism-matrix CI logs:
-		// the shard count and pipeline depth the burst ran at.
-		fmt.Printf("commit plane: serial, %d pod shards, pipeline depth %d\n", row.Pods(), pipelineDepth(pipe))
-		fmt.Printf("placed per pod: %v; %d attachments spilled cross-pod; worst admission delay %v\n\n",
-			perPod, spillsAfter-spillsBefore, worst)
-
-		if drain {
-			ids := make([]string, burst)
-			for i := range ids {
-				ids[i] = reqs[i].ID
-			}
-			if pipe != nil {
-				_, err = pipe.DestroyVMs(ids)
-			} else {
-				_, err = row.DestroyVMs(ids, 0)
-			}
-			if err != nil {
-				fail(err)
-			}
-			if pipe != nil {
-				// Consolidation migrates VMs: land in-flight boots first.
-				pipe.Drain()
-			}
-			rep := row.Consolidate()
-			fmt.Printf("== batch teardown (%d VMs, one group commit) + per-pod consolidation ==\n", burst)
-			fmt.Printf("moved %d VMs off sparse racks (%d pinned cross-pod), re-homed %d remote segments, drained %d racks, powered off %d bricks; %d racks now fully dark\n\n",
-				rep.VMsMoved, rep.MovesFailed, rep.Rehomed, rep.RacksDrained, rep.PoweredOff, rep.DarkRacks)
-		}
+		burstTour(tourTier{
+			PipelineTarget: row, words: &rowTourText, shards: row.Pods(), sched: row.Scheduler(),
+			shardOf: func(id string) (int, bool) {
+				p, _, ok := row.VMLoc(id)
+				return p, ok
+			},
+			consolidate: func() core.PodConsolidation { return core.PodConsolidation(row.Consolidate()) },
+		}, seed, burst, drain, pipeline)
 	}
 
 	// The per-pod summaries rolled up from the rack index roots — the
@@ -558,12 +406,113 @@ func rowTour(pods, racks int, seed uint64, journalCap int, jsonOut bool, burst i
 	}
 }
 
-// pipelineDepth reports the depth a burst ran at: 1 when unpipelined.
-func pipelineDepth(pipe *core.BatchPipeline) int {
-	if pipe == nil {
-		return 1
+// tourText are the words that tell the pod and row tours' burst
+// sections apart.
+type tourText struct {
+	shard         string // the top tier's shards: "rack" or "pod"
+	across        string // the admission header's scope
+	consolidation string // the teardown header's pass
+	pinned        bool   // count the moves cross-pod attachments pin
+}
+
+var (
+	podTourText = tourText{shard: "rack", consolidation: "consolidation"}
+	rowTourText = tourText{shard: "pod", across: " across pods", consolidation: "per-pod consolidation", pinned: true}
+)
+
+// tourTier is the pod or row facade a burst section drives, with the
+// reads it makes off the facade and its scheduler.
+type tourTier struct {
+	core.PipelineTarget
+	words  *tourText
+	shards int
+	sched  interface {
+		Stats() (requests, failures, spills uint64)
 	}
-	return pipe.Depth()
+	shardOf     func(id string) (int, bool)
+	consolidate func() core.PodConsolidation
+}
+
+// burstTour batch-admits a burst from the workload generator in one
+// group commit: the top scheduler partitions the burst across its
+// shards over the planned-adjusted aggregates, plans and commits each
+// shard, and merges the spill cascade (rack -> pod -> row) in request
+// order. With drain, the inverse group commit retires the whole burst
+// in one batched eviction (all-or-nothing, one index refresh per
+// touched brick), then a consolidation pass re-packs what is left and
+// powers the drained racks down. With pipeline > 1 both go through a
+// core.BatchPipeline of that depth.
+func burstTour(t tourTier, seed uint64, burst int, drain bool, pipeline int) {
+	src, err := workload.NewBurstSource(workload.HalfHalf, seed, burst, 0)
+	if err != nil {
+		fail(err)
+	}
+	b, err := src.Next(t.Now())
+	if err != nil {
+		fail(err)
+	}
+	reqs := make([]core.VMCreate, burst)
+	for i, r := range b.Reqs {
+		// Scale Table I shapes down to the tour's tiny racks; remote
+		// memory stays hotplug-block (GiB) aligned.
+		reqs[i] = core.VMCreate{
+			ID:     fmt.Sprintf("burst%02d", i),
+			VCPUs:  1 + r.VCPUs/32,
+			Memory: brick.Bytes(r.RAMGiB) * brick.MiB * 8,
+			Remote: brick.Bytes(1+r.RAMGiB/32) * brick.GiB,
+		}
+	}
+	// At depth 0 or 1 the pipeline is the facade's own serialization.
+	pipe, err := core.NewBatchPipeline(t, pipeline)
+	if err != nil {
+		fail(err)
+	}
+	_, _, spillsBefore := t.sched.Stats()
+	results, err := pipe.CreateVMs(reqs)
+	if err != nil {
+		fail(err)
+	}
+	_, _, spillsAfter := t.sched.Stats()
+	var worst sim.Duration
+	for _, r := range results {
+		if d := r.Delay(); d > worst {
+			worst = d
+		}
+	}
+	perShard := make([]int, t.shards)
+	for i := range reqs {
+		if s, ok := t.shardOf(reqs[i].ID); ok {
+			perShard[s]++
+		}
+	}
+	w := t.words
+	fmt.Printf("== batch admission (%d VMs, one group commit%s) ==\n", burst, w.across)
+	// Self-describing commit plane for determinism-matrix CI logs: the
+	// shard count and pipeline depth the burst ran at.
+	fmt.Printf("commit plane: serial, %d %s shards, pipeline depth %d\n", t.shards, w.shard, pipe.Depth())
+	fmt.Printf("placed per %s: %v; %d attachments spilled cross-%s; worst admission delay %v\n\n",
+		w.shard, perShard, spillsAfter-spillsBefore, w.shard, worst)
+	if !drain {
+		return
+	}
+
+	ids := make([]string, burst)
+	for i := range ids {
+		ids[i] = reqs[i].ID
+	}
+	if _, err := pipe.DestroyVMs(ids); err != nil {
+		fail(err)
+	}
+	// Consolidation migrates VMs: land in-flight boots first.
+	pipe.Drain()
+	rep := t.consolidate()
+	pinned := ""
+	if w.pinned {
+		pinned = fmt.Sprintf(" (%d pinned cross-pod)", rep.MovesFailed)
+	}
+	fmt.Printf("== batch teardown (%d VMs, one group commit) + %s ==\n", burst, w.consolidation)
+	fmt.Printf("moved %d VMs off sparse racks%s, re-homed %d remote segments, drained %d racks, powered off %d bricks; %d racks now fully dark\n\n",
+		rep.VMsMoved, pinned, rep.Rehomed, rep.RacksDrained, rep.PoweredOff, rep.DarkRacks)
 }
 
 func fail(err error) {

@@ -29,7 +29,7 @@ func main() {
 	parallel := flag.Int("parallel", 0, "worker pool size for independent trials (0 = all cores)")
 	racks := flag.Int("racks", 0, "rack count for pod-scale experiments (pod, fig10pod, churn — racks per pod for fig10row); 0 = per-experiment defaults, minimum 2 — sweep it to chart the sharding win")
 	pods := flag.Int("pods", 0, "pod count for row-scale experiments (fig10row); 0 = per-experiment default, minimum 2 — sweep it to chart the hierarchy win")
-	batch := flag.Bool("batch", false, "serve fig10pod's sharded side and churn's whole lifecycle through batched group commits (CreateVMs/AdmitBatch, DestroyVMs/EvictBatch, RebalanceBatch) instead of per-request calls")
+	batch := flag.Bool("batch", false, "serve the sharded sides of fig10pod and fig10row and churn's whole lifecycle through batched group commits (CreateVMs/AdmitBatch, DestroyVMs/EvictBatch, RebalanceBatch) instead of per-request calls")
 	batchSize := flag.Int("batchsize", 0, "with -batch: admission/teardown batch size (0 = one batch per burst; 1 reproduces the per-request path byte for byte)")
 	pipeline := flag.Int("pipeline", 0, "batch-pipeline depth for churn/fig10pod/fig10row (implies -batch): overlap burst k+1's planning with burst k's boots through core.BatchPipeline; 0 or 1 = no pipelining")
 	out := flag.String("o", "", "write the report to a file instead of stdout")

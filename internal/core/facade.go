@@ -291,6 +291,17 @@ func (f *facade) DestroyVMs(ids []string, workers int) ([]scaleup.Result, error)
 	return results, nil
 }
 
+// CreateVM boots one VM somewhere in the facade — an admission batch
+// of one, byte-identical to the sequential placement path. The clock
+// advances past the creation delay.
+func (f *facade) CreateVM(id string, vcpus int, memory brick.Bytes) (scaleup.Result, error) {
+	res, err := f.CreateVMs([]VMCreate{{ID: id, VCPUs: vcpus, Memory: memory}}, 0)
+	if err != nil {
+		return scaleup.Result{}, err
+	}
+	return res[0], nil
+}
+
 // DestroyVM retires one VM — a teardown batch of one, byte-identical
 // to the per-request detach path. The clock advances past completion.
 func (f *facade) DestroyVM(id string) (scaleup.Result, error) {

@@ -4,8 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/accel"
-	"repro/internal/brick"
-	"repro/internal/hypervisor"
 	"repro/internal/mem"
 	"repro/internal/optical"
 	"repro/internal/pktnet"
@@ -117,33 +115,6 @@ func (p *Pod) ScaleController(rack int) (*scaleup.Controller, bool) {
 func (p *Pod) VMRack(id string) (int, bool) {
 	_, rack, ok := p.locate(id)
 	return rack, ok
-}
-
-// CreateVM boots a VM somewhere in the pod: the pod policy picks the
-// rack, the rack's SDM controller picks the brick. The clock advances
-// past the creation delay.
-func (p *Pod) CreateVM(id string, vcpus int, memory brick.Bytes) (scaleup.Result, error) {
-	p.vms.begin()
-	s, fresh := p.vms.claim(id)
-	if !fresh {
-		return scaleup.Result{}, fmt.Errorf("core: VM %q already exists in the pod", id)
-	}
-	rack, ok := p.sched.PickComputeRack(vcpus, memory)
-	if !ok {
-		p.vms.drop(id, s)
-		return scaleup.Result{}, fmt.Errorf("core: no rack in the %d-rack pod can host %d vCPUs and %v", p.cfg.Racks, vcpus, memory)
-	}
-	scale := p.stacks[rack].scale
-	_, res, err := scale.CreateVM(p.now, hypervisor.VMID(id), hypervisor.VMSpec{VCPUs: vcpus, Memory: memory})
-	if err != nil {
-		p.vms.drop(id, s)
-		return scaleup.Result{}, err
-	}
-	slot := p.vms.at(s)
-	slot.rack = int32(rack)
-	slot.vm, _ = scale.Lookup(hypervisor.VMID(id))
-	p.now = res.Done
-	return res, nil
 }
 
 // RemoteAccess issues one remote memory transaction at a VM-relative

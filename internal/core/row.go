@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 
-	"repro/internal/brick"
 	"repro/internal/optical"
 	"repro/internal/scaleup"
 	"repro/internal/sdm"
@@ -133,17 +132,6 @@ func (r *Row) ScaleController(pod, rack int) (*scaleup.Controller, bool) {
 
 // VMLoc returns the pod and rack hosting a VM.
 func (r *Row) VMLoc(id string) (pod, rack int, ok bool) { return r.locate(id) }
-
-// CreateVM boots one VM somewhere in the row — an admission batch of
-// one, byte-identical to the sequential row placement path. The clock
-// advances past the creation delay.
-func (r *Row) CreateVM(id string, vcpus int, memory brick.Bytes) (scaleup.Result, error) {
-	res, err := r.CreateVMs([]VMCreate{{ID: id, VCPUs: vcpus, Memory: memory}}, 1)
-	if err != nil {
-		return scaleup.Result{}, err
-	}
-	return res[0], nil
-}
 
 // RowConsolidation reports one row-level consolidation pass: every
 // pod's re-packing pass summed. Its failed moves include the VMs pinned

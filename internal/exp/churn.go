@@ -118,12 +118,7 @@ func RunChurn(p Params) (ChurnResult, error) {
 		rounds, decay, burst = 4, 2, 6
 	}
 
-	cfg := core.DefaultPodConfig(racks)
-	cfg.Rack = Fig10PodRackSpec()
-	cfg.Rack.Seed = p.Seed
-	if need := racks * cfg.Fabric.UplinksPerRack; need > cfg.Fabric.Switch.Ports {
-		cfg.Fabric.Switch.Ports = need
-	}
+	cfg := fig10PodConfig(p.Seed, racks)
 	pod, err := core.NewPod(cfg)
 	if err != nil {
 		return ChurnResult{}, err

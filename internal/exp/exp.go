@@ -37,10 +37,10 @@ type Params struct {
 	// entry). Zero means the experiment's default; single-pod
 	// experiments ignore it.
 	Pods int
-	// Batch routes fig10pod's sharded side through the batched
-	// group-commit admission path (CreateVMs / AdmitBatch) instead of
-	// the per-request loop. Output stays byte-identical to the
-	// sequential path at BatchSize 1.
+	// Batch routes churn and the sharded sides of fig10pod and fig10row
+	// through batched group commits (CreateVMs / AdmitBatch) instead of
+	// per-request calls. Output stays byte-identical to the sequential
+	// path at BatchSize 1.
 	Batch bool
 	// BatchSize caps the admission batch size in Batch mode; zero means
 	// one batch per burst.

@@ -96,14 +96,9 @@ func (s *PodScheduler) Rack(i int) *Controller {
 // Fabric returns the pod fabric.
 func (s *PodScheduler) Fabric() *optical.PodFabric { return s.fabric }
 
-// PickComputeRack applies the placement policy to rack choice for a
-// compute reservation, without reserving anything.
-func (s *PodScheduler) PickComputeRack(vcpus int, localMem brick.Bytes) (int, bool) {
-	return s.pickCompute(vcpus, localMem, -1)
-}
-
-// PickComputeRackExcept is PickComputeRack with one rack excluded —
-// used by cross-rack VM migration.
+// PickComputeRackExcept applies the placement policy to rack choice
+// for a compute reservation with one rack excluded, without reserving
+// anything — used by cross-rack VM migration.
 func (s *PodScheduler) PickComputeRackExcept(vcpus int, localMem brick.Bytes, exclude int) (int, bool) {
 	return s.pickCompute(vcpus, localMem, exclude)
 }
