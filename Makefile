@@ -88,7 +88,7 @@ bench-check:
 			-alloc-threshold $(BENCHALLOCTHRESHOLD) \
 			$(if $(filter .,$(BENCHPATTERN)),,-allow-missing)
 
-# `make profile` captures CPU and heap pprof profiles of two layers.
+# `make profile` captures CPU and heap pprof profiles of three runs.
 # The row-tier group-commit engine: BenchmarkFig10Row on its 16-pod,
 # 512-rack row (the fig10row experiment itself finishes in
 # milliseconds, far under the profiler's sampling period; the benchmark
@@ -97,6 +97,12 @@ bench-check:
 # And the facade above it: BenchmarkFacadeBurst/row/pods-16, 256-VM
 # core.Row create+destroy bursts on the same row, which adds the
 # per-VM software stack (Scale-up controller, hypervisor, hotplug).
+# And the spill path: BenchmarkFacadeBurst/pod-spill/racks-16, 32-VM
+# bursts on a 16-rack pod where 3 in 4 VMs spill cross-rack, so its
+# teardown runs the cross-rack detach and its index refreshes. A burst
+# there takes about a tenth of a row burst, so an iteration count in
+# PROFILETIME gains a zero for it (5000x becomes 50000x) to collect
+# about as many samples.
 # Profiles and the instrumented test binary land in artifacts/; the top
 # CPU frames of each print at the end. PROFILE.md holds the committed
 # snapshot. For an end-to-end experiment profile, dredbox-report has
@@ -115,6 +121,11 @@ profile:
 		-memprofile artifacts/facade.mem.pprof \
 		-o artifacts/repro.test .
 	$(GO) tool pprof -top -nodecount=15 artifacts/repro.test artifacts/facade.cpu.pprof
+	$(GO) test -run '^$$' -bench='FacadeBurst/pod-spill/racks-16' -benchtime=$(subst x,0x,$(PROFILETIME)) \
+		-cpuprofile artifacts/spill.cpu.pprof \
+		-memprofile artifacts/spill.mem.pprof \
+		-o artifacts/repro.test .
+	$(GO) tool pprof -top -nodecount=15 artifacts/repro.test artifacts/spill.cpu.pprof
 
 saturation:
 	mkdir -p artifacts/saturation

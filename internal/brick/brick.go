@@ -110,7 +110,6 @@ type PortSet struct {
 	inUse       []bool
 	quarantined []bool
 	free        int
-	epoch       uint64
 }
 
 // NewPortSet returns a set of n free ports for the given brick.
@@ -124,17 +123,12 @@ func (ps *PortSet) Total() int { return len(ps.inUse) }
 // Free returns the number of unallocated ports.
 func (ps *PortSet) Free() int { return ps.free }
 
-// Epoch returns a counter bumped by every port mutation; bricks fold it
-// into their own change epoch so placement indexes see port churn.
-func (ps *PortSet) Epoch() uint64 { return ps.epoch }
-
 // Acquire allocates the lowest-numbered free port.
 func (ps *PortSet) Acquire() (topo.PortID, error) {
 	for i, used := range ps.inUse {
 		if !used {
 			ps.inUse[i] = true
 			ps.free--
-			ps.epoch++
 			return topo.PortID{Brick: ps.brick, Port: i}, nil
 		}
 	}
@@ -157,7 +151,6 @@ func (ps *PortSet) Release(p topo.PortID) error {
 	}
 	ps.inUse[p.Port] = false
 	ps.free++
-	ps.epoch++
 	return nil
 }
 
@@ -184,7 +177,6 @@ func (ps *PortSet) Quarantine(p topo.PortID) error {
 		return fmt.Errorf("brick %v: port %d already quarantined", ps.brick, p.Port)
 	}
 	ps.quarantined[p.Port] = true
-	ps.epoch++
 	return nil
 }
 
@@ -199,7 +191,6 @@ func (ps *PortSet) Unquarantine(p topo.PortID) error {
 	ps.quarantined[p.Port] = false
 	ps.inUse[p.Port] = false
 	ps.free++
-	ps.epoch++
 	return nil
 }
 

@@ -67,7 +67,6 @@ type Memory struct {
 	// until a brick holds more distinct sizes than gapBuf has room for.
 	gaps   []gapRun
 	gapBuf [gapInline]gapRun
-	epoch  uint64
 }
 
 // gapRun is one distinct free-gap size and how many gaps have it.
@@ -111,12 +110,6 @@ func NewMemory(id topo.BrickID, cfg MemoryConfig) *Memory {
 	m.gaps = append(m.gapBuf[:0], gapRun{size: cfg.Capacity, n: 1})
 	return m
 }
-
-// Epoch returns a counter bumped by every capacity or power mutation of
-// the brick, including its port set — placement indexes compare it
-// against the epoch they last refreshed at to know when a cached entry
-// is stale.
-func (m *Memory) Epoch() uint64 { return m.epoch + m.Ports.Epoch() }
 
 // addGap records one free gap of the given size, keeping the runs
 // sorted largest first.
@@ -183,7 +176,6 @@ func (m *Memory) State() PowerState { return m.state }
 
 // PowerOn transitions the brick to idle or active.
 func (m *Memory) PowerOn() {
-	m.epoch++
 	if len(m.segments) > 0 {
 		m.state = PowerActive
 		return
@@ -196,7 +188,6 @@ func (m *Memory) PowerDown() error {
 	if len(m.segments) > 0 {
 		return fmt.Errorf("memory %v: power down with %d segments allocated", m.ID, len(m.segments))
 	}
-	m.epoch++
 	m.state = PowerOff
 	return nil
 }
@@ -257,7 +248,6 @@ func (m *Memory) Carve(size Bytes, owner string) (*Segment, error) {
 	m.addGap(gap - size)
 	m.used += size
 	m.state = PowerActive
-	m.epoch++
 	return seg, nil
 }
 
@@ -290,7 +280,6 @@ func (m *Memory) Release(seg *Segment) error {
 		// be recycled; foreign segments never reach this push and fall
 		// through to the unknown-segment error below.
 		m.segFree = append(m.segFree, seg)
-		m.epoch++
 		if len(m.segments) == 0 {
 			m.state = PowerIdle
 		}

@@ -48,7 +48,6 @@ func (m *Memory) CarveAt(offset, size Bytes, owner string) (*Segment, error) {
 	m.addGap(nextStart - (offset + size))
 	m.used += size
 	m.state = PowerActive
-	m.epoch++
 	return seg, nil
 }
 
@@ -71,6 +70,5 @@ func (ps *PortSet) Reacquire(p topo.PortID) error {
 	}
 	ps.inUse[p.Port] = true
 	ps.free--
-	ps.epoch++
 	return nil
 }

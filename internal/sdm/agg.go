@@ -5,7 +5,7 @@ package sdm
 // per-power-state brick census — rolled up from the rack index roots.
 // Each rack Controller carries a back-pointer (agg/aggSlot, installed
 // by the row scheduler); every index maintenance choke point (a
-// touch outside a batch, the end of a batch, a rebuild) re-reads that
+// touch outside a batch, the end of a batch, a power sweep) re-reads that
 // rack's O(1) root aggregates and applies the delta to the pod
 // summary, so the summary is exact whenever no rack batch is open and
 // the row scheduler's pod choice is O(pods) arithmetic over cached

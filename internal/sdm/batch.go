@@ -210,8 +210,9 @@ func (c *Controller) flushDirtyCPU() {
 	b := c.batch
 	for _, pos := range b.dirtyCPU {
 		b.inDirtyCPU[pos] = false
+		c.cpuIdx.stage(pos, c.computeStat(pos))
 	}
-	c.cpuIdx.touchMany(b.dirtyCPU)
+	c.cpuIdx.touchMany()
 	b.dirtyCPU = b.dirtyCPU[:0]
 }
 
@@ -222,8 +223,9 @@ func (c *Controller) flushDirtyMem() {
 	b := c.batch
 	for _, pos := range b.dirtyMem {
 		b.inDirtyMem[pos] = false
+		c.memIdx.stage(pos, c.memoryStat(pos))
 	}
-	c.memIdx.touchMany(b.dirtyMem)
+	c.memIdx.touchMany()
 	b.dirtyMem = b.dirtyMem[:0]
 }
 

@@ -315,23 +315,17 @@ func TestAdmitBatchDeterministicAcrossWorkers(t *testing.T) {
 }
 
 // indexValueSnap captures one placement index's scheduler-visible state
-// — tree nodes plus leaf capacity vectors, epochs excluded (a rolled
-// back batch re-reads bricks, which re-stamps epochs without changing
-// any answer the scheduler reads).
+// — tree nodes plus leaf capacity vectors.
 type indexValueSnap struct {
 	stats []pstat
 	tree  []node
 }
 
 func snapIndex(idx *placementIndex) indexValueSnap {
-	s := indexValueSnap{
+	return indexValueSnap{
 		stats: append([]pstat(nil), idx.stats...),
 		tree:  append([]node(nil), idx.tree...),
 	}
-	for i := range s.stats {
-		s.stats[i].epoch = 0
-	}
-	return s
 }
 
 // podBatchSnap captures everything the rollback contract promises to

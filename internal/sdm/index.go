@@ -20,8 +20,9 @@ package sdm
 //
 // Leaves refresh at the single choke point every mutation already flows
 // through — the lifecycle engine's commit/rollback plus the handful of
-// direct reservation paths — and carry the brick's change epoch so a
-// refresh of an untouched brick is a no-op comparison. The root's
+// direct reservation paths. The controller reads the brick's vector and
+// hands it over; leaves are keyed by value, so refreshing an unchanged
+// vector (say, after a port-only change) is one comparison. The root's
 // aggregates (rank sum, per-state maxima) are what the pod tier reads
 // to make rack choice O(racks) arithmetic with no nested brick scans.
 
@@ -35,7 +36,9 @@ import (
 // nStates is the number of brick power states bucketed by the index.
 const nStates = 3
 
-// pstat is one brick's scheduler-visible capacity vector.
+// pstat is one brick's scheduler-visible capacity vector. Every tree
+// node is a pure function of its leaves' vectors, so two equal vectors
+// mean an identical tree: the equality test is the exact no-op check.
 type pstat struct {
 	state brick.PowerState
 	// fitA/fitB are the two fitness dimensions a placement must satisfy:
@@ -45,8 +48,6 @@ type pstat struct {
 	// rank orders the spread policy: free cores for compute bricks,
 	// total free bytes for memory bricks.
 	rank int64
-	// epoch is the brick change epoch this vector was read at.
-	epoch uint64
 }
 
 // node is one inner segment-tree node: per-power-state maxima of the
@@ -62,33 +63,39 @@ type node struct {
 
 // placementIndex is the ordered capacity index over one brick kind.
 type placementIndex struct {
-	n       int // brick count
-	size    int // leaf span (power of two >= n)
-	stats   []pstat
-	tree    []node
-	refresh func(pos int) pstat
-	// work is touchMany's reused ancestor worklist.
+	n     int // brick count
+	size  int // leaf span (power of two >= n)
+	stats []pstat
+	tree  []node
+	// work lists the tree slots of the leaves staged since the last
+	// touchMany.
 	work []int
 }
 
-// newPlacementIndex builds the index over n bricks; refresh reads the
-// live capacity vector of the brick at one order position.
-func newPlacementIndex(n int, refresh func(pos int) pstat) *placementIndex {
-	size := 1
+// newPlacementIndex builds the index bottom-up over the bricks' capacity
+// vectors, one per order position, and keeps stats as its leaf slice.
+func newPlacementIndex(stats []pstat) *placementIndex {
+	n := len(stats)
+	size := 0
 	for size < n {
-		size *= 2
-	}
-	if n == 0 {
-		size = 0
+		size = max(1, 2*size)
 	}
 	t := &placementIndex{
-		n:       n,
-		size:    size,
-		stats:   make([]pstat, n),
-		tree:    make([]node, 2*size),
-		refresh: refresh,
+		n:     n,
+		size:  size,
+		stats: stats,
+		tree:  make([]node, 2*size),
 	}
-	t.rebuild()
+	for i := 0; i < size; i++ {
+		if i < n {
+			t.tree[size+i].setLeaf(stats[i])
+		} else {
+			t.tree[size+i].setEmpty()
+		}
+	}
+	for i := size - 1; i >= 1; i-- {
+		t.tree[i].setMerge(&t.tree[2*i], &t.tree[2*i+1])
+	}
 	return t
 }
 
@@ -96,12 +103,7 @@ func newPlacementIndex(n int, refresh func(pos int) pstat) *placementIndex {
 // hot path runs through here on every touch, so nodes are never copied
 // by value.
 func (nd *node) setLeaf(s pstat) {
-	for st := 0; st < nStates; st++ {
-		nd.maxFitA[st] = -1
-		nd.maxFitB[st] = -1
-		nd.maxRank[st] = -1
-		nd.cnt[st] = 0
-	}
+	nd.setEmpty()
 	st := int(s.state)
 	nd.maxFitA[st] = s.fitA
 	nd.maxFitB[st] = s.fitB
@@ -121,6 +123,8 @@ func (nd *node) setMerge(a, b *node) {
 	nd.sumRank = a.sumRank + b.sumRank
 }
 
+// max64 branches: a merge mostly keeps the same child's maximum, which
+// a predicted branch serves faster than the builtin's conditional move.
 func max64(a, b int64) int64 {
 	if a > b {
 		return a
@@ -139,33 +143,9 @@ func (nd *node) setEmpty() {
 	nd.sumRank = 0
 }
 
-// rebuild refreshes every leaf and recomputes the tree bottom-up —
-// used at construction and after bulk mutations (power sweeps).
-func (t *placementIndex) rebuild() {
-	if t.n == 0 {
-		return
-	}
-	for i := 0; i < t.size; i++ {
-		if i < t.n {
-			t.stats[i] = t.refresh(i)
-			t.tree[t.size+i].setLeaf(t.stats[i])
-		} else {
-			t.tree[t.size+i].setEmpty()
-		}
-	}
-	for i := t.size - 1; i >= 1; i-- {
-		t.tree[i].setMerge(&t.tree[2*i], &t.tree[2*i+1])
-	}
-}
-
-// touch re-reads the brick at one order position and, if its epoch
-// moved, updates the leaf and its root path — the O(log n) maintenance
-// step run at every mutation choke point.
-func (t *placementIndex) touch(pos int) {
-	if pos < 0 || pos >= t.n {
-		return
-	}
-	s := t.refresh(pos)
+// touch stores vector s at one order position; a changed leaf rewrites
+// its root path, the O(log n) step every mutation choke point runs.
+func (t *placementIndex) touch(pos int, s pstat) {
 	if s == t.stats[pos] {
 		return
 	}
@@ -177,38 +157,39 @@ func (t *placementIndex) touch(pos int) {
 	}
 }
 
-// touchMany is touch for a batch flush: it refreshes every listed order
-// position once, then recomputes each affected ancestor exactly once,
-// level by level. One root path per touched leaf is the right shape for
-// sparse updates, but a group commit that dirtied much of the tree
-// (spread placement lands every request on a distinct brick) walks the
-// shared upper levels once per leaf; here the paths union instead, so a
-// flush costs at most one recompute per tree node. The resulting tree
-// is identical to applying touch per position — node values are pure
-// functions of the leaf stats, independent of recompute order.
-func (t *placementIndex) touchMany(poss []int) {
-	// Small flushes (one or two leaves — the common case for the
-	// per-pick flushes of spread placement and single-attachment
-	// commits) are cheaper as plain root paths than as a sorted
-	// worklist.
-	if len(poss) <= 2 {
-		for _, pos := range poss {
-			t.touch(pos)
-		}
+// stage is touch without the root path: a changed leaf is stored and
+// queued for the next touchMany.
+func (t *placementIndex) stage(pos int, s pstat) {
+	if s == t.stats[pos] {
 		return
 	}
-	w := t.work[:0]
-	for _, pos := range poss {
-		if pos < 0 || pos >= t.n {
-			continue
+	t.stats[pos] = s
+	t.tree[t.size+pos].setLeaf(s)
+	t.work = append(t.work, t.size+pos)
+}
+
+// touchMany finishes a batch of stage calls: it recomputes each
+// ancestor of a staged leaf exactly once, level by level. One root path
+// per leaf is the right shape for sparse updates, but a group commit
+// that dirtied much of the tree (spread placement lands every request
+// on a distinct brick) walks the shared upper levels once per leaf;
+// here the paths union instead, so a flush costs at most one recompute
+// per tree node. The resulting tree is identical to applying touch per
+// position — node values are pure functions of the leaf vectors,
+// independent of recompute order.
+func (t *placementIndex) touchMany() {
+	w := t.work
+	// Small flushes (one or two leaves: spread placement's per-pick
+	// flushes, single-attachment commits) are cheaper as plain root
+	// paths than as a sorted worklist.
+	if len(w) <= 2 {
+		for _, i := range w {
+			for i >>= 1; i >= 1; i >>= 1 {
+				t.tree[i].setMerge(&t.tree[2*i], &t.tree[2*i+1])
+			}
 		}
-		s := t.refresh(pos)
-		if s == t.stats[pos] {
-			continue
-		}
-		t.stats[pos] = s
-		t.tree[t.size+pos].setLeaf(s)
-		w = append(w, t.size+pos)
+		t.work = w[:0]
+		return
 	}
 	slices.Sort(w)
 	// Sorted node indices map to sorted parent indices, so each level
@@ -230,22 +211,23 @@ func (t *placementIndex) touchMany(poss []int) {
 	t.work = w[:0]
 }
 
-// fitsAny reports whether a node may contain a leaf (in any power
-// state) satisfying both fitness thresholds. Conservative: the maxima
-// of the two dimensions may come from different leaves, so a true
-// answer still needs leaf confirmation; a false answer is exact.
-func (nd *node) fitsAny(minA, minB int64) bool {
+// anyState is the descent state that admits every power state.
+const anyState = -1
+
+// fits reports whether a node may contain a leaf in power state st (any
+// state for anyState) satisfying both fitness thresholds. Conservative:
+// the maxima of the two dimensions may come from different leaves, so
+// a true answer still needs leaf confirmation; a false answer is exact.
+func (nd *node) fits(st int, minA, minB int64) bool {
+	if st != anyState {
+		return nd.maxFitA[st] >= minA && nd.maxFitB[st] >= minB
+	}
 	for st := 0; st < nStates; st++ {
 		if nd.maxFitA[st] >= minA && nd.maxFitB[st] >= minB {
 			return true
 		}
 	}
 	return false
-}
-
-// fitsState is fitsAny restricted to one power state.
-func (nd *node) fitsState(st int, minA, minB int64) bool {
-	return nd.maxFitA[st] >= minA && nd.maxFitB[st] >= minB
 }
 
 // maxRankAny returns the node's maximum rank across states.
@@ -257,48 +239,65 @@ func (nd *node) maxRankAny() int64 {
 	return m
 }
 
+// walk is one descent's query (thresholds, excluded position, power
+// state) and the spread descent's best leaf so far. Its descents fill
+// it with field stores: a composite literal is built in a temporary
+// whose wide-load copy stalls on those stores, doubling a 4-leaf descent.
+type walk struct {
+	t          *placementIndex
+	minA, minB int64
+	exclude    int
+	state      int
+	best       int
+	bestRank   int64
+}
+
+// leafFits reports whether the leaf at pos answers the query.
+func (w *walk) leafFits(pos int) bool {
+	s := &w.t.stats[pos]
+	return pos != w.exclude && (w.state == anyState || int(s.state) == w.state) &&
+		s.fitA >= w.minA && s.fitB >= w.minB
+}
+
 // firstFit returns the lowest order position whose brick satisfies both
 // thresholds in any power state, skipping exclude; -1 if none.
 func (t *placementIndex) firstFit(minA, minB int64, exclude int) int {
-	if t.n == 0 {
-		return -1
-	}
-	return t.descendFirst(1, 0, t.size, exclude, func(nd *node) bool {
-		return nd.fitsAny(minA, minB)
-	}, func(s pstat) bool {
-		return s.fitA >= minA && s.fitB >= minB
-	})
+	return t.descendFirst(anyState, minA, minB, exclude)
 }
 
 // firstFitState is firstFit restricted to one power state.
 func (t *placementIndex) firstFitState(state brick.PowerState, minA, minB int64, exclude int) int {
+	return t.descendFirst(int(state), minA, minB, exclude)
+}
+
+// descendFirst returns the lowest position fitting the thresholds in
+// power state st (any state for anyState), skipping exclude; -1 if none.
+func (t *placementIndex) descendFirst(st int, minA, minB int64, exclude int) int {
 	if t.n == 0 {
 		return -1
 	}
-	st := int(state)
-	return t.descendFirst(1, 0, t.size, exclude, func(nd *node) bool {
-		return nd.fitsState(st, minA, minB)
-	}, func(s pstat) bool {
-		return s.state == state && s.fitA >= minA && s.fitB >= minB
-	})
+	var w walk
+	w.t, w.minA, w.minB, w.exclude, w.state = t, minA, minB, exclude, st
+	return w.first(1, 0, t.size)
 }
 
-// descendFirst walks the tree left to right for the first accepted leaf.
-func (t *placementIndex) descendFirst(i, lo, hi, exclude int, viable func(*node) bool, accept func(pstat) bool) int {
-	if lo >= t.n || !viable(&t.tree[i]) {
+// first walks the subtree at node i, spanning leaves [lo, hi), left to
+// right for the first fitting leaf.
+func (w *walk) first(i, lo, hi int) int {
+	if lo >= w.t.n || !w.t.tree[i].fits(w.state, w.minA, w.minB) {
 		return -1
 	}
 	if hi-lo == 1 {
-		if lo != exclude && accept(t.stats[lo]) {
+		if w.leafFits(lo) {
 			return lo
 		}
 		return -1
 	}
 	mid := (lo + hi) / 2
-	if p := t.descendFirst(2*i, lo, mid, exclude, viable, accept); p >= 0 {
+	if p := w.first(2*i, lo, mid); p >= 0 {
 		return p
 	}
-	return t.descendFirst(2*i+1, mid, hi, exclude, viable, accept)
+	return w.first(2*i+1, mid, hi)
 }
 
 // spreadBest returns the order position with the maximum rank among
@@ -309,26 +308,29 @@ func (t *placementIndex) spreadBest(minA, minB int64, exclude int) int {
 	if t.n == 0 {
 		return -1
 	}
-	best, bestRank := -1, int64(-1)
-	var walk func(i, lo, hi int)
-	walk = func(i, lo, hi int) {
-		nd := &t.tree[i]
-		if lo >= t.n || !nd.fitsAny(minA, minB) || nd.maxRankAny() <= bestRank {
-			return
-		}
-		if hi-lo == 1 {
-			s := t.stats[lo]
-			if lo != exclude && s.fitA >= minA && s.fitB >= minB && s.rank > bestRank {
-				best, bestRank = lo, s.rank
-			}
-			return
-		}
-		mid := (lo + hi) / 2
-		walk(2*i, lo, mid)
-		walk(2*i+1, mid, hi)
+	var w walk
+	w.t, w.minA, w.minB, w.exclude, w.state, w.best, w.bestRank = t, minA, minB, exclude, anyState, -1, -1
+	w.spread(1, 0, t.size)
+	return w.best
+}
+
+// spread walks the subtree at node i, spanning leaves [lo, hi), for a
+// fitting leaf ranked above the best so far, pruning subtrees that
+// cannot hold one.
+func (w *walk) spread(i, lo, hi int) {
+	nd := &w.t.tree[i]
+	if lo >= w.t.n || !nd.fits(w.state, w.minA, w.minB) || nd.maxRankAny() <= w.bestRank {
+		return
 	}
-	walk(1, 0, t.size)
-	return best
+	if hi-lo == 1 {
+		if w.leafFits(lo) && w.t.stats[lo].rank > w.bestRank {
+			w.best, w.bestRank = lo, w.t.stats[lo].rank
+		}
+		return
+	}
+	mid := (lo + hi) / 2
+	w.spread(2*i, lo, mid)
+	w.spread(2*i+1, mid, hi)
 }
 
 // maxFitAAny returns the largest first-dimension fitness value over
@@ -347,12 +349,12 @@ func (t *placementIndex) maxFitAAny() int64 {
 
 // canFit reports whether some brick may satisfy both thresholds — the
 // O(1) root check the pod tier uses to skip infeasible racks before
-// asking for an exact pick. Conservative in the same way fitsAny is.
+// asking for an exact pick. Conservative in the same way fits is.
 func (t *placementIndex) canFit(minA, minB int64) bool {
 	if t.n == 0 {
 		return false
 	}
-	return t.tree[1].fitsAny(minA, minB)
+	return t.tree[1].fits(anyState, minA, minB)
 }
 
 // rankSum returns the total rank over all bricks — the rack's free
@@ -383,7 +385,6 @@ func (c *Controller) computeStat(pos int) pstat {
 		fitA:  int64(b.FreeCores()),
 		fitB:  int64(b.LocalMemory - b.UsedLocal()),
 		rank:  int64(b.FreeCores()),
-		epoch: b.Epoch(),
 	}
 }
 
@@ -396,7 +397,6 @@ func (c *Controller) memoryStat(pos int) pstat {
 		fitA:  int64(m.LargestGap()),
 		fitB:  int64(m.Ports.Free()),
 		rank:  int64(m.Free()),
-		epoch: m.Epoch(),
 	}
 }
 
@@ -404,8 +404,24 @@ func (c *Controller) memoryStat(pos int) pstat {
 // brick orders are final. (The [tray][slot] → ordinal pos tables are
 // built alongside the orders in NewController.)
 func (c *Controller) buildIndexes() {
-	c.cpuIdx = newPlacementIndex(len(c.computeOrder), c.computeStat)
-	c.memIdx = newPlacementIndex(len(c.memoryOrder), c.memoryStat)
+	c.cpuIdx = newPlacementIndex(make([]pstat, len(c.computeOrder)))
+	c.memIdx = newPlacementIndex(make([]pstat, len(c.memoryOrder)))
+	c.reindex()
+}
+
+// reindex hands both indexes every brick's vector, merges the leaves
+// that changed and folds the rack into its pod summary — the index
+// build and the power sweeps.
+func (c *Controller) reindex() {
+	for pos := range c.computes {
+		c.cpuIdx.stage(pos, c.computeStat(pos))
+	}
+	for pos := range c.memories {
+		c.memIdx.stage(pos, c.memoryStat(pos))
+	}
+	c.cpuIdx.touchMany()
+	c.memIdx.touchMany()
+	c.notifyAgg()
 }
 
 // touchCompute refreshes one compute brick's index leaf. Under batch
@@ -423,7 +439,7 @@ func (c *Controller) touchCompute(id topo.BrickID) {
 		}
 		return
 	}
-	c.cpuIdx.touch(pos)
+	c.cpuIdx.touch(pos, c.computeStat(pos))
 	c.notifyAgg()
 }
 
@@ -441,14 +457,7 @@ func (c *Controller) touchMemory(id topo.BrickID) {
 		}
 		return
 	}
-	c.memIdx.touch(pos)
-	c.notifyAgg()
-}
-
-// reindexAll rebuilds both indexes after a bulk mutation (power sweep).
-func (c *Controller) reindexAll() {
-	c.cpuIdx.rebuild()
-	c.memIdx.rebuild()
+	c.memIdx.touch(pos, c.memoryStat(pos))
 	c.notifyAgg()
 }
 

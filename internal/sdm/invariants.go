@@ -9,6 +9,7 @@ package sdm
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/brick"
 	"repro/internal/optical"
@@ -276,6 +277,9 @@ func (c *Controller) checkRack(ri int) error {
 		id := c.computeOrder[pos]
 		b := node.Brick
 		coreScan += b.FreeCores()
+		if got, want := c.cpuIdx.stats[pos], c.computeStat(pos); got != want {
+			return fmt.Errorf("rack %d: compute index leaf %v reads %+v, brick says %+v", ri, id, got, want)
+		}
 		if !b.IsIdle() && b.State() != brick.PowerActive {
 			return fmt.Errorf("rack %d: compute %v has allocations but state %v", ri, id, b.State())
 		}
@@ -290,6 +294,9 @@ func (c *Controller) checkRack(ri int) error {
 	for pos, m := range c.memories {
 		id := c.memoryOrder[pos]
 		memScan += m.Free()
+		if got, want := c.memIdx.stats[pos], c.memoryStat(pos); got != want {
+			return fmt.Errorf("rack %d: memory index leaf %v reads %+v, brick says %+v", ri, id, got, want)
+		}
 		if g := m.LargestGapScan(); g != m.LargestGap() {
 			return fmt.Errorf("rack %d: memory %v gap cache %v diverged from scan %v", ri, id, m.LargestGap(), g)
 		} else if g > maxGapScan {
@@ -308,11 +315,30 @@ func (c *Controller) checkRack(ri int) error {
 	if got := c.MaxMemoryGap(); got != maxGapScan {
 		return fmt.Errorf("rack %d: index root says %v max gap, scan says %v", ri, got, maxGapScan)
 	}
+	if err := c.cpuIdx.check(); err != nil {
+		return fmt.Errorf("rack %d: compute index: %w", ri, err)
+	}
+	if err := c.memIdx.check(); err != nil {
+		return fmt.Errorf("rack %d: memory index: %w", ri, err)
+	}
 	if got, want := c.cpuIdx.stateCounts(), c.Census(topo.KindCompute); got != censusCounts(want) {
 		return fmt.Errorf("rack %d: compute index root census %v, scan says %+v", ri, got, want)
 	}
 	if got, want := c.memIdx.stateCounts(), c.Census(topo.KindMemory); got != censusCounts(want) {
 		return fmt.Errorf("rack %d: memory index root census %v, scan says %+v", ri, got, want)
+	}
+	return nil
+}
+
+// check rebuilds the tree from its leaf vectors and compares: every
+// inner node must be the merge of its children, so the root's rank sum
+// and census are the totals over the leaves.
+func (t *placementIndex) check() error {
+	fresh := newPlacementIndex(slices.Clone(t.stats))
+	for i := range t.tree {
+		if t.tree[i] != fresh.tree[i] {
+			return fmt.Errorf("tree node %d disagrees with its leaves", i)
+		}
 	}
 	return nil
 }

@@ -24,31 +24,29 @@ func (p PowerCensus) OffFraction() float64 {
 // PowerOffIdle sweeps the rack and powers off every idle brick — the
 // operation behind the paper's TCO claim that unutilized bricks can be
 // powered down independently. It returns the number of bricks turned off.
+// A sweep that stopped nothing leaves the indexes alone; otherwise the
+// only leaves rewritten are those of the bricks it stopped.
 func (c *Controller) PowerOffIdle() int {
 	n := 0
 	for _, node := range c.computes {
 		b := node.Brick
-		if b.State() == brick.PowerIdle && b.IsIdle() {
-			if b.PowerDown() == nil {
-				n++
-			}
+		if b.State() == brick.PowerIdle && b.IsIdle() && b.PowerDown() == nil {
+			n++
 		}
 	}
 	for _, m := range c.memories {
-		if m.State() == brick.PowerIdle && m.IsIdle() {
-			if m.PowerDown() == nil {
-				n++
-			}
+		if m.State() == brick.PowerIdle && m.IsIdle() && m.PowerDown() == nil {
+			n++
 		}
 	}
 	for _, a := range c.accels {
-		if a.State() == brick.PowerIdle && a.IsIdle() {
-			if a.PowerDown() == nil {
-				n++
-			}
+		if a.State() == brick.PowerIdle && a.IsIdle() && a.PowerDown() == nil {
+			n++
 		}
 	}
-	c.reindexAll()
+	if n > 0 {
+		c.reindex()
+	}
 	return n
 }
 
@@ -63,7 +61,7 @@ func (c *Controller) PowerOnAll() {
 	for _, a := range c.accels {
 		a.PowerOn()
 	}
-	c.reindexAll()
+	c.reindex()
 }
 
 // Census returns the power census for one brick kind.
