@@ -413,6 +413,46 @@ func BenchmarkRowBatchOfOne(b *testing.B) {
 	}
 }
 
+// BenchmarkRowSequentialCycle measures the row's sequential entry
+// points, which run the group commit's bodies: one ReserveCompute,
+// AttachRemoteMemory, DetachRemoteMemory and ReleaseCompute per op on
+// the rows of BenchmarkRowBatchOfOne, reported as vms/s. The warmed
+// cycle allocates once, the attachment a sequential detach leaves to
+// its caller's handle (DESIGN.md §17).
+func BenchmarkRowSequentialCycle(b *testing.B) {
+	for _, pods := range []int{8, 16, 32} {
+		b.Run(fmt.Sprintf("pods-%d", pods), func(b *testing.B) {
+			sched := benchRow(b, pods)
+			cycle := func() {
+				cpu, _, err := sched.ReserveCompute("one", 1, brick.GiB)
+				if err != nil {
+					b.Fatal(err)
+				}
+				att, _, err := sched.AttachRemoteMemory("one", cpu, 2*brick.GiB)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if _, err := sched.DetachRemoteMemory(att); err != nil {
+					b.Fatal(err)
+				}
+				if err := sched.ReleaseCompute(cpu, 1, brick.GiB); err != nil {
+					b.Fatal(err)
+				}
+			}
+			for i := 0; i < 3; i++ {
+				cycle() // warm the arenas and batch scratch
+			}
+			runtime.GC()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				cycle()
+			}
+			b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "vms/s")
+		})
+	}
+}
+
 // BenchmarkFacadeBurst measures the whole per-VM software stack of a
 // steady-state burst train through the core facades: one op is a
 // CreateVMs burst (SDM group commit, then per VM the Scale-up

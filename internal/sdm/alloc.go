@@ -17,7 +17,11 @@ func (c *Controller) ReserveCompute(owner string, vcpus int, localMem brick.Byte
 }
 
 // reserveCompute is ReserveCompute never choosing brick avoid, unless
-// avoid is nil.
+// avoid is nil. It is the one compute reservation, sequential and
+// batched: while the rack's batch is open and no brick is avoided the
+// batch planner's pick cache serves the pick (batch.go), and a boot or
+// a failed local allocation drops the cache; otherwise the pick is an
+// exact descent.
 func (c *Controller) reserveCompute(owner string, vcpus int, localMem brick.Bytes, avoid *topo.BrickID) (topo.BrickID, sim.Duration, error) {
 	c.requests++
 	if vcpus <= 0 {
@@ -25,11 +29,21 @@ func (c *Controller) reserveCompute(owner string, vcpus int, localMem brick.Byte
 		return topo.BrickID{}, 0, fmt.Errorf("sdm: reserve of %d vcpus", vcpus)
 	}
 	lat := c.cfg.DecisionLatency
-	exclude := -1
-	if avoid != nil {
-		exclude = c.cpuPos(*avoid)
+	b := c.batch
+	batched := b != nil && b.active
+	var (
+		id topo.BrickID
+		ok bool
+	)
+	if batched && avoid == nil {
+		id, ok = c.batchPickCompute(vcpus, localMem)
+	} else {
+		exclude := -1
+		if avoid != nil {
+			exclude = c.cpuPos(*avoid)
+		}
+		id, ok = c.pickCompute(vcpus, localMem, exclude)
 	}
-	id, ok := c.pickCompute(vcpus, localMem, exclude)
 	if !ok {
 		c.failures++
 		if avoid != nil {
@@ -41,6 +55,9 @@ func (c *Controller) reserveCompute(owner string, vcpus int, localMem brick.Byte
 	if node.Brick.State() == brick.PowerOff {
 		node.Brick.PowerOn()
 		lat += c.cfg.BrickBoot
+		if batched {
+			b.cpuCache.valid = false
+		}
 		c.boots.log(c, id, false)
 	}
 	if err := node.Brick.AllocCores(vcpus); err != nil {
@@ -53,6 +70,9 @@ func (c *Controller) reserveCompute(owner string, vcpus int, localMem brick.Byte
 			// prevented this, so any failure here is a bug surfaced loudly.
 			node.Brick.FreeCoresBack(vcpus)
 			c.touchCompute(id)
+			if batched {
+				b.invalidateCaches()
+			}
 			c.failures++
 			return topo.BrickID{}, 0, err
 		}
@@ -188,51 +208,7 @@ func (c *Controller) DetachRemoteMemory(att *Attachment) (sim.Duration, error) {
 	if att.spill != nil {
 		return att.spill.detachCross(att)
 	}
-	return c.detach(att)
-}
-
-// detach tears down att, registered on this rack, in reverse order:
-// through its spill tier's switch when it spilled, else through the
-// rack's own fabric. The request counts on the tier that owns it.
-func (c *Controller) detach(att *Attachment) (sim.Duration, error) {
-	sp := att.spill
-	n := c.counts(sp)
-	n.requests++
-	if !c.registered(att) {
-		n.failures++
-		return 0, fmt.Errorf("sdm: %sattachment for %q on %v not live", crossWord(sp), att.Owner, att.CPU)
-	}
-	rackB := c.memEnd(att)
-	if att.Mode == ModePacket {
-		memID := att.Segment.Brick
-		if err := c.dropRider(att, rackB); err != nil {
-			n.failures++
-			return 0, err
-		}
-		c.unregister(att)
-		if sp != nil {
-			sp.cross.remove(att)
-		}
-		rackB.touchMemory(memID)
-		return c.cfg.DecisionLatency + 2*c.cfg.AgentRTT, nil
-	}
-	if k := att.Circuit.Riders; k > 0 {
-		n.failures++
-		return 0, fmt.Errorf("sdm: %scircuit of %q on %v carries %d packet-mode riders; detach them first", crossWord(sp), att.Owner, att.CPU, k)
-	}
-	op := planDetach(c.cfg, att, c, rackB, attConn(sp, att, c), func() {
-		c.unregister(att)
-		c.removeHost(sp, att)
-		if sp != nil {
-			sp.cross.remove(att)
-		}
-	})
-	lat, err := op.Commit()
-	if err != nil {
-		n.failures++
-		return 0, err
-	}
-	return lat, nil
+	return c.detach(att, nil)
 }
 
 // hosts is the host index the packet fallback of a tier searches, by

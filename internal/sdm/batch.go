@@ -305,7 +305,7 @@ func (c *Controller) admitOne(req *AdmitRequest, res *AdmitResult, pod bool) {
 	*res = AdmitResult{}
 	cpu := req.CPU
 	if req.VCPUs > 0 {
-		id, lat, err := c.batchReserveCompute(req.Owner, req.VCPUs, req.LocalMem)
+		id, lat, err := c.reserveCompute(req.Owner, req.VCPUs, req.LocalMem, nil)
 		if err != nil {
 			res.Err = err
 			return
@@ -316,10 +316,8 @@ func (c *Controller) admitOne(req *AdmitRequest, res *AdmitResult, pod bool) {
 			res.Err = fmt.Errorf("sdm: empty admission for %q: no vCPUs and no remote memory", req.Owner)
 			return
 		}
-		if c.cpuPos(cpu) < 0 {
-			res.Err = fmt.Errorf("sdm: no compute brick %v", cpu)
-			return
-		}
+		// A brick the rack does not have fails the attach below, counted
+		// as the rack's failed request, like AttachRemoteMemory.
 		res.CPU = cpu
 	}
 	if req.Remote == 0 {
@@ -370,58 +368,34 @@ func (c *Controller) releaseComputeBatch(id topo.BrickID, vcpus int, localMem br
 // (teardown of fresh admissions cannot ordinarily fail).
 func (c *Controller) RollbackBatch(reqs []AdmitRequest, out []AdmitResult) error {
 	var first error
-	for i := len(out) - 1; i >= 0; i-- {
-		if out[i].Att != nil {
-			if _, err := c.DetachRemoteMemory(out[i].Att); err != nil && first == nil {
-				first = err
-			}
-			out[i].Att = nil
+	undoAdmitted(c.rackAt, c.boots, reqs, out, func(_ int, err error) {
+		if first == nil {
+			first = err
 		}
-		if out[i].computeDone {
-			if err := c.ReleaseCompute(out[i].CPU, reqs[i].VCPUs, reqs[i].LocalMem); err != nil && first == nil {
-				first = err
-			}
-			out[i].computeDone = false
-		}
-	}
-	c.boots.rollback()
+	})
 	return first
 }
 
-// batchReserveCompute mirrors ReserveCompute through the batch planner:
-// same selection, same latency accounting, same counters.
-func (c *Controller) batchReserveCompute(owner string, vcpus int, localMem brick.Bytes) (topo.BrickID, sim.Duration, error) {
-	c.requests++
-	if vcpus <= 0 {
-		c.failures++
-		return topo.BrickID{}, 0, fmt.Errorf("sdm: reserve of %d vcpus", vcpus)
-	}
-	lat := c.cfg.DecisionLatency
-	id, ok := c.batchPickCompute(vcpus, localMem)
-	if !ok {
-		c.failures++
-		return topo.BrickID{}, 0, fmt.Errorf("sdm: no compute brick with %d free cores and %v local memory", vcpus, localMem)
-	}
-	node := c.compute(id)
-	if node.Brick.State() == brick.PowerOff {
-		node.Brick.PowerOn()
-		lat += c.cfg.BrickBoot
-		c.batch.cpuCache.valid = false
-		c.boots.log(c, id, false)
-	}
-	if err := node.Brick.AllocCores(vcpus); err != nil {
-		c.failures++
-		return topo.BrickID{}, 0, err
-	}
-	if localMem > 0 {
-		if err := node.Brick.AllocLocal(localMem); err != nil {
-			node.Brick.FreeCoresBack(vcpus)
-			c.touchCompute(id)
-			c.batch.invalidateCaches()
-			c.failures++
-			return topo.BrickID{}, 0, err
+// undoAdmitted tears every committed admission in out down in reverse
+// request order — the attachment detaches, the compute reservation
+// releases, each on the rack rackAt resolves — and then powers the
+// batch's boots back down. Every step that fails is handed to fail with
+// its request index.
+func undoAdmitted(rackAt func(topo.RowBrickID) *Controller, boots *bootJournal, reqs []AdmitRequest, out []AdmitResult, fail func(i int, err error)) {
+	for i := len(out) - 1; i >= 0; i-- {
+		res := &out[i]
+		if res.Att != nil {
+			if _, err := rackAt(res.Att.cpuAt()).DetachRemoteMemory(res.Att); err != nil {
+				fail(i, err)
+			}
+			res.Att = nil
+		}
+		if res.computeDone {
+			if err := rackAt(topo.RowBrickID{Pod: res.Pod, Rack: res.Rack}).ReleaseCompute(res.CPU, reqs[i].VCPUs, reqs[i].LocalMem); err != nil {
+				fail(i, err)
+			}
+			res.computeDone = false
 		}
 	}
-	c.touchCompute(id)
-	return id, lat, nil
+	boots.rollback()
 }

@@ -46,15 +46,16 @@ func buildBatchPod(t testing.TB, racks, computes, memories int, memCap brick.Byt
 	return s
 }
 
-// admitSequential serves one AdmitRequest through the per-request pod
-// entry points — the sequential path batch admission must reproduce.
+// admitSequential serves one AdmitRequest through the reference
+// sequential pod entry points (sequential_reference_test.go) — the path
+// batch admission must reproduce.
 // Like the atomic batch, a failed attach releases the request's own
 // compute reservation.
 func admitSequential(s *PodScheduler, req AdmitRequest) (AdmitResult, error) {
 	var res AdmitResult
 	reserved := false
 	if req.VCPUs > 0 {
-		id, lat, err := s.ReserveCompute(req.Owner, req.VCPUs, req.LocalMem)
+		id, lat, err := s.seqReserve(req.Owner, req.VCPUs, req.LocalMem)
 		if err != nil {
 			return res, err
 		}
@@ -64,7 +65,7 @@ func admitSequential(s *PodScheduler, req AdmitRequest) (AdmitResult, error) {
 		res.CPU, res.Rack = req.CPU, req.Rack
 	}
 	if req.Remote > 0 {
-		att, lat, err := s.AttachRemoteMemory(req.Owner, topo.PodBrickID{Rack: res.Rack, Brick: res.CPU}, req.Remote)
+		att, lat, err := s.seqAttach(req.Owner, topo.RowBrickID{Rack: res.Rack, Brick: res.CPU}, req.Remote)
 		if err != nil {
 			if reserved {
 				s.ReleaseCompute(topo.PodBrickID{Rack: res.Rack, Brick: res.CPU}, req.VCPUs, req.LocalMem)

@@ -145,7 +145,14 @@ type admitScratch struct {
 	subOut   []AdmitResult
 	retry    []bool
 	leftover []int
-	seqs     []uint64 // spill sequence counters at the top of the batch
+	seqs     []uint64    // spill sequence counters at the top of the batch
+	one      *oneScratch // the sequential entry points' batch of one, made on first use
+}
+
+// oneScratch is a batch of one, held by pointer to keep tiers small.
+type oneScratch struct {
+	req [1]AdmitRequest
+	out [1]AdmitResult
 }
 
 // AdmitBatch admits a burst of requests tier-wide. Results are in
@@ -199,6 +206,24 @@ func (t *tier) AdmitBatchInto(reqs []AdmitRequest, out []AdmitResult, workers in
 	return nil
 }
 
+// commitOne runs one request of a sequential entry point through the
+// group commit, in the tier's one-request scratch, and returns the raw
+// cause of a failure. The request reserves compute or attaches memory,
+// never both, so when it fails it has committed nothing: unlike
+// AdmitBatchInto it journals nothing and aborts nothing, and like every
+// sequential call it keeps the boots a failed attempt spent. It reaches
+// the racks' placeBatch, so it must not run while a rack batch is open
+// (batches do not nest).
+func (t *tier) commitOne(req AdmitRequest) (*AdmitResult, error) {
+	if t.admit.one == nil {
+		t.admit.one = new(oneScratch)
+	}
+	one := t.admit.one
+	one.req[0] = req
+	_, err := t.admitGroup(one.req[:], one.out[:], false)
+	return &one.out[0], err
+}
+
 // admitShard runs a pod's share of a row admission.
 func (t *tier) admitShard(reqs []AdmitRequest, out []AdmitResult) {
 	t.admitGroup(reqs, out, true)
@@ -236,19 +261,14 @@ func (t *tier) admitGroup(reqs []AdmitRequest, out []AdmitResult, shard bool) (i
 		if pos[i] < 0 || res.Err != nil {
 			// No child was planned for it, or the planned child could not
 			// serve it after all (the partition reads pre-batch
-			// aggregates). Nothing committed: re-place it through the
-			// tier's sequential path against committed state.
+			// aggregates). Nothing committed: re-place it against
+			// committed state.
 			*res = AdmitResult{}
 			retry[i] = true
 			leftover = append(leftover, i)
 			continue
 		}
-		if reqs[i].VCPUs > 0 {
-			counted++
-		}
-		if reqs[i].Remote > 0 {
-			counted++
-		}
+		counted += parts(&reqs[i])
 		if res.needSpill {
 			leftover = append(leftover, i)
 		}
@@ -260,35 +280,32 @@ func (t *tier) admitGroup(reqs []AdmitRequest, out []AdmitResult, shard bool) (i
 	for _, i := range leftover {
 		req, res := &reqs[i], &out[i]
 		if retry[i] {
+			// Re-place it the way a batch places its first request: the
+			// exact child choice, then that child's shard of one.
+			c, ok := t.childOf(req.Pod, req.Rack), true
 			if req.VCPUs > 0 {
-				id, lat, err := t.reserve(req.Owner, req.VCPUs, req.LocalMem)
-				if err != nil {
-					if !shard {
-						return i, err
-					}
-					res.Err = err // nothing committed: the parent re-places it
-					continue
-				}
-				res.CPU, res.Rack, res.Pod = id.Brick, id.Rack, id.Pod
-				res.ComputeLat, res.computeDone = lat, true
+				c, ok = t.pickCompute(req.VCPUs, req.LocalMem, -1)
+			}
+			if ok {
+				t.children[c].admitShard(reqs[i:i+1], out[i:i+1])
 			} else {
-				res.CPU, res.Rack = req.CPU, req.Rack
-				t.stamp(res, t.childOf(req.Pod, req.Rack))
+				w := &tierWords[t.level]
+				res.Err = fmt.Errorf("sdm: no %s in the %d-%s %s with %d free cores and %v local memory",
+					w.child, len(t.children), w.child, w.tier, req.VCPUs, req.LocalMem)
 			}
-			if req.Remote > 0 {
-				att, lat, err := t.attach(req.Owner, topo.RowBrickID{Pod: res.Pod, Rack: res.Rack, Brick: res.CPU}, req.Remote)
-				if err != nil {
-					if !shard {
-						return i, err
-					}
-					// No home anywhere in the tier: keep the compute and
-					// hand the spill to the parent.
-					res.needSpill, res.localErr = true, err
-					continue
+			if res.Err != nil {
+				t.requests++
+				t.failures++
+				if !shard {
+					return i, res.Err
 				}
-				res.Att, res.AttachLat = att, lat
+				continue // nothing committed: the parent re-places it
 			}
-			continue
+			t.stamp(res, c)
+			t.requests += parts(req)
+			if !res.needSpill {
+				continue
+			}
 		}
 		// Every other leftover needs this tier's spill.
 		if shard && res.localErr == nil && t.maxMemoryGap() < req.Remote {
@@ -312,6 +329,19 @@ func (t *tier) admitGroup(reqs []AdmitRequest, out []AdmitResult, shard bool) (i
 		res.needSpill, res.localErr = false, nil
 	}
 	return -1, nil
+}
+
+// parts is how many requests an admission counts on a tier: one for
+// the compute reservation, one for the attachment.
+func parts(req *AdmitRequest) uint64 {
+	var n uint64
+	if req.VCPUs > 0 {
+		n++
+	}
+	if req.Remote > 0 {
+		n++
+	}
+	return n
 }
 
 // admitPlan partitions a validated burst across the tier's children and
@@ -366,30 +396,18 @@ func (t *tier) admitPlan(reqs []AdmitRequest) {
 }
 
 // abortAdmit tears every committed admission down in reverse request
-// order, restores the spill sequence counters of the tier and its
-// children and powers the batch's boots back down, leaving the tier as
-// if the batch never ran; it returns the annotated cause.
+// order and powers the batch's boots back down (undoAdmitted), and
+// restores the spill sequence counters of the tier and its children,
+// leaving the tier as if the batch never ran; it returns the annotated
+// cause.
 func (t *tier) abortAdmit(reqs []AdmitRequest, out []AdmitResult, failed int, cause error) error {
-	for i := len(out) - 1; i >= 0; i-- {
-		res := &out[i]
-		if res.Att != nil {
-			if _, err := t.DetachRemoteMemory(res.Att); err != nil {
-				cause = fmt.Errorf("%w (and rollback of request %d failed: %v)", cause, i, err)
-			}
-			res.Att = nil
-		}
-		if res.computeDone {
-			if err := t.rackAt(topo.RowBrickID{Pod: res.Pod, Rack: res.Rack}).ReleaseCompute(res.CPU, reqs[i].VCPUs, reqs[i].LocalMem); err != nil {
-				cause = fmt.Errorf("%w (and rollback of request %d failed: %v)", cause, i, err)
-			}
-			res.computeDone = false
-		}
-	}
+	undoAdmitted(t.rackAt, t.boots, reqs, out, func(i int, err error) {
+		cause = fmt.Errorf("%w (and rollback of request %d failed: %v)", cause, i, err)
+	})
 	t.attachSeq = t.admit.seqs[0]
 	for k, st := range t.subTiers {
 		st.attachSeq = t.admit.seqs[k+1]
 	}
-	t.boots.rollback()
 	return fmt.Errorf("sdm: batch admission rolled back at request %d (%q): %w", failed, reqs[failed].Owner, cause)
 }
 
@@ -533,7 +551,7 @@ func (t *tier) evictShard(reqs []EvictRequest, out []EvictResult) (int, error) {
 
 	// The cross phase: this tier's spills, in request order.
 	for _, ci := range cross {
-		lat, err := t.rackAt(ci.att.cpuAt()).batchDetach(ci.att, &log)
+		lat, err := t.rackAt(ci.att.cpuAt()).detach(ci.att, &log)
 		if err != nil {
 			sc.log = log
 			return ci.req, err

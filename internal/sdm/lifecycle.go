@@ -4,11 +4,12 @@ package sdm
 // every tier (attachCircuit): the rack's own fabric, a cross-rack spill
 // through the pod switch and a cross-pod spill through the row switch
 // run the same steps in the same order and unwind explicitly on
-// failure, with no plan or closure per call. The rarer mutations of a
-// live attachment — detach, re-point of the compute end, re-home of the
-// memory end, and the cross-rack→rack-local promotion the rebalancer
-// runs — each execute as one AttachmentOp, a plan of reversible steps
-// committed atomically. The engine owns circuit setup and teardown on
+// failure, with no plan or closure per call. Detach is its inline
+// reverse (detach in teardown.go). The rarer mutations of a live
+// attachment — re-point of the compute end, re-home of the memory end,
+// and the cross-rack→rack-local promotion the rebalancer runs — each
+// execute as one AttachmentOp, a plan of reversible steps committed
+// atomically. The engine owns circuit setup and teardown on
 // every optical tier, the TGL window moves, rider safety, and the
 // per-rack registration indexes; alloc.go, reattach.go and the spill
 // tier (spill.go) are thin callers.
@@ -32,8 +33,6 @@ const (
 	// OpAttach provisions a new attachment: segment, circuit, TGL window.
 	// It runs inline (attachCircuit) and names the op in its errors.
 	OpAttach OpKind = iota
-	// OpDetach tears an attachment down in reverse order.
-	OpDetach
 	// OpRepoint moves the compute end: circuit and TGL window follow the
 	// VM to a new compute brick while the segment stays put.
 	OpRepoint
@@ -51,8 +50,6 @@ func (k OpKind) String() string {
 	switch k {
 	case OpAttach:
 		return "attach"
-	case OpDetach:
-		return "detach"
 	case OpRepoint:
 		return "re-point"
 	case OpRehome:
@@ -453,52 +450,6 @@ func (c *Controller) attachCircuit(owner string, cpu topo.RowBrickID, size brick
 		spill.addCrossOrder(att)
 	}
 	return att, lat, false, nil
-}
-
-// planDetach builds the teardown plan shared by every tier, the exact
-// reverse of attachCircuit: window, circuit, ports, segment,
-// unregistration. Validation (liveness, packet mode, riders) is the
-// thin caller's job; t carries the attachment's circuit tier.
-func planDetach(cfg Config, att *Attachment, rackA, rackB *Controller, t connector, unregister func()) *AttachmentOp {
-	op := newOp(OpDetach)
-	node := rackA.compute(att.CPU)
-	m := rackB.memory(att.Segment.Brick)
-	op.charge(cfg.DecisionLatency)
-	cpu, memID := att.CPU, att.Segment.Brick
-	op.touch(func() { rackA.touchCompute(cpu) })
-	op.touch(func() { rackB.touchMemory(memID) })
-
-	oldWindow := att.Window
-	op.step(func() (sim.Duration, error) {
-		if err := node.Agent.Glue.Detach(oldWindow.Base); err != nil {
-			return 0, err
-		}
-		return cfg.AgentRTT, nil
-	}, func() error { return node.Agent.Glue.Attach(oldWindow) })
-	op.step(func() (sim.Duration, error) {
-		return t.disconnect(att.Circuit)
-	}, func() error {
-		c, _, err := t.connect(att.CPUPort, att.MemPort)
-		if err != nil {
-			return err
-		}
-		att.Circuit = c
-		return nil
-	})
-	op.step(func() (sim.Duration, error) {
-		if err := node.Brick.Ports.Release(att.CPUPort); err != nil {
-			return 0, err
-		}
-		if err := m.Ports.Release(att.MemPort); err != nil {
-			return 0, err
-		}
-		if err := m.Release(att.Segment); err != nil {
-			return 0, err
-		}
-		unregister()
-		return 0, nil
-	}, nil)
-	return op
 }
 
 // planRepoint builds the compute-end move: the circuit and TGL window

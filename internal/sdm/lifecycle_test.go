@@ -10,7 +10,7 @@ import (
 
 func TestOpKindStrings(t *testing.T) {
 	want := map[OpKind]string{
-		OpAttach: "attach", OpDetach: "detach", OpRepoint: "re-point",
+		OpAttach: "attach", OpRepoint: "re-point",
 		OpRehome: "re-home", OpPromote: "promote", OpKind(99): "op",
 	}
 	for k, s := range want {

@@ -106,7 +106,7 @@ func (s *PodScheduler) PickComputeRackExcept(vcpus int, localMem brick.Bytes, ex
 // ReserveCompute places a compute reservation pod-wide: the policy
 // picks a rack, the rack's controller picks the brick.
 func (s *PodScheduler) ReserveCompute(owner string, vcpus int, localMem brick.Bytes) (topo.PodBrickID, sim.Duration, error) {
-	id, lat, err := s.reserve(owner, vcpus, localMem)
+	id, lat, err := s.reserveOne(owner, vcpus, localMem)
 	return topo.PodBrickID{Rack: id.Rack, Brick: id.Brick}, lat, err
 }
 
@@ -119,7 +119,7 @@ func (s *PodScheduler) ReleaseCompute(id topo.PodBrickID, vcpus int, localMem br
 // rack-local first (with the rack's own circuit-then-packet cascade),
 // then the cross-rack spill, then the pod-tier packet fallback.
 func (s *PodScheduler) AttachRemoteMemory(owner string, cpu topo.PodBrickID, size brick.Bytes) (*Attachment, sim.Duration, error) {
-	return s.attach(owner, topo.RowBrickID{Rack: cpu.Rack, Brick: cpu.Brick}, size)
+	return s.attachOne(owner, topo.RowBrickID{Rack: cpu.Rack, Brick: cpu.Brick}, size)
 }
 
 // A PodScheduler is a row's child: its screens read the aggregate

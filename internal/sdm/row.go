@@ -104,7 +104,7 @@ func (s *RowScheduler) PodMaxGap(i int) brick.Bytes { return s.pods[i].agg.MaxGa
 // ReserveCompute places a compute reservation row-wide: the policy
 // picks a pod, the pod's scheduler picks the rack and brick.
 func (s *RowScheduler) ReserveCompute(owner string, vcpus int, localMem brick.Bytes) (topo.RowBrickID, sim.Duration, error) {
-	return s.reserve(owner, vcpus, localMem)
+	return s.reserveOne(owner, vcpus, localMem)
 }
 
 // ReleaseCompute returns cores and local memory to a brick.
@@ -116,7 +116,7 @@ func (s *RowScheduler) ReleaseCompute(id topo.RowBrickID, vcpus int, localMem br
 // first (with the pod's own rack-local-then-cross-rack cascade), then
 // the cross-pod spill, then the row-tier packet fallback.
 func (s *RowScheduler) AttachRemoteMemory(owner string, cpu topo.RowBrickID, size brick.Bytes) (*Attachment, sim.Duration, error) {
-	return s.attach(owner, cpu, size)
+	return s.attachOne(owner, cpu, size)
 }
 
 // AggCensus reads the power census for one brick kind from the cached

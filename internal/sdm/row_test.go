@@ -157,7 +157,7 @@ func TestRowAdmitBatchOfOneMatchesSequential(t *testing.T) {
 
 	// Six scale-ups of 1 GiB from pod 0 rack 0: two rack-local, two
 	// cross-rack, two cross-pod.
-	cpuSeq, _, err := seqRow.ReserveCompute("vm", 2, 0)
+	cpuSeq, _, err := seqRow.seqReserve("vm", 2, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +170,7 @@ func TestRowAdmitBatchOfOneMatchesSequential(t *testing.T) {
 	}
 	for i := 0; i < 6; i++ {
 		owner := fmt.Sprintf("vm-up-%d", i)
-		attSeq, latSeq, errSeq := seqRow.AttachRemoteMemory(owner, cpuSeq, brick.GiB)
+		attSeq, latSeq, errSeq := seqRow.seqAttach(owner, cpuSeq, brick.GiB)
 		res, errBat := batRow.AdmitBatch([]AdmitRequest{{
 			Owner: owner, Remote: brick.GiB, CPU: cpuBat.Brick, Rack: cpuBat.Rack, Pod: cpuBat.Pod,
 		}})
@@ -343,7 +343,7 @@ func TestRowEvictBatchOfOneMatchesSequential(t *testing.T) {
 
 	seqRow, cpuSeq, attsSeq := build()
 	for i := len(attsSeq) - 1; i >= 0; i-- {
-		if _, err := seqRow.DetachRemoteMemory(attsSeq[i]); err != nil {
+		if _, err := seqDetachAt(seqRow.rackAt, attsSeq[i]); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -5,12 +5,11 @@ package sdm
 // through the row switch with the same operations, here on the tier
 // (tier.go). The steps themselves run on the compute rack's controller
 // and are shared with rack-local attachments: the circuit attach
-// (attachCircuit), the packet ride (ridePacket) and the sequential and
-// batched teardowns (detach, batchDetach). A spilled attachment
-// registers on its compute rack's controller (so Attachments,
-// scale-down and rider queries stay uniform) and points back at its
-// tier through Attachment.spill: its teardown routes there from any
-// entry point.
+// (attachCircuit), the packet ride (ridePacket) and the teardown
+// (detach, journaled in a batch). A spilled attachment registers on
+// its compute rack's controller (so Attachments, scale-down and rider
+// queries stay uniform) and points back at its tier through
+// Attachment.spill: its teardown routes there from any entry point.
 
 import (
 	"fmt"
@@ -60,11 +59,17 @@ func (t *tier) attachSpill(owner string, cpu topo.RowBrickID, size brick.Bytes, 
 			}
 		}
 		t.failures++
-		w := &tierWords[t.level]
-		return nil, 0, fmt.Errorf("sdm: %s attach for %q failed %s (%v) and %s: %w", w.tier, owner, w.local, localErr, w.cross, err)
+		return nil, 0, spillFailed(t.level, owner, localErr, err)
 	}
 	t.spills++
 	return att, lat, nil
+}
+
+// spillFailed is the error of a spill at level that failed with err
+// after the local attempt failed with localErr.
+func spillFailed(level int, owner string, localErr, err error) error {
+	w := &tierWords[level]
+	return fmt.Errorf("sdm: %s attach for %q failed %s (%v) and %s: %w", w.tier, owner, w.local, localErr, w.cross, err)
 }
 
 // attachCross provisions a spill: a segment beyond the home rack (pod
@@ -105,5 +110,5 @@ func (t *tier) attachPacketCross(owner string, cpu topo.RowBrickID, size brick.B
 
 // detachCross tears a spilled attachment down from its compute rack.
 func (t *tier) detachCross(att *Attachment) (sim.Duration, error) {
-	return t.rackAt(att.cpuAt()).detach(att)
+	return t.rackAt(att.cpuAt()).detach(att, nil)
 }

@@ -6,19 +6,20 @@ package sdm
 // at a time repays an index-leaf refresh per touched brick per op.
 // ReleaseBatch amortizes it the same way PlaceBatch does: index touches
 // divert to the batch dirty sets and flush once per touched brick at
-// batch end, and each detach executes inline as one merged commit — the
-// same steps as the lifecycle engine's OpDetach, in the same order with
-// the same latency accounting, counters and error surfaces — so a batch
-// of size 1 reproduces the sequential detach path bit for bit.
+// batch end. Every detach, batched or sequential, is one body (detach):
+// the same steps in the same order with the same latency accounting,
+// counters and error surfaces, so a batch of size 1 reproduces the
+// sequential detach path bit for bit.
 //
-// Every teardown appends an undo record to the controller's journal.
-// The record captures exactly what the detach destroyed — the segment
+// Every batched teardown appends an undo record to a journal. The
+// record captures exactly what the detach destroyed — the segment
 // offsets, the port IDs, the registration positions — so the pod tier's
 // all-or-nothing EvictBatch can replay the journal in reverse and
 // restore the pre-batch state byte-identically (segments re-carved at
 // their exact offsets, the exact ports re-acquired, circuits rebuilt
 // and re-keyed for any packet-mode riders, crossOrder re-threaded
-// without re-stamping spill sequence numbers).
+// without re-stamping spill sequence numbers). A sequential detach
+// keeps no journal.
 
 import (
 	"fmt"
@@ -178,7 +179,7 @@ func (c *Controller) releaseOne(cpu topo.BrickID, vcpus int, localMem brick.Byte
 			// Spilled attachments are their spill tier's to tear down.
 			return lat, detached, false, fmt.Errorf("sdm: %s attachment of %q in a rack-local release batch", tierWords[att.spill.level].cross, att.Owner)
 		}
-		d, err := c.batchDetach(att, &c.undoLog)
+		d, err := c.detach(att, &c.undoLog)
 		if err != nil {
 			return lat, detached, false, err
 		}
@@ -194,11 +195,13 @@ func (c *Controller) releaseOne(cpu topo.BrickID, vcpus int, localMem brick.Byte
 	return lat, detached, released, nil
 }
 
-// batchDetach mirrors detach — the same validation, counters, latency
-// accounting and error surfaces as the lifecycle engine's OpDetach,
-// executed inline as one merged commit — and journals an undo record
-// into log.
-func (c *Controller) batchDetach(att *Attachment, log *[]detachUndo) (sim.Duration, error) {
+// detach tears att, registered on this rack, down in the reverse order
+// of attachCircuit — window, circuit, ports, segment, registration —
+// through its spill tier's switch when it spilled, else through the
+// rack's own fabric; the request counts on the tier that owns it. With
+// a journal it appends the undo record an aborting batch replays; a
+// sequential detach passes none and skips the record's host-index scan.
+func (c *Controller) detach(att *Attachment, log *[]detachUndo) (sim.Duration, error) {
 	sp := att.spill
 	n := c.counts(sp)
 	n.requests++
@@ -224,8 +227,10 @@ func (c *Controller) batchDetach(att *Attachment, log *[]detachUndo) (sim.Durati
 			n.failures++
 			return 0, err
 		}
-		u.packet = true
-		*log = append(*log, u)
+		if log != nil {
+			u.packet = true
+			*log = append(*log, u)
+		}
 		c.unregister(att)
 		if sp != nil {
 			sp.cross.remove(att)
@@ -266,14 +271,15 @@ func (c *Controller) batchDetach(att *Attachment, log *[]detachUndo) (sim.Durati
 		n.failures++
 		return 0, err
 	}
-	// Ports, segment, unregistration — final, mirroring planDetach's
-	// irreversible last step.
+	// Ports, segment, unregistration — final and irreversible.
 	if err := c.finishDetach(node, rackB.memory(memID), att); err != nil {
 		n.failures++
 		return 0, err
 	}
-	u.hostIdx = c.hostIndex(sp, att)
-	*log = append(*log, u)
+	if log != nil {
+		u.hostIdx = c.hostIndex(sp, att)
+		*log = append(*log, u)
+	}
 	c.unregister(att)
 	c.removeHost(sp, att)
 	if sp != nil {

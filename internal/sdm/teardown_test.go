@@ -9,8 +9,9 @@ import (
 	"repro/internal/topo"
 )
 
-// evictSequential retires one consumer through the per-request entry
-// points in the batch engine's canonical order — rack-local detaches,
+// evictSequential retires one consumer through the reference
+// sequential detach (sequential_reference_test.go) and the release
+// entry point in the batch engine's canonical order — rack-local detaches,
 // compute release, cross-rack detaches — the sequential path a batch of
 // size 1 must reproduce bit for bit.
 func evictSequential(s *PodScheduler, req EvictRequest) (EvictResult, error) {
@@ -19,7 +20,7 @@ func evictSequential(s *PodScheduler, req EvictRequest) (EvictResult, error) {
 		if att.spill != nil {
 			continue
 		}
-		lat, err := s.racks[req.Rack].DetachRemoteMemory(att)
+		lat, err := s.racks[req.Rack].seqDetach(att)
 		if err != nil {
 			return res, err
 		}
@@ -35,7 +36,7 @@ func evictSequential(s *PodScheduler, req EvictRequest) (EvictResult, error) {
 		if att.spill == nil {
 			continue
 		}
-		lat, err := s.DetachRemoteMemory(att)
+		lat, err := seqDetachAt(s.rackAt, att)
 		if err != nil {
 			return res, err
 		}
@@ -169,7 +170,7 @@ func TestReleaseBatchSizeOneMatchesSequentialRack(t *testing.T) {
 		var seqLat sim.Duration
 		seqAtts := seqC.Attachments(v.owner)
 		for j := len(seqAtts) - 1; j >= 0; j-- {
-			lat, err := seqC.DetachRemoteMemory(seqAtts[j])
+			lat, err := seqC.seqDetach(seqAtts[j])
 			if err != nil {
 				t.Fatalf("sequential detach of %q: %v", v.owner, err)
 			}

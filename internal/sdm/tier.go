@@ -5,7 +5,8 @@ package sdm
 // children are PodSchedulers (each itself a tier), and the tier reads
 // its children only through tierChild. It owns what the two have in
 // common: the placement pickers over its children, the sequential
-// entry points, the power walks, the spill (spill.go), the group commit
+// entry points (shells over the group commit, or routing to the
+// children), the power walks, the spill (spill.go), the group commit
 // (groupcommit.go) and the invariant walk (invariants.go).
 // PodScheduler and RowScheduler are thin shells over it that type its
 // addresses (PodBrickID, RowBrickID) and keep what only one tier has.
@@ -77,14 +78,9 @@ type tierChild interface {
 	confirmCompute(vcpus int, localMem brick.Bytes) bool
 	confirmMemory(size brick.Bytes) (topo.RowBrickID, bool)
 
-	// The child's sequential entry points.
-	reserve(owner string, vcpus int, localMem brick.Bytes) (topo.RowBrickID, sim.Duration, error)
+	// The child's teardown entry points, which the tier's route to.
 	release(id topo.RowBrickID, vcpus int, localMem brick.Bytes) error
-	attach(owner string, cpu topo.RowBrickID, size brick.Bytes) (*Attachment, sim.Duration, error)
 	DetachRemoteMemory(att *Attachment) (sim.Duration, error)
-	// countDoomed counts an attach the parent's doom screen skipped as
-	// the failed attempt the child would have made.
-	countDoomed(cpu topo.RowBrickID)
 
 	// rackAt resolves a path to its rack; checkBelow reports, in the
 	// parent's words, a coordinate below the parent's naming nothing.
@@ -304,24 +300,21 @@ func (t *tier) pickChild(vcpus int, localMem brick.Bytes, free []int64, planned 
 	return best
 }
 
-// reserve places a compute reservation tier-wide: the policy picks a
-// child, the child picks the brick.
-func (t *tier) reserve(owner string, vcpus int, localMem brick.Bytes) (topo.RowBrickID, sim.Duration, error) {
-	t.requests++
-	c, ok := t.pickCompute(vcpus, localMem, -1)
-	if !ok {
+// reserveOne is the tier's sequential ReserveCompute: a batch of one
+// through the group commit, so the policy picks a child and the child
+// the brick. A batch request cannot carry a reservation of no vCPUs, so
+// that is refused here, counted on the tier.
+func (t *tier) reserveOne(owner string, vcpus int, localMem brick.Bytes) (topo.RowBrickID, sim.Duration, error) {
+	if vcpus <= 0 {
+		t.requests++
 		t.failures++
-		w := &tierWords[t.level]
-		return topo.RowBrickID{}, 0, fmt.Errorf("sdm: no %s in the %d-%s %s with %d free cores and %v local memory",
-			w.child, len(t.children), w.child, w.tier, vcpus, localMem)
+		return topo.RowBrickID{}, 0, fmt.Errorf("sdm: reserve of %d vcpus", vcpus)
 	}
-	id, lat, err := t.children[c].reserve(owner, vcpus, localMem)
+	res, err := t.commitOne(AdmitRequest{Owner: owner, VCPUs: vcpus, LocalMem: localMem})
 	if err != nil {
-		t.failures++
 		return topo.RowBrickID{}, 0, err
 	}
-	*t.coord(&id.Pod, &id.Rack) = c
-	return id, lat, nil
+	return topo.RowBrickID{Pod: res.Pod, Rack: res.Rack, Brick: res.CPU}, res.ComputeLat, nil
 }
 
 // release returns cores and local memory to a brick.
@@ -335,44 +328,35 @@ func (t *tier) release(id topo.RowBrickID, vcpus int, localMem brick.Bytes) erro
 	return t.children[c].release(id, vcpus, localMem)
 }
 
-// attach realizes one memory attachment tier-wide: inside the compute
-// brick's child first (with the child's own cascade), then the spill
-// through the tier's switch, then the tier's packet fallback.
-func (t *tier) attach(owner string, cpu topo.RowBrickID, size brick.Bytes) (*Attachment, sim.Duration, error) {
-	t.requests++
+// attachOne is the tier's sequential AttachRemoteMemory: an
+// attach-only batch of one through the group commit — inside the
+// compute brick's child first (with the child's own cascade), then the
+// spill through the tier's switch, then the tier's packet fallback. An
+// address naming nothing and a zero-size attachment, which a batch
+// request cannot carry, are refused here, counted on the tier.
+func (t *tier) attachOne(owner string, cpu topo.RowBrickID, size brick.Bytes) (*Attachment, sim.Duration, error) {
 	if err := t.checkAddr(cpu); err != nil {
+		t.requests++
 		t.failures++
 		return nil, 0, fmt.Errorf("sdm: %v", err)
 	}
-	c := t.childOf(cpu.Pod, cpu.Rack)
-	child, in := t.children[c], cpu
-	*t.coord(&in.Pod, &in.Rack) = 0
-	var localErr error
-	if child.maxGap() < size {
-		// No brick anywhere in the child has a contiguous gap for the
-		// request, so neither its circuit path, nor its own spill, nor
-		// any packet fallback (which also needs a gap) can succeed: skip
-		// the doomed attempt. Counters mirror it; the matching error text
-		// is materialized only if the spill fails too, keeping the hot
-		// spill path allocation-free.
-		child.countDoomed(in)
-	} else {
-		att, lat, err := child.attach(owner, in, size)
-		if err == nil {
-			t.stampAtt(att, c)
-			return att, lat, nil
+	if size == 0 {
+		t.requests++
+		t.failures++
+		// The text the cascade gives: every tier's local attempt and
+		// spill refuse the empty segment.
+		err := fmt.Errorf("sdm: zero-size attachment")
+		local := err
+		for lv := podLevel; lv <= t.level; lv++ {
+			local = spillFailed(lv, owner, local, err)
 		}
-		localErr = err
+		return nil, 0, local
 	}
-	return t.attachSpill(owner, cpu, size, localErr)
-}
-
-// countDoomed counts a doomed attach as a failed request of the tier
-// and of the child holding the compute brick.
-func (t *tier) countDoomed(cpu topo.RowBrickID) {
-	t.requests++
-	t.failures++
-	t.children[t.childOf(cpu.Pod, cpu.Rack)].countDoomed(cpu)
+	res, err := t.commitOne(AdmitRequest{Owner: owner, Remote: size, CPU: cpu.Brick, Rack: cpu.Rack, Pod: cpu.Pod})
+	if err != nil {
+		return nil, 0, err
+	}
+	return res.Att, res.AttachLat, nil
 }
 
 // DetachRemoteMemory tears an attachment down: spilled ones route to
@@ -493,22 +477,8 @@ func (c *Controller) confirmMemory(size brick.Bytes) (topo.RowBrickID, bool) {
 	return topo.RowBrickID{Brick: id}, ok
 }
 
-func (c *Controller) reserve(owner string, vcpus int, localMem brick.Bytes) (topo.RowBrickID, sim.Duration, error) {
-	id, lat, err := c.ReserveCompute(owner, vcpus, localMem)
-	return topo.RowBrickID{Brick: id}, lat, err
-}
-
 func (c *Controller) release(id topo.RowBrickID, vcpus int, localMem brick.Bytes) error {
 	return c.ReleaseCompute(id.Brick, vcpus, localMem)
-}
-
-func (c *Controller) attach(owner string, cpu topo.RowBrickID, size brick.Bytes) (*Attachment, sim.Duration, error) {
-	return c.AttachRemoteMemory(owner, cpu.Brick, size)
-}
-
-func (c *Controller) countDoomed(topo.RowBrickID) {
-	c.requests++
-	c.failures++
 }
 
 func (c *Controller) rackAt(topo.RowBrickID) *Controller { return c }

@@ -110,12 +110,12 @@ func TestTierEntryRefusals(t *testing.T) {
 		want map[string][2]string // tier → error text, counters
 	}{
 		{"reserve/zero-vcpus", func(t *testing.T, e *entryTier) error { return e.reserve("vm", 0, 0) }, map[string][2]string{
-			"pod": {"sdm: reserve of 0 vcpus", "pod 1/1/0 rack 1/1"},
-			"row": {"sdm: reserve of 0 vcpus", "row 1/1/0 pod 1/1/0 rack 1/1"},
+			"pod": {"sdm: reserve of 0 vcpus", "pod 1/1/0 rack 0/0"},
+			"row": {"sdm: reserve of 0 vcpus", "row 1/1/0 pod 0/0/0 rack 0/0"},
 		}},
 		{"reserve/negative-vcpus", func(t *testing.T, e *entryTier) error { return e.reserve("vm", -2, brick.GiB) }, map[string][2]string{
-			"pod": {"sdm: reserve of -2 vcpus", "pod 1/1/0 rack 1/1"},
-			"row": {"sdm: reserve of -2 vcpus", "row 1/1/0 pod 1/1/0 rack 1/1"},
+			"pod": {"sdm: reserve of -2 vcpus", "pod 1/1/0 rack 0/0"},
+			"row": {"sdm: reserve of -2 vcpus", "row 1/1/0 pod 0/0/0 rack 0/0"},
 		}},
 		{"reserve/too-large", func(t *testing.T, e *entryTier) error { return e.reserve("vm", 64, 0) }, map[string][2]string{
 			"pod": {"sdm: no rack in the 3-rack pod with 64 free cores and 0B local memory", "pod 1/1/0 rack 0/0"},
@@ -175,8 +175,8 @@ func TestTierEntryRefusals(t *testing.T) {
 			"row": {"sdm: row attach for \"vm\" failed pod-locally (sdm: no memory brick in pod 0 with 64.0GiB contiguous free and a spare port) and cross-pod: sdm: no pod in the row with 64.0GiB contiguous free and a spare port", "row 1/1/0 pod 1/1/0 rack 1/1"},
 		}},
 		{"attach/zero-size", func(t *testing.T, e *entryTier) error { _, err := e.attach("vm", e.home, 0); return err }, map[string][2]string{
-			"pod": {"sdm: pod attach for \"vm\" failed rack-locally (sdm: zero-size attachment) and cross-rack: sdm: zero-size attachment", "pod 1/1/0 rack 1/1"},
-			"row": {"sdm: row attach for \"vm\" failed pod-locally (sdm: pod attach for \"vm\" failed rack-locally (sdm: zero-size attachment) and cross-rack: sdm: zero-size attachment) and cross-pod: sdm: zero-size attachment", "row 1/1/0 pod 1/1/0 rack 1/1"},
+			"pod": {"sdm: pod attach for \"vm\" failed rack-locally (sdm: zero-size attachment) and cross-rack: sdm: zero-size attachment", "pod 1/1/0 rack 0/0"},
+			"row": {"sdm: row attach for \"vm\" failed pod-locally (sdm: pod attach for \"vm\" failed rack-locally (sdm: zero-size attachment) and cross-rack: sdm: zero-size attachment) and cross-pod: sdm: zero-size attachment", "row 1/1/0 pod 0/0/0 rack 0/0"},
 		}},
 		{"detach/stale-local", func(t *testing.T, e *entryTier) error { return e.detach(staleAttach(t, e, brick.GiB, 1)) }, map[string][2]string{
 			"pod": {"sdm: attachment for \"vm0\" on t0.s0 not live", "pod 1/0/0 rack 3/1"},

@@ -81,8 +81,8 @@ type fuzzVM struct {
 }
 
 // FuzzTierSequential drives a pod's or a row's sequential entry points
-// and the pod movers with hostile shapes and forged or stale
-// attachments. data[0] bit 0 selects the row mode (a 2-pod × 2-rack row
+// (shells over the group commit) and the pod movers with hostile shapes
+// and forged or stale attachments. data[0] bit 0 selects the row mode (a 2-pod × 2-rack row
 // instead of a 3-rack pod) and bits 1–2 the policy; then two bytes per
 // call, an opcode and its argument a:
 //
@@ -108,7 +108,12 @@ type fuzzVM struct {
 // "forged-rack-movers" hands every pod mover an attachment naming a
 // rack outside the pod, which each must refuse before indexing the
 // pod's racks; "cross-pod-movers" rehomes, promotes and repoints a
-// cross-pod attachment, which each must refuse as cross-pod.
+// cross-pod attachment, which each must refuse as cross-pod;
+// "pod-refusals-stale-reattach" and "row-refusals-stale-reattach"
+// reserve 0 and -1 vCPUs and attach 0 bytes, which the entry points
+// refuse before the group commit, then detach an attachment, attach
+// again on the same compute brick and detach the stale handle, which
+// must be refused as not live.
 func FuzzTierSequential(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) == 0 {
