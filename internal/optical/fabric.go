@@ -40,11 +40,13 @@ type Circuit struct {
 	Riders int
 	// Cross-tier route state (one uplink per endpoint), folded onto the
 	// circuit so teardown needs no pointer-keyed route map. xTier tags
-	// which composite fabric owns the circuit.
-	xTier          int8
-	xPodA, xPodB   int32
-	xRackA, xRackB int32
-	xUpA, xUpB     int32
+	// which trunk owns the circuit; xChildA/B are the endpoints' children
+	// at that tier (racks of a pod, pods of a row) and xRackA/B the rack
+	// within each child (always 0 at the pod tier).
+	xTier            int8
+	xChildA, xChildB int32
+	xRackA, xRackB   int32
+	xUpA, xUpB       int32
 }
 
 // Cross-tier ownership tags for Circuit.xTier.

@@ -146,15 +146,6 @@ func (s *PodScheduler) Rehome(att *Attachment, targetRack int) (sim.Duration, er
 // rack-local over its lifetime.
 func (s *PodScheduler) Promoted() uint64 { return s.promoted }
 
-// totalFreeUplinks sums the free pod uplinks across every rack.
-func (s *PodScheduler) totalFreeUplinks() int {
-	n := 0
-	for i := range s.racks {
-		n += s.fabric.FreeUplinks(i)
-	}
-	return n
-}
-
 // Rebalance runs one online rebalancing sweep at virtual time now: it
 // walks the live cross-rack attachments oldest-first and promotes each
 // one rack-local when its home rack can hold the segment again. Circuits
@@ -164,7 +155,9 @@ func (s *PodScheduler) totalFreeUplinks() int {
 // the sweep is an opportunistic background pass, not a transaction.
 func (s *PodScheduler) Rebalance(now sim.Time) RebalanceReport {
 	rep := RebalanceReport{At: now}
-	freeBefore := s.totalFreeUplinks()
+	// Every live pod cross circuit holds one uplink on each of its two
+	// racks, so the uplinks freed are twice the circuits torn down.
+	crossBefore := s.fabric.CrossCircuits()
 	// The sweep iterates a snapshot (promotions mutate the cross walk
 	// order), off a scratch buffer reused across sweeps so a periodic
 	// rebalancer allocates nothing when there is nothing to promote.
@@ -206,6 +199,6 @@ func (s *PodScheduler) Rebalance(now sim.Time) RebalanceReport {
 			Latency:  lat,
 		})
 	}
-	rep.FreedUplinks = s.totalFreeUplinks() - freeBefore
+	rep.FreedUplinks = 2 * (crossBefore - s.fabric.CrossCircuits())
 	return rep
 }

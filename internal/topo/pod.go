@@ -12,15 +12,6 @@ type Pod struct {
 	racks []*Rack
 }
 
-// NewPod returns an empty pod.
-func NewPod() *Pod { return &Pod{} }
-
-// AddRack appends a rack and returns its index within the pod.
-func (p *Pod) AddRack(r *Rack) int {
-	p.racks = append(p.racks, r)
-	return len(p.racks) - 1
-}
-
 // Racks returns the number of racks.
 func (p *Pod) Racks() int { return len(p.racks) }
 
@@ -52,31 +43,18 @@ type PodBrickID struct {
 
 func (id PodBrickID) String() string { return fmt.Sprintf("r%d.%v", id.Rack, id.Brick) }
 
-// Less orders pod brick IDs rack-major for deterministic iteration.
-func (id PodBrickID) Less(other PodBrickID) bool {
-	if id.Rack != other.Rack {
-		return id.Rack < other.Rack
-	}
-	return id.Brick.Less(other.Brick)
-}
-
-// SameRack reports whether two bricks sit in the same rack, which
-// decides whether their interconnect stays on the rack's circuit switch
-// or must cross the pod tier.
-func SameRack(a, b PodBrickID) bool { return a.Rack == b.Rack }
-
 // BuildPod constructs a pod of n identical racks from a uniform spec.
 func BuildPod(n int, s BuildSpec) (*Pod, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("topo: pod needs at least one rack, got %d", n)
 	}
-	p := NewPod()
-	for i := 0; i < n; i++ {
+	p := &Pod{racks: make([]*Rack, n)}
+	for i := range p.racks {
 		r, err := Build(s)
 		if err != nil {
 			return nil, fmt.Errorf("topo: building rack %d: %w", i, err)
 		}
-		p.AddRack(r)
+		p.racks[i] = r
 	}
 	return p, nil
 }

@@ -38,17 +38,7 @@ func TestBuildPodRejectsBadSpecs(t *testing.T) {
 
 func TestPodBrickID(t *testing.T) {
 	a := PodBrickID{Rack: 0, Brick: BrickID{Tray: 1, Slot: 2}}
-	b := PodBrickID{Rack: 1, Brick: BrickID{Tray: 0, Slot: 0}}
 	if got := a.String(); got != "r0.t1.s2" {
 		t.Fatalf("String() = %q", got)
-	}
-	if !a.Less(b) || b.Less(a) {
-		t.Fatal("rack-major ordering broken")
-	}
-	if SameRack(a, b) {
-		t.Fatal("different racks reported as same")
-	}
-	if !SameRack(a, PodBrickID{Rack: 0, Brick: BrickID{Tray: 9, Slot: 9}}) {
-		t.Fatal("same rack reported as different")
 	}
 }

@@ -12,15 +12,6 @@ type Row struct {
 	pods []*Pod
 }
 
-// NewRow returns an empty row.
-func NewRow() *Row { return &Row{} }
-
-// AddPod appends a pod and returns its index within the row.
-func (r *Row) AddPod(p *Pod) int {
-	r.pods = append(r.pods, p)
-	return len(r.pods) - 1
-}
-
 // Pods returns the number of pods.
 func (r *Row) Pods() int { return len(r.pods) }
 
@@ -53,35 +44,19 @@ type RowBrickID struct {
 
 func (id RowBrickID) String() string { return fmt.Sprintf("p%d.r%d.%v", id.Pod, id.Rack, id.Brick) }
 
-// Less orders row brick IDs pod-major for deterministic iteration.
-func (id RowBrickID) Less(other RowBrickID) bool {
-	if id.Pod != other.Pod {
-		return id.Pod < other.Pod
-	}
-	if id.Rack != other.Rack {
-		return id.Rack < other.Rack
-	}
-	return id.Brick.Less(other.Brick)
-}
-
-// SamePod reports whether two bricks sit in the same pod, which decides
-// whether their interconnect stays on the pod's tiers or must cross the
-// row tier.
-func SamePod(a, b RowBrickID) bool { return a.Pod == b.Pod }
-
 // BuildRow constructs a row of n identical pods, each of racksPerPod
 // identical racks from a uniform spec.
 func BuildRow(n, racksPerPod int, s BuildSpec) (*Row, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("topo: row needs at least one pod, got %d", n)
 	}
-	r := NewRow()
-	for i := 0; i < n; i++ {
+	r := &Row{pods: make([]*Pod, n)}
+	for i := range r.pods {
 		p, err := BuildPod(racksPerPod, s)
 		if err != nil {
 			return nil, fmt.Errorf("topo: building pod %d: %w", i, err)
 		}
-		r.AddPod(p)
+		r.pods[i] = p
 	}
 	return r, nil
 }
