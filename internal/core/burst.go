@@ -98,13 +98,48 @@ func (t *vmTable) drop(id string, s int32) {
 	t.free = append(t.free, s)
 }
 
+// vmArena is a facade's LIFO arena of retired Scale-up VM records:
+// DestroyVMs parks each record once its VM is torn down and has left
+// the table, and CreateVMs boots each VM into the newest parked record,
+// allocating one only when the arena is empty. So a steady burst train
+// allocates no record, and the arena never holds more records than the
+// facade's peak live VM count minus its current one. Only that
+// committed epilogue parks: a record an error path retires (an unwound
+// adoption, a discarded boot) is dropped, and nothing outside the
+// facade's bursts ever reuses one.
+type vmArena []*scaleup.VM
+
+// top returns the record the next VM boots into: the newest parked
+// one, or a fresh one when the arena is empty. A parked record stays
+// parked until take, so one that the adoption refuses is still there
+// for the next.
+func (a vmArena) top() *scaleup.VM {
+	if n := len(a); n > 0 {
+		return a[n-1]
+	}
+	return new(scaleup.VM)
+}
+
+// take removes vm, which top returned and a VM now lives in, from the
+// arena if it was parked there.
+func (a *vmArena) take(vm *scaleup.VM) {
+	if n := len(*a); n > 0 && (*a)[n-1] == vm {
+		(*a)[n-1] = nil
+		*a = (*a)[:n-1]
+	}
+}
+
+// park adds a record whose VM DestroyVMs retired.
+func (a *vmArena) park(vm *scaleup.VM) { *a = append(*a, vm) }
+
 // burstScratch is a facade's reused burst state: the request, result
 // and attachment buffers CreateVMs and DestroyVMs hand to the
 // scheduler's AdmitBatchInto and EvictBatchInto, the table slots a
 // burst resolves once and uses again after the commit, and the rack VM
 // list the consolidation pass walks. Facade calls are
 // serial, so one set is reused across calls and a steady burst train
-// stops allocating it; only the []scaleup.Result a burst returns is
+// stops allocating it; with the VM records recycled through the
+// facade's vmArena, only the []scaleup.Result a burst returns is
 // fresh. Every buffer is resized and overwritten at the top of a call.
 type burstScratch struct {
 	admit    []sdm.AdmitRequest

@@ -59,6 +59,9 @@ type facade struct {
 	// vms tracks which pod and rack host each VM, beside its Scale-up
 	// handle.
 	vms vmTable
+	// retired holds the Scale-up records DestroyVMs retired, which
+	// CreateVMs boots VMs into before it allocates one.
+	retired vmArena
 	// burst is the reused state of CreateVMs, DestroyVMs and the
 	// consolidation pass.
 	burst burstScratch
@@ -107,7 +110,10 @@ func (f *facade) locate(id string) (pod, rack int, ok bool) {
 	return int(loc.pod), int(loc.rack), true
 }
 
-// VM returns the hypervisor view of a VM.
+// VM returns the hypervisor view of a VM. The pointer is valid until
+// the VM is destroyed: DestroyVMs recycles the record behind it, so a
+// later CreateVMs may boot another VM, under any name, into the same
+// memory.
 func (f *facade) VM(id string) (*hypervisor.VM, bool) {
 	s, ok := f.vms.find(id)
 	if !ok {
@@ -133,7 +139,9 @@ type VMCreate struct {
 // children by their O(1) choice aggregates, each child's share commits
 // with one index refresh per touched brick, and the spill cascade
 // merges in request order; a batch of one reproduces the sequential
-// placement (plus ScaleUpVM for a bundled Remote) exactly. Admission is
+// placement (plus ScaleUpVM for a bundled Remote) exactly. Each VM
+// boots into a record an earlier DestroyVMs retired, and a fresh one
+// only when none is parked. Admission is
 // all-or-nothing: if any VM cannot be placed, nothing is admitted. The
 // clock advances past the whole group's completion. workers is unused:
 // the commit runs on the caller's goroutine.
@@ -161,7 +169,8 @@ func (f *facade) CreateVMs(reqs []VMCreate, workers int) ([]scaleup.Result, erro
 	done := f.now
 	for i, r := range reqs {
 		scale := f.stacks[admitted[i].Pod][admitted[i].Rack].scale
-		vm, res, err := scale.AdoptVM(f.now, hypervisor.VMID(r.ID), hypervisor.VMSpec{VCPUs: r.VCPUs, Memory: r.Memory}, admitted[i].CPU, admitted[i].ComputeLat)
+		vm := f.retired.top()
+		res, err := scale.AdoptInto(vm, f.now, hypervisor.VMID(r.ID), hypervisor.VMSpec{VCPUs: r.VCPUs, Memory: r.Memory}, admitted[i].CPU, admitted[i].ComputeLat)
 		if err != nil {
 			// Boot failures here (fragmented window space, exhausted RMST
 			// slots) void the whole burst: release what this and the
@@ -171,6 +180,7 @@ func (f *facade) CreateVMs(reqs []VMCreate, workers int) ([]scaleup.Result, erro
 			f.unwindAdopted(reqs, admitted, slots, i)
 			return nil, fmt.Errorf("core: batch boot of %q: %w", r.ID, err)
 		}
+		f.retired.take(vm)
 		if admitted[i].Att != nil {
 			// The bind joins at the VM's boot completion, not the batch
 			// post time: remote memory becomes usable only once the VM
@@ -244,7 +254,8 @@ func (f *facade) unwindAdopted(reqs []VMCreate, admitted []sdm.AdmitResult, slot
 // tear down with one index refresh per touched brick (a batch of one
 // reproduces the per-request teardown exactly), then each VM's software
 // stack — DIMMs, baremetal ranges, the hypervisor object — unwinds on
-// its rack. Teardown is all-or-nothing at the SDM layer: if any
+// its rack, and its record parks in the facade's arena for a later
+// CreateVMs. Teardown is all-or-nothing at the SDM layer: if any
 // eviction fails, no resource is released and no VM is touched. The
 // clock advances past the whole group's completion. workers is unused:
 // the commit runs on the caller's goroutine.
@@ -275,13 +286,15 @@ func (f *facade) DestroyVMs(ids []string, workers int) ([]scaleup.Result, error)
 	results := make([]scaleup.Result, len(ids))
 	done := f.now
 	for i, id := range ids {
-		res, err := f.stacks[ereqs[i].Pod][ereqs[i].Rack].scale.EvictVM(f.now, f.vms.at(slots[i]).vm, evicted[i].DetachLat)
+		vm := f.vms.at(slots[i]).vm
+		res, err := f.stacks[ereqs[i].Pod][ereqs[i].Rack].scale.EvictVM(f.now, vm, evicted[i].DetachLat)
 		if err != nil {
 			// The SDM teardown already committed; a software-stack unwind
 			// failure past it is a controller bug worth surfacing loudly.
 			return nil, fmt.Errorf("core: batch teardown of %q: %w", id, err)
 		}
 		f.vms.drop(id, slots[i])
+		f.retired.park(vm)
 		results[i] = res
 		if res.Done > done {
 			done = res.Done

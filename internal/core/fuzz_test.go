@@ -15,7 +15,9 @@ import (
 // input, two bytes per call (an opcode and its argument):
 //
 //	op%6 == 0  CreateVMs: 1+arg%3 fresh VMs of 1+(arg>>2)&1 vCPUs and
-//	           GiB, (arg>>3)%3 GiB remote; arg bit 5 also names a live VM
+//	           GiB, (arg>>3)%3 GiB remote; arg bit 5 also names a live VM;
+//	           arg bit 7 names them after the most recently destroyed
+//	           VMs, newest first, while there are any
 //	1          ScaleUpVM(live[arg%n], 1+(arg>>4)&1 GiB)
 //	2          ScaleDownVM(live[arg%n], GiB)
 //	3          VM(live[arg%n]).SetUsage((arg>>4) × ½ GiB)
@@ -28,11 +30,15 @@ import (
 // CheckInvariants passes, the facade holds exactly the VMs created
 // minus those destroyed — in its own table and in the racks' Scale-up
 // tables — its table's slot list is consistent, and every held VM's
-// bindings match its live SDM attachments. At the end every VM must
-// still be destroyable. The seed corpus lives in
-// testdata/fuzz/FuzzFacadeVMStack: "destroy-in-use" is a VM destroyed
-// while its working set needs its remote memory, and "mutual-riders"
-// two VMs whose packet riders ride each other's circuits.
+// bindings match its live SDM attachments. Every VM a create burst
+// boots, most of them into records a destroy retired, shows only its
+// own spec: running, no usage or balloon, and no DIMM but its bundled
+// remote. At the end every VM must still be destroyable. The seed
+// corpus lives in testdata/fuzz/FuzzFacadeVMStack: "destroy-in-use" is
+// a VM destroyed while its working set needs its remote memory,
+// "mutual-riders" two VMs whose packet riders ride each other's
+// circuits, and "recycle-reused-names" VMs grown past their inline
+// slots, destroyed and recreated under the same names.
 func FuzzFacadeVMStack(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		pod, err := NewPod(batchPodConfig(3))
@@ -139,6 +145,7 @@ func fuzzVMStack(t *testing.T, data []byte, x fuzzTarget) {
 	}
 	f := x.facade
 	var live []string // creation order
+	var gone []string // destruction order
 	next := 0
 	racks := x.racks(nil)
 	check := func(step int, op string, callErr error) {
@@ -187,9 +194,17 @@ func fuzzVMStack(t *testing.T, data []byte, x fuzzTarget) {
 		case 0:
 			n := 1 + int(arg%3)
 			reqs := make([]VMCreate, n)
+			reused := 0
+			if arg>>7 == 1 {
+				reused = min(n, len(gone))
+			}
 			for i := range reqs {
+				id := fmt.Sprintf("vm-%d", next+i)
+				if i < reused {
+					id = gone[len(gone)-1-i]
+				}
 				reqs[i] = VMCreate{
-					ID:     fmt.Sprintf("vm-%d", next+i),
+					ID:     id,
 					VCPUs:  1 + int(arg>>2&1),
 					Memory: brick.Bytes(1+arg>>2&1) * brick.GiB,
 					Remote: brick.Bytes(arg>>3%3) * brick.GiB,
@@ -203,9 +218,25 @@ func fuzzVMStack(t *testing.T, data []byte, x fuzzTarget) {
 				for _, r := range reqs {
 					live = append(live, r.ID)
 				}
+				gone = gone[:len(gone)-reused]
 				next += n
 			}
 			check(step, "create", err)
+			for _, r := range reqs[:n] {
+				if err != nil {
+					break
+				}
+				vm, _ := f.VM(r.ID)
+				dimms := 0
+				if r.Remote > 0 {
+					dimms = 1
+				}
+				if vm.Spec != (hypervisor.VMSpec{VCPUs: r.VCPUs, Memory: r.Memory}) || vm.State() != hypervisor.StateRunning ||
+					vm.Usage() != 0 || vm.Ballooned() != 0 || len(vm.DIMMs()) != dimms || vm.TotalMemory() != r.Memory+r.Remote {
+					t.Fatalf("step %d: created VM %q shows %+v, %v, usage %v, ballooned %v, DIMMs %v",
+						step, r.ID, vm.Spec, vm.State(), vm.Usage(), vm.Ballooned(), vm.DIMMs())
+				}
+			}
 		case 1:
 			_, err := f.ScaleUpVM(pick(arg), brick.Bytes(1+arg>>4&1)*brick.GiB)
 			check(step, "scale-up", err)
@@ -239,6 +270,7 @@ func fuzzVMStack(t *testing.T, data []byte, x fuzzTarget) {
 			_, err := f.DestroyVMs(ids, 0)
 			if err == nil {
 				live = without(live, ids)
+				gone = append(gone, ids...)
 			}
 			check(step, "destroy", err)
 		case 5:

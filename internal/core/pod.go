@@ -45,7 +45,9 @@ func (c PodConfig) Validate() error {
 // through the pod circuit switch, and VMs without remote attachments
 // can migrate to another rack entirely. It is a shell over the facade
 // engine (facade.go), which runs the bursts, scale-ups and re-packing
-// it shares with Row.
+// it shares with Row. The *hypervisor.VM that Pod.VM returns is valid
+// until the VM is destroyed: a destroyed VM's record is reused by a
+// later CreateVMs.
 //
 // Clock contract: identical to Datacenter — control-plane operations
 // advance the clock past their completion, datapath measurements and

@@ -57,7 +57,9 @@ func (c RowConfig) Validate() error {
 // is pod-local first; memory a pod cannot supply spills cross-pod
 // through the row circuit switch. It is a shell over the facade engine
 // (facade.go), which runs the bursts, scale-ups and re-packing it
-// shares with Pod.
+// shares with Pod. The *hypervisor.VM that Row.VM returns is valid
+// until the VM is destroyed: a destroyed VM's record is reused by a
+// later CreateVMs.
 //
 // Clock contract: identical to Pod — control-plane operations advance
 // the clock past their completion, queries never move it.

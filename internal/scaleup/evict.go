@@ -15,10 +15,12 @@ import (
 // reservation through the pod tier's batched eviction
 // (sdm.PodScheduler.EvictBatch), whose summed orchestration latency
 // arrives as orchLat and serializes through the SDM queue exactly as
-// the per-request ScaleDown path's would. This is teardown's AdoptVM:
+// the per-request ScaleDown path's would. This is teardown's AdoptInto:
 // the batch entry point below CreateVM's sequential surface. The DIMMs
 // detach without the working-set guard ScaleDown applies: the VM is
 // going away, and the SDM teardown behind it has already committed.
+// The record is retired: every handle method refuses it, and its owner
+// may boot another VM into it through AdoptInto.
 func (c *Controller) EvictVM(now sim.Time, vm *VM, orchLat sim.Duration) (Result, error) {
 	if !c.owns(vm) {
 		return Result{}, fmt.Errorf("scaleup: no VM %q", vmID(vm))

@@ -233,3 +233,94 @@ func TestLiveListAfterEvictAndMigrate(t *testing.T) {
 	create(a, "vm3")
 	expect(a, "source after reuse", "vm1", "vm2", "vm3", "vm4")
 }
+
+// TestAdoptIntoRetiredRecord: a record EvictVM retired — after its VM
+// outgrew the inline DIMM and binding slots, set a working set and
+// inflated its balloon — boots a new VM in place that shows only its
+// own spec, and works like a fresh one. A record still live is refused
+// on its own controller and on another, leaving both untouched.
+func TestAdoptIntoRetiredRecord(t *testing.T) {
+	c, other := testController(t), testController(t)
+	c.SDM().PowerOnAll()
+	spec := hypervisor.VMSpec{VCPUs: 2, Memory: 2 * brick.GiB}
+	adopt := func(c *Controller, vm *VM, id hypervisor.VMID, spec hypervisor.VMSpec) error {
+		t.Helper()
+		host, lat, err := c.SDM().ReserveCompute(string(id), spec.VCPUs, spec.Memory)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := c.AdoptInto(vm, 0, id, spec, host, sim.Duration(lat)); err != nil {
+			c.SDM().ReleaseCompute(host, spec.VCPUs, spec.Memory)
+			return err
+		}
+		return nil
+	}
+
+	vm := new(VM)
+	if err := adopt(c, vm, "old", spec); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		if _, err := c.ScaleUp(0, "old", brick.GiB); err != nil {
+			t.Fatal(err)
+		}
+	}
+	vm.SetUsage(3 * brick.GiB)
+	if _, err := c.nodeAt(vm.host).hv.BalloonInflate(&vm.VM, brick.GiB); err != nil {
+		t.Fatal(err)
+	}
+	if n := len(vm.DIMMs()); n != 3 || len(vm.bindings) != 3 {
+		t.Fatalf("old VM holds %d DIMMs and %d bindings, want 3 of each", n, len(vm.bindings))
+	}
+
+	for _, rc := range []*Controller{c, other} {
+		if err := adopt(rc, vm, "taken", spec); err == nil {
+			t.Fatal("a live record was adopted")
+		}
+	}
+	if got, ok := c.Lookup("old"); !ok || got != vm || vm.ID != "old" || len(vm.DIMMs()) != 3 {
+		t.Fatal("refused adoption disturbed the live VM")
+	}
+	for _, rc := range []*Controller{c, other} {
+		if _, ok := rc.Lookup("taken"); ok {
+			t.Fatal("refused adoption registered a VM")
+		}
+	}
+
+	req, _, _ := c.EvictRequest(vm, nil)
+	for _, att := range req.Atts {
+		if _, err := c.SDM().DetachRemoteMemory(att); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := c.SDM().ReleaseCompute(req.CPU, req.VCPUs, req.LocalMem); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.EvictVM(0, vm, 0); err != nil {
+		t.Fatal(err)
+	}
+
+	next := hypervisor.VMSpec{VCPUs: 1, Memory: brick.GiB}
+	if err := adopt(c, vm, "new", next); err != nil {
+		t.Fatal(err)
+	}
+	if got, ok := c.Lookup("new"); !ok || got != vm {
+		t.Fatal("the recycled record is not the new VM's handle")
+	}
+	if _, ok := c.Lookup("old"); ok {
+		t.Fatal("the old VM is still registered")
+	}
+	if vm.ID != "new" || vm.Spec != next || vm.State() != hypervisor.StateRunning {
+		t.Fatalf("recycled record shows %q %+v %v", vm.ID, vm.Spec, vm.State())
+	}
+	if vm.Usage() != 0 || vm.Ballooned() != 0 || len(vm.DIMMs()) != 0 || vm.TotalMemory() != next.Memory || c.Bindings("new") != 0 {
+		t.Fatalf("recycled record keeps old state: usage %v, ballooned %v, DIMMs %v, total %v, bindings %d",
+			vm.Usage(), vm.Ballooned(), vm.DIMMs(), vm.TotalMemory(), c.Bindings("new"))
+	}
+	if _, err := c.ScaleUp(0, "new", brick.GiB); err != nil {
+		t.Fatal(err)
+	}
+	if len(vm.DIMMs()) != 1 || c.Bindings("new") != 1 || &vm.bindings[0] != &vm.bindBuf[0] {
+		t.Fatal("the recycled record's first scale-up did not bind inline")
+	}
+}

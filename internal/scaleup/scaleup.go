@@ -75,10 +75,12 @@ type binding struct {
 // brick's stack, and its remote bindings in attach order. The first
 // binding lives inline, so a VM with one remote attachment costs one
 // allocation across the whole per-VM stack. Batch callers (the core
-// facades) keep the handle AdoptVM returns and pass it back, so a burst
-// resolves each VM name once; sequential callers use the ID-keyed
-// methods, each one scan of the rack's VM list in front of the same
-// body. Migration moves the record itself between controllers.
+// facades) own the records: each burst boots its VMs into records
+// through AdoptInto, reusing those an earlier burst retired, and passes
+// the handles back, so a burst resolves each VM name once. Sequential
+// callers use the ID-keyed methods, each one scan of the rack's VM list
+// in front of the same body, and CreateVM always boots into a fresh
+// record. Migration moves the record itself between controllers.
 type VM struct {
 	hypervisor.VM
 	host topo.BrickID
@@ -234,28 +236,47 @@ func (c *Controller) CreateVM(now sim.Time, id hypervisor.VMID, spec hypervisor.
 	return host, res, nil
 }
 
-// AdoptVM registers and boots a VM whose compute reservation was
+// AdoptVM is AdoptInto on a fresh record, which it returns as the VM's
+// handle. It is CreateVM's boot step and never reuses a record.
+func (c *Controller) AdoptVM(now sim.Time, id hypervisor.VMID, spec hypervisor.VMSpec, host topo.BrickID, resLat sim.Duration) (*VM, Result, error) {
+	vm := new(VM)
+	res, err := c.AdoptInto(vm, now, id, spec, host, resLat)
+	if err != nil {
+		return nil, Result{}, err
+	}
+	return vm, res, nil
+}
+
+// AdoptInto registers and boots a VM whose compute reservation was
 // already made elsewhere — the pod tier's batch admission reserves
 // whole bursts through sdm.PodScheduler.AdmitBatch and then adopts
 // each VM onto its rack's controller through this entry point. It
-// returns the VM's handle for the batch entry points (Bind, EvictRequest,
-// EvictVM, DiscardVM, MigrateTo). resLat is the reservation's
-// orchestration latency, which serializes through the SDM queue exactly
-// as CreateVM's would. The caller owns the reservation: on error it is
-// NOT released here.
-func (c *Controller) AdoptVM(now sim.Time, id hypervisor.VMID, spec hypervisor.VMSpec, host topo.BrickID, resLat sim.Duration) (*VM, Result, error) {
+// initialises the caller-owned record vm in place, as
+// hypervisor.Spawn does for the hypervisor VM it embeds, and vm is
+// then the VM's handle for the batch entry points (Bind, EvictRequest,
+// EvictVM, DiscardVM, MigrateTo). A record still live on any
+// controller is refused; one that EvictVM or DiscardVM retired may be
+// booted into again, and keeps nothing of its earlier VM. resLat is
+// the reservation's orchestration latency, which serializes through
+// the SDM queue exactly as CreateVM's would. The caller owns the
+// reservation: on error it is NOT released here, and vm stays retired.
+func (c *Controller) AdoptInto(vm *VM, now sim.Time, id hypervisor.VMID, spec hypervisor.VMSpec, host topo.BrickID, resLat sim.Duration) (Result, error) {
+	if vm.node != nil {
+		return Result{}, fmt.Errorf("scaleup: record of VM %q is still live", vm.ID)
+	}
 	if c.find(id) != nil {
-		return nil, Result{}, fmt.Errorf("scaleup: VM %q already exists", id)
+		return Result{}, fmt.Errorf("scaleup: VM %q already exists", id)
 	}
 	n, err := c.nodeFor(host)
 	if err != nil {
-		return nil, Result{}, err
+		return Result{}, err
 	}
-	vm := &VM{host: host, node: n}
+	*vm = VM{host: host}
 	spawnLat, err := n.hv.Spawn(&vm.VM, id, spec)
 	if err != nil {
-		return nil, Result{}, err
+		return Result{}, err
 	}
+	vm.node = n
 	vm.bindings = vm.bindBuf[:0]
 	c.add(vm)
 	arrive := now.Add(c.cfg.APIOverhead)
@@ -271,7 +292,7 @@ func (c *Controller) AdoptVM(now sim.Time, id hypervisor.VMID, spec hypervisor.V
 	if c.journal != nil {
 		c.journal.Append(now, trace.KindReserve, string(id), "VM created on %v (%d vCPU, %v) in %v", host, spec.VCPUs, spec.Memory, res.Delay())
 	}
-	return vm, res, nil
+	return res, nil
 }
 
 // owns reports whether vm is a live VM of this controller: a handle
