@@ -72,9 +72,79 @@ func burstAllocs(t *testing.T, target PipelineTarget, reqs []VMCreate) float64 {
 	return n
 }
 
+// churnAllocs warms pod with pod-churn rounds, then measures the
+// allocations of one round: a 32-VM CreateVMs, a newest-first
+// DestroyVMs down to the round's target population, RebalanceBatch and
+// Consolidate. Targets alternate between two populations, so each pair
+// of rounds is one steady cycle. The rounds must move VMs and re-home
+// or promote memory, or the measurement would not cover the moves.
+func churnAllocs(t *testing.T, pod *Pod) float64 {
+	t.Helper()
+	const burst = 32
+	names := make([]string, 4*burst)
+	free := make([]string, 0, len(names))
+	for i := range names {
+		names[i] = fmt.Sprintf("vm-%04d", i)
+	}
+	for i := len(names) - 1; i >= 0; i-- {
+		free = append(free, names[i])
+	}
+	reqs := make([]VMCreate, burst)
+	live := make([]string, 0, len(names))
+	ids := make([]string, 0, len(names))
+	var moved, rehomed int
+	round := func(target int) {
+		for i := range reqs {
+			reqs[i] = VMCreate{
+				ID:     free[len(free)-1],
+				VCPUs:  1 + i%4,
+				Memory: brick.Bytes(1+i%3) * brick.GiB,
+				Remote: brick.Bytes(1+i%2) * brick.GiB,
+			}
+			free = free[:len(free)-1]
+			live = append(live, reqs[i].ID)
+		}
+		if _, err := pod.CreateVMs(reqs, 0); err != nil {
+			t.Fatal(err)
+		}
+		if len(live) > target {
+			ids = ids[:0]
+			for i := len(live) - 1; i >= target; i-- {
+				ids = append(ids, live[i])
+			}
+			if _, err := pod.DestroyVMs(ids, 0); err != nil {
+				t.Fatal(err)
+			}
+			live = live[:target]
+			for i := len(ids) - 1; i >= 0; i-- {
+				free = append(free, ids[i])
+			}
+		}
+		pod.RebalanceBatch()
+		rep := pod.Consolidate()
+		moved += rep.VMsMoved
+		rehomed += rep.Promoted + rep.Rehomed
+	}
+	cycle := func() {
+		round(2 * burst)
+		round(burst + burst/2)
+	}
+	for i := 0; i < 3; i++ {
+		cycle()
+	}
+	moved, rehomed = 0, 0
+	n := testing.AllocsPerRun(10, cycle) / 2
+	if moved == 0 || rehomed == 0 {
+		t.Fatalf("pod-churn rounds moved %d VMs and re-homed %d segments; the shape must exercise both", moved, rehomed)
+	}
+	t.Logf("pod-churn round: %.2f allocations, %.4f per VM (%d VMs moved, %d segments re-homed over the runs)", n, n/burst, moved, rehomed)
+	return n
+}
+
 // TestFacadeSteadyStateAllocs pins the allocation cost of a warmed
 // facade burst at the two []scaleup.Result slices that CreateVMs and
-// DestroyVMs return, and nothing per VM: the SDM group commit
+// DestroyVMs return, and nothing per VM, also in a pod-churn round that
+// migrates VMs and moves their memory between racks: the SDM group commit
 // allocates nothing, the burst buffers and the name table's slots are
 // reused, and each VM boots into a Scale-up record (which embeds the
 // hypervisor VM with its guest kernel and first binding) that an
@@ -117,6 +187,24 @@ func TestFacadeSteadyStateAllocs(t *testing.T) {
 		}
 		if _, _, spills := sched.Stats(); spills == spillsBefore {
 			t.Fatal("no VM spilled cross-rack")
+		}
+	})
+	t.Run("pod-churn", func(t *testing.T) {
+		// The pod-churn shape: a dark power-aware pod of 16 racks where
+		// each round admits a 32-VM burst, retires the newest VMs down
+		// to a target population, rebalances and consolidates, so VMs
+		// migrate between racks and their remote memory re-points,
+		// re-homes and promotes beside admission.
+		cfg := DefaultPodConfig(16)
+		cfg.Rack = burstRackConfig()
+		cfg.Rack.SDM.Policy = sdm.PolicyPowerAware
+		cfg.Fabric.Switch.Ports = max(cfg.Fabric.Switch.Ports, cfg.Racks*cfg.Fabric.UplinksPerRack)
+		pod, err := NewPod(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := churnAllocs(t, pod); n > maxPerCycle {
+			t.Fatalf("pod-churn round allocates %.2f, want <= %d", n, maxPerCycle)
 		}
 	})
 	t.Run("row", func(t *testing.T) {

@@ -32,7 +32,7 @@ func appendBound(dst []*sdm.Attachment, bs []binding) []*sdm.Attachment {
 
 // AppendBoundAttachments appends the SDM attachments behind a VM's
 // remote bindings to dst, in attach order, and returns the extended
-// slice — the lifecycle engine's view of what must move with the VM.
+// slice — the SDM's view of what must move with the VM.
 // Every binding inspection (migration pre-flight, the pod tier's
 // movability checks, diagnostics) routes through this one query, with
 // a reused dst so repeated inspections allocate nothing.
@@ -109,6 +109,15 @@ func preflightDestination(sdmc *sdm.Controller, dst topo.BrickID, need int) erro
 // controller going forward and the source controller when rolling back.
 type RepointFunc func(att *sdm.Attachment, onto *Controller, cpu topo.BrickID) (tgl.Entry, sim.Duration, error)
 
+// movedBinding is one binding's progress through a cross-rack
+// migration: re-pointed, then the four kernel steps.
+type movedBinding struct {
+	att                  *sdm.Attachment
+	oldBase, newBase     uint64
+	srcOfflined          bool
+	srcRemoved, dstAdded bool
+}
+
 // MigrateTo moves a running VM — bindings and all — onto another
 // rack's controller: compute is reserved on the destination, every
 // remote binding's circuit is re-pointed through repoint (becoming a
@@ -172,14 +181,9 @@ func (c *Controller) MigrateTo(now sim.Time, vm *VM, dst *Controller, repoint Re
 	// can restore the exact prior circuit state and a consistent kernel
 	// view (the re-pointed-back window lands at a fresh base, so the
 	// source range is always removed and re-added rather than left at
-	// its old address).
-	type movedBinding struct {
-		att                  *sdm.Attachment
-		oldBase, newBase     uint64
-		srcOfflined          bool
-		srcRemoved, dstAdded bool
-	}
-	var moved []movedBinding
+	// its old address). It lives in the controller's scratch, so
+	// repeated migrations allocate nothing.
+	moved := c.movedScratch[:0]
 	rollback := func(cause error) (MigrationResult, error) {
 		for i := len(moved) - 1; i >= 0; i-- {
 			m := moved[i]
@@ -216,6 +220,7 @@ func (c *Controller) MigrateTo(now sim.Time, vm *VM, dst *Controller, repoint Re
 		}
 		res.Reattach += lat
 		moved = append(moved, movedBinding{att: b.att, oldBase: oldBase, newBase: w.Base})
+		c.movedScratch = moved
 		m := &moved[len(moved)-1]
 		// Baremetal re-home, mirroring the rack-local migration path.
 		if d, err := srcNode.kernel.Offline(oldBase, size); err == nil {

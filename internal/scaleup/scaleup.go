@@ -150,6 +150,9 @@ type Controller struct {
 	// attScratch is the reused pre-flight buffer of AppendBoundAttachments
 	// callers (migration), so repeated pre-flights allocate nothing.
 	attScratch []*sdm.Attachment
+	// movedScratch is MigrateTo's reused record of the bindings it has
+	// moved, for its rollback.
+	movedScratch []movedBinding
 
 	scaleUps, scaleDowns uint64
 }

@@ -1,6 +1,7 @@
 package sdm
 
 import (
+	"errors"
 	"fmt"
 
 	"repro/internal/brick"
@@ -13,15 +14,30 @@ import (
 // control-plane latency (decision time, plus boot time if the brick had
 // to be powered on).
 func (c *Controller) ReserveCompute(owner string, vcpus int, localMem brick.Bytes) (topo.BrickID, sim.Duration, error) {
-	return c.reserveCompute(owner, vcpus, localMem, nil)
+	id, lat, err := c.reserveCompute(owner, vcpus, localMem, nil)
+	if err == errNoCompute {
+		err = noComputeError(vcpus, localMem)
+	}
+	return id, lat, err
+}
+
+// errNoCompute is reserveCompute's refusal when no brick has the cores
+// and local memory. It carries no text: inside a pod's shard the tier
+// above re-places a refused request, so the text would be thrown away.
+// Where a refusal surfaces, noComputeError builds it.
+var errNoCompute = errors.New("sdm: no compute brick")
+
+// noComputeError is the text of a rack's compute refusal.
+func noComputeError(vcpus int, localMem brick.Bytes) error {
+	return fmt.Errorf("sdm: no compute brick with %d free cores and %v local memory", vcpus, localMem)
 }
 
 // reserveCompute is ReserveCompute never choosing brick avoid, unless
-// avoid is nil. It is the one compute reservation, sequential and
-// batched: while the rack's batch is open and no brick is avoided the
-// batch planner's pick cache serves the pick (batch.go), and a boot or
-// a failed local allocation drops the cache; otherwise the pick is an
-// exact descent.
+// avoid is nil, when a refusal is errNoCompute. It is the one compute
+// reservation, sequential and batched: while the rack's batch is open
+// and no brick is avoided the batch planner's pick cache serves the
+// pick (batch.go), and a boot or a failed local allocation drops the
+// cache; otherwise the pick is an exact descent.
 func (c *Controller) reserveCompute(owner string, vcpus int, localMem brick.Bytes, avoid *topo.BrickID) (topo.BrickID, sim.Duration, error) {
 	c.requests++
 	if vcpus <= 0 {
@@ -49,7 +65,7 @@ func (c *Controller) reserveCompute(owner string, vcpus int, localMem brick.Byte
 		if avoid != nil {
 			return topo.BrickID{}, 0, fmt.Errorf("sdm: no compute brick other than %v with %d free cores and %v local memory", *avoid, vcpus, localMem)
 		}
-		return topo.BrickID{}, 0, fmt.Errorf("sdm: no compute brick with %d free cores and %v local memory", vcpus, localMem)
+		return topo.BrickID{}, 0, errNoCompute
 	}
 	node := c.compute(id)
 	if node.Brick.State() == brick.PowerOff {

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/brick"
+	"repro/internal/topo"
 )
 
 // TestAttachmentQueriesAllocFree pins the append-into-dst attachment
@@ -74,6 +75,150 @@ func TestRebalanceSweepAllocFree(t *testing.T) {
 		}
 	}); n != 0 {
 		t.Fatalf("no-op rebalance sweep allocates %.0f/op, want 0", n)
+	}
+
+	// Room frees at home: each sweep now promotes the spill, which a
+	// sideways re-home then spills again. The promotion allocates
+	// nothing; the sweep's one allocation is its report's Promotions
+	// slice, which the caller keeps.
+	if _, err := s.DetachRemoteMemory(s.Attachments("vm")[0]); err != nil {
+		t.Fatal(err)
+	}
+	cycle := func() {
+		rep := s.Rebalance(0)
+		if rep.Promoted != 1 || rep.Failed != 0 {
+			t.Fatalf("sweep did not promote the spill: %+v", rep)
+		}
+		if _, err := s.Rehome(spill, 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cycle() // warm the host lists and the spill order
+	if n := testing.AllocsPerRun(50, cycle); n != 1 {
+		t.Fatalf("promoting rebalance sweep allocates %.0f/op, want 1 (the Promotions slice)", n)
+	}
+}
+
+// TestMovesAllocFree pins the inline moves at zero allocations once
+// warm: a re-point there and back on one rack, a re-point through the
+// pod from a rack-local to a cross-rack circuit and back, a sideways
+// re-home and back, and a promotion with the re-spill that undoes it.
+func TestMovesAllocFree(t *testing.T) {
+	s := buildPodSchedSpec(t, 3, 8*brick.GiB, 4, DefaultConfig, 2)
+	rack0 := s.racks[0]
+	home := topo.PodBrickID{Brick: rack0.computeOrder[0]}
+	if _, _, err := s.ReserveCompute("vm", 1, 0); err != nil {
+		t.Fatal(err)
+	}
+	local, _, err := s.AttachRemoteMemory("local", home, brick.GiB)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cross, _, err := s.attachCross("cross", topo.RowBrickID{Brick: home.Brick}, brick.GiB)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if local.CrossRack() || !cross.CrossRack() {
+		t.Fatalf("set-up: local crosses %t, cross crosses %t", local.CrossRack(), cross.CrossRack())
+	}
+	memRack := cross.MemRack
+	sideways := 3 - memRack // the rack that is neither home (0) nor memRack
+	must := func(err error) {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	repoint := func(att *Attachment, to topo.PodBrickID) {
+		_, _, err := s.Repoint(att, to)
+		must(err)
+	}
+	rehome := func(att *Attachment, rack int) {
+		_, err := s.Rehome(att, rack)
+		must(err)
+	}
+	moves := []struct {
+		name string
+		run  func()
+	}{
+		{"rack-repoint", func() {
+			_, _, err := rack0.ReattachRemoteMemory(local, rack0.computeOrder[1])
+			must(err)
+			_, _, err = rack0.ReattachRemoteMemory(local, home.Brick)
+			must(err)
+		}},
+		{"pod-repoint", func() {
+			repoint(local, topo.PodBrickID{Rack: 1, Brick: s.racks[1].computeOrder[0]})
+			if !local.CrossRack() {
+				t.Fatal("re-point onto rack 1 left the circuit rack-local")
+			}
+			repoint(local, home)
+		}},
+		{"rehome-sideways", func() {
+			rehome(cross, sideways)
+			rehome(cross, memRack)
+		}},
+		{"promote", func() {
+			_, err := s.Promote(cross)
+			must(err)
+			rehome(cross, memRack)
+		}},
+	}
+	for _, m := range moves {
+		m.run()
+		m.run() // warm the host lists, live lists and spill order
+		if n := testing.AllocsPerRun(50, m.run); n != 0 {
+			t.Errorf("%s there and back allocates %.1f/op, want 0", m.name, n)
+		}
+	}
+	if err := s.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestAdmitRetryAllocFree pins a pod admission whose partition plan a
+// rack refuses at zero allocations: the rack records the refusal with
+// no error text, and the retry re-places the request exactly.
+func TestAdmitRetryAllocFree(t *testing.T) {
+	s := buildPodSchedSpec(t, 2, 8*brick.GiB, 4, DefaultConfig, 2)
+	rack0 := s.racks[0]
+	// Rack 0 has 4 free cores, 3 on its first brick and 1 on its
+	// second. The first 2-vCPU request takes the first brick; the
+	// partition plans the second onto rack 0 too (4 free less 2
+	// planned), where no brick has 2 cores left after the first.
+	for pos, used := range []int{1, 3} {
+		node := rack0.computes[pos]
+		node.Brick.PowerOn()
+		if err := node.Brick.AllocCores(used); err != nil {
+			t.Fatal(err)
+		}
+		rack0.touchCompute(rack0.computeOrder[pos])
+	}
+	reqs := []AdmitRequest{{Owner: "a", VCPUs: 2}, {Owner: "b", VCPUs: 2}}
+	out := make([]AdmitResult, len(reqs))
+	ereqs := make([]EvictRequest, len(reqs))
+	eout := make([]EvictResult, len(reqs))
+	cycle := func() {
+		if err := s.AdmitBatchInto(reqs, out, 0); err != nil {
+			t.Fatal(err)
+		}
+		if out[0].Rack != 0 || out[1].Rack != 1 {
+			t.Fatalf("admitted onto racks %d and %d, want 0 and 1", out[0].Rack, out[1].Rack)
+		}
+		for i := range reqs {
+			ereqs[i] = EvictRequest{Owner: reqs[i].Owner, CPU: out[i].CPU, Rack: out[i].Rack, VCPUs: reqs[i].VCPUs}
+		}
+		if err := s.EvictBatchInto(ereqs, eout, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cycle()
+	_, before := rack0.Stats()
+	const runs = 50
+	if n := testing.AllocsPerRun(runs, cycle); n != 0 {
+		t.Fatalf("admission through a rack refusal allocates %.1f/op, want 0", n)
+	}
+	if _, after := rack0.Stats(); after-before != runs+1 {
+		t.Fatalf("rack 0 refused %d of %d admissions, want every one", after-before, runs+1)
 	}
 }
 

@@ -157,11 +157,10 @@ func (j *bootJournal) log(c *Controller, id topo.BrickID, mem bool) {
 
 // rollback powers down, newest first, every logged brick that ended up
 // idle after the teardown — a batch that rolls back leaves the power
-// census exactly as it found it. (The boot latency stays spent,
-// matching the lifecycle engine's failed-plan contract.) Each step
-// reads and powers down one brick and refreshes only that brick's
-// index leaf, so how the racks' entries interleave does not change the
-// state the replay leaves.
+// census exactly as it found it. (The boot latency stays spent, as a
+// failed lifecycle commit's does.) Each step reads and powers down one
+// brick and refreshes only that brick's index leaf, so how the racks'
+// entries interleave does not change the state the replay leaves.
 func (j *bootJournal) rollback() {
 	for i := len(j.entries) - 1; i >= 0; i-- {
 		e := &j.entries[i]
@@ -285,7 +284,9 @@ func (c *Controller) PlaceBatch(reqs []AdmitRequest, out []AdmitResult) {
 // placeBatch is PlaceBatch with the pod tier's leftover contract: in
 // pod mode a request whose remote part cannot be served rack-locally
 // keeps its compute reservation and is marked needSpill for the pod
-// tier to route cross-rack, instead of failing outright.
+// tier to route cross-rack, instead of failing outright, and a refused
+// compute reservation records errNoCompute, whose text the tier builds
+// only if the refusal surfaces.
 func (c *Controller) placeBatch(reqs []AdmitRequest, out []AdmitResult, pod bool) {
 	c.beginBatch()
 	for i := range reqs {
@@ -307,6 +308,9 @@ func (c *Controller) admitOne(req *AdmitRequest, res *AdmitResult, pod bool) {
 	if req.VCPUs > 0 {
 		id, lat, err := c.reserveCompute(req.Owner, req.VCPUs, req.LocalMem, nil)
 		if err != nil {
+			if err == errNoCompute && !pod {
+				err = noComputeError(req.VCPUs, req.LocalMem)
+			}
 			res.Err = err
 			return
 		}

@@ -49,7 +49,7 @@ type ConsolidationReport struct {
 	SkippedPacket int
 	SkippedRiders int
 	SkippedNoRoom int
-	// Failed counts re-homes that rolled back mid-plan.
+	// Failed counts re-homes that rolled back midway.
 	Failed int
 	// RacksDrained counts racks whose pooled memory emptied this pass;
 	// PoweredOff counts bricks stopped by the closing sweep; DarkRacks
@@ -93,7 +93,7 @@ func (c *Controller) usedMemory() bool {
 // own rack when it has room again, else onto the lowest-index surviving
 // rack that fits. A closing PowerOffIdle sweep then stops every brick
 // the drain left idle. Like the rebalancer, the pass is opportunistic:
-// a re-home that fails mid-plan rolls back and is reported, never
+// a re-home that fails midway rolls back and is reported, never
 // propagated. Index maintenance is group-committed across the pass.
 func (s *PodScheduler) Consolidate(now sim.Time) ConsolidationReport {
 	rep := ConsolidationReport{At: now}

@@ -297,6 +297,11 @@ func (t *tier) admitGroup(reqs []AdmitRequest, out []AdmitResult, shard bool) (i
 				t.requests++
 				t.failures++
 				if !shard {
+					if res.Err == errNoCompute {
+						// A rack refused inside its shard; the refusal
+						// surfaces here, so its text is built here.
+						res.Err = noComputeError(req.VCPUs, req.LocalMem)
+					}
 					return i, res.Err
 				}
 				continue // nothing committed: the parent re-places it

@@ -19,8 +19,8 @@ package sdm
 //     preference order, pruned by the per-state maxima.
 //
 // Leaves refresh at the single choke point every mutation already flows
-// through — the lifecycle engine's commit/rollback plus the handful of
-// direct reservation paths. The controller reads the brick's vector and
+// through — the exits of the lifecycle commits (lifecycle.go) plus the
+// handful of direct reservation paths. The controller reads the brick's vector and
 // hands it over; leaves are keyed by value, so refreshing an unchanged
 // vector (say, after a port-only change) is one comparison. The root's
 // aggregates (rank sum, per-state maxima) are what the pod tier reads

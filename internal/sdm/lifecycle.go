@@ -1,18 +1,19 @@
 package sdm
 
-// The attachment lifecycle engine. Attach is one inline commit shared by
-// every tier (attachCircuit): the rack's own fabric, a cross-rack spill
-// through the pod switch and a cross-pod spill through the row switch
-// run the same steps in the same order and unwind explicitly on
-// failure, with no plan or closure per call. Detach is its inline
-// reverse (detach in teardown.go). The rarer mutations of a live
-// attachment — re-point of the compute end, re-home of the memory end,
-// and the cross-rack→rack-local promotion the rebalancer runs — each
-// execute as one AttachmentOp, a plan of reversible steps committed
-// atomically. The engine owns circuit setup and teardown on
-// every optical tier, the TGL window moves, rider safety, and the
-// per-rack registration indexes; alloc.go, reattach.go and the spill
-// tier (spill.go) are thin callers.
+// The attachment lifecycle: every mutation of an attachment's circuit
+// is one inline commit that runs its steps in order and, on failure,
+// undoes the completed ones in reverse, with no plan object and no
+// allocation per call. Attach (attachCircuit) is shared by every tier:
+// the rack's own fabric, a cross-rack spill through the pod switch and
+// a cross-pod spill through the row switch run the same steps in the
+// same order. Detach is its reverse (detach in teardown.go). The moves
+// of a live attachment are the other two: re-point of the compute end
+// (repointCircuit), and re-home of the memory end (rehomeCircuit),
+// whose special case is the rebalancer's cross-rack→rack-local
+// promotion. Between them they own circuit setup and teardown on every
+// optical tier, the TGL window moves, rider safety and the per-rack
+// registration indexes; alloc.go, reattach.go, pod.go, rebalance.go
+// and the spill tier (spill.go) are thin callers.
 
 import (
 	"errors"
@@ -30,15 +31,16 @@ import (
 type OpKind int
 
 const (
-	// OpAttach provisions a new attachment: segment, circuit, TGL window.
-	// It runs inline (attachCircuit) and names the op in its errors.
+	// OpAttach provisions a new attachment: segment, circuit, TGL window
+	// (attachCircuit).
 	OpAttach OpKind = iota
 	// OpRepoint moves the compute end: circuit and TGL window follow the
-	// VM to a new compute brick while the segment stays put.
+	// VM to a new compute brick while the segment stays put
+	// (repointCircuit).
 	OpRepoint
 	// OpRehome moves the memory end: the segment's contents are copied
 	// to another memory brick and the circuit re-terminated there, while
-	// the guest-visible window base never changes.
+	// the guest-visible window base never changes (rehomeCircuit).
 	OpRehome
 	// OpPromote is the rehome special case the rebalancer runs: a
 	// cross-rack attachment pulled back to its compute rack, releasing
@@ -64,101 +66,6 @@ func (k OpKind) String() string {
 // contents to its new memory brick during a re-home (one transceiver
 // lane over the live circuit, same rate as VM migration's stop-and-copy).
 const rehomeLinkGbps = 10
-
-// opStep is one reversible action of a lifecycle plan. A step with a
-// nil do is a pure latency charge — data, not a closure, so fixed
-// control-plane costs allocate nothing.
-type opStep struct {
-	do     func() (sim.Duration, error)
-	undo   func() error
-	charge sim.Duration
-}
-
-// AttachmentOp is one planned attachment mutation. A plan is built
-// step by step and committed atomically: Commit executes the steps in
-// order and, on any failure, rolls every completed step back in
-// reverse before returning — a failed op leaves the circuit state
-// exactly as it found it.
-type AttachmentOp struct {
-	Kind OpKind
-
-	steps []opStep
-	lat   sim.Duration
-
-	// err short-circuits Commit for plans that failed validation.
-	err error
-	// stepBuf/touchBuf are the inline backing arrays of steps and
-	// touches, so the slices do not allocate separately from the op.
-	stepBuf  [10]opStep
-	touchBuf [2]func()
-	// touches are the placement-index refresh hooks of every brick the
-	// plan may mutate. They run exactly once, at Commit's single exit
-	// point — after success or after rollback — which makes the
-	// lifecycle engine the one choke point where scheduler indexes and
-	// brick state reconcile.
-	touches []func()
-}
-
-// newOp builds an empty plan whose step and touch slices alias the
-// op's inline buffers.
-func newOp(kind OpKind) *AttachmentOp {
-	op := &AttachmentOp{Kind: kind}
-	op.steps = op.stepBuf[:0]
-	op.touches = op.touchBuf[:0]
-	return op
-}
-
-// step appends a reversible action; undo may be nil for irreversible
-// (or final) steps.
-func (op *AttachmentOp) step(do func() (sim.Duration, error), undo func() error) {
-	op.steps = append(op.steps, opStep{do: do, undo: undo})
-}
-
-// charge appends a fixed control-plane latency as an infallible step.
-func (op *AttachmentOp) charge(d sim.Duration) {
-	op.steps = append(op.steps, opStep{charge: d})
-}
-
-// touch registers an index-refresh hook to run when Commit exits.
-func (op *AttachmentOp) touch(fn func()) {
-	op.touches = append(op.touches, fn)
-}
-
-// Commit executes the plan. On failure it rolls back and returns the
-// latency spent up to the failure — callers cascading into the packet
-// fallback still account for work already done (e.g. a brick boot).
-func (op *AttachmentOp) Commit() (sim.Duration, error) {
-	if op.err != nil {
-		return 0, op.err
-	}
-	defer func() {
-		for _, t := range op.touches {
-			t()
-		}
-	}()
-	for i := range op.steps {
-		s := &op.steps[i]
-		if s.do == nil {
-			op.lat += s.charge
-			continue
-		}
-		d, err := s.do()
-		op.lat += d
-		if err == nil {
-			continue
-		}
-		for j := i - 1; j >= 0; j-- {
-			if op.steps[j].undo == nil {
-				continue
-			}
-			if uerr := op.steps[j].undo(); uerr != nil {
-				return op.lat, fmt.Errorf("sdm: %v failed (%v) and rollback failed: %w", op.Kind, err, uerr)
-			}
-		}
-		return op.lat, err
-	}
-	return op.lat, nil
-}
 
 // connector names the optical tier carrying a circuit and its
 // endpoints: a rack's own fabric, or the pod or row switch between two
@@ -421,7 +328,7 @@ func (c *Controller) attachCircuit(owner string, cpu topo.RowBrickID, size brick
 	}
 	if err = node.Agent.Glue.Attach(window); err != nil {
 		if _, uerr := t.disconnect(circuit); uerr != nil {
-			return nil, lat, false, fmt.Errorf("sdm: %v failed (%v) and rollback failed: %w", OpAttach, err, uerr)
+			return nil, lat, false, rollbackFailed(OpAttach, err, uerr)
 		}
 		m.Ports.Release(memPort)
 		m.Release(seg)
@@ -452,222 +359,276 @@ func (c *Controller) attachCircuit(owner string, cpu topo.RowBrickID, size brick
 	return att, lat, false, nil
 }
 
-// planRepoint builds the compute-end move: the circuit and TGL window
-// follow the VM to newCPU (possibly on another rack and so another
-// optical tier) while the segment — and the data on it — stays exactly
-// where it is. move performs the registration hand-over and cannot
-// fail; oldTier/newTier carry the circuit before and after.
-func planRepoint(cfg Config, att *Attachment,
-	oldRack, newRack *Controller, newCPU topo.BrickID,
-	oldTier, newTier connector,
-	move func(newCPUPort topo.PortID, circuit *optical.Circuit, window tgl.Entry)) *AttachmentOp {
-
-	op := newOp(OpRepoint)
-	oldNode := oldRack.compute(att.CPU)
-	newNode := newRack.compute(newCPU)
-	if newNode == nil {
-		op.err = fmt.Errorf("sdm: no compute brick %v", newCPU)
-		return op
-	}
-	op.charge(cfg.DecisionLatency)
-	oldCPU := att.CPU
-	op.touch(func() { oldRack.touchCompute(oldCPU) })
-	op.touch(func() { newRack.touchCompute(newCPU) })
-
+// repointCircuit moves the compute end of att, registered on this rack,
+// to brick newCPU of newRack (this rack for a rack-local re-point): the
+// circuit and TGL window follow the VM while the segment, and the data
+// on it, stays exactly where it is. oldConn and newConn carry the
+// circuit before and after; t is the pod tier that takes the attachment
+// into its spill order when the new circuit crosses racks (nil on a
+// lone rack). The caller has checked that newCPU exists.
+//
+// Committed inline like attachCircuit: on failure every completed step
+// is undone in reverse and lat is what the attempt spent. Both compute
+// bricks' index leaves are touched before it returns.
+func (c *Controller) repointCircuit(att *Attachment, newRack *Controller, newCPU topo.RowBrickID, t *tier, oldConn, newConn connector) (lat sim.Duration, err error) {
+	oldNode, newNode := c.compute(att.CPU), newRack.compute(newCPU.Brick)
+	oldCPU, oldWindow := att.CPU, att.Window
+	defer func() {
+		c.touchCompute(oldCPU)
+		newRack.touchCompute(newCPU.Brick)
+	}()
+	lat = c.cfg.DecisionLatency
 	var (
 		newCPUPort topo.PortID
 		circuit    *optical.Circuit
 		window     tgl.Entry
 	)
-	oldWindow := att.Window
-	// Acquire the new CPU-side port first; nothing is torn down until
-	// the new resources are secured.
-	op.step(func() (sim.Duration, error) {
-		p, err := newNode.Brick.Ports.Acquire()
-		if err != nil {
-			return 0, err
+	// unwind undoes, newest first, the steps after the port claim that
+	// completed: 1 the old circuit's teardown, 2 the new circuit, 3 the
+	// new window, 4 the old window's removal.
+	unwind := func(done int, cause error) error {
+		var uerr error
+		switch done {
+		case 4:
+			if uerr = oldNode.Agent.Glue.Attach(oldWindow); uerr != nil {
+				break
+			}
+			fallthrough
+		case 3:
+			if uerr = newNode.Agent.Glue.Detach(window.Base); uerr != nil {
+				break
+			}
+			fallthrough
+		case 2:
+			if _, uerr = newConn.disconnect(circuit); uerr != nil {
+				break
+			}
+			fallthrough
+		case 1:
+			var old *optical.Circuit
+			if old, _, uerr = oldConn.connect(att.CPUPort, att.MemPort); uerr != nil {
+				break
+			}
+			att.Circuit = old
+			fallthrough
+		default:
+			newNode.Brick.Ports.Release(newCPUPort)
 		}
-		newCPUPort = p
-		return 0, nil
-	}, func() error { newNode.Brick.Ports.Release(newCPUPort); return nil })
+		return rollbackFailed(OpRepoint, cause, uerr)
+	}
+
+	// Claim the new CPU-side port first; nothing is torn down until the
+	// new resources are secured.
+	if newCPUPort, err = newNode.Brick.Ports.Acquire(); err != nil {
+		return lat, err
+	}
 	// Tear the old circuit down, freeing the memory-side port (and, for
-	// a cross-rack circuit, both pod uplinks) for the new circuit.
-	op.step(func() (sim.Duration, error) {
-		return oldTier.disconnect(att.Circuit)
-	}, func() error {
-		c, _, err := oldTier.connect(att.CPUPort, att.MemPort)
-		if err != nil {
-			return err
-		}
-		att.Circuit = c
-		return nil
-	})
-	op.step(func() (sim.Duration, error) {
-		c, reconfig, err := newTier.connect(newCPUPort, att.MemPort)
-		if err != nil {
-			return 0, err
-		}
-		circuit = c
-		return reconfig, nil
-	}, func() error {
-		_, err := newTier.disconnect(circuit)
-		return err
-	})
+	// a cross-rack circuit, both pod uplinks) for the new one.
+	d, err := oldConn.disconnect(att.Circuit)
+	lat += d
+	if err != nil {
+		return lat, unwind(0, err)
+	}
+	if circuit, d, err = newConn.connect(newCPUPort, att.MemPort); err != nil {
+		return lat, unwind(1, err)
+	}
+	lat += d
 	// Install the window on the new brick's agent, then remove the old
-	// one; between the two pushes both windows map the segment, which
-	// is safe because the VM is paused across a re-point.
-	op.step(func() (sim.Duration, error) {
-		window = tgl.Entry{
-			Base:       newNode.nextWindow,
-			Size:       oldWindow.Size,
-			Dest:       att.Segment.Brick,
-			DestOffset: uint64(att.Segment.Offset),
-			Port:       newCPUPort,
-		}
-		if err := newNode.Agent.Glue.Attach(window); err != nil {
-			return 0, err
-		}
-		newNode.nextWindow += window.Size
-		return cfg.AgentRTT, nil
-	}, func() error { return newNode.Agent.Glue.Detach(window.Base) })
-	op.step(func() (sim.Duration, error) {
-		if err := oldNode.Agent.Glue.Detach(oldWindow.Base); err != nil {
-			return 0, fmt.Errorf("sdm: old window removal: %w", err)
-		}
-		return cfg.AgentRTT, nil
-	}, func() error { return oldNode.Agent.Glue.Attach(oldWindow) })
-	// Release the old CPU port and hand the registration over — past
-	// this point the attachment is fully re-homed on the new brick.
-	op.step(func() (sim.Duration, error) {
-		if err := oldNode.Brick.Ports.Release(att.CPUPort); err != nil {
-			return 0, err
-		}
-		move(newCPUPort, circuit, window)
-		return 0, nil
-	}, nil)
-	return op
+	// one; between the two pushes both windows map the segment, which is
+	// safe because the VM is paused across a re-point.
+	window = tgl.Entry{
+		Base:       newNode.nextWindow,
+		Size:       oldWindow.Size,
+		Dest:       att.Segment.Brick,
+		DestOffset: uint64(att.Segment.Offset),
+		Port:       newCPUPort,
+	}
+	if err = newNode.Agent.Glue.Attach(window); err != nil {
+		return lat, unwind(2, err)
+	}
+	newNode.nextWindow += window.Size
+	lat += c.cfg.AgentRTT
+	if err = oldNode.Agent.Glue.Detach(oldWindow.Base); err != nil {
+		return lat, unwind(3, fmt.Errorf("sdm: old window removal: %w", err))
+	}
+	lat += c.cfg.AgentRTT
+	if err = oldNode.Brick.Ports.Release(att.CPUPort); err != nil {
+		return lat, unwind(4, err)
+	}
+
+	// Hand the registration over, final and infallible. It follows the
+	// compute rack: the new rack stamps the attachment after everything
+	// already registered there.
+	if newRack != c {
+		c.unregister(att)
+		newRack.register(att)
+	}
+	c.removeHost(att.spill, att)
+	if att.spill != nil {
+		t.cross.remove(att)
+	}
+	att.CPU, att.CPURack = newCPU.Brick, newCPU.Rack
+	att.CPUPort, att.Circuit, att.Window = newCPUPort, circuit, window
+	att.spill = nil
+	if att.CrossRack() {
+		att.spill = t
+		t.addCrossOrder(att)
+	}
+	newRack.addHost(att.spill, newRack.cpuPos(newCPU.Brick), att)
+	return lat, nil
 }
 
-// planRehome builds the memory-end move: the segment's contents are
-// copied to a freshly carved segment on another memory brick over the
-// still-live old circuit, the TGL window is re-aimed in place (same
-// guest-visible base — no baremetal or hypervisor work), and the
-// circuit is re-terminated on the new brick. pick selects the target
-// brick on newMemRack; move performs the registration hand-over.
-func planRehome(kind OpKind, cfg Config, att *Attachment,
-	rackA, oldMemRack, newMemRack *Controller,
-	pick func() (topo.BrickID, bool),
-	oldTier, newTier connector,
-	move func(newMem topo.BrickID, seg *brick.Segment, memPort topo.PortID, circuit *optical.Circuit, window tgl.Entry)) *AttachmentOp {
-
-	op := newOp(kind)
+// rehomeCircuit moves the memory end of att onto rack target of the pod
+// while the compute end stays put: a segment is carved on the target's
+// pick, the contents ship over the still-live old circuit, the TGL
+// window is re-aimed in place (same guest-visible base, so no baremetal
+// or hypervisor work) and the circuit is re-terminated on the new brick.
+// kind names the move in a rollback failure. The caller has checked the
+// attachment and the target.
+//
+// Committed inline like attachCircuit: on failure every completed step
+// is undone in reverse and lat is what the attempt spent (a brick boot
+// stays spent). Both memory bricks' index leaves are touched before it
+// returns.
+func (s *PodScheduler) rehomeCircuit(kind OpKind, att *Attachment, target int) (lat sim.Duration, err error) {
+	rackA, oldMemRack, newMemRack := s.racks[att.CPURack], s.racks[att.MemRack], s.racks[target]
 	node := rackA.compute(att.CPU)
-	oldMem := oldMemRack.memory(att.Segment.Brick)
-	op.charge(cfg.DecisionLatency)
-	oldMemID := att.Segment.Brick
-	op.touch(func() { oldMemRack.touchMemory(oldMemID) })
-
+	oldMemID, oldWindow := att.Segment.Brick, att.Window
+	oldMem := oldMemRack.memory(oldMemID)
+	oldConn, newConn := s.pairConn(att.CPURack, att.MemRack), s.pairConn(att.CPURack, target)
+	wasCross := att.CrossRack()
 	var (
 		newMemID topo.BrickID
 		m        *brick.Memory
-		seg      *brick.Segment
-		memPort  topo.PortID
-		circuit  *optical.Circuit
-		window   tgl.Entry
 	)
-	op.touch(func() {
+	defer func() {
+		oldMemRack.touchMemory(oldMemID)
 		if m != nil {
 			newMemRack.touchMemory(newMemID)
 		}
-	})
-	oldWindow := att.Window
+	}()
+	lat = s.cfg.DecisionLatency
+
 	// Target selection, power-up and carve.
-	op.step(func() (sim.Duration, error) {
-		id, ok := pick()
-		if !ok {
-			return 0, fmt.Errorf("sdm: no memory brick with %v contiguous free and a spare port to re-home %q", att.Size(), att.Owner)
+	newMemID, ok := newMemRack.pickMemory(att.Size())
+	if !ok {
+		return lat, fmt.Errorf("sdm: no memory brick with %v contiguous free and a spare port to re-home %q", att.Size(), att.Owner)
+	}
+	m = newMemRack.memory(newMemID)
+	if m.State() == brick.PowerOff {
+		m.PowerOn()
+		lat += s.cfg.BrickBoot
+	}
+	seg, err := m.Carve(att.Size(), att.Owner)
+	if err != nil {
+		return lat, err
+	}
+	var (
+		memPort topo.PortID
+		circuit *optical.Circuit
+		window  tgl.Entry
+	)
+	// unwind undoes, newest first, the steps after the carve that
+	// completed: 1 the memory-side port, 2 the window re-aim, 3 the old
+	// circuit's teardown, 4 the new circuit.
+	unwind := func(done int, cause error) error {
+		var uerr error
+		switch done {
+		case 4:
+			if _, uerr = newConn.disconnect(circuit); uerr != nil {
+				break
+			}
+			fallthrough
+		case 3:
+			var old *optical.Circuit
+			if old, _, uerr = oldConn.connect(att.CPUPort, att.MemPort); uerr != nil {
+				break
+			}
+			att.Circuit = old
+			fallthrough
+		case 2:
+			if uerr = node.Agent.Glue.Detach(window.Base); uerr != nil {
+				break
+			}
+			if uerr = node.Agent.Glue.Attach(oldWindow); uerr != nil {
+				break
+			}
+			fallthrough
+		case 1:
+			m.Ports.Release(memPort)
+			fallthrough
+		default:
+			m.Release(seg)
 		}
-		newMemID = id
-		m = newMemRack.memory(id)
-		if m.State() == brick.PowerOff {
-			m.PowerOn()
-			return cfg.BrickBoot, nil
-		}
-		return 0, nil
-	}, nil)
-	op.step(func() (sim.Duration, error) {
-		var err error
-		seg, err = m.Carve(att.Size(), att.Owner)
-		return 0, err
-	}, func() error { m.Release(seg); return nil })
-	op.step(func() (sim.Duration, error) {
-		p, err := m.Ports.Acquire()
-		if err != nil {
-			return 0, err
-		}
-		memPort = p
-		return 0, nil
-	}, func() error { m.Ports.Release(memPort); return nil })
+		return rollbackFailed(kind, cause, uerr)
+	}
+
+	if memPort, err = m.Ports.Acquire(); err != nil {
+		return lat, unwind(0, err)
+	}
 	// Ship the contents over the still-live old circuit.
-	op.charge(optical.SerializationDelay(int(att.Size()), rehomeLinkGbps))
-	// Re-aim the TGL window in place: same base, new destination. The
-	// guest's physical map never changes, so no hotplug is charged.
-	op.step(func() (sim.Duration, error) {
-		if err := node.Agent.Glue.Detach(oldWindow.Base); err != nil {
-			return 0, err
-		}
-		window = tgl.Entry{
-			Base:       oldWindow.Base,
-			Size:       oldWindow.Size,
-			Dest:       newMemID,
-			DestOffset: uint64(seg.Offset),
-			Port:       att.CPUPort,
-		}
-		if err := node.Agent.Glue.Attach(window); err != nil {
-			node.Agent.Glue.Attach(oldWindow)
-			return 0, err
-		}
-		return cfg.AgentRTT, nil
-	}, func() error {
-		if err := node.Agent.Glue.Detach(window.Base); err != nil {
-			return err
-		}
-		return node.Agent.Glue.Attach(oldWindow)
-	})
+	lat += optical.SerializationDelay(int(att.Size()), rehomeLinkGbps)
+	// Re-aim the TGL window in place: same base, new destination.
+	if err = node.Agent.Glue.Detach(oldWindow.Base); err != nil {
+		return lat, unwind(1, err)
+	}
+	window = tgl.Entry{
+		Base:       oldWindow.Base,
+		Size:       oldWindow.Size,
+		Dest:       newMemID,
+		DestOffset: uint64(seg.Offset),
+		Port:       att.CPUPort,
+	}
+	if err = node.Agent.Glue.Attach(window); err != nil {
+		node.Agent.Glue.Attach(oldWindow)
+		return lat, unwind(1, err)
+	}
+	lat += s.cfg.AgentRTT
 	// Swap the circuit: the old tier's teardown frees the memory-side
-	// port (and any pod uplinks); the new tier re-terminates on the
-	// same CPU port.
-	op.step(func() (sim.Duration, error) {
-		return oldTier.disconnect(att.Circuit)
-	}, func() error {
-		c, _, err := oldTier.connect(att.CPUPort, att.MemPort)
-		if err != nil {
-			return err
-		}
-		att.Circuit = c
-		return nil
-	})
-	op.step(func() (sim.Duration, error) {
-		c, reconfig, err := newTier.connect(att.CPUPort, memPort)
-		if err != nil {
-			return 0, err
-		}
-		circuit = c
-		return reconfig, nil
-	}, func() error {
-		_, err := newTier.disconnect(circuit)
-		return err
-	})
-	// Release the old memory end and hand the registration over.
-	op.step(func() (sim.Duration, error) {
-		if err := oldMem.Ports.Release(att.MemPort); err != nil {
-			return 0, err
-		}
-		if err := oldMem.Release(att.Segment); err != nil {
-			return 0, err
-		}
-		move(newMemID, seg, memPort, circuit, window)
-		return 0, nil
-	}, nil)
-	return op
+	// port (and any pod uplinks); the new tier re-terminates on the same
+	// CPU port.
+	d, err := oldConn.disconnect(att.Circuit)
+	lat += d
+	if err != nil {
+		return lat, unwind(2, err)
+	}
+	if circuit, d, err = newConn.connect(att.CPUPort, memPort); err != nil {
+		return lat, unwind(3, err)
+	}
+	lat += d
+	// Release the old memory end.
+	if err = oldMem.Ports.Release(att.MemPort); err != nil {
+		return lat, unwind(4, err)
+	}
+	if err = oldMem.Release(att.Segment); err != nil {
+		return lat, unwind(4, err)
+	}
+
+	// Hand the registration over, final and infallible.
+	att.Segment, att.MemPort, att.MemRack = seg, memPort, target
+	att.Circuit, att.Window = circuit, window
+	ord := rackA.cpuPos(att.CPU)
+	switch nowCross := att.CrossRack(); {
+	case wasCross && !nowCross:
+		rackA.removeHost(att.spill, att)
+		s.cross.remove(att)
+		att.spill = nil
+		rackA.addHost(nil, ord, att)
+		s.promoted++
+	case !wasCross && nowCross:
+		rackA.removeHost(nil, att)
+		att.spill = &s.tier
+		rackA.addHost(att.spill, ord, att)
+		s.addCrossOrder(att)
+	}
+	return lat, nil
+}
+
+// rollbackFailed is a failed move's error: its cause, or the cause and
+// the undo step that failed, which leaves the move half done.
+func rollbackFailed(kind OpKind, cause, uerr error) error {
+	if uerr != nil {
+		return fmt.Errorf("sdm: %v failed (%v) and rollback failed: %w", kind, cause, uerr)
+	}
+	return cause
 }

@@ -68,12 +68,14 @@ func NewPodScheduler(pod *topo.Pod, fabric *optical.PodFabric, bc BrickConfigs, 
 		pod:    pod,
 		fabric: fabric,
 	}
+	// Every rack shares one boot journal and one attachment arena.
+	atts := &attArena{}
 	for i := 0; i < pod.Racks(); i++ {
 		c, err := NewController(pod.Rack(i), fabric.Rack(i), bc, cfg)
 		if err != nil {
 			return nil, fmt.Errorf("sdm: rack %d: %w", i, err)
 		}
-		c.boots = s.boots
+		c.boots, c.atts = s.boots, atts
 		c.crossHosts[podLevel] = make([][]*Attachment, len(c.computes))
 		s.racks = append(s.racks, c)
 		s.children = append(s.children, c)
@@ -200,32 +202,8 @@ func (t *tier) repoint(att *Attachment, newCPU topo.RowBrickID) (tgl.Entry, sim.
 		t.failures++
 		return tgl.Entry{}, 0, err
 	}
-	op := planRepoint(t.cfg, att, oldRack, newRack, newCPU.Brick,
-		t.pairConn(att.CPURack, att.MemRack), t.pairConn(newCPU.Rack, att.MemRack),
-		func(newCPUPort topo.PortID, circuit *optical.Circuit, window tgl.Entry) {
-			// Registration follows the compute rack: the new rack stamps
-			// the attachment after everything already registered there.
-			if att.CPURack != newCPU.Rack {
-				oldRack.unregister(att)
-				newRack.register(att)
-			}
-			oldRack.removeHost(att.spill, att)
-			if att.spill != nil {
-				t.cross.remove(att)
-			}
-			att.CPU = newCPU.Brick
-			att.CPUPort = newCPUPort
-			att.Circuit = circuit
-			att.Window = window
-			att.CPURack = newCPU.Rack
-			att.spill = nil
-			if att.CrossRack() {
-				att.spill = t
-				t.addCrossOrder(att)
-			}
-			newRack.addHost(att.spill, newRack.cpuPos(newCPU.Brick), att)
-		})
-	lat, err := op.Commit()
+	lat, err := oldRack.repointCircuit(att, newRack, newCPU, t,
+		t.pairConn(att.CPURack, att.MemRack), t.pairConn(newCPU.Rack, att.MemRack))
 	if err != nil {
 		t.failures++
 		return tgl.Entry{}, 0, err

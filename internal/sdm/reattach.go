@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/brick"
-	"repro/internal/optical"
 	"repro/internal/sim"
 	"repro/internal/tgl"
 	"repro/internal/topo"
@@ -26,8 +25,8 @@ func (c *Controller) ReserveComputeExcept(owner string, vcpus int, localMem bric
 // on the dMEMBRICK — this is what makes VM migration cheap in a
 // disaggregated rack. The old circuit is torn down, a new circuit is set
 // up from the new brick, the TGL window is installed on the new brick's
-// agent and removed from the old one — one OpRepoint through the
-// lifecycle engine, so on failure the attachment is left in its
+// agent and removed from the old one — one inline commit
+// (repointCircuit), so on failure the attachment is left in its
 // original state. Spilled attachments route to their tier: a pod
 // rebuilds the circuit through the pod switch so the re-point never
 // silently drops the pod tier, and a row refuses (re-tiering through
@@ -56,16 +55,7 @@ func (c *Controller) ReattachRemoteMemory(att *Attachment, newCPU topo.BrickID) 
 		c.failures++
 		return tgl.Entry{}, 0, err
 	}
-	op := planRepoint(c.cfg, att, c, c, newCPU, c.rackConn(), c.rackConn(),
-		func(newCPUPort topo.PortID, circuit *optical.Circuit, window tgl.Entry) {
-			c.removeHost(nil, att)
-			att.CPU = newCPU
-			att.CPUPort = newCPUPort
-			att.Circuit = circuit
-			att.Window = window
-			c.addHost(nil, c.cpuPos(newCPU), att)
-		})
-	lat, err := op.Commit()
+	lat, err := c.repointCircuit(att, c, topo.RowBrickID{Rack: att.CPURack, Brick: newCPU}, nil, c.rackConn(), c.rackConn())
 	if err != nil {
 		c.failures++
 		return tgl.Entry{}, 0, err

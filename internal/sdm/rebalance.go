@@ -5,18 +5,13 @@ package sdm
 // every access for as long as they live. Rebalance undoes them — it
 // walks the live cross-rack attachments oldest-first and, wherever the
 // home rack's memory has freed up since the spill, re-homes the
-// segment rack-local through the lifecycle engine's OpPromote,
-// releasing both uplinks and collapsing the access path back to the
-// rack fabric.
+// segment rack-local with a promotion (rehomeCircuit), releasing
+// both uplinks and collapsing the access path back to the rack fabric.
 
 import (
 	"fmt"
 
-	"repro/internal/brick"
-	"repro/internal/optical"
 	"repro/internal/sim"
-	"repro/internal/tgl"
-	"repro/internal/topo"
 )
 
 // Promotion records one cross-rack attachment pulled rack-local.
@@ -45,7 +40,7 @@ type RebalanceReport struct {
 	// SkippedNoRoom counts attachments whose home rack still has no
 	// contiguous gap (or spare port) for the segment.
 	SkippedNoRoom int
-	// Failed counts promotions that rolled back mid-plan.
+	// Failed counts promotions that rolled back midway.
 	Failed int
 	// FreedUplinks is the net pod-switch uplinks released by the sweep
 	// (two per promoted circuit, one on each endpoint rack).
@@ -60,9 +55,8 @@ type RebalanceReport struct {
 // rack: a fresh segment is carved rack-local, the contents shipped
 // over the still-live pod circuit, the TGL window re-aimed in place
 // (the guest-visible base never changes, so no hotplug is charged) and
-// the pod circuit replaced by a rack-local one — one OpPromote through
-// the lifecycle engine, rolled back completely on any mid-plan
-// failure.
+// the pod circuit replaced by a rack-local one — one inline commit
+// (rehomeCircuit), rolled back completely on any midway failure.
 func (s *PodScheduler) Promote(att *Attachment) (sim.Duration, error) {
 	if err := s.movable(att); err != nil {
 		return 0, err
@@ -104,42 +98,14 @@ func (s *PodScheduler) Rehome(att *Attachment, targetRack int) (sim.Duration, er
 	if targetRack == att.CPURack {
 		kind = OpPromote
 	}
-	wasCross := att.CrossRack()
-	newMemRack := s.racks[targetRack]
-	op := planRehome(kind, s.cfg, att, rackA, s.racks[att.MemRack], newMemRack,
-		func() (topo.BrickID, bool) { return newMemRack.pickMemory(att.Size()) },
-		s.pairConn(att.CPURack, att.MemRack), s.pairConn(att.CPURack, targetRack),
-		func(newMem topo.BrickID, seg *brick.Segment, memPort topo.PortID, circuit *optical.Circuit, window tgl.Entry) {
-			att.Segment = seg
-			att.MemPort = memPort
-			att.Circuit = circuit
-			att.Window = window
-			att.MemRack = targetRack
-			nowCross := att.CrossRack()
-			ord := rackA.cpuPos(att.CPU)
-			switch {
-			case wasCross && !nowCross:
-				rackA.removeHost(att.spill, att)
-				s.cross.remove(att)
-				att.spill = nil
-				rackA.addHost(nil, ord, att)
-				s.promoted++
-			case !wasCross && nowCross:
-				rackA.removeHost(nil, att)
-				att.spill = &s.tier
-				rackA.addHost(att.spill, ord, att)
-				s.addCrossOrder(att)
-			}
-		})
-	lat, err := op.Commit()
+	lat, err := s.rehomeCircuit(kind, att, targetRack)
 	if err != nil {
 		// The partial latency is returned with the error: a rolled-back
 		// re-home may still have booted a brick or shipped the copy, and
-		// that virtual time was spent (same contract as Commit).
+		// that virtual time was spent.
 		s.failures++
-		return lat, err
 	}
-	return lat, nil
+	return lat, err
 }
 
 // Promoted returns how many attachments the scheduler has pulled back
@@ -151,7 +117,7 @@ func (s *PodScheduler) Promoted() uint64 { return s.promoted }
 // one rack-local when its home rack can hold the segment again. Circuits
 // still carrying packet-mode riders, the riders themselves, and
 // attachments whose home rack remains full are skipped; a promotion
-// that fails mid-plan rolls back and is reported, never propagated —
+// that fails midway rolls back and is reported, never propagated —
 // the sweep is an opportunistic background pass, not a transaction.
 func (s *PodScheduler) Rebalance(now sim.Time) RebalanceReport {
 	rep := RebalanceReport{At: now}

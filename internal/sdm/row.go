@@ -58,6 +58,8 @@ func NewRowScheduler(row *topo.Row, fabric *optical.RowFabric, bc BrickConfigs, 
 		row:    row,
 		fabric: fabric,
 	}
+	// Every rack shares one boot journal and one attachment arena.
+	atts := &attArena{}
 	for i := 0; i < row.Pods(); i++ {
 		p, err := NewPodScheduler(row.Pod(i), fabric.Pod(i), bc, cfg)
 		if err != nil {
@@ -66,6 +68,7 @@ func NewRowScheduler(row *topo.Row, fabric *optical.RowFabric, bc BrickConfigs, 
 		p.boots = s.boots
 		for _, r := range p.racks {
 			r.boots = s.boots
+			r.atts = atts
 			r.crossHosts[rowLevel] = make([][]*Attachment, len(r.computes))
 		}
 		p.agg = newPodAgg(p.racks)

@@ -222,10 +222,9 @@ type Controller struct {
 	bareMetal      []string
 	bareMetalCount int
 
-	// attFree is the attachment arena: batch epilogues park retired
-	// attachments here and the admission paths recycle them, so
-	// steady-state churn allocates no Attachment objects.
-	attFree []*Attachment
+	// atts is the attachment arena, shared by every rack of a pod or
+	// row (attArena).
+	atts *attArena
 
 	// cpuIdx/memIdx are the placement indexes (see index.go), whose leaf
 	// positions are exactly the brick ordinals above.
@@ -305,6 +304,7 @@ func NewController(rack *topo.Rack, fabric *optical.Fabric, bc BrickConfigs, cfg
 		rack:   rack,
 		fabric: fabric,
 		boots:  &bootJournal{},
+		atts:   &attArena{},
 	}
 	setPos := func(tab *[][]int32, id topo.BrickID, ord int) {
 		for id.Tray >= len(*tab) {
@@ -435,13 +435,24 @@ func (c *Controller) Accel(id topo.BrickID) (*brick.Accel, bool) {
 	return nil, false
 }
 
+// attArena is the attachment arena: batch epilogues park retired
+// attachments here and the admission paths recycle them, so
+// steady-state churn allocates no Attachment objects. One arena serves
+// a whole pod or row, as the boot journal does: an attachment re-pointed
+// onto another rack retires there, so per-rack arenas would drift, the
+// rack it left allocating afresh after every migration.
+type attArena struct {
+	free []*Attachment
+}
+
 // newAttachment pops a recycled attachment off the arena (or allocates
 // one), fully zeroed.
 func (c *Controller) newAttachment() *Attachment {
-	if n := len(c.attFree); n > 0 {
-		att := c.attFree[n-1]
-		c.attFree[n-1] = nil
-		c.attFree = c.attFree[:n-1]
+	a := c.atts
+	if n := len(a.free); n > 0 {
+		att := a.free[n-1]
+		a.free[n-1] = nil
+		a.free = a.free[:n-1]
 		*att = Attachment{}
 		return att
 	}
@@ -453,7 +464,7 @@ func (c *Controller) newAttachment() *Attachment {
 // attachment are dead by contract, and per-request callers that hold
 // the pointer have been handed their results already.
 func (c *Controller) freeAttachment(att *Attachment) {
-	c.attFree = append(c.attFree, att)
+	c.atts.free = append(c.atts.free, att)
 }
 
 // Attachments returns the live attachments of an owner (a copy, in

@@ -24,6 +24,8 @@ type entryTier struct {
 	// crosses the tier's switch.
 	cross int
 	stats func() string
+	// pods are the tier's racks, pod by pod.
+	pods [][]*Controller
 }
 
 // entryTiers builds a three-rack pod and a two-pod row of three-rack
@@ -54,6 +56,7 @@ func entryTiers(t *testing.T) map[string]*entryTier {
 				rr, rf := pod.Rack(0).Stats()
 				return fmt.Sprintf("pod %d/%d/%d rack %d/%d", r, f, s, rr, rf)
 			},
+			pods: [][]*Controller{pod.racks},
 		},
 		"row": {
 			reserve: func(owner string, vcpus int, local brick.Bytes) error {
@@ -74,6 +77,7 @@ func entryTiers(t *testing.T) map[string]*entryTier {
 				rr, rf := row.Pod(0).Rack(0).Stats()
 				return fmt.Sprintf("row %d/%d/%d pod %d/%d/%d rack %d/%d", r, f, s, pr, pf, ps, rr, rf)
 			},
+			pods: [][]*Controller{row.pods[0].racks, row.pods[1].racks},
 		},
 	}
 }
@@ -120,6 +124,19 @@ func TestTierEntryRefusals(t *testing.T) {
 		{"reserve/too-large", func(t *testing.T, e *entryTier) error { return e.reserve("vm", 64, 0) }, map[string][2]string{
 			"pod": {"sdm: no rack in the 3-rack pod with 64 free cores and 0B local memory", "pod 1/1/0 rack 0/0"},
 			"row": {"sdm: no pod in the 2-pod row with 64 free cores and 0B local memory", "row 1/1/0 pod 0/0/0 rack 0/0"},
+		}},
+		// Every rack the tiers pick refuses, so a rack's refusal surfaces
+		// from the top-level retry: the third rack of each pod is full,
+		// the partition's pick and the retry's each spend a stale one.
+		{"reserve/rack-refuses", func(t *testing.T, e *entryTier) error {
+			for _, racks := range e.pods {
+				staleCompute(t, racks[:2])
+				fillCompute(t, racks[2:])
+			}
+			return e.reserve("vm", 2, brick.GiB)
+		}, map[string][2]string{
+			"pod": {"sdm: no compute brick with 2 free cores and 1.0GiB local memory", "pod 1/1/0 rack 1/1"},
+			"row": {"sdm: no compute brick with 2 free cores and 1.0GiB local memory", "row 1/1/0 pod 1/1/0 rack 1/1"},
 		}},
 		{"release/pod-below", func(t *testing.T, e *entryTier) error { return e.release(at(e, -1, 0), 1, 0) }, map[string][2]string{
 			"pod": {"compute t0.s0: release of 1 cores with 0 allocated", "pod 0/0/0 rack 0/0"},
@@ -223,5 +240,51 @@ func TestTierEntryRefusals(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// staleCompute takes every free core of the racks' compute bricks
+// behind the index's back and queues each brick's leaf dirty, as a
+// batch's touch would. The tiers' screens and confirming picks still
+// see the cores, but a rack flushes its dirty leaves before its batch
+// picks, so it refuses every request its tier places on it: the
+// partition's plan and the retry's exact pick alike.
+func staleCompute(t *testing.T, racks []*Controller) {
+	t.Helper()
+	for _, c := range racks {
+		c.beginBatch()
+		c.endBatch()
+		for pos, node := range c.computes {
+			if node.Brick.State() == brick.PowerOff {
+				node.Brick.PowerOn()
+			}
+			if free := node.Brick.FreeCores(); free > 0 {
+				if err := node.Brick.AllocCores(free); err != nil {
+					t.Fatal(err)
+				}
+			}
+			c.batch.dirtyCPU = append(c.batch.dirtyCPU, pos)
+			c.batch.inDirtyCPU[pos] = true
+		}
+	}
+}
+
+// fillCompute takes every free core of the racks' compute bricks, so
+// the racks' indexes and their tiers' screens see them full.
+func fillCompute(t *testing.T, racks []*Controller) {
+	t.Helper()
+	for _, c := range racks {
+		for pos, node := range c.computes {
+			if node.Brick.State() == brick.PowerOff {
+				node.Brick.PowerOn()
+			}
+			if free := node.Brick.FreeCores(); free > 0 {
+				if err := node.Brick.AllocCores(free); err != nil {
+					t.Fatal(err)
+				}
+			}
+			c.touchCompute(c.computeOrder[pos])
+		}
+		c.notifyAgg()
 	}
 }
