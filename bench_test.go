@@ -463,8 +463,8 @@ func BenchmarkRowSequentialCycle(b *testing.B) {
 // every VM carries 2 or 4 GiB of remote memory. pod-spill/racks-16 is
 // pod/racks-16 with 12 of the 16 racks' memory pre-filled to 1 GiB short
 // of full, so the 3 in 4 VMs homed on them spill cross-rack. The
-// facades are warmed first, so allocs/op is the steady-state cost:
-// about two allocations per VM plus each burst's returned results.
+// facades are warmed first, so allocs/op is the steady-state cost,
+// which is zero: the VM records and the returned results are recycled.
 func BenchmarkFacadeBurst(b *testing.B) {
 	cases := []struct {
 		name  string

@@ -72,6 +72,50 @@ func burstAllocs(t *testing.T, target PipelineTarget, reqs []VMCreate) float64 {
 	return n
 }
 
+// poissonAllocs warms target with open-loop steps, then measures the
+// allocations of one cycle of them. Each step creates one or two VMs
+// and, once live VMs stand at the population, destroys as many of the
+// oldest, so batches of one and two interleave as they do when tenants
+// arrive one at a time and depart after a fixed lifetime.
+func poissonAllocs(t *testing.T, target PipelineTarget) float64 {
+	t.Helper()
+	const population = 16
+	pool := burstReqs(4 * population)
+	var creates [2]VMCreate
+	var destroys [2]string
+	oldest, next := 0, 0
+	step := func(k int) {
+		for j := 0; j < k; j++ {
+			creates[j] = pool[(next+j)%len(pool)]
+		}
+		if _, err := target.CreateVMs(creates[:k], 0); err != nil {
+			t.Fatal(err)
+		}
+		next += k
+		if next-oldest <= population {
+			return
+		}
+		for j := 0; j < k; j++ {
+			destroys[j] = pool[(oldest+j)%len(pool)].ID
+		}
+		if _, err := target.DestroyVMs(destroys[:k], 0); err != nil {
+			t.Fatal(err)
+		}
+		oldest += k
+	}
+	cycle := func() {
+		step(1)
+		step(2)
+		step(1)
+	}
+	for i := 0; i < 2*len(pool); i++ {
+		cycle()
+	}
+	n := testing.AllocsPerRun(50, cycle)
+	t.Logf("open-loop cycle of 4 VMs in batches of one and two: %.2f allocations, %.4f per VM", n, n/4)
+	return n
+}
+
 // churnAllocs warms pod with pod-churn rounds, then measures the
 // allocations of one round: a 32-VM CreateVMs, a newest-first
 // DestroyVMs down to the round's target population, RebalanceBatch and
@@ -142,15 +186,15 @@ func churnAllocs(t *testing.T, pod *Pod) float64 {
 }
 
 // TestFacadeSteadyStateAllocs pins the allocation cost of a warmed
-// facade burst at the two []scaleup.Result slices that CreateVMs and
-// DestroyVMs return, and nothing per VM, also in a pod-churn round that
-// migrates VMs and moves their memory between racks: the SDM group commit
-// allocates nothing, the burst buffers and the name table's slots are
-// reused, and each VM boots into a Scale-up record (which embeds the
-// hypervisor VM with its guest kernel and first binding) that an
-// earlier DestroyVMs parked in the facade's arena.
+// facade burst at zero, also in a pod-churn round that migrates VMs and
+// moves their memory between racks, and in an open loop of batches of
+// one and two: the SDM group commit allocates nothing, the burst
+// buffers, the returned results and the name table's slots are reused,
+// and each VM boots into a Scale-up record (which embeds the hypervisor
+// VM with its guest kernel and first binding) that an earlier
+// DestroyVMs parked in the facade's arena.
 func TestFacadeSteadyStateAllocs(t *testing.T) {
-	const maxPerCycle = 2
+	const maxPerCycle = 0
 	t.Run("pod", func(t *testing.T) {
 		cfg := DefaultPodConfig(4)
 		cfg.Rack = burstRackConfig()
@@ -218,6 +262,21 @@ func TestFacadeSteadyStateAllocs(t *testing.T) {
 		row.Scheduler().PowerOnAll()
 		if n := burstAllocs(t, row, burstReqs(256)); n > maxPerCycle {
 			t.Fatalf("row create+destroy allocates %.0f per cycle, want <= %d", n, maxPerCycle)
+		}
+	})
+	t.Run("row-poisson", func(t *testing.T) {
+		// The row-poisson shape: tenants arrive one or two at a time on a
+		// spread row and each batch retires as many of the oldest VMs.
+		cfg := DefaultRowConfig(4, 8)
+		cfg.Rack = burstRackConfig()
+		cfg.Fabric.Switch.Ports = max(cfg.Fabric.Switch.Ports, cfg.Racks*cfg.Fabric.UplinksPerRack)
+		row, err := NewRow(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		row.Scheduler().PowerOnAll()
+		if n := poissonAllocs(t, row); n > maxPerCycle {
+			t.Fatalf("row open-loop cycle allocates %.2f, want <= %d", n, maxPerCycle)
 		}
 	})
 }

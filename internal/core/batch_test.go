@@ -3,9 +3,11 @@ package core
 import (
 	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/brick"
+	"repro/internal/scaleup"
 	"repro/internal/topo"
 	"repro/internal/workload"
 )
@@ -163,5 +165,134 @@ func TestCreateVMsAtomic(t *testing.T) {
 	}
 	if pod.Now() != 0 {
 		t.Fatalf("clock advanced to %v by a rolled-back burst", pod.Now())
+	}
+}
+
+// TestBurstResultsValidUntilNextBurst pins the facade's result
+// contract. CreateVMs and DestroyVMs return the facade's own buffers,
+// which the next burst of the same kind overwrites; CreateVM and
+// DestroyVM return copies, which later bursts leave alone; and a
+// depth-2 BatchPipeline, which re-times the facade's buffer in place,
+// shifts exactly the burst it ran, once.
+func TestBurstResultsValidUntilNextBurst(t *testing.T) {
+	burst := func(prefix string, n int) ([]VMCreate, []string) {
+		reqs, ids := make([]VMCreate, n), make([]string, n)
+		for i := range reqs {
+			ids[i] = fmt.Sprintf("%s%d", prefix, i)
+			reqs[i] = VMCreate{ID: ids[i], VCPUs: 1 + i%2, Memory: brick.GiB, Remote: brick.Bytes(i%2) * brick.GiB}
+		}
+		return reqs, ids
+	}
+	pod, err := NewPod(batchPodConfig(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// overwritten runs two bursts of one kind and checks that the second
+	// wrote over the results the first returned.
+	overwritten := func(what string, run func(prefix string) ([]scaleup.Result, error)) {
+		t.Helper()
+		first, err := run("a")
+		if err != nil {
+			t.Fatal(err)
+		}
+		kept := slices.Clone(first)
+		second, err := run("b")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if &first[0] != &second[0] {
+			t.Fatalf("%s: the next burst returned a new slice", what)
+		}
+		if reflect.DeepEqual(first, kept) {
+			t.Fatalf("%s: the next burst left the earlier results in place", what)
+		}
+	}
+	overwritten("CreateVMs", func(prefix string) ([]scaleup.Result, error) {
+		reqs, _ := burst(prefix, 3)
+		return pod.CreateVMs(reqs, 0)
+	})
+	overwritten("DestroyVMs", func(prefix string) ([]scaleup.Result, error) {
+		_, ids := burst(prefix, 3)
+		return pod.DestroyVMs(ids, 0)
+	})
+
+	created, err := pod.CreateVM("solo", 2, brick.GiB)
+	if err != nil {
+		t.Fatal(err)
+	}
+	keptCreated := created
+	reqs, ids := burst("c", 2)
+	if _, err := pod.CreateVMs(reqs, 0); err != nil {
+		t.Fatal(err)
+	}
+	destroyed, err := pod.DestroyVM("solo")
+	if err != nil {
+		t.Fatal(err)
+	}
+	keptDestroyed := destroyed
+	if _, err := pod.DestroyVMs(ids, 0); err != nil {
+		t.Fatal(err)
+	}
+	if created != keptCreated || destroyed != keptDestroyed {
+		t.Fatal("a later burst changed a CreateVM or DestroyVM result")
+	}
+
+	// The pipeline's facade places exactly as its twin does, so each
+	// burst's results are the twin's shifted by one delta. At depth 2 a
+	// create joins the burst in flight, and a destroy of older VMs runs
+	// beside it, ahead of the facade's clock.
+	twin, err := NewPod(batchPodConfig(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	piped, err := NewPod(batchPodConfig(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	bp, err := NewBatchPipeline(piped, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check := func(k int, want, got []scaleup.Result, n int) bool {
+		t.Helper()
+		if len(got) != n {
+			t.Fatalf("burst %d: %d results for %d VMs", k, len(got), n)
+		}
+		shift := got[0].Requested.Sub(want[0].Requested)
+		for i := range got {
+			r := got[i]
+			r.Requested, r.Started, r.Done = r.Requested.Add(-shift), r.Started.Add(-shift), r.Done.Add(-shift)
+			if r != want[i] {
+				t.Fatalf("burst %d VM %d: pipeline result %+v is not the facade's %+v shifted by %v", k, i, got[i], want[i], shift)
+			}
+		}
+		return shift != 0
+	}
+	var shifted bool
+	var older []string
+	for k, n := range []int{3, 2, 3, 1} {
+		reqs, ids := burst(fmt.Sprintf("p%d-", k), n)
+		want, err := twin.CreateVMs(reqs, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := bp.CreateVMs(reqs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		shifted = check(k, want, got, n) || shifted
+		if older != nil {
+			if want, err = twin.DestroyVMs(older, 0); err != nil {
+				t.Fatal(err)
+			}
+			if got, err = bp.DestroyVMs(older); err != nil {
+				t.Fatal(err)
+			}
+			shifted = check(k, want, got, len(older)) || shifted
+		}
+		older = ids
+	}
+	if !shifted {
+		t.Fatal("the pipeline never re-timed a burst; the shape must overlap boots")
 	}
 }

@@ -134,13 +134,13 @@ func (a *vmArena) park(vm *scaleup.VM) { *a = append(*a, vm) }
 
 // burstScratch is a facade's reused burst state: the request, result
 // and attachment buffers CreateVMs and DestroyVMs hand to the
-// scheduler's AdmitBatchInto and EvictBatchInto, the table slots a
-// burst resolves once and uses again after the commit, and the rack VM
-// list the consolidation pass walks. Facade calls are
-// serial, so one set is reused across calls and a steady burst train
-// stops allocating it; with the VM records recycled through the
-// facade's vmArena, only the []scaleup.Result a burst returns is
-// fresh. Every buffer is resized and overwritten at the top of a call.
+// scheduler's AdmitBatchInto and EvictBatchInto, the results they
+// return, the table slots a burst resolves once and uses again after
+// the commit, and the rack VM list the consolidation pass walks. Facade
+// calls are serial, so one set is reused across calls and, with the VM
+// records recycled through the facade's vmArena, a steady burst train
+// allocates nothing. Every buffer is resized at the top of a call, and
+// grows only for a burst larger than any before.
 type burstScratch struct {
 	admit    []sdm.AdmitRequest
 	admitted []sdm.AdmitResult
@@ -152,6 +152,10 @@ type burstScratch struct {
 	// slots holds each VM's table slot between the name lookup and the
 	// commit's epilogue.
 	slots []int32
+	// created and destroyed are the results CreateVMs and DestroyVMs
+	// return, valid until the facade's next burst of either kind. A
+	// burst writes each of its slots once, so neither is cleared.
+	created, destroyed []scaleup.Result
 	// vms lists one rack's VMs during a consolidation pass; the pass
 	// clears it, so retired VMs are not kept reachable.
 	vms []*scaleup.VM

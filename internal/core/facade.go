@@ -145,6 +145,10 @@ type VMCreate struct {
 // all-or-nothing: if any VM cannot be placed, nothing is admitted. The
 // clock advances past the whole group's completion. workers is unused:
 // the commit runs on the caller's goroutine.
+//
+// The returned slice is the facade's own buffer: it is valid until this
+// facade's next CreateVMs or DestroyVMs, which overwrites it. A caller
+// that keeps results past that copies them.
 func (f *facade) CreateVMs(reqs []VMCreate, workers int) ([]scaleup.Result, error) {
 	f.vms.begin()
 	areqs, admitted, slots := f.burst.admitBufs(len(reqs))
@@ -165,7 +169,8 @@ func (f *facade) CreateVMs(reqs []VMCreate, workers int) ([]scaleup.Result, erro
 		f.vms.unclaim(reqs, slots)
 		return nil, err
 	}
-	results := make([]scaleup.Result, len(reqs))
+	f.burst.created = resize(f.burst.created, len(reqs))
+	results := f.burst.created
 	done := f.now
 	for i, r := range reqs {
 		scale := f.stacks[admitted[i].Pod][admitted[i].Rack].scale
@@ -259,6 +264,10 @@ func (f *facade) unwindAdopted(reqs []VMCreate, admitted []sdm.AdmitResult, slot
 // eviction fails, no resource is released and no VM is touched. The
 // clock advances past the whole group's completion. workers is unused:
 // the commit runs on the caller's goroutine.
+//
+// The returned slice is the facade's own buffer: it is valid until this
+// facade's next CreateVMs or DestroyVMs, which overwrites it. A caller
+// that keeps results past that copies them.
 func (f *facade) DestroyVMs(ids []string, workers int) ([]scaleup.Result, error) {
 	f.vms.begin()
 	ereqs, evicted, slots, atts := f.burst.evictBufs(len(ids))
@@ -283,7 +292,8 @@ func (f *facade) DestroyVMs(ids []string, workers int) ([]scaleup.Result, error)
 	if err := f.top.EvictBatchInto(ereqs, evicted, 0); err != nil {
 		return nil, err
 	}
-	results := make([]scaleup.Result, len(ids))
+	f.burst.destroyed = resize(f.burst.destroyed, len(ids))
+	results := f.burst.destroyed
 	done := f.now
 	for i, id := range ids {
 		vm := f.vms.at(slots[i]).vm
@@ -306,7 +316,8 @@ func (f *facade) DestroyVMs(ids []string, workers int) ([]scaleup.Result, error)
 
 // CreateVM boots one VM somewhere in the facade — an admission batch
 // of one, byte-identical to the sequential placement path. The clock
-// advances past the creation delay.
+// advances past the creation delay. The result is a copy, so later
+// bursts do not overwrite it.
 func (f *facade) CreateVM(id string, vcpus int, memory brick.Bytes) (scaleup.Result, error) {
 	res, err := f.CreateVMs([]VMCreate{{ID: id, VCPUs: vcpus, Memory: memory}}, 0)
 	if err != nil {
@@ -317,6 +328,7 @@ func (f *facade) CreateVM(id string, vcpus int, memory brick.Bytes) (scaleup.Res
 
 // DestroyVM retires one VM — a teardown batch of one, byte-identical
 // to the per-request detach path. The clock advances past completion.
+// The result is a copy, so later bursts do not overwrite it.
 func (f *facade) DestroyVM(id string) (scaleup.Result, error) {
 	res, err := f.DestroyVMs([]string{id}, 1)
 	if err != nil {

@@ -50,7 +50,8 @@ type BatchPipeline struct {
 // PipelineTarget is the facade surface the pipeline drives: the pod
 // and row tiers both satisfy it. The workers argument is unused — the
 // group commit runs on the caller's goroutine — and the pipeline
-// passes 0.
+// passes 0. The result slices are the facade's own, valid until its
+// next CreateVMs or DestroyVMs.
 type PipelineTarget interface {
 	Now() sim.Time
 	CreateVMs(reqs []VMCreate, workers int) ([]scaleup.Result, error)
@@ -114,7 +115,9 @@ func (bp *BatchPipeline) Advance(dur sim.Duration) error {
 
 // CreateVMs admits one burst through the pipeline. The placement is
 // exactly the facade's; the returned results are re-timed onto the
-// pipeline clock, with the burst's boot horizon parked in flight.
+// pipeline clock, with the burst's boot horizon parked in flight. They
+// are the facade's result slice, re-timed in place, so they are valid
+// until the facade's next burst.
 func (bp *BatchPipeline) CreateVMs(reqs []VMCreate) ([]scaleup.Result, error) {
 	if bp.depth <= 1 {
 		return bp.sequential(func() ([]scaleup.Result, error) {
@@ -158,7 +161,8 @@ func (bp *BatchPipeline) CreateVMs(reqs []VMCreate) ([]scaleup.Result, error) {
 // every in-flight burst that booted one of the victims — teardown of a
 // still-booting VM has to wait for the boot — then charges the full
 // teardown span to the controller (teardown is all control plane; it
-// parks no background work).
+// parks no background work). The results are the facade's, re-timed in
+// place, and valid until its next burst.
 func (bp *BatchPipeline) DestroyVMs(ids []string) ([]scaleup.Result, error) {
 	if bp.depth <= 1 {
 		return bp.sequential(func() ([]scaleup.Result, error) {

@@ -14,7 +14,7 @@ import (
 // control-plane latency (decision time, plus boot time if the brick had
 // to be powered on).
 func (c *Controller) ReserveCompute(owner string, vcpus int, localMem brick.Bytes) (topo.BrickID, sim.Duration, error) {
-	id, lat, err := c.reserveCompute(owner, vcpus, localMem, nil)
+	id, lat, err := c.reserveCompute(owner, vcpus, localMem, nil, nil)
 	if err == errNoCompute {
 		err = noComputeError(vcpus, localMem)
 	}
@@ -37,8 +37,10 @@ func noComputeError(vcpus int, localMem brick.Bytes) error {
 // reservation, sequential and batched: while the rack's batch is open
 // and no brick is avoided the batch planner's pick cache serves the
 // pick (batch.go), and a boot or a failed local allocation drops the
-// cache; otherwise the pick is an exact descent.
-func (c *Controller) reserveCompute(owner string, vcpus int, localMem brick.Bytes, avoid *topo.BrickID) (topo.BrickID, sim.Duration, error) {
+// cache; otherwise the pick is an exact descent. Inside a batch, picked
+// (nil for none) is a brick the tier above already picked against the
+// rack's current state, and it replaces the pick.
+func (c *Controller) reserveCompute(owner string, vcpus int, localMem brick.Bytes, avoid, picked *topo.BrickID) (topo.BrickID, sim.Duration, error) {
 	c.requests++
 	if vcpus <= 0 {
 		c.failures++
@@ -52,7 +54,7 @@ func (c *Controller) reserveCompute(owner string, vcpus int, localMem brick.Byte
 		ok bool
 	)
 	if batched && avoid == nil {
-		id, ok = c.batchPickCompute(vcpus, localMem)
+		id, ok = c.batchPickCompute(vcpus, localMem, picked)
 	} else {
 		exclude := -1
 		if avoid != nil {

@@ -44,9 +44,10 @@ func TestAttachmentQueriesAllocFree(t *testing.T) {
 	}
 }
 
-// TestRebalanceSweepAllocFree pins a no-promotion rebalancing sweep at
-// zero allocations once its snapshot scratch is warm: a periodic
-// background rebalancer costs nothing while there is nothing to do.
+// TestRebalanceSweepAllocFree pins a rebalancing sweep at zero
+// allocations once its scratch is warm: a periodic background
+// rebalancer costs nothing while there is nothing to do, and a sweep
+// that promotes reports its promotions in the scheduler's own buffer.
 func TestRebalanceSweepAllocFree(t *testing.T) {
 	cfg := DefaultConfig
 	cfg.PacketFallback = true
@@ -78,15 +79,14 @@ func TestRebalanceSweepAllocFree(t *testing.T) {
 	}
 
 	// Room frees at home: each sweep now promotes the spill, which a
-	// sideways re-home then spills again. The promotion allocates
-	// nothing; the sweep's one allocation is its report's Promotions
-	// slice, which the caller keeps.
+	// sideways re-home then spills again. Neither the promotion nor the
+	// report's Promotions allocate.
 	if _, err := s.DetachRemoteMemory(s.Attachments("vm")[0]); err != nil {
 		t.Fatal(err)
 	}
 	cycle := func() {
 		rep := s.Rebalance(0)
-		if rep.Promoted != 1 || rep.Failed != 0 {
+		if rep.Promoted != 1 || rep.Failed != 0 || len(rep.Promotions) != 1 || rep.Promotions[0].Owner != "vm" {
 			t.Fatalf("sweep did not promote the spill: %+v", rep)
 		}
 		if _, err := s.Rehome(spill, 1); err != nil {
@@ -94,8 +94,8 @@ func TestRebalanceSweepAllocFree(t *testing.T) {
 		}
 	}
 	cycle() // warm the host lists and the spill order
-	if n := testing.AllocsPerRun(50, cycle); n != 1 {
-		t.Fatalf("promoting rebalance sweep allocates %.0f/op, want 1 (the Promotions slice)", n)
+	if n := testing.AllocsPerRun(50, cycle); n != 0 {
+		t.Fatalf("promoting rebalance sweep allocates %.0f/op, want 0", n)
 	}
 }
 

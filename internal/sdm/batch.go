@@ -62,6 +62,12 @@ type AdmitRequest struct {
 	Rack int
 	// Pod names CPU's pod at the row tier; lower tiers ignore it.
 	Pod int
+
+	// picked marks a compute request whose brick the tier above already
+	// confirmed: CPU, Rack and Pod hold that brick's path relative to the
+	// tier or rack receiving the request, which takes it instead of
+	// picking again. Only a tier's own copies of requests carry it.
+	picked bool
 }
 
 // AdmitResult is one admission's outcome.
@@ -229,10 +235,21 @@ func (c *Controller) flushDirtyMem() {
 }
 
 // batchPickCompute is pickCompute under batch planning: cache hit with
-// O(1) live revalidation, or dirty-leaf flush plus an exact descent.
-func (c *Controller) batchPickCompute(vcpus int, localMem brick.Bytes) (topo.BrickID, bool) {
+// O(1) live revalidation, or dirty-leaf flush plus an exact descent. A
+// brick the tier above picked on the rack's exact index (picked, nil
+// for none) is that descent's answer, so after the same O(1) live check
+// it is taken and cached without one.
+func (c *Controller) batchPickCompute(vcpus int, localMem brick.Bytes, picked *topo.BrickID) (topo.BrickID, bool) {
 	b := c.batch
 	minA, minB := int64(vcpus), int64(localMem)
+	if picked != nil {
+		if pos := c.cpuPos(*picked); pos >= 0 {
+			if s := c.computeStat(pos); s.fitA >= minA && s.fitB >= minB {
+				c.cacheCompute(pos, minA, minB)
+				return *picked, true
+			}
+		}
+	}
 	if b.cpuCache.valid && b.cpuCache.minA == minA && b.cpuCache.minB == minB {
 		if s := c.computeStat(b.cpuCache.pos); s.fitA >= minA && s.fitB >= minB {
 			return c.computeOrder[b.cpuCache.pos], true
@@ -240,12 +257,22 @@ func (c *Controller) batchPickCompute(vcpus int, localMem brick.Bytes) (topo.Bri
 	}
 	c.flushDirtyCPU()
 	id, ok := c.pickComputeIndexed(vcpus, localMem, -1)
-	if ok && c.cfg.Policy != PolicySpread {
-		b.cpuCache = pickCache{valid: true, pos: c.cpuPos(id), minA: minA, minB: minB}
+	if ok {
+		c.cacheCompute(c.cpuPos(id), minA, minB)
 	} else {
 		b.cpuCache.valid = false
 	}
 	return id, ok
+}
+
+// cacheCompute remembers the compute brick at pos as the policy's answer
+// for a requirement, under the packing policies.
+func (c *Controller) cacheCompute(pos int, minA, minB int64) {
+	if c.cfg.Policy == PolicySpread {
+		c.batch.cpuCache.valid = false
+		return
+	}
+	c.batch.cpuCache = pickCache{valid: true, pos: pos, minA: minA, minB: minB}
 }
 
 // batchPickMemory is pickMemory under batch planning.
@@ -306,7 +333,11 @@ func (c *Controller) admitOne(req *AdmitRequest, res *AdmitResult, pod bool) {
 	*res = AdmitResult{}
 	cpu := req.CPU
 	if req.VCPUs > 0 {
-		id, lat, err := c.reserveCompute(req.Owner, req.VCPUs, req.LocalMem, nil)
+		var picked *topo.BrickID
+		if req.picked {
+			picked = &req.CPU
+		}
+		id, lat, err := c.reserveCompute(req.Owner, req.VCPUs, req.LocalMem, nil, picked)
 		if err != nil {
 			if err == errNoCompute && !pod {
 				err = noComputeError(req.VCPUs, req.LocalMem)

@@ -147,6 +147,9 @@ type admitScratch struct {
 	leftover []int
 	seqs     []uint64    // spill sequence counters at the top of the batch
 	one      *oneScratch // the sequential entry points' batch of one, made on first use
+	// replaced is the merge's copy of a re-placed request, carrying the
+	// path its exact pick confirmed down to the child's shard of one.
+	replaced [1]AdmitRequest
 }
 
 // oneScratch is a batch of one, held by pointer to keep tiers small.
@@ -281,13 +284,18 @@ func (t *tier) admitGroup(reqs []AdmitRequest, out []AdmitResult, shard bool) (i
 		req, res := &reqs[i], &out[i]
 		if retry[i] {
 			// Re-place it the way a batch places its first request: the
-			// exact child choice, then that child's shard of one.
-			c, ok := t.childOf(req.Pod, req.Rack), true
+			// exact child choice, then that child's shard of one, which
+			// takes the brick the choice confirmed.
+			c, ok, sub := t.childOf(req.Pod, req.Rack), true, reqs[i:i+1]
 			if req.VCPUs > 0 {
-				c, ok = t.pickCompute(req.VCPUs, req.LocalMem, -1)
+				var p topo.RowBrickID
+				p, ok = t.pickCompute(req.VCPUs, req.LocalMem, -1)
+				c, sub = t.childOf(p.Pod, p.Rack), sc.replaced[:]
+				sub[0] = *req
+				t.carry(&sub[0], p)
 			}
 			if ok {
-				t.children[c].admitShard(reqs[i:i+1], out[i:i+1])
+				t.children[c].admitShard(sub, out[i:i+1])
 			} else {
 				w := &tierWords[t.level]
 				res.Err = fmt.Errorf("sdm: no %s in the %d-%s %s with %d free cores and %v local memory",
@@ -365,15 +373,27 @@ func (t *tier) admitPlan(reqs []AdmitRequest) {
 	child, planned, free := sc.child[:len(reqs)], sc.planned[:width], sc.free[:width]
 	clear(planned)
 	exact, read := true, false
+	// picked is the request the exact pick placed, and path the brick it
+	// confirmed.
+	picked, path := -1, topo.RowBrickID{}
 	for i := range reqs {
 		req := &reqs[i]
 		if req.VCPUs == 0 {
 			child[i] = t.childOf(req.Pod, req.Rack)
 			continue
 		}
-		var c int
+		c := -1
 		if exact {
-			c, _ = t.pickCompute(req.VCPUs, req.LocalMem, -1)
+			// A request the tier above carried down is its shard's first, so
+			// it is the exact one here, and its path was confirmed against
+			// this tier's state as it still is.
+			p, ok := topo.RowBrickID{Pod: req.Pod, Rack: req.Rack, Brick: req.CPU}, req.picked
+			if !ok {
+				p, ok = t.pickCompute(req.VCPUs, req.LocalMem, -1)
+			}
+			if ok {
+				c, picked, path = t.childOf(p.Pod, p.Rack), i, p
+			}
 		} else {
 			if !read {
 				// Planning commits nothing, so the children's free cores
@@ -392,12 +412,30 @@ func (t *tier) admitPlan(reqs []AdmitRequest) {
 		child[i] = c
 	}
 	sc.subReq = pack(&sc.shards, width, child, reqs, sc.subReq)
+	if picked >= 0 {
+		// The confirmed path goes down only to a request its child serves
+		// first: a shard touches only its own child, so nothing commits in
+		// the child between this pick and the child's, and the child would
+		// find the same brick. Behind attach-only requests of its shard,
+		// which commit first, the child picks again.
+		if pos := sc.pos[picked]; pos == sc.offsets[child[picked]] {
+			t.carry(&sc.subReq[pos], path)
+		}
+	}
 	n := len(sc.subReq)
 	if cap(sc.subOut) < n {
 		sc.subOut = make([]AdmitResult, n)
 	}
 	sc.subOut = sc.subOut[:n]
 	clear(sc.subOut)
+}
+
+// carry writes onto sub, the tier's own copy of a compute request, the
+// brick p that the tier's exact pick confirmed, as a path relative to
+// the child serving it, so the child takes it instead of picking again.
+func (t *tier) carry(sub *AdmitRequest, p topo.RowBrickID) {
+	*t.coord(&p.Pod, &p.Rack) = 0
+	sub.Pod, sub.Rack, sub.CPU, sub.picked = p.Pod, p.Rack, p.Brick, true
 }
 
 // abortAdmit tears every committed admission down in reverse request

@@ -232,3 +232,93 @@ func TestSpreadRowPickFallbackMatchesLinear(t *testing.T) {
 	}
 	t.Logf("fallbacks: compute %d, memory %d", cpuFallbacks, memFallbacks)
 }
+
+// TestBatchOfOnePicksOnce: a batch of one runs each tier's compute pick
+// once. On a spread row whose only pod with free cores has a most-free
+// rack that passes its screen but fails its confirming pick (its cores
+// and its local memory sit on different bricks), the row's choice
+// confirms that pod through the pod's own pick, which falls back once.
+// The pod's shard takes the brick that pick confirmed instead of
+// picking again, so the pod's fallback counter moves by one, through
+// the batch entry and the sequential one alike, and the request lands
+// where the linear oracle says.
+func TestBatchOfOnePicksOnce(t *testing.T) {
+	cfg := DefaultConfig
+	cfg.Policy = PolicySpread
+	s := attachDiffRow(t, cfg)
+	// take reserves cores and local memory on the compute brick at pos,
+	// keeping the rack's index and its pod's summary exact.
+	take := func(c *Controller, pos, cores int, local brick.Bytes) {
+		t.Helper()
+		b := c.computes[pos].Brick
+		if cores > 0 {
+			if err := b.AllocCores(cores); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if local > 0 {
+			if err := b.AllocLocal(local); err != nil {
+				t.Fatal(err)
+			}
+		}
+		c.touchCompute(c.computeOrder[pos])
+	}
+	pod := s.pods[0]
+	take(pod.racks[0], 0, 0, 8*brick.GiB) // 8 cores, no local memory
+	take(pod.racks[0], 1, 6, 0)           // 2 cores, all local memory
+	take(pod.racks[1], 0, 4, 0)           // 4 cores, all local memory
+	take(pod.racks[1], 1, 8, 0)
+	take(pod.racks[2], 0, 8, 0)
+	take(pod.racks[2], 1, 8, 0)
+	for _, p := range s.pods[1:] {
+		for _, c := range p.racks {
+			take(c, 0, 8, 0)
+			take(c, 1, 8, 0)
+		}
+	}
+	const vcpus, local = 4, 2 * brick.GiB
+	want := topo.RowBrickID{Pod: 0, Rack: 1, Brick: pod.racks[1].computeOrder[0]}
+	if p, ok := rowPickComputeOracle(s, vcpus, local); !ok || p != want.Pod {
+		t.Fatalf("oracle picks pod %d (%v), want pod %d", p, ok, want.Pod)
+	}
+	if r, ok := pod.pickComputeRackLinear(vcpus, local, -1); !ok || r != want.Rack {
+		t.Fatalf("linear twin picks rack %d (%v), want rack %d", r, ok, want.Rack)
+	}
+
+	entries := []struct {
+		name  string
+		admit func() (topo.RowBrickID, error)
+	}{
+		{"AdmitBatchInto", func() (topo.RowBrickID, error) {
+			out := make([]AdmitResult, 1)
+			err := s.AdmitBatchInto([]AdmitRequest{{Owner: "one", VCPUs: vcpus, LocalMem: local}}, out, 0)
+			return topo.RowBrickID{Pod: out[0].Pod, Rack: out[0].Rack, Brick: out[0].CPU}, err
+		}},
+		{"ReserveCompute", func() (topo.RowBrickID, error) {
+			id, _, err := s.ReserveCompute("one", vcpus, local)
+			return id, err
+		}},
+	}
+	for _, e := range entries {
+		rowBefore, podBefore := s.spreadFallbacks, pod.spreadFallbacks
+		got, err := e.admit()
+		if err != nil {
+			t.Fatalf("%s: %v", e.name, err)
+		}
+		if got != want {
+			t.Fatalf("%s: placed on %v, want %v", e.name, got, want)
+		}
+		if n := pod.spreadFallbacks - podBefore; n != 1 {
+			t.Fatalf("%s: the pod's rack choice fell back %d times, want 1", e.name, n)
+		}
+		if n := s.spreadFallbacks - rowBefore; n != 0 {
+			t.Fatalf("%s: the row's pod choice fell back %d times, want 0", e.name, n)
+		}
+		if err := s.ReleaseCompute(got, vcpus, local); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.CheckInvariants(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}

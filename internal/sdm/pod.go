@@ -44,9 +44,11 @@ type PodScheduler struct {
 	// notify.
 	agg *podAgg
 
-	// rebalScratch is the rebalancer's reused sweep snapshot buffer, so
-	// periodic sweeps stop allocating per call.
+	// rebalScratch is the rebalancer's reused sweep snapshot buffer, and
+	// promotions the buffer its reports' Promotions live in, so periodic
+	// sweeps stop allocating per call.
 	rebalScratch []*Attachment
+	promotions   []Promotion
 
 	promoted uint64
 }
@@ -102,7 +104,11 @@ func (s *PodScheduler) Fabric() *optical.PodFabric { return s.fabric }
 // for a compute reservation with one rack excluded, without reserving
 // anything — used by cross-rack VM migration.
 func (s *PodScheduler) PickComputeRackExcept(vcpus int, localMem brick.Bytes, exclude int) (int, bool) {
-	return s.pickCompute(vcpus, localMem, exclude)
+	p, ok := s.tier.pickCompute(vcpus, localMem, exclude)
+	if !ok {
+		return -1, false
+	}
+	return p.Rack, true
 }
 
 // ReserveCompute places a compute reservation pod-wide: the policy
@@ -141,9 +147,8 @@ func (s *PodScheduler) memoryAtLeast(size, least brick.Bytes) (brick.Bytes, bool
 
 func (s *PodScheduler) maxGap() brick.Bytes { return s.agg.MaxGap() }
 
-func (s *PodScheduler) confirmCompute(vcpus int, localMem brick.Bytes) bool {
-	_, ok := s.pickCompute(vcpus, localMem, -1)
-	return ok
+func (s *PodScheduler) confirmCompute(vcpus int, localMem brick.Bytes) (topo.RowBrickID, bool) {
+	return s.tier.pickCompute(vcpus, localMem, -1)
 }
 
 func (s *PodScheduler) confirmMemory(size brick.Bytes) (topo.RowBrickID, bool) {

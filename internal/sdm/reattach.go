@@ -17,7 +17,7 @@ var powerPreference = []brick.PowerState{brick.PowerActive, brick.PowerIdle, bri
 // ReserveCompute, but never the excluded brick — used by VM migration,
 // which must land the VM somewhere other than its current host.
 func (c *Controller) ReserveComputeExcept(owner string, vcpus int, localMem brick.Bytes, exclude topo.BrickID) (topo.BrickID, sim.Duration, error) {
-	return c.reserveCompute(owner, vcpus, localMem, &exclude)
+	return c.reserveCompute(owner, vcpus, localMem, &exclude, nil)
 }
 
 // ReattachRemoteMemory re-points a live attachment at a new compute

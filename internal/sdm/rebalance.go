@@ -47,7 +47,9 @@ type RebalanceReport struct {
 	FreedUplinks int
 	// Latency is the total orchestration-plus-copy time of the sweep.
 	Latency sim.Duration
-	// Promotions details each re-homed attachment in sweep order.
+	// Promotions details each re-homed attachment in sweep order, nil
+	// when there are none. It is the scheduler's own buffer, valid until
+	// its next sweep.
 	Promotions []Promotion
 }
 
@@ -119,6 +121,10 @@ func (s *PodScheduler) Promoted() uint64 { return s.promoted }
 // attachments whose home rack remains full are skipped; a promotion
 // that fails midway rolls back and is reported, never propagated —
 // the sweep is an opportunistic background pass, not a transaction.
+//
+// The report's Promotions are the scheduler's own buffer: they are
+// valid until its next Rebalance or RebalanceBatch, which overwrites
+// them. A caller that keeps them past that copies them.
 func (s *PodScheduler) Rebalance(now sim.Time) RebalanceReport {
 	rep := RebalanceReport{At: now}
 	// Every live pod cross circuit holds one uplink on each of its two
@@ -132,6 +138,7 @@ func (s *PodScheduler) Rebalance(now sim.Time) RebalanceReport {
 		snapshot = append(snapshot, att)
 	}
 	s.rebalScratch = snapshot
+	promos := s.promotions[:0]
 	for _, att := range snapshot {
 		if !att.CrossRack() {
 			continue
@@ -157,13 +164,17 @@ func (s *PodScheduler) Rebalance(now sim.Time) RebalanceReport {
 			continue
 		}
 		rep.Promoted++
-		rep.Promotions = append(rep.Promotions, Promotion{
+		promos = append(promos, Promotion{
 			Owner:    att.Owner,
 			Size:     int64(att.Size()),
 			FromRack: fromRack,
 			HomeRack: att.CPURack,
 			Latency:  lat,
 		})
+	}
+	s.promotions = promos
+	if len(promos) > 0 {
+		rep.Promotions = promos
 	}
 	rep.FreedUplinks = 2 * (crossBefore - s.fabric.CrossCircuits())
 	return rep

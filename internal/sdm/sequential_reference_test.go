@@ -20,7 +20,8 @@ import (
 // child, the child picks the brick.
 func (t *tier) seqReserve(owner string, vcpus int, localMem brick.Bytes) (topo.RowBrickID, sim.Duration, error) {
 	t.requests++
-	c, ok := t.pickCompute(vcpus, localMem, -1)
+	p, ok := t.pickCompute(vcpus, localMem, -1)
+	c := t.childOf(p.Pod, p.Rack)
 	if !ok {
 		t.failures++
 		w := &tierWords[t.level]

@@ -73,9 +73,9 @@ type tierChild interface {
 	// maxGap is the largest contiguous free gap on any memory brick of
 	// the child: the attach doom screen.
 	maxGap() brick.Bytes
-	// confirmCompute and confirmMemory run the child's own pick; the
-	// memory pick returns the brick it found.
-	confirmCompute(vcpus int, localMem brick.Bytes) bool
+	// confirmCompute and confirmMemory run the child's own pick and
+	// return the brick it found.
+	confirmCompute(vcpus int, localMem brick.Bytes) (topo.RowBrickID, bool)
 	confirmMemory(size brick.Bytes) (topo.RowBrickID, bool)
 
 	// The child's teardown entry points, which the tier's route to.
@@ -175,8 +175,10 @@ func (t *tier) checkAddr(p topo.RowBrickID) error {
 // pickCompute applies the placement policy to the child choice of a
 // compute reservation, never choosing exclude (-1 for none). It is
 // O(children) arithmetic: each child answers the O(1) screen, and only
-// the child that could actually win runs its confirming pick.
-func (t *tier) pickCompute(vcpus int, localMem brick.Bytes, exclude int) (int, bool) {
+// the child that could actually win runs its confirming pick. It
+// returns the brick the winner's pick found, which the group commit
+// carries down so the child does not pick again.
+func (t *tier) pickCompute(vcpus int, localMem brick.Bytes, exclude int) (topo.RowBrickID, bool) {
 	if t.cfg.Policy == PolicySpread {
 		// Winner first: the answer is the most-free child whose confirming
 		// pick succeeds (lowest index on ties), so when the most-free child
@@ -191,27 +193,31 @@ func (t *tier) pickCompute(vcpus int, localMem brick.Bytes, exclude int) (int, b
 			}
 		}
 		if top < 0 {
-			return -1, false
+			return topo.RowBrickID{}, false
 		}
-		if t.children[top].confirmCompute(vcpus, localMem) {
-			return top, true
+		if p, ok := t.confirmComputeIn(top, vcpus, localMem); ok {
+			return p, true
 		}
 		t.spreadFallbacks++
-		best, bestFree := -1, int64(-1)
+		best, bestP, bestFree := -1, topo.RowBrickID{}, int64(-1)
 		for i, c := range t.children {
-			if free, ok := c.computeAtLeast(vcpus, localMem, bestFree+1); ok && i != exclude && c.confirmCompute(vcpus, localMem) {
-				best, bestFree = i, free
+			if free, ok := c.computeAtLeast(vcpus, localMem, bestFree+1); ok && i != exclude {
+				if p, ok := t.confirmComputeIn(i, vcpus, localMem); ok {
+					best, bestP, bestFree = i, p, free
+				}
 			}
 		}
-		return best, best >= 0
+		return bestP, best >= 0
 	}
 	// Power-aware and first-fit pack children in index order.
 	for i, c := range t.children {
-		if _, ok := c.computeAtLeast(vcpus, localMem, 0); ok && i != exclude && c.confirmCompute(vcpus, localMem) {
-			return i, true
+		if _, ok := c.computeAtLeast(vcpus, localMem, 0); ok && i != exclude {
+			if p, ok := t.confirmComputeIn(i, vcpus, localMem); ok {
+				return p, true
+			}
 		}
 	}
-	return -1, false
+	return topo.RowBrickID{}, false
 }
 
 // pickMemory applies the placement policy to the child choice of a
@@ -266,6 +272,13 @@ func above(best int, bestFree brick.Bytes) brick.Bytes {
 		return 0
 	}
 	return bestFree + 1
+}
+
+// confirmComputeIn runs child i's confirming compute pick.
+func (t *tier) confirmComputeIn(i int, vcpus int, localMem brick.Bytes) (topo.RowBrickID, bool) {
+	p, ok := t.children[i].confirmCompute(vcpus, localMem)
+	*t.coord(&p.Pod, &p.Rack) = i
+	return p, ok
 }
 
 // confirmMemoryIn runs child i's confirming memory pick.
@@ -467,9 +480,9 @@ func (c *Controller) memoryAtLeast(size, least brick.Bytes) (brick.Bytes, bool) 
 
 func (c *Controller) maxGap() brick.Bytes { return c.MaxMemoryGap() }
 
-func (c *Controller) confirmCompute(vcpus int, localMem brick.Bytes) bool {
-	_, ok := c.pickCompute(vcpus, localMem, -1)
-	return ok
+func (c *Controller) confirmCompute(vcpus int, localMem brick.Bytes) (topo.RowBrickID, bool) {
+	id, ok := c.pickCompute(vcpus, localMem, -1)
+	return topo.RowBrickID{Brick: id}, ok
 }
 
 func (c *Controller) confirmMemory(size brick.Bytes) (topo.RowBrickID, bool) {
